@@ -28,11 +28,9 @@ from .gadgets import (
 )
 from .sim import (
     CatSyndrome,
-    NoiseParams,
     PropagationResult,
     adaptive_propagate,
     propagate,
-    sample_faults,
 )
 from .decoders import (
     CodeLUT,
@@ -47,7 +45,6 @@ from .decoders import (
     build_cut_cat_lut,
     decode_d3d5,
     decode_d7,
-    decode_lut,
     j_list,
     plan_round2_d7,
 )

@@ -9,7 +9,6 @@ per-trial Python, and those are deduplicated first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,14 +16,17 @@ import numpy as np
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
-from .sim import CatSyndrome, NoiseParams, noisy_operations, op_code_effects
-from .experiments import SweepResult, TrialStats, fit_slope, run_batches_until
+from .sim import CatSyndrome
+from .experiments import (
+    FaultTable,
+    SweepResult,
+    TrialStats,
+    _fit_sweep,
+    run_batches_until,
+    table_apply,
+)
 
 CUT_CAT_WEIGHT_THRESHOLD = 6
-
-
-def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
 
 
 class _GeneratorExtractor:
@@ -39,8 +41,8 @@ class _GeneratorExtractor:
     def __init__(self, sector: str, support_mask: int, distance: int):
         self.sector = sector
         self.support_mask = np.uint64(support_mask)
-        support = list(bits_of(support_mask))
-        self.gamma = len(support)
+        self.support = list(bits_of(support_mask))
+        self.gamma = len(self.support)
         if self.gamma > CUT_CAT_WEIGHT_THRESHOLD:
             spec = GadgetSpec(gamma=self.gamma, distance=distance, adaptive=False)
             self.gadget = build_cut_cat(spec)
@@ -50,24 +52,15 @@ class _GeneratorExtractor:
             self.decoder = None
         self.has_ring = self.gadget.n_slots > 0
 
-        ops = noisy_operations(self.gadget, NoiseParams(p=0.0))
-        self.n_codes = np.array([op.n_codes for op in ops], dtype=np.int64)
-        n_ops = len(ops)
-        self.data_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        self.slot_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        self.gen_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        for i, op in enumerate(ops):
-            for c, eff in enumerate(op_code_effects(self.gadget, op)):
-                self.data_tab[i, c] = self._globalize(eff.data_x, support)
-                self.slot_tab[i, c] = eff.slot_flips
-                self.gen_tab[i, c] = eff.gen_flip
+        self.faults = FaultTable.from_gadget(
+            self.gadget, ("data_x", "slot_flips", "gen_flip"), self._globalize,
+        )
         self._ring_cache: dict[int, int] = {}
 
-    @staticmethod
-    def _globalize(local_mask: int, support: Sequence[int]) -> int:
+    def _globalize(self, local_mask: int) -> int:
         out = 0
         for i in bits_of(local_mask):
-            out |= 1 << support[i]
+            out |= 1 << self.support[i]
         return out
 
     def _ring_correction(self, slots_key: int) -> int:
@@ -75,7 +68,7 @@ class _GeneratorExtractor:
         if corr is None:
             syn = CatSyndrome(self.gadget.cat_count, (slots_key,))
             local = self.decoder.decode(syn)
-            corr = self._globalize(local, list(bits_of(int(self.support_mask))))
+            corr = self._globalize(local)
             self._ring_cache[slots_key] = corr
         return corr
 
@@ -96,25 +89,13 @@ class _GeneratorExtractor:
         """
         size = data_x.shape[0]
         reads = data_z if self.sector == "X" else data_x
-        true = (_popcount_u64(reads & self.support_mask) & np.uint64(1)).astype(np.uint64)
-
-        acc_data = np.zeros(size, dtype=np.uint64)
-        acc_slot = np.zeros(size, dtype=np.uint64)
-        acc_gen = np.zeros(size, dtype=np.uint64)
-        if p_ft > 0.0:
-            for i in range(len(self.n_codes)):
-                hit = np.nonzero(rng.random(size, dtype=np.float32) < p_ft)[0]
-                if hit.size == 0:
-                    continue
-                codes = rng.integers(0, self.n_codes[i], size=hit.size)
-                acc_data[hit] ^= self.data_tab[i, codes]
-                acc_slot[hit] ^= self.slot_tab[i, codes]
-                acc_gen[hit] ^= self.gen_tab[i, codes]
+        true = (np.bitwise_count(reads & self.support_mask) & np.uint64(1)).astype(np.uint64)
+        acc_data, acc_slot, acc_gen = self.faults.sample(rng, size, p_ft)
 
         if self.has_ring:
             cand = np.nonzero((acc_slot != 0) & active)[0]
-            for idx in cand:
-                acc_data[idx] ^= np.uint64(self._ring_correction(int(acc_slot[idx])))
+            corr, _ = table_apply(self._ring_correction, acc_slot[cand])
+            acc_data[cand] ^= corr
 
         upd = np.where(active, acc_data, np.uint64(0))
         if self.sector == "X":
@@ -124,25 +105,10 @@ class _GeneratorExtractor:
         return (true ^ acc_gen) & np.uint64(1)
 
 
-def _table_apply(table: dict[int, int], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized dict lookup; returns (corrections, miss flags)."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    corr_u = np.zeros(len(uniq), dtype=np.uint64)
-    miss_u = np.zeros(len(uniq), dtype=bool)
-    for i, k in enumerate(uniq):
-        v = table.get(int(k))
-        if v is None:
-            miss_u[i] = True
-        else:
-            corr_u[i] = v
-    return corr_u[inv], miss_u[inv]
-
-
 class BlockSimulator:
     """Repeat-until-stable QEC cycle for a CSS code under circuit noise."""
 
-    def __init__(self, code: CssCode, ratio: float, max_rounds: int | None = None,
-                 lut_weight_cap: int | None = None):
+    def __init__(self, code: CssCode, ratio: float, max_rounds: int | None = None):
         if not code.lx or not code.lz:
             raise ValueError("code file must supply LX/LZ rows for logical checks")
         if ratio <= 0:
@@ -151,7 +117,13 @@ class BlockSimulator:
         self.ratio = ratio
         self.t = code.t
         self.max_rounds = max_rounds if max_rounds is not None else max(25, 5 * (self.t + 1))
-        self.code_lut: CodeLUT = build_code_lut(code, weight_cap=lut_weight_cap)
+        # data-qubit depolarizing: codes X, Y, Z per qubit
+        self.data_noise = FaultTable(
+            [3] * code.n,
+            {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
+             "z": [[0, 1 << q, 1 << q] for q in range(code.n)]},
+        )
+        self.code_lut: CodeLUT = build_code_lut(code)
         self.extractors = [
             _GeneratorExtractor("X", row, code.d) for row in code.hx
         ] + [
@@ -165,16 +137,7 @@ class BlockSimulator:
         p_ft = p / self.ratio
         code = self.code
 
-        data_x = np.zeros(size, dtype=np.uint64)
-        data_z = np.zeros(size, dtype=np.uint64)
-        for q in range(code.n):
-            hit = np.nonzero(rng.random(size, dtype=np.float32) < p)[0]
-            if hit.size == 0:
-                continue
-            codes = rng.integers(0, 3, size=hit.size)  # X, Y, Z
-            bit = np.uint64(1 << q)
-            data_x[hit[codes != 2]] ^= bit
-            data_z[hit[codes != 0]] ^= bit
+        data_x, data_z = self.data_noise.sample(rng, size, p)
 
         done = np.zeros(size, dtype=bool)
         run_len = np.zeros(size, dtype=np.int64)
@@ -198,32 +161,31 @@ class BlockSimulator:
         accepted = np.where(done, accepted, last_syn.astype(np.uint64))
 
         n_hx = self.n_hx
-        sx = accepted & np.uint64((1 << n_hx) - 1)
-        sz = accepted >> np.uint64(n_hx)
-        z_corr, z_miss = _table_apply(self.code_lut.z_table, sx)
-        x_corr, x_miss = _table_apply(self.code_lut.x_table, sz)
-        data_z ^= z_corr
-        data_x ^= x_corr
-        fail = z_miss | x_miss
-
+        fail = self._correct(accepted & np.uint64((1 << n_hx) - 1),
+                             accepted >> np.uint64(n_hx), data_x, data_z)
         # one ideal decoding pass: noiseless syndromes plus the tables
-        s2x = np.zeros(size, dtype=np.uint64)
-        for i, row in enumerate(code.hx):
-            s2x |= (_popcount_u64(data_z & np.uint64(row)) & np.uint64(1)) << np.uint64(i)
-        s2z = np.zeros(size, dtype=np.uint64)
-        for i, row in enumerate(code.hz):
-            s2z |= (_popcount_u64(data_x & np.uint64(row)) & np.uint64(1)) << np.uint64(i)
-        z_corr, z_miss = _table_apply(self.code_lut.z_table, s2x)
-        x_corr, x_miss = _table_apply(self.code_lut.x_table, s2z)
+        fail |= self._correct(_parities(data_z, code.hx), _parities(data_x, code.hz),
+                              data_x, data_z)
+        fail |= (_parities(data_x, code.lz) | _parities(data_z, code.lx)) != 0
+        return int(fail.sum())
+
+    def _correct(self, sx: np.ndarray, sz: np.ndarray, data_x: np.ndarray,
+                 data_z: np.ndarray) -> np.ndarray:
+        """Applies the code-LUT corrections in place; returns the trials
+        whose syndrome the tables miss."""
+        z_corr, z_miss = table_apply(self.code_lut.z_table.get, sx)
+        x_corr, x_miss = table_apply(self.code_lut.x_table.get, sz)
         data_z ^= z_corr
         data_x ^= x_corr
-        fail |= z_miss | x_miss
+        return z_miss | x_miss
 
-        for row in code.lz:
-            fail |= (_popcount_u64(data_x & np.uint64(row)) & np.uint64(1)).astype(bool)
-        for row in code.lx:
-            fail |= (_popcount_u64(data_z & np.uint64(row)) & np.uint64(1)).astype(bool)
-        return int(fail.sum())
+
+def _parities(data: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Bit i of each entry: parity of that entry's mask on ``rows[i]``."""
+    out = np.zeros(len(data), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        out |= (np.bitwise_count(data & np.uint64(row)) & np.uint64(1)) << np.uint64(i)
+    return out
 
 
 class _BlockBatchTask:
@@ -282,13 +244,7 @@ def sweep_block_mc(
             run_block_mc(code, p, ratio, min_failures, seed, trial_cap,
                          batch_size, jobs=jobs, simulator=sim)
         )
-    slope, stderr = _fit_sweep_block(points)
+    slope, stderr = _fit_sweep(points)
     return SweepResult(tuple(points), tuple(float("nan") for _ in points),
                        slope, stderr)
 
-
-def _fit_sweep_block(points):
-    usable = [(s.p, s.estimate) for s in points if not s.censored and s.failures > 0]
-    if len(usable) < 3:
-        return None, None
-    return fit_slope(usable)

@@ -85,19 +85,12 @@ class GadgetCircuit:
     def n_slots(self) -> int:
         return sum(len(r) for r in self.round_slots)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.gamma + 2 * self.cat_count
-
     def cat_qubit(self, r: int) -> int:
         return self.gamma + (r % self.cat_count)
 
     def anc_qubit(self, stab: int) -> int:
         """Measurement ancilla serving ring check ``stab`` (reused per round)."""
         return self.gamma + self.cat_count + (stab % self.cat_count)
-
-    def is_cat(self, q: int) -> bool:
-        return self.gamma <= q < self.gamma + self.cat_count
 
     def correction_qubit(self, cat_index: int) -> int:
         """Data qubit targeted when a decoder corrects cat ``cat_index``.
@@ -216,15 +209,3 @@ def count_two_qubit_gates(g: GadgetCircuit, include_prep: bool = True,
     hi = lo + 2 * g.max_adaptive
     return lo, hi
 
-
-def dump_circuit(g: GadgetCircuit) -> str:
-    """Line-oriented text dump for debugging; not a stability contract."""
-    out = []
-    for gate in g.gates:
-        if gate.kind == "CNOT":
-            out.append(f"CNOT {gate.q0} {gate.q1}")
-        elif gate.kind == "MZ":
-            out.append(f"MZ {gate.q0} {gate.slot}")
-        elif gate.kind == "RESET":
-            out.append(f"RESET {gate.q0}")
-    return "\n".join(out) + ("\n" if out else "")

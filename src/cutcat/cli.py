@@ -197,11 +197,7 @@ def cmd_mc_block(args) -> int:
             raise SystemExit("manifest is not an mc-block run")
     else:
         config = _mc_block_config(args)
-    try:
-        csv_text = _run_mc_block(config)
-    except (CodeFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    csv_text = _run_mc_block(config)
     _write_outputs(args, csv_text, make_manifest("mc-block", config))
     return 0
 
@@ -297,6 +293,9 @@ def main(argv=None) -> int:
     except (CodeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # invalid parameters, like argparse errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

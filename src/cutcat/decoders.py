@@ -494,12 +494,6 @@ def build_cut_cat_lut(
     )
 
 
-def decode_lut(lut: CutCatLUT, syn: CatSyndrome) -> int:
-    """Table hit returns the stored correction; a miss means the syndrome
-    is unreachable by <= t faults and decodes to zero."""
-    return LutDecoder(lut).decode(syn)
-
-
 @dataclass(frozen=True)
 class CodeLUT:
     """Minimum-weight-representative tables for whole-code decoding.
@@ -513,12 +507,6 @@ class CodeLUT:
     weight_cap: int
     x_table: dict[int, int]
     z_table: dict[int, int]
-
-    def correct_x(self, syndrome_bits: int) -> int | None:
-        return self.x_table.get(syndrome_bits)
-
-    def correct_z(self, syndrome_bits: int) -> int | None:
-        return self.z_table.get(syndrome_bits)
 
 
 def _rows_syndrome(rows: Sequence[int], err: int) -> int:

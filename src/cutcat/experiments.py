@@ -26,11 +26,10 @@ from .sim import (
     PAULI_PAIRS,
     PAULI_SINGLES,
     CatSyndrome,
-    NoiseParams,
     noisy_operations,
     op_code_effects,
 )
-from .verify import eval_upper_bound
+from .verify import _rounds_from_key, eval_upper_bound
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -111,44 +110,111 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
     return fit_slope(usable)
 
 
+# what bounds the bit width of each FaultTable column
+_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
+
+
+class FaultTable:
+    """Per-operation depolarizing effects, sampled over a batch.
+
+    ``n_codes[i]`` is the number of non-identity Paulis of noisy op i
+    (15 for a CNOT, 3 for a one-qubit channel); each column holds one
+    uint64 effect mask per (op, code).  Effects are XOR-linear, so a
+    trial's combined effect is the XOR of its faults' rows.
+    """
+
+    def __init__(self, n_codes: Sequence[int],
+                 columns: dict[str, Sequence[Sequence[int]]]):
+        self.n_codes = list(n_codes)
+        width = max(self.n_codes, default=0)
+        self.columns = []
+        for name, rows in columns.items():
+            bits = max((v.bit_length() for row in rows for v in row), default=0)
+            if bits > 64:
+                raise ValueError(
+                    f"{_COLUMN_WIDTH.get(name, name)}={bits} exceeds the "
+                    "64-bit limit of packed masks"
+                )
+            col = np.zeros((len(self.n_codes), width), dtype=np.uint64)
+            for i, row in enumerate(rows):
+                col[i, :len(row)] = row
+            self.columns.append(col)
+
+    @classmethod
+    def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str],
+                    data_map: Callable[[int], int] | None = None) -> "FaultTable":
+        """Columns of the named ``Effect`` fields over the gadget's noisy
+        ops; ``data_map`` rewrites ``data_x`` masks (e.g. to global qubits)."""
+        ops = noisy_operations(g)
+        effects = [op_code_effects(g, op) for op in ops]
+        columns = {
+            name: [[getattr(e, name) for e in row] for row in effects]
+            for name in fields
+        }
+        if data_map is not None:
+            columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
+        return cls([op.n_codes for op in ops], columns)
+
+    def sample(self, rng: np.random.Generator, size: int,
+               p: float) -> list[np.ndarray]:
+        """One XOR accumulator per column for ``size`` trials.
+
+        Each op faults independently with probability p, then draws its
+        code uniformly.  The draw order is part of the manifest format:
+        per op, ``size`` float32 uniforms, then one code per hit; nothing
+        at all when p is 0.
+        """
+        accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
+        if p == 0.0:
+            return accs
+        for i, n in enumerate(self.n_codes):
+            hit = np.nonzero(rng.random(size, dtype=np.float32) < p)[0]
+            if hit.size == 0:
+                continue
+            codes = rng.integers(0, n, size=hit.size)
+            for acc, col in zip(accs, self.columns):
+                acc[hit] ^= col[i, codes]
+        return accs
+
+
+def table_apply(lookup: Callable[[int], int | None],
+                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized lookup: calls ``lookup`` once per distinct key and
+    returns (values, miss flags) per entry; a miss is a None result."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    values = np.zeros(len(uniq), dtype=np.uint64)
+    miss = np.zeros(len(uniq), dtype=bool)
+    for i, key in enumerate(uniq.tolist()):
+        v = lookup(key)
+        if v is None:
+            miss[i] = True
+        else:
+            values[i] = v
+    return values[inv], miss[inv]
+
+
 class GadgetMonteCarlo:
     """Vectorized circuit-level noise sampler for one gadget + decoder.
 
-    Per-op effect tables are extracted from the scalar propagator once;
-    a batch then XOR-accumulates sampled fault effects over packed
-    uint64 columns and only trials with a visible residual or ring
-    syndrome reach the Python decoding path.
+    A batch XOR-accumulates sampled fault effects from a ``FaultTable``
+    and only trials with a visible residual or ring syndrome reach
+    decoding: static decoders once per distinct syndrome, adaptive ones
+    per trial.
     """
 
-    def __init__(self, g: GadgetCircuit, decoder, noise_flags: NoiseParams | None = None):
+    def __init__(self, g: GadgetCircuit, decoder):
         self.g = g
         self.decoder = decoder
-        base = noise_flags if noise_flags is not None else NoiseParams(p=0.0)
-        self.ops = noisy_operations(g, base)
         self.adaptive = bool(getattr(decoder, "needs_round2", False))
-        n_ops = len(self.ops)
-        self.n_codes = np.array([op.n_codes for op in self.ops], dtype=np.int64)
-        self.data_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        self.slot_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        self.persist_tab = np.zeros((n_ops, 15), dtype=np.uint64)
-        for i, op in enumerate(self.ops):
-            for c, eff in enumerate(op_code_effects(g, op)):
-                self.data_tab[i, c] = eff.data_x
-                self.slot_tab[i, c] = eff.slot_flips
-                self.persist_tab[i, c] = eff.persist_x
+        fields = ("data_x", "slot_flips") + (("persist_x",) if self.adaptive else ())
+        self.faults = FaultTable.from_gadget(g, fields)
         self._decode_cache: dict[int, int] = {}
 
     def _decode_static(self, slots_key: int) -> int:
         corr = self._decode_cache.get(slots_key)
         if corr is None:
-            syn = CatSyndrome(
-                self.g.cat_count,
-                tuple(
-                    (slots_key >> (i * self.g.cat_count))
-                    & ((1 << self.g.cat_count) - 1)
-                    for i in range(self.g.base_rounds)
-                ),
-            )
+            m = self.g.cat_count
+            syn = CatSyndrome(m, _rounds_from_key(slots_key, m, self.g.base_rounds))
             corr = self.decoder.decode(syn)
             self._decode_cache[slots_key] = corr
         return corr
@@ -186,38 +252,26 @@ class GadgetMonteCarlo:
                   t: int) -> int:
         """Returns the number of failing trials in the batch."""
         rng = np.random.default_rng([seed, 1, batch_index])
-        acc_data = np.zeros(size, dtype=np.uint64)
-        acc_slot = np.zeros(size, dtype=np.uint64)
-        acc_persist = np.zeros(size, dtype=np.uint64) if self.adaptive else None
-        for i in range(len(self.ops)):
-            hit = np.nonzero(rng.random(size, dtype=np.float32) < p)[0]
-            if hit.size == 0:
-                continue
-            codes = rng.integers(0, self.n_codes[i], size=hit.size)
-            acc_data[hit] ^= self.data_tab[i, codes]
-            acc_slot[hit] ^= self.slot_tab[i, codes]
-            if acc_persist is not None:
-                acc_persist[hit] ^= self.persist_tab[i, codes]
+        accs = self.faults.sample(rng, size, p)
+        acc_data, acc_slot = accs[0], accs[1]
 
         gamma = self.g.gamma
         candidates = np.nonzero(acc_data | acc_slot)[0]
-        failures = 0
         if not self.adaptive:
-            for idx in candidates:
-                corr = self._decode_static(int(acc_slot[idx]))
-                res = int(acc_data[idx]) ^ corr
-                if min(popcount(res), gamma - popcount(res)) > t:
-                    failures += 1
-        else:
-            base_trial = batch_index * size
-            for idx in candidates:
-                trial_rng = np.random.default_rng([seed, 2, base_trial + int(idx)])
-                corr = self._decode_adaptive(
-                    int(acc_slot[idx]), int(acc_persist[idx]), p, trial_rng
-                )
-                res = int(acc_data[idx]) ^ corr
-                if min(popcount(res), gamma - popcount(res)) > t:
-                    failures += 1
+            corr, _ = table_apply(self._decode_static, acc_slot[candidates])
+            w = np.bitwise_count(acc_data[candidates] ^ corr)
+            return int(np.count_nonzero(np.minimum(w, gamma - w) > t))
+        acc_persist = accs[2]
+        failures = 0
+        base_trial = batch_index * size
+        for idx in candidates:
+            trial_rng = np.random.default_rng([seed, 2, base_trial + int(idx)])
+            corr = self._decode_adaptive(
+                int(acc_slot[idx]), int(acc_persist[idx]), p, trial_rng
+            )
+            w = popcount(int(acc_data[idx]) ^ corr)
+            if min(w, gamma - w) > t:
+                failures += 1
         return failures
 
 
@@ -281,15 +335,9 @@ def run_gadget_mc(
     if engine is None:
         g = gadget if gadget is not None else build_cut_cat(spec)
         engine = GadgetMonteCarlo(g, decoder)
-    t = spec.t
-
-    def batch_fn(batch_index: int, size: int) -> int:
-        return engine.run_batch(p_ft, seed, batch_index, size, t)
-
-    if jobs > 1:
-        batch_fn = _GadgetBatchTask(engine, p_ft, seed, t)
     trials, failures = run_batches_until(
-        batch_fn, min_failures, trial_cap, batch_size, jobs
+        _GadgetBatchTask(engine, p_ft, seed, spec.t), min_failures, trial_cap,
+        batch_size, jobs,
     )
     return TrialStats(
         p=p_ft, p_ft=p_ft, trials=trials, failures=failures, seed=seed,

@@ -162,13 +162,6 @@ def build_full_cat(gamma: int) -> GadgetCircuit:
     )
 
 
-def empty_gadget() -> GadgetCircuit:
-    return GadgetCircuit(
-        kind="cut_cat", gamma=0, cat_count=0, pair_map=(), gates=(),
-        round_slots=(), base_rounds=0,
-    )
-
-
 # Published resource figures for the schemes compared against; keyed by
 # (scheme, distance, gamma).  Comparison constants only, nothing is
 # derived from them.

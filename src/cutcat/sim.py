@@ -8,10 +8,8 @@ run.  Ring outcomes are therefore 0 in a fault-free pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .circuit import (
     ANC_MID,
@@ -73,10 +71,6 @@ class PropagationResult:
     generator_bit_flipped: bool
     cat_x_final: int            # X errors remaining on cat qubits (local bit r)
     cat_z_final: int
-
-    @property
-    def data_x_residual(self) -> int:
-        return self.data_x
 
 
 class _Walker:
@@ -205,12 +199,6 @@ def propagate(
     return walker.result()
 
 
-ADAPTIVE_FAULT_KINDS = (
-    "anc_prep", "anc_mid", "anc_post", "pre_measurement",
-    "post_gate_control_0", "post_gate_control_1",
-)
-
-
 def adaptive_propagate(
     g: GadgetCircuit,
     faults: Iterable[tuple[FaultLocation | int, str]] = (),
@@ -267,26 +255,6 @@ def adaptive_propagate(
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Circuit-level depolarizing noise, one rate for every channel.
-
-    Channels: an initial depolarizing on each cat qubit, a two-qubit
-    depolarizing after every CNOT, and a depolarizing immediately before
-    each measurement (ring slots and the final transversal readout).
-    """
-
-    p: float
-    cat_init_depolarizing: bool = True
-    post_2q_depolarizing: bool = True
-    pre_meas_depolarizing: bool = True
-    include_final_measurements: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be a probability")
-
-
-@dataclass(frozen=True)
 class NoisyOp:
     kind: str           # "init1q" | "cnot" | "meas_slot" | "meas_final"
     qubit: int = -1
@@ -298,63 +266,39 @@ class NoisyOp:
         return 15 if self.kind == "cnot" else 3
 
 
-def noisy_operations(g: GadgetCircuit, noise: NoiseParams) -> list[NoisyOp]:
-    """Noisy operation sites of one gadget run, in program order."""
+def noisy_operations(g: GadgetCircuit) -> list[NoisyOp]:
+    """Noisy operation sites of one gadget run, in program order.
+
+    Circuit-level depolarizing noise at one rate for every channel: a
+    one-qubit depolarizing on each freshly prepared cat qubit, a
+    two-qubit depolarizing after every CNOT, and a one-qubit
+    depolarizing before each measurement (ring slots and the final
+    transversal readout).
+    """
     ops: list[NoisyOp] = []
-    if noise.cat_init_depolarizing:
-        for r in range(g.cat_count):
-            ops.append(NoisyOp("init1q", qubit=g.cat_qubit(r)))
+    for r in range(g.cat_count):
+        ops.append(NoisyOp("init1q", qubit=g.cat_qubit(r)))
     for gi, gate in enumerate(g.gates):
-        if gate.kind == "CNOT" and noise.post_2q_depolarizing:
+        if gate.kind == "CNOT":
             ops.append(NoisyOp("cnot", gate_index=gi))
-        elif gate.kind == "MZ" and noise.pre_meas_depolarizing:
+        elif gate.kind == "MZ":
             ops.append(NoisyOp("meas_slot", qubit=gate.q0, slot=gate.slot))
-    if noise.pre_meas_depolarizing and noise.include_final_measurements:
-        for r in range(g.cat_count):
-            ops.append(NoisyOp("meas_final", qubit=g.cat_qubit(r)))
+    for r in range(g.cat_count):
+        ops.append(NoisyOp("meas_final", qubit=g.cat_qubit(r)))
     return ops
 
 
-@dataclass(frozen=True)
-class FaultSample:
-    """Sampled faults of one trial: (op index, code) pairs.
+def propagate_op_faults(
+    g: GadgetCircuit, entries: Iterable[tuple[int, int]],
+) -> PropagationResult:
+    """Scalar reference for sampled noise: run the gadget once with the
+    given (op index into ``noisy_operations(g)``, code) faults.
 
     Codes index PAULI_SINGLES for one-qubit channels and PAULI_PAIRS for
-    two-qubit ones.  Identical (seed, trial) pairs always reproduce the
-    same sample.
+    CNOTs.  The vectorized samplers XOR precomputed per-code effects
+    instead; tests compare the two.
     """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def sample_faults(
-    g: GadgetCircuit, noise: NoiseParams, seed: int, trial: int,
-    ops: Sequence[NoisyOp] | None = None,
-) -> FaultSample:
-    """Draw one trial's fault configuration.
-
-    Every noisy operation faults independently with probability p; a
-    faulting CNOT draws uniformly from the 15 non-identity Pauli pairs,
-    a one-qubit site from {X, Y, Z}.
-    """
-    if ops is None:
-        ops = noisy_operations(g, noise)
-    rng = np.random.default_rng([seed, trial])
-    entries = []
-    for i, op in enumerate(ops):
-        if rng.random() < noise.p:
-            code = int(rng.integers(op.n_codes))
-            entries.append((i, code))
-    return FaultSample(tuple(entries))
-
-
-def sample_injections(
-    g: GadgetCircuit, sample: FaultSample, ops: Sequence[NoisyOp],
-) -> list:
-    """Expand a fault sample into walker injections."""
+    ops = noisy_operations(g)
     inj: dict = {}
 
     def add(pos, qubit, pauli):
@@ -362,7 +306,7 @@ def sample_injections(
             inj.setdefault(pos, []).append((qubit, pauli))
 
     extra_gen_flip = 0
-    for op_idx, code in sample.entries:
+    for op_idx, code in entries:
         op = ops[op_idx]
         if op.kind == "init1q":
             add(("start",), op.qubit, PAULI_SINGLES[code])
@@ -378,17 +322,9 @@ def sample_injections(
             # computational readout, i.e. the generator parity bit
             if PAULI_SINGLES[code] in ("X", "Y"):
                 extra_gen_flip ^= 1
-    return inj, extra_gen_flip
-
-
-def propagate_sample(
-    g: GadgetCircuit, sample: FaultSample, ops: Sequence[NoisyOp],
-    initial_x: int = 0, initial_z: int = 0,
-) -> PropagationResult:
-    inj, extra_flip = sample_injections(g, sample, ops)
-    walker = _Walker(g, x=initial_x, z=initial_z)
+    walker = _Walker(g)
     walker.run(g.gates, inj, tag=None)
-    return walker.result(extra_gen_flip=extra_flip)
+    return walker.result(extra_gen_flip=extra_gen_flip)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,14 @@ class TestSetup:
         with pytest.raises(ValueError):
             BlockSimulator(steane, ratio=0)
 
+    def test_code_beyond_64_qubits_rejected(self):
+        # 65-qubit repetition code: ZZ checks on neighbors, no X checks
+        n = 65
+        code = CssCode(n=n, k=1, d=1, hx=(), hz=tuple(3 << i for i in range(n - 1)),
+                       lx=((1 << n) - 1,), lz=(1,))
+        with pytest.raises(ValueError, match="n=65"):
+            BlockSimulator(code, ratio=20)
+
 
 class TestRuns:
     def test_zero_noise_zero_failures(self, steane):

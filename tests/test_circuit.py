@@ -2,12 +2,16 @@ import pytest
 
 from cutcat.circuit import (
     CAT_INIT,
+    GadgetCircuit,
     Gate,
     circuit_depth,
     count_two_qubit_gates,
     enumerate_fault_locations,
 )
-from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat, empty_gadget
+from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
+
+EMPTY_GADGET = GadgetCircuit(kind="cut_cat", gamma=0, cat_count=0, pair_map=(),
+                             gates=(), round_slots=(), base_rounds=0)
 
 
 class TestFaultLocations:
@@ -27,7 +31,7 @@ class TestFaultLocations:
         assert len(enumerate_fault_locations(g)) == 24
 
     def test_empty_circuit(self):
-        assert enumerate_fault_locations(empty_gadget()) == []
+        assert enumerate_fault_locations(EMPTY_GADGET) == []
 
     def test_ids_dense(self):
         locs = enumerate_fault_locations(build_cut_cat(GadgetSpec(gamma=8, distance=5)))
@@ -70,7 +74,7 @@ class TestGateCounts:
         assert count_two_qubit_gates(g, prep_cost=16) == (70, 70)
 
     def test_degenerate_empty(self):
-        assert count_two_qubit_gates(empty_gadget(), prep_cost=5) == (5, 5)
+        assert count_two_qubit_gates(EMPTY_GADGET, prep_cost=5) == (5, 5)
 
 
 class TestStructure:

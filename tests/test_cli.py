@@ -83,3 +83,9 @@ class TestMonteCarloCommands:
         assert main(["mc-block", "--code", str(tmp_path / "nope.txt"),
                      "--p", "0.01", "--min-failures", "5",
                      "--trial-cap", "1000"]) == 1
+
+    def test_gamma_beyond_64_bits_exit_two(self, tmp_path, capsys):
+        assert main(["mc-gadget", "--gamma", "70", "--distance", "5",
+                     "--p", "1e-2", "--out", str(tmp_path / "a.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma=70") and err.count("\n") == 1

@@ -5,7 +5,6 @@ from cutcat.decoders import (
     LutDecoder,
     RuleDecoderD3D5,
     build_cut_cat_lut,
-    decode_lut,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import residual_weight_mod_generator
@@ -42,9 +41,8 @@ class TestBuild:
             assert residual_weight_mod_generator(hook ^ corr, 6) <= 1
 
     def test_unreachable_syndrome_zero(self, d3_lut):
-        syn = CatSyndrome(3, (0b111,))
-        assert decode_lut(d3_lut, syn) == 0 or d3_lut.lookup(0b111) == \
-            decode_lut(d3_lut, syn)
+        assert 0b111 not in d3_lut.table
+        assert LutDecoder(d3_lut).decode(CatSyndrome(3, (0b111,))) == 0
 
     def test_deterministic(self):
         spec = GadgetSpec(gamma=8, distance=3, adaptive=False)
@@ -69,10 +67,11 @@ class TestBuild:
 
 class TestLookupContract:
     def test_shape_mismatch_rejected(self, d3_lut):
+        decoder = LutDecoder(d3_lut)
         with pytest.raises(ValueError):
-            decode_lut(d3_lut, CatSyndrome(4, (0,)))
+            decoder.decode(CatSyndrome(4, (0,)))
         with pytest.raises(ValueError):
-            decode_lut(d3_lut, CatSyndrome(3, (0, 0)))
+            decoder.decode(CatSyndrome(3, (0, 0)))
 
     def test_json_round_trip(self, d3_lut):
         again = CutCatLUT.from_json(d3_lut.to_json())

@@ -1,16 +1,19 @@
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutcat.circuit import CAT_INIT, POST_GATE_CONTROL, enumerate_fault_locations
-from cutcat.gadgets import GadgetSpec, build_cut_cat
+from cutcat.experiments import FaultTable
+from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
-    NoiseParams,
     adaptive_propagate,
     location_effects,
     noisy_operations,
     propagate,
-    sample_faults,
+    propagate_op_faults,
 )
 
 
@@ -152,24 +155,73 @@ class TestAdaptive:
 
 
 class TestSampling:
-    def test_p_zero_empty(self, d5_gadget):
+    @pytest.fixture
+    def table(self, d5_gadget):
         g, _ = d5_gadget
-        noise = NoiseParams(p=0.0)
-        assert len(sample_faults(g, noise, 1, 1)) == 0
+        return FaultTable.from_gadget(g, ("data_x", "slot_flips"))
+
+    def test_p_zero_empty(self, table):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        accs = table.sample(rng, 1000, 0.0)
+        assert len(accs) == 2 and not any(acc.any() for acc in accs)
+        assert rng.bit_generator.state == state
 
     def test_p_one_everything(self, d5_gadget):
+        # one bit per op, whatever its code: p=1 must set all of them
         g, _ = d5_gadget
-        noise = NoiseParams(p=1.0)
-        ops = noisy_operations(g, noise)
-        assert len(sample_faults(g, noise, 1, 1, ops)) == len(ops)
+        ops = noisy_operations(g)
+        table = FaultTable([op.n_codes for op in ops],
+                           {"op": [[1 << i] * op.n_codes for i, op in enumerate(ops)]})
+        (acc,) = table.sample(np.random.default_rng(1), 100, 1.0)
+        assert (acc == np.uint64((1 << len(ops)) - 1)).all()
 
-    def test_deterministic_replay(self, d5_gadget):
-        g, _ = d5_gadget
-        noise = NoiseParams(p=0.3)
-        ops = noisy_operations(g, noise)
-        assert sample_faults(g, noise, 7, 99, ops) == sample_faults(g, noise, 7, 99, ops)
+    def test_deterministic_replay(self, table):
+        a = table.sample(np.random.default_rng(7), 5000, 0.3)
+        b = table.sample(np.random.default_rng(7), 5000, 0.3)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_unknown_fault_id(self, d5_gadget):
         g, _ = d5_gadget
         with pytest.raises(ValueError):
             propagate(g, [(10_000, "X")])
+
+
+EFFECT_FIELDS = ("data_x", "slot_flips", "persist_x", "gen_flip")
+DIFF_GADGETS = {
+    "d5g10": lambda: build_cut_cat(GadgetSpec(gamma=10, distance=5)),
+    "d7g14": lambda: build_cut_cat(GadgetSpec(gamma=14, distance=7)),
+    "fullcat8": lambda: build_full_cat(8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_setup(name):
+    g = DIFF_GADGETS[name]()
+    return g, noisy_operations(g), FaultTable.from_gadget(g, EFFECT_FIELDS)
+
+
+class TestFaultTableMatchesWalker:
+    """The sampler's XOR of table rows against one scalar walk of the same
+    faults: CNOT Pauli pairs, Y and final-readout noise included."""
+
+    @pytest.mark.parametrize("name", sorted(DIFF_GADGETS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_xor_of_rows_is_propagation(self, name, data):
+        g, ops, table = _diff_setup(name)
+        entry = st.integers(0, len(ops) - 1).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(0, ops[i].n_codes - 1)))
+        entries = data.draw(st.lists(entry, max_size=6))
+        acc = [0] * len(EFFECT_FIELDS)
+        for i, code in entries:
+            for k, col in enumerate(table.columns):
+                acc[k] ^= int(col[i, code])
+        res = propagate_op_faults(g, entries)
+        assert acc == [res.data_x, res.syndrome.key(), res.cat_x_final,
+                       int(res.generator_bit_flipped)]
+
+    def test_masks_wider_than_64_bits_rejected(self):
+        g = build_cut_cat(GadgetSpec(gamma=70, distance=5))
+        with pytest.raises(ValueError, match="gamma=70"):
+            FaultTable.from_gadget(g, ("data_x",))
