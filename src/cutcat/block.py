@@ -117,6 +117,8 @@ class BlockSimulator:
         self.ratio = ratio
         self.t = code.t
         self.max_rounds = max_rounds if max_rounds is not None else max(25, 5 * (self.t + 1))
+        if self.max_rounds < self.t + 1:
+            raise ValueError("max_rounds below the acceptance run length")
         # data-qubit depolarizing: codes X, Y, Z per qubit
         self.data_noise = FaultTable(
             [3] * code.n,
@@ -216,6 +218,8 @@ def run_block_mc(
     and extraction noise p/ratio."""
     if min_failures < 1:
         raise ValueError("min_failures must be positive")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p!r} is not a probability")
     sim = simulator if simulator is not None else BlockSimulator(code, ratio, max_rounds)
     trials, failures = run_batches_until(
         _BlockBatchTask(sim, p, seed), min_failures, trial_cap, batch_size, jobs

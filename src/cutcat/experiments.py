@@ -29,7 +29,7 @@ from .sim import (
     noisy_operations,
     op_code_effects,
 )
-from .verify import _rounds_from_key, eval_upper_bound
+from .verify import eval_upper_bound
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -213,9 +213,9 @@ class GadgetMonteCarlo:
     def _decode_static(self, slots_key: int) -> int:
         corr = self._decode_cache.get(slots_key)
         if corr is None:
-            m = self.g.cat_count
-            syn = CatSyndrome(m, _rounds_from_key(slots_key, m, self.g.base_rounds))
-            corr = self.decoder.decode(syn)
+            g = self.g
+            corr = self.decoder.decode(
+                CatSyndrome.from_key(g.cat_count, slots_key, g.base_rounds))
             self._decode_cache[slots_key] = corr
         return corr
 
@@ -332,6 +332,8 @@ def run_gadget_mc(
     """
     if min_failures < 1:
         raise ValueError("min_failures must be positive")
+    if not 0.0 <= p_ft <= 1.0:
+        raise ValueError(f"p={p_ft!r} is not a probability")
     if engine is None:
         g = gadget if gadget is not None else build_cut_cat(spec)
         engine = GadgetMonteCarlo(g, decoder)

@@ -36,24 +36,22 @@ class CatSyndrome:
     """Ring-measurement outcomes of one gadget run.
 
     ``rounds[i]`` packs round i's m outcome bits; ``adaptive`` holds any
-    re-measured stabilizers as (index, bit) pairs.  The trigger set is
-    the ordered list of stabilizers that fired in round one.
+    re-measured stabilizers as (index, bit) pairs.
     """
 
     cat_count: int
     rounds: tuple[int, ...]
     adaptive: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def trigger_set(self) -> tuple[int, ...]:
-        first = self.rounds[0] if self.rounds else 0
-        return tuple(i for i in range(self.cat_count) if (first >> i) & 1)
+    @classmethod
+    def from_key(cls, cat_count: int, key: int, n_rounds: int) -> "CatSyndrome":
+        """Inverse of ``key()``: split ``n_rounds`` full rounds off the key."""
+        mask = (1 << cat_count) - 1
+        return cls(cat_count, tuple((key >> (i * cat_count)) & mask
+                                    for i in range(n_rounds)))
 
     def round_bit(self, rnd: int, stab: int) -> int:
         return (self.rounds[rnd] >> (stab % self.cat_count)) & 1
-
-    def adaptive_map(self) -> dict[int, int]:
-        return dict(self.adaptive)
 
     def key(self) -> int:
         """All full-round bits concatenated, round 0 lowest."""

@@ -20,32 +20,54 @@ from .pauli import residual_weight_mod_generator
 from .sim import CatSyndrome, Effect, location_effects
 
 
-def _rounds_from_key(key: int, cat_count: int, n_rounds: int) -> tuple[int, ...]:
-    mask = (1 << cat_count) - 1
-    return tuple((key >> (i * cat_count)) & mask for i in range(n_rounds))
-
-
-def _dedupe_effects(
-    effects: Sequence[Effect], rep_ids: Sequence[int], with_persist: bool,
+def _effect_classes(
+    g: GadgetCircuit, locations: Sequence[FaultLocation], dedupe: bool,
+    with_persist: bool,
 ) -> tuple[list[Effect], list[int]]:
-    """Keep the first location of each distinct effect class.
+    """Single X-fault effects of ``locations`` with their location ids;
+    with ``dedupe``, only the first location of each class of equal
+    ``data_x`` and ``slot_flips``, and ``persist_x`` if ``with_persist``.
 
     Sound for verification and table construction: any fault multiset
     over the full list XOR-reduces to a strictly smaller distinct set
     with the same propagation result, so it can only face a looser
     budget than a set already enumerated.
     """
-    seen: dict[tuple, int] = {}
-    out_effects: list[Effect] = []
-    out_ids: list[int] = []
-    for eff, rid in zip(effects, rep_ids):
-        key = (eff.data_x, eff.slot_flips, eff.persist_x if with_persist else 0)
-        if key in seen:
-            continue
-        seen[key] = rid
-        out_effects.append(eff)
-        out_ids.append(rid)
-    return out_effects, out_ids
+    effects = location_effects(g, locations, "X")
+    ids = [loc.id for loc in locations]
+    if not dedupe:
+        return effects, ids
+    first: dict[tuple, tuple[Effect, int]] = {}
+    for eff, rid in zip(effects, ids):
+        sig = (eff.data_x, eff.slot_flips, eff.persist_x if with_persist else 0)
+        first.setdefault(sig, (eff, rid))
+    return [e for e, _ in first.values()], [r for _, r in first.values()]
+
+
+def _combos(
+    effects: Sequence[Effect], max_weight: int, first_range: range,
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Every combination of 1..max_weight effect indices whose first
+    index lies in ``first_range``, as (combo, data, key, persist) XORs.
+
+    Weight-major, then by first index, then lexicographic.  Within a
+    weight, each prefix's XOR is formed once and shared by every
+    combination that extends it.
+    """
+    n = len(effects)
+    rows = [(e.data_x, e.slot_flips, e.persist_x) for e in effects]
+
+    def extend(combo, data, key, persist, indices, left):
+        for i in indices:
+            d, k, p = rows[i]
+            if left == 1:
+                yield combo + (i,), data ^ d, key ^ k, persist ^ p
+            else:
+                yield from extend(combo + (i,), data ^ d, key ^ k, persist ^ p,
+                                  range(i + 1, n), left - 1)
+
+    for w in range(1, max_weight + 1):
+        yield from extend((), 0, 0, 0, first_range, w)
 
 
 def oracle_residuals(
@@ -61,18 +83,10 @@ def oracle_residuals(
     """
     if locations is None:
         locations = enumerate_fault_locations(g)
-    effects = location_effects(g, locations, "X")
-    if dedupe:
-        effects, _ = _dedupe_effects(effects, [l.id for l in locations], False)
+    effects, _ = _effect_classes(g, locations, dedupe, False)
     yield (0, 0, 0)
-    for w in range(1, max_weight + 1):
-        for combo in combinations(range(len(effects)), w):
-            data = 0
-            key = 0
-            for i in combo:
-                data ^= effects[i].data_x
-                key ^= effects[i].slot_flips
-            yield (key, data, w)
+    for combo, data, key, _ in _combos(effects, max_weight, range(len(effects))):
+        yield (key, data, len(combo))
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,6 @@ class VerificationReport:
     faults_checked: int
     counterexample: Counterexample | None
     n_locations: int
-    deduped: bool
 
     def __post_init__(self) -> None:
         assert self.passed == (self.counterexample is None)
@@ -120,88 +133,76 @@ def _check_combos(
 ) -> tuple[int, Counterexample | None]:
     """Verify all combos whose first location index lies in ``first_range``."""
     m = g.cat_count
-    adaptive = getattr(decoder, "needs_round2", False)
     gamma = g.gamma
-    n = len(effects)
     checked = 0
+    walk = _combos(effects, t, first_range)
 
-    for w in range(1, t + 1):
-        for first in first_range:
-            for rest in combinations(range(first + 1, n), w - 1):
-                combo = (first, *rest)
-                data = 0
-                key = 0
-                persist = 0
-                for i in combo:
-                    data ^= effects[i].data_x
-                    key ^= effects[i].slot_flips
-                    persist ^= effects[i].persist_x
-                syn = CatSyndrome(m, _rounds_from_key(key, m, g.base_rounds))
-                if not adaptive:
-                    corr = decoder.decode(syn)
-                    checked += 1
-                    cw = residual_weight_mod_generator(data ^ corr, gamma)
-                    if cw > w:
-                        return checked, Counterexample(
-                            tuple(rep_ids[i] for i in combo), (), w,
-                            key, data, corr, cw,
-                        )
+    if not getattr(decoder, "needs_round2", False):
+        # static decoders read only the syndrome key
+        corrections: dict[int, int] = {}
+        for combo, data, key, _ in walk:
+            checked += 1
+            if key not in corrections:
+                syn = CatSyndrome.from_key(m, key, g.base_rounds)
+                corrections[key] = decoder.decode(syn)
+            corr = corrections[key]
+            cw = residual_weight_mod_generator(data ^ corr, gamma)
+            if cw > len(combo):
+                return checked, Counterexample(
+                    tuple(rep_ids[i] for i in combo), (), len(combo),
+                    key, data, corr, cw,
+                )
+        return checked, None
+
+    # Re-measurement faults cost one each and come in two flavors: a
+    # transient flip of a single re-measured slot, and an X landing on a
+    # cat qubit before the re-reads, which flips every re-measured slot
+    # touching that cat.  Together these cover all timings of
+    # adaptive-round faults, including base-round control faults whose
+    # only consequence is to persist into the re-measurements.
+    events = [("slot", s) for s in range(m)] + [("cat", c) for c in range(m)]
+    for combo, data, key, persist in walk:
+        w = len(combo)
+        syn = CatSyndrome.from_key(m, key, g.base_rounds)
+        for fsize in range(t - w + 1):
+            for chosen in combinations(events, fsize):
+                flip_slots = {i for kind, i in chosen if kind == "slot"}
+                flip_cats = {i for kind, i in chosen if kind == "cat"}
+                seen: list[int] = []
+
+                def measure(indices):
+                    out = {}
+                    for i in indices:
+                        i %= m
+                        bit = _persist_outcome(persist, i, m)
+                        if i in flip_slots:
+                            bit ^= 1
+                        if i in flip_cats:
+                            bit ^= 1
+                        if (i + 1) % m in flip_cats:
+                            bit ^= 1
+                        out[i] = bit
+                        seen.append(i)
+                    return out
+
+                corr = decoder.decode(syn, measure)
+                read = set(seen)
+                relevant = all(s in read for s in flip_slots) and all(
+                    read & {(c - 1) % m, c} for c in flip_cats
+                )
+                if not relevant:
+                    # identical trace to a smaller event set
                     continue
-                # Re-measurement faults cost one each and come in two
-                # flavors: a transient flip of a single re-measured slot,
-                # and an X landing on a cat qubit before the re-reads,
-                # which flips every re-measured slot touching that cat.
-                # Together these cover all timings of adaptive-round
-                # faults, including base-round control faults whose only
-                # consequence is to persist into the re-measurements.
-                events = [("slot", s) for s in range(m)]
-                events += [("cat", c) for c in range(m)]
-                for fsize in range(t - w + 1):
-                    for chosen in combinations(range(len(events)), fsize):
-                        flip_slots: set[int] = set()
-                        flip_cats: set[int] = set()
-                        for ei in chosen:
-                            kind, idx = events[ei]
-                            if kind == "slot":
-                                flip_slots.add(idx)
-                            else:
-                                flip_cats.add(idx)
-                        seen: list[int] = []
-
-                        def measure(indices, _p=persist, _fs=flip_slots,
-                                    _fc=flip_cats, _s=seen):
-                            out = {}
-                            for i in indices:
-                                i %= m
-                                bit = _persist_outcome(_p, i, m)
-                                if i in _fs:
-                                    bit ^= 1
-                                if i in _fc:
-                                    bit ^= 1
-                                if (i + 1) % m in _fc:
-                                    bit ^= 1
-                                out[i] = bit
-                                _s.append(i)
-                            return out
-
-                        corr = decoder.decode(syn, measure)
-                        read = set(seen)
-                        relevant = all(s in read for s in flip_slots) and all(
-                            read & {(c - 1) % m, c} for c in flip_cats
-                        )
-                        if not relevant:
-                            # identical trace to a smaller event set
-                            continue
-                        checked += 1
-                        budget = w + fsize
-                        cw = residual_weight_mod_generator(data ^ corr, gamma)
-                        if cw > budget:
-                            return checked, Counterexample(
-                                tuple(rep_ids[i] for i in combo),
-                                tuple(sorted(flip_slots))
-                                + tuple(("cat", c) for c in sorted(flip_cats)),
-                                budget, key, data, corr, cw,
-                            )
+                checked += 1
+                budget = w + fsize
+                cw = residual_weight_mod_generator(data ^ corr, gamma)
+                if cw > budget:
+                    return checked, Counterexample(
+                        tuple(rep_ids[i] for i in combo),
+                        tuple(sorted(flip_slots))
+                        + tuple(("cat", c) for c in sorted(flip_cats)),
+                        budget, key, data, corr, cw,
+                    )
     return checked, None
 
 
@@ -219,39 +220,34 @@ def verify_gadget(
     propagated and decoded; for adaptive decoders every admissible
     pattern of re-measurement flips is layered on top, with the flip
     count charged to the fault budget.  The first counterexample in
-    enumeration order is reported.
+    enumeration order is reported.  With ``dedupe`` the combinations run
+    over effect classes, split by the fields the decoder reads:
+    ``persist_x`` only for adaptive decoders.
     """
     if locations is None:
         locations = enumerate_fault_locations(g)
-    effects = location_effects(g, locations, "X")
-    rep_ids = [loc.id for loc in locations]
-    if dedupe:
-        effects, rep_ids = _dedupe_effects(effects, rep_ids, True)
+    adaptive = bool(getattr(decoder, "needs_round2", False))
+    effects, rep_ids = _effect_classes(g, locations, dedupe, adaptive)
     n = len(effects)
 
     if jobs <= 1 or n == 0:
-        checked, cx = _check_combos(g, decoder, t, effects, rep_ids, range(n))
+        results = [_check_combos(g, decoder, t, effects, rep_ids, range(n))]
     else:
         chunk = math.ceil(n / jobs)
         ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        checked = 0
-        cx = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_check_combos, g, decoder, t, effects, rep_ids, r)
                 for r in ranges
             ]
             results = [f.result() for f in futures]
-        for part_checked, part_cx in results:
-            checked += part_checked
-            if part_cx is not None and cx is None:
-                cx = part_cx   # ranges are ordered, first hit wins
+    # ranges are ordered, first hit wins
+    cx = next((part for _, part in results if part is not None), None)
     return VerificationReport(
         passed=cx is None,
-        faults_checked=checked,
+        faults_checked=sum(checked for checked, _ in results),
         counterexample=cx,
         n_locations=len(locations),
-        deduped=dedupe,
     )
 
 

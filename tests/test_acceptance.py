@@ -5,6 +5,7 @@ per criterion.  The heavy Monte-Carlo points use fixed seeds and finish
 in about a minute total.
 """
 
+import hashlib
 import math
 import os
 from pathlib import Path
@@ -55,17 +56,27 @@ class TestCriterion1ExhaustiveVerification:
         )
 
 
+D9_SPEC = GadgetSpec(gamma=18, distance=9)
+D9_LUT_SHA256 = "30cc32dc73c7d59b325f5f6509155c983ff2a5dfd0faf98befa7e60b2fac0632"
+
+
+@pytest.fixture(scope="module")
+def d9_lut():
+    return build_cut_cat_lut(D9_SPEC)
+
+
 class TestCriterion2LutSynthesis:
-    def test_d9_lut_builds_and_verifies(self):
-        spec = GadgetSpec(gamma=18, distance=9)
+    def test_d9_lut_builds_and_verifies(self, d9_lut):
+        spec, lut = D9_SPEC, d9_lut
         g = build_cut_cat(spec)
-        lut = build_cut_cat_lut(spec)
         rep = verify_gadget(g, LutDecoder(lut), spec.t, dedupe=True)
+        digest = hashlib.sha256(lut.to_json().encode()).hexdigest()
         _report(
             "2 (d=9 LUT)",
-            lut.rounds == 2 and len(lut.table) > 0 and rep.passed,
-            f"two-round table with {len(lut.table)} syndromes passes "
-            f"weight<=4 verification ({rep.faults_checked} combinations)",
+            lut.rounds == 2 and digest == D9_LUT_SHA256 and rep.passed,
+            f"two-round table with {len(lut.table)} syndromes (JSON sha256 "
+            f"{digest[:12]}) passes weight<=4 verification "
+            f"({rep.faults_checked} combinations)",
         )
 
 
@@ -122,18 +133,16 @@ def slope_sweeps():
 
 
 @pytest.fixture(scope="module")
-def high_p_points():
+def high_p_points(d9_lut):
     pts = {}
     spec7 = GadgetSpec(gamma=14, distance=7)
     g7 = build_cut_cat(spec7)
     pts[7] = (spec7, run_gadget_mc(spec7, RuleDecoderD7(g7), 1e-2,
                                    min_failures=100, seed=SEED,
                                    trial_cap=10**7, batch_size=500_000))
-    spec9 = GadgetSpec(gamma=18, distance=9)
-    lut = build_cut_cat_lut(spec9)
-    pts[9] = (spec9, run_gadget_mc(spec9, LutDecoder(lut), 1e-2,
-                                   min_failures=100, seed=SEED,
-                                   trial_cap=10**7, batch_size=500_000))
+    pts[9] = (D9_SPEC, run_gadget_mc(D9_SPEC, LutDecoder(d9_lut), 1e-2,
+                                     min_failures=100, seed=SEED,
+                                     trial_cap=10**7, batch_size=500_000))
     return pts
 
 

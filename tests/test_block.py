@@ -27,6 +27,12 @@ class TestSetup:
         with pytest.raises(ValueError):
             BlockSimulator(steane, ratio=0)
 
+    def test_max_rounds_below_run_length_rejected(self, steane):
+        # Steane has t=1: acceptance needs two identical rounds
+        with pytest.raises(ValueError, match="max_rounds"):
+            BlockSimulator(steane, ratio=20, max_rounds=1)
+        assert BlockSimulator(steane, ratio=20, max_rounds=2).max_rounds == 2
+
     def test_code_beyond_64_qubits_rejected(self):
         # 65-qubit repetition code: ZZ checks on neighbors, no X checks
         n = 65

@@ -84,6 +84,24 @@ class TestMonteCarloCommands:
                      "--p", "0.01", "--min-failures", "5",
                      "--trial-cap", "1000"]) == 1
 
+    @pytest.mark.parametrize("p", ["2", "-0.5"])
+    def test_mc_block_rate_out_of_range_exit_two(self, tmp_path, capsys, p):
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        out = tmp_path / "a.csv"
+        assert main(["mc-block", "--code", str(code_file), "--p", p,
+                     "--min-failures", "5", "--trial-cap", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: p=")
+        assert not out.exists()
+
+    def test_mc_gadget_rate_out_of_range_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["mc-gadget", "--gamma", "10", "--distance", "5",
+                     "--p", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: p=")
+        assert not out.exists()
+
     def test_gamma_beyond_64_bits_exit_two(self, tmp_path, capsys):
         assert main(["mc-gadget", "--gamma", "70", "--distance", "5",
                      "--p", "1e-2", "--out", str(tmp_path / "a.csv")]) == 2

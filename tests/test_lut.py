@@ -9,7 +9,7 @@ from cutcat.decoders import (
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import residual_weight_mod_generator
 from cutcat.sim import CatSyndrome
-from cutcat.verify import _rounds_from_key, oracle_residuals, verify_gadget
+from cutcat.verify import oracle_residuals, verify_gadget
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ class TestBuild:
         rule = RuleDecoderD3D5(g, 1)
         ones = (1 << 6) - 1
         for key, _, _ in oracle_residuals(g, 1):
-            syn = CatSyndrome(g.cat_count, _rounds_from_key(key, g.cat_count, 1))
+            syn = CatSyndrome.from_key(g.cat_count, key, 1)
             diff = rule.decode(syn) ^ d3_lut.lookup(key)
             assert diff in (0, ones)
 

@@ -1,11 +1,46 @@
 import math
+from itertools import combinations
 
 import pytest
 
 from cutcat.circuit import PRE_MEASUREMENT, enumerate_fault_locations
 from cutcat.decoders import IdentityDecoder, RuleDecoderD3D5, RuleDecoderD7
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.verify import eval_upper_bound, oracle_residuals, verify_gadget
+from cutcat.sim import adaptive_propagate, location_effects
+from cutcat.verify import (
+    _combos,
+    _persist_outcome,
+    eval_upper_bound,
+    oracle_residuals,
+    verify_gadget,
+)
+
+
+def _reference_effects(g, dedupe):
+    """Single X-fault effects, keeping the first location per (data_x,
+    slot_flips) class under ``dedupe``."""
+    effects = location_effects(g, enumerate_fault_locations(g), "X")
+    if dedupe:
+        first = {}
+        for e in effects:
+            first.setdefault((e.data_x, e.slot_flips), e)
+        effects = list(first.values())
+    return effects
+
+
+def _reference_combos(effects, max_weight):
+    """Per-tuple reference for the combination walk: (combo, data, key,
+    persist) over ``itertools.combinations``, each tuple XORed afresh."""
+    out = []
+    for w in range(1, max_weight + 1):
+        for combo in combinations(range(len(effects)), w):
+            data = key = persist = 0
+            for i in combo:
+                data ^= effects[i].data_x
+                key ^= effects[i].slot_flips
+                persist ^= effects[i].persist_x
+            out.append((combo, data, key, persist))
+    return out
 
 
 class TestVerifyGadget:
@@ -61,6 +96,23 @@ class TestVerifyGadget:
         g = build_cut_cat(spec)
         assert verify_gadget(g, RuleDecoderD7(g), 3, dedupe=True).passed
 
+    @pytest.mark.parametrize("gamma,distance,decoder,t,expected", [
+        (10, 5, "identity", 2, ((0,), 1, 0x11, 0x3, 0x0, 2)),
+        (10, 5, "rule-t1", 2, ((0, 1), 2, 0x12, 0xF, 0x0, 4)),
+        (14, 7, "rule-t2", 3, ((0, 1, 2), 3, 0x44, 0x3F, 0x0, 6)),
+    ])
+    def test_first_counterexample_pinned(self, gamma, distance, decoder, t,
+                                         expected):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        dec = {
+            "identity": IdentityDecoder,
+            "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+            "rule-t2": lambda: RuleDecoderD3D5(g, 2),
+        }[decoder]()
+        cx = verify_gadget(g, dec, t).counterexample
+        assert (cx.fault_ids, cx.n_faults, cx.syndrome_key, cx.residual,
+                cx.correction, cx.coset_weight) == expected
+
 
 class TestOracle:
     def test_weight_zero_entry(self):
@@ -82,6 +134,57 @@ class TestOracle:
     def test_deterministic_stream(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
         assert list(oracle_residuals(g, 2)) == list(oracle_residuals(g, 2))
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    @pytest.mark.parametrize("gamma,distance", [(6, 3), (10, 5)])
+    def test_stream_matches_reference(self, gamma, distance, dedupe):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        ref = _reference_combos(_reference_effects(g, dedupe), 2)
+        expected = [(0, 0, 0)] + [(key, data, len(c)) for c, data, key, _ in ref]
+        assert list(oracle_residuals(g, 2, dedupe=dedupe)) == expected
+
+    def test_walk_over_first_range_matches_reference(self):
+        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
+        effects = _reference_effects(g, False)
+        part = range(7, 23)
+        expected = [r for r in _reference_combos(effects, 3) if r[0][0] in part]
+        assert list(_combos(effects, 3, part)) == expected
+
+
+class TestRemeasurementModel:
+    """The verifier's slot/cat event model against ``adaptive_propagate``,
+    with every ring stabilizer re-read once."""
+
+    @pytest.fixture(params=[14, 20], ids=["g14", "g20"])
+    def gadget(self, request):
+        return build_cut_cat(GadgetSpec(gamma=request.param, distance=7))
+
+    @staticmethod
+    def _rereads(g, faults=(), adaptive_faults=()):
+        res = adaptive_propagate(g, faults, planner=lambda syn: range(g.cat_count),
+                                 adaptive_faults=adaptive_faults)
+        return dict(res.syndrome.adaptive)
+
+    def test_base_round_faults_persist(self, gadget):
+        g, m = gadget, gadget.cat_count
+        locs = enumerate_fault_locations(g)
+        for loc, eff in zip(locs, location_effects(g, locs, "X")):
+            expected = {s: _persist_outcome(eff.persist_x, s, m) for s in range(m)}
+            assert self._rereads(g, [(loc, "X")]) == expected, loc.describe()
+
+    def test_remeasurement_faults_are_slot_or_cat_events(self, gadget):
+        g, m = gadget, gadget.cat_count
+        assert self._rereads(g) == {s: 0 for s in range(m)}
+        events = [set()] + [{s} for s in range(m)]
+        events += [{(c - 1) % m, c} for c in range(m)]
+        kinds = ("anc_prep", "anc_mid", "anc_post", "pre_measurement",
+                 "post_gate_control_0", "post_gate_control_1")
+        for stab in range(m):
+            for kind in kinds:
+                for pauli in "XYZ":
+                    bits = self._rereads(g, adaptive_faults=[(stab, kind, pauli)])
+                    flipped = {s for s, bit in bits.items() if bit}
+                    assert flipped in events, (stab, kind, pauli, flipped)
 
 
 class TestUpperBound:
