@@ -215,19 +215,28 @@ def run_block_mc(
     simulator: BlockSimulator | None = None,
 ) -> TrialStats:
     """Logical failure rate of one full QEC cycle at data error rate ``p``
-    and extraction noise p/ratio."""
+    and extraction noise p/ratio; a given ``simulator`` brings its own
+    ratio."""
     if min_failures < 1:
         raise ValueError("min_failures must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} is not a probability")
     sim = simulator if simulator is not None else BlockSimulator(code, ratio, max_rounds)
+    p_ft = _extraction_rate(p, sim.ratio)
     trials, failures = run_batches_until(
         _BlockBatchTask(sim, p, seed), min_failures, trial_cap, batch_size, jobs
     )
     return TrialStats(
-        p=p, p_ft=p / ratio, trials=trials, failures=failures, seed=seed,
+        p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
         censored=failures < min_failures,
     )
+
+
+def _extraction_rate(p: float, ratio: float) -> float:
+    """p / ratio, after checking that both it and p are probabilities."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p!r} is not a probability")
+    if p / ratio > 1.0:
+        raise ValueError(f"extraction rate p/ratio={p / ratio!r} exceeds 1")
+    return p / ratio
 
 
 def sweep_block_mc(
@@ -242,6 +251,8 @@ def sweep_block_mc(
     max_rounds: int | None = None,
 ) -> SweepResult:
     sim = BlockSimulator(code, ratio, max_rounds)
+    for p in p_list:
+        _extraction_rate(p, ratio)
     points = []
     for p in sorted(p_list):
         points.append(

@@ -21,15 +21,8 @@ import numpy as np
 
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
-from .pauli import popcount
-from .sim import (
-    PAULI_PAIRS,
-    PAULI_SINGLES,
-    CatSyndrome,
-    noisy_operations,
-    op_code_effects,
-)
-from .verify import eval_upper_bound
+from .sim import CatSyndrome, noisy_operations, op_code_effects, reread_code_effects
+from .verify import MAX_REREADS, eval_upper_bound, reread_table
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -155,6 +148,16 @@ class FaultTable:
             columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
         return cls([op.n_codes for op in ops], columns)
 
+    @classmethod
+    def for_reread(cls, g: GadgetCircuit) -> "FaultTable":
+        """The three noisy ops of one adaptive re-measurement, with
+        columns ``anc`` (outcome flip) and ``cats`` (cat X mask relative
+        to the re-read stabilizer, see ``reread_code_effects``)."""
+        rows = reread_code_effects(g)
+        return cls([len(row) for row in rows],
+                   {"anc": [[a for a, _ in row] for row in rows],
+                    "cats": [[c for _, c in row] for row in rows]})
+
     def sample(self, rng: np.random.Generator, size: int,
                p: float) -> list[np.ndarray]:
         """One XOR accumulator per column for ``size`` trials.
@@ -198,8 +201,10 @@ class GadgetMonteCarlo:
 
     A batch XOR-accumulates sampled fault effects from a ``FaultTable``
     and only trials with a visible residual or ring syndrome reach
-    decoding: static decoders once per distinct syndrome, adaptive ones
-    per trial.
+    decoding, through one decode per distinct syndrome.  An adaptive
+    decoder is compiled per distinct syndrome into a ``reread_table``;
+    its re-measurements are then followed for all candidate trials at
+    once, one step per re-read, with noise from a second table.
     """
 
     def __init__(self, g: GadgetCircuit, decoder):
@@ -208,7 +213,9 @@ class GadgetMonteCarlo:
         self.adaptive = bool(getattr(decoder, "needs_round2", False))
         fields = ("data_x", "slot_flips") + (("persist_x",) if self.adaptive else ())
         self.faults = FaultTable.from_gadget(g, fields)
+        self.reread = FaultTable.for_reread(g) if self.adaptive else None
         self._decode_cache: dict[int, int] = {}
+        self._reread_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _decode_static(self, slots_key: int) -> int:
         corr = self._decode_cache.get(slots_key)
@@ -219,60 +226,70 @@ class GadgetMonteCarlo:
             self._decode_cache[slots_key] = corr
         return corr
 
-    def _decode_adaptive(self, slots_key: int, persist: int, p: float,
-                         rng: np.random.Generator) -> int:
-        g = self.g
-        m = g.cat_count
-        syn = CatSyndrome(m, (slots_key,))
-        overlay = 0
+    def _reread_rows(self, slots_key: int) -> tuple[np.ndarray, np.ndarray]:
+        """The decoder's table for one syndrome as arrays: the stabilizer
+        re-read at each step (-1 past the last) and the correction, per
+        outcome vector."""
+        rows = self._reread_cache.get(slots_key)
+        if rows is None:
+            g = self.g
+            table = reread_table(
+                self.decoder, CatSyndrome.from_key(g.cat_count, slots_key, g.base_rounds))
+            reads = np.full((len(table), MAX_REREADS), -1, dtype=np.int8)
+            for v, (stabs, _) in enumerate(table):
+                reads[v, :len(stabs)] = stabs
+            corr = np.array([c for _, c in table], dtype=np.uint64)
+            rows = self._reread_cache[slots_key] = (reads, corr)
+        return rows
 
-        def measure(indices):
-            nonlocal overlay
-            out = {}
-            for s in indices:
-                s %= m
-                anc = 0
-                for cat in ((s + 1) % m, s):  # neighbor read first
-                    anc ^= ((persist >> cat) ^ (overlay >> cat)) & 1
-                    if rng.random() < p:
-                        pc, pt = PAULI_PAIRS[int(rng.integers(15))]
-                        if pt in ("X", "Y"):
-                            anc ^= 1
-                        if pc in ("X", "Y"):
-                            overlay ^= 1 << cat
-                if rng.random() < p:
-                    if PAULI_SINGLES[int(rng.integers(3))] in ("X", "Y"):
-                        anc ^= 1
-                out[s] = anc
-            return out
+    def _adaptive_corrections(self, rng: np.random.Generator, p: float,
+                              keys: np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """Corrections for trials with base-round syndromes ``keys`` and
+        persisting cat X errors ``frame`` (updated in place), re-measuring
+        as the decoder asks.  Each step draws one ``reread`` sample over
+        all trials."""
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.uint64)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        tables = [self._reread_rows(k) for k in uniq.tolist()]
+        reads = np.stack([r for r, _ in tables])
+        corr = np.stack([c for _, c in tables])
 
-        return self.decoder.decode(syn, measure)
+        m = self.g.cat_count
+        full = (1 << m) - 1
+        outcomes = np.zeros(len(keys), dtype=np.uint8)
+        for i in range(MAX_REREADS):
+            anc, cats = self.reread.sample(rng, len(keys), p)
+            stab = reads[inv, outcomes, i]
+            live = stab >= 0
+            s = np.maximum(stab, 0).astype(np.uint8)
+            bit = frame >> s
+            bit ^= frame >> ((s + 1) % m)
+            bit ^= anc
+            bit &= 1
+            outcomes |= (bit.astype(np.uint8) & live) << i
+            # rotate the relative mask onto cats s and s+1 (mod m)
+            cats <<= s
+            frame ^= cats & full
+            frame ^= cats >> m
+        return corr[inv, outcomes]
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int,
                   t: int) -> int:
         """Returns the number of failing trials in the batch."""
         rng = np.random.default_rng([seed, 1, batch_index])
         accs = self.faults.sample(rng, size, p)
-        acc_data, acc_slot = accs[0], accs[1]
-
+        candidates = np.nonzero(accs[0] | accs[1])[0]
+        # keep only the trials that reach decoding, and free the rest
+        accs = [acc[candidates] for acc in accs]
+        data, keys = accs[0], accs[1]
+        if self.adaptive:
+            corr = self._adaptive_corrections(rng, p, keys, accs[2])
+        else:
+            corr, _ = table_apply(self._decode_static, keys)
         gamma = self.g.gamma
-        candidates = np.nonzero(acc_data | acc_slot)[0]
-        if not self.adaptive:
-            corr, _ = table_apply(self._decode_static, acc_slot[candidates])
-            w = np.bitwise_count(acc_data[candidates] ^ corr)
-            return int(np.count_nonzero(np.minimum(w, gamma - w) > t))
-        acc_persist = accs[2]
-        failures = 0
-        base_trial = batch_index * size
-        for idx in candidates:
-            trial_rng = np.random.default_rng([seed, 2, base_trial + int(idx)])
-            corr = self._decode_adaptive(
-                int(acc_slot[idx]), int(acc_persist[idx]), p, trial_rng
-            )
-            w = popcount(int(acc_data[idx]) ^ corr)
-            if min(w, gamma - w) > t:
-                failures += 1
-        return failures
+        w = np.bitwise_count(data ^ corr)
+        return int(np.count_nonzero(np.minimum(w, gamma - w) > t))
 
 
 def run_batches_until(
@@ -423,14 +440,23 @@ def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
     return buf.getvalue()
 
 
+# The format names the random stream a manifest replays: v2 draws the
+# re-measurement noise of adaptive decoders from the batch generator.
+MANIFEST_FORMAT = "cutcat-manifest-v2"
+
+
 def make_manifest(command: str, config: dict) -> str:
-    doc = {"tool": "cutcat", "format": "cutcat-manifest-v1",
+    doc = {"tool": "cutcat", "format": MANIFEST_FORMAT,
            "command": command, "config": config}
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def load_manifest(text: str) -> tuple[str, dict]:
     doc = json.loads(text)
-    if doc.get("format") != "cutcat-manifest-v1":
+    fmt = doc.get("format")
+    if fmt == "cutcat-manifest-v1":
+        raise ValueError("cutcat-manifest-v1 used an older random stream and "
+                         "cannot be replayed; re-run without --from-manifest")
+    if fmt != MANIFEST_FORMAT:
         raise ValueError("unknown manifest format")
     return doc["command"], doc["config"]

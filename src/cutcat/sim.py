@@ -430,3 +430,31 @@ def op_code_effects(g: GadgetCircuit, op: NoisyOp) -> list[Effect]:
                 eff ^= base["Z"]
             out.append(eff)
     return out
+
+
+def reread_code_effects(g: GadgetCircuit) -> list[list[tuple[int, int]]]:
+    """Per-code (outcome flip, cat X mask) of the three noisy ops of one
+    adaptive re-measurement: its two CNOTs, neighbor cat first (15 codes
+    each), then the measurement (3 codes).
+
+    Walked for stabilizer 0, so cat masks are relative to the re-read
+    stabilizer s: bit 0 is cat s, bit 1 cat s+1.  Both fields are
+    XOR-linear, like ``Effect``.
+    """
+    slot = g.adaptive_slot(0)
+    gates = g.ring_measurement_gates(0, slot)
+    anc = g.anc_qubit(0)
+    cat_mask = (1 << g.cat_count) - 1
+
+    def effect(pos, faults) -> tuple[int, int]:
+        walker = _Walker(g)
+        walker.run(gates, {pos: [(q, p) for q, p in faults if p != "I"]})
+        return walker.outcome_flips[slot], (walker.x >> g.gamma) & cat_mask
+
+    rows = [
+        [effect(("after_gate", None, i), ((gates[i].q0, pc), (anc, pt)))
+         for pc, pt in PAULI_PAIRS]
+        for i in (0, 1)
+    ]
+    rows.append([effect(("before_meas", slot), ((anc, p),)) for p in PAULI_SINGLES])
+    return rows

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -46,9 +48,11 @@ def _effect_classes(
 
 def _combos(
     effects: Sequence[Effect], max_weight: int, first_range: range,
+    min_weight: int = 1,
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """Every combination of 1..max_weight effect indices whose first
-    index lies in ``first_range``, as (combo, data, key, persist) XORs.
+    """Every combination of min_weight..max_weight effect indices whose
+    first index lies in ``first_range``, as (combo, data, key, persist)
+    XORs.
 
     Weight-major, then by first index, then lexicographic.  Within a
     weight, each prefix's XOR is formed once and shared by every
@@ -66,7 +70,7 @@ def _combos(
                 yield from extend(combo + (i,), data ^ d, key ^ k, persist ^ p,
                                   range(i + 1, n), left - 1)
 
-    for w in range(1, max_weight + 1):
+    for w in range(min_weight, max_weight + 1):
         yield from extend((), 0, 0, 0, first_range, w)
 
 
@@ -123,33 +127,81 @@ def _persist_outcome(persist: int, stab: int, m: int) -> int:
     return ((persist >> stab) ^ (persist >> ((stab + 1) % m))) & 1
 
 
+# re-measurement budget of an adaptive decoder per gadget run
+MAX_REREADS = 4
+
+
+def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]:
+    """An adaptive decoder compiled for one base-round syndrome.
+
+    Row v holds the stabilizers the decoder re-reads, in request order,
+    and its correction when the i-th re-read returns bit i of v.  The
+    request at step i depends only on the bits before it, so a run is
+    followed by reading step i from the row of the outcomes so far.
+    """
+    m = syn.cat_count
+    rows = []
+    for v in range(1 << MAX_REREADS):
+        reads: list[int] = []
+
+        def measure(indices):
+            out = {}
+            for i in indices:
+                if len(reads) == MAX_REREADS:
+                    raise ValueError(
+                        f"decoder asked for more than {MAX_REREADS} re-reads")
+                out[i] = (v >> len(reads)) & 1
+                reads.append(i % m)
+            return out
+
+        corr = decoder.decode(syn, measure)
+        rows.append((tuple(reads), corr))
+    return rows
+
+
+def _follow(rows: Sequence[tuple], bits: int) -> int:
+    """Row index a decoder's run ends in when re-reading stabilizer s
+    returns bit s of ``bits``."""
+    v = 0
+    for i in range(MAX_REREADS):
+        reads = rows[v][0]
+        if i == len(reads):
+            break
+        v |= ((bits >> reads[i]) & 1) << i
+    return v
+
+
 def _check_combos(
     g: GadgetCircuit,
     decoder,
     t: int,
     effects: Sequence[Effect],
     rep_ids: Sequence[int],
+    decoded: dict,
+    weight: int,
     first_range: range,
 ) -> tuple[int, Counterexample | None]:
-    """Verify all combos whose first location index lies in ``first_range``."""
+    """Verify all combos of ``weight`` locations whose first index lies
+    in ``first_range``.  ``decoded`` caches the decoder's answer per
+    syndrome key (a correction, or an adaptive decoder's table); a serial
+    walk shares it across weights."""
     m = g.cat_count
     gamma = g.gamma
     checked = 0
-    walk = _combos(effects, t, first_range)
+    walk = _combos(effects, weight, first_range, min_weight=weight)
 
     if not getattr(decoder, "needs_round2", False):
         # static decoders read only the syndrome key
-        corrections: dict[int, int] = {}
         for combo, data, key, _ in walk:
             checked += 1
-            if key not in corrections:
+            if key not in decoded:
                 syn = CatSyndrome.from_key(m, key, g.base_rounds)
-                corrections[key] = decoder.decode(syn)
-            corr = corrections[key]
+                decoded[key] = decoder.decode(syn)
+            corr = decoded[key]
             cw = residual_weight_mod_generator(data ^ corr, gamma)
-            if cw > len(combo):
+            if cw > weight:
                 return checked, Counterexample(
-                    tuple(rep_ids[i] for i in combo), (), len(combo),
+                    tuple(rep_ids[i] for i in combo), (), weight,
                     key, data, corr, cw,
                 )
         return checked, None
@@ -159,48 +211,39 @@ def _check_combos(
     # cat qubit before the re-reads, which flips every re-measured slot
     # touching that cat.  Together these cover all timings of
     # adaptive-round faults, including base-round control faults whose
-    # only consequence is to persist into the re-measurements.
-    events = [("slot", s) for s in range(m)] + [("cat", c) for c in range(m)]
+    # only consequence is to persist into the re-measurements.  Each
+    # event is the mask of stabilizers it flips.
+    events = [("slot", s, 1 << s) for s in range(m)]
+    events += [("cat", c, (1 << c) | (1 << ((c - 1) % m))) for c in range(m)]
+    # per syndrome key: the decoder's table, each row with its read mask
     for combo, data, key, persist in walk:
-        w = len(combo)
-        syn = CatSyndrome.from_key(m, key, g.base_rounds)
-        for fsize in range(t - w + 1):
+        rows = decoded.get(key)
+        if rows is None:
+            syn = CatSyndrome.from_key(m, key, g.base_rounds)
+            rows = decoded[key] = [
+                (reads, sum(1 << s for s in set(reads)), corr)
+                for reads, corr in reread_table(decoder, syn)
+            ]
+        base = 0
+        for s in range(m):
+            base |= _persist_outcome(persist, s, m) << s
+        for fsize in range(t - weight + 1):
             for chosen in combinations(events, fsize):
-                flip_slots = {i for kind, i in chosen if kind == "slot"}
-                flip_cats = {i for kind, i in chosen if kind == "cat"}
-                seen: list[int] = []
-
-                def measure(indices):
-                    out = {}
-                    for i in indices:
-                        i %= m
-                        bit = _persist_outcome(persist, i, m)
-                        if i in flip_slots:
-                            bit ^= 1
-                        if i in flip_cats:
-                            bit ^= 1
-                        if (i + 1) % m in flip_cats:
-                            bit ^= 1
-                        out[i] = bit
-                        seen.append(i)
-                    return out
-
-                corr = decoder.decode(syn, measure)
-                read = set(seen)
-                relevant = all(s in read for s in flip_slots) and all(
-                    read & {(c - 1) % m, c} for c in flip_cats
-                )
-                if not relevant:
+                flips = 0
+                for _, _, mask in chosen:
+                    flips ^= mask
+                _, read, corr = rows[_follow(rows, base ^ flips)]
+                if not all(mask & read for _, _, mask in chosen):
                     # identical trace to a smaller event set
                     continue
                 checked += 1
-                budget = w + fsize
+                budget = weight + fsize
                 cw = residual_weight_mod_generator(data ^ corr, gamma)
                 if cw > budget:
                     return checked, Counterexample(
                         tuple(rep_ids[i] for i in combo),
-                        tuple(sorted(flip_slots))
-                        + tuple(("cat", c) for c in sorted(flip_cats)),
+                        tuple(i for kind, i, _ in chosen if kind == "slot")
+                        + tuple(("cat", i) for kind, i, _ in chosen if kind == "cat"),
                         budget, key, data, corr, cw,
                     )
     return checked, None
@@ -223,29 +266,37 @@ def verify_gadget(
     enumeration order is reported.  With ``dedupe`` the combinations run
     over effect classes, split by the fields the decoder reads:
     ``persist_x`` only for adaptive decoders.
+
+    With ``jobs > 1`` each weight is split into ranges of first index,
+    checked in parallel; a failing range stops the walk, and only the
+    ranges up to it count, so the report does not depend on ``jobs``.
     """
     if locations is None:
         locations = enumerate_fault_locations(g)
     adaptive = bool(getattr(decoder, "needs_round2", False))
     effects, rep_ids = _effect_classes(g, locations, dedupe, adaptive)
     n = len(effects)
+    chunk = max(1, math.ceil(n / max(jobs, 1)))
+    ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 
-    if jobs <= 1 or n == 0:
-        results = [_check_combos(g, decoder, t, effects, rep_ids, range(n))]
-    else:
-        chunk = math.ceil(n / jobs)
-        ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_check_combos, g, decoder, t, effects, rep_ids, r)
-                for r in ranges
-            ]
-            results = [f.result() for f in futures]
-    # ranges are ordered, first hit wins
-    cx = next((part for _, part in results if part is not None), None)
+    decoded: dict = {}
+    checked = 0
+    cx = None
+    with (ProcessPoolExecutor(max_workers=jobs) if len(ranges) > 1
+          else nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        for w in range(1, t + 1):
+            check = partial(_check_combos, g, decoder, t, effects, rep_ids,
+                            decoded, w)
+            for part_checked, cx in run(check, ranges):
+                checked += part_checked
+                if cx is not None:
+                    break
+            if cx is not None:
+                break
     return VerificationReport(
         passed=cx is None,
-        faults_checked=sum(checked for checked, _ in results),
+        faults_checked=checked,
         counterexample=cx,
         n_locations=len(locations),
     )

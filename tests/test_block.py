@@ -27,6 +27,19 @@ class TestSetup:
         with pytest.raises(ValueError):
             BlockSimulator(steane, ratio=0)
 
+    def test_extraction_rate_above_one_rejected(self, steane):
+        with pytest.raises(ValueError, match="p/ratio=1.6"):
+            run_block_mc(steane, 0.8, ratio=0.5, min_failures=5, trial_cap=100)
+
+    def test_p_ft_from_simulator_ratio(self, steane):
+        sim = BlockSimulator(steane, ratio=10)
+        stats = run_block_mc(steane, 1e-2, min_failures=5, seed=1,
+                             trial_cap=1_000, batch_size=1_000, simulator=sim)
+        assert stats.p_ft == 1e-3
+        with pytest.raises(ValueError, match="p/ratio"):
+            run_block_mc(steane, 1.0, ratio=100, min_failures=5, trial_cap=100,
+                         simulator=BlockSimulator(steane, ratio=0.5))
+
     def test_max_rounds_below_run_length_rejected(self, steane):
         # Steane has t=1: acceptance needs two identical rounds
         with pytest.raises(ValueError, match="max_rounds"):

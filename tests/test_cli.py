@@ -66,6 +66,18 @@ class TestMonteCarloCommands:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_v1_manifest_rejected_exit_two(self, tmp_path, capsys):
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(json.dumps({
+            "tool": "cutcat", "format": "cutcat-manifest-v1",
+            "command": "mc-gadget", "config": {}}))
+        out = tmp_path / "a.csv"
+        assert main(["mc-gadget", "--from-manifest", str(manifest),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "re-run without --from-manifest" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_mc_block_replay_identical(self, tmp_path, capsys):
         code_file = tmp_path / "steane.txt"
         code_file.write_text(STEANE_TEXT)
@@ -93,6 +105,16 @@ class TestMonteCarloCommands:
                      "--min-failures", "5", "--trial-cap", "100",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: p=")
+        assert not out.exists()
+
+    def test_mc_block_extraction_rate_above_one_exit_two(self, tmp_path, capsys):
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        out = tmp_path / "a.csv"
+        assert main(["mc-block", "--code", str(code_file), "--ratio", "0.5",
+                     "--p", "0.8", "--min-failures", "5", "--trial-cap", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: extraction rate")
         assert not out.exists()
 
     def test_mc_gadget_rate_out_of_range_exit_two(self, tmp_path, capsys):

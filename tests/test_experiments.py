@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from cutcat.decoders import RuleDecoderD3D5
+from cutcat.decoders import RuleDecoderD3D5, RuleDecoderD7
 from cutcat.experiments import (
+    GadgetMonteCarlo,
     TrialStats,
     fit_slope,
     load_manifest,
@@ -13,6 +15,8 @@ from cutcat.experiments import (
     wilson_interval,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
+from cutcat.sim import CatSyndrome
+from cutcat.verify import MAX_REREADS
 
 
 class TestWilson:
@@ -130,6 +134,54 @@ class TestManifest:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             load_manifest('{"format": "nope"}')
+
+    def test_writes_v2(self):
+        assert '"format": "cutcat-manifest-v2"' in make_manifest("mc-gadget", {})
+
+    def test_v1_rejected_with_rerun_hint(self):
+        text = make_manifest("mc-gadget", {"gamma": 6}).replace(
+            "cutcat-manifest-v2", "cutcat-manifest-v1")
+        with pytest.raises(ValueError, match="re-run without --from-manifest") as exc:
+            load_manifest(text)
+        assert "\n" not in str(exc.value)
+
+
+class TestAdaptiveBatch:
+    def test_matches_scalar_loop_over_same_draws(self):
+        """The vectorized re-read steps against ``decoder.decode`` per
+        trial, with a measure callback that applies the same draws one
+        re-read at a time."""
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        m, gamma, t = g.cat_count, g.gamma, 3
+        dec = RuleDecoderD7(g)
+        engine = GadgetMonteCarlo(g, dec)
+        seed, batch, size, p = 5, 2, 20_000, 5e-2
+
+        rng = np.random.default_rng([seed, 1, batch])
+        data, slots, persist = engine.faults.sample(rng, size, p)
+        cand = np.nonzero(data | slots)[0]
+        rereads = [engine.reread.sample(rng, len(cand), p)
+                   for _ in range(MAX_REREADS)]
+        failures = 0
+        for j, trial in enumerate(cand.tolist()):
+            frame = int(persist[trial])
+            step = 0
+
+            def measure(indices):
+                nonlocal frame, step
+                out = {}
+                for s in indices:
+                    anc, cats = (int(col[j]) for col in rereads[step])
+                    out[s] = ((frame >> s) ^ (frame >> ((s + 1) % m)) ^ anc) & 1
+                    frame ^= ((cats << s) | (cats >> (m - s))) & ((1 << m) - 1)
+                    step += 1
+                return out
+
+            corr = dec.decode(CatSyndrome(m, (int(slots[trial]),)), measure)
+            w = bin(int(data[trial]) ^ corr).count("1")
+            failures += min(w, gamma - w) > t
+        assert failures > 0
+        assert engine.run_batch(p, seed, batch, size, t) == failures
 
 
 class TestTrialStats:

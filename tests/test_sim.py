@@ -9,6 +9,8 @@ from cutcat.circuit import CAT_INIT, POST_GATE_CONTROL, enumerate_fault_location
 from cutcat.experiments import FaultTable
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
+    PAULI_PAIRS,
+    PAULI_SINGLES,
     adaptive_propagate,
     location_effects,
     noisy_operations,
@@ -225,3 +227,36 @@ class TestFaultTableMatchesWalker:
         g = build_cut_cat(GadgetSpec(gamma=70, distance=5))
         with pytest.raises(ValueError, match="gamma=70"):
             FaultTable.from_gadget(g, ("data_x",))
+
+
+class TestRereadTableMatchesAdaptivePropagate:
+    """Every (op, code) row of the re-measurement ``FaultTable`` against
+    ``adaptive_propagate`` re-reading one stabilizer with the matching
+    faults, for every stabilizer."""
+
+    # (kind of the control fault, kind of the ancilla fault) per CNOT op
+    GATE_KINDS = (("post_gate_control_0", "anc_mid"),
+                  ("post_gate_control_1", "anc_post"))
+
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_rows_are_single_stabilizer_rereads(self, gamma):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        m = g.cat_count
+        table = FaultTable.for_reread(g)
+        anc_col, cats_col = table.columns
+        assert table.n_codes == [15, 15, 3]
+        for stab in range(m):
+            for op, n_codes in enumerate(table.n_codes):
+                for code in range(n_codes):
+                    if op < 2:
+                        faults = zip(self.GATE_KINDS[op], PAULI_PAIRS[code])
+                    else:
+                        faults = [("pre_measurement", PAULI_SINGLES[code])]
+                    res = adaptive_propagate(
+                        g, planner=lambda syn: [stab],
+                        adaptive_faults=[(stab, kind, p) for kind, p in faults
+                                         if p != "I"])
+                    cats = int(cats_col[op, code])
+                    rotated = ((cats << stab) | (cats >> (m - stab))) & ((1 << m) - 1)
+                    assert res.syndrome.adaptive == ((stab, int(anc_col[op, code])),)
+                    assert res.cat_x_final == rotated, (stab, op, code)

@@ -4,14 +4,22 @@ from itertools import combinations
 import pytest
 
 from cutcat.circuit import PRE_MEASUREMENT, enumerate_fault_locations
-from cutcat.decoders import IdentityDecoder, RuleDecoderD3D5, RuleDecoderD7
+from cutcat.decoders import (
+    IdentityDecoder,
+    RuleDecoderD3D5,
+    RuleDecoderD7,
+    cats_to_mask,
+    decode_d7,
+)
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.sim import adaptive_propagate, location_effects
+from cutcat.sim import CatSyndrome, adaptive_propagate, location_effects
 from cutcat.verify import (
+    MAX_REREADS,
     _combos,
     _persist_outcome,
     eval_upper_bound,
     oracle_residuals,
+    reread_table,
     verify_gadget,
 )
 
@@ -112,6 +120,75 @@ class TestVerifyGadget:
         cx = verify_gadget(g, dec, t).counterexample
         assert (cx.fault_ids, cx.n_faults, cx.syndrome_key, cx.residual,
                 cx.correction, cx.coset_weight) == expected
+
+
+    def test_adaptive_reports_pinned(self):
+        """Counts and the first counterexample of the adaptive branch, as
+        recorded when every event set was decoded afresh."""
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        dec = RuleDecoderD7(g)
+        rep = verify_gadget(g, dec, 3)
+        assert rep.passed and rep.faults_checked == 10598
+        rep = verify_gadget(g, dec, 4)
+        cx = rep.counterexample
+        assert rep.faults_checked == 14002
+        assert (cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
+                cx.residual, cx.correction, cx.coset_weight) == \
+            ((0, 1, 2), (1,), 4, 0x44, 0x3F, 0x0, 6)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("gamma,distance,decoder,t", [
+        (10, 5, "identity", 2),
+        (10, 5, "rule-t1", 2),
+        (14, 7, "rule-t2", 3),
+    ])
+    def test_failing_reports_do_not_depend_on_jobs(self, gamma, distance,
+                                                   decoder, t, dedupe):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        dec = {
+            "identity": IdentityDecoder,
+            "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+            "rule-t2": lambda: RuleDecoderD3D5(g, 2),
+        }[decoder]()
+        serial = verify_gadget(g, dec, t, dedupe=dedupe, jobs=1)
+        parallel = verify_gadget(g, dec, t, dedupe=dedupe, jobs=2)
+        assert not serial.passed
+        assert parallel == serial
+
+
+class TestRereadTable:
+    """The compiled adaptive decoder against ``decode_d7`` itself."""
+
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_every_key_and_outcome_matches_decode_d7(self, gamma):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        m = g.cat_count
+        dec = RuleDecoderD7(g)
+        for key in range(1 << m):
+            rows = reread_table(dec, CatSyndrome(m, (key,)))
+            for v in range(1 << MAX_REREADS):
+                fed = iter(range(MAX_REREADS))
+
+                def measure(indices):
+                    return {i: (v >> next(fed)) & 1 for i in indices}
+
+                cats, requested = decode_d7(key, m, measure)
+                reads, corr = rows[v]
+                assert (reads, corr) == (requested, cats_to_mask(g, cats))
+                # step i is read from the row of the outcomes before it
+                for i, stab in enumerate(requested):
+                    assert rows[v & ((1 << i) - 1)][0][i] == stab
+
+    def test_more_than_four_rereads_rejected(self):
+        class Greedy:
+            needs_round2 = True
+
+            def decode(self, syn, measure):
+                measure(tuple(range(MAX_REREADS + 1)))
+                return 0
+
+        with pytest.raises(ValueError, match="more than 4 re-reads"):
+            reread_table(Greedy(), CatSyndrome(7, (0b11,)))
 
 
 class TestOracle:
