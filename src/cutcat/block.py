@@ -9,6 +9,7 @@ per-trial Python, and those are deduplicated first.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -190,18 +191,6 @@ def _parities(data: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     return out
 
 
-class _BlockBatchTask:
-    """Picklable batch closure for process pools."""
-
-    def __init__(self, sim: BlockSimulator, p: float, seed: int):
-        self.sim = sim
-        self.p = p
-        self.seed = seed
-
-    def __call__(self, batch_index: int, size: int) -> int:
-        return self.sim.run_batch(self.p, self.seed, batch_index, size)
-
-
 def run_block_mc(
     code: CssCode,
     p: float,
@@ -222,7 +211,7 @@ def run_block_mc(
     sim = simulator if simulator is not None else BlockSimulator(code, ratio, max_rounds)
     p_ft = _extraction_rate(p, sim.ratio)
     trials, failures = run_batches_until(
-        _BlockBatchTask(sim, p, seed), min_failures, trial_cap, batch_size, jobs
+        partial(sim.run_batch, p, seed), min_failures, trial_cap, batch_size, jobs
     )
     return TrialStats(
         p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,

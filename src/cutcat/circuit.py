@@ -15,15 +15,13 @@ class Gate:
     """One scheduled operation.
 
     kind is ``CNOT`` (q0 = control, q1 = target), ``MZ`` (q0 measured into
-    ``slot``) or ``RESET`` (q0 cleared).  ``layer`` is the depth layer the
-    op belongs to under the parallel schedule.
+    ``slot``) or ``RESET`` (q0 cleared).
     """
 
     kind: str
     q0: int
     q1: int = -1
     slot: int = -1
-    layer: int = 0
 
     def __post_init__(self) -> None:
         if self.kind == "CNOT" and self.q0 == self.q1:
@@ -44,7 +42,9 @@ class FaultLocation:
 
     Relevant means an X fault there can either reach the data qubits or
     flip a ring-measurement outcome.  ids are dense 0..N-1 in enumeration
-    order.
+    order.  A site sits right after gate ``gate_index``, except that
+    ANC_PREP and PRE_MEASUREMENT sites precede theirs; cat inits (index
+    -1) precede the whole circuit.
     """
 
     id: int
@@ -172,31 +172,24 @@ def enumerate_fault_locations(g: GadgetCircuit) -> list[FaultLocation]:
             add(ANC_PREP, slot=gate.slot, qubit=gate.q0, gate_index=first)
             add(ANC_MID, slot=gate.slot, qubit=gate.q0, gate_index=first)
             add(ANC_POST, slot=gate.slot, qubit=gate.q0, gate_index=second)
-            add(PRE_MEASUREMENT, slot=gate.slot, qubit=gate.q0)
+            add(PRE_MEASUREMENT, slot=gate.slot, qubit=gate.q0, gate_index=gi)
     return locs
 
 
-def circuit_depth(g: GadgetCircuit, serial_cat_meas: bool = True,
-                  extra_measurements: int = 0) -> int:
+def circuit_depth(g: GadgetCircuit, extra_measurements: int = 0) -> int:
     """Depth excluding ancilla preparation.
 
     Data interactions run in two parallel CNOT layers (one for a full-cat
-    gadget); in serial mode each ring measurement, including its CNOT
-    pair and the measure/reset on the shared ancilla, costs one unit.
+    gadget); each ring measurement, including its CNOT pair and the
+    measure/reset on the shared ancilla, costs one unit.
     """
     if g.gamma == 0:
         return 0
     data_layers = 1 if g.kind == "full_cat" else 2
-    n_meas = g.n_slots + extra_measurements
-    if serial_cat_meas:
-        return data_layers + n_meas
-    # parallel rings: even/odd CNOT layers plus one measurement layer
-    rounds = g.base_rounds + (1 if extra_measurements else 0)
-    return data_layers + 3 * rounds if n_meas else data_layers
+    return data_layers + g.n_slots + extra_measurements
 
 
-def count_two_qubit_gates(g: GadgetCircuit, include_prep: bool = True,
-                          prep_cost: int = 0) -> tuple[int, int]:
+def count_two_qubit_gates(g: GadgetCircuit, prep_cost: int = 0) -> tuple[int, int]:
     """(min, max) two-qubit gate count.
 
     min covers the data CNOTs, two CNOTs per scheduled ring measurement
@@ -205,7 +198,6 @@ def count_two_qubit_gates(g: GadgetCircuit, include_prep: bool = True,
     """
     data_cnots = sum(len(p) for p in g.pair_map)
     ring_cnots = 2 * g.n_slots
-    lo = data_cnots + ring_cnots + (prep_cost if include_prep else 0)
+    lo = data_cnots + ring_cnots + prep_cost
     hi = lo + 2 * g.max_adaptive
     return lo, hi
-

@@ -18,7 +18,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
-from .pauli import CssCode, mask_of, parity, residual_weight_mod_generator
+from .pauli import (
+    CssCode,
+    _format_binary_row,
+    _parse_binary_row,
+    mask_of,
+    parity,
+    residual_weight_mod_generator,
+)
 from .sim import CatSyndrome
 from . import verify as _verify
 
@@ -366,8 +373,8 @@ class CutCatLUT:
         n_bits = self.rounds * self.cat_count
         entries = [
             {
-                "syndrome": _bitstring(key, n_bits),
-                "correction": _bitstring(corr, self.gamma),
+                "syndrome": _format_binary_row(key, n_bits),
+                "correction": _format_binary_row(corr, self.gamma),
             }
             for key, corr in sorted(self.table.items())
         ]
@@ -388,23 +395,13 @@ class CutCatLUT:
         doc = json.loads(text)
         if doc.get("format") != "cutcat-lut-v1":
             raise ValueError("unknown LUT format")
-        table = {
-            _bitmask(e["syndrome"]): _bitmask(e["correction"])
-            for e in doc["entries"]
-        }
+        n_bits = doc["rounds"] * doc["cat_count"]
+        table = {}
+        for i, e in enumerate(doc["entries"]):
+            key = _parse_binary_row(e["syndrome"], n_bits, f"LUT entry {i} syndrome")
+            table[key] = _parse_binary_row(e["correction"], doc["gamma"],
+                                           f"LUT entry {i} correction")
         return cls(doc["gamma"], doc["t"], doc["rounds"], doc["cat_count"], table)
-
-
-def _bitstring(mask: int, n: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
-
-
-def _bitmask(s: str) -> int:
-    out = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            out |= 1 << i
-    return out
 
 
 class LutDecoder:

@@ -15,13 +15,14 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
-from .sim import CatSyndrome, noisy_operations, op_code_effects, reread_code_effects
+from .sim import CatSyndrome, gate_operations, noisy_operations, op_code_effects
 from .verify import MAX_REREADS, eval_upper_bound, reread_table
 
 
@@ -150,13 +151,18 @@ class FaultTable:
 
     @classmethod
     def for_reread(cls, g: GadgetCircuit) -> "FaultTable":
-        """The three noisy ops of one adaptive re-measurement, with
-        columns ``anc`` (outcome flip) and ``cats`` (cat X mask relative
-        to the re-read stabilizer, see ``reread_code_effects``)."""
-        rows = reread_code_effects(g)
-        return cls([len(row) for row in rows],
-                   {"anc": [[a for a, _ in row] for row in rows],
-                    "cats": [[c for _, c in row] for row in rows]})
+        """The three noisy ops of one adaptive re-measurement, its two
+        CNOTs (neighbor cat first) and the measurement, walked for
+        stabilizer 0.  Columns: ``anc``, the outcome flip, and ``cats``,
+        the cat X mask relative to the re-read stabilizer s (bit 0 is
+        cat s, bit 1 cat s+1)."""
+        slot = g.adaptive_slot(0)
+        gates = g.ring_measurement_gates(0, slot)
+        ops = gate_operations(gates)
+        effects = [op_code_effects(g, op, gates) for op in ops]
+        return cls([op.n_codes for op in ops],
+                   {"anc": [[e.slot_flips >> slot for e in row] for row in effects],
+                    "cats": [[e.persist_x for e in row] for row in effects]})
 
     def sample(self, rng: np.random.Generator, size: int,
                p: float) -> list[np.ndarray]:
@@ -355,26 +361,13 @@ def run_gadget_mc(
         g = gadget if gadget is not None else build_cut_cat(spec)
         engine = GadgetMonteCarlo(g, decoder)
     trials, failures = run_batches_until(
-        _GadgetBatchTask(engine, p_ft, seed, spec.t), min_failures, trial_cap,
+        partial(engine.run_batch, p_ft, seed, t=spec.t), min_failures, trial_cap,
         batch_size, jobs,
     )
     return TrialStats(
         p=p_ft, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
         censored=failures < min_failures,
     )
-
-
-class _GadgetBatchTask:
-    """Picklable batch closure for process pools."""
-
-    def __init__(self, engine: GadgetMonteCarlo, p_ft: float, seed: int, t: int):
-        self.engine = engine
-        self.p_ft = p_ft
-        self.seed = seed
-        self.t = t
-
-    def __call__(self, batch_index: int, size: int) -> int:
-        return self.engine.run_batch(self.p_ft, self.seed, batch_index, size, self.t)
 
 
 def sweep_gadget_mc(

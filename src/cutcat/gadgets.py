@@ -31,7 +31,6 @@ class GadgetSpec:
     adaptive: bool | None = None
     base_rounds: int | None = None
     prep_cnots: int | None = None
-    prep_extra_qubits: int = 1
 
     def __post_init__(self) -> None:
         if self.distance not in SUPPORTED_DISTANCES:
@@ -108,10 +107,10 @@ def build_cut_cat(spec: GadgetSpec) -> GadgetCircuit:
     # two data-CNOT layers: every cat fires its first CNOT, then pairs
     # fire their second; targets are disjoint within a layer
     for r in range(m):
-        gates.append(Gate("CNOT", cat(r), pair_map[r][0], layer=0))
+        gates.append(Gate("CNOT", cat(r), pair_map[r][0]))
     for r in range(m):
         if len(pair_map[r]) > 1:
-            gates.append(Gate("CNOT", cat(r), pair_map[r][1], layer=1))
+            gates.append(Gate("CNOT", cat(r), pair_map[r][1]))
 
     # each round runs its m ZZ checks in two parallel CNOT layers: every
     # check reads its neighbor cat first, then its own cat, so the ring
@@ -119,16 +118,14 @@ def build_cut_cat(spec: GadgetSpec) -> GadgetCircuit:
     # exactly the check of its own index
     anc0 = gamma + m
     round_slots: list[tuple[int, ...]] = []
-    layer = 2
     for rnd in range(spec.rounds):
         for s in range(m):
-            gates.append(Gate("CNOT", cat(s + 1), anc0 + s, layer=layer))
+            gates.append(Gate("CNOT", cat(s + 1), anc0 + s))
         for s in range(m):
-            gates.append(Gate("CNOT", cat(s), anc0 + s, layer=layer + 1))
+            gates.append(Gate("CNOT", cat(s), anc0 + s))
         for s in range(m):
-            gates.append(Gate("MZ", anc0 + s, slot=rnd * m + s, layer=layer + 2))
-            gates.append(Gate("RESET", anc0 + s, layer=layer + 2))
-        layer += 3
+            gates.append(Gate("MZ", anc0 + s, slot=rnd * m + s))
+            gates.append(Gate("RESET", anc0 + s))
         round_slots.append(tuple(rnd * m + s for s in range(m)))
 
     return GadgetCircuit(
@@ -149,7 +146,7 @@ def build_full_cat(gamma: int) -> GadgetCircuit:
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     gates = tuple(
-        Gate("CNOT", gamma + r, r, layer=0) for r in range(gamma)
+        Gate("CNOT", gamma + r, r) for r in range(gamma)
     )
     return GadgetCircuit(
         kind="full_cat",
@@ -221,15 +218,14 @@ def resource_report(spec: GadgetSpec, full_cat: bool = False) -> ResourceReport:
         g = build_cut_cat(spec)
         prep = spec.prep_gate_cost
 
-    lo, hi = count_two_qubit_gates(g, include_prep=True, prep_cost=prep)
-    depth_lo = circuit_depth(g, serial_cat_meas=True)
-    depth_hi = circuit_depth(g, serial_cat_meas=True,
-                             extra_measurements=g.max_adaptive)
+    lo, hi = count_two_qubit_gates(g, prep_cost=prep)
+    depth_lo = circuit_depth(g)
+    depth_hi = circuit_depth(g, extra_measurements=g.max_adaptive)
 
     m = g.cat_count
     anc_fast = 0 if full_cat and g.n_slots == 0 else 1
     fast = m + anc_fast
-    slow = m + (g.n_slots + g.max_adaptive) + max(0, spec.prep_extra_qubits - 1)
+    slow = m + g.n_slots + g.max_adaptive
 
     data_cnots = sum(len(p) for p in g.pair_map)
     ring = 2 * g.n_slots

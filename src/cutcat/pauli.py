@@ -35,7 +35,8 @@ def parity(mask: int) -> int:
 
 
 class CodeFormatError(ValueError):
-    """Raised when a CSS code file is malformed or fails validation."""
+    """Raised when a CSS code file or a LUT bit string is malformed, or a
+    code fails validation."""
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,9 @@ def residual_weight_mod_generator(err_on_support: int, gamma: int) -> int:
     return min(w, gamma - w)
 
 
-def _parse_binary_row(token: str, n: int, lineno: int) -> int:
-    if len(token) != n or set(token) - {"0", "1"}:
-        raise CodeFormatError(f"line {lineno}: expected {n} binary digits")
+def _parse_binary_row(token: str, n: int, where: str) -> int:
+    if not isinstance(token, str) or len(token) != n or set(token) - {"0", "1"}:
+        raise CodeFormatError(f"{where}: expected {n} binary digits, got {token!r}")
     # leftmost character is qubit 0
     mask = 0
     for i, ch in enumerate(token):
@@ -260,7 +261,7 @@ def parse_css_code(text: str) -> CssCode:
         rows = []
         for _ in range(count):
             row_lineno, row = next_line()
-            rows.append(_parse_binary_row(row, n, row_lineno))
+            rows.append(_parse_binary_row(row, n, f"line {row_lineno}"))
         blocks[name] = rows
 
     if "X" not in blocks or "Z" not in blocks:

@@ -8,18 +8,15 @@ run.  Ring outcomes are therefore 0 in a fault-free pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .circuit import (
-    ANC_MID,
-    ANC_POST,
     ANC_PREP,
-    CAT_INIT,
-    POST_GATE_CONTROL,
     PRE_MEASUREMENT,
     FaultLocation,
     GadgetCircuit,
+    Gate,
     enumerate_fault_locations,
 )
 from .pauli import parity
@@ -29,6 +26,7 @@ PAULI_PAIRS: tuple[tuple[str, str], ...] = tuple(
     (a, b) for a in "IXYZ" for b in "IXYZ"
 )[1:]
 PAULI_SINGLES: tuple[str, ...] = ("X", "Y", "Z")
+_SINGLE_CODES = tuple((p,) for p in PAULI_SINGLES)
 
 
 @dataclass(frozen=True)
@@ -62,13 +60,34 @@ class CatSyndrome:
 
 
 @dataclass(frozen=True)
+class Effect:
+    """Frame-level consequence of a fault, XOR-linear in its Paulis.
+
+    slot_flips has bit s set when outcome slot s flips; persist_x marks
+    cat qubits still carrying an X at the end of the walk (what any
+    re-measurement would see).
+    """
+
+    data_x: int = 0
+    slot_flips: int = 0
+    persist_x: int = 0
+    gen_flip: int = 0
+
+    def __xor__(self, other: "Effect") -> "Effect":
+        return Effect(
+            self.data_x ^ other.data_x,
+            self.slot_flips ^ other.slot_flips,
+            self.persist_x ^ other.persist_x,
+            self.gen_flip ^ other.gen_flip,
+        )
+
+
+@dataclass(frozen=True)
 class PropagationResult:
     data_x: int
-    data_z: int
     syndrome: CatSyndrome
     generator_bit_flipped: bool
     cat_x_final: int            # X errors remaining on cat qubits (local bit r)
-    cat_z_final: int
 
 
 class _Walker:
@@ -80,25 +99,20 @@ class _Walker:
         self.z = z
         self.outcome_flips: dict[int, int] = {}
 
-    def inject(self, qubit: int, pauli: str) -> None:
-        if pauli in ("X", "Y"):
-            self.x ^= 1 << qubit
-        if pauli in ("Z", "Y"):
-            self.z ^= 1 << qubit
-        if pauli not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli {pauli!r}")
+    def inject(self, faults: Iterable[tuple[int, str]]) -> None:
+        for qubit, pauli in faults:
+            if pauli not in ("X", "Y", "Z"):
+                raise ValueError(f"unknown Pauli {pauli!r}")
+            if pauli != "Z":
+                self.x ^= 1 << qubit
+            if pauli != "X":
+                self.z ^= 1 << qubit
 
-    def run(self, gates: Sequence, inj: dict, tag: object = None) -> None:
-        """Execute gates, applying injections keyed by position.
-
-        Position keys: ("start",), ("before_gate", tag, i),
-        ("after_gate", tag, i), ("before_meas", slot).
-        """
-        for q, p in inj.get(("start",), ()):
-            self.inject(q, p)
+    def run(self, gates: Sequence[Gate], inj: dict[int, list]) -> "_Walker":
+        """Execute gates; ``inj[i]`` lists the (qubit, Pauli) faults
+        applied right after gate i, ``inj[-1]`` those before the first."""
+        self.inject(inj.get(-1, ()))
         for i, gate in enumerate(gates):
-            for q, p in inj.get(("before_gate", tag, i), ()):
-                self.inject(q, p)
             if gate.kind == "CNOT":
                 c, t = gate.q0, gate.q1
                 if (self.x >> c) & 1:
@@ -106,65 +120,48 @@ class _Walker:
                 if (self.z >> t) & 1:
                     self.z ^= 1 << c
             elif gate.kind == "MZ":
-                for q, p in inj.get(("before_meas", gate.slot), ()):
-                    self.inject(q, p)
                 self.outcome_flips[gate.slot] = (self.x >> gate.q0) & 1
             elif gate.kind == "RESET":
                 keep = ~(1 << gate.q0)
                 self.x &= keep
                 self.z &= keep
-            for q, p in inj.get(("after_gate", tag, i), ()):
-                self.inject(q, p)
+            faults = inj.get(i)
+            if faults:
+                self.inject(faults)
+        return self
+
+    def effect(self) -> Effect:
+        g = self.g
+        cat_mask = (1 << g.cat_count) - 1
+        # the generator bit comes from the final transversal X-basis
+        # readout of the cat qubits, which Z components flip
+        return Effect(
+            data_x=self.x & ((1 << g.gamma) - 1),
+            slot_flips=sum(bit << slot for slot, bit in self.outcome_flips.items()),
+            persist_x=(self.x >> g.gamma) & cat_mask,
+            gen_flip=parity((self.z >> g.gamma) & cat_mask),
+        )
 
     def result(self, extra_gen_flip: int = 0) -> PropagationResult:
         g = self.g
-        data_mask = (1 << g.gamma) - 1
-        cat_local_x = (self.x >> g.gamma) & ((1 << g.cat_count) - 1)
-        cat_local_z = (self.z >> g.gamma) & ((1 << g.cat_count) - 1)
-        rounds = []
-        for slots in g.round_slots:
-            bits = 0
-            for pos, slot in enumerate(slots):
-                bits |= self.outcome_flips.get(slot, 0) << pos
-            rounds.append(bits)
-        adaptive = tuple(
-            (slot - g.base_rounds * g.cat_count, bit)
-            for slot, bit in sorted(self.outcome_flips.items())
-            if slot >= g.base_rounds * g.cat_count
-        )
-        syn = CatSyndrome(g.cat_count, tuple(rounds), adaptive)
-        # the generator bit comes from the final transversal X-basis
-        # readout of the cat qubits, which Z components flip
-        gen_flip = bool(parity(cat_local_z) ^ (extra_gen_flip & 1))
+        eff = self.effect()
+        n_base = g.base_rounds * g.cat_count
+        adaptive = tuple((slot - n_base, bit)
+                         for slot, bit in sorted(self.outcome_flips.items())
+                         if slot >= n_base)
+        syn = CatSyndrome.from_key(g.cat_count, eff.slot_flips, g.base_rounds)
         return PropagationResult(
-            data_x=self.x & data_mask,
-            data_z=self.z & data_mask,
-            syndrome=syn,
-            generator_bit_flipped=gen_flip,
-            cat_x_final=cat_local_x,
-            cat_z_final=cat_local_z,
+            data_x=eff.data_x,
+            syndrome=replace(syn, adaptive=adaptive),
+            generator_bit_flipped=bool((eff.gen_flip ^ extra_gen_flip) & 1),
+            cat_x_final=eff.persist_x,
         )
 
 
-def _location_position(g: GadgetCircuit, loc: FaultLocation):
-    """Map a fault location onto a walker injection (position, qubit)."""
-    if loc.kind == CAT_INIT:
-        return ("start",), loc.qubit
-    if loc.kind == POST_GATE_CONTROL:
-        return ("after_gate", None, loc.gate_index), g.gates[loc.gate_index].q0
-    if loc.kind == ANC_PREP:
-        return ("before_gate", None, loc.gate_index), loc.qubit
-    if loc.kind == ANC_MID:
-        return ("after_gate", None, loc.gate_index), loc.qubit
-    if loc.kind == ANC_POST:
-        return ("after_gate", None, loc.gate_index), loc.qubit
-    if loc.kind == PRE_MEASUREMENT:
-        return ("before_meas", loc.slot), loc.qubit
-    raise ValueError(f"unknown fault kind {loc.kind}")
-
-
-def _resolve_faults(g, faults, locations):
-    inj: dict = {}
+def _resolve_faults(g, faults, locations) -> dict[int, list]:
+    """Walker injections for (location or id, Pauli) faults, placed as
+    ``FaultLocation`` describes."""
+    inj: dict[int, list] = {}
     for loc, pauli in faults:
         if isinstance(loc, int):
             if locations is None:
@@ -172,8 +169,8 @@ def _resolve_faults(g, faults, locations):
             if not 0 <= loc < len(locations):
                 raise ValueError(f"unknown fault id {loc}")
             loc = locations[loc]
-        pos, qubit = _location_position(g, loc)
-        inj.setdefault(pos, []).append((qubit, pauli))
+        after = loc.gate_index - (loc.kind in (ANC_PREP, PRE_MEASUREMENT))
+        inj.setdefault(after, []).append((loc.qubit, pauli))
     return inj
 
 
@@ -192,9 +189,20 @@ def propagate(
     component feeds the generator outcome through the data CNOTs.
     """
     inj = _resolve_faults(g, faults, locations)
-    walker = _Walker(g, x=initial_x, z=initial_z)
-    walker.run(g.gates, inj, tag=None)
-    return walker.result()
+    return _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj).result()
+
+
+# adaptive fault kind -> (re-read gate it follows, -1 for before the
+# first; offset from the stabilizer of the cat qubit it hits, None for the
+# ancilla).  Gate 0 reads the neighbor cat, gate 1 the own cat.
+_REREAD_FAULTS = {
+    "anc_prep": (-1, None),
+    "anc_mid": (0, None),
+    "anc_post": (1, None),
+    "pre_measurement": (1, None),
+    "post_gate_control_0": (0, 1),
+    "post_gate_control_1": (1, 0),
+}
 
 
 def adaptive_propagate(
@@ -214,76 +222,70 @@ def adaptive_propagate(
     triples bound to the re-measurement of that stabilizer.
     """
     inj = _resolve_faults(g, faults, locations)
-    walker = _Walker(g, x=initial_x, z=initial_z)
-    walker.run(g.gates, inj, tag=None)
-    base = walker.result()
+    walker = _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj)
+    plan = sorted(set(planner(walker.result().syndrome))) if planner is not None else []
 
-    plan = sorted(set(planner(base.syndrome))) if planner is not None else []
-    extra_inj: dict = {}
-    plan_set = set(plan)
+    extra: dict[int, dict[int, list]] = {}
     for stab, kind, pauli in adaptive_faults:
-        if stab not in plan_set:
+        if stab not in plan:
             continue
-        if kind == "anc_prep":
-            pos = ("before_gate", ("adaptive", stab), 0)
-        elif kind == "anc_mid":
-            pos = ("after_gate", ("adaptive", stab), 0)
-        elif kind in ("anc_post", "pre_measurement"):
-            pos = ("after_gate", ("adaptive", stab), 1)
-        elif kind == "post_gate_control_0":
-            pos = ("after_gate", ("adaptive", stab), 0)
-        elif kind == "post_gate_control_1":
-            pos = ("after_gate", ("adaptive", stab), 1)
-        else:
+        if kind not in _REREAD_FAULTS:
             raise ValueError(f"unknown adaptive fault kind {kind}")
-        if kind.startswith("post_gate_control"):
-            # re-measurement gate 0 reads the neighbor cat, gate 1 the own cat
-            idx = int(kind[-1])
-            qubit = g.cat_qubit(stab + 1 - idx)
-        else:
-            qubit = g.anc_qubit(stab)
-        extra_inj.setdefault(pos, []).append((qubit, pauli))
+        after, offset = _REREAD_FAULTS[kind]
+        qubit = g.anc_qubit(stab) if offset is None else g.cat_qubit(stab + offset)
+        extra.setdefault(stab, {}).setdefault(after, []).append((qubit, pauli))
 
     for stab in plan:
         if not 0 <= stab < g.cat_count:
             raise ValueError(f"planner requested stabilizer {stab}")
         gates = g.ring_measurement_gates(stab, g.adaptive_slot(stab))
-        walker.run(gates, extra_inj, tag=("adaptive", stab))
+        walker.run(gates, extra.get(stab, {}))
     return walker.result()
 
 
 @dataclass(frozen=True)
 class NoisyOp:
-    kind: str           # "init1q" | "cnot" | "meas_slot" | "meas_final"
-    qubit: int = -1
-    gate_index: int = -1
-    slot: int = -1
+    """A depolarizing channel on ``qubits`` right after gate ``after``
+    (-1: before the first).  ``final`` marks the transversal cat readout,
+    whose noise lands after the Hadamard: X and Y flip the generator bit."""
+
+    after: int
+    qubits: tuple[int, ...]
+    final: bool = False
+
+    @property
+    def codes(self) -> tuple[tuple[str, ...], ...]:
+        """The Pauli on each qubit, per non-identity code."""
+        return PAULI_PAIRS if len(self.qubits) == 2 else _SINGLE_CODES
 
     @property
     def n_codes(self) -> int:
-        return 15 if self.kind == "cnot" else 3
+        return len(self.codes)
+
+
+def gate_operations(gates: Sequence[Gate]) -> list[NoisyOp]:
+    """Noise of a gate list: a two-qubit depolarizing after every CNOT
+    and a one-qubit depolarizing before every measurement."""
+    ops = []
+    for i, gate in enumerate(gates):
+        if gate.kind == "CNOT":
+            ops.append(NoisyOp(i, (gate.q0, gate.q1)))
+        elif gate.kind == "MZ":
+            ops.append(NoisyOp(i - 1, (gate.q0,)))
+    return ops
 
 
 def noisy_operations(g: GadgetCircuit) -> list[NoisyOp]:
     """Noisy operation sites of one gadget run, in program order.
 
     Circuit-level depolarizing noise at one rate for every channel: a
-    one-qubit depolarizing on each freshly prepared cat qubit, a
-    two-qubit depolarizing after every CNOT, and a one-qubit
-    depolarizing before each measurement (ring slots and the final
-    transversal readout).
+    one-qubit depolarizing on each freshly prepared cat qubit, the noise
+    of the gates, and a one-qubit depolarizing before the final
+    transversal readout of each cat qubit.
     """
-    ops: list[NoisyOp] = []
-    for r in range(g.cat_count):
-        ops.append(NoisyOp("init1q", qubit=g.cat_qubit(r)))
-    for gi, gate in enumerate(g.gates):
-        if gate.kind == "CNOT":
-            ops.append(NoisyOp("cnot", gate_index=gi))
-        elif gate.kind == "MZ":
-            ops.append(NoisyOp("meas_slot", qubit=gate.q0, slot=gate.slot))
-    for r in range(g.cat_count):
-        ops.append(NoisyOp("meas_final", qubit=g.cat_qubit(r)))
-    return ops
+    cats = [g.cat_qubit(r) for r in range(g.cat_count)]
+    return ([NoisyOp(-1, (q,)) for q in cats] + gate_operations(g.gates)
+            + [NoisyOp(len(g.gates) - 1, (q,), final=True) for q in cats])
 
 
 def propagate_op_faults(
@@ -297,164 +299,47 @@ def propagate_op_faults(
     instead; tests compare the two.
     """
     ops = noisy_operations(g)
-    inj: dict = {}
-
-    def add(pos, qubit, pauli):
-        if pauli != "I":
-            inj.setdefault(pos, []).append((qubit, pauli))
-
+    inj: dict[int, list] = {}
     extra_gen_flip = 0
     for op_idx, code in entries:
         op = ops[op_idx]
-        if op.kind == "init1q":
-            add(("start",), op.qubit, PAULI_SINGLES[code])
-        elif op.kind == "cnot":
-            pc, pt = PAULI_PAIRS[code]
-            gate = g.gates[op.gate_index]
-            add(("after_gate", None, op.gate_index), gate.q0, pc)
-            add(("after_gate", None, op.gate_index), gate.q1, pt)
-        elif op.kind == "meas_slot":
-            add(("before_meas", op.slot), op.qubit, PAULI_SINGLES[code])
-        elif op.kind == "meas_final":
-            # noise after the transversal Hadamard: X and Y flip the
-            # computational readout, i.e. the generator parity bit
-            if PAULI_SINGLES[code] in ("X", "Y"):
-                extra_gen_flip ^= 1
-    walker = _Walker(g)
-    walker.run(g.gates, inj, tag=None)
-    return walker.result(extra_gen_flip=extra_gen_flip)
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Frame-level consequence of a single injected Pauli.
-
-    slot_flips packs outcome flips over all base-round slots; persist_x
-    marks cat qubits still carrying an X at the end of the base rounds
-    (what any re-measurement would see).
-    """
-
-    data_x: int = 0
-    data_z: int = 0
-    slot_flips: int = 0
-    persist_x: int = 0
-    gen_flip: int = 0
-
-    def __xor__(self, other: "Effect") -> "Effect":
-        return Effect(
-            self.data_x ^ other.data_x,
-            self.data_z ^ other.data_z,
-            self.slot_flips ^ other.slot_flips,
-            self.persist_x ^ other.persist_x,
-            self.gen_flip ^ other.gen_flip,
-        )
-
-
-def _result_to_effect(g: GadgetCircuit, res: PropagationResult) -> Effect:
-    return Effect(
-        data_x=res.data_x,
-        data_z=res.data_z,
-        slot_flips=res.syndrome.key(),
-        persist_x=res.cat_x_final,
-        gen_flip=int(res.generator_bit_flipped),
-    )
+        for qubit, pauli in zip(op.qubits, op.codes[code]):
+            if op.final:
+                extra_gen_flip ^= pauli in ("X", "Y")
+            elif pauli != "I":
+                inj.setdefault(op.after, []).append((qubit, pauli))
+    return _Walker(g).run(g.gates, inj).result(extra_gen_flip)
 
 
 def location_effects(
     g: GadgetCircuit, locations: Sequence[FaultLocation], pauli: str = "X",
 ) -> list[Effect]:
-    """Single-fault effect of each location, via one propagation apiece."""
-    return [
-        _result_to_effect(g, propagate(g, [(loc, pauli)])) for loc in locations
-    ]
+    """Single-fault effect of each location, via one walk apiece."""
+    return [_Walker(g).run(g.gates, _resolve_faults(g, [(loc, pauli)], None)).effect()
+            for loc in locations]
 
 
-def op_base_effects(g: GadgetCircuit, op: NoisyOp) -> dict[str, Effect]:
-    """Effects of elemental X/Z components of a noisy op.
+def op_code_effects(g: GadgetCircuit, op: NoisyOp,
+                    gates: Sequence[Gate] | None = None) -> list[Effect]:
+    """Effect per depolarizing code of ``op``, a noisy op of ``gates``
+    (by default the gadget's).
 
-    Pair codes compose by XOR of their components, which is exact in the
-    frame picture.
+    Each X/Z component is walked once; a code is the XOR of its
+    components, which is exact in the frame picture.
     """
-    def inj_effect(pos, qubit, pauli) -> Effect:
-        walker = _Walker(g)
-        walker.run(g.gates, {pos: [(qubit, pauli)]}, tag=None)
-        return _result_to_effect(g, walker.result())
-
-    if op.kind == "init1q":
-        return {
-            "X": inj_effect(("start",), op.qubit, "X"),
-            "Z": inj_effect(("start",), op.qubit, "Z"),
-        }
-    if op.kind == "cnot":
-        gate = g.gates[op.gate_index]
-        pos = ("after_gate", None, op.gate_index)
-        return {
-            "cX": inj_effect(pos, gate.q0, "X"),
-            "cZ": inj_effect(pos, gate.q0, "Z"),
-            "tX": inj_effect(pos, gate.q1, "X"),
-            "tZ": inj_effect(pos, gate.q1, "Z"),
-        }
-    if op.kind == "meas_slot":
-        pos = ("before_meas", op.slot)
-        return {
-            "X": inj_effect(pos, op.qubit, "X"),
-            "Z": inj_effect(pos, op.qubit, "Z"),
-        }
-    if op.kind == "meas_final":
-        return {"X": Effect(gen_flip=1), "Z": Effect()}
-    raise ValueError(op.kind)
-
-
-def op_code_effects(g: GadgetCircuit, op: NoisyOp) -> list[Effect]:
-    """Effect per depolarizing code of a noisy op."""
-    base = op_base_effects(g, op)
-    out = []
-    if op.kind == "cnot":
-        for pc, pt in PAULI_PAIRS:
-            eff = Effect()
-            if pc in ("X", "Y"):
-                eff ^= base["cX"]
-            if pc in ("Z", "Y"):
-                eff ^= base["cZ"]
-            if pt in ("X", "Y"):
-                eff ^= base["tX"]
-            if pt in ("Z", "Y"):
-                eff ^= base["tZ"]
-            out.append(eff)
+    if op.final:
+        parts = [(Effect(gen_flip=1), Effect())]
     else:
-        for p in PAULI_SINGLES:
-            eff = Effect()
-            if p in ("X", "Y"):
-                eff ^= base["X"]
-            if p in ("Z", "Y"):
-                eff ^= base["Z"]
-            out.append(eff)
+        gates = g.gates if gates is None else gates
+        parts = [tuple(_Walker(g).run(gates, {op.after: [(q, p)]}).effect()
+                       for p in "XZ") for q in op.qubits]
+    out = []
+    for code in op.codes:
+        eff = Effect()
+        for (x, z), pauli in zip(parts, code):
+            if pauli in ("X", "Y"):
+                eff ^= x
+            if pauli in ("Z", "Y"):
+                eff ^= z
+        out.append(eff)
     return out
-
-
-def reread_code_effects(g: GadgetCircuit) -> list[list[tuple[int, int]]]:
-    """Per-code (outcome flip, cat X mask) of the three noisy ops of one
-    adaptive re-measurement: its two CNOTs, neighbor cat first (15 codes
-    each), then the measurement (3 codes).
-
-    Walked for stabilizer 0, so cat masks are relative to the re-read
-    stabilizer s: bit 0 is cat s, bit 1 cat s+1.  Both fields are
-    XOR-linear, like ``Effect``.
-    """
-    slot = g.adaptive_slot(0)
-    gates = g.ring_measurement_gates(0, slot)
-    anc = g.anc_qubit(0)
-    cat_mask = (1 << g.cat_count) - 1
-
-    def effect(pos, faults) -> tuple[int, int]:
-        walker = _Walker(g)
-        walker.run(gates, {pos: [(q, p) for q, p in faults if p != "I"]})
-        return walker.outcome_flips[slot], (walker.x >> g.gamma) & cat_mask
-
-    rows = [
-        [effect(("after_gate", None, i), ((gates[i].q0, pc), (anc, pt)))
-         for pc, pt in PAULI_PAIRS]
-        for i in (0, 1)
-    ]
-    rows.append([effect(("before_meas", slot), ((anc, p),)) for p in PAULI_SINGLES])
-    return rows

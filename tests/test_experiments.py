@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutcat.block import run_block_mc
 from cutcat.decoders import RuleDecoderD3D5, RuleDecoderD7
 from cutcat.experiments import (
     GadgetMonteCarlo,
@@ -123,6 +124,19 @@ class TestGadgetMc:
         spec, dec = d3_setup
         with pytest.raises(ValueError):
             run_gadget_mc(spec, dec, 1e-3, min_failures=0)
+
+    def test_fixed_trial_runs_do_not_depend_on_jobs(self, d3_setup, steane):
+        # min_failures above the cap: every batch runs, in a pool for jobs=2
+        spec, dec = d3_setup
+        gadget = [run_gadget_mc(spec, dec, 2e-2, min_failures=10**6, seed=3,
+                                trial_cap=40_000, batch_size=10_000, jobs=jobs)
+                  for jobs in (1, 2)]
+        block = [run_block_mc(steane, 2e-2, ratio=20, min_failures=10**6, seed=3,
+                              trial_cap=4_000, batch_size=1_000, jobs=jobs)
+                 for jobs in (1, 2)]
+        for one, two in (gadget, block):
+            assert one == two
+            assert one.failures > 0 and one.censored
 
 
 class TestManifest:

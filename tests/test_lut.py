@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cutcat.decoders import (
@@ -80,6 +82,17 @@ class TestLookupContract:
     def test_json_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             CutCatLUT.from_json('{"format": "other"}')
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("syndrome", "1x1", "LUT entry 1 syndrome"),
+        ("syndrome", "1010", "LUT entry 1 syndrome"),
+        ("correction", "0000001", "LUT entry 1 correction"),
+    ], ids=["bad-character", "long-key", "wide-correction"])
+    def test_json_rejects_malformed_entry(self, d3_lut, field, value, where):
+        doc = json.loads(d3_lut.to_json())
+        doc["entries"][1][field] = value
+        with pytest.raises(ValueError, match=where):
+            CutCatLUT.from_json(json.dumps(doc))
 
 
 class TestStoredCorrectionsSatisfyOracle:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutcat.circuit import CAT_INIT, POST_GATE_CONTROL, enumerate_fault_locations
+from cutcat.circuit import (
+    ANC_MID,
+    ANC_POST,
+    ANC_PREP,
+    CAT_INIT,
+    POST_GATE_CONTROL,
+    PRE_MEASUREMENT,
+    enumerate_fault_locations,
+)
 from cutcat.experiments import FaultTable
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
@@ -14,6 +22,7 @@ from cutcat.sim import (
     adaptive_propagate,
     location_effects,
     noisy_operations,
+    op_code_effects,
     propagate,
     propagate_op_faults,
 )
@@ -260,3 +269,38 @@ class TestRereadTableMatchesAdaptivePropagate:
                     rotated = ((cats << stab) | (cats >> (m - stab))) & ((1 << m) - 1)
                     assert res.syndrome.adaptive == ((stab, int(anc_col[op, code])),)
                     assert res.cat_x_final == rotated, (stab, op, code)
+
+
+class TestLocationEffectsMatchOpEffects:
+    """The verifier's single X faults and the sampler's table rows come
+    from one effect model: each location's effect (data_x, slot_flips,
+    persist_x, gen_flip) equals the ``op_code_effects`` row of the noisy
+    op and code at the same point."""
+
+    X_ON_CONTROL = PAULI_PAIRS.index(("X", "I"))
+    X_ON_TARGET = PAULI_PAIRS.index(("I", "X"))
+
+    @pytest.mark.parametrize("gamma, distance",
+                             [(6, 3), (10, 5), (14, 7), (20, 7), (18, 9)])
+    def test_location_is_op_code(self, gamma, distance):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        ops = noisy_operations(g)
+        # noisy ops run cat inits, then one per CNOT or MZ gate in order
+        op_of_gate = {}
+        for gi, gate in enumerate(g.gates):
+            if gate.kind in ("CNOT", "MZ"):
+                op_of_gate[gi] = g.cat_count + len(op_of_gate)
+        mz_of_slot = {gate.slot: gi for gi, gate in enumerate(g.gates)
+                      if gate.kind == "MZ"}
+        locs = enumerate_fault_locations(g)
+        for loc, eff in zip(locs, location_effects(g, locs, "X")):
+            if loc.kind == CAT_INIT:
+                op, code = loc.qubit - g.gamma, PAULI_SINGLES.index("X")
+            elif loc.kind == POST_GATE_CONTROL:
+                op, code = op_of_gate[loc.gate_index], self.X_ON_CONTROL
+            elif loc.kind in (ANC_PREP, ANC_MID, ANC_POST):
+                op, code = op_of_gate[loc.gate_index], self.X_ON_TARGET
+            else:
+                assert loc.kind == PRE_MEASUREMENT
+                op, code = op_of_gate[mz_of_slot[loc.slot]], PAULI_SINGLES.index("X")
+            assert eff == op_code_effects(g, ops[op])[code], loc.describe()

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -249,19 +250,45 @@ class TestRemeasurementModel:
             expected = {s: _persist_outcome(eff.persist_x, s, m) for s in range(m)}
             assert self._rereads(g, [(loc, "X")]) == expected, loc.describe()
 
+    KINDS = ("anc_prep", "anc_mid", "anc_post", "pre_measurement",
+             "post_gate_control_0", "post_gate_control_1")
+
     def test_remeasurement_faults_are_slot_or_cat_events(self, gadget):
         g, m = gadget, gadget.cat_count
         assert self._rereads(g) == {s: 0 for s in range(m)}
         events = [set()] + [{s} for s in range(m)]
         events += [{(c - 1) % m, c} for c in range(m)]
-        kinds = ("anc_prep", "anc_mid", "anc_post", "pre_measurement",
-                 "post_gate_control_0", "post_gate_control_1")
         for stab in range(m):
-            for kind in kinds:
+            for kind in self.KINDS:
                 for pauli in "XYZ":
                     bits = self._rereads(g, adaptive_faults=[(stab, kind, pauli)])
                     flipped = {s for s, bit in bits.items() if bit}
                     assert flipped in events, (stab, kind, pauli, flipped)
+
+    def test_multi_fault_rereads_compose(self, gadget):
+        # up to t=3 faults mixing base-round X locations and re-measurement
+        # faults: the re-read bits are the persist parities of the XORed
+        # base effects, flipped by each re-measurement fault on its own
+        g, m = gadget, gadget.cat_count
+        locs = enumerate_fault_locations(g)
+        persist = [e.persist_x for e in location_effects(g, locs, "X")]
+        remeas = [(stab, kind, pauli) for stab in range(m)
+                  for kind in self.KINDS for pauli in "XYZ"]
+        flips = {f: self._rereads(g, adaptive_faults=[f]) for f in remeas}
+        rng = random.Random(g.gamma)
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            base = rng.sample(range(len(locs)), rng.randint(0, n))
+            extra = [rng.choice(remeas) for _ in range(n - len(base))]
+            p = 0
+            for i in base:
+                p ^= persist[i]
+            expected = {s: _persist_outcome(p, s, m) for s in range(m)}
+            for f in extra:
+                for s, bit in flips[f].items():
+                    expected[s] ^= bit
+            got = self._rereads(g, [(locs[i], "X") for i in base], extra)
+            assert got == expected, (base, extra)
 
 
 class TestUpperBound:
