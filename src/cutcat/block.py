@@ -73,36 +73,24 @@ class _GeneratorExtractor:
             self._ring_cache[slots_key] = corr
         return corr
 
-    def extract(
-        self,
-        rng: np.random.Generator,
-        data_x: np.ndarray,
-        data_z: np.ndarray,
-        active: np.ndarray,
-        p_ft: float,
-    ) -> np.ndarray:
-        """Run one noisy extraction across the batch; returns outcome bits.
+    def extract(self, rng: np.random.Generator, data_x: np.ndarray,
+                data_z: np.ndarray, p_ft: float) -> np.ndarray:
+        """Run one noisy extraction on every trial given; returns outcome bits.
 
         The incoming anticommuting error component sets the true parity;
-        sampled gadget faults flip the readout, inject residuals onto the
-        data (corrected in place by the ring decoder when present), and
-        are applied only to still-active trials.
+        sampled gadget faults flip the readout and inject residuals onto
+        the data in place (corrected by the ring decoder when present).
         """
-        size = data_x.shape[0]
-        reads = data_z if self.sector == "X" else data_x
+        reads, writes = (data_z, data_x) if self.sector == "X" else (data_x, data_z)
         true = (np.bitwise_count(reads & self.support_mask) & np.uint64(1)).astype(np.uint64)
-        acc_data, acc_slot, acc_gen = self.faults.sample(rng, size, p_ft)
+        acc_data, acc_slot, acc_gen = self.faults.sample(rng, len(reads), p_ft)
 
         if self.has_ring:
-            cand = np.nonzero((acc_slot != 0) & active)[0]
+            cand = np.nonzero(acc_slot)[0]
             corr, _ = table_apply(self._ring_correction, acc_slot[cand])
             acc_data[cand] ^= corr
 
-        upd = np.where(active, acc_data, np.uint64(0))
-        if self.sector == "X":
-            data_x ^= upd
-        else:
-            data_z ^= upd
+        writes ^= acc_data
         return (true ^ acc_gen) & np.uint64(1)
 
 
@@ -137,31 +125,9 @@ class BlockSimulator:
     def run_batch(self, p: float, seed: int, batch_index: int, size: int) -> int:
         """Returns the number of logical failures in the batch."""
         rng = np.random.default_rng([seed, 3, batch_index])
-        p_ft = p / self.ratio
         code = self.code
-
         data_x, data_z = self.data_noise.sample(rng, size, p)
-
-        done = np.zeros(size, dtype=bool)
-        run_len = np.zeros(size, dtype=np.int64)
-        last_syn = np.full(size, -1, dtype=np.int64)
-        accepted = np.zeros(size, dtype=np.uint64)
-        for _ in range(self.max_rounds):
-            active = ~done
-            syn = np.zeros(size, dtype=np.uint64)
-            for gi, ext in enumerate(self.extractors):
-                syn |= ext.extract(rng, data_x, data_z, active, p_ft) << np.uint64(gi)
-            same = syn.astype(np.int64) == last_syn
-            run_len = np.where(active & same, run_len + 1, np.where(active, 1, run_len))
-            last_syn = np.where(active, syn.astype(np.int64), last_syn)
-            newly = active & (run_len >= self.t + 1)
-            accepted = np.where(newly, syn, accepted)
-            done |= newly
-            if done.all():
-                break
-        # round-capped trials continue with their last syndrome, flagged
-        # unstable by the protocol but still decoded
-        accepted = np.where(done, accepted, last_syn.astype(np.uint64))
+        accepted = self.extract_until_stable(rng, p / self.ratio, data_x, data_z)
 
         n_hx = self.n_hx
         fail = self._correct(accepted & np.uint64((1 << n_hx) - 1),
@@ -171,6 +137,40 @@ class BlockSimulator:
                               data_x, data_z)
         fail |= (_parities(data_x, code.lz) | _parities(data_z, code.lx)) != 0
         return int(fail.sum())
+
+    def extract_until_stable(self, rng: np.random.Generator, p_ft: float,
+                             data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
+        """Repeat-until-stable over the batch; returns each trial's accepted
+        syndrome (X rows in the low bits) and updates the data in place.
+
+        Each round extracts only the trials still active, compacted in
+        trial order, and scatters back those that finish.  The last round
+        finishes the round-capped ones too: flagged unstable by the
+        protocol, they are still decoded with their last syndrome.
+        """
+        size = len(data_x)
+        # the active trials' indices, data frames (round one works on the
+        # batch arrays), run lengths and last syndromes; a run length of 0
+        # makes the first round's run 1 whatever it reads
+        idx, dx, dz = np.arange(size), data_x, data_z
+        run_len = np.zeros(size, dtype=np.int64)
+        last_syn = np.zeros(size, dtype=np.uint64)
+        accepted = np.zeros(size, dtype=np.uint64)
+        for rnd in range(self.max_rounds):
+            syn = np.zeros(len(idx), dtype=np.uint64)
+            for gi, ext in enumerate(self.extractors):
+                syn |= ext.extract(rng, dx, dz, p_ft) << np.uint64(gi)
+            run_len = np.where(syn == last_syn, run_len + 1, 1)
+            last_syn = syn
+            done = (run_len >= self.t + 1) | (rnd == self.max_rounds - 1)
+            fin = idx[done]
+            accepted[fin], data_x[fin], data_z[fin] = syn[done], dx[done], dz[done]
+            keep = ~done
+            idx, dx, dz, run_len, last_syn = (
+                a[keep] for a in (idx, dx, dz, run_len, last_syn))
+            if idx.size == 0:
+                break
+        return accepted
 
     def _correct(self, sx: np.ndarray, sz: np.ndarray, data_x: np.ndarray,
                  data_z: np.ndarray) -> np.ndarray:

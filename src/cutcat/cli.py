@@ -24,11 +24,11 @@ from .decoders import (
     RuleDecoderD7,
     build_cut_cat_lut,
 )
-from .block import run_block_mc, sweep_block_mc
+from .block import sweep_block_mc
 from .experiments import (
+    SweepResult,
     load_manifest,
     make_manifest,
-    run_gadget_mc,
     sweep_gadget_mc,
     sweep_to_csv,
 )
@@ -131,34 +131,19 @@ def _mc_gadget_config(args) -> dict:
     }
 
 
-def _run_mc_gadget(config: dict) -> str:
+def _run_mc_gadget(config: dict) -> SweepResult:
     spec = GadgetSpec(
         gamma=config["gamma"], distance=config["distance"],
         adaptive=None if config["decoder"] != "lut" else False,
     )
     g = build_cut_cat(spec)
     decoder = _default_decoder(g, spec, config["decoder"])
-    sweep = sweep_gadget_mc(
+    return sweep_gadget_mc(
         spec, decoder, config["p_values"],
         min_failures=config["min_failures"], seed=config["seed"],
         trial_cap=config["trial_cap"], batch_size=config["batch_size"],
         jobs=config.get("jobs", 1),
     )
-    if sweep.slope is not None:
-        print(f"fitted slope {sweep.slope:.3f} +- {sweep.slope_stderr:.3f}")
-    return sweep_to_csv(sweep)
-
-
-def cmd_mc_gadget(args) -> int:
-    if args.from_manifest:
-        command, config = load_manifest(Path(args.from_manifest).read_text())
-        if command != "mc-gadget":
-            raise SystemExit("manifest is not an mc-gadget run")
-    else:
-        config = _mc_gadget_config(args)
-    csv_text = _run_mc_gadget(config)
-    _write_outputs(args, csv_text, make_manifest("mc-gadget", config))
-    return 0
 
 
 def _mc_block_config(args) -> dict:
@@ -177,28 +162,31 @@ def _mc_block_config(args) -> dict:
     }
 
 
-def _run_mc_block(config: dict) -> str:
+def _run_mc_block(config: dict) -> SweepResult:
     code = parse_css_code(Path(config["code_file"]).read_text())
-    sweep = sweep_block_mc(
+    return sweep_block_mc(
         code, config["p_values"], ratio=config["ratio"],
         min_failures=config["min_failures"], seed=config["seed"],
         trial_cap=config["trial_cap"], batch_size=config["batch_size"],
         max_rounds=config["max_rounds"], jobs=config.get("jobs", 1),
     )
-    if sweep.slope is not None:
-        print(f"fitted slope {sweep.slope:.3f} +- {sweep.slope_stderr:.3f}")
-    return sweep_to_csv(sweep, include_bound=False)
 
 
-def cmd_mc_block(args) -> int:
+def cmd_mc(args) -> int:
+    """A sweep of ``args.command`` from the arguments or a manifest; block
+    sweeps leave the bound column empty."""
+    make_config, run = args.mc
     if args.from_manifest:
         command, config = load_manifest(Path(args.from_manifest).read_text())
-        if command != "mc-block":
-            raise SystemExit("manifest is not an mc-block run")
+        if command != args.command:
+            raise SystemExit(f"manifest is not an {args.command} run")
     else:
-        config = _mc_block_config(args)
-    csv_text = _run_mc_block(config)
-    _write_outputs(args, csv_text, make_manifest("mc-block", config))
+        config = make_config(args)
+    sweep = run(config)
+    if sweep.slope is not None:
+        print(f"fitted slope {sweep.slope:.3f} +- {sweep.slope_stderr:.3f}")
+    csv_text = sweep_to_csv(sweep, include_bound=args.command == "mc-gadget")
+    _write_outputs(args, csv_text, make_manifest(args.command, config))
     return 0
 
 
@@ -260,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
     p.add_argument("--batch-size", type=int, default=1_000_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc_gadget)
+    p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget))
 
     p = sub.add_parser("mc-block", help="block-level logical error sweep")
     p.add_argument("--code", type=str, default=None)
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=100_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc_block)
+    p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block))
 
     p = sub.add_parser("resources", help="gate/depth/qubit report")
     p.add_argument("--scheme", choices=["cutcat", "fullcat"], required=True)

@@ -170,14 +170,24 @@ class FaultTable:
 
         Each op faults independently with probability p, then draws its
         code uniformly.  The draw order is part of the manifest format:
-        per op, ``size`` float32 uniforms, then one code per hit; nothing
-        at all when p is 0.
+        per op, geometric gaps between its hit trials (in chunks until
+        they pass the last trial), then one code per hit; nothing at all
+        when p or size is 0.
         """
         accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
-        if p == 0.0:
+        if p == 0.0 or size == 0:
             return accs
+        # chunks of gaps, the mean hit count plus 5 sigma each, until they
+        # pass the last trial; clipping keeps the sum of the huge gaps of a
+        # tiny p from overflowing
+        mean = size * p
+        chunk = min(size, int(mean + 5.0 * math.sqrt(mean) + 10.0))
         for i, n in enumerate(self.n_codes):
-            hit = np.nonzero(rng.random(size, dtype=np.float32) < p)[0]
+            gaps = np.minimum(rng.geometric(p, chunk), size + 1)
+            while gaps.sum() < size:
+                gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, chunk), size + 1)])
+            hit = gaps.cumsum() - 1
+            hit = hit[:np.searchsorted(hit, size)]
             if hit.size == 0:
                 continue
             codes = rng.integers(0, n, size=hit.size)
@@ -285,8 +295,9 @@ class GadgetMonteCarlo:
         """Returns the number of failing trials in the batch."""
         rng = np.random.default_rng([seed, 1, batch_index])
         accs = self.faults.sample(rng, size, p)
-        candidates = np.nonzero(accs[0] | accs[1])[0]
-        # keep only the trials that reach decoding, and free the rest
+        # bool masks, not a third uint64 array, pick the trials that reach
+        # decoding; the rest are freed
+        candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
         accs = [acc[candidates] for acc in accs]
         data, keys = accs[0], accs[1]
         if self.adaptive:
@@ -433,9 +444,10 @@ def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
     return buf.getvalue()
 
 
-# The format names the random stream a manifest replays: v2 draws the
-# re-measurement noise of adaptive decoders from the batch generator.
-MANIFEST_FORMAT = "cutcat-manifest-v2"
+# The format names the random stream a manifest replays: v3 draws
+# geometric gaps between hit trials per op, and samples block extractions
+# over the still-active trials only.
+MANIFEST_FORMAT = "cutcat-manifest-v3"
 
 
 def make_manifest(command: str, config: dict) -> str:
@@ -447,8 +459,8 @@ def make_manifest(command: str, config: dict) -> str:
 def load_manifest(text: str) -> tuple[str, dict]:
     doc = json.loads(text)
     fmt = doc.get("format")
-    if fmt == "cutcat-manifest-v1":
-        raise ValueError("cutcat-manifest-v1 used an older random stream and "
+    if fmt in ("cutcat-manifest-v1", "cutcat-manifest-v2"):
+        raise ValueError(f"{fmt} used an older random stream and "
                          "cannot be replayed; re-run without --from-manifest")
     if fmt != MANIFEST_FORMAT:
         raise ValueError("unknown manifest format")

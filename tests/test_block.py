@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cutcat.block import BlockSimulator, run_block_mc
@@ -85,3 +86,80 @@ class TestRuns:
         hi = run_block_mc(steane, 2e-2, ratio=20, min_failures=30, seed=7,
                           trial_cap=400_000, batch_size=20_000)
         assert lo.estimate <= hi.estimate * 1.5
+
+
+def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
+    """Reference protocol at full batch size: each round's extraction
+    noise is drawn over the active trials and scattered to their places;
+    returns the accepted syndromes, the rounds run per trial and which
+    trials stabilized before the cap."""
+    size = len(data_x)
+    done = np.zeros(size, dtype=bool)
+    run_len = np.zeros(size, dtype=np.int64)
+    last_syn = np.zeros(size, dtype=np.uint64)
+    accepted = np.zeros(size, dtype=np.uint64)
+    rounds = np.zeros(size, dtype=np.int64)
+    for _ in range(sim.max_rounds):
+        active = np.nonzero(~done)[0]
+        rounds[active] += 1
+        syn = np.zeros(size, dtype=np.uint64)
+        for gi, ext in enumerate(sim.extractors):
+            reads = data_z if ext.sector == "X" else data_x
+            true = np.bitwise_count(reads & ext.support_mask) & np.uint64(1)
+            acc_data, acc_slot, acc_gen = (np.zeros(size, dtype=np.uint64)
+                                           for _ in range(3))
+            acc_data[active], acc_slot[active], acc_gen[active] = (
+                ext.faults.sample(rng, len(active), p_ft))
+            if ext.has_ring:
+                for trial in np.nonzero(acc_slot)[0]:
+                    acc_data[trial] ^= np.uint64(ext._ring_correction(int(acc_slot[trial])))
+            if ext.sector == "X":
+                data_x ^= acc_data
+            else:
+                data_z ^= acc_data
+            syn |= ((true ^ acc_gen) & np.uint64(1)) << np.uint64(gi)
+        on = ~done
+        run_len[on] = np.where(syn[on] == last_syn[on], run_len[on] + 1, 1)
+        last_syn[on] = syn[on]
+        newly = on & (run_len >= sim.t + 1)
+        accepted[newly] = syn[newly]
+        done |= newly
+        if done.all():
+            break
+    accepted[~done] = last_syn[~done]
+    return accepted, rounds, done
+
+
+class TestCompaction:
+    """Extraction over compacted active trials against the masked loop."""
+
+    @pytest.mark.parametrize("code_name, max_rounds", [("steane", 4), ("rm15", 3)])
+    def test_matches_masked_reference(self, request, code_name, max_rounds):
+        code = request.getfixturevalue(code_name)
+        sim = BlockSimulator(code, ratio=20, max_rounds=max_rounds)
+        p, seed, batch, size = 3e-2, 9, 1, 4000
+        compacted = sim.extract_until_stable
+        runs = {}
+
+        def recorder(name, fn):
+            def run(rng, p_ft, data_x, data_z):
+                accepted, *extra = fn(rng, p_ft, data_x, data_z)
+                runs[name] = (accepted, data_x.copy(), data_z.copy(),
+                              rng.bit_generator.state, *extra)
+                return accepted
+            return run
+
+        sim.extract_until_stable = recorder(
+            "masked", lambda *a: _masked_extract_until_stable(sim, *a))
+        expected = sim.run_batch(p, seed, batch, size)
+        sim.extract_until_stable = recorder("compacted", lambda *a: (compacted(*a),))
+        assert sim.run_batch(p, seed, batch, size) == expected
+
+        accepted, data_x, data_z, state, rounds, stable = runs["masked"]
+        # trials stop in every round, and some reach the cap unstable
+        assert set(rounds[stable].tolist()) == set(range(sim.t + 1, max_rounds + 1))
+        assert 0 < (~stable).sum() < size
+        got = runs["compacted"]
+        assert np.array_equal(got[0], accepted)
+        assert np.array_equal(got[1], data_x) and np.array_equal(got[2], data_z)
+        assert got[3] == state

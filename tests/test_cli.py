@@ -66,10 +66,11 @@ class TestMonteCarloCommands:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_v1_manifest_rejected_exit_two(self, tmp_path, capsys):
+    @staticmethod
+    def _old_manifest_rejected(tmp_path, capsys, fmt):
         manifest = tmp_path / "old.manifest.json"
         manifest.write_text(json.dumps({
-            "tool": "cutcat", "format": "cutcat-manifest-v1",
+            "tool": "cutcat", "format": fmt,
             "command": "mc-gadget", "config": {}}))
         out = tmp_path / "a.csv"
         assert main(["mc-gadget", "--from-manifest", str(manifest),
@@ -77,6 +78,12 @@ class TestMonteCarloCommands:
         err = capsys.readouterr().err
         assert "re-run without --from-manifest" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_v1_manifest_rejected_exit_two(self, tmp_path, capsys):
+        self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v1")
+
+    def test_v2_manifest_rejected_exit_two(self, tmp_path, capsys):
+        self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v2")
 
     def test_mc_block_replay_identical(self, tmp_path, capsys):
         code_file = tmp_path / "steane.txt"

@@ -149,15 +149,21 @@ class TestManifest:
         with pytest.raises(ValueError):
             load_manifest('{"format": "nope"}')
 
-    def test_writes_v2(self):
-        assert '"format": "cutcat-manifest-v2"' in make_manifest("mc-gadget", {})
+    def test_writes_v3(self):
+        assert '"format": "cutcat-manifest-v3"' in make_manifest("mc-gadget", {})
 
-    def test_v1_rejected_with_rerun_hint(self):
+    def _rejected_with_rerun_hint(self, old):
         text = make_manifest("mc-gadget", {"gamma": 6}).replace(
-            "cutcat-manifest-v2", "cutcat-manifest-v1")
+            "cutcat-manifest-v3", old)
         with pytest.raises(ValueError, match="re-run without --from-manifest") as exc:
             load_manifest(text)
-        assert "\n" not in str(exc.value)
+        assert "\n" not in str(exc.value) and old in str(exc.value)
+
+    def test_v1_rejected_with_rerun_hint(self):
+        self._rejected_with_rerun_hint("cutcat-manifest-v1")
+
+    def test_v2_rejected_with_rerun_hint(self):
+        self._rejected_with_rerun_hint("cutcat-manifest-v2")
 
 
 class TestAdaptiveBatch:

@@ -1,16 +1,20 @@
 """Exact counts of small fixed-seed Monte-Carlo runs.
 
-A ``cutcat-manifest-v2`` manifest promises a byte-identical CSV on replay,
-so the random stream behind it is frozen: per batch, one float32 uniform
-per trial and noisy operation, then one code draw per hit; for an
-adaptive decoder, then four re-measurement samples of the same kind over
-the trials that reach the decoder.  These counts were recorded with that
-stream and must never change under the v2 format; a sampler that draws
-differently needs a new manifest format and newly recorded counts.
+A ``cutcat-manifest-v3`` manifest promises a byte-identical CSV on replay,
+so the random stream behind it is frozen.  Each ``FaultTable`` sample
+draws, per noisy operation, geometric gaps between the trials it hits
+(in chunks until they pass the last trial), then one uniform code per
+hit.  A gadget batch samples its base-round table over every trial, then,
+for an adaptive decoder, four re-measurement samples over the trials that
+reach the decoder.  A block batch samples data noise over every trial,
+then each round one sample per generator extraction over the trials still
+active, in trial order.  These counts were recorded with that stream and
+must never change under the v3 format; a sampler that draws differently
+needs a new manifest format and newly recorded counts.
 
-The v1 stream drew adaptive re-measurement noise from a generator per
-trial.  Only the distance-7 row was re-recorded for v2 (84 failures under
-v1); the other rows are the v1 counts, unchanged.
+The v2 stream drew one float32 uniform per (operation, trial) and sampled
+every block extraction over the whole batch; every row was re-recorded
+for v3.
 """
 
 import pytest
@@ -27,10 +31,10 @@ UNCAPPED = 10**9
 @pytest.mark.parametrize(
     "gamma, distance, p, min_failures, trial_cap, batch_size, expected",
     [
-        (6, 3, 1e-2, 100, 200_000, 20_000, (40_000, 115)),
-        (10, 5, 1e-2, UNCAPPED, 400_000, 100_000, (400_000, 183)),
-        (10, 5, 3e-3, UNCAPPED, 1_000_000, 500_000, (1_000_000, 11)),
-        (14, 7, 3e-2, UNCAPPED, 20_000, 10_000, (20_000, 90)),
+        (6, 3, 1e-2, 100, 200_000, 20_000, (40_000, 111)),
+        (10, 5, 1e-2, UNCAPPED, 400_000, 100_000, (400_000, 179)),
+        (10, 5, 3e-3, UNCAPPED, 1_000_000, 500_000, (1_000_000, 17)),
+        (14, 7, 3e-2, UNCAPPED, 20_000, 10_000, (20_000, 73)),
     ],
 )
 def test_gadget_counts(gamma, distance, p, min_failures, trial_cap, batch_size,
@@ -46,9 +50,9 @@ def test_gadget_counts(gamma, distance, p, min_failures, trial_cap, batch_size,
 @pytest.mark.parametrize(
     "code_name, p, min_failures, trial_cap, batch_size, expected",
     [
-        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 167)),
-        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 274)),
-        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 355)),
+        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 160)),
+        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 201)),
+        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 346)),
     ],
 )
 def test_block_counts(request, code_name, p, min_failures, trial_cap, batch_size,

@@ -192,6 +192,85 @@ class TestSampling:
         b = table.sample(np.random.default_rng(7), 5000, 0.3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    @pytest.fixture
+    def one_hot(self, d5_gadget):
+        """Column i holds op i alone, bit c for code c: each hit reads back."""
+        g, _ = d5_gadget
+        ops = noisy_operations(g)
+        return FaultTable([op.n_codes for op in ops], {
+            f"op{i}": [[(1 << c) * (j == i) for c in range(op.n_codes)]
+                       for j, op in enumerate(ops)]
+            for i, op in enumerate(ops)})
+
+    def test_hit_counts_binomial(self, one_hot):
+        size, p = 20_000, 0.05
+        accs = one_hot.sample(np.random.default_rng(3), size, p)
+        sd = np.sqrt(size * p * (1 - p))
+        for acc in accs:
+            assert abs(np.count_nonzero(acc) - size * p) < 5 * sd
+
+    def test_codes_uniform(self, one_hot):
+        accs = one_hot.sample(np.random.default_rng(4), 20_000, 0.2)
+        # chi-square 99.9 % points for 14 and 2 degrees of freedom
+        critical = {15: 36.12, 3: 13.82}
+        for n in (15, 3):
+            codes = np.concatenate([
+                np.log2(acc[acc != 0]).astype(int)
+                for acc, k in zip(accs, one_hot.n_codes) if k == n])
+            freq = np.bincount(codes, minlength=n)
+            expected = len(codes) / n
+            assert ((freq - expected) ** 2 / expected).sum() < critical[n]
+
+    def test_no_trial_hit_twice_by_one_op(self, one_hot):
+        # a second hit by the same op would leave two code bits, or none
+        accs = one_hot.sample(np.random.default_rng(5), 5000, 0.5)
+        hits = [np.bitwise_count(acc) for acc in accs]
+        assert max(h.max() for h in hits) == 1
+        p_one = one_hot.sample(np.random.default_rng(5), 300, 1.0)
+        assert all((np.bitwise_count(acc) == 1).all() for acc in p_one)
+
+    def test_gap_draws_continue_past_first_chunk(self, one_hot):
+        class UnitGaps:
+            """Stands in for a generator: every gap 1, every code 0."""
+
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        accs = one_hot.sample(UnitGaps(), 1000, 0.01)
+        assert all((acc == 1).all() for acc in accs)
+
+    def test_tiny_rate_gaps_do_not_overflow(self, one_hot):
+        # gaps this long saturate at the int64 maximum
+        accs = one_hot.sample(np.random.default_rng(2), 1000, 1e-300)
+        assert not any(acc.any() for acc in accs)
+
+    def test_size_zero_empty(self, table):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        accs = table.sample(rng, 0, 0.5)
+        assert [acc.shape for acc in accs] == [(0,), (0,)]
+        assert rng.bit_generator.state == state
+
+    def test_accumulators_are_propagation(self, d5_gadget, one_hot):
+        """The same draws through the one-hot table name each trial's
+        faults; the scalar walk of those faults gives its accumulators."""
+        g, _ = d5_gadget
+        table = FaultTable.from_gadget(g, EFFECT_FIELDS)
+        size, p = 400, 0.05
+        accs = table.sample(np.random.default_rng(6), size, p)
+        hits = one_hot.sample(np.random.default_rng(6), size, p)
+        assert sum(np.count_nonzero(h) for h in hits) > size
+        for trial in range(size):
+            entries = [(i, int(h[trial]).bit_length() - 1)
+                       for i, h in enumerate(hits) if h[trial]]
+            res = propagate_op_faults(g, entries)
+            assert [int(acc[trial]) for acc in accs] == [
+                res.data_x, res.syndrome.key(), res.cat_x_final,
+                int(res.generator_bit_flipped)]
+
     def test_unknown_fault_id(self, d5_gadget):
         g, _ = d5_gadget
         with pytest.raises(ValueError):
