@@ -46,12 +46,10 @@ from .decoders import (
     decode_d3d5,
     decode_d7,
     j_list,
-    plan_round2_d7,
 )
 from .verify import (
     VerificationReport,
     eval_upper_bound,
-    oracle_residuals,
     verify_gadget,
 )
 from .experiments import (

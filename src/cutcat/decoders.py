@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .circuit import GadgetCircuit
+import numpy as np
+
+from .circuit import GadgetCircuit, enumerate_fault_locations
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
@@ -281,23 +284,6 @@ def decode_d7(
     return frozenset(corr), tuple(r2.requested)
 
 
-def plan_round2_d7(round1, ring_size: int | None = None) -> frozenset[int]:
-    """Stabilizers the distance-7 decoder re-measures when round two echoes
-    round one; at most four for any trigger pattern."""
-    if isinstance(round1, CatSyndrome):
-        bits, m = round1.rounds[0], round1.cat_count
-    else:
-        bits, m = round1, ring_size
-        if m is None:
-            raise ValueError("ring_size required with raw round bits")
-
-    def echo(indices: tuple[int, ...]) -> dict[int, int]:
-        return {i: (bits >> i) & 1 for i in indices}
-
-    _, requested = decode_d7(bits, m, echo)
-    return frozenset(requested)
-
-
 def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
     """Map selected cat indices to a data-qubit correction mask."""
     out = 0
@@ -418,38 +404,47 @@ class LutDecoder:
         return self.lut.lookup(syn.key())
 
 
-def _coset_candidates(first_error: int, budget: int, gamma: int):
-    """Corrections within coset distance ``budget`` of ``first_error``.
-
-    Complement corrections are equivalent under the coset metric, so
-    plain-weight offsets up to the budget cover every class.
-    """
-    from itertools import combinations
-
-    yield first_error
-    for w in range(1, budget + 1):
-        for qubits in combinations(range(gamma), w):
-            yield first_error ^ mask_of(qubits)
-
-
-def _search_correction(constraints: dict[int, int], gamma: int, t: int) -> int | None:
-    entries = list(constraints.items())
-
-    def admissible(c: int) -> bool:
-        return all(
-            residual_weight_mod_generator(e ^ c, gamma) <= w for e, w in entries
-        )
-
-    if admissible(0):
-        return 0
-    for e, _ in entries:
-        if admissible(e):
-            return e
-    first_e, first_w = entries[0]
-    for cand in _coset_candidates(first_e, first_w, gamma):
-        if admissible(cand):
-            return cand
-    return None
+def _solve_constraints(
+    key: np.ndarray, residual: np.ndarray, weight: np.ndarray, gamma: int, t: int,
+) -> dict[int, int]:
+    """Correction per syndrome key from (key, residual, weight) rows of
+    ascending weight, so a repeated residual adds no constraint and no
+    candidate.  Per key, zero, the key's residuals in row order, then
+    offsets are tried, until one keeps every residual within its weight."""
+    order = np.argsort(key, kind="stable")
+    key, residual, weight = key[order], residual[order], weight[order]
+    starts = np.unique(key, return_index=True)[1]
+    sizes = np.diff(np.r_[starts, len(key)])
+    corr = np.zeros(len(starts), np.uint64)
+    todo = []
+    # candidate j of every open key against all of the key's rows, for
+    # 512 keys at a time to bound the temporaries
+    for part in np.array_split(np.arange(len(starts)), len(starts) // 512 + 1):
+        j = -1  # the zero vector
+        while len(active := part[sizes[part] > j]):
+            gs, gn = starts[active], sizes[active]
+            rows = _verify._ranges(gs, gn)
+            cand = residual[gs + j] if j >= 0 else np.zeros(len(gs), np.uint64)
+            cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
+            ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
+            corr[active[ok]] = cand[ok]
+            part, j = np.setdiff1d(part, active[ok]), j + 1
+        todo += part.tolist()
+    # The rest, in first-row order: plain-weight offsets of up to the first
+    # weight from the first residual.  Complements are equivalent under the
+    # coset metric, so these reach every class within that distance.
+    for i in sorted(todo, key=lambda i: order[starts[i]]):
+        rows = slice(starts[i], starts[i] + sizes[i])
+        res, w = residual[rows].tolist(), weight[rows].tolist()
+        offsets = (res[0] ^ mask_of(q) for v in range(w[0] + 1)
+                   for q in combinations(range(gamma), v))
+        found = next((c for c in offsets if all(
+            residual_weight_mod_generator(e ^ c, gamma) <= v for e, v in zip(res, w))), None)
+        if found is None:
+            raise LutBuildError(
+                f"syndrome {int(key[starts[i]]):#x} admits no correction within weight {t}")
+        corr[i] = found
+    return dict(zip(key[starts].tolist(), corr.tolist()))
 
 
 def build_cut_cat_lut(
@@ -468,19 +463,18 @@ def build_cut_cat_lut(
         raise ValueError("LUT construction requires a non-adaptive gadget")
     g = gadget if gadget is not None else build_cut_cat(spec)
     t = spec.t
-    constraints: dict[int, dict[int, int]] = {}
-    for key, residual, w in _verify.oracle_residuals(g, t, dedupe=dedupe):
-        per_syn = constraints.setdefault(key, {})
-        if residual not in per_syn:
-            per_syn[residual] = w
-    table: dict[int, int] = {}
-    for key, cons in constraints.items():
-        corr = _search_correction(cons, spec.gamma, t)
-        if corr is None:
-            raise LutBuildError(
-                f"syndrome {key:#x} admits no correction within weight {t}"
-            )
-        table[key] = corr
+    effects, _ = _verify._effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+    # Keys whose residuals all lie within their weights take the zero
+    # correction; a second walk collects the rows of the other keys.
+    keys, hard = [], []
+    for s in _verify.combo_walk(effects, t, min_weight=0):
+        keys.append(np.unique(s.key))
+        hard.append(s.key[_verify.coset_weights(s.data, spec.gamma) > s.weight])
+    keys, hard = np.unique(np.concatenate(keys)), np.unique(np.concatenate(hard))
+    rows = [(s.key[m], s.data[m], np.full(m.sum(), s.weight, np.uint8))
+            for s in _verify.combo_walk(effects, t, min_weight=0) for m in [np.isin(s.key, hard)]]
+    table = dict.fromkeys(keys.tolist(), 0)
+    table.update(_solve_constraints(*map(np.concatenate, zip(*rows)), spec.gamma, t))
     assert table.get(0, 0) == 0, "zero syndrome must map to zero correction"
     return CutCatLUT(
         gamma=spec.gamma,
@@ -518,7 +512,6 @@ def build_code_lut(
 ) -> CodeLUT:
     """Enumerate error patterns in ascending weight, assigning each fresh
     syndrome its first (minimum-weight) representative."""
-    from itertools import combinations
     from math import comb
 
     cap = code.t if weight_cap is None else weight_cap

@@ -17,6 +17,8 @@ from functools import partial
 from itertools import combinations
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .circuit import FaultLocation, GadgetCircuit, enumerate_fault_locations
 from .pauli import residual_weight_mod_generator
 from .sim import CatSyndrome, Effect, location_effects
@@ -35,6 +37,9 @@ def _effect_classes(
     with the same propagation result, so it can only face a looser
     budget than a set already enumerated.
     """
+    for name, bits in (("gamma", g.gamma), ("ring slots", g.base_rounds * g.cat_count)):
+        if bits > 64:  # the width of combo_walk's rows
+            raise ValueError(f"{name}={bits} exceeds the 64-bit limit of packed masks")
     effects = location_effects(g, locations, "X")
     ids = [loc.id for loc in locations]
     if not dedupe:
@@ -46,51 +51,71 @@ def _effect_classes(
     return [e for e, _ in first.values()], [r for _, r in first.values()]
 
 
-def _combos(
-    effects: Sequence[Effect], max_weight: int, first_range: range,
-    min_weight: int = 1,
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+def coset_weights(err_on_support: np.ndarray, gamma: int) -> np.ndarray:
+    """``residual_weight_mod_generator`` of each entry of a uint64 array."""
+    w = np.bitwise_count(err_on_support & np.uint64((1 << gamma) - 1))
+    return np.minimum(w, gamma - w)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(s, s + c) for each pair, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+@dataclass(frozen=True)
+class ComboSlice:
+    """Rows of one weight of ``combo_walk``.  ``chain`` holds (parent,
+    last) int32 arrays per weight 1..weight: row r of weight v extends row
+    parent[r] of weight v-1 by effect index last[r].  ``data``, ``key``
+    and ``persist`` (None unless asked for) XOR the rows' effects."""
+
+    weight: int
+    chain: tuple[tuple[np.ndarray, np.ndarray], ...]
+    data: np.ndarray
+    key: np.ndarray
+    persist: np.ndarray | None
+
+    def combo(self, r: int) -> tuple[int, ...]:
+        out = []
+        for parent, last in reversed(self.chain):
+            out.append(int(last[r]))
+            r = int(parent[r])
+        return tuple(out[::-1])
+
+
+def combo_walk(
+    effects: Sequence[Effect], max_weight: int, first_range: range | None = None,
+    min_weight: int = 1, with_persist: bool = False,
+) -> Iterator[ComboSlice]:
     """Every combination of min_weight..max_weight effect indices whose
-    first index lies in ``first_range``, as (combo, data, key, persist)
-    XORs.
-
-    Weight-major, then by first index, then lexicographic.  Within a
-    weight, each prefix's XOR is formed once and shared by every
-    combination that extends it.
-    """
+    first index lies in ``first_range`` (default: all), as array slices:
+    weight-major, then lexicographic, weight 0 being the empty one.  Each
+    weight is one gather and one XOR of the weight below against the
+    effect rows.  Lower weights come whole; ``max_weight`` comes one first
+    index at a time, in slices of at most C(n-1, max_weight-1) rows."""
     n = len(effects)
-    rows = [(e.data_x, e.slot_flips, e.persist_x) for e in effects]
-
-    def extend(combo, data, key, persist, indices, left):
-        for i in indices:
-            d, k, p = rows[i]
-            if left == 1:
-                yield combo + (i,), data ^ d, key ^ k, persist ^ p
-            else:
-                yield from extend(combo + (i,), data ^ d, key ^ k, persist ^ p,
-                                  range(i + 1, n), left - 1)
-
-    for w in range(min_weight, max_weight + 1):
-        yield from extend((), 0, 0, 0, first_range, w)
-
-
-def oracle_residuals(
-    g: GadgetCircuit,
-    max_weight: int,
-    locations: Sequence[FaultLocation] | None = None,
-    dedupe: bool = False,
-) -> Iterator[tuple[int, int, int]]:
-    """Every reachable (syndrome key, data residual, weight) triple.
-
-    X faults only; weights ascend and combinations run lexicographically
-    over location ids, so the stream is deterministic.
-    """
-    if locations is None:
-        locations = enumerate_fault_locations(g)
-    effects, _ = _effect_classes(g, locations, dedupe, False)
-    yield (0, 0, 0)
-    for combo, data, key, _ in _combos(effects, max_weight, range(len(effects))):
-        yield (key, data, len(combo))
+    first_range = range(n) if first_range is None else first_range
+    fields = ("data_x", "slot_flips", "persist_x")[:3 if with_persist else 2]
+    rows = [np.array([getattr(e, f) for e in effects], dtype=np.uint64) for f in fields]
+    zero = np.zeros(1, np.uint64)
+    level = ComboSlice(0, (), zero, zero, zero if with_persist else None)
+    if min_weight == 0:
+        yield level
+    for w in range(1, max_weight + 1):
+        # each row of weight w-1 (at w=1 the empty one, up to the end of
+        # first_range) extends by every index after its last
+        last = level.chain[-1][1] if w > 1 else np.array([first_range.start - 1])
+        counts = n - 1 - last if w > 1 else np.array([len(first_range)])
+        bounds = [0, len(last)] if w < max_weight or w == 1 else np.cumsum(
+            [0] + [math.comb(n - 1 - i, w - 2) for i in first_range])
+        chain, prev = level.chain, (level.data, level.key, level.persist)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            parent = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
+            idx = _ranges(last[lo:hi] + 1, counts[lo:hi]).astype(np.int32)
+            xors = [x[parent] ^ r[idx] for x, r in zip(prev, rows)] + [None]
+            level = ComboSlice(w, chain + ((parent, idx),), xors[0], xors[1], xors[2])
+            if w >= min_weight:
+                yield level
 
 
 @dataclass(frozen=True)
@@ -188,22 +213,25 @@ def _check_combos(
     m = g.cat_count
     gamma = g.gamma
     checked = 0
-    walk = _combos(effects, weight, first_range, min_weight=weight)
+    adaptive = getattr(decoder, "needs_round2", False)
+    walk = combo_walk(effects, weight, first_range, weight, with_persist=adaptive)
 
-    if not getattr(decoder, "needs_round2", False):
-        # static decoders read only the syndrome key
-        for combo, data, key, _ in walk:
-            checked += 1
-            if key not in decoded:
-                syn = CatSyndrome.from_key(m, key, g.base_rounds)
-                decoded[key] = decoder.decode(syn)
-            corr = decoded[key]
-            cw = residual_weight_mod_generator(data ^ corr, gamma)
-            if cw > weight:
-                return checked, Counterexample(
-                    tuple(rep_ids[i] for i in combo), (), weight,
-                    key, data, corr, cw,
-                )
+    if not adaptive:
+        # static decoders read only the syndrome key: one decode per new key
+        for sl in walk:
+            keys, inverse = np.unique(sl.key, return_inverse=True)
+            for key in (keys := keys.tolist()):
+                if key not in decoded:
+                    decoded[key] = decoder.decode(CatSyndrome.from_key(m, key, g.base_rounds))
+            corr = np.array([decoded[key] for key in keys], np.uint64)[inverse]
+            cw = coset_weights(sl.data ^ corr, gamma)
+            bad = np.flatnonzero(cw > weight)
+            if len(bad):
+                r = int(bad[0])
+                return checked + r + 1, Counterexample(
+                    tuple(rep_ids[i] for i in sl.combo(r)), (), weight,
+                    int(sl.key[r]), int(sl.data[r]), int(corr[r]), int(cw[r]))
+            checked += len(sl.data)
         return checked, None
 
     # Re-measurement faults cost one each and come in two flavors: a
@@ -216,36 +244,38 @@ def _check_combos(
     events = [("slot", s, 1 << s) for s in range(m)]
     events += [("cat", c, (1 << c) | (1 << ((c - 1) % m))) for c in range(m)]
     # per syndrome key: the decoder's table, each row with its read mask
-    for combo, data, key, persist in walk:
-        rows = decoded.get(key)
-        if rows is None:
-            syn = CatSyndrome.from_key(m, key, g.base_rounds)
-            rows = decoded[key] = [
-                (reads, sum(1 << s for s in set(reads)), corr)
-                for reads, corr in reread_table(decoder, syn)
-            ]
-        base = 0
-        for s in range(m):
-            base |= _persist_outcome(persist, s, m) << s
-        for fsize in range(t - weight + 1):
-            for chosen in combinations(events, fsize):
-                flips = 0
-                for _, _, mask in chosen:
-                    flips ^= mask
-                _, read, corr = rows[_follow(rows, base ^ flips)]
-                if not all(mask & read for _, _, mask in chosen):
-                    # identical trace to a smaller event set
-                    continue
-                checked += 1
-                budget = weight + fsize
-                cw = residual_weight_mod_generator(data ^ corr, gamma)
-                if cw > budget:
-                    return checked, Counterexample(
-                        tuple(rep_ids[i] for i in combo),
-                        tuple(i for kind, i, _ in chosen if kind == "slot")
-                        + tuple(("cat", i) for kind, i, _ in chosen if kind == "cat"),
-                        budget, key, data, corr, cw,
-                    )
+    for sl in walk:
+        for r, (data, key, persist) in enumerate(
+                zip(sl.data.tolist(), sl.key.tolist(), sl.persist.tolist())):
+            rows = decoded.get(key)
+            if rows is None:
+                syn = CatSyndrome.from_key(m, key, g.base_rounds)
+                rows = decoded[key] = [
+                    (reads, sum(1 << s for s in set(reads)), corr)
+                    for reads, corr in reread_table(decoder, syn)
+                ]
+            base = 0
+            for s in range(m):
+                base |= _persist_outcome(persist, s, m) << s
+            for fsize in range(t - weight + 1):
+                for chosen in combinations(events, fsize):
+                    flips = 0
+                    for _, _, mask in chosen:
+                        flips ^= mask
+                    _, read, corr = rows[_follow(rows, base ^ flips)]
+                    if not all(mask & read for _, _, mask in chosen):
+                        # identical trace to a smaller event set
+                        continue
+                    checked += 1
+                    budget = weight + fsize
+                    cw = residual_weight_mod_generator(data ^ corr, gamma)
+                    if cw > budget:
+                        return checked, Counterexample(
+                            tuple(rep_ids[i] for i in sl.combo(r)),
+                            tuple(i for kind, i, _ in chosen if kind == "slot")
+                            + tuple(("cat", i) for kind, i, _ in chosen if kind == "cat"),
+                            budget, key, data, corr, cw,
+                        )
     return checked, None
 
 

@@ -17,6 +17,17 @@ class TestVerifyCommand:
             main(["verify", "--gamma", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["lut", "build"]],
+                             ids=["verify", "lut-build"])
+    def test_gamma_over_64_bits_exit_two(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CUTCAT_OUTDIR", str(tmp_path))
+        assert main(command + ["--gamma", "70", "--distance", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: gamma=70 exceeds the 64-bit limit of packed masks"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBoundCommand:
     def test_zero_rate_prints_zero(self, capsys):

@@ -8,11 +8,20 @@ from cutcat.decoders import (
     decode_d3d5,
     decode_d7,
     j_list,
-    plan_round2_d7,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import PauliFrame, code_syndrome
 from cutcat.sim import CatSyndrome
+
+
+def plan_round2_d7(round1, ring_size=None):
+    """Stabilizers the distance-7 decoder re-measures when round two
+    echoes round one."""
+    if isinstance(round1, CatSyndrome):
+        round1, ring_size = round1.rounds[0], round1.cat_count
+    _, requested = decode_d7(round1, ring_size,
+                             lambda indices: {i: (round1 >> i) & 1 for i in indices})
+    return frozenset(requested)
 
 
 def bits(*idx):

@@ -1,17 +1,82 @@
 import json
+import random
+from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
+from cutcat.circuit import enumerate_fault_locations
 from cutcat.decoders import (
     CutCatLUT,
+    LutBuildError,
     LutDecoder,
     RuleDecoderD3D5,
+    _solve_constraints,
     build_cut_cat_lut,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.pauli import residual_weight_mod_generator
+from cutcat.pauli import mask_of, residual_weight_mod_generator
 from cutcat.sim import CatSyndrome
-from cutcat.verify import oracle_residuals, verify_gadget
+from cutcat.verify import _effect_classes, combo_walk, verify_gadget
+
+
+def _oracle_rows(g, t, dedupe=False):
+    """(syndrome key, data residual, weight) of every combination of up to
+    t X faults, the empty one first, in walk order."""
+    effects, _ = _effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+    return [(int(k), int(d), s.weight)
+            for s in combo_walk(effects, t, min_weight=0)
+            for k, d in zip(s.key, s.data)]
+
+
+def _reference_rows(g, t, dedupe):
+    """The same stream, one ``itertools.combinations`` tuple at a time."""
+    effects, _ = _effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+    yield 0, 0, 0
+    for w in range(1, t + 1):
+        for combo in combinations(range(len(effects)), w):
+            key = data = 0
+            for i in combo:
+                key ^= effects[i].slot_flips
+                data ^= effects[i].data_x
+            yield key, data, w
+
+
+def _reference_search(constraints, gamma):
+    """Per-key correction search: zero, stored residuals in insertion
+    order, then plain-weight offsets around the first residual."""
+    entries = list(constraints.items())
+
+    def admissible(c):
+        return all(residual_weight_mod_generator(e ^ c, gamma) <= w for e, w in entries)
+
+    first_e, first_w = entries[0]
+    offsets = (first_e ^ mask_of(q) for w in range(first_w + 1)
+               for q in combinations(range(gamma), w))
+    for cand in chain([0], (e for e, _ in entries), offsets):
+        if admissible(cand):
+            return cand
+    return None
+
+
+def _reference_table(rows, gamma, t):
+    """LUT synthesis over a dict of (residual -> first weight) per key."""
+    constraints = {}
+    for key, residual, w in rows:
+        constraints.setdefault(key, {}).setdefault(residual, w)
+    table = {}
+    for key, cons in constraints.items():
+        corr = _reference_search(cons, gamma)
+        if corr is None:
+            raise LutBuildError(f"syndrome {key:#x} admits no correction within weight {t}")
+        table[key] = corr
+    return table
+
+
+def _solve(rows, gamma, t):
+    key, residual, weight = (np.array(c, dtype) for c, dtype in
+                             zip(zip(*rows), (np.uint64, np.uint64, np.uint8)))
+    return _solve_constraints(key, residual, weight, gamma, t)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +93,7 @@ class TestBuild:
         g = build_cut_cat(spec)
         rule = RuleDecoderD3D5(g, 1)
         ones = (1 << 6) - 1
-        for key, _, _ in oracle_residuals(g, 1):
+        for key, _, _ in _oracle_rows(g, 1):
             syn = CatSyndrome.from_key(g.cat_count, key, 1)
             diff = rule.decode(syn) ^ d3_lut.lookup(key)
             assert diff in (0, ones)
@@ -99,7 +164,7 @@ class TestStoredCorrectionsSatisfyOracle:
     def test_every_entry_passes_accumulated_constraints(self, d3_lut):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
         constraints: dict[int, dict[int, int]] = {}
-        for key, res, w in oracle_residuals(g, 1):
+        for key, res, w in _oracle_rows(g, 1):
             per = constraints.setdefault(key, {})
             if res not in per:
                 per[res] = w
@@ -107,3 +172,67 @@ class TestStoredCorrectionsSatisfyOracle:
             corr = d3_lut.lookup(key)
             for res, w in per.items():
                 assert residual_weight_mod_generator(res ^ corr, 6) <= w
+
+
+class TestSynthesisMatchesReference:
+    """Array synthesis against the per-key dict builder it replaced."""
+
+    @pytest.mark.parametrize("gamma,distance", [
+        (3, 3), (6, 3), (8, 3), (12, 3), (8, 5), (10, 5), (16, 5), (20, 7),
+    ])
+    def test_tables_identical(self, gamma, distance):
+        # gamma 3: the zero correction serves every key
+        spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
+        g = build_cut_cat(spec)
+        expected = _reference_table(_reference_rows(g, spec.t, True), gamma, spec.t)
+        assert build_cut_cat_lut(spec, gadget=g).table == expected
+
+    # gamma 8, t 2.  Key 1: zero fails (0b0011 at weight 1) and each stored
+    # residual breaks the other, but 0b0010 is within one of both.  Key 2:
+    # zero fails, the first stored residual breaks the third, the second
+    # serves.  Key 3: zero serves; its repeat at weight 2 is ignored.
+    ROWS = [(0, 0, 0), (1, 0b0011, 1), (3, 0b1, 1), (1, 0b0110, 1),
+            (2, 0b0001, 2), (2, 0b0111, 2), (3, 0b11, 2), (3, 0b1, 2),
+            (2, 0b1111, 2), (2, 0b0001, 2)]
+
+    def test_offset_search_for_hand_made_groups(self):
+        table = _solve(self.ROWS, 8, 2)
+        assert table == _reference_table(self.ROWS, 8, 2)
+        assert table == {0: 0, 1: 0b0010, 2: 0b0111, 3: 0}
+
+    def test_no_admissible_correction_raises(self):
+        # 0b0011 and 0b1100, both at weight 1: 4 apart under any correction
+        rows = self.ROWS + [(5, 0b0011, 1), (5, 0b1100, 1)]
+        with pytest.raises(LutBuildError, match="syndrome 0x5 admits no correction"):
+            _reference_table(rows, 8, 2)
+        with pytest.raises(LutBuildError, match="syndrome 0x5 admits no correction"):
+            _solve(rows, 8, 2)
+
+    def test_many_keys_need_the_offset_search(self):
+        # 1 200 keys like key 1 above, more than one batch of the array
+        # search; then two keys that admit nothing, the larger one first
+        rows = [(0, 0, 0)] + [(k, r, 1) for k in range(10, 1210) for r in (0b0011, 0b0110)]
+        assert _solve(rows, 8, 2) == _reference_table(rows, 8, 2)
+        rows += [(5000, 0b0011, 1), (3, 0b0011, 1), (5000, 0b1100, 1), (3, 0b1100, 1)]
+        with pytest.raises(LutBuildError, match="syndrome 0x1388 admits"):
+            _solve(rows, 8, 2)
+
+    def test_random_streams(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(300):
+            rows = [(0, 0, 0)] + sorted((
+                (rng.randrange(6), rng.getrandbits(8) & rng.getrandbits(8),
+                 rng.randint(1, 2))
+                for _ in range(rng.randint(1, 12))
+            ), key=lambda row: row[2])  # weights ascend, as in the walk
+            try:
+                expected = _reference_table(rows, 8, 2)
+            except LutBuildError as exc:
+                with pytest.raises(LutBuildError, match=str(exc)):
+                    _solve(rows, 8, 2)
+                outcomes.add("error")
+                continue
+            assert _solve(rows, 8, 2) == expected, rows
+            outcomes.add("table")
+        assert outcomes == {"error", "table"}

@@ -2,24 +2,28 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from cutcat.circuit import PRE_MEASUREMENT, enumerate_fault_locations
 from cutcat.decoders import (
     IdentityDecoder,
+    LutDecoder,
     RuleDecoderD3D5,
     RuleDecoderD7,
+    build_cut_cat_lut,
     cats_to_mask,
     decode_d7,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
+from cutcat.pauli import residual_weight_mod_generator
 from cutcat.sim import CatSyndrome, adaptive_propagate, location_effects
 from cutcat.verify import (
     MAX_REREADS,
-    _combos,
+    _effect_classes,
     _persist_outcome,
+    combo_walk,
     eval_upper_bound,
-    oracle_residuals,
     reread_table,
     verify_gadget,
 )
@@ -50,6 +54,21 @@ def _reference_combos(effects, max_weight):
                 persist ^= effects[i].persist_x
             out.append((combo, data, key, persist))
     return out
+
+
+def _walk_rows(effects, max_weight, first_range=None, min_weight=1):
+    """``combo_walk`` flattened to (combo, data, key, persist) tuples, row
+    by row, each combination rebuilt from its parent chain."""
+    return [
+        (s.combo(r), int(s.data[r]), int(s.key[r]), int(s.persist[r]))
+        for s in combo_walk(effects, max_weight, first_range, min_weight,
+                            with_persist=True)
+        for r in range(len(s.data))
+    ]
+
+
+def _class_effects(g, dedupe=False):
+    return _effect_classes(g, enumerate_fault_locations(g), dedupe, False)[0]
 
 
 class TestVerifyGadget:
@@ -193,40 +212,136 @@ class TestRereadTable:
 
 
 class TestOracle:
+    """The combination walk that LUT synthesis and the verifier consume."""
+
     def test_weight_zero_entry(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        stream = list(oracle_residuals(g, 0))
-        assert stream == [(0, 0, 0)]
+        assert _walk_rows(_class_effects(g), 0, min_weight=0) == [((), 0, 0, 0)]
 
     def test_weight_one_count_matches_locations(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        entries = [e for e in oracle_residuals(g, 1) if e[2] == 1]
+        entries = [e for e in _walk_rows(_class_effects(g), 1) if len(e[0]) == 1]
         assert len(entries) == 24
 
     def test_weight_one_residuals_bounded(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        for _, res, w in oracle_residuals(g, 1):
-            if w == 1:
+        for combo, res, _, _ in _walk_rows(_class_effects(g), 1):
+            if len(combo) == 1:
                 assert bin(res).count("1") <= 2
 
     def test_deterministic_stream(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        assert list(oracle_residuals(g, 2)) == list(oracle_residuals(g, 2))
+        effects = _class_effects(g)
+        assert _walk_rows(effects, 2, min_weight=0) == _walk_rows(effects, 2, min_weight=0)
 
     @pytest.mark.parametrize("dedupe", [False, True])
     @pytest.mark.parametrize("gamma,distance", [(6, 3), (10, 5)])
     def test_stream_matches_reference(self, gamma, distance, dedupe):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
-        ref = _reference_combos(_reference_effects(g, dedupe), 2)
-        expected = [(0, 0, 0)] + [(key, data, len(c)) for c, data, key, _ in ref]
-        assert list(oracle_residuals(g, 2, dedupe=dedupe)) == expected
+        expected = [((), 0, 0, 0)] + _reference_combos(_reference_effects(g, dedupe), 2)
+        assert _walk_rows(_class_effects(g, dedupe), 2, min_weight=0) == expected
 
     def test_walk_over_first_range_matches_reference(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
         effects = _reference_effects(g, False)
         part = range(7, 23)
         expected = [r for r in _reference_combos(effects, 3) if r[0][0] in part]
-        assert list(_combos(effects, 3, part)) == expected
+        assert _walk_rows(effects, 3, part) == expected
+
+    def test_deepest_weight_walked_by_first_index(self):
+        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
+        effects = _class_effects(g)
+        n = len(effects)
+        slices = list(combo_walk(effects, 3))
+        sizes = [len(s.data) for s in slices]
+        assert [s.weight for s in slices] == [1, 2] + [3] * n
+        assert sizes == [n, math.comb(n, 2)] + [math.comb(n - 1 - i, 2) for i in range(n)]
+        assert max(sizes[2:]) == math.comb(n - 1, 2)
+        for s in slices:
+            assert s.persist is None
+            assert all(a.dtype == np.int32 for pair in s.chain for a in pair)
+        # parents index the whole weight below, whose arrays every slice shares
+        for s in slices[1:]:
+            assert all(x is y for x, y in zip(s.chain[:-1], slices[s.weight - 2].chain))
+
+
+class TestStaticVerifierMatchesScalarWalk:
+    """The array check of static decoders against a per-combination walk
+    over ``itertools.combinations``, on a d=5 LUT with one entry broken."""
+
+    @staticmethod
+    def _scalar_verify(g, decoder, t):
+        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, False)
+        checked = 0
+        for w in range(1, t + 1):
+            for combo in combinations(range(len(effects)), w):
+                data = key = 0
+                for i in combo:
+                    data ^= effects[i].data_x
+                    key ^= effects[i].slot_flips
+                checked += 1
+                corr = decoder.decode(CatSyndrome.from_key(g.cat_count, key, g.base_rounds))
+                cw = residual_weight_mod_generator(data ^ corr, g.gamma)
+                if cw > w:
+                    return checked, (tuple(ids[i] for i in combo), (), w, key, data, corr, cw)
+        return checked, None
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spec = GadgetSpec(gamma=10, distance=5, adaptive=False)
+        g = build_cut_cat(spec)
+        return g, build_cut_cat_lut(spec, gadget=g)
+
+    @pytest.mark.parametrize("first", [0, 3])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_broken_entry_found_mid_slice(self, setup, first, jobs):
+        g, lut = setup
+        effects = _class_effects(g, dedupe=True)
+        n = len(effects)
+        earlier = {e.slot_flips for e in effects}
+        # the first weight-2 combination starting at ``first`` whose key no
+        # earlier combination reaches, well inside its slice
+        for i, j in combinations(range(n), 2):
+            key = effects[i].slot_flips ^ effects[j].slot_flips
+            if i == first and j > first + 8 and key not in earlier:
+                break
+            earlier.add(key)
+        else:
+            pytest.fail("no fresh weight-2 key")
+        data = effects[i].data_x ^ effects[j].data_x
+        table = dict(lut.table)
+        table[key] = data ^ 0b111  # coset weight 3 against a budget of 2
+        broken = LutDecoder(type(lut)(lut.gamma, lut.t, lut.rounds, lut.cat_count, table))
+
+        checked, cx = self._scalar_verify(g, broken, 2)
+        # rows of weight 1, of the slices before ``first``, then (i, j)
+        assert checked == n + sum(n - 1 - a for a in range(i)) + (j - i - 1) + 1
+        rep = verify_gadget(g, broken, 2, jobs=jobs)
+        assert rep.faults_checked == checked
+        got = rep.counterexample
+        assert (got.fault_ids, got.round2_flips, got.n_faults, got.syndrome_key,
+                got.residual, got.correction, got.coset_weight) == cx
+
+
+class TestMaskWidthLimit:
+    """The walk packs residuals and keys into uint64 rows: wider gadgets
+    are rejected before walking, not decided through Python ints."""
+
+    @pytest.mark.parametrize("spec, message", [
+        (GadgetSpec(gamma=70, distance=3, adaptive=False), "gamma=70 exceeds the 64-bit"),
+        (GadgetSpec(gamma=44, distance=5, adaptive=False, base_rounds=3),
+         "ring slots=66 exceeds the 64-bit"),
+    ], ids=["gamma", "ring-slots"])
+    def test_verify_and_lut_build_reject(self, spec, message):
+        g = build_cut_cat(spec)
+        with pytest.raises(ValueError, match=message):
+            verify_gadget(g, IdentityDecoder(), spec.t)
+        with pytest.raises(ValueError, match=message):
+            build_cut_cat_lut(spec, gadget=g)
+
+    def test_sixty_four_bits_accepted(self):
+        g = build_cut_cat(GadgetSpec(gamma=64, distance=3))
+        assert verify_gadget(g, RuleDecoderD3D5(g, 1), 1).passed
 
 
 class TestRemeasurementModel:
