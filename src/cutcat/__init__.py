@@ -3,9 +3,6 @@
 from .pauli import (
     CodeFormatError,
     CssCode,
-    PauliFrame,
-    Syndrome,
-    code_syndrome,
     parse_css_code,
     residual_weight_mod_generator,
     serialize_css_code,
@@ -56,7 +53,6 @@ from .experiments import (
     SweepResult,
     TrialStats,
     fit_slope,
-    repeat_until_stable,
     run_gadget_mc,
     sweep_gadget_mc,
     wilson_interval,

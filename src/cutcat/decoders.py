@@ -23,7 +23,6 @@ from .circuit import GadgetCircuit, enumerate_fault_locations
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
-    _format_binary_row,
     _parse_binary_row,
     mask_of,
     parity,
@@ -292,10 +291,22 @@ def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
     return out
 
 
-class RuleDecoderD3D5:
-    """Arc-pairing decoder bound to a distance-3 or -5 gadget."""
+class StaticDecoder:
+    """A decoder that reads the base-round syndrome only.  The verifier
+    decodes the distinct syndrome keys it meets through one
+    ``decode_keys`` call."""
 
     needs_round2 = False
+
+    def decode_keys(self, keys: np.ndarray, cat_count: int, rounds: int) -> np.ndarray:
+        """Corrections (uint64) for an array of syndrome keys of
+        ``rounds`` rounds of ``cat_count`` outcomes."""
+        return np.array([self.decode(CatSyndrome.from_key(cat_count, key, rounds))
+                         for key in keys.tolist()], np.uint64)
+
+
+class RuleDecoderD3D5(StaticDecoder):
+    """Arc-pairing decoder bound to a distance-3 or -5 gadget."""
 
     def __init__(self, g: GadgetCircuit, t: int):
         if t not in (1, 2):
@@ -323,13 +334,18 @@ class RuleDecoderD7:
         return cats_to_mask(self.g, cats)
 
 
-class IdentityDecoder:
+class IdentityDecoder(StaticDecoder):
     """Applies no correction; useful as a verification counterexample."""
-
-    needs_round2 = False
 
     def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
         return 0
+
+
+def _binary_rows(masks: Sequence[int], n: int) -> list[str]:
+    """``_format_binary_row`` of each mask, through one numpy array."""
+    bits = np.array(masks, np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)
+    chars = (bits & np.uint64(1)).astype(np.uint8) + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str).tolist()
 
 
 class LutBuildError(RuntimeError):
@@ -356,25 +372,17 @@ class CutCatLUT:
         return self.table.get(key, 0)
 
     def to_json(self) -> str:
-        n_bits = self.rounds * self.cat_count
-        entries = [
-            {
-                "syndrome": _format_binary_row(key, n_bits),
-                "correction": _format_binary_row(corr, self.gamma),
-            }
-            for key, corr in sorted(self.table.items())
-        ]
-        return json.dumps(
-            {
-                "format": "cutcat-lut-v1",
-                "gamma": self.gamma,
-                "t": self.t,
-                "rounds": self.rounds,
-                "cat_count": self.cat_count,
-                "entries": entries,
-            },
-            indent=1,
-        )
+        """The table as ``json.dumps(..., indent=1)`` writes it, with the
+        entries sorted by key, written line by line."""
+        head = {"format": "cutcat-lut-v1", "gamma": self.gamma, "t": self.t,
+                "rounds": self.rounds, "cat_count": self.cat_count}
+        items = sorted(self.table.items())
+        rows = zip(_binary_rows([k for k, _ in items], self.rounds * self.cat_count),
+                   _binary_rows([c for _, c in items], self.gamma))
+        entries = ",\n".join(f'  {{\n   "syndrome": "{s}",\n   "correction": "{c}"\n  }}'
+                             for s, c in rows)
+        return "{\n" + "".join(f' "{k}": {json.dumps(v)},\n' for k, v in head.items()) + (
+            f' "entries": [\n{entries}\n ]\n}}' if entries else ' "entries": []\n}')
 
     @classmethod
     def from_json(cls, text: str) -> "CutCatLUT":
@@ -390,18 +398,30 @@ class CutCatLUT:
         return cls(doc["gamma"], doc["t"], doc["rounds"], doc["cat_count"], table)
 
 
-class LutDecoder:
+class LutDecoder(StaticDecoder):
     """Table-backed decoder over the concatenated full-round syndrome."""
-
-    needs_round2 = False
 
     def __init__(self, lut: CutCatLUT):
         self.lut = lut
+        keys = np.fromiter(lut.table, np.uint64, len(lut.table))
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._corr = np.fromiter(lut.table.values(), np.uint64, len(lut.table))[order]
+
+    def _check_shape(self, cat_count: int, rounds: int) -> None:
+        if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
+            raise ValueError("syndrome shape does not match the table")
 
     def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
-        if syn.cat_count != self.lut.cat_count or len(syn.rounds) != self.lut.rounds:
-            raise ValueError("syndrome shape does not match the table")
+        self._check_shape(syn.cat_count, len(syn.rounds))
         return self.lut.lookup(syn.key())
+
+    def decode_keys(self, keys: np.ndarray, cat_count: int, rounds: int) -> np.ndarray:
+        self._check_shape(cat_count, rounds)
+        pos, found = _verify.find_sorted(self._keys, keys)
+        out = np.zeros(len(keys), np.uint64)
+        out[found] = self._corr[pos[found]]
+        return out
 
 
 def _solve_constraints(

@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import CatSyndrome, gate_operations, noisy_operations, op_code_effects
-from .verify import MAX_REREADS, eval_upper_bound, reread_table
+from .verify import MAX_REREADS, KeyCache, compile_rereads, eval_upper_bound
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -218,7 +218,7 @@ class GadgetMonteCarlo:
     A batch XOR-accumulates sampled fault effects from a ``FaultTable``
     and only trials with a visible residual or ring syndrome reach
     decoding, through one decode per distinct syndrome.  An adaptive
-    decoder is compiled per distinct syndrome into a ``reread_table``;
+    decoder is compiled per distinct syndrome by ``compile_rereads``;
     its re-measurements are then followed for all candidate trials at
     once, one step per re-read, with noise from a second table.
     """
@@ -231,7 +231,7 @@ class GadgetMonteCarlo:
         self.faults = FaultTable.from_gadget(g, fields)
         self.reread = FaultTable.for_reread(g) if self.adaptive else None
         self._decode_cache: dict[int, int] = {}
-        self._reread_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rereads = KeyCache()
 
     def _decode_static(self, slots_key: int) -> int:
         corr = self._decode_cache.get(slots_key)
@@ -242,22 +242,6 @@ class GadgetMonteCarlo:
             self._decode_cache[slots_key] = corr
         return corr
 
-    def _reread_rows(self, slots_key: int) -> tuple[np.ndarray, np.ndarray]:
-        """The decoder's table for one syndrome as arrays: the stabilizer
-        re-read at each step (-1 past the last) and the correction, per
-        outcome vector."""
-        rows = self._reread_cache.get(slots_key)
-        if rows is None:
-            g = self.g
-            table = reread_table(
-                self.decoder, CatSyndrome.from_key(g.cat_count, slots_key, g.base_rounds))
-            reads = np.full((len(table), MAX_REREADS), -1, dtype=np.int8)
-            for v, (stabs, _) in enumerate(table):
-                reads[v, :len(stabs)] = stabs
-            corr = np.array([c for _, c in table], dtype=np.uint64)
-            rows = self._reread_cache[slots_key] = (reads, corr)
-        return rows
-
     def _adaptive_corrections(self, rng: np.random.Generator, p: float,
                               keys: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Corrections for trials with base-round syndromes ``keys`` and
@@ -266,12 +250,10 @@ class GadgetMonteCarlo:
         all trials."""
         if keys.size == 0:
             return np.zeros(0, dtype=np.uint64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        tables = [self._reread_rows(k) for k in uniq.tolist()]
-        reads = np.stack([r for r, _ in tables])
-        corr = np.stack([c for _, c in tables])
-
         m = self.g.cat_count
+        uniq, inv = np.unique(keys, return_inverse=True)
+        reads, _, corr = self._rereads.get(uniq, lambda new: compile_rereads(
+            self.decoder, new, m, self.g.base_rounds))
         full = (1 << m) - 1
         outcomes = np.zeros(len(keys), dtype=np.uint8)
         for i in range(MAX_REREADS):
@@ -403,27 +385,6 @@ def sweep_gadget_mc(
         bounds.append(eval_upper_bound(spec.gamma, spec.t, p))
     slope, stderr = _fit_sweep(points)
     return SweepResult(tuple(points), tuple(bounds), slope, stderr)
-
-
-def repeat_until_stable(
-    extract: Callable[[int], object], t: int, max_rounds: int,
-) -> tuple[object, bool, int]:
-    """Repeat extraction until t+1 identical consecutive syndromes.
-
-    Returns (syndrome, stable, rounds_used); hitting the round cap
-    returns the last syndrome flagged unstable rather than failing.
-    """
-    if max_rounds < t + 1:
-        raise ValueError("max_rounds below the acceptance run length")
-    last: object = None
-    run = 0
-    for i in range(max_rounds):
-        syn = extract(i)
-        run = run + 1 if syn == last else 1
-        last = syn
-        if run >= t + 1:
-            return last, True, i + 1
-    return last, False, max_rounds
 
 
 def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:

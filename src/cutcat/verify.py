@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .circuit import FaultLocation, GadgetCircuit, enumerate_fault_locations
-from .pauli import residual_weight_mod_generator
 from .sim import CatSyndrome, Effect, location_effects
 
 
@@ -148,10 +147,6 @@ class VerificationReport:
         assert self.passed == (self.counterexample is None)
 
 
-def _persist_outcome(persist: int, stab: int, m: int) -> int:
-    return ((persist >> stab) ^ (persist >> ((stab + 1) % m))) & 1
-
-
 # re-measurement budget of an adaptive decoder per gadget run
 MAX_REREADS = 4
 
@@ -162,11 +157,14 @@ def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]
     Row v holds the stabilizers the decoder re-reads, in request order,
     and its correction when the i-th re-read returns bit i of v.  The
     request at step i depends only on the bits before it, so a run is
-    followed by reading step i from the row of the outcomes so far.
+    followed by reading step i from the row of the outcomes so far, and
+    one run fills every row that agrees with it on the bits it read.
     """
     m = syn.cat_count
-    rows = []
-    for v in range(1 << MAX_REREADS):
+    rows: list = [None] * (1 << MAX_REREADS)
+    for v in range(len(rows)):
+        if rows[v] is not None:
+            continue
         reads: list[int] = []
 
         def measure(indices):
@@ -180,20 +178,75 @@ def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]
             return out
 
         corr = decoder.decode(syn, measure)
-        rows.append((tuple(reads), corr))
+        for u in range(v, len(rows), 1 << len(reads)):
+            rows[u] = (tuple(reads), corr)
     return rows
 
 
-def _follow(rows: Sequence[tuple], bits: int) -> int:
-    """Row index a decoder's run ends in when re-reading stabilizer s
-    returns bit s of ``bits``."""
-    v = 0
-    for i in range(MAX_REREADS):
-        reads = rows[v][0]
-        if i == len(reads):
-            break
-        v |= ((bits >> reads[i]) & 1) << i
-    return v
+def compile_rereads(decoder, keys: np.ndarray, cat_count: int,
+                    rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``reread_table`` of each syndrome key as arrays, indexed by (key,
+    outcome vector): the stabilizer re-read at each step (int8, -1 past
+    the last), the mask of the stabilizers re-read, and the correction
+    (both uint64)."""
+    rows = [row for key in keys.tolist()
+            for row in reread_table(decoder, CatSyndrome.from_key(cat_count, key, rounds))]
+    shape = (len(keys), 1 << MAX_REREADS)
+    reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
+    read_mask = np.array([sum(1 << i for i in set(s)) for s, _ in rows], np.uint64)
+    corr = np.array([c for _, c in rows], np.uint64)
+    return reads.reshape(shape + (MAX_REREADS,)), read_mask.reshape(shape), corr.reshape(shape)
+
+
+def find_sorted(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each of ``keys`` in the sorted array ``table``, and
+    whether it is there."""
+    pos = np.searchsorted(table, keys)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == keys[found]
+    return pos, found
+
+
+class KeyCache:
+    """Decoder answers per syndrome key, kept as arrays sorted by key."""
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(0, np.uint64)
+        self.values: tuple[np.ndarray, ...] = ()
+
+    def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
+        """The answers for the sorted distinct ``keys``, one row per key.
+        ``compute`` maps the keys not seen before to a tuple of arrays."""
+        pos, found = find_sorted(self.keys, keys)
+        if not found.all():
+            new = compute(keys[~found])
+            at = pos[~found]
+            self.values = tuple(np.insert(old, at, v, axis=0)
+                                for old, v in zip(self.values, new)) or new
+            self.keys = np.insert(self.keys, at, keys[~found])
+            pos = np.searchsorted(self.keys, keys)
+        return tuple(v[pos] for v in self.values)
+
+
+def _event_sets(m: int, max_size: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Sets of up to ``max_size`` re-measurement events, in size-major
+    then lexicographic order: the stabilizers each set flips, the mask
+    of each of its events (0 past the set's size), and the sets.
+
+    Re-measurement faults cost one each and come in two flavors: a
+    transient flip of a single re-measured slot (events 0..m-1), and an
+    X landing on a cat qubit before the re-reads, which flips every
+    re-measured slot touching that cat (events m..2m-1).  Together these
+    cover all timings of adaptive-round faults, including base-round
+    control faults whose only consequence is to persist into the
+    re-measurements.  Each event is the mask of stabilizers it flips.
+    """
+    events = [1 << s for s in range(m)] + [(1 << c) | (1 << ((c - 1) % m)) for c in range(m)]
+    sets = [c for f in range(max_size + 1) for c in combinations(range(2 * m), f)]
+    masks = np.zeros((len(sets), max_size), np.uint64)
+    for j, chosen in enumerate(sets):
+        masks[j, :len(chosen)] = [events[e] for e in chosen]
+    return np.bitwise_xor.reduce(masks, axis=1), masks, sets
 
 
 def _check_combos(
@@ -202,28 +255,25 @@ def _check_combos(
     t: int,
     effects: Sequence[Effect],
     rep_ids: Sequence[int],
-    decoded: dict,
+    cache: KeyCache,
     weight: int,
     first_range: range,
 ) -> tuple[int, Counterexample | None]:
     """Verify all combos of ``weight`` locations whose first index lies
-    in ``first_range``.  ``decoded`` caches the decoder's answer per
-    syndrome key (a correction, or an adaptive decoder's table); a serial
-    walk shares it across weights."""
-    m = g.cat_count
-    gamma = g.gamma
+    in ``first_range``.  ``cache`` holds the decoder's answer per
+    syndrome key (a correction, or an adaptive decoder's compiled
+    table); a serial walk shares it across weights."""
+    m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
     checked = 0
     adaptive = getattr(decoder, "needs_round2", False)
     walk = combo_walk(effects, weight, first_range, weight, with_persist=adaptive)
 
     if not adaptive:
-        # static decoders read only the syndrome key: one decode per new key
+        # static decoders read only the syndrome key: per slice, one
+        # ``decode_keys`` call for the distinct keys not decoded before
         for sl in walk:
             keys, inverse = np.unique(sl.key, return_inverse=True)
-            for key in (keys := keys.tolist()):
-                if key not in decoded:
-                    decoded[key] = decoder.decode(CatSyndrome.from_key(m, key, g.base_rounds))
-            corr = np.array([decoded[key] for key in keys], np.uint64)[inverse]
+            corr = cache.get(keys, lambda new: (decoder.decode_keys(new, m, rounds),))[0][inverse]
             cw = coset_weights(sl.data ^ corr, gamma)
             bad = np.flatnonzero(cw > weight)
             if len(bad):
@@ -234,48 +284,43 @@ def _check_combos(
             checked += len(sl.data)
         return checked, None
 
-    # Re-measurement faults cost one each and come in two flavors: a
-    # transient flip of a single re-measured slot, and an X landing on a
-    # cat qubit before the re-reads, which flips every re-measured slot
-    # touching that cat.  Together these cover all timings of
-    # adaptive-round faults, including base-round control faults whose
-    # only consequence is to persist into the re-measurements.  Each
-    # event is the mask of stabilizers it flips.
-    events = [("slot", s, 1 << s) for s in range(m)]
-    events += [("cat", c, (1 << c) | (1 << ((c - 1) % m))) for c in range(m)]
-    # per syndrome key: the decoder's table, each row with its read mask
+    # Each row of a slice meets every set of re-measurement events within
+    # the remaining budget: a (row, event set) grid, followed through the
+    # decoder's compiled tables one re-read step at a time for all cells.
+    flips, masks, sets = _event_sets(m, t - weight)
+    sizes = np.array([len(s) for s in sets])
+    budget = weight + sizes
+    full = np.uint64((1 << m) - 1)
     for sl in walk:
-        for r, (data, key, persist) in enumerate(
-                zip(sl.data.tolist(), sl.key.tolist(), sl.persist.tolist())):
-            rows = decoded.get(key)
-            if rows is None:
-                syn = CatSyndrome.from_key(m, key, g.base_rounds)
-                rows = decoded[key] = [
-                    (reads, sum(1 << s for s in set(reads)), corr)
-                    for reads, corr in reread_table(decoder, syn)
-                ]
-            base = 0
-            for s in range(m):
-                base |= _persist_outcome(persist, s, m) << s
-            for fsize in range(t - weight + 1):
-                for chosen in combinations(events, fsize):
-                    flips = 0
-                    for _, _, mask in chosen:
-                        flips ^= mask
-                    _, read, corr = rows[_follow(rows, base ^ flips)]
-                    if not all(mask & read for _, _, mask in chosen):
-                        # identical trace to a smaller event set
-                        continue
-                    checked += 1
-                    budget = weight + fsize
-                    cw = residual_weight_mod_generator(data ^ corr, gamma)
-                    if cw > budget:
-                        return checked, Counterexample(
-                            tuple(rep_ids[i] for i in sl.combo(r)),
-                            tuple(i for kind, i, _ in chosen if kind == "slot")
-                            + tuple(("cat", i) for kind, i, _ in chosen if kind == "cat"),
-                            budget, key, data, corr, cw,
-                        )
+        keys, inverse = np.unique(sl.key, return_inverse=True)
+        reads, read_mask, corrections = cache.get(
+            keys, lambda new: compile_rereads(decoder, new, m, rounds))
+        # re-read s sees the persisting cat X errors on cats s and s+1
+        p = sl.persist & full
+        base = p ^ (p >> np.uint64(1)) ^ ((p & np.uint64(1)) << np.uint64(m - 1))
+        bits = base[:, None] ^ flips
+        k = inverse[:, None]
+        v = np.zeros(bits.shape, np.intp)
+        for i in range(MAX_REREADS):
+            stab = reads[k, v, i]
+            bit = (bits >> np.maximum(stab, 0).astype(np.uint64)) & np.uint64(1)
+            v |= (bit.astype(np.intp) & (stab >= 0)) << i
+        corr = corrections[k, v]
+        # an event that touches no re-read stabilizer leaves the trace of
+        # a smaller set: only cells whose every event is seen are admitted
+        admitted = np.count_nonzero(masks & read_mask[k, v][..., None], axis=-1) == sizes
+        cw = coset_weights(sl.data[:, None] ^ corr, gamma)
+        bad = admitted & (cw > budget)
+        if bad.any():
+            # the first failing cell in row-major order
+            cell = int(np.argmax(bad))
+            r, j = divmod(cell, len(sets))
+            slots = tuple(e for e in sets[j] if e < m)
+            cats = tuple(("cat", e - m) for e in sets[j] if e >= m)
+            return checked + int(np.count_nonzero(admitted.ravel()[:cell])) + 1, Counterexample(
+                tuple(rep_ids[i] for i in sl.combo(r)), slots + cats, int(budget[j]),
+                int(sl.key[r]), int(sl.data[r]), int(corr[r, j]), int(cw[r, j]))
+        checked += int(np.count_nonzero(admitted))
     return checked, None
 
 
@@ -309,7 +354,7 @@ def verify_gadget(
     chunk = max(1, math.ceil(n / max(jobs, 1)))
     ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 
-    decoded: dict = {}
+    cache = KeyCache()
     checked = 0
     cx = None
     with (ProcessPoolExecutor(max_workers=jobs) if len(ranges) > 1
@@ -317,7 +362,7 @@ def verify_gadget(
         run = map if pool is None else pool.map
         for w in range(1, t + 1):
             check = partial(_check_combos, g, decoder, t, effects, rep_ids,
-                            decoded, w)
+                            cache, w)
             for part_checked, cx in run(check, ranges):
                 checked += part_checked
                 if cx is not None:

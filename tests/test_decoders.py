@@ -10,8 +10,9 @@ from cutcat.decoders import (
     j_list,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.pauli import PauliFrame, code_syndrome
 from cutcat.sim import CatSyndrome
+
+from pauli_ref import PauliFrame, code_syndrome
 
 
 def plan_round2_d7(round1, ring_size=None):

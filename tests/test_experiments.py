@@ -9,7 +9,6 @@ from cutcat.experiments import (
     fit_slope,
     load_manifest,
     make_manifest,
-    repeat_until_stable,
     run_gadget_mc,
     sweep_gadget_mc,
     sweep_to_csv,
@@ -18,6 +17,27 @@ from cutcat.experiments import (
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.sim import CatSyndrome
 from cutcat.verify import MAX_REREADS
+
+
+def repeat_until_stable(
+    extract, t: int, max_rounds: int,
+) -> tuple[object, bool, int]:
+    """Repeat extraction until t+1 identical consecutive syndromes.
+
+    Returns (syndrome, stable, rounds_used); hitting the round cap
+    returns the last syndrome flagged unstable rather than failing.
+    """
+    if max_rounds < t + 1:
+        raise ValueError("max_rounds below the acceptance run length")
+    last: object = None
+    run = 0
+    for i in range(max_rounds):
+        syn = extract(i)
+        run = run + 1 if syn == last else 1
+        last = syn
+        if run >= t + 1:
+            return last, True, i + 1
+    return last, False, max_rounds
 
 
 class TestWilson:

@@ -140,6 +140,38 @@ class TestLookupContract:
         with pytest.raises(ValueError):
             decoder.decode(CatSyndrome(3, (0, 0)))
 
+    @pytest.mark.parametrize("lut", [
+        GadgetSpec(gamma=6, distance=3, adaptive=False),
+        GadgetSpec(gamma=10, distance=5, adaptive=False),
+        CutCatLUT(6, 1, 1, 3, {}),
+    ], ids=["d3", "d5", "empty"])
+    def test_json_matches_json_dumps(self, lut):
+        if isinstance(lut, GadgetSpec):
+            lut = build_cut_cat_lut(lut)
+        n_bits = lut.rounds * lut.cat_count
+        row = lambda mask, n: "".join(str((mask >> i) & 1) for i in range(n))
+        expected = json.dumps({
+            "format": "cutcat-lut-v1", "gamma": lut.gamma, "t": lut.t,
+            "rounds": lut.rounds, "cat_count": lut.cat_count,
+            "entries": [{"syndrome": row(k, n_bits), "correction": row(c, lut.gamma)}
+                        for k, c in sorted(lut.table.items())],
+        }, indent=1)
+        assert lut.to_json() == expected
+
+    @pytest.mark.parametrize("gamma, distance", [(6, 3), (10, 5)])
+    def test_key_level_lookup_matches_decode(self, gamma, distance):
+        lut = build_cut_cat_lut(GadgetSpec(gamma=gamma, distance=distance, adaptive=False))
+        decoder = LutDecoder(lut)
+        m = lut.cat_count
+        # every key of the table's shape, most of them absent from it
+        keys = np.arange(1 << (lut.rounds * m), dtype=np.uint64)
+        expected = [decoder.decode(CatSyndrome.from_key(m, k, lut.rounds))
+                    for k in keys.tolist()]
+        got = decoder.decode_keys(keys, m, lut.rounds)
+        assert got.dtype == np.uint64 and got.tolist() == expected
+        with pytest.raises(ValueError, match="shape"):
+            decoder.decode_keys(keys, m + 1, lut.rounds)
+
     def test_json_round_trip(self, d3_lut):
         again = CutCatLUT.from_json(d3_lut.to_json())
         assert again == d3_lut

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -16,17 +17,27 @@ from cutcat.decoders import (
     decode_d7,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.pauli import residual_weight_mod_generator
+from cutcat.pauli import mask_of, residual_weight_mod_generator
 from cutcat.sim import CatSyndrome, adaptive_propagate, location_effects
 from cutcat.verify import (
     MAX_REREADS,
+    KeyCache,
     _effect_classes,
-    _persist_outcome,
     combo_walk,
     eval_upper_bound,
     reread_table,
     verify_gadget,
 )
+
+
+def _persist_outcome(persist, stab, m):
+    """Re-read bit of stabilizer ``stab`` under persisting cat X errors:
+    the parity of cats ``stab`` and ``stab + 1``."""
+    return ((persist >> stab) ^ (persist >> ((stab + 1) % m))) & 1
+
+
+def _persist_outcome_bits(persist, m):
+    return sum(_persist_outcome(persist, s, m) << s for s in range(m))
 
 
 def _reference_effects(g, dedupe):
@@ -141,6 +152,14 @@ class TestVerifyGadget:
         assert (cx.fault_ids, cx.n_faults, cx.syndrome_key, cx.residual,
                 cx.correction, cx.coset_weight) == expected
 
+    def test_lut_shape_mismatch_rejected(self):
+        lut = build_cut_cat_lut(GadgetSpec(gamma=10, distance=5, adaptive=False))
+        other = build_cut_cat(GadgetSpec(gamma=12, distance=5))
+        with pytest.raises(ValueError, match="shape"):
+            verify_gadget(other, LutDecoder(lut), 2)
+        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
+        with pytest.raises(ValueError, match="shape"):
+            verify_gadget(g, LutDecoder(dataclasses.replace(lut, rounds=2)), 2)
 
     def test_adaptive_reports_pinned(self):
         """Counts and the first counterexample of the adaptive branch, as
@@ -209,6 +228,200 @@ class TestRereadTable:
 
         with pytest.raises(ValueError, match="more than 4 re-reads"):
             reread_table(Greedy(), CatSyndrome(7, (0b11,)))
+
+
+def _full_reread_table(decoder, syn):
+    """``reread_table`` with one decoder run per outcome vector."""
+    rows = []
+    for v in range(1 << MAX_REREADS):
+        reads = []
+
+        def measure(indices):
+            out = {}
+            for i in indices:
+                out[i] = (v >> len(reads)) & 1
+                reads.append(i % syn.cat_count)
+            return out
+
+        corr = decoder.decode(syn, measure)
+        rows.append((tuple(reads), corr))
+    return rows
+
+
+def _reached_keys(g, t):
+    """Every syndrome key the adaptive verifier meets at budget t."""
+    effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
+    return sorted({int(k) for s in combo_walk(effects, t) for k in s.key})
+
+
+class TestPrunedRereadTable:
+    """``reread_table`` runs the decoder once per distinct read prefix;
+    the table must equal one built from a run per outcome vector."""
+
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_equals_full_table_on_reached_keys(self, gamma):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        calls = []
+
+        class Counted(RuleDecoderD7):
+            def decode(self, syn, measure=None):
+                calls.append(syn)
+                return super().decode(syn, measure)
+
+        keys = _reached_keys(g, 3)
+        paths = 0
+        for key in keys:
+            syn = CatSyndrome.from_key(g.cat_count, key, g.base_rounds)
+            full = _full_reread_table(RuleDecoderD7(g), syn)
+            assert reread_table(Counted(g), syn) == full, hex(key)
+            # rows that agree on the bits their run read share one run
+            paths += len({(reads, v % (1 << len(reads))) for v, (reads, _) in enumerate(full)})
+        assert len(calls) == paths < len(keys) << MAX_REREADS
+
+
+class TestKeyCache:
+    def test_computes_only_new_keys_and_keeps_order(self):
+        cache, asked = KeyCache(), []
+
+        def square(keys):
+            asked.append(keys.tolist())
+            return keys * keys, np.stack([keys, keys + 1], axis=1)
+
+        sq, pair = cache.get(np.array([3, 7], np.uint64), square)
+        assert sq.tolist() == [9, 49] and pair.tolist() == [[3, 4], [7, 8]]
+        sq, pair = cache.get(np.array([1, 3, 5, 9], np.uint64), square)
+        assert asked == [[3, 7], [1, 5, 9]]
+        assert sq.tolist() == [1, 9, 25, 81]
+        assert pair.tolist() == [[1, 2], [3, 4], [5, 6], [9, 10]]
+        assert cache.keys.tolist() == [1, 3, 5, 7, 9]
+        cache.get(np.array([5, 7], np.uint64), square)
+        assert len(asked) == 2
+
+
+class _BrokenAt:
+    """``RuleDecoderD7`` with a wrong correction for base-round key
+    ``key`` once at least ``changed`` re-reads differ from ``clean`` (the
+    bits a run with no re-measurement fault reads)."""
+
+    needs_round2 = True
+
+    def __init__(self, g, key, bad, clean, changed):
+        self.inner, self.key, self.bad = RuleDecoderD7(g), key, bad
+        self.clean, self.changed = clean, changed
+
+    def decode(self, syn, measure):
+        if syn.key() != self.key:
+            return self.inner.decode(syn, measure)
+        diff = 0
+
+        def spy(indices):
+            nonlocal diff
+            out = measure(indices)
+            diff += sum(out[i] != (self.clean >> i) & 1 for i in indices)
+            return out
+
+        corr = self.inner.decode(syn, spy)
+        return self.bad if diff >= self.changed else corr
+
+
+class TestAdaptiveVerifierMatchesScalarWalk:
+    """The grid check of adaptive decoders against the per-row loop it
+    replaced: each combination, then each set of re-measurement events
+    in size-major lexicographic order, followed through a table built
+    from one decoder run per outcome vector."""
+
+    @staticmethod
+    def _scalar_verify(g, decoder, t):
+        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, True)
+        m = g.cat_count
+        events = [("slot", s, 1 << s) for s in range(m)]
+        events += [("cat", c, (1 << c) | (1 << ((c - 1) % m))) for c in range(m)]
+        tables = {}
+        checked = 0
+        for w in range(1, t + 1):
+            for combo in combinations(range(len(effects)), w):
+                data = key = persist = 0
+                for i in combo:
+                    data ^= effects[i].data_x
+                    key ^= effects[i].slot_flips
+                    persist ^= effects[i].persist_x
+                if key not in tables:
+                    syn = CatSyndrome.from_key(m, key, g.base_rounds)
+                    tables[key] = [(reads, mask_of(set(reads)), corr)
+                                   for reads, corr in _full_reread_table(decoder, syn)]
+                rows = tables[key]
+                base = _persist_outcome_bits(persist, m)
+                for fsize in range(t - w + 1):
+                    for chosen in combinations(events, fsize):
+                        bits = base
+                        for _, _, mask in chosen:
+                            bits ^= mask
+                        v = 0
+                        for i in range(MAX_REREADS):
+                            reads = rows[v][0]
+                            if i == len(reads):
+                                break
+                            v |= ((bits >> reads[i]) & 1) << i
+                        _, read, corr = rows[v]
+                        if not all(mask & read for _, _, mask in chosen):
+                            continue
+                        checked += 1
+                        cw = residual_weight_mod_generator(data ^ corr, g.gamma)
+                        if cw > w + fsize:
+                            flips = tuple(i for kind, i, _ in chosen if kind == "slot")
+                            flips += tuple(("cat", i) for kind, i, _ in chosen if kind == "cat")
+                            return checked, (tuple(ids[i] for i in combo), flips, w + fsize,
+                                             key, data, corr, cw)
+        return checked, None
+
+    @staticmethod
+    def _report(rep):
+        cx = rep.counterexample
+        return rep.faults_checked, cx and (
+            cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
+            cx.residual, cx.correction, cx.coset_weight)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        out = {}
+        for gamma in (14, 20):
+            g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+            out[gamma] = self._scalar_verify(g, RuleDecoderD7(g), 3)
+        return out
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_rule_decoder_passes_with_same_count(self, references, gamma, jobs):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        rep = verify_gadget(g, RuleDecoderD7(g), 3, jobs=jobs)
+        assert self._report(rep) == references[gamma]
+        assert references[gamma] == ({14: 10598, 20: 25765}[gamma], None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("changed, flips", [(0, ()), (1, ("slot",)), (2, ("cat",))],
+                             ids=["no-event", "slot-event", "cat-event"])
+    def test_broken_decoder_found_mid_weight_one_grid(self, changed, flips, jobs):
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        m = g.cat_count
+        effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
+        n = len(effects)
+        # the first weight-1 row past the middle whose key no earlier row
+        # has and for which the decoder re-reads some stabilizer
+        earlier = {e.slot_flips for e in effects[:n // 2]}
+        reads_any = lambda key: reread_table(RuleDecoderD7(g), CatSyndrome(m, (key,)))[0][0]
+        r = next(r for r in range(n // 2, n) if effects[r].slot_flips not in earlier
+                 and reads_any(effects[r].slot_flips))
+        e = effects[r]
+        broken = _BrokenAt(g, e.slot_flips, e.data_x ^ 0b111,
+                           _persist_outcome_bits(e.persist_x, m), changed)
+
+        checked, cx = self._scalar_verify(g, broken, 3)
+        # weight 1, row r, with no event, one slot flip or one cat event
+        fault_ids, got_flips, n_faults, key = cx[:4]
+        assert len(fault_ids) == 1 and key == e.slot_flips and checked > n // 2
+        assert tuple(f[0] if isinstance(f, tuple) else "slot" for f in got_flips) == flips
+        assert n_faults == 1 + len(flips)
+        assert self._report(verify_gadget(g, broken, 3, jobs=jobs)) == (checked, cx)
 
 
 class TestOracle:
