@@ -37,6 +37,7 @@ from .decoders import (
     LutDecoder,
     RuleDecoderD3D5,
     RuleDecoderD7,
+    StaticDecoder,
     arc_sets,
     build_code_lut,
     build_cut_cat_lut,

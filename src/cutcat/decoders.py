@@ -23,6 +23,7 @@ from .circuit import GadgetCircuit, enumerate_fault_locations
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
+    _format_binary_rows,
     _parse_binary_row,
     mask_of,
     parity,
@@ -294,7 +295,8 @@ def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
 class StaticDecoder:
     """A decoder that reads the base-round syndrome only.  The verifier
     decodes the distinct syndrome keys it meets through one
-    ``decode_keys`` call."""
+    ``decode_keys`` call; subclasses define ``decode`` and inherit a
+    ``decode_keys`` that calls it once per key."""
 
     needs_round2 = False
 
@@ -341,13 +343,6 @@ class IdentityDecoder(StaticDecoder):
         return 0
 
 
-def _binary_rows(masks: Sequence[int], n: int) -> list[str]:
-    """``_format_binary_row`` of each mask, through one numpy array."""
-    bits = np.array(masks, np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)
-    chars = (bits & np.uint64(1)).astype(np.uint8) + ord("0")
-    return chars.view(f"S{n}").ravel().astype(str).tolist()
-
-
 class LutBuildError(RuntimeError):
     """No correction vector satisfies the accumulated constraints: the
     requested rounds/gamma combination is not t-FT decodable."""
@@ -377,8 +372,8 @@ class CutCatLUT:
         head = {"format": "cutcat-lut-v1", "gamma": self.gamma, "t": self.t,
                 "rounds": self.rounds, "cat_count": self.cat_count}
         items = sorted(self.table.items())
-        rows = zip(_binary_rows([k for k, _ in items], self.rounds * self.cat_count),
-                   _binary_rows([c for _, c in items], self.gamma))
+        rows = zip(_format_binary_rows([k for k, _ in items], self.rounds * self.cat_count),
+                   _format_binary_rows([c for _, c in items], self.gamma))
         entries = ",\n".join(f'  {{\n   "syndrome": "{s}",\n   "correction": "{c}"\n  }}'
                              for s, c in rows)
         return "{\n" + "".join(f' "{k}": {json.dumps(v)},\n' for k, v in head.items()) + (

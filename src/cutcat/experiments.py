@@ -252,7 +252,7 @@ class GadgetMonteCarlo:
             return np.zeros(0, dtype=np.uint64)
         m = self.g.cat_count
         uniq, inv = np.unique(keys, return_inverse=True)
-        reads, _, corr = self._rereads.get(uniq, lambda new: compile_rereads(
+        reads, corr = self._rereads.get(uniq, lambda new: compile_rereads(
             self.decoder, new, m, self.g.base_rounds))
         full = (1 << m) - 1
         outcomes = np.zeros(len(keys), dtype=np.uint8)

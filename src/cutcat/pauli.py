@@ -8,7 +8,9 @@ bitwise AND.  All types are immutable and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 def popcount(mask: int) -> int:
@@ -119,8 +121,17 @@ def _parse_binary_row(token: str, n: int, where: str) -> int:
     return mask
 
 
-def _format_binary_row(mask: int, n: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
+_WORD = (1 << 64) - 1
+
+
+def _format_binary_rows(masks: Sequence[int], n: int) -> list[str]:
+    """Each mask as ``n`` binary digits, qubit 0 leftmost, through one
+    numpy array of 64-bit words."""
+    words = np.stack([np.fromiter(((m >> lo) & _WORD for m in masks), np.uint64, len(masks))
+                      for lo in range(0, n, 64)], axis=1)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    chars = bits[:, :n] + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def parse_css_code(text: str) -> CssCode:
@@ -199,7 +210,7 @@ def serialize_css_code(code: CssCode) -> str:
                        ("LX", code.lx), ("LZ", code.lz)):
         if name in ("X", "Z") or rows:
             out.append(f"{name} {len(rows)}")
-            out.extend(_format_binary_row(r, code.n) for r in rows)
+            out.extend(_format_binary_rows(rows, code.n))
     return "\n".join(out) + "\n"
 
 

@@ -184,18 +184,16 @@ def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]
 
 
 def compile_rereads(decoder, keys: np.ndarray, cat_count: int,
-                    rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """``reread_table`` of each syndrome key as arrays, indexed by (key,
     outcome vector): the stabilizer re-read at each step (int8, -1 past
-    the last), the mask of the stabilizers re-read, and the correction
-    (both uint64)."""
+    the last) and the correction (uint64)."""
     rows = [row for key in keys.tolist()
             for row in reread_table(decoder, CatSyndrome.from_key(cat_count, key, rounds))]
     shape = (len(keys), 1 << MAX_REREADS)
     reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
-    read_mask = np.array([sum(1 << i for i in set(s)) for s, _ in rows], np.uint64)
     corr = np.array([c for _, c in rows], np.uint64)
-    return reads.reshape(shape + (MAX_REREADS,)), read_mask.reshape(shape), corr.reshape(shape)
+    return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
 
 
 def find_sorted(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +214,11 @@ class KeyCache:
 
     def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
         """The answers for the sorted distinct ``keys``, one row per key.
-        ``compute`` maps the keys not seen before to a tuple of arrays."""
+        ``compute`` maps the keys not seen before to a tuple of arrays;
+        it runs also on none, to give the answers' shape to an empty
+        cache."""
         pos, found = find_sorted(self.keys, keys)
-        if not found.all():
+        if not found.all() or not self.values:
             new = compute(keys[~found])
             at = pos[~found]
             self.values = tuple(np.insert(old, at, v, axis=0)
@@ -293,7 +293,7 @@ def _check_combos(
     full = np.uint64((1 << m) - 1)
     for sl in walk:
         keys, inverse = np.unique(sl.key, return_inverse=True)
-        reads, read_mask, corrections = cache.get(
+        reads, corrections = cache.get(
             keys, lambda new: compile_rereads(decoder, new, m, rounds))
         # re-read s sees the persisting cat X errors on cats s and s+1
         p = sl.persist & full
@@ -301,14 +301,17 @@ def _check_combos(
         bits = base[:, None] ^ flips
         k = inverse[:, None]
         v = np.zeros(bits.shape, np.intp)
+        seen = np.zeros(bits.shape, np.uint64)  # the stabilizers re-read
         for i in range(MAX_REREADS):
             stab = reads[k, v, i]
-            bit = (bits >> np.maximum(stab, 0).astype(np.uint64)) & np.uint64(1)
-            v |= (bit.astype(np.intp) & (stab >= 0)) << i
+            live = stab >= 0
+            s = np.maximum(stab, 0).astype(np.uint64)
+            v |= (((bits >> s) & np.uint64(1)).astype(np.intp) & live) << i
+            seen |= live.astype(np.uint64) << s
         corr = corrections[k, v]
         # an event that touches no re-read stabilizer leaves the trace of
         # a smaller set: only cells whose every event is seen are admitted
-        admitted = np.count_nonzero(masks & read_mask[k, v][..., None], axis=-1) == sizes
+        admitted = np.count_nonzero(masks & seen[..., None], axis=-1) == sizes
         cw = coset_weights(sl.data[:, None] ^ corr, gamma)
         bad = admitted & (cw > budget)
         if bad.any():
@@ -341,6 +344,11 @@ def verify_gadget(
     enumeration order is reported.  With ``dedupe`` the combinations run
     over effect classes, split by the fields the decoder reads:
     ``persist_x`` only for adaptive decoders.
+
+    A static decoder (no true ``needs_round2``) must provide
+    ``decode_keys(keys, cat_count, rounds)``, the corrections for a
+    uint64 array of syndrome keys; ``decoders.StaticDecoder`` derives
+    one from ``decode``.
 
     With ``jobs > 1`` each weight is split into ranges of first index,
     checked in parallel; a failing range stops the walk, and only the

@@ -66,6 +66,16 @@ class TestSteaneParsing:
         again = parse_css_code(serialize_css_code(steane))
         assert again == steane
 
+    def test_rows_wider_than_a_word_and_empty_blocks(self):
+        # 69 single-qubit Z rows over 70 qubits, no X row: rows cross
+        # the 64-bit word boundary and the X block is empty
+        code = CssCode(70, 1, 1, (), tuple(1 << i for i in range(69)))
+        text = serialize_css_code(code)
+        lines = text.splitlines()
+        assert lines[:3] == ["70 1 1", "X 0", "Z 69"]
+        assert lines[3 + 66] == "0" * 66 + "1" + "0" * 3
+        assert parse_css_code(text) == code
+
 
 class TestSyndrome:
     def test_identity_frame_zero_syndrome(self, steane):

@@ -22,6 +22,7 @@ from cutcat.sim import CatSyndrome, adaptive_propagate, location_effects
 from cutcat.verify import (
     MAX_REREADS,
     KeyCache,
+    _check_combos,
     _effect_classes,
     combo_walk,
     eval_upper_bound,
@@ -296,6 +297,37 @@ class TestKeyCache:
         assert cache.keys.tolist() == [1, 3, 5, 7, 9]
         cache.get(np.array([5, 7], np.uint64), square)
         assert len(asked) == 2
+
+    def test_no_keys_on_an_empty_cache_keep_the_answers_shape(self):
+        cache = KeyCache()
+
+        def square(keys):
+            return keys * keys, np.stack([keys, keys + 1], axis=1)
+
+        sq, pair = cache.get(np.zeros(0, np.uint64), square)
+        assert sq.shape == (0,) and pair.shape == (0, 2)
+        sq, pair = cache.get(np.array([2], np.uint64), square)
+        assert sq.tolist() == [4] and pair.tolist() == [[2, 3]]
+
+
+class TestEmptyDeepestSlice:
+    """A range of first indices may hold no combination at the deepest
+    weight (index n-1 at weight 2): a worker that starts with such a
+    range meets an empty slice with an empty cache."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["lut", "d7"])
+    def test_last_first_index_checks_nothing(self, adaptive):
+        if adaptive:
+            g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+            decoder, t = RuleDecoderD7(g), 3
+        else:
+            spec = GadgetSpec(gamma=10, distance=5, adaptive=False)
+            g = build_cut_cat(spec)
+            decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
+        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, adaptive)
+        n = len(effects)
+        assert _check_combos(g, decoder, t, effects, ids, KeyCache(), 2,
+                             range(n - 1, n)) == (0, None)
 
 
 class _BrokenAt:
