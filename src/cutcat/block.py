@@ -17,9 +17,8 @@ import numpy as np
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
-from .sim import CatSyndrome
+from .sim import CatSyndrome, FaultTable
 from .experiments import (
-    FaultTable,
     SweepResult,
     TrialStats,
     _fit_sweep,

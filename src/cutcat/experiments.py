@@ -22,8 +22,9 @@ import numpy as np
 
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
-from .sim import CatSyndrome, gate_operations, noisy_operations, op_code_effects
-from .verify import MAX_REREADS, KeyCache, compile_rereads, eval_upper_bound
+from .sim import FaultTable
+from .verify import (MAX_REREADS, KeyCache, compile_rereads, eval_upper_bound,
+                     follow_rereads)
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -104,98 +105,6 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
     return fit_slope(usable)
 
 
-# what bounds the bit width of each FaultTable column
-_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
-
-
-class FaultTable:
-    """Per-operation depolarizing effects, sampled over a batch.
-
-    ``n_codes[i]`` is the number of non-identity Paulis of noisy op i
-    (15 for a CNOT, 3 for a one-qubit channel); each column holds one
-    uint64 effect mask per (op, code).  Effects are XOR-linear, so a
-    trial's combined effect is the XOR of its faults' rows.
-    """
-
-    def __init__(self, n_codes: Sequence[int],
-                 columns: dict[str, Sequence[Sequence[int]]]):
-        self.n_codes = list(n_codes)
-        width = max(self.n_codes, default=0)
-        self.columns = []
-        for name, rows in columns.items():
-            bits = max((v.bit_length() for row in rows for v in row), default=0)
-            if bits > 64:
-                raise ValueError(
-                    f"{_COLUMN_WIDTH.get(name, name)}={bits} exceeds the "
-                    "64-bit limit of packed masks"
-                )
-            col = np.zeros((len(self.n_codes), width), dtype=np.uint64)
-            for i, row in enumerate(rows):
-                col[i, :len(row)] = row
-            self.columns.append(col)
-
-    @classmethod
-    def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str],
-                    data_map: Callable[[int], int] | None = None) -> "FaultTable":
-        """Columns of the named ``Effect`` fields over the gadget's noisy
-        ops; ``data_map`` rewrites ``data_x`` masks (e.g. to global qubits)."""
-        ops = noisy_operations(g)
-        effects = [op_code_effects(g, op) for op in ops]
-        columns = {
-            name: [[getattr(e, name) for e in row] for row in effects]
-            for name in fields
-        }
-        if data_map is not None:
-            columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
-        return cls([op.n_codes for op in ops], columns)
-
-    @classmethod
-    def for_reread(cls, g: GadgetCircuit) -> "FaultTable":
-        """The three noisy ops of one adaptive re-measurement, its two
-        CNOTs (neighbor cat first) and the measurement, walked for
-        stabilizer 0.  Columns: ``anc``, the outcome flip, and ``cats``,
-        the cat X mask relative to the re-read stabilizer s (bit 0 is
-        cat s, bit 1 cat s+1)."""
-        slot = g.adaptive_slot(0)
-        gates = g.ring_measurement_gates(0, slot)
-        ops = gate_operations(gates)
-        effects = [op_code_effects(g, op, gates) for op in ops]
-        return cls([op.n_codes for op in ops],
-                   {"anc": [[e.slot_flips >> slot for e in row] for row in effects],
-                    "cats": [[e.persist_x for e in row] for row in effects]})
-
-    def sample(self, rng: np.random.Generator, size: int,
-               p: float) -> list[np.ndarray]:
-        """One XOR accumulator per column for ``size`` trials.
-
-        Each op faults independently with probability p, then draws its
-        code uniformly.  The draw order is part of the manifest format:
-        per op, geometric gaps between its hit trials (in chunks until
-        they pass the last trial), then one code per hit; nothing at all
-        when p or size is 0.
-        """
-        accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
-        if p == 0.0 or size == 0:
-            return accs
-        # chunks of gaps, the mean hit count plus 5 sigma each, until they
-        # pass the last trial; clipping keeps the sum of the huge gaps of a
-        # tiny p from overflowing
-        mean = size * p
-        chunk = min(size, int(mean + 5.0 * math.sqrt(mean) + 10.0))
-        for i, n in enumerate(self.n_codes):
-            gaps = np.minimum(rng.geometric(p, chunk), size + 1)
-            while gaps.sum() < size:
-                gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, chunk), size + 1)])
-            hit = gaps.cumsum() - 1
-            hit = hit[:np.searchsorted(hit, size)]
-            if hit.size == 0:
-                continue
-            codes = rng.integers(0, n, size=hit.size)
-            for acc, col in zip(accs, self.columns):
-                acc[hit] ^= col[i, codes]
-        return accs
-
-
 def table_apply(lookup: Callable[[int], int | None],
                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized lookup: calls ``lookup`` once per distinct key and
@@ -215,12 +124,11 @@ def table_apply(lookup: Callable[[int], int | None],
 class GadgetMonteCarlo:
     """Vectorized circuit-level noise sampler for one gadget + decoder.
 
-    A batch XOR-accumulates sampled fault effects from a ``FaultTable``
-    and only trials with a visible residual or ring syndrome reach
-    decoding, through one decode per distinct syndrome.  An adaptive
-    decoder is compiled per distinct syndrome by ``compile_rereads``;
-    its re-measurements are then followed for all candidate trials at
-    once, one step per re-read, with noise from a second table.
+    A batch XOR-accumulates sampled fault effects from a ``FaultTable``;
+    only trials with a visible residual or ring syndrome reach decoding,
+    through one ``KeyCache`` answer per distinct key: a correction from
+    ``decode_keys``, or an adaptive decoder's ``compile_rereads`` table,
+    followed by ``follow_rereads`` with noise from a second table.
     """
 
     def __init__(self, g: GadgetCircuit, decoder):
@@ -230,47 +138,7 @@ class GadgetMonteCarlo:
         fields = ("data_x", "slot_flips") + (("persist_x",) if self.adaptive else ())
         self.faults = FaultTable.from_gadget(g, fields)
         self.reread = FaultTable.for_reread(g) if self.adaptive else None
-        self._decode_cache: dict[int, int] = {}
-        self._rereads = KeyCache()
-
-    def _decode_static(self, slots_key: int) -> int:
-        corr = self._decode_cache.get(slots_key)
-        if corr is None:
-            g = self.g
-            corr = self.decoder.decode(
-                CatSyndrome.from_key(g.cat_count, slots_key, g.base_rounds))
-            self._decode_cache[slots_key] = corr
-        return corr
-
-    def _adaptive_corrections(self, rng: np.random.Generator, p: float,
-                              keys: np.ndarray, frame: np.ndarray) -> np.ndarray:
-        """Corrections for trials with base-round syndromes ``keys`` and
-        persisting cat X errors ``frame`` (updated in place), re-measuring
-        as the decoder asks.  Each step draws one ``reread`` sample over
-        all trials."""
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        m = self.g.cat_count
-        uniq, inv = np.unique(keys, return_inverse=True)
-        reads, corr = self._rereads.get(uniq, lambda new: compile_rereads(
-            self.decoder, new, m, self.g.base_rounds))
-        full = (1 << m) - 1
-        outcomes = np.zeros(len(keys), dtype=np.uint8)
-        for i in range(MAX_REREADS):
-            anc, cats = self.reread.sample(rng, len(keys), p)
-            stab = reads[inv, outcomes, i]
-            live = stab >= 0
-            s = np.maximum(stab, 0).astype(np.uint8)
-            bit = frame >> s
-            bit ^= frame >> ((s + 1) % m)
-            bit ^= anc
-            bit &= 1
-            outcomes |= (bit.astype(np.uint8) & live) << i
-            # rotate the relative mask onto cats s and s+1 (mod m)
-            cats <<= s
-            frame ^= cats & full
-            frame ^= cats >> m
-        return corr[inv, outcomes]
+        self._answers = KeyCache()
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int,
                   t: int) -> int:
@@ -281,14 +149,18 @@ class GadgetMonteCarlo:
         # decoding; the rest are freed
         candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
         accs = [acc[candidates] for acc in accs]
-        data, keys = accs[0], accs[1]
+        data, keys, g = accs[0], accs[1], self.g
+        uniq, inv = np.unique(keys, return_inverse=True)
         if self.adaptive:
-            corr = self._adaptive_corrections(rng, p, keys, accs[2])
+            reads, corrections = self._answers.get(uniq, lambda new: compile_rereads(
+                self.decoder, new, g.cat_count, g.base_rounds))
+            noise = (self.reread.sample(rng, len(keys), p) for _ in range(MAX_REREADS))
+            corr, _ = follow_rereads(reads, corrections, inv, accs[2], noise, g.cat_count)
         else:
-            corr, _ = table_apply(self._decode_static, keys)
-        gamma = self.g.gamma
+            corr = self._answers.get(uniq, lambda new: (self.decoder.decode_keys(
+                new, g.cat_count, g.base_rounds),))[0][inv]
         w = np.bitwise_count(data ^ corr)
-        return int(np.count_nonzero(np.minimum(w, gamma - w) > t))
+        return int(np.count_nonzero(np.minimum(w, g.gamma - w) > t))
 
 
 def run_batches_until(
@@ -338,7 +210,6 @@ def run_gadget_mc(
     trial_cap: int = 10**8,
     batch_size: int = 1_000_000,
     jobs: int = 1,
-    gadget: GadgetCircuit | None = None,
     engine: GadgetMonteCarlo | None = None,
 ) -> TrialStats:
     """Sample gadget runs until ``min_failures`` failures or the cap.
@@ -351,8 +222,7 @@ def run_gadget_mc(
     if not 0.0 <= p_ft <= 1.0:
         raise ValueError(f"p={p_ft!r} is not a probability")
     if engine is None:
-        g = gadget if gadget is not None else build_cut_cat(spec)
-        engine = GadgetMonteCarlo(g, decoder)
+        engine = GadgetMonteCarlo(build_cut_cat(spec), decoder)
     trials, failures = run_batches_until(
         partial(engine.run_batch, p_ft, seed, t=spec.t), min_failures, trial_cap,
         batch_size, jobs,
@@ -373,8 +243,7 @@ def sweep_gadget_mc(
     batch_size: int = 1_000_000,
     jobs: int = 1,
 ) -> SweepResult:
-    g = build_cut_cat(spec)
-    engine = GadgetMonteCarlo(g, decoder)
+    engine = GadgetMonteCarlo(build_cut_cat(spec), decoder)
     points = []
     bounds = []
     for p in sorted(p_list):

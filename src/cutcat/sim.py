@@ -8,8 +8,13 @@ run.  Ring outcomes are therefore 0 in a fault-free pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import xor
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .circuit import (
     ANC_PREP,
@@ -324,22 +329,109 @@ def op_code_effects(g: GadgetCircuit, op: NoisyOp,
     """Effect per depolarizing code of ``op``, a noisy op of ``gates``
     (by default the gadget's).
 
-    Each X/Z component is walked once; a code is the XOR of its
-    components, which is exact in the frame picture.
+    Each qubit is walked once with a Y, from the op on (the frame is
+    empty before it): the X and Z frames never mix, so the walk gives
+    both parts.  A code is the XOR of the effects of its Paulis, which
+    is exact in the frame picture.
     """
     if op.final:
         parts = [(Effect(gen_flip=1), Effect())]
     else:
         gates = g.gates if gates is None else gates
-        parts = [tuple(_Walker(g).run(gates, {op.after: [(q, p)]}).effect()
-                       for p in "XZ") for q in op.qubits]
-    out = []
-    for code in op.codes:
-        eff = Effect()
-        for (x, z), pauli in zip(parts, code):
-            if pauli in ("X", "Y"):
-                eff ^= x
-            if pauli in ("Z", "Y"):
-                eff ^= z
-        out.append(eff)
-    return out
+        ys = [_Walker(g).run(gates[op.after + 1:], {-1: [(q, "Y")]}).effect()
+              for q in op.qubits]
+        parts = [(replace(y, gen_flip=0), Effect(gen_flip=y.gen_flip)) for y in ys]
+    by_pauli = [{"I": Effect(), "X": x, "Y": x ^ z, "Z": z} for x, z in parts]
+    return [reduce(xor, (e[p] for e, p in zip(by_pauli, code))) for code in op.codes]
+
+
+# what bounds the bit width of each FaultTable column
+_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
+
+
+class FaultTable:
+    """Per-operation depolarizing effects, sampled over a batch.
+
+    ``n_codes[i]`` is the number of non-identity Paulis of noisy op i
+    (15 for a CNOT, 3 for a one-qubit channel); each column holds one
+    uint64 effect mask per (op, code).  Effects are XOR-linear, so a
+    trial's combined effect is the XOR of its faults' rows.
+    """
+
+    def __init__(self, n_codes: Sequence[int],
+                 columns: dict[str, Sequence[Sequence[int]]]):
+        self.n_codes = list(n_codes)
+        width = max(self.n_codes, default=0)
+        self.columns = []
+        for name, rows in columns.items():
+            bits = max((v.bit_length() for row in rows for v in row), default=0)
+            if bits > 64:
+                raise ValueError(
+                    f"{_COLUMN_WIDTH.get(name, name)}={bits} exceeds the "
+                    "64-bit limit of packed masks"
+                )
+            col = np.zeros((len(self.n_codes), width), dtype=np.uint64)
+            for i, row in enumerate(rows):
+                col[i, :len(row)] = row
+            self.columns.append(col)
+
+    @classmethod
+    def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str],
+                    data_map: Callable[[int], int] | None = None) -> "FaultTable":
+        """Columns of the named ``Effect`` fields over the gadget's noisy
+        ops; ``data_map`` rewrites ``data_x`` masks (e.g. to global qubits)."""
+        ops = noisy_operations(g)
+        effects = [op_code_effects(g, op) for op in ops]
+        columns = {
+            name: [[getattr(e, name) for e in row] for row in effects]
+            for name in fields
+        }
+        if data_map is not None:
+            columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
+        return cls([op.n_codes for op in ops], columns)
+
+    @classmethod
+    def for_reread(cls, g: GadgetCircuit) -> "FaultTable":
+        """The three noisy ops of one adaptive re-measurement, its two
+        CNOTs (neighbor cat first) and the measurement, walked for
+        stabilizer 0.  Columns: ``anc``, the outcome flip, and ``cats``,
+        the cat X mask relative to the re-read stabilizer s (bit 0 is
+        cat s, bit 1 cat s+1)."""
+        slot = g.adaptive_slot(0)
+        gates = g.ring_measurement_gates(0, slot)
+        ops = gate_operations(gates)
+        effects = [op_code_effects(g, op, gates) for op in ops]
+        return cls([op.n_codes for op in ops],
+                   {"anc": [[e.slot_flips >> slot for e in row] for row in effects],
+                    "cats": [[e.persist_x for e in row] for row in effects]})
+
+    def sample(self, rng: np.random.Generator, size: int,
+               p: float) -> list[np.ndarray]:
+        """One XOR accumulator per column for ``size`` trials.
+
+        Each op faults independently with probability p, then draws its
+        code uniformly.  The draw order is part of the manifest format:
+        per op, geometric gaps between its hit trials (in chunks until
+        they pass the last trial), then one code per hit; nothing at all
+        when p or size is 0.
+        """
+        accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
+        if p == 0.0 or size == 0:
+            return accs
+        # chunks of gaps, the mean hit count plus 5 sigma each, until they
+        # pass the last trial; clipping keeps the sum of the huge gaps of a
+        # tiny p from overflowing
+        mean = size * p
+        chunk = min(size, int(mean + 5.0 * math.sqrt(mean) + 10.0))
+        for i, n in enumerate(self.n_codes):
+            gaps = np.minimum(rng.geometric(p, chunk), size + 1)
+            while gaps.sum() < size:
+                gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, chunk), size + 1)])
+            hit = gaps.cumsum() - 1
+            hit = hit[:np.searchsorted(hit, size)]
+            if hit.size == 0:
+                continue
+            codes = rng.integers(0, n, size=hit.size)
+            for acc, col in zip(accs, self.columns):
+                acc[hit] ^= col[i, codes]
+        return accs

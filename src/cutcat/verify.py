@@ -4,7 +4,8 @@ The verifier is the arbiter for every decoder in this package: it
 enumerates all X-fault combinations up to the budget, propagates them,
 decodes, and demands that the corrected residual stays within the fault
 count under the coset metric.  Adaptive decoders additionally face every
-possible pattern of re-measurement faults within the remaining budget.
+set of the re-measurement faults that MC samples within the remaining
+budget.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuit import FaultLocation, GadgetCircuit, enumerate_fault_locations
-from .sim import CatSyndrome, Effect, location_effects
+from .sim import CatSyndrome, Effect, FaultTable, location_effects
 
 
 def _effect_classes(
@@ -120,7 +121,7 @@ def combo_walk(
 @dataclass(frozen=True)
 class Counterexample:
     fault_ids: tuple[int, ...]
-    round2_flips: tuple[int, ...]
+    round2_flips: tuple[tuple[int, int, int], ...]
     n_faults: int
     syndrome_key: int
     residual: int
@@ -228,25 +229,91 @@ class KeyCache:
         return tuple(v[pos] for v in self.values)
 
 
-def _event_sets(m: int, max_size: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Sets of up to ``max_size`` re-measurement events, in size-major
-    then lexicographic order: the stabilizers each set flips, the mask
-    of each of its events (0 past the set's size), and the sets.
+def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The first (op, code) of each distinct row of ``table``."""
+    first: dict[tuple[int, ...], tuple[int, int]] = {}
+    for op, n in enumerate(table.n_codes):
+        for code in range(n):
+            first.setdefault(tuple(int(c[op, code]) for c in table.columns), (op, code))
+    return first
 
-    Re-measurement faults cost one each and come in two flavors: a
-    transient flip of a single re-measured slot (events 0..m-1), and an
-    X landing on a cat qubit before the re-reads, which flips every
-    re-measured slot touching that cat (events m..2m-1).  Together these
-    cover all timings of adaptive-round faults, including base-round
-    control faults whose only consequence is to persist into the
-    re-measurements.  Each event is the mask of stabilizers it flips.
-    """
-    events = [1 << s for s in range(m)] + [(1 << c) | (1 << ((c - 1) % m)) for c in range(m)]
-    sets = [c for f in range(max_size + 1) for c in combinations(range(2 * m), f)]
-    masks = np.zeros((len(sets), max_size), np.uint64)
-    for j, chosen in enumerate(sets):
-        masks[j, :len(chosen)] = [events[e] for e in chosen]
-    return np.bitwise_xor.reduce(masks, axis=1), masks, sets
+
+def reread_events(g: GadgetCircuit) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The re-measurement faults MC samples, named (step, op, code) by
+    their first table row: at each re-read step, each distinct nonzero
+    row of ``FaultTable.for_reread``; then, at step -1, each distinct
+    row of the gadget's table that only leaves X on cats (after their
+    last base-round read, where no verifier location lies).  Each is a
+    row of masks: the cat X before the re-reads, then per step the
+    outcome flip and the cat X relative to the stabilizer read."""
+    k, names, rows = MAX_REREADS, [], []
+    reread = _first_rows(FaultTable.for_reread(g)).items()
+    for step, ((anc, cats), (op, code)) in product(range(k), reread):
+        if anc or cats:
+            names.append((step, op, code))
+            rows.append([0] * (1 + 2 * step) + [anc, cats] + [0] * (2 * (k - 1 - step)))
+    table = FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))
+    for (data, slots, persist), (op, code) in _first_rows(table).items():
+        if data == slots == 0 and persist:
+            names.append((-1, op, code))
+            rows.append([persist] + [0] * (2 * k))
+    return names, rows
+
+
+@dataclass(frozen=True)
+class EventSets:
+    """The sets of up to ``max_size`` of the events ``names`` with rows
+    ``rows`` (of ``reread_events``), size-major, then lexicographic,
+    without any set whose XOR of rows an earlier one has: it gives the
+    same run with a looser budget.  Per set: its names, its size, the
+    re-reads a run must reach to meet all its events (one for a step -1
+    event) and its XOR of rows."""
+
+    names: tuple[tuple[tuple[int, int, int], ...], ...]
+    size: np.ndarray
+    need: np.ndarray
+    masks: np.ndarray
+
+    @classmethod
+    def build(cls, names: Sequence[tuple[int, int, int]], rows: Sequence[Sequence[int]],
+              max_size: int) -> "EventSets":
+        rows = np.array(rows, np.uint64).reshape(len(rows), 1 + 2 * MAX_REREADS)
+        first: dict[bytes, tuple[tuple[int, ...], np.ndarray]] = {}
+        for size in range(max_size + 1):
+            combos = np.array(list(combinations(range(len(rows)), size)), np.intp)
+            combos = combos.reshape(math.comb(len(rows), size), size)
+            for c, xor in zip(combos.tolist(), np.bitwise_xor.reduce(rows[combos], axis=1)):
+                first.setdefault(xor.tobytes(), (c, xor))
+        sets, masks = zip(*first.values())
+        return cls(tuple(tuple(names[e] for e in c) for c in sets),
+                   np.array([len(c) for c in sets]),
+                   np.array([max((max(names[e][0], 0) + 1 for e in c), default=0)
+                             for c in sets]), np.array(masks))
+
+
+def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
+                   frame: np.ndarray, noise, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Follow the tables of ``compile_rereads``: each run's correction
+    and number of re-reads.  Run j reads table ``inv[j]`` under the X
+    errors ``frame[j]`` on the m cats (updated in place, so of the full
+    shape): re-reading stabilizer s gives the parity of cats s and s+1
+    (mod m).  ``noise`` yields one (anc, cats) pair of
+    ``FaultTable.for_reread`` columns per step: ``anc`` flips the step's
+    outcome, and ``cats``, relative to s (bit 0 is cat s, bit 1 cat
+    s+1), lands on the frame after the read.  Arrays broadcast."""
+    full = (1 << m) - 1
+    v = np.zeros(np.broadcast_shapes(inv.shape, frame.shape), np.uint8)
+    steps = np.zeros(v.shape, np.uint8)
+    for i, (anc, cats) in zip(range(MAX_REREADS), noise):
+        stab = reads[inv, v, i]
+        live = stab >= 0
+        s = np.maximum(stab, 0).astype(np.uint8)
+        bit = (frame >> s) ^ (frame >> ((s + 1) % m)) ^ anc
+        v |= ((bit & 1).astype(np.uint8) & live) << i
+        steps += live
+        cats = cats << s
+        frame ^= (cats & full) ^ (cats >> m)
+    return corrections[inv, v], steps
 
 
 def _check_combos(
@@ -255,73 +322,44 @@ def _check_combos(
     t: int,
     effects: Sequence[Effect],
     rep_ids: Sequence[int],
+    events: EventSets,
     cache: KeyCache,
     weight: int,
     first_range: range,
 ) -> tuple[int, Counterexample | None]:
     """Verify all combos of ``weight`` locations whose first index lies
-    in ``first_range``.  ``cache`` holds the decoder's answer per
-    syndrome key (a correction, or an adaptive decoder's compiled
-    table); a serial walk shares it across weights."""
+    in ``first_range`` against each set of ``events`` within the budget
+    t - weight (a static decoder meets the empty set only): a (row, set)
+    grid per slice.  A cell counts only if its run reaches the step of
+    each of its events.  ``cache`` holds the decoder's answer per key (a
+    correction, or an adaptive decoder's compiled table); a serial walk
+    shares it across weights."""
     m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
-    checked = 0
     adaptive = getattr(decoder, "needs_round2", False)
-    walk = combo_walk(effects, weight, first_range, weight, with_persist=adaptive)
-
-    if not adaptive:
-        # static decoders read only the syndrome key: per slice, one
-        # ``decode_keys`` call for the distinct keys not decoded before
-        for sl in walk:
-            keys, inverse = np.unique(sl.key, return_inverse=True)
-            corr = cache.get(keys, lambda new: (decoder.decode_keys(new, m, rounds),))[0][inverse]
-            cw = coset_weights(sl.data ^ corr, gamma)
-            bad = np.flatnonzero(cw > weight)
-            if len(bad):
-                r = int(bad[0])
-                return checked + r + 1, Counterexample(
-                    tuple(rep_ids[i] for i in sl.combo(r)), (), weight,
-                    int(sl.key[r]), int(sl.data[r]), int(corr[r]), int(cw[r]))
-            checked += len(sl.data)
-        return checked, None
-
-    # Each row of a slice meets every set of re-measurement events within
-    # the remaining budget: a (row, event set) grid, followed through the
-    # decoder's compiled tables one re-read step at a time for all cells.
-    flips, masks, sets = _event_sets(m, t - weight)
-    sizes = np.array([len(s) for s in sets])
-    budget = weight + sizes
-    full = np.uint64((1 << m) - 1)
-    for sl in walk:
+    k = int(np.searchsorted(events.size, t - weight, "right"))
+    checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
+    for sl in combo_walk(effects, weight, first_range, weight, with_persist=adaptive):
         keys, inverse = np.unique(sl.key, return_inverse=True)
-        reads, corrections = cache.get(
-            keys, lambda new: compile_rereads(decoder, new, m, rounds))
-        # re-read s sees the persisting cat X errors on cats s and s+1
-        p = sl.persist & full
-        base = p ^ (p >> np.uint64(1)) ^ ((p & np.uint64(1)) << np.uint64(m - 1))
-        bits = base[:, None] ^ flips
-        k = inverse[:, None]
-        v = np.zeros(bits.shape, np.intp)
-        seen = np.zeros(bits.shape, np.uint64)  # the stabilizers re-read
-        for i in range(MAX_REREADS):
-            stab = reads[k, v, i]
-            live = stab >= 0
-            s = np.maximum(stab, 0).astype(np.uint64)
-            v |= (((bits >> s) & np.uint64(1)).astype(np.intp) & live) << i
-            seen |= live.astype(np.uint64) << s
-        corr = corrections[k, v]
-        # an event that touches no re-read stabilizer leaves the trace of
-        # a smaller set: only cells whose every event is seen are admitted
-        admitted = np.count_nonzero(masks & seen[..., None], axis=-1) == sizes
+        if adaptive:
+            reads, corrections = cache.get(
+                keys, lambda new: compile_rereads(decoder, new, m, rounds))
+            corr, steps = follow_rereads(
+                reads, corrections, inverse[:, None], sl.persist[:, None] ^ masks[:, 0],
+                zip(masks[:, 1::2].T, masks[:, 2::2].T), m)
+            admitted = steps >= events.need[:k]
+        else:
+            # one ``decode_keys`` call for the distinct keys not decoded before
+            corr = cache.get(keys, lambda new: (decoder.decode_keys(new, m, rounds),))
+            corr = corr[0][inverse, None]
+            admitted = np.ones(corr.shape, bool)
         cw = coset_weights(sl.data[:, None] ^ corr, gamma)
         bad = admitted & (cw > budget)
         if bad.any():
             # the first failing cell in row-major order
             cell = int(np.argmax(bad))
-            r, j = divmod(cell, len(sets))
-            slots = tuple(e for e in sets[j] if e < m)
-            cats = tuple(("cat", e - m) for e in sets[j] if e >= m)
+            r, j = divmod(cell, k)
             return checked + int(np.count_nonzero(admitted.ravel()[:cell])) + 1, Counterexample(
-                tuple(rep_ids[i] for i in sl.combo(r)), slots + cats, int(budget[j]),
+                tuple(rep_ids[i] for i in sl.combo(r)), events.names[j], int(budget[j]),
                 int(sl.key[r]), int(sl.data[r]), int(corr[r, j]), int(cw[r, j]))
         checked += int(np.count_nonzero(admitted))
     return checked, None
@@ -338,12 +376,13 @@ def verify_gadget(
     """Exhaustively certify that ``decoder`` keeps the gadget t-FT.
 
     Every combination of 1..t X faults over the relevant locations is
-    propagated and decoded; for adaptive decoders every admissible
-    pattern of re-measurement flips is layered on top, with the flip
-    count charged to the fault budget.  The first counterexample in
-    enumeration order is reported.  With ``dedupe`` the combinations run
-    over effect classes, split by the fields the decoder reads:
-    ``persist_x`` only for adaptive decoders.
+    propagated and decoded.  An adaptive decoder also meets every set of
+    the re-measurement faults MC samples (``reread_events``, built once
+    per call) within the remaining budget, each costing one, re-read by
+    ``follow_rereads`` as in MC.  The first counterexample in order is
+    reported, its events named (step, op, code).  With ``dedupe`` the
+    combinations run over effect classes, split by the fields the
+    decoder reads: ``persist_x`` only for adaptive decoders.
 
     A static decoder (no true ``needs_round2``) must provide
     ``decode_keys(keys, cat_count, rounds)``, the corrections for a
@@ -358,6 +397,7 @@ def verify_gadget(
         locations = enumerate_fault_locations(g)
     adaptive = bool(getattr(decoder, "needs_round2", False))
     effects, rep_ids = _effect_classes(g, locations, dedupe, adaptive)
+    events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), max(t - 1, 0))
     n = len(effects)
     chunk = max(1, math.ceil(n / max(jobs, 1)))
     ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
@@ -370,7 +410,7 @@ def verify_gadget(
         run = map if pool is None else pool.map
         for w in range(1, t + 1):
             check = partial(_check_combos, g, decoder, t, effects, rep_ids,
-                            cache, w)
+                            events, cache, w)
             for part_checked, cx in run(check, ranges):
                 checked += part_checked
                 if cx is not None:

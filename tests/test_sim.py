@@ -14,11 +14,11 @@ from cutcat.circuit import (
     PRE_MEASUREMENT,
     enumerate_fault_locations,
 )
-from cutcat.experiments import FaultTable
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
     PAULI_PAIRS,
     PAULI_SINGLES,
+    FaultTable,
     adaptive_propagate,
     location_effects,
     noisy_operations,

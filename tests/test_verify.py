@@ -17,15 +17,25 @@ from cutcat.decoders import (
     decode_d7,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.pauli import mask_of, residual_weight_mod_generator
-from cutcat.sim import CatSyndrome, adaptive_propagate, location_effects
+from cutcat.pauli import residual_weight_mod_generator
+from cutcat.sim import (
+    CatSyndrome,
+    FaultTable,
+    _Walker,
+    adaptive_propagate,
+    gate_operations,
+    location_effects,
+    noisy_operations,
+)
 from cutcat.verify import (
     MAX_REREADS,
+    EventSets,
     KeyCache,
     _check_combos,
     _effect_classes,
     combo_walk,
     eval_upper_bound,
+    reread_events,
     reread_table,
     verify_gadget,
 )
@@ -164,17 +174,20 @@ class TestVerifyGadget:
 
     def test_adaptive_reports_pinned(self):
         """Counts and the first counterexample of the adaptive branch, as
-        recorded when every event set was decoded afresh."""
+        the scalar reference of ``TestAdaptiveVerifierMatchesScalarWalk``
+        gives them (t=4 too slow for the suite there): at t=4 an X on the
+        ancilla of the first re-read, which reads stabilizer 1."""
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         dec = RuleDecoderD7(g)
         rep = verify_gadget(g, dec, 3)
-        assert rep.passed and rep.faults_checked == 10598
+        assert rep.passed and rep.faults_checked == 19817
         rep = verify_gadget(g, dec, 4)
         cx = rep.counterexample
-        assert rep.faults_checked == 14002
+        assert rep.faults_checked == 112121
         assert (cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
                 cx.residual, cx.correction, cx.coset_weight) == \
-            ((0, 1, 2), (1,), 4, 0x44, 0x3F, 0x0, 6)
+            ((0, 1, 2), ((0, 0, 0),), 4, 0x44, 0x3F, 0x0, 6)
+        assert "round2_flips=((0, 0, 0),)" in cx.describe()
 
     @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize("gamma,distance,decoder,t", [
@@ -325,91 +338,148 @@ class TestEmptyDeepestSlice:
             g = build_cut_cat(spec)
             decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
         effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, adaptive)
+        events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
         n = len(effects)
-        assert _check_combos(g, decoder, t, effects, ids, KeyCache(), 2,
+        assert _check_combos(g, decoder, t, effects, ids, events, KeyCache(), 2,
                              range(n - 1, n)) == (0, None)
 
 
 class _BrokenAt:
     """``RuleDecoderD7`` with a wrong correction for base-round key
-    ``key`` once at least ``changed`` re-reads differ from ``clean`` (the
-    bits a run with no re-measurement fault reads)."""
+    ``key`` when its re-reads differ from the clean per-stabilizer bits
+    ``clean`` as ``mode`` says: "always"; "any" re-read; "later", the
+    first re-read as clean and a later one not.  Other keys go to
+    ``inner`` (by default ``RuleDecoderD7``)."""
 
     needs_round2 = True
 
-    def __init__(self, g, key, bad, clean, changed):
-        self.inner, self.key, self.bad = RuleDecoderD7(g), key, bad
-        self.clean, self.changed = clean, changed
+    def __init__(self, g, key, bad, clean, mode, inner=None):
+        self.inner, self.key, self.bad = inner or RuleDecoderD7(g), key, bad
+        self.clean, self.mode = clean, mode
 
     def decode(self, syn, measure):
         if syn.key() != self.key:
             return self.inner.decode(syn, measure)
-        diff = 0
+        diff = []
 
         def spy(indices):
-            nonlocal diff
             out = measure(indices)
-            diff += sum(out[i] != (self.clean >> i) & 1 for i in indices)
+            diff.extend(out[i] != (self.clean >> i) & 1 for i in indices)
             return out
 
         corr = self.inner.decode(syn, spy)
-        return self.bad if diff >= self.changed else corr
+        broken = {"always": True, "any": any(diff),
+                  "later": bool(diff) and not diff[0] and any(diff[1:])}[self.mode]
+        return self.bad if broken else corr
+
+
+def _grid_verify(g, decoder, t, keep):
+    """``verify_gadget``'s serial walk with only the re-measurement
+    events whose names pass ``keep``."""
+    effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, True)
+    names, rows = reread_events(g)
+    sel = [i for i, name in enumerate(names) if keep(name)]
+    events = EventSets.build([names[i] for i in sel], [rows[i] for i in sel], t - 1)
+    cache, checked = KeyCache(), 0
+    for w in range(1, t + 1):
+        part, cx = _check_combos(g, decoder, t, effects, ids, events, cache, w,
+                                 range(len(effects)))
+        checked += part
+        if cx is not None:
+            return checked, cx
+    return checked, None
 
 
 class TestAdaptiveVerifierMatchesScalarWalk:
-    """The grid check of adaptive decoders against the per-row loop it
-    replaced: each combination, then each set of re-measurement events
-    in size-major lexicographic order, followed through a table built
-    from one decoder run per outcome vector."""
+    """The grid check of adaptive decoders against a scalar reference:
+    each combination, then each set of re-measurement events in
+    size-major lexicographic order, decoded afresh with a live
+    ``measure`` that walks each re-read's gates with the set's faults
+    injected as Paulis.  No compiled table and no ``follow_rereads``."""
 
     @staticmethod
-    def _scalar_verify(g, decoder, t):
+    def _scalar_verify(g, decoder, t, keep=lambda name: True):
         effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, True)
-        m = g.cat_count
-        events = [("slot", s, 1 << s) for s in range(m)]
-        events += [("cat", c, (1 << c) | (1 << ((c - 1) % m))) for c in range(m)]
-        tables = {}
+        m, k = g.cat_count, MAX_REREADS
+        events = [name for name in reread_events(g)[0] if keep(name)]
+        base_ops = noisy_operations(g)
+        reread = FaultTable.for_reread(g)
+        (persist,) = FaultTable.from_gadget(g, ("persist_x",)).columns
+
+        def masks(step, op, code):
+            # the table row of an event, placed at its step
+            row = [0] * (1 + 2 * k)
+            if step < 0:
+                row[0] = int(persist[op, code])
+            else:
+                row[1 + 2 * step:3 + 2 * step] = (int(c[op, code]) for c in reread.columns)
+            return row
+
+        # the first set of each XOR of rows, size-major then lexicographic
+        first = {}
+        for size in range(t):
+            for chosen in combinations(events, size):
+                xor = [0] * (1 + 2 * k)
+                for name in chosen:
+                    xor = [a ^ b for a, b in zip(xor, masks(*name))]
+                first.setdefault(tuple(xor), chosen)
+        sets = list(first.values())
+
+        def paulis(op, code):
+            return [(q, p) for q, p in zip(op.qubits, op.codes[code]) if p != "I"]
+
+        gates = [g.ring_measurement_gates(s, g.adaptive_slot(s)) for s in range(m)]
+        ops = [gate_operations(gs) for gs in gates]
+
+        def run(syn, persist_x, chosen):
+            """The decoder's correction and the stabilizers it re-read."""
+            walker = _Walker(g, x=persist_x << g.gamma)
+            for step, op, code in chosen:
+                if step < 0:
+                    walker.inject(paulis(base_ops[op], code))
+            reads = []
+
+            def measure(indices):
+                out = {}
+                for i in indices:
+                    s, step = i % m, len(reads)
+                    inj = {}
+                    for st, op, code in chosen:
+                        if st == step:
+                            inj.setdefault(ops[s][op].after, []).extend(paulis(ops[s][op], code))
+                    walker.run(gates[s], inj)
+                    out[i] = walker.outcome_flips[g.adaptive_slot(s)]
+                    reads.append(s)
+                return out
+
+            return decoder.decode(syn, measure), reads
+
         checked = 0
         for w in range(1, t + 1):
             for combo in combinations(range(len(effects)), w):
-                data = key = persist = 0
+                data = key = persist_x = 0
                 for i in combo:
                     data ^= effects[i].data_x
                     key ^= effects[i].slot_flips
-                    persist ^= effects[i].persist_x
-                if key not in tables:
-                    syn = CatSyndrome.from_key(m, key, g.base_rounds)
-                    tables[key] = [(reads, mask_of(set(reads)), corr)
-                                   for reads, corr in _full_reread_table(decoder, syn)]
-                rows = tables[key]
-                base = _persist_outcome_bits(persist, m)
-                for fsize in range(t - w + 1):
-                    for chosen in combinations(events, fsize):
-                        bits = base
-                        for _, _, mask in chosen:
-                            bits ^= mask
-                        v = 0
-                        for i in range(MAX_REREADS):
-                            reads = rows[v][0]
-                            if i == len(reads):
-                                break
-                            v |= ((bits >> reads[i]) & 1) << i
-                        _, read, corr = rows[v]
-                        if not all(mask & read for _, _, mask in chosen):
-                            continue
-                        checked += 1
-                        cw = residual_weight_mod_generator(data ^ corr, g.gamma)
-                        if cw > w + fsize:
-                            flips = tuple(i for kind, i, _ in chosen if kind == "slot")
-                            flips += tuple(("cat", i) for kind, i, _ in chosen if kind == "cat")
-                            return checked, (tuple(ids[i] for i in combo), flips, w + fsize,
-                                             key, data, corr, cw)
+                    persist_x ^= effects[i].persist_x
+                syn = CatSyndrome.from_key(m, key, g.base_rounds)
+                for chosen in sets:
+                    if len(chosen) > t - w:
+                        break
+                    corr, reads = run(syn, persist_x, chosen)
+                    # an event counts once its run reaches its step
+                    if any(len(reads) <= max(step, 0) for step, _, _ in chosen):
+                        continue
+                    checked += 1
+                    cw = residual_weight_mod_generator(data ^ corr, g.gamma)
+                    if cw > w + len(chosen):
+                        return checked, (tuple(ids[i] for i in combo), chosen,
+                                         w + len(chosen), key, data, corr, cw)
         return checked, None
 
     @staticmethod
-    def _report(rep):
-        cx = rep.counterexample
-        return rep.faults_checked, cx and (
+    def _report(checked, cx):
+        return checked, cx and (
             cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
             cx.residual, cx.correction, cx.coset_weight)
 
@@ -426,34 +496,98 @@ class TestAdaptiveVerifierMatchesScalarWalk:
     def test_rule_decoder_passes_with_same_count(self, references, gamma, jobs):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         rep = verify_gadget(g, RuleDecoderD7(g), 3, jobs=jobs)
-        assert self._report(rep) == references[gamma]
-        assert references[gamma] == ({14: 10598, 20: 25765}[gamma], None)
+        assert self._report(rep.faults_checked, rep.counterexample) == references[gamma]
+        assert references[gamma] == ({14: 19817, 20: 42535}[gamma], None)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("changed, flips", [(0, ()), (1, ("slot",)), (2, ("cat",))],
-                             ids=["no-event", "slot-event", "cat-event"])
-    def test_broken_decoder_found_mid_weight_one_grid(self, changed, flips, jobs):
-        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+    @staticmethod
+    def _broken(g, mode, later_touch):
+        """A decoder broken at the first weight-1 row past the middle
+        whose key no earlier row has and whose clean run re-reads a
+        stabilizer (with ``later_touch``, then re-reads one sharing a
+        cat with the first)."""
         m = g.cat_count
         effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
         n = len(effects)
-        # the first weight-1 row past the middle whose key no earlier row
-        # has and for which the decoder re-reads some stabilizer
         earlier = {e.slot_flips for e in effects[:n // 2]}
-        reads_any = lambda key: reread_table(RuleDecoderD7(g), CatSyndrome(m, (key,)))[0][0]
+
+        def clean_reads(e):
+            clean = _persist_outcome_bits(e.persist_x, m)
+            reads = []
+
+            def measure(indices):
+                reads.extend(i % m for i in indices)
+                return {i: (clean >> (i % m)) & 1 for i in indices}
+
+            RuleDecoderD7(g).decode(CatSyndrome(m, (e.slot_flips,)), measure)
+            return reads
+
+        def fits(reads):
+            if not later_touch:
+                return bool(reads)
+            return any((s - reads[0]) % m in (1, 0, m - 1) for s in reads[1:])
+
         r = next(r for r in range(n // 2, n) if effects[r].slot_flips not in earlier
-                 and reads_any(effects[r].slot_flips))
+                 and fits(clean_reads(effects[r])))
         e = effects[r]
         broken = _BrokenAt(g, e.slot_flips, e.data_x ^ 0b111,
-                           _persist_outcome_bits(e.persist_x, m), changed)
+                           _persist_outcome_bits(e.persist_x, m), mode)
+        return broken, e, n, r
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode, later_touch, kind", [
+        ("always", False, "none"), ("any", False, "anc"), ("later", True, "cats")],
+        ids=["no-event", "step-ancilla-flip", "reread-cat-event"])
+    def test_broken_decoder_found_mid_weight_one_grid(self, mode, later_touch, kind, jobs):
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        broken, e, n, _ = self._broken(g, mode, later_touch)
+        reread = FaultTable.for_reread(g)
         checked, cx = self._scalar_verify(g, broken, 3)
-        # weight 1, row r, with no event, one slot flip or one cat event
-        fault_ids, got_flips, n_faults, key = cx[:4]
+        # weight 1, the broken row, with no event or one event at step 0
+        fault_ids, flips, n_faults, key = cx[:4]
         assert len(fault_ids) == 1 and key == e.slot_flips and checked > n // 2
-        assert tuple(f[0] if isinstance(f, tuple) else "slot" for f in got_flips) == flips
         assert n_faults == 1 + len(flips)
-        assert self._report(verify_gadget(g, broken, 3, jobs=jobs)) == (checked, cx)
+        if kind == "none":
+            assert flips == ()
+        else:
+            ((step, op, code),) = flips
+            anc, cats = (int(c[op, code]) for c in reread.columns)
+            assert step == 0 and (anc, cats != 0) == {"anc": (1, False), "cats": (0, True)}[kind]
+        rep = verify_gadget(g, broken, 3, jobs=jobs)
+        assert self._report(rep.faults_checked, rep.counterexample) == (checked, cx)
+
+    def test_first_failing_cell_is_row_major(self):
+        # row r fails only with a re-measurement event, a later row also
+        # with none: row r, the earlier row, is reported
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        broken, _, n, r = self._broken(g, "any", False)
+        effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
+        keys = [e.slot_flips for e in effects]
+        r2 = next(j for j in range(r + 1, n) if keys[j] not in keys[:j])
+        e2 = effects[r2]
+        both = _BrokenAt(g, e2.slot_flips, e2.data_x ^ 0b111,
+                         _persist_outcome_bits(e2.persist_x, g.cat_count), "always", broken)
+        checked, cx = self._scalar_verify(g, both, 3)
+        assert (checked, cx) == self._scalar_verify(g, broken, 3) and cx[1]
+        rep = verify_gadget(g, both, 3)
+        assert self._report(rep.faults_checked, rep.counterexample) == (checked, cx)
+
+    def test_broken_decoder_found_by_pre_reread_event(self):
+        # A step -1 event gives the same run as the event at the first
+        # re-read touching its cat (the ancilla flip with the cat X), or
+        # as none if no re-read does, which comes first, so it never opens
+        # a counterexample of the full alphabet: here the grid meets the
+        # step -1 events alone.
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        broken, e, n, _ = self._broken(g, "any", False)
+        pre_only = lambda name: name[0] < 0
+        checked, cx = self._scalar_verify(g, broken, 3, pre_only)
+        fault_ids, flips, n_faults, key = cx[:4]
+        assert len(fault_ids) == 1 and key == e.slot_flips and checked > n // 2
+        assert len(flips) == 1 and flips[0][0] == -1 and n_faults == 2
+        assert self._report(*_grid_verify(g, broken, 3, pre_only)) == (checked, cx)
+        # with every event, the same row fails first at a re-read step
+        full = self._scalar_verify(g, broken, 3)[1]
+        assert full[0] == fault_ids and full[1][0][0] == 0
 
 
 class TestOracle:
@@ -590,8 +724,9 @@ class TestMaskWidthLimit:
 
 
 class TestRemeasurementModel:
-    """The verifier's slot/cat event model against ``adaptive_propagate``,
-    with every ring stabilizer re-read once."""
+    """Re-measurement faults against ``adaptive_propagate``, with every
+    ring stabilizer re-read once, and the verifier's events against the
+    fault tables."""
 
     @pytest.fixture(params=[14, 20], ids=["g14", "g20"])
     def gadget(self, request):
@@ -613,17 +748,35 @@ class TestRemeasurementModel:
     KINDS = ("anc_prep", "anc_mid", "anc_post", "pre_measurement",
              "post_gate_control_0", "post_gate_control_1")
 
-    def test_remeasurement_faults_are_slot_or_cat_events(self, gadget):
-        g, m = gadget, gadget.cat_count
-        assert self._rereads(g) == {s: 0 for s in range(m)}
-        events = [set()] + [{s} for s in range(m)]
-        events += [{(c - 1) % m, c} for c in range(m)]
-        for stab in range(m):
-            for kind in self.KINDS:
-                for pauli in "XYZ":
-                    bits = self._rereads(g, adaptive_faults=[(stab, kind, pauli)])
-                    flipped = {s for s, bit in bits.items() if bit}
-                    assert flipped in events, (stab, kind, pauli, flipped)
+    def test_event_alphabet_is_the_table_rows(self, gadget):
+        """The verifier's events are the distinct nonzero rows of the
+        re-read table at each step, then the distinct rows of the gadget
+        table that only leave X on cats, each named by its first (op,
+        code): exactly the re-measurement faults MC samples."""
+        g, k = gadget, MAX_REREADS
+        expected = []
+        reread = FaultTable.for_reread(g)
+        for step in range(k):
+            seen = set()
+            for op, n_codes in enumerate(reread.n_codes):
+                for code in range(n_codes):
+                    anc, cats = (int(c[op, code]) for c in reread.columns)
+                    if (anc or cats) and (anc, cats) not in seen:
+                        seen.add((anc, cats))
+                        row = [0] * (1 + 2 * k)
+                        row[1 + 2 * step], row[2 + 2 * step] = anc, cats
+                        expected.append(((step, op, code), row))
+        table = FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))
+        seen = set()
+        for op, n_codes in enumerate(table.n_codes):
+            for code in range(n_codes):
+                data, slots, persist = (int(c[op, code]) for c in table.columns)
+                if data == slots == 0 and persist and persist not in seen:
+                    seen.add(persist)
+                    expected.append(((-1, op, code), [persist] + [0] * (2 * k)))
+        assert list(zip(*reread_events(g))) == expected
+        # five re-read rows per step; one pure cat X row per cat
+        assert len(expected) == 5 * k + g.cat_count
 
     def test_multi_fault_rereads_compose(self, gadget):
         # up to t=3 faults mixing base-round X locations and re-measurement
@@ -649,6 +802,40 @@ class TestRemeasurementModel:
                     expected[s] ^= bit
             got = self._rereads(g, [(locs[i], "X") for i in base], extra)
             assert got == expected, (base, extra)
+
+
+class TestMonteCarloFaultsCovered:
+    """Every fault MC samples, read on the fields the decoder sees, is
+    one the verifier enumerates, or a bare weight-1 data X with no
+    syndrome (which spends the budget one for one, so t-FT under the
+    verifier's faults carries over), or, for an adaptive gadget, one of
+    its step -1 re-measurement events."""
+
+    @pytest.mark.parametrize("gamma, distance",
+                             [(6, 3), (10, 5), (14, 7), (20, 7), (18, 9)])
+    def test_every_table_row_is_covered(self, gamma, distance):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        adaptive = g.max_adaptive > 0
+        fields = ("data_x", "slot_flips") + (("persist_x",) if adaptive else ())
+        locs = {tuple(getattr(e, f) for f in fields)
+                for e in location_effects(g, enumerate_fault_locations(g), "X")}
+        pre = set()
+        if adaptive:
+            names, rows = reread_events(g)
+            pre = {(0, 0, row[0]) for name, row in zip(names, rows) if name[0] < 0}
+            assert len(pre) == g.cat_count and not pre & locs
+        table = FaultTable.from_gadget(g, fields)
+        kinds = set()
+        for op, n_codes in enumerate(table.n_codes):
+            for code in range(n_codes):
+                row = tuple(int(c[op, code]) for c in table.columns)
+                if not any(row):
+                    continue
+                bare = bin(row[0]).count("1") == 1 and not any(row[1:])
+                kind = "location" if row in locs else "bare" if bare else "pre"
+                assert kind != "pre" or row in pre, (op, code, row)
+                kinds.add(kind)
+        assert kinds == {"location", "bare"} | ({"pre"} if adaptive else set())
 
 
 class TestUpperBound:
