@@ -3,8 +3,8 @@ repeat-until-stable protocol and table decoding.
 
 Generators of weight above six get the ring-checked gadget, the rest the
 plain cat gadget.  All per-trial state is packed into uint64 vectors so
-batches run through numpy; only ring decoding and table misses drop into
-per-trial Python, and those are deduplicated first.
+batches run through numpy; only ring decoding drops into Python, once
+per syndrome key not met before (``KeyCache``).
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
 from .sim import CatSyndrome, FaultTable
-from .experiments import (
-    SweepResult,
-    TrialStats,
-    _fit_sweep,
-    run_batches_until,
-    table_apply,
-)
+from .experiments import SweepResult, TrialStats, _fit_sweep, run_batches_until
+from .verify import KeyCache
 
 CUT_CAT_WEIGHT_THRESHOLD = 6
 
@@ -55,7 +50,7 @@ class _GeneratorExtractor:
         self.faults = FaultTable.from_gadget(
             self.gadget, ("data_x", "slot_flips", "gen_flip"), self._globalize,
         )
-        self._ring_cache: dict[int, int] = {}
+        self._ring = KeyCache()
 
     def _globalize(self, local_mask: int) -> int:
         out = 0
@@ -63,14 +58,10 @@ class _GeneratorExtractor:
             out |= 1 << self.support[i]
         return out
 
-    def _ring_correction(self, slots_key: int) -> int:
-        corr = self._ring_cache.get(slots_key)
-        if corr is None:
-            syn = CatSyndrome(self.gadget.cat_count, (slots_key,))
-            local = self.decoder.decode(syn)
-            corr = self._globalize(local)
-            self._ring_cache[slots_key] = corr
-        return corr
+    def _ring_corrections(self, slots_keys: np.ndarray) -> tuple[np.ndarray]:
+        m = self.gadget.cat_count
+        return (np.array([self._globalize(self.decoder.decode(CatSyndrome(m, (key,))))
+                          for key in slots_keys.tolist()], np.uint64),)
 
     def extract(self, rng: np.random.Generator, data_x: np.ndarray,
                 data_z: np.ndarray, p_ft: float) -> np.ndarray:
@@ -86,7 +77,7 @@ class _GeneratorExtractor:
 
         if self.has_ring:
             cand = np.nonzero(acc_slot)[0]
-            corr, _ = table_apply(self._ring_correction, acc_slot[cand])
+            (corr,) = self._ring.get(acc_slot[cand], self._ring_corrections)
             acc_data[cand] ^= corr
 
         writes ^= acc_data
@@ -114,6 +105,11 @@ class BlockSimulator:
              "z": [[0, 1 << q, 1 << q] for q in range(code.n)]},
         )
         self.code_lut: CodeLUT = build_code_lut(code)
+        # correction and miss flag per syndrome; one the tables lack joins as a miss
+        self._lut_caches = tuple(
+            KeyCache(np.fromiter(t, np.uint64), (np.fromiter(t.values(), np.uint64),
+                                                np.zeros(len(t), bool)))
+            for t in (self.code_lut.z_table, self.code_lut.x_table))
         self.extractors = [
             _GeneratorExtractor("X", row, code.d) for row in code.hx
         ] + [
@@ -175,11 +171,16 @@ class BlockSimulator:
                  data_z: np.ndarray) -> np.ndarray:
         """Applies the code-LUT corrections in place; returns the trials
         whose syndrome the tables miss."""
-        z_corr, z_miss = table_apply(self.code_lut.z_table.get, sx)
-        x_corr, x_miss = table_apply(self.code_lut.x_table.get, sz)
+        z_corr, z_miss = self._lut_caches[0].get(sx, _misses)
+        x_corr, x_miss = self._lut_caches[1].get(sz, _misses)
         data_z ^= z_corr
         data_x ^= x_corr
         return z_miss | x_miss
+
+
+def _misses(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code-LUT answers for syndromes the tables lack: no correction, a miss."""
+    return np.zeros(len(keys), np.uint64), np.ones(len(keys), bool)
 
 
 def _parities(data: np.ndarray, rows: Sequence[int]) -> np.ndarray:

@@ -105,28 +105,12 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
     return fit_slope(usable)
 
 
-def table_apply(lookup: Callable[[int], int | None],
-                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lookup: calls ``lookup`` once per distinct key and
-    returns (values, miss flags) per entry; a miss is a None result."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    values = np.zeros(len(uniq), dtype=np.uint64)
-    miss = np.zeros(len(uniq), dtype=bool)
-    for i, key in enumerate(uniq.tolist()):
-        v = lookup(key)
-        if v is None:
-            miss[i] = True
-        else:
-            values[i] = v
-    return values[inv], miss[inv]
-
-
 class GadgetMonteCarlo:
     """Vectorized circuit-level noise sampler for one gadget + decoder.
 
     A batch XOR-accumulates sampled fault effects from a ``FaultTable``;
     only trials with a visible residual or ring syndrome reach decoding,
-    through one ``KeyCache`` answer per distinct key: a correction from
+    through a ``KeyCache`` lookup of each trial's key: a correction from
     ``decode_keys``, or an adaptive decoder's ``compile_rereads`` table,
     followed by ``follow_rereads`` with noise from a second table.
     """
@@ -150,15 +134,14 @@ class GadgetMonteCarlo:
         candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
         accs = [acc[candidates] for acc in accs]
         data, keys, g = accs[0], accs[1], self.g
-        uniq, inv = np.unique(keys, return_inverse=True)
         if self.adaptive:
-            reads, corrections = self._answers.get(uniq, lambda new: compile_rereads(
+            rows = self._answers.index(keys, lambda new: compile_rereads(
                 self.decoder, new, g.cat_count, g.base_rounds))
             noise = (self.reread.sample(rng, len(keys), p) for _ in range(MAX_REREADS))
-            corr, _ = follow_rereads(reads, corrections, inv, accs[2], noise, g.cat_count)
+            corr, _ = follow_rereads(*self._answers.values, rows, accs[2], noise, g.cat_count)
         else:
-            corr = self._answers.get(uniq, lambda new: (self.decoder.decode_keys(
-                new, g.cat_count, g.base_rounds),))[0][inv]
+            (corr,) = self._answers.get(keys, lambda new: (self.decoder.decode_keys(
+                new, g.cat_count, g.base_rounds),))
         w = np.bitwise_count(data ^ corr)
         return int(np.count_nonzero(np.minimum(w, g.gamma - w) > t))
 
@@ -274,10 +257,10 @@ def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
     return buf.getvalue()
 
 
-# The format names the random stream a manifest replays: v3 draws
-# geometric gaps between hit trials per op, and samples block extractions
-# over the still-active trials only.
-MANIFEST_FORMAT = "cutcat-manifest-v3"
+# The format names the random stream a manifest replays: v4 draws one
+# stream of geometric gaps over each sample's (trial, op) cells, and
+# samples block extractions over the still-active trials only.
+MANIFEST_FORMAT = "cutcat-manifest-v4"
 
 
 def make_manifest(command: str, config: dict) -> str:
@@ -289,7 +272,7 @@ def make_manifest(command: str, config: dict) -> str:
 def load_manifest(text: str) -> tuple[str, dict]:
     doc = json.loads(text)
     fmt = doc.get("format")
-    if fmt in ("cutcat-manifest-v1", "cutcat-manifest-v2"):
+    if fmt in ("cutcat-manifest-v1", "cutcat-manifest-v2", "cutcat-manifest-v3"):
         raise ValueError(f"{fmt} used an older random stream and "
                          "cannot be replayed; re-run without --from-manifest")
     if fmt != MANIFEST_FORMAT:

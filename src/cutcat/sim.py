@@ -348,20 +348,25 @@ def op_code_effects(g: GadgetCircuit, op: NoisyOp,
 # what bounds the bit width of each FaultTable column
 _COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
 
+# the most gaps per chunk of ``FaultTable.sample``: it orders the draws, so
+# the manifest format fixes it
+_MAX_CHUNK = 1 << 16
+
 
 class FaultTable:
     """Per-operation depolarizing effects, sampled over a batch.
 
     ``n_codes[i]`` is the number of non-identity Paulis of noisy op i
     (15 for a CNOT, 3 for a one-qubit channel); each column holds one
-    uint64 effect mask per (op, code).  Effects are XOR-linear, so a
-    trial's combined effect is the XOR of its faults' rows.
+    uint64 effect mask per (op, code), tiled to ``width``, the lcm of the
+    ``n_codes`` (entry j is code j mod ``n_codes[i]``).  Effects are
+    XOR-linear, so a trial's combined effect is the XOR of its faults' rows.
     """
 
     def __init__(self, n_codes: Sequence[int],
                  columns: dict[str, Sequence[Sequence[int]]]):
         self.n_codes = list(n_codes)
-        width = max(self.n_codes, default=0)
+        self.width = math.lcm(*self.n_codes)
         self.columns = []
         for name, rows in columns.items():
             bits = max((v.bit_length() for row in rows for v in row), default=0)
@@ -370,10 +375,9 @@ class FaultTable:
                     f"{_COLUMN_WIDTH.get(name, name)}={bits} exceeds the "
                     "64-bit limit of packed masks"
                 )
-            col = np.zeros((len(self.n_codes), width), dtype=np.uint64)
-            for i, row in enumerate(rows):
-                col[i, :len(row)] = row
-            self.columns.append(col)
+            self.columns.append(np.array(
+                [np.array(row, np.uint64)[np.arange(self.width) % len(row)] for row in rows],
+                np.uint64).reshape(len(self.n_codes), self.width))
 
     @classmethod
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str],
@@ -409,29 +413,32 @@ class FaultTable:
                p: float) -> list[np.ndarray]:
         """One XOR accumulator per column for ``size`` trials.
 
-        Each op faults independently with probability p, then draws its
-        code uniformly.  The draw order is part of the manifest format:
-        per op, geometric gaps between its hit trials (in chunks until
-        they pass the last trial), then one code per hit; nothing at all
-        when p or size is 0.
+        Each (trial, op) cell faults independently with probability p,
+        then draws its code uniformly.  The draw order is part of the
+        manifest format: one stream over the cells in trial-major order
+        (cell = trial * n_ops + op), in chunks of geometric gaps between
+        hit cells, each chunk followed by one code in [0, width) per hit
+        it places; nothing at all when p or size is 0.
         """
         accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
-        if p == 0.0 or size == 0:
+        n_ops = len(self.n_codes)
+        cells = size * n_ops
+        if p == 0.0 or cells == 0:
             return accs
-        # chunks of gaps, the mean hit count plus 5 sigma each, until they
-        # pass the last trial; clipping keeps the sum of the huge gaps of a
+        # chunks of the mean hit count plus 5 sigma, capped, until they
+        # pass the last cell; clipping keeps the sum of the huge gaps of a
         # tiny p from overflowing
-        mean = size * p
-        chunk = min(size, int(mean + 5.0 * math.sqrt(mean) + 10.0))
-        for i, n in enumerate(self.n_codes):
-            gaps = np.minimum(rng.geometric(p, chunk), size + 1)
-            while gaps.sum() < size:
-                gaps = np.concatenate([gaps, np.minimum(rng.geometric(p, chunk), size + 1)])
-            hit = gaps.cumsum() - 1
-            hit = hit[:np.searchsorted(hit, size)]
-            if hit.size == 0:
-                continue
-            codes = rng.integers(0, n, size=hit.size)
-            for acc, col in zip(accs, self.columns):
-                acc[hit] ^= col[i, codes]
+        mean = cells * p
+        chunk = min(cells, _MAX_CHUNK, int(mean + 5.0 * math.sqrt(mean) + 10.0))
+        flat = [col.ravel() for col in self.columns]
+        last = -1
+        while last < cells - 1:
+            hit = last + np.minimum(rng.geometric(p, chunk), cells + 1).cumsum()
+            last = int(hit[-1])
+            hit = hit[:np.searchsorted(hit, cells)]
+            trial, op = np.divmod(hit, n_ops)
+            entry = op * self.width + rng.integers(0, self.width, size=hit.size)
+            # one trial may take several hits, in one chunk or across two
+            for acc, col in zip(accs, flat):
+                np.bitwise_xor.at(acc, trial, col[entry])
         return accs

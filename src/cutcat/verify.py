@@ -207,25 +207,33 @@ def find_sorted(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class KeyCache:
-    """Decoder answers per syndrome key, kept as arrays sorted by key."""
+    """Decoder answers per syndrome key: row i of ``values`` for ``keys[i]``, sorted."""
 
-    def __init__(self) -> None:
-        self.keys = np.zeros(0, np.uint64)
-        self.values: tuple[np.ndarray, ...] = ()
+    def __init__(self, keys: np.ndarray = np.zeros(0, np.uint64),
+                 values: tuple[np.ndarray, ...] = ()) -> None:
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.values = tuple(v[order] for v in values)
 
-    def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
-        """The answers for the sorted distinct ``keys``, one row per key.
-        ``compute`` maps the keys not seen before to a tuple of arrays;
-        it runs also on none, to give the answers' shape to an empty
-        cache."""
+    def index(self, keys: np.ndarray, compute) -> np.ndarray:
+        """The row of ``values`` of each of ``keys``, which may repeat.
+        ``compute`` maps the distinct keys not seen before, sorted, to a
+        tuple of arrays; it runs also on none, to give the answers' shape
+        to an empty cache."""
         pos, found = find_sorted(self.keys, keys)
         if not found.all() or not self.values:
-            new = compute(keys[~found])
-            at = pos[~found]
+            fresh = np.unique(keys[~found])
+            at = np.searchsorted(self.keys, fresh)
+            new = compute(fresh)
             self.values = tuple(np.insert(old, at, v, axis=0)
                                 for old, v in zip(self.values, new)) or new
-            self.keys = np.insert(self.keys, at, keys[~found])
+            self.keys = np.insert(self.keys, at, fresh)
             pos = np.searchsorted(self.keys, keys)
+        return pos
+
+    def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
+        """The answers for ``keys``, one row per key (see ``index``)."""
+        pos = self.index(keys, compute)
         return tuple(v[pos] for v in self.values)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from cutcat.block import BlockSimulator, run_block_mc
 from cutcat.pauli import CssCode, parse_css_code
+from cutcat.sim import CatSyndrome
 
 
 class TestSetup:
@@ -111,8 +112,10 @@ def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
             acc_data[active], acc_slot[active], acc_gen[active] = (
                 ext.faults.sample(rng, len(active), p_ft))
             if ext.has_ring:
+                m = ext.gadget.cat_count
                 for trial in np.nonzero(acc_slot)[0]:
-                    acc_data[trial] ^= np.uint64(ext._ring_correction(int(acc_slot[trial])))
+                    ring = CatSyndrome(m, (int(acc_slot[trial]),))
+                    acc_data[trial] ^= np.uint64(ext._globalize(ext.decoder.decode(ring)))
             if ext.sector == "X":
                 data_x ^= acc_data
             else:
@@ -163,3 +166,57 @@ class TestCompaction:
         assert np.array_equal(got[0], accepted)
         assert np.array_equal(got[1], data_x) and np.array_equal(got[2], data_z)
         assert got[3] == state
+
+
+def _table_apply(lookup, keys):
+    """Reference lookup: ``lookup`` once per distinct key, then (values,
+    miss flags) per entry; a miss is a None result."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    values = np.zeros(len(uniq), dtype=np.uint64)
+    miss = np.zeros(len(uniq), dtype=bool)
+    for i, key in enumerate(uniq.tolist()):
+        v = lookup(key)
+        if v is None:
+            miss[i] = True
+        else:
+            values[i] = v
+    return values[inv], miss[inv]
+
+
+class TestKeyCacheLookups:
+    """The ``KeyCache`` lookups of the block, over repeated unsorted keys
+    and across calls that find some keys cached, against one lookup per
+    distinct key."""
+
+    def test_ring_corrections(self, rm15):
+        sim = BlockSimulator(rm15, ratio=20)
+        ext = next(e for e in sim.extractors if e.has_ring)
+        m = ext.gadget.cat_count
+        _, slots, _ = ext.faults.sample(np.random.default_rng(4), 4000, 0.05)
+        keys = slots[slots != 0]
+        assert len(np.unique(keys)) < len(keys)
+
+        def correction(key):
+            return ext._globalize(ext.decoder.decode(CatSyndrome(m, (key,))))
+
+        expected, miss = _table_apply(correction, keys)
+        assert not miss.any()
+        for part in (keys[: len(keys) // 2], keys):
+            (got,) = ext._ring.get(part, ext._ring_corrections)
+            assert np.array_equal(got, expected[: len(part)])
+
+    def test_code_lut_corrections_and_misses(self, rm15):
+        # 10 Z rows, 1024 syndromes, most of which the t=1 table lacks: a
+        # miss must come back flagged, not as a silent zero correction
+        sim = BlockSimulator(rm15, ratio=20)
+        rng = np.random.default_rng(8)
+        sx = rng.integers(0, 1 << len(rm15.hx), 3000, dtype=np.uint64)
+        sz = rng.integers(0, 1 << len(rm15.hz), 3000, dtype=np.uint64)
+        z_corr, z_miss = _table_apply(sim.code_lut.z_table.get, sx)
+        x_corr, x_miss = _table_apply(sim.code_lut.x_table.get, sz)
+        assert x_miss.any() and (~x_miss).any()
+        for _ in range(2):  # the second pass finds the misses cached
+            data_x, data_z = np.zeros(3000, np.uint64), np.zeros(3000, np.uint64)
+            fail = sim._correct(sx, sz, data_x, data_z)
+            assert np.array_equal(data_z, z_corr) and np.array_equal(data_x, x_corr)
+            assert np.array_equal(fail, z_miss | x_miss)

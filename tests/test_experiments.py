@@ -169,12 +169,12 @@ class TestManifest:
         with pytest.raises(ValueError):
             load_manifest('{"format": "nope"}')
 
-    def test_writes_v3(self):
-        assert '"format": "cutcat-manifest-v3"' in make_manifest("mc-gadget", {})
+    def test_writes_v4(self):
+        assert '"format": "cutcat-manifest-v4"' in make_manifest("mc-gadget", {})
 
     def _rejected_with_rerun_hint(self, old):
         text = make_manifest("mc-gadget", {"gamma": 6}).replace(
-            "cutcat-manifest-v3", old)
+            "cutcat-manifest-v4", old)
         with pytest.raises(ValueError, match="re-run without --from-manifest") as exc:
             load_manifest(text)
         assert "\n" not in str(exc.value) and old in str(exc.value)
@@ -184,6 +184,9 @@ class TestManifest:
 
     def test_v2_rejected_with_rerun_hint(self):
         self._rejected_with_rerun_hint("cutcat-manifest-v2")
+
+    def test_v3_rejected_with_rerun_hint(self):
+        self._rejected_with_rerun_hint("cutcat-manifest-v3")
 
 
 class TestAdaptiveBatch:

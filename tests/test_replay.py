@@ -1,20 +1,22 @@
 """Exact counts of small fixed-seed Monte-Carlo runs.
 
-A ``cutcat-manifest-v3`` manifest promises a byte-identical CSV on replay,
+A ``cutcat-manifest-v4`` manifest promises a byte-identical CSV on replay,
 so the random stream behind it is frozen.  Each ``FaultTable`` sample
-draws, per noisy operation, geometric gaps between the trials it hits
-(in chunks until they pass the last trial), then one uniform code per
-hit.  A gadget batch samples its base-round table over every trial, then,
-for an adaptive decoder, four re-measurement samples over the trials that
-reach the decoder.  A block batch samples data noise over every trial,
-then each round one sample per generator extraction over the trials still
-active, in trial order.  These counts were recorded with that stream and
-must never change under the v3 format; a sampler that draws differently
-needs a new manifest format and newly recorded counts.
+draws one stream over its (trial, op) cells in trial-major order: chunks
+of geometric gaps between hit cells (the mean hit count plus 5 sigma
+each, at most ``sim._MAX_CHUNK``), until they pass the last cell, each
+chunk followed by one code per hit it places, uniform below the lcm of
+the ops' code counts.  A gadget batch samples its base-round table over
+every trial, then, for an adaptive decoder, four re-measurement samples
+over the trials that reach the decoder.  A block batch samples data noise
+over every trial, then each round one sample per generator extraction
+over the trials still active, in trial order.  These counts were recorded
+with that stream and must never change under the v4 format; a sampler
+that draws differently needs a new manifest format and newly recorded
+counts.
 
-The v2 stream drew one float32 uniform per (operation, trial) and sampled
-every block extraction over the whole batch; every row was re-recorded
-for v3.
+The v3 stream drew the gaps and codes of each operation on its own; every
+row was re-recorded for v4 at the same seed, caps and batch sizes.
 """
 
 import pytest
@@ -31,10 +33,10 @@ UNCAPPED = 10**9
 @pytest.mark.parametrize(
     "gamma, distance, p, min_failures, trial_cap, batch_size, expected",
     [
-        (6, 3, 1e-2, 100, 200_000, 20_000, (40_000, 111)),
-        (10, 5, 1e-2, UNCAPPED, 400_000, 100_000, (400_000, 179)),
-        (10, 5, 3e-3, UNCAPPED, 1_000_000, 500_000, (1_000_000, 17)),
-        (14, 7, 3e-2, UNCAPPED, 20_000, 10_000, (20_000, 73)),
+        (6, 3, 1e-2, 100, 200_000, 20_000, (40_000, 104)),
+        (10, 5, 1e-2, UNCAPPED, 400_000, 100_000, (400_000, 183)),
+        (10, 5, 3e-3, UNCAPPED, 1_000_000, 500_000, (1_000_000, 14)),
+        (14, 7, 3e-2, UNCAPPED, 20_000, 10_000, (20_000, 94)),
     ],
 )
 def test_gadget_counts(gamma, distance, p, min_failures, trial_cap, batch_size,
@@ -50,9 +52,9 @@ def test_gadget_counts(gamma, distance, p, min_failures, trial_cap, batch_size,
 @pytest.mark.parametrize(
     "code_name, p, min_failures, trial_cap, batch_size, expected",
     [
-        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 160)),
-        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 201)),
-        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 346)),
+        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 187)),
+        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 242)),
+        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 369)),
     ],
 )
 def test_block_counts(request, code_name, p, min_failures, trial_cap, batch_size,

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cutcat.circuit import (
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
+    _MAX_CHUNK,
     PAULI_PAIRS,
     PAULI_SINGLES,
     FaultTable,
@@ -178,13 +180,27 @@ class TestSampling:
         assert len(accs) == 2 and not any(acc.any() for acc in accs)
         assert rng.bit_generator.state == state
 
+    @staticmethod
+    def _op_bits(ops):
+        """One bit per op, whatever its code."""
+        return FaultTable([op.n_codes for op in ops],
+                          {"op": [[1 << i] * op.n_codes for i, op in enumerate(ops)]})
+
     def test_p_one_everything(self, d5_gadget):
-        # one bit per op, whatever its code: p=1 must set all of them
+        # p=1 must set every op's bit
         g, _ = d5_gadget
         ops = noisy_operations(g)
-        table = FaultTable([op.n_codes for op in ops],
-                           {"op": [[1 << i] * op.n_codes for i, op in enumerate(ops)]})
-        (acc,) = table.sample(np.random.default_rng(1), 100, 1.0)
+        (acc,) = self._op_bits(ops).sample(np.random.default_rng(1), 100, 1.0)
+        assert (acc == np.uint64((1 << len(ops)) - 1)).all()
+
+    def test_p_one_across_chunk_seams(self, d5_gadget):
+        # over three chunks of cells, with seams inside a trial: a trial
+        # whose ops two chunks hit must keep the bits of both
+        g, _ = d5_gadget
+        ops = noisy_operations(g)
+        size = 3 * _MAX_CHUNK // len(ops) + 1
+        assert size * len(ops) > 3 * _MAX_CHUNK and _MAX_CHUNK % len(ops)
+        (acc,) = self._op_bits(ops).sample(np.random.default_rng(1), size, 1.0)
         assert (acc == np.uint64((1 << len(ops)) - 1)).all()
 
     def test_deterministic_replay(self, table):
@@ -231,16 +247,28 @@ class TestSampling:
 
     def test_gap_draws_continue_past_first_chunk(self, one_hot):
         class UnitGaps:
-            """Stands in for a generator: every gap 1, every code 0."""
+            """Stands in for a generator: every gap 1, every code 0; notes
+            each chunk's size and the bounds of its codes."""
+
+            def __init__(self):
+                self.chunks, self.bounds = [], set()
 
             def geometric(self, p, size):
+                self.chunks.append(size)
                 return np.ones(size, dtype=np.int64)
 
             def integers(self, low, high, size):
+                self.bounds.add((low, high))
                 return np.zeros(size, dtype=np.int64)
 
-        accs = one_hot.sample(UnitGaps(), 1000, 0.01)
+        rng = UnitGaps()
+        accs = one_hot.sample(rng, 1000, 0.01)
         assert all((acc == 1).all() for acc in accs)
+        # one stream over all cells, in equal chunks, codes below the lcm
+        cells = 1000 * len(one_hot.n_codes)
+        assert len(set(rng.chunks)) == 1
+        assert len(rng.chunks) == math.ceil(cells / rng.chunks[0]) > 1
+        assert rng.bounds == {(0, 15)}
 
     def test_tiny_rate_gaps_do_not_overflow(self, one_hot):
         # gaps this long saturate at the int64 maximum

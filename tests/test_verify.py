@@ -33,6 +33,7 @@ from cutcat.verify import (
     KeyCache,
     _check_combos,
     _effect_classes,
+    _first_rows,
     combo_walk,
     eval_upper_bound,
     reread_events,
@@ -310,6 +311,20 @@ class TestKeyCache:
         assert cache.keys.tolist() == [1, 3, 5, 7, 9]
         cache.get(np.array([5, 7], np.uint64), square)
         assert len(asked) == 2
+
+    def test_repeated_unsorted_keys(self):
+        cache, asked = KeyCache(), []
+
+        def square(keys):
+            asked.append(keys.tolist())
+            return (keys * keys,)
+
+        (sq,) = cache.get(np.array([5, 2, 5, 9, 2], np.uint64), square)
+        assert sq.tolist() == [25, 4, 25, 81, 4]
+        (sq,) = cache.get(np.array([9, 4, 4, 2], np.uint64), square)
+        assert sq.tolist() == [81, 16, 16, 4]
+        assert asked == [[2, 5, 9], [4]] and cache.keys.tolist() == [2, 4, 5, 9]
+        assert cache.index(np.array([4, 9], np.uint64), square).tolist() == [1, 3]
 
     def test_no_keys_on_an_empty_cache_keep_the_answers_shape(self):
         cache = KeyCache()
@@ -836,6 +851,20 @@ class TestMonteCarloFaultsCovered:
                 assert kind != "pre" or row in pre, (op, code, row)
                 kinds.add(kind)
         assert kinds == {"location", "bare"} | ({"pre"} if adaptive else set())
+
+    @pytest.mark.parametrize("gamma, first_pre_op", [(14, 28), (20, 40)])
+    def test_event_names_read_untiled_rows(self, gamma, first_pre_op):
+        """Table rows are tiled to the lcm of the code counts; events are
+        still named by each op's own codes, as pinned here."""
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        names, _ = reread_events(g)
+        assert names == [(step, op, code) for step in range(MAX_REREADS)
+                         for op, code in ((0, 0), (0, 3), (0, 4), (1, 3), (1, 4))] + [
+            (-1, first_pre_op + r, 3) for r in range(g.cat_count)]
+        for table in (FaultTable.for_reread(g),
+                      FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))):
+            assert table.columns[0].shape[1] == 15
+            assert all(code < table.n_codes[op] for op, code in _first_rows(table).values())
 
 
 class TestUpperBound:
