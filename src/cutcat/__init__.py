@@ -9,12 +9,10 @@ from .pauli import (
     steane_code,
 )
 from .circuit import (
-    FaultLocation,
     GadgetCircuit,
     Gate,
     circuit_depth,
     count_two_qubit_gates,
-    enumerate_fault_locations,
 )
 from .gadgets import (
     GadgetSpec,
@@ -23,12 +21,7 @@ from .gadgets import (
     build_full_cat,
     resource_report,
 )
-from .sim import (
-    CatSyndrome,
-    PropagationResult,
-    adaptive_propagate,
-    propagate,
-)
+from .sim import CatSyndrome, PropagationResult
 from .decoders import (
     CodeLUT,
     CutCatLUT,

@@ -1,4 +1,4 @@
-"""Gate-level IR for extraction gadgets and fault-location enumeration.
+"""Gate-level IR for extraction gadgets.
 
 Qubit ids: data qubits are 0..gamma-1, cat qubits gamma..gamma+m-1, and a
 single reused measurement ancilla sits at gamma+m.  Circuits are built
@@ -26,39 +26,6 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind == "CNOT" and self.q0 == self.q1:
             raise ValueError("CNOT control equals target")
-
-
-CAT_INIT = "cat_init"
-POST_GATE_CONTROL = "post_gate_control"
-ANC_PREP = "anc_prep"
-ANC_MID = "anc_mid"
-ANC_POST = "anc_post"
-PRE_MEASUREMENT = "pre_measurement"
-
-
-@dataclass(frozen=True)
-class FaultLocation:
-    """A circuit site where an injected Pauli is relevant.
-
-    Relevant means an X fault there can either reach the data qubits or
-    flip a ring-measurement outcome.  ids are dense 0..N-1 in enumeration
-    order.  A site sits right after gate ``gate_index``, except that
-    ANC_PREP and PRE_MEASUREMENT sites precede theirs; cat inits (index
-    -1) precede the whole circuit.
-    """
-
-    id: int
-    kind: str
-    qubit: int = -1
-    gate_index: int = -1
-    slot: int = -1
-
-    def describe(self) -> str:
-        if self.kind == CAT_INIT:
-            return f"{self.id}:{self.kind}(q{self.qubit})"
-        if self.kind == POST_GATE_CONTROL:
-            return f"{self.id}:{self.kind}(g{self.gate_index})"
-        return f"{self.id}:{self.kind}(slot{self.slot})"
 
 
 @dataclass(frozen=True)
@@ -116,64 +83,6 @@ class GadgetCircuit:
     def adaptive_slot(self, stab: int) -> int:
         """Outcome slot id used when stabilizer ``stab`` is re-measured."""
         return self.base_rounds * self.cat_count + stab
-
-
-def _control_has_later_read(gates: tuple[Gate, ...], gi: int) -> bool:
-    """True if some later CNOT reads the control of gate ``gi``.
-
-    X faults on a control with no later read only touch the final
-    transversal measurement, which X errors cannot flip.
-    """
-    control = gates[gi].q0
-    for g in gates[gi + 1:]:
-        if g.kind == "CNOT" and g.q0 == control:
-            return True
-    return False
-
-
-def enumerate_fault_locations(g: GadgetCircuit) -> list[FaultLocation]:
-    """All sites where an X fault can reach data or flip a ring outcome.
-
-    Per cat qubit: its initialization plus a post-gate control site on
-    each of its CNOTs that still has a downstream ring read.  Per ring
-    measurement: the ancilla preparation, both CNOT-target sites and the
-    pre-measurement site.  For a one-round gadget with gamma = 2m this
-    gives exactly 4*gamma locations.
-    """
-    locs: list[FaultLocation] = []
-
-    def add(kind: str, **kw) -> None:
-        locs.append(FaultLocation(id=len(locs), kind=kind, **kw))
-
-    for r in range(g.cat_count):
-        add(CAT_INIT, qubit=g.cat_qubit(r))
-
-    data_gate_idx = [
-        gi for gi, gate in enumerate(g.gates)
-        if gate.kind == "CNOT" and gate.q1 < g.gamma
-    ]
-    for gi in data_gate_idx:
-        if _control_has_later_read(g.gates, gi):
-            add(POST_GATE_CONTROL, gate_index=gi, qubit=g.gates[gi].q0)
-
-    # ring measurements: CNOTs are matched to their outcome slot through
-    # the ancilla they target, since the layered schedule separates a
-    # slot's two CNOTs
-    pending: dict[int, list[int]] = {}
-    for gi, gate in enumerate(g.gates):
-        if gate.kind == "CNOT" and gate.q1 >= g.gamma + g.cat_count:
-            pending.setdefault(gate.q1, []).append(gi)
-        elif gate.kind == "MZ":
-            first, second = pending.pop(gate.q0)
-            for ci in (first, second):
-                if _control_has_later_read(g.gates, ci):
-                    add(POST_GATE_CONTROL, gate_index=ci,
-                        qubit=g.gates[ci].q0)
-            add(ANC_PREP, slot=gate.slot, qubit=gate.q0, gate_index=first)
-            add(ANC_MID, slot=gate.slot, qubit=gate.q0, gate_index=first)
-            add(ANC_POST, slot=gate.slot, qubit=gate.q0, gate_index=second)
-            add(PRE_MEASUREMENT, slot=gate.slot, qubit=gate.q0, gate_index=gi)
-    return locs
 
 
 def circuit_depth(g: GadgetCircuit, extra_measurements: int = 0) -> int:

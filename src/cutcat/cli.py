@@ -87,15 +87,15 @@ def cmd_verify(args) -> int:
     )
     g = build_cut_cat(spec)
     decoder = _default_decoder(g, spec, args.decoder)
-    report = verify_gadget(g, decoder, spec.t, dedupe=args.dedupe, jobs=args.jobs)
+    report = verify_gadget(g, decoder, spec.t, jobs=args.jobs)
+    per_weight = ", ".join(f"{w}: {n}" for w, n in enumerate(report.checked_per_weight, 1))
+    counts = (f"{report.faults_checked} fault combinations over "
+              f"{report.n_classes} effect classes (by weight {per_weight})")
     if report.passed:
-        print(
-            f"PASS: distance {spec.distance}, gamma {spec.gamma}: "
-            f"{report.faults_checked} fault combinations, "
-            f"{report.n_locations} locations"
-        )
+        print(f"PASS: distance {spec.distance}, gamma {spec.gamma}: {counts}")
         return 0
     print(f"FAIL: counterexample {report.counterexample.describe()}")
+    print(f"checked {counts}")
     return 1
 
 
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_gadget_args(p)
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--no-dedupe", dest="dedupe", action="store_false",
-                   help="enumerate raw locations instead of effect classes")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lut", help="lookup-table construction")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import GadgetCircuit, enumerate_fault_locations
+from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
@@ -29,7 +29,7 @@ from .pauli import (
     parity,
     residual_weight_mod_generator,
 )
-from .sim import CatSyndrome
+from .sim import CatSyndrome, FaultTable
 from . import verify as _verify
 
 
@@ -462,14 +462,14 @@ def _solve_constraints(
     return dict(zip(key[starts].tolist(), corr.tolist()))
 
 
-def build_cut_cat_lut(
-    spec: GadgetSpec, dedupe: bool = True, gadget: GadgetCircuit | None = None,
-) -> CutCatLUT:
+def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> CutCatLUT:
     """Exhaustive-search construction of the ring-syndrome table.
 
-    Inserts every X-fault combination up to weight t, accumulates the
-    (residual, weight) constraints per syndrome, and searches a
-    correction consistent with all of them under the coset metric.
+    Inserts every combination of up to t of the verifier's effect
+    classes (the distinct rows of the fault table MC samples),
+    accumulates the (residual, weight) constraints per syndrome, and
+    searches a correction consistent with all of them under the coset
+    metric.
     Deterministic: enumeration is weight-ascending lexicographic and the
     zero vector, stored residuals, then bounded offsets are tried in
     that order.
@@ -478,16 +478,18 @@ def build_cut_cat_lut(
         raise ValueError("LUT construction requires a non-adaptive gadget")
     g = gadget if gadget is not None else build_cut_cat(spec)
     t = spec.t
-    effects, _ = _verify._effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+    effects, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
+    unique = _verify.sort_unique
     # Keys whose residuals all lie within their weights take the zero
     # correction; a second walk collects the rows of the other keys.
     keys, hard = [], []
     for s in _verify.combo_walk(effects, t, min_weight=0):
-        keys.append(np.unique(s.key))
+        keys.append(unique(s.key))
         hard.append(s.key[_verify.coset_weights(s.data, spec.gamma) > s.weight])
-    keys, hard = np.unique(np.concatenate(keys)), np.unique(np.concatenate(hard))
+    keys, hard = unique(np.concatenate(keys)), unique(np.concatenate(hard))
     rows = [(s.key[m], s.data[m], np.full(m.sum(), s.weight, np.uint8))
-            for s in _verify.combo_walk(effects, t, min_weight=0) for m in [np.isin(s.key, hard)]]
+            for s in _verify.combo_walk(effects, t, min_weight=0)
+            for m in [_verify.find_sorted(hard, s.key)[1]]]
     table = dict.fromkeys(keys.tolist(), 0)
     table.update(_solve_constraints(*map(np.concatenate, zip(*rows)), spec.gamma, t))
     assert table.get(0, 0) == 0, "zero syndrome must map to zero correction"

@@ -119,8 +119,7 @@ class GadgetMonteCarlo:
         self.g = g
         self.decoder = decoder
         self.adaptive = bool(getattr(decoder, "needs_round2", False))
-        fields = ("data_x", "slot_flips") + (("persist_x",) if self.adaptive else ())
-        self.faults = FaultTable.from_gadget(g, fields)
+        self.faults = FaultTable.for_decoder(g, self.adaptive)
         self.reread = FaultTable.for_reread(g) if self.adaptive else None
         self._answers = KeyCache()
 

@@ -16,14 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuit import (
-    ANC_PREP,
-    PRE_MEASUREMENT,
-    FaultLocation,
-    GadgetCircuit,
-    Gate,
-    enumerate_fault_locations,
-)
+from .circuit import GadgetCircuit, Gate
 from .pauli import parity
 
 # uniform two-qubit depolarizing support, code i -> (P_control, P_target)
@@ -163,91 +156,6 @@ class _Walker:
         )
 
 
-def _resolve_faults(g, faults, locations) -> dict[int, list]:
-    """Walker injections for (location or id, Pauli) faults, placed as
-    ``FaultLocation`` describes."""
-    inj: dict[int, list] = {}
-    for loc, pauli in faults:
-        if isinstance(loc, int):
-            if locations is None:
-                locations = enumerate_fault_locations(g)
-            if not 0 <= loc < len(locations):
-                raise ValueError(f"unknown fault id {loc}")
-            loc = locations[loc]
-        after = loc.gate_index - (loc.kind in (ANC_PREP, PRE_MEASUREMENT))
-        inj.setdefault(after, []).append((loc.qubit, pauli))
-    return inj
-
-
-def propagate(
-    g: GadgetCircuit,
-    faults: Iterable[tuple[FaultLocation | int, str]] = (),
-    locations: Sequence[FaultLocation] | None = None,
-    initial_x: int = 0,
-    initial_z: int = 0,
-) -> PropagationResult:
-    """Run the gadget once with the given faults injected.
-
-    ``faults`` pairs a location (object or id into ``locations``) with a
-    Pauli; a Y decomposes into simultaneous X and Z on the same site.
-    ``initial_x``/``initial_z`` seed pre-existing data errors, whose Z
-    component feeds the generator outcome through the data CNOTs.
-    """
-    inj = _resolve_faults(g, faults, locations)
-    return _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj).result()
-
-
-# adaptive fault kind -> (re-read gate it follows, -1 for before the
-# first; offset from the stabilizer of the cat qubit it hits, None for the
-# ancilla).  Gate 0 reads the neighbor cat, gate 1 the own cat.
-_REREAD_FAULTS = {
-    "anc_prep": (-1, None),
-    "anc_mid": (0, None),
-    "anc_post": (1, None),
-    "pre_measurement": (1, None),
-    "post_gate_control_0": (0, 1),
-    "post_gate_control_1": (1, 0),
-}
-
-
-def adaptive_propagate(
-    g: GadgetCircuit,
-    faults: Iterable[tuple[FaultLocation | int, str]] = (),
-    planner: Callable[[CatSyndrome], Iterable[int]] | None = None,
-    adaptive_faults: Iterable[tuple[int, str, str]] = (),
-    locations: Sequence[FaultLocation] | None = None,
-    initial_x: int = 0,
-    initial_z: int = 0,
-) -> PropagationResult:
-    """Run the base rounds, consult the planner, then re-measure.
-
-    The planner maps the base-round syndrome to stabilizer indices to
-    measure again; persistent cat errors from the base rounds show up in
-    those outcomes.  ``adaptive_faults`` are (stabilizer, kind, pauli)
-    triples bound to the re-measurement of that stabilizer.
-    """
-    inj = _resolve_faults(g, faults, locations)
-    walker = _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj)
-    plan = sorted(set(planner(walker.result().syndrome))) if planner is not None else []
-
-    extra: dict[int, dict[int, list]] = {}
-    for stab, kind, pauli in adaptive_faults:
-        if stab not in plan:
-            continue
-        if kind not in _REREAD_FAULTS:
-            raise ValueError(f"unknown adaptive fault kind {kind}")
-        after, offset = _REREAD_FAULTS[kind]
-        qubit = g.anc_qubit(stab) if offset is None else g.cat_qubit(stab + offset)
-        extra.setdefault(stab, {}).setdefault(after, []).append((qubit, pauli))
-
-    for stab in plan:
-        if not 0 <= stab < g.cat_count:
-            raise ValueError(f"planner requested stabilizer {stab}")
-        gates = g.ring_measurement_gates(stab, g.adaptive_slot(stab))
-        walker.run(gates, extra.get(stab, {}))
-    return walker.result()
-
-
 @dataclass(frozen=True)
 class NoisyOp:
     """A depolarizing channel on ``qubits`` right after gate ``after``
@@ -314,14 +222,6 @@ def propagate_op_faults(
             elif pauli != "I":
                 inj.setdefault(op.after, []).append((qubit, pauli))
     return _Walker(g).run(g.gates, inj).result(extra_gen_flip)
-
-
-def location_effects(
-    g: GadgetCircuit, locations: Sequence[FaultLocation], pauli: str = "X",
-) -> list[Effect]:
-    """Single-fault effect of each location, via one walk apiece."""
-    return [_Walker(g).run(g.gates, _resolve_faults(g, [(loc, pauli)], None)).effect()
-            for loc in locations]
 
 
 def op_code_effects(g: GadgetCircuit, op: NoisyOp,
@@ -393,6 +293,14 @@ class FaultTable:
         if data_map is not None:
             columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
         return cls([op.n_codes for op in ops], columns)
+
+    @classmethod
+    def for_decoder(cls, g: GadgetCircuit, adaptive: bool) -> "FaultTable":
+        """The gadget's table on the fields its decoder reads: data X and
+        ring outcomes, and for an adaptive decoder the cat X its re-reads
+        see.  Gadget MC samples it and the verifier walks its rows."""
+        return cls.from_gadget(
+            g, ("data_x", "slot_flips") + (("persist_x",) if adaptive else ()))
 
     @classmethod
     def for_reread(cls, g: GadgetCircuit) -> "FaultTable":

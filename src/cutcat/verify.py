@@ -1,11 +1,11 @@
 """Exhaustive fault-enumeration verification and the analytic failure bound.
 
 The verifier is the arbiter for every decoder in this package: it
-enumerates all X-fault combinations up to the budget, propagates them,
-decodes, and demands that the corrected residual stays within the fault
-count under the coset metric.  Adaptive decoders additionally face every
-set of the re-measurement faults that MC samples within the remaining
-budget.
+enumerates all combinations, up to the budget, of the faults MC samples
+(the distinct rows of the gadget's ``FaultTable``), decodes them, and
+demands that the corrected residual stays within the fault count under
+the coset metric.  Adaptive decoders additionally face every set of the
+re-measurement faults that MC samples within the remaining budget.
 """
 
 from __future__ import annotations
@@ -20,35 +20,54 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import FaultLocation, GadgetCircuit, enumerate_fault_locations
-from .sim import CatSyndrome, Effect, FaultTable, location_effects
+from .circuit import GadgetCircuit
+from .sim import CatSyndrome, Effect, FaultTable
 
 
-def _effect_classes(
-    g: GadgetCircuit, locations: Sequence[FaultLocation], dedupe: bool,
-    with_persist: bool,
-) -> tuple[list[Effect], list[int]]:
-    """Single X-fault effects of ``locations`` with their location ids;
-    with ``dedupe``, only the first location of each class of equal
-    ``data_x`` and ``slot_flips``, and ``persist_x`` if ``with_persist``.
+def sort_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by sort and mask: numpy 2.4 sends a
+    plain ``np.unique`` down a hash path, some 20x slower on uint64 keys."""
+    a = np.sort(a)
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
-    Sound for verification and table construction: any fault multiset
-    over the full list XOR-reduces to a strictly smaller distinct set
-    with the same propagation result, so it can only face a looser
-    budget than a set already enumerated.
+
+def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The first (op, code) of each distinct row of ``table``."""
+    first: dict[tuple[int, ...], tuple[int, int]] = {}
+    for op, n in enumerate(table.n_codes):
+        for code, row in enumerate(zip(*(c[op, :n].tolist() for c in table.columns))):
+            first.setdefault(row, (op, code))
+    return first
+
+
+def _effect_classes(table: FaultTable) -> tuple[list[Effect], list[tuple[int, int]]]:
+    """The faults the combination walk runs over: the distinct rows of
+    ``table`` (``FaultTable.for_decoder``), each named by its first (op,
+    code), in that order, without two kinds of row:
+
+    - a bare X on one data qubit, with no syndrome and no cat X: the
+      decoder sees the same run without it, and it moves the residual by
+      one qubit while it adds one to the budget, so by the triangle
+      inequality of the coset weight a set with it fails only if the set
+      without it does;
+    - a row with no data X and no syndrome: nothing to a static decoder,
+      and to an adaptive one only cat X, which ``reread_events`` offers as
+      its step -1 events.
+
+    Equal rows are equal effects, and any fault multiset XOR-reduces to a
+    set of distinct rows with the same effect and a looser budget, so
+    walking sets of distinct rows is enough.
     """
-    for name, bits in (("gamma", g.gamma), ("ring slots", g.base_rounds * g.cat_count)):
-        if bits > 64:  # the width of combo_walk's rows
-            raise ValueError(f"{name}={bits} exceeds the 64-bit limit of packed masks")
-    effects = location_effects(g, locations, "X")
-    ids = [loc.id for loc in locations]
-    if not dedupe:
-        return effects, ids
-    first: dict[tuple, tuple[Effect, int]] = {}
-    for eff, rid in zip(effects, ids):
-        sig = (eff.data_x, eff.slot_flips, eff.persist_x if with_persist else 0)
-        first.setdefault(sig, (eff, rid))
-    return [e for e, _ in first.values()], [r for _, r in first.values()]
+    effects, names = [], []
+    for row, name in _first_rows(table).items():
+        data, slots, *persist = row
+        if slots == 0 and (data == 0 or (data.bit_count() == 1 and not any(persist))):
+            continue
+        effects.append(Effect(*row))
+        names.append(name)
+    return effects, names
 
 
 def coset_weights(err_on_support: np.ndarray, gamma: int) -> np.ndarray:
@@ -120,7 +139,13 @@ def combo_walk(
 
 @dataclass(frozen=True)
 class Counterexample:
+    """The first failing combination.  Each fault is named by its first
+    table row: ``fault_ids`` are op indices into ``noisy_operations(g)``
+    and ``fault_codes`` the codes of those ops; ``round2_flips`` names
+    the re-measurement events (step, op, code) of ``reread_events``."""
+
     fault_ids: tuple[int, ...]
+    fault_codes: tuple[int, ...]
     round2_flips: tuple[tuple[int, int, int], ...]
     n_faults: int
     syndrome_key: int
@@ -131,7 +156,8 @@ class Counterexample:
     def describe(self) -> str:
         flips = f" round2_flips={self.round2_flips}" if self.round2_flips else ""
         return (
-            f"faults={self.fault_ids}{flips} n={self.n_faults} "
+            f"faults(op, code)={tuple(zip(self.fault_ids, self.fault_codes))}{flips} "
+            f"n={self.n_faults} "
             f"syndrome={self.syndrome_key:#x} residual={self.residual:#x} "
             f"correction={self.correction:#x} coset_weight={self.coset_weight}"
         )
@@ -139,13 +165,21 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """``checked_per_weight[w - 1]`` counts the combinations of w effect
+    classes checked (with each set of re-measurement events a run
+    reaches, for an adaptive decoder), up to the counterexample if any."""
+
     passed: bool
-    faults_checked: int
     counterexample: Counterexample | None
-    n_locations: int
+    n_classes: int
+    checked_per_weight: tuple[int, ...]
 
     def __post_init__(self) -> None:
         assert self.passed == (self.counterexample is None)
+
+    @property
+    def faults_checked(self) -> int:
+        return sum(self.checked_per_weight)
 
 
 # re-measurement budget of an adaptive decoder per gadget run
@@ -222,6 +256,9 @@ class KeyCache:
         to an empty cache."""
         pos, found = find_sorted(self.keys, keys)
         if not found.all() or not self.values:
+            # np.unique, not sort_unique: with the latter, repeated block
+            # MC batches of one seed ran ~25 % slower, although every key
+            # is cached after the first batch
             fresh = np.unique(keys[~found])
             at = np.searchsorted(self.keys, fresh)
             new = compute(fresh)
@@ -237,30 +274,22 @@ class KeyCache:
         return tuple(v[pos] for v in self.values)
 
 
-def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The first (op, code) of each distinct row of ``table``."""
-    first: dict[tuple[int, ...], tuple[int, int]] = {}
-    for op, n in enumerate(table.n_codes):
-        for code in range(n):
-            first.setdefault(tuple(int(c[op, code]) for c in table.columns), (op, code))
-    return first
-
-
-def reread_events(g: GadgetCircuit) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+def reread_events(g: GadgetCircuit, table: FaultTable,
+                  ) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
     """The re-measurement faults MC samples, named (step, op, code) by
     their first table row: at each re-read step, each distinct nonzero
     row of ``FaultTable.for_reread``; then, at step -1, each distinct
-    row of the gadget's table that only leaves X on cats (after their
-    last base-round read, where no verifier location lies).  Each is a
-    row of masks: the cat X before the re-reads, then per step the
-    outcome flip and the cat X relative to the stabilizer read."""
+    row of ``table``, the gadget's ``FaultTable.for_decoder`` of an
+    adaptive decoder, that only leaves X on cats (after their last
+    base-round read).  Each is a row of masks: the cat X before the
+    re-reads, then per step the outcome flip and the cat X relative to
+    the stabilizer read."""
     k, names, rows = MAX_REREADS, [], []
     reread = _first_rows(FaultTable.for_reread(g)).items()
     for step, ((anc, cats), (op, code)) in product(range(k), reread):
         if anc or cats:
             names.append((step, op, code))
             rows.append([0] * (1 + 2 * step) + [anc, cats] + [0] * (2 * (k - 1 - step)))
-    table = FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))
     for (data, slots, persist), (op, code) in _first_rows(table).items():
         if data == slots == 0 and persist:
             names.append((-1, op, code))
@@ -329,13 +358,13 @@ def _check_combos(
     decoder,
     t: int,
     effects: Sequence[Effect],
-    rep_ids: Sequence[int],
+    names: Sequence[tuple[int, int]],
     events: EventSets,
     cache: KeyCache,
     weight: int,
     first_range: range,
 ) -> tuple[int, Counterexample | None]:
-    """Verify all combos of ``weight`` locations whose first index lies
+    """Verify all combos of ``weight`` effects whose first index lies
     in ``first_range`` against each set of ``events`` within the budget
     t - weight (a static decoder meets the empty set only): a (row, set)
     grid per slice.  A cell counts only if its run reaches the step of
@@ -366,31 +395,25 @@ def _check_combos(
             # the first failing cell in row-major order
             cell = int(np.argmax(bad))
             r, j = divmod(cell, k)
+            ops, codes = zip(*(names[i] for i in sl.combo(r)))
             return checked + int(np.count_nonzero(admitted.ravel()[:cell])) + 1, Counterexample(
-                tuple(rep_ids[i] for i in sl.combo(r)), events.names[j], int(budget[j]),
+                ops, codes, events.names[j], int(budget[j]),
                 int(sl.key[r]), int(sl.data[r]), int(corr[r, j]), int(cw[r, j]))
         checked += int(np.count_nonzero(admitted))
     return checked, None
 
 
-def verify_gadget(
-    g: GadgetCircuit,
-    decoder,
-    t: int,
-    locations: Sequence[FaultLocation] | None = None,
-    dedupe: bool = True,
-    jobs: int = 1,
-) -> VerificationReport:
+def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> VerificationReport:
     """Exhaustively certify that ``decoder`` keeps the gadget t-FT.
 
-    Every combination of 1..t X faults over the relevant locations is
-    propagated and decoded.  An adaptive decoder also meets every set of
-    the re-measurement faults MC samples (``reread_events``, built once
-    per call) within the remaining budget, each costing one, re-read by
-    ``follow_rereads`` as in MC.  The first counterexample in order is
-    reported, its events named (step, op, code).  With ``dedupe`` the
-    combinations run over effect classes, split by the fields the
-    decoder reads: ``persist_x`` only for adaptive decoders.
+    Every combination of 1..t effect classes (``_effect_classes``: the
+    distinct rows of the fault table MC samples for this decoder) is
+    decoded, and the residual must stay within the number of faults.  An
+    adaptive decoder also meets every set of the re-measurement faults
+    MC samples (``reread_events``, from the same table) within the
+    remaining budget, each costing one, re-read by ``follow_rereads`` as
+    in MC.  The first counterexample in order is reported, its faults
+    named (op, code) and its events (step, op, code).
 
     A static decoder (no true ``needs_round2``) must provide
     ``decode_keys(keys, cat_count, rounds)``, the corrections for a
@@ -401,36 +424,31 @@ def verify_gadget(
     checked in parallel; a failing range stops the walk, and only the
     ranges up to it count, so the report does not depend on ``jobs``.
     """
-    if locations is None:
-        locations = enumerate_fault_locations(g)
     adaptive = bool(getattr(decoder, "needs_round2", False))
-    effects, rep_ids = _effect_classes(g, locations, dedupe, adaptive)
-    events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), max(t - 1, 0))
+    table = FaultTable.for_decoder(g, adaptive)
+    effects, names = _effect_classes(table)
+    events = EventSets.build(*(reread_events(g, table) if adaptive else ([], [])),
+                             max(t - 1, 0))
     n = len(effects)
     chunk = max(1, math.ceil(n / max(jobs, 1)))
     ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 
     cache = KeyCache()
-    checked = 0
+    per_weight: list[int] = []
     cx = None
     with (ProcessPoolExecutor(max_workers=jobs) if len(ranges) > 1
           else nullcontext()) as pool:
         run = map if pool is None else pool.map
         for w in range(1, t + 1):
-            check = partial(_check_combos, g, decoder, t, effects, rep_ids,
-                            events, cache, w)
+            check = partial(_check_combos, g, decoder, t, effects, names, events, cache, w)
+            per_weight.append(0)
             for part_checked, cx in run(check, ranges):
-                checked += part_checked
+                per_weight[-1] += part_checked
                 if cx is not None:
                     break
             if cx is not None:
                 break
-    return VerificationReport(
-        passed=cx is None,
-        faults_checked=checked,
-        counterexample=cx,
-        n_locations=len(locations),
-    )
+    return VerificationReport(cx is None, cx, n, tuple(per_weight))
 
 
 def eval_upper_bound(gamma: int, t: int, p_ft: float) -> float:

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from cutcat.block import sweep_block_mc
-from cutcat.circuit import CAT_INIT, enumerate_fault_locations
 from cutcat.decoders import (
     LutDecoder,
     RuleDecoderD3D5,
@@ -24,8 +23,8 @@ from cutcat.experiments import run_gadget_mc, sweep_gadget_mc
 from cutcat.cli import main as cli_main
 from cutcat.gadgets import GadgetSpec, build_cut_cat, resource_report
 from cutcat.pauli import parse_css_code, steane_code
-from cutcat.sim import location_effects
 from cutcat.verify import eval_upper_bound, verify_gadget
+from location_ref import CAT_INIT, enumerate_fault_locations, location_effects
 
 SEED = 11
 
@@ -47,12 +46,12 @@ class TestCriterion1ExhaustiveVerification:
     def test_t_ft_verification(self, distance, gamma):
         spec = GadgetSpec(gamma=gamma, distance=distance)
         g = build_cut_cat(spec)
-        rep = verify_gadget(g, _rule_decoder(g, spec), spec.t, dedupe=False)
+        rep = verify_gadget(g, _rule_decoder(g, spec), spec.t)
         _report(
             "1 (exhaustive t-FT)",
             rep.passed,
             f"d={distance} gamma={gamma}: {rep.faults_checked} combinations "
-            f"over {rep.n_locations} locations, all within budget",
+            f"over {rep.n_classes} effect classes, all within budget",
         )
 
 
@@ -69,7 +68,7 @@ class TestCriterion2LutSynthesis:
     def test_d9_lut_builds_and_verifies(self, d9_lut):
         spec, lut = D9_SPEC, d9_lut
         g = build_cut_cat(spec)
-        rep = verify_gadget(g, LutDecoder(lut), spec.t, dedupe=True)
+        rep = verify_gadget(g, LutDecoder(lut), spec.t)
         digest = hashlib.sha256(lut.to_json().encode()).hexdigest()
         _report(
             "2 (d=9 LUT)",

@@ -1,14 +1,13 @@
 import pytest
 
 from cutcat.circuit import (
-    CAT_INIT,
     GadgetCircuit,
     Gate,
     circuit_depth,
     count_two_qubit_gates,
-    enumerate_fault_locations,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
+from location_ref import CAT_INIT, enumerate_fault_locations
 
 EMPTY_GADGET = GadgetCircuit(kind="cut_cat", gamma=0, cat_count=0, pair_map=(),
                              gates=(), round_slots=(), base_rounds=0)

@@ -10,7 +10,9 @@ class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
         assert main(["verify", "--gamma", "10", "--distance", "5",
                      "--jobs", "1"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "PASS: distance 5, gamma 10: 210 fault combinations over 20 effect "
+            "classes (by weight 1: 20, 2: 190)\n")
 
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:

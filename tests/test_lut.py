@@ -5,7 +5,6 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from cutcat.circuit import enumerate_fault_locations
 from cutcat.decoders import (
     CutCatLUT,
     LutBuildError,
@@ -16,22 +15,26 @@ from cutcat.decoders import (
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import mask_of, residual_weight_mod_generator
-from cutcat.sim import CatSyndrome
+from cutcat.sim import CatSyndrome, FaultTable
 from cutcat.verify import _effect_classes, combo_walk, verify_gadget
+from location_ref import enumerate_fault_locations, location_effects
 
 
-def _oracle_rows(g, t, dedupe=False):
+def _class_effects(g):
+    return _effect_classes(FaultTable.for_decoder(g, False))[0]
+
+
+def _oracle_rows(g, t):
     """(syndrome key, data residual, weight) of every combination of up to
-    t X faults, the empty one first, in walk order."""
-    effects, _ = _effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+    t effect classes, the empty one first, in walk order."""
     return [(int(k), int(d), s.weight)
-            for s in combo_walk(effects, t, min_weight=0)
+            for s in combo_walk(_class_effects(g), t, min_weight=0)
             for k, d in zip(s.key, s.data)]
 
 
-def _reference_rows(g, t, dedupe):
-    """The same stream, one ``itertools.combinations`` tuple at a time."""
-    effects, _ = _effect_classes(g, enumerate_fault_locations(g), dedupe, False)
+def _reference_rows(effects, t):
+    """The same stream over ``effects``, one ``itertools.combinations``
+    tuple at a time."""
     yield 0, 0, 0
     for w in range(1, t + 1):
         for combo in combinations(range(len(effects)), w):
@@ -117,11 +120,15 @@ class TestBuild:
         b = build_cut_cat_lut(spec)
         assert a.table == b.table
 
-    def test_dedupe_matches_full_enumeration(self):
-        spec = GadgetSpec(gamma=6, distance=3, adaptive=False)
-        a = build_cut_cat_lut(spec, dedupe=True)
-        b = build_cut_cat_lut(spec, dedupe=False)
-        assert a.table == b.table
+    @pytest.mark.parametrize("gamma,distance", [(6, 3), (8, 5), (10, 5)])
+    def test_raw_locations_give_the_same_table(self, gamma, distance):
+        # synthesis over every location effect of ``location_ref``,
+        # repeats included, in location order
+        spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
+        g = build_cut_cat(spec)
+        raw = location_effects(g, enumerate_fault_locations(g), "X")
+        expected = _reference_table(_reference_rows(raw, spec.t), gamma, spec.t)
+        assert build_cut_cat_lut(spec, gadget=g).table == expected
 
     def test_adaptive_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +136,7 @@ class TestBuild:
 
     def test_d3_lut_decoder_verifies(self, d3_lut):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        assert verify_gadget(g, LutDecoder(d3_lut), 1, dedupe=False).passed
+        assert verify_gadget(g, LutDecoder(d3_lut), 1).passed
 
 
 class TestLookupContract:
@@ -216,7 +223,7 @@ class TestSynthesisMatchesReference:
         # gamma 3: the zero correction serves every key
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
-        expected = _reference_table(_reference_rows(g, spec.t, True), gamma, spec.t)
+        expected = _reference_table(_reference_rows(_class_effects(g), spec.t), gamma, spec.t)
         assert build_cut_cat_lut(spec, gadget=g).table == expected
 
     # gamma 8, t 2.  Key 1: zero fails (0b0011 at weight 1) and each stored

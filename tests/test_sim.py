@@ -6,27 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutcat.circuit import (
-    ANC_MID,
-    ANC_POST,
-    ANC_PREP,
-    CAT_INIT,
-    POST_GATE_CONTROL,
-    PRE_MEASUREMENT,
-    enumerate_fault_locations,
-)
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
     _MAX_CHUNK,
     PAULI_PAIRS,
     PAULI_SINGLES,
     FaultTable,
-    adaptive_propagate,
-    location_effects,
     noisy_operations,
     op_code_effects,
-    propagate,
     propagate_op_faults,
+)
+from location_ref import (
+    ANC_MID,
+    ANC_POST,
+    ANC_PREP,
+    CAT_INIT,
+    POST_GATE_CONTROL,
+    PRE_MEASUREMENT,
+    adaptive_propagate,
+    enumerate_fault_locations,
+    location_effects,
+    propagate,
 )
 
 

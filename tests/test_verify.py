@@ -6,7 +6,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cutcat.circuit import PRE_MEASUREMENT, enumerate_fault_locations
 from cutcat.decoders import (
     IdentityDecoder,
     LutDecoder,
@@ -20,11 +19,10 @@ from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import residual_weight_mod_generator
 from cutcat.sim import (
     CatSyndrome,
+    Effect,
     FaultTable,
     _Walker,
-    adaptive_propagate,
     gate_operations,
-    location_effects,
     noisy_operations,
 )
 from cutcat.verify import (
@@ -38,7 +36,14 @@ from cutcat.verify import (
     eval_upper_bound,
     reread_events,
     reread_table,
+    sort_unique,
     verify_gadget,
+)
+from location_ref import (
+    adaptive_propagate,
+    enumerate_fault_locations,
+    location_classes,
+    location_effects,
 )
 
 
@@ -52,16 +57,10 @@ def _persist_outcome_bits(persist, m):
     return sum(_persist_outcome(persist, s, m) << s for s in range(m))
 
 
-def _reference_effects(g, dedupe):
-    """Single X-fault effects, keeping the first location per (data_x,
-    slot_flips) class under ``dedupe``."""
-    effects = location_effects(g, enumerate_fault_locations(g), "X")
-    if dedupe:
-        first = {}
-        for e in effects:
-            first.setdefault((e.data_x, e.slot_flips), e)
-        effects = list(first.values())
-    return effects
+def _raw_location_effects(g):
+    """The single X-fault effect of every location of ``location_ref``,
+    repeats included."""
+    return location_effects(g, enumerate_fault_locations(g), "X")
 
 
 def _reference_combos(effects, max_weight):
@@ -90,62 +89,81 @@ def _walk_rows(effects, max_weight, first_range=None, min_weight=1):
     ]
 
 
-def _class_effects(g, dedupe=False):
-    return _effect_classes(g, enumerate_fault_locations(g), dedupe, False)[0]
+def _classes(g, adaptive=False):
+    """The verifier's effect classes and their (op, code) names, and the
+    table they come from."""
+    table = FaultTable.for_decoder(g, adaptive)
+    return (*_effect_classes(table), table)
+
+
+def _class_effects(g, adaptive=False):
+    return _classes(g, adaptive)[0]
+
+
+def _pairs(cx):
+    """A counterexample's faults as (op, code) pairs."""
+    return tuple(zip(cx.fault_ids, cx.fault_codes))
 
 
 class TestVerifyGadget:
     def test_d3_gamma6_passes(self):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
-        rep = verify_gadget(g, RuleDecoderD3D5(g, 1), 1, dedupe=False)
+        rep = verify_gadget(g, RuleDecoderD3D5(g, 1), 1)
         assert rep.passed
-        assert rep.n_locations == 24
+        assert rep.n_classes == 12 and rep.checked_per_weight == (12,)
 
     def test_d5_gamma10_passes(self):
         spec = GadgetSpec(gamma=10, distance=5)
         g = build_cut_cat(spec)
-        assert verify_gadget(g, RuleDecoderD3D5(g, 2), 2, dedupe=False).passed
+        assert verify_gadget(g, RuleDecoderD3D5(g, 2), 2).passed
 
     def test_identity_decoder_hook_counterexample(self):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
-        rep = verify_gadget(g, IdentityDecoder(), 1, dedupe=False)
+        rep = verify_gadget(g, IdentityDecoder(), 1)
         assert not rep.passed
         cx = rep.counterexample
         assert cx.n_faults == 1
         assert cx.coset_weight == 2
-        locs = enumerate_fault_locations(g)
-        assert locs[cx.fault_ids[0]].kind == "cat_init"
-
-    def test_dedupe_agrees_with_full(self):
-        spec = GadgetSpec(gamma=8, distance=5)
-        g = build_cut_cat(spec)
-        dec = RuleDecoderD3D5(g, 2)
-        assert verify_gadget(g, dec, 2, dedupe=True).passed == \
-            verify_gadget(g, dec, 2, dedupe=False).passed
+        # an X on a freshly prepared cat qubit
+        op = noisy_operations(g)[cx.fault_ids[0]]
+        assert op.after == -1 and op.qubits == (g.cat_qubit(0),)
+        assert op.codes[cx.fault_codes[0]] == ("X",)
 
     def test_measurement_only_faults_always_pass(self):
+        # the rows of the noise before each ring measurement, alone
         spec = GadgetSpec(gamma=10, distance=5)
         g = build_cut_cat(spec)
-        locs = [l for l in enumerate_fault_locations(g) if l.kind == PRE_MEASUREMENT]
-        rep = verify_gadget(g, RuleDecoderD3D5(g, 2), 2, locations=locs,
-                            dedupe=False)
-        assert rep.passed
+        table = FaultTable.for_decoder(g, False)
+        rows = {}
+        for i, op in enumerate(noisy_operations(g)):
+            if not op.final and op.qubits[0] >= g.gamma + g.cat_count:
+                for code in range(op.n_codes):
+                    row = tuple(int(c[i, code]) for c in table.columns)
+                    if any(row):
+                        rows.setdefault(row, (i, code))
+        assert len(rows) == g.n_slots and all(data == 0 for data, _ in rows)
+        effects = [Effect(*row) for row in rows]
+        for w in (1, 2):
+            checked, cx = _check_combos(g, RuleDecoderD3D5(g, 2), 2, effects, list(rows.values()),
+                                        EventSets.build([], [], 1), KeyCache(), w,
+                                        range(len(effects)))
+            assert cx is None and checked == math.comb(len(effects), w)
 
     def test_parallel_jobs_match_serial(self):
         spec = GadgetSpec(gamma=8, distance=3)
         g = build_cut_cat(spec)
         dec = RuleDecoderD3D5(g, 1)
-        serial = verify_gadget(g, dec, 1, dedupe=False, jobs=1)
-        parallel = verify_gadget(g, dec, 1, dedupe=False, jobs=2)
+        serial = verify_gadget(g, dec, 1, jobs=1)
+        parallel = verify_gadget(g, dec, 1, jobs=2)
         assert serial.passed == parallel.passed
         assert serial.faults_checked == parallel.faults_checked
 
     def test_d7_small_adaptive_passes(self):
         spec = GadgetSpec(gamma=14, distance=7)
         g = build_cut_cat(spec)
-        assert verify_gadget(g, RuleDecoderD7(g), 3, dedupe=True).passed
+        assert verify_gadget(g, RuleDecoderD7(g), 3).passed
 
     @pytest.mark.parametrize("gamma,distance,decoder,t,expected", [
         (10, 5, "identity", 2, ((0,), 1, 0x11, 0x3, 0x0, 2)),
@@ -188,26 +206,80 @@ class TestVerifyGadget:
         assert (cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
                 cx.residual, cx.correction, cx.coset_weight) == \
             ((0, 1, 2), ((0, 0, 0),), 4, 0x44, 0x3F, 0x0, 6)
-        assert "round2_flips=((0, 0, 0),)" in cx.describe()
+        assert cx.fault_codes == (0, 0, 0)
+        assert "faults(op, code)=((0, 0), (1, 0), (2, 0)) round2_flips=((0, 0, 0),)" \
+            in cx.describe()
 
-    @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize("gamma,distance,decoder,t", [
         (10, 5, "identity", 2),
         (10, 5, "rule-t1", 2),
         (14, 7, "rule-t2", 3),
     ])
     def test_failing_reports_do_not_depend_on_jobs(self, gamma, distance,
-                                                   decoder, t, dedupe):
+                                                   decoder, t):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
         dec = {
             "identity": IdentityDecoder,
             "rule-t1": lambda: RuleDecoderD3D5(g, 1),
             "rule-t2": lambda: RuleDecoderD3D5(g, 2),
         }[decoder]()
-        serial = verify_gadget(g, dec, t, dedupe=dedupe, jobs=1)
-        parallel = verify_gadget(g, dec, t, dedupe=dedupe, jobs=2)
+        serial = verify_gadget(g, dec, t, jobs=1)
+        parallel = verify_gadget(g, dec, t, jobs=2)
         assert not serial.passed
         assert parallel == serial
+        if decoder == "rule-t1":
+            # weight 1 passes over both worker ranges; weight 2 fails
+            assert serial.checked_per_weight[0] == serial.n_classes
+            assert len(serial.checked_per_weight) == 2
+
+    def test_one_table_walk_per_adaptive_verify(self, monkeypatch):
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        walks = []
+        from_gadget = FaultTable.from_gadget
+
+        def counted(cls, *args, **kwargs):
+            walks.append(args)
+            return from_gadget(*args, **kwargs)
+
+        monkeypatch.setattr(FaultTable, "from_gadget", classmethod(counted))
+        assert verify_gadget(g, RuleDecoderD7(g), 2).passed
+        assert len(walks) == 1
+
+
+def _raw_verify(g, decoder, t):
+    """``_check_combos`` over every location effect of ``location_ref``,
+    repeats included, named by location id: the first counterexample."""
+    effects = _raw_location_effects(g)
+    names = [(i, 0) for i in range(len(effects))]
+    cache = KeyCache()
+    for w in range(1, t + 1):
+        _, cx = _check_combos(g, decoder, t, effects, names, EventSets.build([], [], t - 1),
+                              cache, w, range(len(effects)))
+        if cx is not None:
+            return cx
+    return None
+
+
+class TestClassesAgreeWithRawLocations:
+    """Walking distinct table rows, with the drop rule of
+    ``_effect_classes``, decides as walking every raw location does."""
+
+    @pytest.mark.parametrize("decoder", ["rule", "rule-t1", "identity"])
+    @pytest.mark.parametrize("gamma, distance", [(6, 3), (8, 5), (10, 5)])
+    def test_same_verdict_and_first_failure(self, gamma, distance, decoder):
+        spec = GadgetSpec(gamma=gamma, distance=distance)
+        g = build_cut_cat(spec)
+        dec = {"rule": lambda: RuleDecoderD3D5(g, spec.t),
+               "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+               "identity": IdentityDecoder}[decoder]()
+        rep = verify_gadget(g, dec, spec.t)
+        raw = _raw_verify(g, dec, spec.t)
+        # the rule decoder at its own budget passes; so does rule-t1 at d=3
+        assert rep.passed == (raw is None) == (
+            decoder == "rule" or (decoder == "rule-t1" and spec.t == 1))
+        if raw is not None:
+            cx = rep.counterexample
+            assert (cx.syndrome_key, cx.residual) == (raw.syndrome_key, raw.residual)
 
 
 class TestRereadTable:
@@ -265,8 +337,7 @@ def _full_reread_table(decoder, syn):
 
 def _reached_keys(g, t):
     """Every syndrome key the adaptive verifier meets at budget t."""
-    effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
-    return sorted({int(k) for s in combo_walk(effects, t) for k in s.key})
+    return sorted({int(k) for s in combo_walk(_class_effects(g, True), t) for k in s.key})
 
 
 class TestPrunedRereadTable:
@@ -338,6 +409,15 @@ class TestKeyCache:
         assert sq.tolist() == [4] and pair.tolist() == [[2, 3]]
 
 
+class TestSortUnique:
+    @pytest.mark.parametrize("keys", [[], [7], [3, 3, 3], [9, 2, 9, 2**63 + 1, 0, 5, 2]],
+                             ids=["empty", "singleton", "repeated", "unsorted"])
+    def test_equals_np_unique(self, keys):
+        a = np.array(keys, np.uint64)
+        got = sort_unique(a)
+        assert got.dtype == np.uint64 and got.tolist() == np.unique(a).tolist()
+
+
 class TestEmptyDeepestSlice:
     """A range of first indices may hold no combination at the deepest
     weight (index n-1 at weight 2): a worker that starts with such a
@@ -352,10 +432,10 @@ class TestEmptyDeepestSlice:
             spec = GadgetSpec(gamma=10, distance=5, adaptive=False)
             g = build_cut_cat(spec)
             decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
-        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, adaptive)
-        events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
+        effects, names, table = _classes(g, adaptive)
+        events = EventSets.build(*(reread_events(g, table) if adaptive else ([], [])), t - 1)
         n = len(effects)
-        assert _check_combos(g, decoder, t, effects, ids, events, KeyCache(), 2,
+        assert _check_combos(g, decoder, t, effects, names, events, KeyCache(), 2,
                              range(n - 1, n)) == (0, None)
 
 
@@ -391,8 +471,8 @@ class _BrokenAt:
 def _grid_verify(g, decoder, t, keep):
     """``verify_gadget``'s serial walk with only the re-measurement
     events whose names pass ``keep``."""
-    effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, True)
-    names, rows = reread_events(g)
+    effects, ids, table = _classes(g, True)
+    names, rows = reread_events(g, table)
     sel = [i for i, name in enumerate(names) if keep(name)]
     events = EventSets.build([names[i] for i in sel], [rows[i] for i in sel], t - 1)
     cache, checked = KeyCache(), 0
@@ -414,9 +494,9 @@ class TestAdaptiveVerifierMatchesScalarWalk:
 
     @staticmethod
     def _scalar_verify(g, decoder, t, keep=lambda name: True):
-        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, True)
+        effects, names, table = _classes(g, True)
         m, k = g.cat_count, MAX_REREADS
-        events = [name for name in reread_events(g)[0] if keep(name)]
+        events = [name for name in reread_events(g, table)[0] if keep(name)]
         base_ops = noisy_operations(g)
         reread = FaultTable.for_reread(g)
         (persist,) = FaultTable.from_gadget(g, ("persist_x",)).columns
@@ -488,14 +568,14 @@ class TestAdaptiveVerifierMatchesScalarWalk:
                     checked += 1
                     cw = residual_weight_mod_generator(data ^ corr, g.gamma)
                     if cw > w + len(chosen):
-                        return checked, (tuple(ids[i] for i in combo), chosen,
+                        return checked, (tuple(names[i] for i in combo), chosen,
                                          w + len(chosen), key, data, corr, cw)
         return checked, None
 
     @staticmethod
     def _report(checked, cx):
         return checked, cx and (
-            cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
+            _pairs(cx), cx.round2_flips, cx.n_faults, cx.syndrome_key,
             cx.residual, cx.correction, cx.coset_weight)
 
     @pytest.fixture(scope="class")
@@ -521,7 +601,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         stabilizer (with ``later_touch``, then re-reads one sharing a
         cat with the first)."""
         m = g.cat_count
-        effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
+        effects = _class_effects(g, True)
         n = len(effects)
         earlier = {e.slot_flips for e in effects[:n // 2]}
 
@@ -575,7 +655,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         # with none: row r, the earlier row, is reported
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         broken, _, n, r = self._broken(g, "any", False)
-        effects = _effect_classes(g, enumerate_fault_locations(g), True, True)[0]
+        effects = _class_effects(g, True)
         keys = [e.slot_flips for e in effects]
         r2 = next(j for j in range(r + 1, n) if keys[j] not in keys[:j])
         e2 = effects[r2]
@@ -614,7 +694,7 @@ class TestOracle:
 
     def test_weight_one_count_matches_locations(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        entries = [e for e in _walk_rows(_class_effects(g), 1) if len(e[0]) == 1]
+        entries = [e for e in _walk_rows(_raw_location_effects(g), 1) if len(e[0]) == 1]
         assert len(entries) == 24
 
     def test_weight_one_residuals_bounded(self):
@@ -628,16 +708,17 @@ class TestOracle:
         effects = _class_effects(g)
         assert _walk_rows(effects, 2, min_weight=0) == _walk_rows(effects, 2, min_weight=0)
 
-    @pytest.mark.parametrize("dedupe", [False, True])
+    @pytest.mark.parametrize("source", ["locations", "classes"])
     @pytest.mark.parametrize("gamma,distance", [(6, 3), (10, 5)])
-    def test_stream_matches_reference(self, gamma, distance, dedupe):
+    def test_stream_matches_reference(self, gamma, distance, source):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
-        expected = [((), 0, 0, 0)] + _reference_combos(_reference_effects(g, dedupe), 2)
-        assert _walk_rows(_class_effects(g, dedupe), 2, min_weight=0) == expected
+        effects = {"locations": _raw_location_effects, "classes": _class_effects}[source](g)
+        expected = [((), 0, 0, 0)] + _reference_combos(effects, 2)
+        assert _walk_rows(effects, 2, min_weight=0) == expected
 
     def test_walk_over_first_range_matches_reference(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        effects = _reference_effects(g, False)
+        effects = _raw_location_effects(g)
         part = range(7, 23)
         expected = [r for r in _reference_combos(effects, 3) if r[0][0] in part]
         assert _walk_rows(effects, 3, part) == expected
@@ -665,7 +746,7 @@ class TestStaticVerifierMatchesScalarWalk:
 
     @staticmethod
     def _scalar_verify(g, decoder, t):
-        effects, ids = _effect_classes(g, enumerate_fault_locations(g), True, False)
+        effects, names, _ = _classes(g)
         checked = 0
         for w in range(1, t + 1):
             for combo in combinations(range(len(effects)), w):
@@ -677,7 +758,7 @@ class TestStaticVerifierMatchesScalarWalk:
                 corr = decoder.decode(CatSyndrome.from_key(g.cat_count, key, g.base_rounds))
                 cw = residual_weight_mod_generator(data ^ corr, g.gamma)
                 if cw > w:
-                    return checked, (tuple(ids[i] for i in combo), (), w, key, data, corr, cw)
+                    return checked, (tuple(names[i] for i in combo), (), w, key, data, corr, cw)
         return checked, None
 
     @pytest.fixture(scope="class")
@@ -690,7 +771,7 @@ class TestStaticVerifierMatchesScalarWalk:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_broken_entry_found_mid_slice(self, setup, first, jobs):
         g, lut = setup
-        effects = _class_effects(g, dedupe=True)
+        effects = _class_effects(g)
         n = len(effects)
         earlier = {e.slot_flips for e in effects}
         # the first weight-2 combination starting at ``first`` whose key no
@@ -713,7 +794,7 @@ class TestStaticVerifierMatchesScalarWalk:
         rep = verify_gadget(g, broken, 2, jobs=jobs)
         assert rep.faults_checked == checked
         got = rep.counterexample
-        assert (got.fault_ids, got.round2_flips, got.n_faults, got.syndrome_key,
+        assert (_pairs(got), got.round2_flips, got.n_faults, got.syndrome_key,
                 got.residual, got.correction, got.coset_weight) == cx
 
 
@@ -789,7 +870,7 @@ class TestRemeasurementModel:
                 if data == slots == 0 and persist and persist not in seen:
                     seen.add(persist)
                     expected.append(((-1, op, code), [persist] + [0] * (2 * k)))
-        assert list(zip(*reread_events(g))) == expected
+        assert list(zip(*reread_events(g, table))) == expected
         # five re-read rows per step; one pure cat X row per cat
         assert len(expected) == 5 * k + g.cat_count
 
@@ -834,12 +915,12 @@ class TestMonteCarloFaultsCovered:
         fields = ("data_x", "slot_flips") + (("persist_x",) if adaptive else ())
         locs = {tuple(getattr(e, f) for f in fields)
                 for e in location_effects(g, enumerate_fault_locations(g), "X")}
+        table = FaultTable.from_gadget(g, fields)
         pre = set()
         if adaptive:
-            names, rows = reread_events(g)
+            names, rows = reread_events(g, table)
             pre = {(0, 0, row[0]) for name, row in zip(names, rows) if name[0] < 0}
             assert len(pre) == g.cat_count and not pre & locs
-        table = FaultTable.from_gadget(g, fields)
         kinds = set()
         for op, n_codes in enumerate(table.n_codes):
             for code in range(n_codes):
@@ -852,12 +933,42 @@ class TestMonteCarloFaultsCovered:
                 kinds.add(kind)
         assert kinds == {"location", "bare"} | ({"pre"} if adaptive else set())
 
+    @pytest.mark.parametrize("gamma, distance, n_classes", [
+        (6, 3, 12), (10, 5, 20), (14, 7, 35), (20, 7, 50), (18, 9, 63), (24, 9, 84)])
+    def test_classes_are_the_table_rows(self, gamma, distance, n_classes):
+        """The effect classes are the distinct table rows but for the
+        dropped kinds, named by their first (op, code) in that order, and
+        the same set as the deduplicated location effects."""
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        adaptive = g.max_adaptive > 0
+        effects, names, table = _classes(g, adaptive)
+        fields = [f.name for f in dataclasses.fields(Effect)][:len(table.columns)]
+        rows = [tuple(getattr(e, f) for f in fields) for e in effects]
+        assert len(rows) == len(set(rows)) == n_classes
+        assert names == sorted(names) and names[:g.cat_count] == [
+            (r, 0) for r in range(g.cat_count)]
+        pre = {tuple(row) for row in reread_events(g, table)[1]} if adaptive else set()
+        for op, n_codes in enumerate(table.n_codes):
+            for code in range(n_codes):
+                row = tuple(int(c[op, code]) for c in table.columns)
+                data, slots, *persist = row
+                # no effect, a bare data X, or a step -1 event
+                dropped = slots == 0 and (
+                    data == 0 or (bin(data).count("1") == 1 and not any(persist)))
+                assert (row in rows) != dropped, (op, code)
+                if row in rows:
+                    assert names[rows.index(row)] <= (op, code)
+                elif data == 0 and any(persist):
+                    assert (persist[0],) + (0,) * 2 * MAX_REREADS in pre
+        locs = {tuple(getattr(e, f) for f in fields) for e in location_classes(g, adaptive)}
+        assert set(rows) == locs
+
     @pytest.mark.parametrize("gamma, first_pre_op", [(14, 28), (20, 40)])
     def test_event_names_read_untiled_rows(self, gamma, first_pre_op):
         """Table rows are tiled to the lcm of the code counts; events are
         still named by each op's own codes, as pinned here."""
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
-        names, _ = reread_events(g)
+        names, _ = reread_events(g, FaultTable.for_decoder(g, True))
         assert names == [(step, op, code) for step in range(MAX_REREADS)
                          for op, code in ((0, 0), (0, 3), (0, 4), (1, 3), (1, 4))] + [
             (-1, first_pre_op + r, 3) for r in range(g.cat_count)]
