@@ -2,10 +2,9 @@
 repeat-until-stable protocol and table decoding.
 
 Generators of weight above six get the ring-checked gadget, the rest the
-plain cat gadget.  All per-trial state is packed into uint64 vectors so
-batches run through numpy; only ring decoding drops into Python, once
-per syndrome key not met before (``KeyCache``).
-"""
+plain cat gadget.  One ``FaultTable`` holds a whole round's noise and is
+sampled once per round; only ring decoding drops into Python, once per
+syndrome key not met before (``KeyCache``)."""
 
 from __future__ import annotations
 
@@ -17,71 +16,52 @@ import numpy as np
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
-from .sim import CatSyndrome, FaultTable
+from .sim import FaultTable, noisy_operations, op_code_effects
 from .experiments import SweepResult, TrialStats, _fit_sweep, run_batches_until
 from .verify import KeyCache
 
 CUT_CAT_WEIGHT_THRESHOLD = 6
 
 
-class _GeneratorExtractor:
-    """Noisy extraction machinery for one generator, global coordinates.
-
-    The same effect tables serve X- and Z-type generators: the noise
-    model is symmetric under swapping the Pauli frame components, so the
-    sector only decides which data component receives residuals and
-    which one the outcome reads.
-    """
+class _Generator:
+    """One generator's gadget and ring decoder, in global coordinates.
+    X- and Z-type generators build the same gadgets: the noise model is
+    symmetric under swapping the Pauli frame components.  ``field`` is the
+    (column, offset) of a ring gadget's slots in the round table's ``flips``."""
 
     def __init__(self, sector: str, support_mask: int, distance: int):
         self.sector = sector
-        self.support_mask = np.uint64(support_mask)
         self.support = list(bits_of(support_mask))
-        self.gamma = len(self.support)
-        if self.gamma > CUT_CAT_WEIGHT_THRESHOLD:
-            spec = GadgetSpec(gamma=self.gamma, distance=distance, adaptive=False)
+        gamma = len(self.support)
+        if gamma > CUT_CAT_WEIGHT_THRESHOLD:
+            spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
             self.gadget = build_cut_cat(spec)
             self.decoder = RuleDecoderD3D5(self.gadget, spec.t)
         else:
-            self.gadget = build_full_cat(self.gamma)
+            self.gadget = build_full_cat(gamma)
             self.decoder = None
-        self.has_ring = self.gadget.n_slots > 0
-
-        self.faults = FaultTable.from_gadget(
-            self.gadget, ("data_x", "slot_flips", "gen_flip"), self._globalize,
-        )
-        self._ring = KeyCache()
+        self.ring, self.field = KeyCache(), (0, 0)
 
     def _globalize(self, local_mask: int) -> int:
-        out = 0
-        for i in bits_of(local_mask):
-            out |= 1 << self.support[i]
-        return out
+        return sum(1 << self.support[i] for i in bits_of(local_mask))
 
-    def _ring_corrections(self, slots_keys: np.ndarray) -> tuple[np.ndarray]:
-        m = self.gadget.cat_count
-        return (np.array([self._globalize(self.decoder.decode(CatSyndrome(m, (key,))))
-                          for key in slots_keys.tolist()], np.uint64),)
+    def ring_corrections(self, keys: np.ndarray) -> tuple[np.ndarray]:
+        g = self.gadget
+        local = self.decoder.decode_keys(keys, g.cat_count, g.base_rounds)
+        return (np.array([self._globalize(c) for c in local.tolist()], np.uint64),)
 
-    def extract(self, rng: np.random.Generator, data_x: np.ndarray,
-                data_z: np.ndarray, p_ft: float) -> np.ndarray:
-        """Run one noisy extraction on every trial given; returns outcome bits.
 
-        The incoming anticommuting error component sets the true parity;
-        sampled gadget faults flip the readout and inject residuals onto
-        the data in place (corrected by the ring decoder when present).
-        """
-        reads, writes = (data_z, data_x) if self.sector == "X" else (data_x, data_z)
-        true = (np.bitwise_count(reads & self.support_mask) & np.uint64(1)).astype(np.uint64)
-        acc_data, acc_slot, acc_gen = self.faults.sample(rng, len(reads), p_ft)
-
-        if self.has_ring:
-            cand = np.nonzero(acc_slot)[0]
-            (corr,) = self._ring.get(acc_slot[cand], self._ring_corrections)
-            acc_data[cand] ^= corr
-
-        writes ^= acc_data
-        return (true ^ acc_gen) & np.uint64(1)
+def _flip_layout(n_generators: int, widths: Sequence[int]) -> list[tuple[int, int]]:
+    """(column, offset) of each ring field of the ``flips`` columns: the
+    generator bits open column 0, each field follows the one before, and
+    a field that would cross bit 64 starts a new column."""
+    col, at, out = 0, n_generators, []
+    for w in widths:
+        if at + w > 64:
+            col, at = col + 1, 0
+        out.append((col, at))
+        at += w
+    return out
 
 
 class BlockSimulator:
@@ -99,50 +79,71 @@ class BlockSimulator:
         if self.max_rounds < self.t + 1:
             raise ValueError("max_rounds below the acceptance run length")
         # data-qubit depolarizing: codes X, Y, Z per qubit
-        self.data_noise = FaultTable(
-            [3] * code.n,
-            {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
-             "z": [[0, 1 << q, 1 << q] for q in range(code.n)]},
-        )
+        self.data_noise = FaultTable([3] * code.n,
+                                     {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
+                                      "z": [[0, 1 << q, 1 << q] for q in range(code.n)]})
         self.code_lut: CodeLUT = build_code_lut(code)
         # correction and miss flag per syndrome; one the tables lack joins as a miss
         self._lut_caches = tuple(
             KeyCache(np.fromiter(t, np.uint64), (np.fromiter(t.values(), np.uint64),
                                                 np.zeros(len(t), bool)))
             for t in (self.code_lut.z_table, self.code_lut.x_table))
-        self.extractors = [
-            _GeneratorExtractor("X", row, code.d) for row in code.hx
-        ] + [
-            _GeneratorExtractor("Z", row, code.d) for row in code.hz
-        ]
+        self._parity = tuple(_parity_tables(rows, code.n)
+                             for rows in (code.hx, code.hz, code.lx, code.lz))
+        self.generators = ([_Generator("X", row, code.d) for row in code.hx]
+                           + [_Generator("Z", row, code.d) for row in code.hz])
+        self._rings = [gen for gen in self.generators if gen.decoder is not None]
         self.n_hx = len(code.hx)
+        self.round_faults = self._round_table()
+
+    def _round_table(self) -> FaultTable:
+        """The noise of one round: every generator's gadget ops in
+        extraction order.  ``wx`` and ``wz`` hold the global residuals of
+        the X and the Z generators; ``flips`` has bit gi for generator
+        gi's outcome, then the ring generators' slot fields."""
+        gens = self.generators
+        layout = _flip_layout(len(gens), [gen.gadget.n_slots for gen in self._rings])
+        for gen, field in zip(self._rings, layout):
+            gen.field = field
+        n_cols = 1 + max((col for col, _ in layout), default=0)
+        n_codes, rows = [], []
+        for gi, gen in enumerate(gens):
+            col, at = gen.field
+            for op in noisy_operations(gen.gadget):
+                n_codes.append(op.n_codes)
+                rows.append([])
+                for e in op_code_effects(gen.gadget, op):
+                    data, flips = gen._globalize(e.data_x), [0] * n_cols
+                    flips[0] |= e.gen_flip << gi
+                    flips[col] |= e.slot_flips << at
+                    rows[-1].append([data * (gen.sector == "X"),
+                                     data * (gen.sector == "Z"), *flips])
+        names = ["wx", "wz", "flips"] + [f"flips{c}" for c in range(1, n_cols)]
+        return FaultTable(n_codes, {name: [[e[k] for e in row] for row in rows]
+                                    for k, name in enumerate(names)})
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int) -> int:
         """Returns the number of logical failures in the batch."""
         rng = np.random.default_rng([seed, 3, batch_index])
-        code = self.code
         data_x, data_z = self.data_noise.sample(rng, size, p)
         accepted = self.extract_until_stable(rng, p / self.ratio, data_x, data_z)
-
-        n_hx = self.n_hx
-        fail = self._correct(accepted & np.uint64((1 << n_hx) - 1),
-                             accepted >> np.uint64(n_hx), data_x, data_z)
+        hx, hz, lx, lz = self._parity
+        fail = self._correct(accepted & np.uint64((1 << self.n_hx) - 1),
+                             accepted >> np.uint64(self.n_hx), data_x, data_z)
         # one ideal decoding pass: noiseless syndromes plus the tables
-        fail |= self._correct(_parities(data_z, code.hx), _parities(data_x, code.hz),
+        fail |= self._correct(_parities(data_z, hx), _parities(data_x, hz),
                               data_x, data_z)
-        fail |= (_parities(data_x, code.lz) | _parities(data_z, code.lx)) != 0
+        fail |= (_parities(data_x, lz) | _parities(data_z, lx)) != 0
         return int(fail.sum())
 
     def extract_until_stable(self, rng: np.random.Generator, p_ft: float,
                              data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
         """Repeat-until-stable over the batch; returns each trial's accepted
         syndrome (X rows in the low bits) and updates the data in place.
-
-        Each round extracts only the trials still active, compacted in
-        trial order, and scatters back those that finish.  The last round
-        finishes the round-capped ones too: flagged unstable by the
-        protocol, they are still decoded with their last syndrome.
-        """
+        Each round samples the round table over the trials still active,
+        compacted in trial order, and scatters back those that finish; the
+        last round finishes the round-capped ones, decoded with their last
+        syndrome though the protocol flags them unstable."""
         size = len(data_x)
         # the active trials' indices, data frames (round one works on the
         # batch arrays), run lengths and last syndromes; a run length of 0
@@ -152,20 +153,42 @@ class BlockSimulator:
         last_syn = np.zeros(size, dtype=np.uint64)
         accepted = np.zeros(size, dtype=np.uint64)
         for rnd in range(self.max_rounds):
-            syn = np.zeros(len(idx), dtype=np.uint64)
-            for gi, ext in enumerate(self.extractors):
-                syn |= ext.extract(rng, dx, dz, p_ft) << np.uint64(gi)
+            syn = self.apply_round(dx, dz, self.round_faults.sample(rng, len(idx), p_ft))
             run_len = np.where(syn == last_syn, run_len + 1, 1)
             last_syn = syn
             done = (run_len >= self.t + 1) | (rnd == self.max_rounds - 1)
+            if not done.any():
+                continue
             fin = idx[done]
             accepted[fin], data_x[fin], data_z[fin] = syn[done], dx[done], dz[done]
             keep = ~done
-            idx, dx, dz, run_len, last_syn = (
-                a[keep] for a in (idx, dx, dz, run_len, last_syn))
+            idx, dx, dz, run_len, last_syn = (a[keep] for a in (idx, dx, dz, run_len, last_syn))
             if idx.size == 0:
                 break
         return accepted
+
+    def apply_round(self, data_x: np.ndarray, data_z: np.ndarray,
+                    faults: Sequence[np.ndarray]) -> np.ndarray:
+        """One round of every generator's extraction from each trial's
+        round-table columns (overwritten); returns the syndromes (X
+        generators low) and updates the data in place.  Z generators read
+        ``data_x`` after every X residual and ring correction, as in
+        extraction one generator at a time."""
+        wx, wz, *flips = faults
+        gen_bits = np.uint64((1 << len(self.generators)) - 1)
+        syn = _parities(data_z, self._parity[0])
+        cand = np.nonzero(np.bitwise_or.reduce([flips[0] & ~gen_bits, *flips[1:]]))[0]
+        for gen in self._rings:
+            col, at = gen.field
+            keys = ((flips[col][cand] >> np.uint64(at))
+                    & np.uint64((1 << gen.gadget.n_slots) - 1))
+            hit = keys != 0
+            (corr,) = gen.ring.get(keys[hit], gen.ring_corrections)
+            (wx if gen.sector == "X" else wz)[cand[hit]] ^= corr
+        data_x ^= wx
+        syn |= _parities(data_x, self._parity[1]) << np.uint64(self.n_hx)
+        data_z ^= wz
+        return syn ^ (flips[0] & gen_bits)
 
     def _correct(self, sx: np.ndarray, sz: np.ndarray, data_x: np.ndarray,
                  data_z: np.ndarray) -> np.ndarray:
@@ -183,25 +206,29 @@ def _misses(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(len(keys), np.uint64), np.ones(len(keys), bool)
 
 
-def _parities(data: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """Bit i of each entry: parity of that entry's mask on ``rows[i]``."""
-    out = np.zeros(len(data), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        out |= (np.bitwise_count(data & np.uint64(row)) & np.uint64(1)) << np.uint64(i)
+def _parity_tables(rows: Sequence[int], n: int) -> np.ndarray:
+    """One 256-entry table per byte of an n-bit mask: entry v of table b
+    has bit i set when v, as byte b of a mask, meets ``rows[i]`` oddly."""
+    masks = np.arange(256, dtype=np.uint64)[None, :, None] << (
+        np.uint64(8) * np.arange((n + 7) // 8, dtype=np.uint64))[:, None, None]
+    odd = np.bitwise_count(masks & np.array(rows, np.uint64)) & np.uint64(1)
+    return (odd << np.arange(len(rows), dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+
+
+def _parities(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Bit i of each entry: parity of that entry's mask on row i of the
+    rows ``tables`` was built from."""
+    data = np.ascontiguousarray(data, "<u8").view(np.uint8)
+    out = tables[0].take(data[::8].astype(np.intp))
+    for b in range(1, len(tables)):
+        out ^= tables[b].take(data[b::8].astype(np.intp))
     return out
 
 
 def run_block_mc(
-    code: CssCode,
-    p: float,
-    ratio: float = 20.0,
-    min_failures: int = 100,
-    seed: int = 0,
-    trial_cap: int = 10**8,
-    batch_size: int = 100_000,
-    jobs: int = 1,
-    max_rounds: int | None = None,
-    simulator: BlockSimulator | None = None,
+    code: CssCode, p: float, ratio: float = 20.0, min_failures: int = 100,
+    seed: int = 0, trial_cap: int = 10**8, batch_size: int = 100_000, jobs: int = 1,
+    max_rounds: int | None = None, simulator: BlockSimulator | None = None,
 ) -> TrialStats:
     """Logical failure rate of one full QEC cycle at data error rate ``p``
     and extraction noise p/ratio; a given ``simulator`` brings its own
@@ -213,10 +240,8 @@ def run_block_mc(
     trials, failures = run_batches_until(
         partial(sim.run_batch, p, seed), min_failures, trial_cap, batch_size, jobs
     )
-    return TrialStats(
-        p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
-        censored=failures < min_failures,
-    )
+    return TrialStats(p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
+                      censored=failures < min_failures)
 
 
 def _extraction_rate(p: float, ratio: float) -> float:
@@ -229,26 +254,15 @@ def _extraction_rate(p: float, ratio: float) -> float:
 
 
 def sweep_block_mc(
-    code: CssCode,
-    p_list: Sequence[float],
-    ratio: float = 20.0,
-    min_failures: int = 100,
-    seed: int = 0,
-    trial_cap: int = 10**8,
-    batch_size: int = 100_000,
-    jobs: int = 1,
+    code: CssCode, p_list: Sequence[float], ratio: float = 20.0, min_failures: int = 100,
+    seed: int = 0, trial_cap: int = 10**8, batch_size: int = 100_000, jobs: int = 1,
     max_rounds: int | None = None,
 ) -> SweepResult:
     sim = BlockSimulator(code, ratio, max_rounds)
     for p in p_list:
         _extraction_rate(p, ratio)
-    points = []
-    for p in sorted(p_list):
-        points.append(
-            run_block_mc(code, p, ratio, min_failures, seed, trial_cap,
-                         batch_size, jobs=jobs, simulator=sim)
-        )
+    points = [run_block_mc(code, p, ratio, min_failures, seed, trial_cap, batch_size,
+                           jobs=jobs, simulator=sim) for p in sorted(p_list)]
     slope, stderr = _fit_sweep(points)
     return SweepResult(tuple(points), tuple(float("nan") for _ in points),
                        slope, stderr)
-

@@ -256,10 +256,10 @@ def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
     return buf.getvalue()
 
 
-# The format names the random stream a manifest replays: v4 draws one
-# stream of geometric gaps over each sample's (trial, op) cells, and
-# samples block extractions over the still-active trials only.
-MANIFEST_FORMAT = "cutcat-manifest-v4"
+# The format names the random stream a manifest replays: v5 draws one
+# stream of geometric gaps over each sample's (trial, op) cells, and one
+# block round sample (every generator) over the still-active trials.
+MANIFEST_FORMAT = "cutcat-manifest-v5"
 
 
 def make_manifest(command: str, config: dict) -> str:
@@ -271,7 +271,7 @@ def make_manifest(command: str, config: dict) -> str:
 def load_manifest(text: str) -> tuple[str, dict]:
     doc = json.loads(text)
     fmt = doc.get("format")
-    if fmt in ("cutcat-manifest-v1", "cutcat-manifest-v2", "cutcat-manifest-v3"):
+    if fmt in {f"cutcat-manifest-v{v}" for v in range(1, 5)}:
         raise ValueError(f"{fmt} used an older random stream and "
                          "cannot be replayed; re-run without --from-manifest")
     if fmt != MANIFEST_FORMAT:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,15 +29,11 @@ _SINGLE_CODES = tuple((p,) for p in PAULI_SINGLES)
 
 @dataclass(frozen=True)
 class CatSyndrome:
-    """Ring-measurement outcomes of one gadget run.
-
-    ``rounds[i]`` packs round i's m outcome bits; ``adaptive`` holds any
-    re-measured stabilizers as (index, bit) pairs.
-    """
+    """Ring-measurement outcomes of one gadget run: ``rounds[i]`` packs
+    round i's m outcome bits."""
 
     cat_count: int
     rounds: tuple[int, ...]
-    adaptive: tuple[tuple[int, int], ...] = ()
 
     @classmethod
     def from_key(cls, cat_count: int, key: int, n_rounds: int) -> "CatSyndrome":
@@ -143,14 +139,9 @@ class _Walker:
     def result(self, extra_gen_flip: int = 0) -> PropagationResult:
         g = self.g
         eff = self.effect()
-        n_base = g.base_rounds * g.cat_count
-        adaptive = tuple((slot - n_base, bit)
-                         for slot, bit in sorted(self.outcome_flips.items())
-                         if slot >= n_base)
-        syn = CatSyndrome.from_key(g.cat_count, eff.slot_flips, g.base_rounds)
         return PropagationResult(
             data_x=eff.data_x,
-            syndrome=replace(syn, adaptive=adaptive),
+            syndrome=CatSyndrome.from_key(g.cat_count, eff.slot_flips, g.base_rounds),
             generator_bit_flipped=bool((eff.gen_flip ^ extra_gen_flip) & 1),
             cat_x_final=eff.persist_x,
         )
@@ -245,8 +236,9 @@ def op_code_effects(g: GadgetCircuit, op: NoisyOp,
     return [reduce(xor, (e[p] for e, p in zip(by_pauli, code))) for code in op.codes]
 
 
-# what bounds the bit width of each FaultTable column
-_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
+# what bounds the bit width of each FaultTable column (flips1... are more flips)
+_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n",
+                 "wx": "n", "wz": "n", "flips": "generators plus ring slots"}
 
 # the most gaps per chunk of ``FaultTable.sample``: it orders the draws, so
 # the manifest format fixes it
@@ -272,7 +264,7 @@ class FaultTable:
             bits = max((v.bit_length() for row in rows for v in row), default=0)
             if bits > 64:
                 raise ValueError(
-                    f"{_COLUMN_WIDTH.get(name, name)}={bits} exceeds the "
+                    f"{_COLUMN_WIDTH.get(name.rstrip('0123456789'), name)}={bits} exceeds the "
                     "64-bit limit of packed masks"
                 )
             self.columns.append(np.array(
@@ -280,19 +272,13 @@ class FaultTable:
                 np.uint64).reshape(len(self.n_codes), self.width))
 
     @classmethod
-    def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str],
-                    data_map: Callable[[int], int] | None = None) -> "FaultTable":
-        """Columns of the named ``Effect`` fields over the gadget's noisy
-        ops; ``data_map`` rewrites ``data_x`` masks (e.g. to global qubits)."""
+    def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
+        """Columns of the named ``Effect`` fields over the gadget's noisy ops."""
         ops = noisy_operations(g)
         effects = [op_code_effects(g, op) for op in ops]
-        columns = {
-            name: [[getattr(e, name) for e in row] for row in effects]
-            for name in fields
-        }
-        if data_map is not None:
-            columns["data_x"] = [[data_map(v) for v in row] for row in columns["data_x"]]
-        return cls([op.n_codes for op in ops], columns)
+        return cls([op.n_codes for op in ops],
+                   {name: [[getattr(e, name) for e in row] for row in effects]
+                    for name in fields})
 
     @classmethod
     def for_decoder(cls, g: GadgetCircuit, adaptive: bool) -> "FaultTable":

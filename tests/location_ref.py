@@ -6,7 +6,7 @@ of ``sim.FaultTable`` instead."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from cutcat.circuit import GadgetCircuit, Gate
@@ -18,6 +18,14 @@ ANC_PREP = "anc_prep"
 ANC_MID = "anc_mid"
 ANC_POST = "anc_post"
 PRE_MEASUREMENT = "pre_measurement"
+
+
+@dataclass(frozen=True)
+class ReReadSyndrome(CatSyndrome):
+    """A ``CatSyndrome`` that also holds the re-measured stabilizers as
+    (index, bit) pairs, in stabilizer order."""
+
+    adaptive: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,12 @@ def adaptive_propagate(
             raise ValueError(f"planner requested stabilizer {stab}")
         gates = g.ring_measurement_gates(stab, g.adaptive_slot(stab))
         walker.run(gates, extra.get(stab, {}))
-    return walker.result()
+    # re-read outcomes sit in the slots after the base rounds
+    res, n_base = walker.result(), g.base_rounds * g.cat_count
+    adaptive = tuple((slot - n_base, bit)
+                     for slot, bit in sorted(walker.outcome_flips.items())
+                     if slot >= n_base)
+    return replace(res, syndrome=ReReadSyndrome(g.cat_count, res.syndrome.rounds, adaptive))
 
 
 def location_effects(

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
-from cutcat.block import BlockSimulator, run_block_mc
+from cutcat import block
+from cutcat.block import BlockSimulator, _flip_layout, run_block_mc
 from cutcat.pauli import CssCode, parse_css_code
-from cutcat.sim import CatSyndrome
+from cutcat.sim import CatSyndrome, FaultTable, noisy_operations, propagate_op_faults
 
 
 class TestSetup:
@@ -15,7 +18,7 @@ class TestSetup:
 
     def test_gadget_assignment_rule(self, rm15):
         sim = BlockSimulator(rm15, ratio=20)
-        kinds = [ext.gadget.kind for ext in sim.extractors]
+        kinds = [gen.gadget.kind for gen in sim.generators]
         # the eight weight-8 generators get the ring gadget, the six
         # weight-4 ones the plain cat gadget
         assert kinds.count("cut_cat") == 8
@@ -23,7 +26,7 @@ class TestSetup:
 
     def test_steane_all_full_cat(self, steane):
         sim = BlockSimulator(steane, ratio=20)
-        assert all(ext.gadget.kind == "full_cat" for ext in sim.extractors)
+        assert all(gen.gadget.kind == "full_cat" for gen in sim.generators)
 
     def test_bad_ratio(self, steane):
         with pytest.raises(ValueError):
@@ -89,11 +92,141 @@ class TestRuns:
         assert lo.estimate <= hi.estimate * 1.5
 
 
+def _sequential_round(sim, data_x, data_z, entries):
+    """Scalar reference of one round on one trial: generator by generator,
+    X then Z, the syndrome bit read from the current frame, the gadget
+    run by ``propagate_op_faults`` with its faults among ``entries``
+    ((round-table op, code) pairs), then its residual, corrected by the
+    ring decoder on its slots, placed by ``_globalize``."""
+    syn, first = 0, 0
+    for gi, gen in enumerate(sim.generators):
+        n_ops = len(noisy_operations(gen.gadget))
+        local = [(op - first, code) for op, code in entries if first <= op < first + n_ops]
+        first += n_ops
+        reads = data_z if gen.sector == "X" else data_x
+        bit = sum((reads >> q) & 1 for q in gen.support) & 1
+        if local:
+            res = propagate_op_faults(gen.gadget, local)
+            bit ^= res.generator_bit_flipped
+            residual = res.data_x
+            if gen.decoder is not None:
+                residual ^= gen.decoder.decode(res.syndrome)
+            if gen.sector == "X":
+                data_x ^= gen._globalize(residual)
+            else:
+                data_z ^= gen._globalize(residual)
+        syn |= bit << gi
+    return syn, data_x, data_z
+
+
+def _fault_sets(sim, n_trials, seed):
+    """Random (op, code) fault sets over the round table: any 0-4 faults,
+    two or three in one gadget, one fault each in a ring and a plain cat
+    gadget (when the code has both), or faults that only flip outcomes."""
+    rng = random.Random(seed)
+    ops, spans, first = [], [], 0
+    for gen in sim.generators:
+        gadget_ops = noisy_operations(gen.gadget)
+        ops += gadget_ops
+        spans.append((gen, range(first, first + len(gadget_ops))))
+        first += len(gadget_ops)
+    finals = [i for i, op in enumerate(ops) if op.final]
+    rings = [span for gen, span in spans if gen.decoder is not None]
+    cats = [span for gen, span in spans if gen.decoder is None]
+
+    def fault(op):
+        return op, rng.randrange(ops[op].n_codes)
+
+    sets = []
+    for trial in range(n_trials):
+        kind = trial % 4
+        if kind == 0:
+            sets.append([fault(rng.randrange(len(ops))) for _ in range(rng.randint(0, 4))])
+        elif kind == 1:
+            _, span = rng.choice(spans)
+            sets.append([fault(rng.choice(span)) for _ in range(rng.randint(2, 3))])
+        elif kind == 2 and rings and cats:
+            sets.append([fault(rng.choice(rng.choice(rings))),
+                         fault(rng.choice(rng.choice(cats)))])
+        else:
+            sets.append([fault(rng.choice(finals)) for _ in range(rng.randint(1, 2))])
+    return sets
+
+
+class TestRoundStep:
+    """``BlockSimulator.apply_round`` on round-table rows of given faults
+    against extraction one generator at a time through the scalar
+    propagator."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["packed", "split"])
+    @pytest.mark.parametrize("code_name", ["steane", "rm15"])
+    def test_matches_sequential_propagation(self, request, monkeypatch, code_name, split):
+        code = request.getfixturevalue(code_name)
+        if split:
+            # every ring field in a column of its own, past the generator bits
+            monkeypatch.setattr(block, "_flip_layout",
+                                lambda n, widths: [(1 + i, 0) for i in range(len(widths))])
+        sim = BlockSimulator(code, ratio=20)
+        n_rings = sum(gen.decoder is not None for gen in sim.generators)
+        assert len(sim.round_faults.columns) == 3 + (n_rings if split else 0)
+        trials = 1200
+        sets = _fault_sets(sim, trials, seed=len(code_name) + split)
+        rng = np.random.default_rng(3)
+        data_x = rng.integers(0, 1 << code.n, trials, dtype=np.uint64)
+        data_z = rng.integers(0, 1 << code.n, trials, dtype=np.uint64)
+        faults = [np.zeros(trials, np.uint64) for _ in sim.round_faults.columns]
+        for trial, entries in enumerate(sets):
+            for op, fcode in entries:
+                for acc, col in zip(faults, sim.round_faults.columns):
+                    acc[trial] ^= col[op, fcode]
+        expected = [_sequential_round(sim, int(x), int(z), entries)
+                    for x, z, entries in zip(data_x.tolist(), data_z.tolist(), sets)]
+        syn = sim.apply_round(data_x, data_z, faults)
+        assert [(int(s), int(x), int(z)) for s, x, z in zip(syn, data_x, data_z)] == expected
+        # ring fields reached the ring decoders, when the code has any
+        assert (n_rings > 0) == any(len(gen.ring.keys) for gen in sim.generators)
+
+
+class TestFlipLayout:
+    def test_fields_start_a_column_instead_of_straddling(self):
+        widths = [20, 20, 20, 30, 64, 1, 5, 60]
+        assert _flip_layout(14, widths) == [
+            (0, 14), (0, 34), (1, 0), (1, 20), (2, 0), (3, 0), (3, 1), (4, 0)]
+        assert _flip_layout(14, [50]) == [(0, 14)]
+
+    def test_random_widths_pack_without_overlap(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n_gens = rng.randint(1, 40)
+            widths = [rng.randint(1, 64) for _ in range(rng.randint(0, 12))]
+            used = {0: (1 << n_gens) - 1}
+            for (col, at), w in zip(_flip_layout(n_gens, widths), widths):
+                assert at + w <= 64
+                field = ((1 << w) - 1) << at
+                assert not used.get(col, 0) & field
+                used[col] = used.get(col, 0) | field
+            assert sorted(used) == list(range(len(used)))
+
+    def test_rm15_fits_one_column(self, rm15):
+        # 14 generator bits plus 8 ring gadgets of 4 slots each
+        sim = BlockSimulator(rm15, ratio=20)
+        _, _, flips = sim.round_faults.columns
+        assert int(np.bitwise_or.reduce(flips.ravel())) == (1 << 46) - 1
+        assert [gen.field for gen in sim.generators if gen.decoder is not None] == [
+            (0, 14 + 4 * i) for i in range(8)]
+
+    @pytest.mark.parametrize("name", ["wx", "wz", "flips", "flips1"])
+    def test_too_wide_column_names_its_limit(self, name):
+        limit = "n" if name in ("wx", "wz") else "generators plus ring slots"
+        with pytest.raises(ValueError, match=f"^{limit}=65 exceeds the 64-bit"):
+            FaultTable([3], {name: [[1 << 64, 0, 0]]})
+
+
 def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
-    """Reference protocol at full batch size: each round's extraction
-    noise is drawn over the active trials and scattered to their places;
-    returns the accepted syndromes, the rounds run per trial and which
-    trials stabilized before the cap."""
+    """Reference protocol at full batch size: each round's noise is drawn
+    over the active trials and scattered to their places, the other
+    trials taking none; returns the accepted syndromes, the rounds run
+    per trial and which trials stabilized before the cap."""
     size = len(data_x)
     done = np.zeros(size, dtype=bool)
     run_len = np.zeros(size, dtype=np.int64)
@@ -103,24 +236,10 @@ def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
     for _ in range(sim.max_rounds):
         active = np.nonzero(~done)[0]
         rounds[active] += 1
-        syn = np.zeros(size, dtype=np.uint64)
-        for gi, ext in enumerate(sim.extractors):
-            reads = data_z if ext.sector == "X" else data_x
-            true = np.bitwise_count(reads & ext.support_mask) & np.uint64(1)
-            acc_data, acc_slot, acc_gen = (np.zeros(size, dtype=np.uint64)
-                                           for _ in range(3))
-            acc_data[active], acc_slot[active], acc_gen[active] = (
-                ext.faults.sample(rng, len(active), p_ft))
-            if ext.has_ring:
-                m = ext.gadget.cat_count
-                for trial in np.nonzero(acc_slot)[0]:
-                    ring = CatSyndrome(m, (int(acc_slot[trial]),))
-                    acc_data[trial] ^= np.uint64(ext._globalize(ext.decoder.decode(ring)))
-            if ext.sector == "X":
-                data_x ^= acc_data
-            else:
-                data_z ^= acc_data
-            syn |= ((true ^ acc_gen) & np.uint64(1)) << np.uint64(gi)
+        faults = [np.zeros(size, dtype=np.uint64) for _ in sim.round_faults.columns]
+        for full, drawn in zip(faults, sim.round_faults.sample(rng, len(active), p_ft)):
+            full[active] = drawn
+        syn = sim.apply_round(data_x, data_z, faults)
         on = ~done
         run_len[on] = np.where(syn[on] == last_syn[on], run_len[on] + 1, 1)
         last_syn[on] = syn[on]
@@ -190,19 +309,20 @@ class TestKeyCacheLookups:
 
     def test_ring_corrections(self, rm15):
         sim = BlockSimulator(rm15, ratio=20)
-        ext = next(e for e in sim.extractors if e.has_ring)
-        m = ext.gadget.cat_count
-        _, slots, _ = ext.faults.sample(np.random.default_rng(4), 4000, 0.05)
+        gen = next(g for g in sim.generators if g.decoder is not None)
+        m, col, at = gen.gadget.cat_count, *gen.field
+        flips = sim.round_faults.sample(np.random.default_rng(4), 4000, 0.05)[2 + col]
+        slots = (flips >> np.uint64(at)) & np.uint64((1 << gen.gadget.n_slots) - 1)
         keys = slots[slots != 0]
         assert len(np.unique(keys)) < len(keys)
 
         def correction(key):
-            return ext._globalize(ext.decoder.decode(CatSyndrome(m, (key,))))
+            return gen._globalize(gen.decoder.decode(CatSyndrome(m, (key,))))
 
         expected, miss = _table_apply(correction, keys)
         assert not miss.any()
         for part in (keys[: len(keys) // 2], keys):
-            (got,) = ext._ring.get(part, ext._ring_corrections)
+            (got,) = gen.ring.get(part, gen.ring_corrections)
             assert np.array_equal(got, expected[: len(part)])
 
     def test_code_lut_corrections_and_misses(self, rm15):

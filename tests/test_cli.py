@@ -101,6 +101,9 @@ class TestMonteCarloCommands:
     def test_v3_manifest_rejected_exit_two(self, tmp_path, capsys):
         self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v3")
 
+    def test_v4_manifest_rejected_exit_two(self, tmp_path, capsys):
+        self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v4")
+
     def test_mc_block_replay_identical(self, tmp_path, capsys):
         code_file = tmp_path / "steane.txt"
         code_file.write_text(STEANE_TEXT)

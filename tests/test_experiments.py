@@ -169,12 +169,12 @@ class TestManifest:
         with pytest.raises(ValueError):
             load_manifest('{"format": "nope"}')
 
-    def test_writes_v4(self):
-        assert '"format": "cutcat-manifest-v4"' in make_manifest("mc-gadget", {})
+    def test_writes_v5(self):
+        assert '"format": "cutcat-manifest-v5"' in make_manifest("mc-gadget", {})
 
     def _rejected_with_rerun_hint(self, old):
         text = make_manifest("mc-gadget", {"gamma": 6}).replace(
-            "cutcat-manifest-v4", old)
+            "cutcat-manifest-v5", old)
         with pytest.raises(ValueError, match="re-run without --from-manifest") as exc:
             load_manifest(text)
         assert "\n" not in str(exc.value) and old in str(exc.value)
@@ -187,6 +187,10 @@ class TestManifest:
 
     def test_v3_rejected_with_rerun_hint(self):
         self._rejected_with_rerun_hint("cutcat-manifest-v3")
+
+    def test_v4_rejected_with_rerun_hint(self):
+        # v4 sampled each generator's gadget of a block round on its own
+        self._rejected_with_rerun_hint("cutcat-manifest-v4")
 
 
 class TestAdaptiveBatch:

@@ -1,6 +1,6 @@
 """Exact counts of small fixed-seed Monte-Carlo runs.
 
-A ``cutcat-manifest-v4`` manifest promises a byte-identical CSV on replay,
+A ``cutcat-manifest-v5`` manifest promises a byte-identical CSV on replay,
 so the random stream behind it is frozen.  Each ``FaultTable`` sample
 draws one stream over its (trial, op) cells in trial-major order: chunks
 of geometric gaps between hit cells (the mean hit count plus 5 sigma
@@ -9,14 +9,17 @@ chunk followed by one code per hit it places, uniform below the lcm of
 the ops' code counts.  A gadget batch samples its base-round table over
 every trial, then, for an adaptive decoder, four re-measurement samples
 over the trials that reach the decoder.  A block batch samples data noise
-over every trial, then each round one sample per generator extraction
-over the trials still active, in trial order.  These counts were recorded
-with that stream and must never change under the v4 format; a sampler
-that draws differently needs a new manifest format and newly recorded
-counts.
+over every trial, then each round one sample of the round table (every
+generator's gadget ops, X generators first) over the trials still active,
+in trial order.  These counts were recorded with that stream and must
+never change under the v5 format; a sampler that draws differently needs
+a new manifest format and newly recorded counts.
 
 The v3 stream drew the gaps and codes of each operation on its own; every
-row was re-recorded for v4 at the same seed, caps and batch sizes.
+row was re-recorded for v4 at the same seed, caps and batch sizes.  The v4
+stream drew one sample per generator extraction; the block rows were
+re-recorded for v5 at the same seed, caps and batch sizes, and the gadget
+rows held.
 """
 
 import pytest
@@ -52,9 +55,9 @@ def test_gadget_counts(gamma, distance, p, min_failures, trial_cap, batch_size,
 @pytest.mark.parametrize(
     "code_name, p, min_failures, trial_cap, batch_size, expected",
     [
-        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 187)),
-        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 242)),
-        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 369)),
+        ("steane", 1e-2, UNCAPPED, 60_000, 20_000, (60_000, 180)),
+        ("steane", 3e-2, 200, 200_000, 10_000, (10_000, 222)),
+        ("rm15", 1e-2, UNCAPPED, 20_000, 10_000, (20_000, 360)),
     ],
 )
 def test_block_counts(request, code_name, p, min_failures, trial_cap, batch_size,
