@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive fault-tolerance check")
     add_gadget_args(p)
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lut", help="lookup-table construction")

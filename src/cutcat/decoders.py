@@ -316,7 +316,7 @@ class RuleDecoderD3D5(StaticDecoder):
         self.g = g
         self.t = t
 
-    def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
+    def decode(self, syn: CatSyndrome) -> int:
         cats = decode_d3d5(syn.rounds[0], self.t, self.g.cat_count)
         return cats_to_mask(self.g, cats)
 
@@ -329,9 +329,7 @@ class RuleDecoderD7:
     def __init__(self, g: GadgetCircuit):
         self.g = g
 
-    def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
-        if measure is None:
-            measure = lambda idx: {i: syn.round_bit(0, i) for i in idx}
+    def decode(self, syn: CatSyndrome, measure: MeasureFn) -> int:
         cats, _ = decode_d7(syn.rounds[0], self.g.cat_count, measure)
         return cats_to_mask(self.g, cats)
 
@@ -339,7 +337,7 @@ class RuleDecoderD7:
 class IdentityDecoder(StaticDecoder):
     """Applies no correction; useful as a verification counterexample."""
 
-    def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
+    def decode(self, syn: CatSyndrome) -> int:
         return 0
 
 
@@ -407,7 +405,7 @@ class LutDecoder(StaticDecoder):
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
             raise ValueError("syndrome shape does not match the table")
 
-    def decode(self, syn: CatSyndrome, measure: MeasureFn | None = None) -> int:
+    def decode(self, syn: CatSyndrome) -> int:
         self._check_shape(syn.cat_count, len(syn.rounds))
         return self.lut.lookup(syn.key())
 
@@ -512,7 +510,6 @@ class CodeLUT:
     """
 
     n: int
-    weight_cap: int
     x_table: dict[int, int]
     z_table: dict[int, int]
 
@@ -524,15 +521,13 @@ def _rows_syndrome(rows: Sequence[int], err: int) -> int:
     return out
 
 
-def build_code_lut(
-    code: CssCode, weight_cap: int | None = None, max_patterns: int = 5_000_000,
-) -> CodeLUT:
-    """Enumerate error patterns in ascending weight, assigning each fresh
-    syndrome its first (minimum-weight) representative."""
+def build_code_lut(code: CssCode, max_patterns: int = 5_000_000) -> CodeLUT:
+    """Enumerate error patterns of weight up to ``code.t`` in ascending
+    weight, assigning each fresh syndrome its first (minimum-weight)
+    representative."""
     from math import comb
 
-    cap = code.t if weight_cap is None else weight_cap
-    total = sum(comb(code.n, w) for w in range(cap + 1))
+    total = sum(comb(code.n, w) for w in range(code.t + 1))
     if total > max_patterns:
         raise ValueError(
             f"enumeration of {total} patterns exceeds cap {max_patterns}"
@@ -540,7 +535,7 @@ def build_code_lut(
 
     def fill(rows: Sequence[int]) -> dict[int, int]:
         table: dict[int, int] = {0: 0}
-        for w in range(1, cap + 1):
+        for w in range(1, code.t + 1):
             for qubits in combinations(range(code.n), w):
                 err = mask_of(qubits)
                 table.setdefault(_rows_syndrome(rows, err), err)
@@ -548,7 +543,6 @@ def build_code_lut(
 
     return CodeLUT(
         n=code.n,
-        weight_cap=cap,
         x_table=fill(code.hz),
         z_table=fill(code.hx),
     )

@@ -23,8 +23,8 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import (MAX_REREADS, KeyCache, compile_rereads, eval_upper_bound,
-                     follow_rereads)
+from .verify import (MAX_REREADS, KeyCache, compile_rereads, coset_weights,
+                     eval_upper_bound, follow_rereads)
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -141,8 +141,21 @@ class GadgetMonteCarlo:
         else:
             (corr,) = self._answers.get(keys, lambda new: (self.decoder.decode_keys(
                 new, g.cat_count, g.base_rounds),))
-        w = np.bitwise_count(data ^ corr)
-        return int(np.count_nonzero(np.minimum(w, g.gamma - w) > t))
+        return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > t))
+
+
+# a pool worker's ``batch_fn``, handed over once when the worker starts,
+# so its engine and caches live across the batches it runs
+_worker_batch_fn: Callable[[int, int], int] | None = None
+
+
+def _set_worker_batch_fn(batch_fn: Callable[[int, int], int]) -> None:
+    global _worker_batch_fn
+    _worker_batch_fn = batch_fn
+
+
+def _run_worker_batch(batch_index: int, size: int) -> int:
+    return _worker_batch_fn(batch_index, size)
 
 
 def run_batches_until(
@@ -156,7 +169,9 @@ def run_batches_until(
 
     Batches are indexed deterministically, so worker counts only change
     how many batches land in a stopping wave; counts aggregate by sum,
-    which is order-independent.  Returns (trials, failures).
+    which is order-independent.  With ``jobs > 1`` each worker receives
+    ``batch_fn`` once and then only (batch index, size) per batch.
+    Returns (trials, failures).
     """
     trials = 0
     failures = 0
@@ -168,14 +183,15 @@ def run_batches_until(
             trials += size
             batch_index += 1
         return trials, failures
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_batch_fn,
+                             initargs=(batch_fn,)) as pool:
         while failures < min_failures and trials < trial_cap:
             wave = []
             for _ in range(jobs):
                 if trials >= trial_cap:
                     break
                 size = min(batch_size, trial_cap - trials)
-                wave.append(pool.submit(batch_fn, batch_index, size))
+                wave.append(pool.submit(_run_worker_batch, batch_index, size))
                 trials += size
                 batch_index += 1
             for fut in wave:

@@ -42,9 +42,6 @@ class CatSyndrome:
         return cls(cat_count, tuple((key >> (i * cat_count)) & mask
                                     for i in range(n_rounds)))
 
-    def round_bit(self, rnd: int, stab: int) -> int:
-        return (self.rounds[rnd] >> (stab % self.cat_count)) & 1
-
     def key(self) -> int:
         """All full-round bits concatenated, round 0 lowest."""
         out = 0

@@ -52,9 +52,12 @@ def _effect_classes(table: FaultTable) -> tuple[list[Effect], list[tuple[int, in
       one qubit while it adds one to the budget, so by the triangle
       inequality of the coset weight a set with it fails only if the set
       without it does;
-    - a row with no data X and no syndrome: nothing to a static decoder,
-      and to an adaptive one only cat X, which ``reread_events`` offers as
-      its step -1 events.
+    - a row with no data X and no syndrome: nothing to a static decoder;
+      to an adaptive one, only X on cats after their last base-round
+      read, which gives the same run as the ``reread_events`` event
+      "outcome flip plus that cat's X" at the first re-read touching its
+      cat, or as no event if no re-read does: a set that comes no later
+      in the walk and costs no more.
 
     Equal rows are equal effects, and any fault multiset XOR-reduces to a
     set of distinct rows with the same effect and a looser budget, so
@@ -274,26 +277,17 @@ class KeyCache:
         return tuple(v[pos] for v in self.values)
 
 
-def reread_events(g: GadgetCircuit, table: FaultTable,
-                  ) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-    """The re-measurement faults MC samples, named (step, op, code) by
-    their first table row: at each re-read step, each distinct nonzero
-    row of ``FaultTable.for_reread``; then, at step -1, each distinct
-    row of ``table``, the gadget's ``FaultTable.for_decoder`` of an
-    adaptive decoder, that only leaves X on cats (after their last
-    base-round read).  Each is a row of masks: the cat X before the
-    re-reads, then per step the outcome flip and the cat X relative to
-    the stabilizer read."""
+def reread_events(g: GadgetCircuit) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The re-measurement faults MC samples: at each re-read step, each
+    distinct nonzero row of ``FaultTable.for_reread``, named (step, op,
+    code) by its first table row.  Each is a row of masks, per step the
+    outcome flip and the cat X relative to the stabilizer read."""
     k, names, rows = MAX_REREADS, [], []
     reread = _first_rows(FaultTable.for_reread(g)).items()
     for step, ((anc, cats), (op, code)) in product(range(k), reread):
         if anc or cats:
             names.append((step, op, code))
-            rows.append([0] * (1 + 2 * step) + [anc, cats] + [0] * (2 * (k - 1 - step)))
-    for (data, slots, persist), (op, code) in _first_rows(table).items():
-        if data == slots == 0 and persist:
-            names.append((-1, op, code))
-            rows.append([persist] + [0] * (2 * k))
+            rows.append([0] * (2 * step) + [anc, cats] + [0] * (2 * (k - 1 - step)))
     return names, rows
 
 
@@ -303,8 +297,7 @@ class EventSets:
     ``rows`` (of ``reread_events``), size-major, then lexicographic,
     without any set whose XOR of rows an earlier one has: it gives the
     same run with a looser budget.  Per set: its names, its size, the
-    re-reads a run must reach to meet all its events (one for a step -1
-    event) and its XOR of rows."""
+    re-reads a run must reach to meet all its events and its XOR of rows."""
 
     names: tuple[tuple[tuple[int, int, int], ...], ...]
     size: np.ndarray
@@ -314,7 +307,7 @@ class EventSets:
     @classmethod
     def build(cls, names: Sequence[tuple[int, int, int]], rows: Sequence[Sequence[int]],
               max_size: int) -> "EventSets":
-        rows = np.array(rows, np.uint64).reshape(len(rows), 1 + 2 * MAX_REREADS)
+        rows = np.array(rows, np.uint64).reshape(len(rows), 2 * MAX_REREADS)
         first: dict[bytes, tuple[tuple[int, ...], np.ndarray]] = {}
         for size in range(max_size + 1):
             combos = np.array(list(combinations(range(len(rows)), size)), np.intp)
@@ -324,7 +317,7 @@ class EventSets:
         sets, masks = zip(*first.values())
         return cls(tuple(tuple(names[e] for e in c) for c in sets),
                    np.array([len(c) for c in sets]),
-                   np.array([max((max(names[e][0], 0) + 1 for e in c), default=0)
+                   np.array([max((names[e][0] + 1 for e in c), default=0)
                              for c in sets]), np.array(masks))
 
 
@@ -381,8 +374,8 @@ def _check_combos(
             reads, corrections = cache.get(
                 keys, lambda new: compile_rereads(decoder, new, m, rounds))
             corr, steps = follow_rereads(
-                reads, corrections, inverse[:, None], sl.persist[:, None] ^ masks[:, 0],
-                zip(masks[:, 1::2].T, masks[:, 2::2].T), m)
+                reads, corrections, inverse[:, None], np.repeat(sl.persist[:, None], k, 1),
+                zip(masks[:, 0::2].T, masks[:, 1::2].T), m)
             admitted = steps >= events.need[:k]
         else:
             # one ``decode_keys`` call for the distinct keys not decoded before
@@ -410,7 +403,7 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> Verificat
     distinct rows of the fault table MC samples for this decoder) is
     decoded, and the residual must stay within the number of faults.  An
     adaptive decoder also meets every set of the re-measurement faults
-    MC samples (``reread_events``, from the same table) within the
+    MC samples at each re-read (``reread_events``) within the
     remaining budget, each costing one, re-read by ``follow_rereads`` as
     in MC.  The first counterexample in order is reported, its faults
     named (op, code) and its events (step, op, code).
@@ -425,10 +418,8 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> Verificat
     ranges up to it count, so the report does not depend on ``jobs``.
     """
     adaptive = bool(getattr(decoder, "needs_round2", False))
-    table = FaultTable.for_decoder(g, adaptive)
-    effects, names = _effect_classes(table)
-    events = EventSets.build(*(reread_events(g, table) if adaptive else ([], [])),
-                             max(t - 1, 0))
+    effects, names = _effect_classes(FaultTable.for_decoder(g, adaptive))
+    events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), max(t - 1, 0))
     n = len(effects)
     chunk = max(1, math.ceil(n / max(jobs, 1)))
     ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cutcat.cli import main
+from cutcat.cli import build_parser, main
 from cutcat.pauli import STEANE_TEXT
 
 
@@ -13,6 +13,10 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == (
             "PASS: distance 5, gamma 10: 210 fault combinations over 20 effect "
             "classes (by weight 1: 20, 2: 190)\n")
+
+    def test_jobs_default_to_one(self):
+        assert build_parser().parse_args(
+            ["verify", "--gamma", "10", "--distance", "5"]).jobs == 1
 
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,6 @@ import pytest
 
 from cutcat.decoders import (
     RuleDecoderD3D5,
-    RuleDecoderD7,
     arc_sets,
     build_code_lut,
     decode_d3d5,
@@ -213,12 +212,6 @@ class TestDecoderObjects:
         syn = CatSyndrome(g.cat_count, (bits(1, 2),))
         assert dec.decode(syn) == bits(5)  # cat 2 -> data 2*2+1
 
-    def test_d7_decoder_default_measure_echoes(self):
-        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
-        dec = RuleDecoderD7(g)
-        syn = CatSyndrome(7, (0,))
-        assert dec.decode(syn) == 0
-
 
 class TestCodeLut:
     def test_steane_weight_one_syndromes(self, steane):
@@ -236,4 +229,4 @@ class TestCodeLut:
 
     def test_enumeration_cap(self, steane):
         with pytest.raises(ValueError):
-            build_code_lut(steane, weight_cap=7, max_patterns=10)
+            build_code_lut(steane, max_patterns=5)

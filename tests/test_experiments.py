@@ -9,6 +9,7 @@ from cutcat.experiments import (
     fit_slope,
     load_manifest,
     make_manifest,
+    run_batches_until,
     run_gadget_mc,
     sweep_gadget_mc,
     sweep_to_csv,
@@ -157,6 +158,32 @@ class TestGadgetMc:
         for one, two in (gadget, block):
             assert one == two
             assert one.failures > 0 and one.censored
+
+    def test_pool_workers_receive_batch_fn_once(self, tmp_path):
+        batch_fn = _PickleCountedBatch(tmp_path / "pickles")
+        trials, failures = run_batches_until(batch_fn, min_failures=10**6, trial_cap=12_000,
+                                             batch_size=1_000, jobs=2)
+        assert (trials, failures) == (12_000, sum(range(12)))
+        assert batch_fn.pickles() <= 2
+
+
+class _PickleCountedBatch:
+    """A batch callable that logs each pickling of itself to a file and
+    returns its batch index as the failure count."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __reduce__(self):
+        with open(self.log, "a") as f:
+            f.write("x")
+        return type(self), (self.log,)
+
+    def pickles(self):
+        return len(self.log.read_text()) if self.log.exists() else 0
+
+    def __call__(self, batch_index, size):
+        return batch_index
 
 
 class TestManifest:

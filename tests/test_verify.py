@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from itertools import combinations
@@ -194,15 +195,15 @@ class TestVerifyGadget:
     def test_adaptive_reports_pinned(self):
         """Counts and the first counterexample of the adaptive branch, as
         the scalar reference of ``TestAdaptiveVerifierMatchesScalarWalk``
-        gives them (t=4 too slow for the suite there): at t=4 an X on the
-        ancilla of the first re-read, which reads stabilizer 1."""
+        gives them: at t=4 an X on the ancilla of the first re-read, which
+        reads stabilizer 1."""
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         dec = RuleDecoderD7(g)
         rep = verify_gadget(g, dec, 3)
-        assert rep.passed and rep.faults_checked == 19817
+        assert rep.passed and rep.faults_checked == 14847
         rep = verify_gadget(g, dec, 4)
         cx = rep.counterexample
-        assert rep.faults_checked == 112121
+        assert rep.faults_checked == 44991
         assert (cx.fault_ids, cx.round2_flips, cx.n_faults, cx.syndrome_key,
                 cx.residual, cx.correction, cx.coset_weight) == \
             ((0, 1, 2), ((0, 0, 0),), 4, 0x44, 0x3F, 0x0, 6)
@@ -432,8 +433,8 @@ class TestEmptyDeepestSlice:
             spec = GadgetSpec(gamma=10, distance=5, adaptive=False)
             g = build_cut_cat(spec)
             decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
-        effects, names, table = _classes(g, adaptive)
-        events = EventSets.build(*(reread_events(g, table) if adaptive else ([], [])), t - 1)
+        effects, names, _ = _classes(g, adaptive)
+        events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
         n = len(effects)
         assert _check_combos(g, decoder, t, effects, names, events, KeyCache(), 2,
                              range(n - 1, n)) == (0, None)
@@ -468,21 +469,14 @@ class _BrokenAt:
         return self.bad if broken else corr
 
 
-def _grid_verify(g, decoder, t, keep):
-    """``verify_gadget``'s serial walk with only the re-measurement
-    events whose names pass ``keep``."""
-    effects, ids, table = _classes(g, True)
-    names, rows = reread_events(g, table)
-    sel = [i for i, name in enumerate(names) if keep(name)]
-    events = EventSets.build([names[i] for i in sel], [rows[i] for i in sel], t - 1)
-    cache, checked = KeyCache(), 0
-    for w in range(1, t + 1):
-        part, cx = _check_combos(g, decoder, t, effects, ids, events, cache, w,
-                                 range(len(effects)))
-        checked += part
-        if cx is not None:
-            return checked, cx
-    return checked, None
+def _pre_reread_events(table):
+    """The step -1 events: each distinct row of the adaptive gadget
+    table ``table`` that leaves X only on cats, after their last
+    base-round read, named (-1, op, code) by its first row.
+    ``_effect_classes`` drops these rows as dominated by re-read events;
+    only the scalar reference offers them."""
+    return [(-1, op, code) for (data, slots, persist), (op, code) in _first_rows(table).items()
+            if data == slots == 0 and persist]
 
 
 class TestAdaptiveVerifierMatchesScalarWalk:
@@ -493,10 +487,12 @@ class TestAdaptiveVerifierMatchesScalarWalk:
     injected as Paulis.  No compiled table and no ``follow_rereads``."""
 
     @staticmethod
-    def _scalar_verify(g, decoder, t, keep=lambda name: True):
+    def _scalar_verify(g, decoder, t, pre=False):
+        """With ``pre``, the alphabet also holds the step -1 events: X
+        left only on cats before the re-reads (``_pre_reread_events``)."""
         effects, names, table = _classes(g, True)
         m, k = g.cat_count, MAX_REREADS
-        events = [name for name in reread_events(g, table)[0] if keep(name)]
+        events = reread_events(g)[0] + (_pre_reread_events(table) if pre else [])
         base_ops = noisy_operations(g)
         reread = FaultTable.for_reread(g)
         (persist,) = FaultTable.from_gadget(g, ("persist_x",)).columns
@@ -526,6 +522,8 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         gates = [g.ring_measurement_gates(s, g.adaptive_slot(s)) for s in range(m)]
         ops = [gate_operations(gs) for gs in gates]
 
+        # a run depends on these alone, and many combinations share them
+        @functools.cache
         def run(syn, persist_x, chosen):
             """The decoder's correction and the stabilizers it re-read."""
             walker = _Walker(g, x=persist_x << g.gamma)
@@ -592,7 +590,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         rep = verify_gadget(g, RuleDecoderD7(g), 3, jobs=jobs)
         assert self._report(rep.faults_checked, rep.counterexample) == references[gamma]
-        assert references[gamma] == ({14: 19817, 20: 42535}[gamma], None)
+        assert references[gamma] == ({14: 14847, 20: 31835}[gamma], None)
 
     @staticmethod
     def _broken(g, mode, later_touch):
@@ -666,23 +664,35 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         rep = verify_gadget(g, both, 3)
         assert self._report(rep.faults_checked, rep.counterexample) == (checked, cx)
 
-    def test_broken_decoder_found_by_pre_reread_event(self):
-        # A step -1 event gives the same run as the event at the first
-        # re-read touching its cat (the ancilla flip with the cat X), or
-        # as none if no re-read does, which comes first, so it never opens
-        # a counterexample of the full alphabet: here the grid meets the
-        # step -1 events alone.
-        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
-        broken, e, n, _ = self._broken(g, "any", False)
-        pre_only = lambda name: name[0] < 0
-        checked, cx = self._scalar_verify(g, broken, 3, pre_only)
-        fault_ids, flips, n_faults, key = cx[:4]
-        assert len(fault_ids) == 1 and key == e.slot_flips and checked > n // 2
-        assert len(flips) == 1 and flips[0][0] == -1 and n_faults == 2
-        assert self._report(*_grid_verify(g, broken, 3, pre_only)) == (checked, cx)
-        # with every event, the same row fails first at a re-read step
-        full = self._scalar_verify(g, broken, 3)[1]
-        assert full[0] == fault_ids and full[1][0][0] == 0
+    @pytest.mark.parametrize("case", [
+        "rule-g14", "rule-g20", "rule-g14-t4", "always", "any", "later"])
+    def test_pre_reread_events_dominated(self, references, case):
+        """A step -1 event gives the same run as the re-read event "outcome
+        flip plus that cat's X" at the first re-read touching its cat, or
+        as no event if no re-read does; that set comes no later and costs
+        no more.  So adding the step -1 events to the alphabet changes no
+        verdict and no first counterexample, only the count (the with-step
+        -1 counts are the verifier's before it dropped them)."""
+        gamma, t = (20, 3) if case == "rule-g20" else (14, 4) if case == "rule-g14-t4" else (14, 3)
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        # the premise: cat s X and cat s+1 X, each with the outcome flip
+        assert {(1, 0b01), (1, 0b10)} <= set(_first_rows(FaultTable.for_reread(g)))
+        if case.startswith("rule"):
+            decoder = RuleDecoderD7(g)
+            rep = verify_gadget(g, decoder, t)
+            alone = self._report(rep.faults_checked, rep.counterexample)
+            if t == 3:
+                assert alone == references[gamma]
+        else:
+            # each mode of ``_BrokenAt``, as in the grid tests above
+            decoder = self._broken(g, case, case == "later")[0]
+            alone = self._scalar_verify(g, decoder, t)
+            assert alone[1] is not None
+        checked, cx = self._scalar_verify(g, decoder, t, pre=True)
+        # equal counts when no cell before the failure reaches a re-read
+        assert cx == alone[1] and checked >= alone[0]
+        if case.startswith("rule"):
+            assert checked == {"rule-g14": 19817, "rule-g20": 42535, "rule-g14-t4": 112121}[case]
 
 
 class TestOracle:
@@ -846,9 +856,8 @@ class TestRemeasurementModel:
 
     def test_event_alphabet_is_the_table_rows(self, gadget):
         """The verifier's events are the distinct nonzero rows of the
-        re-read table at each step, then the distinct rows of the gadget
-        table that only leave X on cats, each named by its first (op,
-        code): exactly the re-measurement faults MC samples."""
+        re-read table at each step, each named by its first (op, code):
+        exactly the re-measurement faults MC samples at a re-read."""
         g, k = gadget, MAX_REREADS
         expected = []
         reread = FaultTable.for_reread(g)
@@ -859,20 +868,12 @@ class TestRemeasurementModel:
                     anc, cats = (int(c[op, code]) for c in reread.columns)
                     if (anc or cats) and (anc, cats) not in seen:
                         seen.add((anc, cats))
-                        row = [0] * (1 + 2 * k)
-                        row[1 + 2 * step], row[2 + 2 * step] = anc, cats
+                        row = [0] * (2 * k)
+                        row[2 * step], row[2 * step + 1] = anc, cats
                         expected.append(((step, op, code), row))
-        table = FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))
-        seen = set()
-        for op, n_codes in enumerate(table.n_codes):
-            for code in range(n_codes):
-                data, slots, persist = (int(c[op, code]) for c in table.columns)
-                if data == slots == 0 and persist and persist not in seen:
-                    seen.add(persist)
-                    expected.append(((-1, op, code), [persist] + [0] * (2 * k)))
-        assert list(zip(*reread_events(g, table))) == expected
-        # five re-read rows per step; one pure cat X row per cat
-        assert len(expected) == 5 * k + g.cat_count
+        assert list(zip(*reread_events(g))) == expected
+        # five re-read rows per step
+        assert len(expected) == 5 * k
 
     def test_multi_fault_rereads_compose(self, gadget):
         # up to t=3 faults mixing base-round X locations and re-measurement
@@ -904,8 +905,9 @@ class TestMonteCarloFaultsCovered:
     """Every fault MC samples, read on the fields the decoder sees, is
     one the verifier enumerates, or a bare weight-1 data X with no
     syndrome (which spends the budget one for one, so t-FT under the
-    verifier's faults carries over), or, for an adaptive gadget, one of
-    its step -1 re-measurement events."""
+    verifier's faults carries over), or, for an adaptive gadget, X left
+    only on cats before the re-reads, which re-read events dominate
+    (``test_pre_reread_events_dominated``)."""
 
     @pytest.mark.parametrize("gamma, distance",
                              [(6, 3), (10, 5), (14, 7), (20, 7), (18, 9)])
@@ -916,22 +918,21 @@ class TestMonteCarloFaultsCovered:
         locs = {tuple(getattr(e, f) for f in fields)
                 for e in location_effects(g, enumerate_fault_locations(g), "X")}
         table = FaultTable.from_gadget(g, fields)
-        pre = set()
-        if adaptive:
-            names, rows = reread_events(g, table)
-            pre = {(0, 0, row[0]) for name, row in zip(names, rows) if name[0] < 0}
-            assert len(pre) == g.cat_count and not pre & locs
-        kinds = set()
+        kinds, dominated = set(), set()
         for op, n_codes in enumerate(table.n_codes):
             for code in range(n_codes):
                 row = tuple(int(c[op, code]) for c in table.columns)
                 if not any(row):
                     continue
                 bare = bin(row[0]).count("1") == 1 and not any(row[1:])
-                kind = "location" if row in locs else "bare" if bare else "pre"
-                assert kind != "pre" or row in pre, (op, code, row)
+                kind = "location" if row in locs else "bare" if bare else "dominated"
+                if kind == "dominated":
+                    assert adaptive and row[:2] == (0, 0), (op, code, row)
+                    dominated.add(row)
                 kinds.add(kind)
-        assert kinds == {"location", "bare"} | ({"pre"} if adaptive else set())
+        assert kinds == {"location", "bare"} | ({"dominated"} if adaptive else set())
+        # X on one cat each
+        assert len(dominated) == (g.cat_count if adaptive else 0)
 
     @pytest.mark.parametrize("gamma, distance, n_classes", [
         (6, 3, 12), (10, 5, 20), (14, 7, 35), (20, 7, 50), (18, 9, 63), (24, 9, 84)])
@@ -947,30 +948,29 @@ class TestMonteCarloFaultsCovered:
         assert len(rows) == len(set(rows)) == n_classes
         assert names == sorted(names) and names[:g.cat_count] == [
             (r, 0) for r in range(g.cat_count)]
-        pre = {tuple(row) for row in reread_events(g, table)[1]} if adaptive else set()
         for op, n_codes in enumerate(table.n_codes):
             for code in range(n_codes):
                 row = tuple(int(c[op, code]) for c in table.columns)
                 data, slots, *persist = row
-                # no effect, a bare data X, or a step -1 event
+                # no effect, a bare data X, or X only on cats
                 dropped = slots == 0 and (
                     data == 0 or (bin(data).count("1") == 1 and not any(persist)))
                 assert (row in rows) != dropped, (op, code)
                 if row in rows:
                     assert names[rows.index(row)] <= (op, code)
-                elif data == 0 and any(persist):
-                    assert (persist[0],) + (0,) * 2 * MAX_REREADS in pre
         locs = {tuple(getattr(e, f) for f in fields) for e in location_classes(g, adaptive)}
         assert set(rows) == locs
 
     @pytest.mark.parametrize("gamma, first_pre_op", [(14, 28), (20, 40)])
     def test_event_names_read_untiled_rows(self, gamma, first_pre_op):
-        """Table rows are tiled to the lcm of the code counts; events are
-        still named by each op's own codes, as pinned here."""
+        """Table rows are tiled to the lcm of the code counts; events, and
+        the dominated rows that leave X on one cat each, are still named
+        by each op's own codes, as pinned here."""
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
-        names, _ = reread_events(g, FaultTable.for_decoder(g, True))
+        names, _ = reread_events(g)
         assert names == [(step, op, code) for step in range(MAX_REREADS)
-                         for op, code in ((0, 0), (0, 3), (0, 4), (1, 3), (1, 4))] + [
+                         for op, code in ((0, 0), (0, 3), (0, 4), (1, 3), (1, 4))]
+        assert _pre_reread_events(FaultTable.for_decoder(g, True)) == [
             (-1, first_pre_op + r, 3) for r in range(g.cat_count)]
         for table in (FaultTable.for_reread(g),
                       FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))):
