@@ -182,9 +182,9 @@ class BlockSimulator:
             col, at = gen.field
             keys = ((flips[col][cand] >> np.uint64(at))
                     & np.uint64((1 << gen.gadget.n_slots) - 1))
-            hit = keys != 0
-            (corr,) = gen.ring.get(keys[hit], gen.ring_corrections)
-            (wx if gen.sector == "X" else wz)[cand[hit]] ^= corr
+            if len(hit := np.flatnonzero(keys)):  # no cache call without keys
+                (corr,) = gen.ring.get(keys[hit], gen.ring_corrections)
+                (wx if gen.sector == "X" else wz)[cand[hit]] ^= corr
         data_x ^= wx
         syn |= _parities(data_x, self._parity[1]) << np.uint64(self.n_hx)
         data_z ^= wz

@@ -429,24 +429,20 @@ def _solve_constraints(
     starts = np.unique(key, return_index=True)[1]
     sizes = np.diff(np.r_[starts, len(key)])
     corr = np.zeros(len(starts), np.uint64)
-    todo = []
-    # candidate j of every open key against all of the key's rows, for
-    # 512 keys at a time to bound the temporaries
-    for part in np.array_split(np.arange(len(starts)), len(starts) // 512 + 1):
-        j = -1  # the zero vector
-        while len(active := part[sizes[part] > j]):
-            gs, gn = starts[active], sizes[active]
-            rows = _verify._ranges(gs, gn)
-            cand = residual[gs + j] if j >= 0 else np.zeros(len(gs), np.uint64)
-            cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
-            ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
-            corr[active[ok]] = cand[ok]
-            part, j = np.setdiff1d(part, active[ok]), j + 1
-        todo += part.tolist()
+    # candidate j (-1: the zero vector) of every open key against all its rows
+    todo, j = np.ones(len(starts), bool), -1
+    while len(active := np.flatnonzero(todo & (sizes > j))):
+        gs, gn = starts[active], sizes[active]
+        rows = _verify._ranges(gs, gn)
+        cand = residual[gs + j] if j >= 0 else np.zeros(len(gs), np.uint64)
+        cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
+        ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
+        corr[active[ok]] = cand[ok]
+        todo[active[ok]], j = False, j + 1
     # The rest, in first-row order: plain-weight offsets of up to the first
     # weight from the first residual.  Complements are equivalent under the
     # coset metric, so these reach every class within that distance.
-    for i in sorted(todo, key=lambda i: order[starts[i]]):
+    for i in sorted(np.flatnonzero(todo).tolist(), key=lambda i: order[starts[i]]):
         rows = slice(starts[i], starts[i] + sizes[i])
         res, w = residual[rows].tolist(), weight[rows].tolist()
         offsets = (res[0] ^ mask_of(q) for v in range(w[0] + 1)
@@ -479,15 +475,14 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     effects, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
     unique = _verify.sort_unique
     # Keys whose residuals all lie within their weights take the zero
-    # correction; a second walk collects the rows of the other keys.
-    keys, hard = [], []
-    for s in _verify.combo_walk(effects, t, min_weight=0):
-        keys.append(unique(s.key))
-        hard.append(s.key[_verify.coset_weights(s.data, spec.gamma) > s.weight])
-    keys, hard = unique(np.concatenate(keys)), unique(np.concatenate(hard))
+    # correction; a second walk collects the rows of the other keys.  Each
+    # walk is one comprehension, so that no slice outlives it.
+    keys, hard = (unique(np.concatenate(a)) for a in zip(*[
+        (unique(s.key), s.key[_verify.coset_weights(s.data, spec.gamma) > s.weight])
+        for s in _verify.combo_walk(effects, t, min_weight=0)]))
     rows = [(s.key[m], s.data[m], np.full(m.sum(), s.weight, np.uint8))
             for s in _verify.combo_walk(effects, t, min_weight=0)
-            for m in [_verify.find_sorted(hard, s.key)[1]]]
+            for m in [np.isin(s.key, hard)]]
     table = dict.fromkeys(keys.tolist(), 0)
     table.update(_solve_constraints(*map(np.concatenate, zip(*rows)), spec.gamma, t))
     assert table.get(0, 0) == 0, "zero syndrome must map to zero correction"

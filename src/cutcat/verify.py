@@ -23,6 +23,8 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .sim import CatSyndrome, Effect, FaultTable
 
+_GRID_CELLS = 65_536  # (row x event set) cells of a verifier slice
+
 
 def sort_unique(a: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array, by sort and mask: numpy 2.4 sends a
@@ -105,16 +107,26 @@ class ComboSlice:
         return tuple(out[::-1])
 
 
+def _runs(sizes: list[int], cap: int) -> list[int]:
+    """Starts of runs of ``sizes`` summing to at most ``cap`` (or of one), then the end."""
+    cuts, run = [0], 0
+    for i, s in enumerate(sizes):
+        if run and run + s > cap:
+            cuts, run = cuts + [i], 0
+        run += s
+    return cuts + [len(sizes)]
+
+
 def combo_walk(
     effects: Sequence[Effect], max_weight: int, first_range: range | None = None,
-    min_weight: int = 1, with_persist: bool = False,
+    min_weight: int = 1, with_persist: bool = False, max_rows: int = _GRID_CELLS,
 ) -> Iterator[ComboSlice]:
     """Every combination of min_weight..max_weight effect indices whose
     first index lies in ``first_range`` (default: all), as array slices:
     weight-major, then lexicographic, weight 0 being the empty one.  Each
     weight is one gather and one XOR of the weight below against the
-    effect rows.  Lower weights come whole; ``max_weight`` comes one first
-    index at a time, in slices of at most C(n-1, max_weight-1) rows."""
+    effect rows.  Lower weights come whole; ``max_weight`` in runs of whole
+    consecutive first indices of at most ``max_rows`` rows, or of one."""
     n = len(effects)
     first_range = range(n) if first_range is None else first_range
     fields = ("data_x", "slot_flips", "persist_x")[:3 if with_persist else 2]
@@ -129,7 +141,8 @@ def combo_walk(
         last = level.chain[-1][1] if w > 1 else np.array([first_range.start - 1])
         counts = n - 1 - last if w > 1 else np.array([len(first_range)])
         bounds = [0, len(last)] if w < max_weight or w == 1 else np.cumsum(
-            [0] + [math.comb(n - 1 - i, w - 2) for i in first_range])
+            [0] + [math.comb(n - 1 - i, w - 2) for i in first_range])[
+            _runs([math.comb(n - 1 - i, w - 1) for i in first_range], max_rows)]
         chain, prev = level.chain, (level.data, level.key, level.persist)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             parent = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
@@ -368,7 +381,8 @@ def _check_combos(
     adaptive = getattr(decoder, "needs_round2", False)
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
-    for sl in combo_walk(effects, weight, first_range, weight, with_persist=adaptive):
+    for sl in combo_walk(effects, weight, first_range, weight, with_persist=adaptive,
+                         max_rows=max(1, _GRID_CELLS // k)):
         keys, inverse = np.unique(sl.key, return_inverse=True)
         if adaptive:
             reads, corrections = cache.get(

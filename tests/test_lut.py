@@ -218,9 +218,12 @@ class TestSynthesisMatchesReference:
 
     @pytest.mark.parametrize("gamma,distance", [
         (3, 3), (6, 3), (8, 3), (12, 3), (8, 5), (10, 5), (16, 5), (20, 7),
+        (48, 3), (40, 5),
     ])
     def test_tables_identical(self, gamma, distance):
-        # gamma 3: the zero correction serves every key
+        # gamma 3: the zero correction serves every key.  gamma 48 and 40:
+        # 24- and 20-bit keys, too sparse for np.isin's dense table, so the
+        # key test takes its sort path
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
         expected = _reference_table(_reference_rows(_class_effects(g), spec.t), gamma, spec.t)
@@ -248,8 +251,9 @@ class TestSynthesisMatchesReference:
             _solve(rows, 8, 2)
 
     def test_many_keys_need_the_offset_search(self):
-        # 1 200 keys like key 1 above, more than one batch of the array
-        # search; then two keys that admit nothing, the larger one first
+        # 1 200 keys like key 1 above, each still open after the zero
+        # vector and both stored residuals; then two keys that admit
+        # nothing, the larger one first
         rows = [(0, 0, 0)] + [(k, r, 1) for k in range(10, 1210) for r in (0b0011, 0b0110)]
         assert _solve(rows, 8, 2) == _reference_table(rows, 8, 2)
         rows += [(5000, 0b0011, 1), (3, 0b0011, 1), (5000, 0b1100, 1), (3, 0b1100, 1)]

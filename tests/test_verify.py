@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cutcat import verify
 from cutcat.decoders import (
     IdentityDecoder,
     LutDecoder,
@@ -28,6 +29,7 @@ from cutcat.sim import (
 )
 from cutcat.verify import (
     MAX_REREADS,
+    _GRID_CELLS,
     EventSets,
     KeyCache,
     _check_combos,
@@ -35,6 +37,7 @@ from cutcat.verify import (
     _first_rows,
     combo_walk,
     eval_upper_bound,
+    follow_rereads,
     reread_events,
     reread_table,
     sort_unique,
@@ -64,6 +67,13 @@ def _raw_location_effects(g):
     return location_effects(g, enumerate_fault_locations(g), "X")
 
 
+@pytest.fixture(scope="module")
+def raw_d5_reference():
+    """The raw location effects of d=5 gamma=10 and their reference walk to t=3."""
+    effects = _raw_location_effects(build_cut_cat(GadgetSpec(gamma=10, distance=5)))
+    return effects, _reference_combos(effects, 3)
+
+
 def _reference_combos(effects, max_weight):
     """Per-tuple reference for the combination walk: (combo, data, key,
     persist) over ``itertools.combinations``, each tuple XORed afresh."""
@@ -79,13 +89,13 @@ def _reference_combos(effects, max_weight):
     return out
 
 
-def _walk_rows(effects, max_weight, first_range=None, min_weight=1):
+def _walk_rows(effects, max_weight, first_range=None, min_weight=1, max_rows=_GRID_CELLS):
     """``combo_walk`` flattened to (combo, data, key, persist) tuples, row
     by row, each combination rebuilt from its parent chain."""
     return [
         (s.combo(r), int(s.data[r]), int(s.key[r]), int(s.persist[r]))
         for s in combo_walk(effects, max_weight, first_range, min_weight,
-                            with_persist=True)
+                            with_persist=True, max_rows=max_rows)
         for r in range(len(s.data))
     ]
 
@@ -734,20 +744,84 @@ class TestOracle:
         assert _walk_rows(effects, 3, part) == expected
 
     def test_deepest_weight_walked_by_first_index(self):
+        """The deepest weight comes in runs of whole consecutive first
+        indices, each within its row cap or of one first index."""
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
         effects = _class_effects(g)
         n = len(effects)
-        slices = list(combo_walk(effects, 3))
-        sizes = [len(s.data) for s in slices]
-        assert [s.weight for s in slices] == [1, 2] + [3] * n
-        assert sizes == [n, math.comb(n, 2)] + [math.comb(n - 1 - i, 2) for i in range(n)]
-        assert max(sizes[2:]) == math.comb(n - 1, 2)
-        for s in slices:
-            assert s.persist is None
-            assert all(a.dtype == np.int32 for pair in s.chain for a in pair)
-        # parents index the whole weight below, whose arrays every slice shares
-        for s in slices[1:]:
-            assert all(x is y for x, y in zip(s.chain[:-1], slices[s.weight - 2].chain))
+        for max_rows in (1, 100, _GRID_CELLS):
+            slices = list(combo_walk(effects, 3, max_rows=max_rows))
+            assert [s.weight for s in slices[:2]] == [1, 2]
+            assert [len(s.data) for s in slices[:2]] == [n, math.comb(n, 2)]
+            deepest = slices[2:]
+            runs = [sorted({s.combo(r)[0] for r in range(len(s.data))}) for s in deepest]
+            assert sum(runs, []) == list(range(n - 2))
+            for s, run in zip(deepest, runs):
+                assert s.weight == 3 and run == list(range(run[0], run[-1] + 1))
+                assert len(s.data) == sum(math.comb(n - 1 - i, 2) for i in run)
+                assert len(s.data) <= max(max_rows, math.comb(n - 1 - run[0], 2))
+            # a run stops only where the next first index would break the cap
+            for s, nxt in zip(deepest, runs[1:]):
+                assert len(s.data) + math.comb(n - 1 - nxt[0], 2) > max_rows
+            assert len(deepest) == {1: n - 2, 100: 11, _GRID_CELLS: 1}[max_rows]
+            assert _walk_rows(effects, 3, max_rows=max_rows) == _reference_combos(effects, 3)
+            for s in slices:
+                assert s.persist is None
+                assert all(a.dtype == np.int32 for pair in s.chain for a in pair)
+            # parents index the whole weight below, whose arrays every slice shares
+            for s in slices[1:]:
+                assert all(x is y for x, y in zip(s.chain[:-1], slices[s.weight - 2].chain))
+
+    @pytest.mark.parametrize("part", [None, range(7, 23)], ids=["all", "part"])
+    @pytest.mark.parametrize("max_rows", [1, 7, 100])
+    def test_small_row_caps_match_reference(self, raw_d5_reference, max_rows, part):
+        effects, reference = raw_d5_reference
+        expected = [r for r in reference if part is None or r[0][0] in part]
+        assert _walk_rows(effects, 3, part, max_rows=max_rows) == expected
+
+
+class TestRowCap:
+    """The deepest weight comes in runs of first indices capped in (row x
+    event set) cells: the cap changes how the walk is sliced, not what
+    the verifier finds."""
+
+    def test_adaptive_grid_within_cap(self, monkeypatch):
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        effects, names, _ = _classes(g, True)
+        events = EventSets.build(*reread_events(g), 3)
+        k = int(np.searchsorted(events.size, 2, "right"))
+        cells = []
+
+        def spy(reads, corrections, inv, frame, noise, m):
+            cells.append(frame.size)
+            return follow_rereads(reads, corrections, inv, frame, noise, m)
+
+        monkeypatch.setattr(verify, "follow_rereads", spy)
+        assert _check_combos(g, RuleDecoderD7(g), 4, effects, names, events,
+                             KeyCache(), 2, range(len(effects)))[1] is None
+        assert sum(cells) == math.comb(len(effects), 2) * k
+        assert 1 < len(cells) < len(effects) - 1
+        assert max(cells) <= _GRID_CELLS
+
+    @pytest.mark.parametrize("cells", [1, 997])
+    @pytest.mark.parametrize("gamma,distance,decoder,t", [
+        (10, 5, "identity", 2),
+        (10, 5, "rule-t1", 2),
+        (14, 7, "rule-t2", 3),
+        (14, 7, "d7", 3),
+    ])
+    def test_reports_do_not_depend_on_the_cap(self, monkeypatch, gamma, distance,
+                                              decoder, t, cells):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+        dec = {
+            "identity": IdentityDecoder,
+            "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+            "rule-t2": lambda: RuleDecoderD3D5(g, 2),
+            "d7": lambda: RuleDecoderD7(g),
+        }[decoder]()
+        expected = verify_gadget(g, dec, t)
+        monkeypatch.setattr(verify, "_GRID_CELLS", cells)
+        assert verify_gadget(g, dec, t) == expected
 
 
 class TestStaticVerifierMatchesScalarWalk:
