@@ -1,5 +1,18 @@
 """Cut-cat state syndrome extraction: simulation, decoding, verification."""
 
+import numpy as _np
+
+
+def _check_numpy(version: str) -> None:
+    """Raise ``ImportError`` unless ``version`` is numpy 2 or later, the
+    first with ``np.bitwise_count``, which masks are counted with."""
+    if int(version.split(".")[0]) < 2:
+        raise ImportError(
+            f"cutcat needs numpy >= 2 for np.bitwise_count; found numpy {version}")
+
+
+_check_numpy(_np.__version__)
+
 from .pauli import (
     CodeFormatError,
     CssCode,

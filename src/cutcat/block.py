@@ -40,7 +40,7 @@ class _Generator:
         else:
             self.gadget = build_full_cat(gamma)
             self.decoder = None
-        self.ring, self.field = KeyCache(), (0, 0)
+        self.ring, self.field = KeyCache(self.gadget.n_slots), (0, 0)
 
     def _globalize(self, local_mask: int) -> int:
         return sum(1 << self.support[i] for i in bits_of(local_mask))
@@ -85,9 +85,10 @@ class BlockSimulator:
         self.code_lut: CodeLUT = build_code_lut(code)
         # correction and miss flag per syndrome; one the tables lack joins as a miss
         self._lut_caches = tuple(
-            KeyCache(np.fromiter(t, np.uint64), (np.fromiter(t.values(), np.uint64),
-                                                np.zeros(len(t), bool)))
-            for t in (self.code_lut.z_table, self.code_lut.x_table))
+            KeyCache(len(rows), np.fromiter(t, np.uint64),
+                     (np.fromiter(t.values(), np.uint64), np.zeros(len(t), bool)))
+            for t, rows in ((self.code_lut.z_table, code.hx),
+                            (self.code_lut.x_table, code.hz)))
         self._parity = tuple(_parity_tables(rows, code.n)
                              for rows in (code.hx, code.hz, code.lx, code.lz))
         self.generators = ([_Generator("X", row, code.d) for row in code.hx]

@@ -392,14 +392,16 @@ class CutCatLUT:
 
 
 class LutDecoder(StaticDecoder):
-    """Table-backed decoder over the concatenated full-round syndrome."""
+    """Table-backed decoder over the concatenated full-round syndrome.
+    ``decode_keys`` reads a ``verify.KeyCache`` prefilled with the table,
+    where a key the table lacks joins with the zero correction."""
 
     def __init__(self, lut: CutCatLUT):
         self.lut = lut
-        keys = np.fromiter(lut.table, np.uint64, len(lut.table))
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._corr = np.fromiter(lut.table.values(), np.uint64, len(lut.table))[order]
+        n = len(lut.table)
+        self._cache = _verify.KeyCache(
+            lut.rounds * lut.cat_count, np.fromiter(lut.table, np.uint64, n),
+            (np.fromiter(lut.table.values(), np.uint64, n),))
 
     def _check_shape(self, cat_count: int, rounds: int) -> None:
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
@@ -411,23 +413,32 @@ class LutDecoder(StaticDecoder):
 
     def decode_keys(self, keys: np.ndarray, cat_count: int, rounds: int) -> np.ndarray:
         self._check_shape(cat_count, rounds)
-        pos, found = _verify.find_sorted(self._keys, keys)
-        out = np.zeros(len(keys), np.uint64)
-        out[found] = self._corr[pos[found]]
-        return out
+        return self._cache.get(keys, lambda new: (np.zeros(len(new), np.uint64),))[0]
 
 
 def _solve_constraints(
-    key: np.ndarray, residual: np.ndarray, weight: np.ndarray, gamma: int, t: int,
+    keys: np.ndarray, group: np.ndarray, residual: np.ndarray, weight: np.ndarray,
+    gamma: int, t: int,
 ) -> dict[int, int]:
-    """Correction per syndrome key from (key, residual, weight) rows of
+    """Correction per syndrome key from (group, residual, weight) rows of
     ascending weight, so a repeated residual adds no constraint and no
-    candidate.  Per key, zero, the key's residuals in row order, then
-    offsets are tried, until one keeps every residual within its weight."""
-    order = np.argsort(key, kind="stable")
-    key, residual, weight = key[order], residual[order], weight[order]
-    starts = np.unique(key, return_index=True)[1]
-    sizes = np.diff(np.r_[starts, len(key)])
+    candidate; a row's key is ``keys[group]``, and groups lie below 2^32.
+    Per key, zero, the key's residuals in row order, then offsets are
+    tried, until one keeps every residual within its weight."""
+    if not len(group):
+        return {}
+    # one sort of (group << 32 | row) words puts each key's rows together,
+    # in row order
+    word = group.astype(np.uint64)
+    word <<= np.uint64(32)
+    word |= np.arange(len(word), dtype=np.uint64)
+    word.sort()
+    order = (word & np.uint64(0xFFFFFFFF)).astype(np.intp)
+    residual, weight = residual[order], weight[order]
+    word >>= np.uint64(32)
+    starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+    key = keys[word[starts]]
+    sizes = np.diff(np.r_[starts, len(word)])
     corr = np.zeros(len(starts), np.uint64)
     # candidate j (-1: the zero vector) of every open key against all its rows
     todo, j = np.ones(len(starts), bool), -1
@@ -451,9 +462,9 @@ def _solve_constraints(
             residual_weight_mod_generator(e ^ c, gamma) <= v for e, v in zip(res, w))), None)
         if found is None:
             raise LutBuildError(
-                f"syndrome {int(key[starts[i]]):#x} admits no correction within weight {t}")
+                f"syndrome {int(key[i]):#x} admits no correction within weight {t}")
         corr[i] = found
-    return dict(zip(key[starts].tolist(), corr.tolist()))
+    return dict(zip(key.tolist(), corr.tolist()))
 
 
 def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> CutCatLUT:
@@ -463,7 +474,9 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     classes (the distinct rows of the fault table MC samples),
     accumulates the (residual, weight) constraints per syndrome, and
     searches a correction consistent with all of them under the coset
-    metric.
+    metric.  Syndromes are kept in a ``verify.KeyCache``: the keys the
+    zero correction fails are flagged there, and their rows are picked
+    and grouped by their cache row.
     Deterministic: enumeration is weight-ascending lexicographic and the
     zero vector, stored residuals, then bounded offsets are tried in
     that order.
@@ -473,18 +486,28 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     g = gadget if gadget is not None else build_cut_cat(spec)
     t = spec.t
     effects, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
-    unique = _verify.sort_unique
     # Keys whose residuals all lie within their weights take the zero
-    # correction; a second walk collects the rows of the other keys.  Each
-    # walk is one comprehension, so that no slice outlives it.
-    keys, hard = (unique(np.concatenate(a)) for a in zip(*[
-        (unique(s.key), s.key[_verify.coset_weights(s.data, spec.gamma) > s.weight])
-        for s in _verify.combo_walk(effects, t, min_weight=0)]))
-    rows = [(s.key[m], s.data[m], np.full(m.sum(), s.weight, np.uint8))
-            for s in _verify.combo_walk(effects, t, min_weight=0)
-            for m in [np.isin(s.key, hard)]]
-    table = dict.fromkeys(keys.tolist(), 0)
-    table.update(_solve_constraints(*map(np.concatenate, zip(*rows)), spec.gamma, t))
+    # correction: the first walk flags the others "hard" in a cache of
+    # every key, and a second walk collects the hard keys' rows, grouped
+    # by cache row.
+    cache = _verify.KeyCache(g.cat_count * g.base_rounds)
+    for s in _verify.combo_walk(effects, t, min_weight=0):
+        ids = cache.index(s.key, lambda new: (np.zeros(len(new), bool),))
+        cache.values[0][ids[_verify.coset_weights(s.data, spec.gamma) > s.weight]] = True
+    hard, rows = cache.values[0], []
+    for s in _verify.combo_walk(effects, t, min_weight=0):
+        ids = cache.find(s.key)
+        m = hard[ids]
+        rows.append((ids[m], s.data[m], np.full(m.sum(), s.weight, np.uint8)))
+    # Each step frees what it no longer needs before the next allocates:
+    # the slices' parts before the solve sorts the rows, and the rows
+    # before the dict of every key, the largest object of the build.
+    group, residual, weight = map(np.concatenate, zip(*rows))
+    del rows
+    solved = _solve_constraints(cache.keys, group, residual, weight, spec.gamma, t)
+    del group, residual, weight
+    table = dict.fromkeys(cache.keys.tolist(), 0)
+    table.update(solved)
     assert table.get(0, 0) == 0, "zero syndrome must map to zero correction"
     return CutCatLUT(
         gamma=spec.gamma,

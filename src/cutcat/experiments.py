@@ -121,7 +121,7 @@ class GadgetMonteCarlo:
         self.adaptive = bool(getattr(decoder, "needs_round2", False))
         self.faults = FaultTable.for_decoder(g, self.adaptive)
         self.reread = FaultTable.for_reread(g) if self.adaptive else None
-        self._answers = KeyCache()
+        self._answers = KeyCache(g.cat_count * g.base_rounds)
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int,
                   t: int) -> int:

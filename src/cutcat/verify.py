@@ -247,47 +247,72 @@ def compile_rereads(decoder, keys: np.ndarray, cat_count: int,
     return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
 
 
-def find_sorted(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each of ``keys`` in the sorted array ``table``, and
-    whether it is there."""
-    pos = np.searchsorted(table, keys)
-    found = pos < len(table)
-    found[found] = table[pos[found]] == keys[found]
-    return pos, found
+# widest key a ``KeyCache`` indexes through a dense table (2^20 int32
+# slots, 4 MB); wider keys take binary search in a sorted copy
+DENSE_BITS = 20
 
 
 class KeyCache:
-    """Decoder answers per syndrome key: row i of ``values`` for ``keys[i]``, sorted."""
+    """Decoder answers per syndrome key of at most ``bits`` bits: row i
+    of ``values`` answers ``keys[i]``, rows in the order the keys were
+    first seen.  Keys of up to ``DENSE_BITS`` bits find their row in a
+    dense int32 table of 2^bits slots, wider ones by binary search in a
+    sorted copy; either index is built on first use, so an unused cache
+    pickles small."""
 
-    def __init__(self, keys: np.ndarray = np.zeros(0, np.uint64),
+    def __init__(self, bits: int, keys: np.ndarray = np.zeros(0, np.uint64),
                  values: tuple[np.ndarray, ...] = ()) -> None:
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.values = tuple(v[order] for v in values)
+        self.bits, self.keys, self.values = bits, keys, values
+        # dense: row + 1 per key, 0 if unseen; sorted: (sorted keys, their rows)
+        self._index = None
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each of ``keys``, -1 for a key not seen."""
+        if self._index is None:
+            rows = np.arange(len(self.keys))
+            if self.bits <= DENSE_BITS:
+                self._index = np.zeros(1 << self.bits, np.int32)
+                self._index[self.keys] = rows + 1
+            else:
+                order = np.argsort(self.keys)
+                self._index = self.keys[order], rows[order]
+        if self.bits <= DENSE_BITS:
+            return self._index[keys] - 1
+        table, rows = self._index
+        pos = np.searchsorted(table, keys)
+        found = pos < len(table)
+        found[found] = table[pos[found]] == keys[found]
+        out = np.full(len(keys), -1, np.intp)
+        out[found] = rows[pos[found]]
+        return out
 
     def index(self, keys: np.ndarray, compute) -> np.ndarray:
         """The row of ``values`` of each of ``keys``, which may repeat.
         ``compute`` maps the distinct keys not seen before, sorted, to a
         tuple of arrays; it runs also on none, to give the answers' shape
         to an empty cache."""
-        pos, found = find_sorted(self.keys, keys)
-        if not found.all() or not self.values:
-            # np.unique, not sort_unique: with the latter, repeated block
-            # MC batches of one seed ran ~25 % slower, although every key
-            # is cached after the first batch
-            fresh = np.unique(keys[~found])
-            at = np.searchsorted(self.keys, fresh)
+        rows = self.find(keys)
+        miss = rows < 0
+        if miss.any() or not self.values:
+            fresh = sort_unique(keys[miss])
             new = compute(fresh)
-            self.values = tuple(np.insert(old, at, v, axis=0)
+            self.values = tuple(np.concatenate([old, v])
                                 for old, v in zip(self.values, new)) or new
-            self.keys = np.insert(self.keys, at, fresh)
-            pos = np.searchsorted(self.keys, keys)
-        return pos
+            added = np.arange(len(self.keys), len(self.keys) + len(fresh))
+            self.keys = np.concatenate([self.keys, fresh])
+            if self.bits <= DENSE_BITS:
+                self._index[fresh] = added + 1
+            else:
+                table, old = self._index
+                at = np.searchsorted(table, fresh)
+                self._index = np.insert(table, at, fresh), np.insert(old, at, added)
+            rows[miss] = self.find(keys[miss])
+        return rows
 
     def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
         """The answers for ``keys``, one row per key (see ``index``)."""
-        pos = self.index(keys, compute)
-        return tuple(v[pos] for v in self.values)
+        rows = self.index(keys, compute)
+        return tuple(v[rows] for v in self.values)
 
 
 def reread_events(g: GadgetCircuit) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
@@ -375,26 +400,24 @@ def _check_combos(
     t - weight (a static decoder meets the empty set only): a (row, set)
     grid per slice.  A cell counts only if its run reaches the step of
     each of its events.  ``cache`` holds the decoder's answer per key (a
-    correction, or an adaptive decoder's compiled table); a serial walk
-    shares it across weights."""
+    correction, or an adaptive decoder's compiled table); each slice's
+    keys index it directly, and a serial walk shares it across weights."""
     m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
     adaptive = getattr(decoder, "needs_round2", False)
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
     for sl in combo_walk(effects, weight, first_range, weight, with_persist=adaptive,
                          max_rows=max(1, _GRID_CELLS // k)):
-        keys, inverse = np.unique(sl.key, return_inverse=True)
         if adaptive:
-            reads, corrections = cache.get(
-                keys, lambda new: compile_rereads(decoder, new, m, rounds))
+            rows = cache.index(sl.key, lambda new: compile_rereads(decoder, new, m, rounds))
             corr, steps = follow_rereads(
-                reads, corrections, inverse[:, None], np.repeat(sl.persist[:, None], k, 1),
+                *cache.values, rows[:, None], np.repeat(sl.persist[:, None], k, 1),
                 zip(masks[:, 0::2].T, masks[:, 1::2].T), m)
             admitted = steps >= events.need[:k]
         else:
             # one ``decode_keys`` call for the distinct keys not decoded before
-            corr = cache.get(keys, lambda new: (decoder.decode_keys(new, m, rounds),))
-            corr = corr[0][inverse, None]
+            rows = cache.index(sl.key, lambda new: (decoder.decode_keys(new, m, rounds),))
+            corr = cache.values[0][rows, None]
             admitted = np.ones(corr.shape, bool)
         cw = coset_weights(sl.data[:, None] ^ corr, gamma)
         bad = admitted & (cw > budget)
@@ -438,7 +461,7 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> Verificat
     chunk = max(1, math.ceil(n / max(jobs, 1)))
     ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 
-    cache = KeyCache()
+    cache = KeyCache(g.cat_count * g.base_rounds)
     per_weight: list[int] = []
     cx = None
     with (ProcessPoolExecutor(max_workers=jobs) if len(ranges) > 1

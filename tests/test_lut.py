@@ -77,9 +77,13 @@ def _reference_table(rows, gamma, t):
 
 
 def _solve(rows, gamma, t):
+    """``_solve_constraints`` with each key's group id its rank among the
+    keys, not its first row: a key's rows, and its place among the keys
+    that need the offset search, must still follow the row order."""
     key, residual, weight = (np.array(c, dtype) for c, dtype in
                              zip(zip(*rows), (np.uint64, np.uint64, np.uint8)))
-    return _solve_constraints(key, residual, weight, gamma, t)
+    keys, group = np.unique(key, return_inverse=True)
+    return _solve_constraints(keys, group, residual, weight, gamma, t)
 
 
 @pytest.fixture(scope="module")

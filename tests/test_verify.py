@@ -158,7 +158,7 @@ class TestVerifyGadget:
         effects = [Effect(*row) for row in rows]
         for w in (1, 2):
             checked, cx = _check_combos(g, RuleDecoderD3D5(g, 2), 2, effects, list(rows.values()),
-                                        EventSets.build([], [], 1), KeyCache(), w,
+                                        EventSets.build([], [], 1), KeyCache(g.n_slots), w,
                                         range(len(effects)))
             assert cx is None and checked == math.comb(len(effects), w)
 
@@ -262,7 +262,7 @@ def _raw_verify(g, decoder, t):
     repeats included, named by location id: the first counterexample."""
     effects = _raw_location_effects(g)
     names = [(i, 0) for i in range(len(effects))]
-    cache = KeyCache()
+    cache = KeyCache(g.n_slots)
     for w in range(1, t + 1):
         _, cx = _check_combos(g, decoder, t, effects, names, EventSets.build([], [], t - 1),
                               cache, w, range(len(effects)))
@@ -376,26 +376,30 @@ class TestPrunedRereadTable:
         assert len(calls) == paths < len(keys) << MAX_REREADS
 
 
+@pytest.mark.parametrize("bits", [8, 32], ids=["dense", "sorted"])
 class TestKeyCache:
-    def test_computes_only_new_keys_and_keeps_order(self):
-        cache, asked = KeyCache(), []
+    """One key width on each side of ``DENSE_BITS``.  Rows come in no
+    promised order: answers are checked per key."""
+
+    def test_computes_only_new_keys(self, bits):
+        cache, asked = KeyCache(bits), []
 
         def square(keys):
             asked.append(keys.tolist())
             return keys * keys, np.stack([keys, keys + 1], axis=1)
 
-        sq, pair = cache.get(np.array([3, 7], np.uint64), square)
-        assert sq.tolist() == [9, 49] and pair.tolist() == [[3, 4], [7, 8]]
-        sq, pair = cache.get(np.array([1, 3, 5, 9], np.uint64), square)
+        sq, pair = cache.get(np.array([7, 3], np.uint64), square)
+        assert sq.tolist() == [49, 9] and pair.tolist() == [[7, 8], [3, 4]]
+        sq, pair = cache.get(np.array([9, 3, 5, 1], np.uint64), square)
         assert asked == [[3, 7], [1, 5, 9]]
-        assert sq.tolist() == [1, 9, 25, 81]
-        assert pair.tolist() == [[1, 2], [3, 4], [5, 6], [9, 10]]
-        assert cache.keys.tolist() == [1, 3, 5, 7, 9]
+        assert sq.tolist() == [81, 9, 25, 1]
+        assert pair.tolist() == [[9, 10], [3, 4], [5, 6], [1, 2]]
+        assert sorted(cache.keys.tolist()) == [1, 3, 5, 7, 9]
         cache.get(np.array([5, 7], np.uint64), square)
         assert len(asked) == 2
 
-    def test_repeated_unsorted_keys(self):
-        cache, asked = KeyCache(), []
+    def test_repeated_unsorted_keys(self, bits):
+        cache, asked = KeyCache(bits), []
 
         def square(keys):
             asked.append(keys.tolist())
@@ -405,11 +409,13 @@ class TestKeyCache:
         assert sq.tolist() == [25, 4, 25, 81, 4]
         (sq,) = cache.get(np.array([9, 4, 4, 2], np.uint64), square)
         assert sq.tolist() == [81, 16, 16, 4]
-        assert asked == [[2, 5, 9], [4]] and cache.keys.tolist() == [2, 4, 5, 9]
-        assert cache.index(np.array([4, 9], np.uint64), square).tolist() == [1, 3]
+        assert asked == [[2, 5, 9], [4]]
+        rows = cache.index(np.array([4, 9, 4], np.uint64), square)
+        assert cache.keys[rows].tolist() == [4, 9, 4]
+        assert cache.find(np.array([3, 9], np.uint64)).tolist() == [-1, rows[1]]
 
-    def test_no_keys_on_an_empty_cache_keep_the_answers_shape(self):
-        cache = KeyCache()
+    def test_no_keys_on_an_empty_cache_keep_the_answers_shape(self, bits):
+        cache = KeyCache(bits)
 
         def square(keys):
             return keys * keys, np.stack([keys, keys + 1], axis=1)
@@ -418,6 +424,63 @@ class TestKeyCache:
         assert sq.shape == (0,) and pair.shape == (0, 2)
         sq, pair = cache.get(np.array([2], np.uint64), square)
         assert sq.tolist() == [4] and pair.tolist() == [[2, 3]]
+
+    def test_prefilled_cache_flags_misses(self, bits):
+        # answers for unsorted keys up front; a key not among them joins
+        # as a miss, computed once
+        top = (1 << bits) - 1
+        cache, asked = KeyCache(bits, np.array([top, 6, 0], np.uint64), (
+            np.array([10, 60, 0], np.uint64), np.zeros(3, bool))), []
+
+        def misses(keys):
+            asked.append(keys.tolist())
+            return np.zeros(len(keys), np.uint64), np.ones(len(keys), bool)
+
+        for _ in range(2):
+            corr, miss = cache.get(np.array([6, 5, top, 0, 5], np.uint64), misses)
+            assert corr.tolist() == [60, 0, 10, 0, 0]
+            assert miss.tolist() == [False, True, False, False, True]
+        assert asked == [[5]]
+
+
+class TestSortedKeyPath:
+    """Keys wider than ``DENSE_BITS`` bits go through the sorted index.
+    With the limit at 0 every cache takes that path, and every table and
+    report must come out as through the dense one."""
+
+    @staticmethod
+    def _sorted(monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "DENSE_BITS", 0)
+            cache = KeyCache(1)
+            cache.find(np.zeros(1, np.uint64))
+            assert isinstance(cache._index, tuple)
+            return fn(*args)
+
+    @pytest.mark.parametrize("gamma, distance", [(10, 5), (18, 9)])
+    def test_lut_tables_identical(self, monkeypatch, gamma, distance):
+        spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
+        g = build_cut_cat(spec)
+        dense = build_cut_cat_lut(spec, gadget=g).table
+        assert self._sorted(monkeypatch, build_cut_cat_lut, spec, g).table == dense
+
+    @pytest.mark.parametrize("gamma, distance, decoder, t, passed", [
+        (18, 9, "lut", 4, True),
+        (20, 7, "rule-d7", 3, True),
+        (10, 5, "identity", 2, False),
+        (10, 5, "rule-t1", 2, False),
+        (14, 7, "rule-t2", 3, False),
+    ])
+    def test_reports_identical(self, monkeypatch, gamma, distance, decoder, t, passed):
+        spec = GadgetSpec(gamma=gamma, distance=distance)
+        g = build_cut_cat(spec)
+        lut = build_cut_cat_lut(spec, gadget=g) if decoder == "lut" else None
+        make = {"lut": lambda: LutDecoder(lut), "rule-d7": lambda: RuleDecoderD7(g),
+                "identity": IdentityDecoder, "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+                "rule-t2": lambda: RuleDecoderD3D5(g, 2)}[decoder]
+        dense = verify_gadget(g, make(), t)
+        assert dense.passed == passed
+        assert self._sorted(monkeypatch, verify_gadget, g, make(), t) == dense
 
 
 class TestSortUnique:
@@ -446,7 +509,7 @@ class TestEmptyDeepestSlice:
         effects, names, _ = _classes(g, adaptive)
         events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
         n = len(effects)
-        assert _check_combos(g, decoder, t, effects, names, events, KeyCache(), 2,
+        assert _check_combos(g, decoder, t, effects, names, events, KeyCache(g.n_slots), 2,
                              range(n - 1, n)) == (0, None)
 
 
@@ -798,7 +861,7 @@ class TestRowCap:
 
         monkeypatch.setattr(verify, "follow_rereads", spy)
         assert _check_combos(g, RuleDecoderD7(g), 4, effects, names, events,
-                             KeyCache(), 2, range(len(effects)))[1] is None
+                             KeyCache(g.n_slots), 2, range(len(effects)))[1] is None
         assert sum(cells) == math.comb(len(effects), 2) * k
         assert 1 < len(cells) < len(effects) - 1
         assert max(cells) <= _GRID_CELLS
