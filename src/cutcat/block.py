@@ -8,6 +8,7 @@ syndrome key not met before (``KeyCache``)."""
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Sequence
 
@@ -42,13 +43,16 @@ class _Generator:
             self.decoder = None
         self.ring, self.field = KeyCache(self.gadget.n_slots), (0, 0)
 
-    def _globalize(self, local_mask: int) -> int:
-        return sum(1 << self.support[i] for i in bits_of(local_mask))
+    def _globalize(self, local: np.ndarray) -> np.ndarray:
+        """Local data masks (bit i: the gadget's data qubit i) moved to
+        the code's qubits."""
+        bit = (np.asarray(local, np.uint64)[..., None]
+               >> np.arange(len(self.support), dtype=np.uint64)) & np.uint64(1)
+        return np.bitwise_or.reduce(bit << np.array(self.support, np.uint64), axis=-1)
 
     def ring_corrections(self, keys: np.ndarray) -> tuple[np.ndarray]:
         g = self.gadget
-        local = self.decoder.decode_keys(keys, g.cat_count, g.base_rounds)
-        return (np.array([self._globalize(c) for c in local.tolist()], np.uint64),)
+        return (self._globalize(self.decoder.decode_keys(keys, g.cat_count, g.base_rounds)),)
 
 
 def _flip_layout(n_generators: int, widths: Sequence[int]) -> list[tuple[int, int]]:
@@ -107,21 +111,22 @@ class BlockSimulator:
         for gen, field in zip(self._rings, layout):
             gen.field = field
         n_cols = 1 + max((col for col, _ in layout), default=0)
-        n_codes, rows = [], []
+        n_codes, parts = [], []
         for gi, gen in enumerate(gens):
             col, at = gen.field
-            for op in noisy_operations(gen.gadget):
-                n_codes.append(op.n_codes)
-                rows.append([])
-                for e in op_code_effects(gen.gadget, op):
-                    data, flips = gen._globalize(e.data_x), [0] * n_cols
-                    flips[0] |= e.gen_flip << gi
-                    flips[col] |= e.slot_flips << at
-                    rows[-1].append([data * (gen.sector == "X"),
-                                     data * (gen.sector == "Z"), *flips])
+            ops = noisy_operations(gen.gadget)
+            n_codes += [op.n_codes for op in ops]
+            eff = op_code_effects(gen.gadget, ops, ("data_x", "slot_flips", "gen_flip"))
+            data, zero = gen._globalize(eff["data_x"]), np.zeros_like(eff["data_x"])
+            flips = [zero] * n_cols
+            flips[0] = eff["gen_flip"] << np.uint64(gi)
+            flips[col] = flips[col] | (eff["slot_flips"] << np.uint64(at))
+            parts.append([data, zero, *flips] if gen.sector == "X" else [zero, data, *flips])
+        width = math.lcm(*n_codes)
         names = ["wx", "wz", "flips"] + [f"flips{c}" for c in range(1, n_cols)]
-        return FaultTable(n_codes, {name: [[e[k] for e in row] for row in rows]
-                                    for k, name in enumerate(names)})
+        return FaultTable(n_codes, {
+            name: np.concatenate([np.tile(p[k], (1, width // p[k].shape[1])) for p in parts])
+            for k, name in enumerate(names)})
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int) -> int:
         """Returns the number of logical failures in the batch."""
@@ -194,12 +199,15 @@ class BlockSimulator:
     def _correct(self, sx: np.ndarray, sz: np.ndarray, data_x: np.ndarray,
                  data_z: np.ndarray) -> np.ndarray:
         """Applies the code-LUT corrections in place; returns the trials
-        whose syndrome the tables miss."""
-        z_corr, z_miss = self._lut_caches[0].get(sx, _misses)
-        x_corr, x_miss = self._lut_caches[1].get(sz, _misses)
-        data_z ^= z_corr
-        data_x ^= x_corr
-        return z_miss | x_miss
+        whose syndrome the tables miss.  Only nonzero syndromes are looked
+        up: zero takes no correction and is never a miss."""
+        miss = np.zeros(len(sx), bool)
+        for cache, syn, data in zip(self._lut_caches, (sx, sz), (data_z, data_x)):
+            if len(hit := np.flatnonzero(syn)):
+                corr, missed = cache.get(syn[hit], _misses)
+                data[hit] ^= corr
+                miss[hit] |= missed
+        return miss
 
 
 def _misses(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -440,12 +440,14 @@ def _solve_constraints(
     key = keys[word[starts]]
     sizes = np.diff(np.r_[starts, len(word)])
     corr = np.zeros(len(starts), np.uint64)
-    # candidate j (-1: the zero vector) of every open key against all its rows
-    todo, j = np.ones(len(starts), bool), -1
+    # the zero vector, against every row at once, then candidate j of every
+    # open key against all its rows
+    todo = ~np.logical_and.reduceat(_verify.coset_weights(residual, gamma) <= weight, starts)
+    j = 0
     while len(active := np.flatnonzero(todo & (sizes > j))):
         gs, gn = starts[active], sizes[active]
         rows = _verify._ranges(gs, gn)
-        cand = residual[gs + j] if j >= 0 else np.zeros(len(gs), np.uint64)
+        cand = residual[gs + j]
         cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
         ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
         corr[active[ok]] = cand[ok]

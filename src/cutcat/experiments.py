@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -183,6 +182,9 @@ def run_batches_until(
             trials += size
             batch_index += 1
         return trials, failures
+    # imported here: the pool pulls in multiprocessing, socket and logging
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_batch_fn,
                              initargs=(batch_fn,)) as pool:
         while failures < min_failures and trials < trial_cap:

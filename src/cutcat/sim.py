@@ -9,9 +9,9 @@ run.  Ring outcomes are therefore 0 in a fault-free pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
-from operator import xor
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,14 +63,6 @@ class Effect:
     slot_flips: int = 0
     persist_x: int = 0
     gen_flip: int = 0
-
-    def __xor__(self, other: "Effect") -> "Effect":
-        return Effect(
-            self.data_x ^ other.data_x,
-            self.slot_flips ^ other.slot_flips,
-            self.persist_x ^ other.persist_x,
-            self.gen_flip ^ other.gen_flip,
-        )
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ class NoisyOp:
 
     @property
     def n_codes(self) -> int:
-        return len(self.codes)
+        return 4 ** len(self.qubits) - 1
 
 
 def gate_operations(gates: Sequence[Gate]) -> list[NoisyOp]:
@@ -212,30 +204,94 @@ def propagate_op_faults(
     return _Walker(g).run(g.gates, inj).result(extra_gen_flip)
 
 
-def op_code_effects(g: GadgetCircuit, op: NoisyOp,
-                    gates: Sequence[Gate] | None = None) -> list[Effect]:
-    """Effect per depolarizing code of ``op``, a noisy op of ``gates``
-    (by default the gadget's).
+def op_code_effects(g: GadgetCircuit, ops: Sequence[NoisyOp], fields: Sequence[str],
+                    gates: Sequence[Gate] | None = None) -> dict[str, np.ndarray]:
+    """The named ``Effect`` fields of every (op, code) of ``ops``, noisy
+    ops of ``gates`` (by default the gadget's), as ``FaultTable`` holds
+    them: one uint64 array per field, a row per op, tiled to the lcm of
+    the ``n_codes``.
 
-    Each qubit is walked once with a Y, from the op on (the frame is
-    empty before it): the X and Z frames never mix, so the walk gives
-    both parts.  A code is the XOR of the effects of its Paulis, which
-    is exact in the frame picture.
+    One backward sweep over the gates keeps, per qubit, the effect of an
+    X placed at that point (its final X frame and slot flips) and of a Z
+    (its final Z frame), and records an op's qubits as it passes the op.
+    The X and Z frames never mix and a code is the XOR of the effects of
+    its Paulis, which is exact in the frame picture; the sweep XORs slot
+    flips, so no slot may be measured twice.
     """
-    if op.final:
-        parts = [(Effect(gen_flip=1), Effect())]
-    else:
-        gates = g.gates if gates is None else gates
-        ys = [_Walker(g).run(gates[op.after + 1:], {-1: [(q, "Y")]}).effect()
-              for q in op.qubits]
-        parts = [(replace(y, gen_flip=0), Effect(gen_flip=y.gen_flip)) for y in ys]
-    by_pauli = [{"I": Effect(), "X": x, "Y": x ^ z, "Z": z} for x, z in parts]
-    return [reduce(xor, (e[p] for e, p in zip(by_pauli, code))) for code in op.codes]
+    gates = g.gates if gates is None else gates
+    n = 1 + max([q for gate in gates for q in (gate.q0, gate.q1)]
+                + [q for op in ops for q in op.qubits], default=-1)
+    sx, sz, slots = [1 << q for q in range(n)], [1 << q for q in range(n)], [0] * n
+    by_after: dict[int, list[int]] = {}
+    for k, op in enumerate(ops):
+        if not op.final:
+            by_after.setdefault(op.after, []).append(k)
+    # the X frame, Z frame and slot flips of each op's qubit j at entry
+    # 2 * op + j; zero for a missing second qubit and the final readout
+    xs, zs, ss = [0] * (2 * len(ops)), [0] * (2 * len(ops)), [0] * (2 * len(ops))
+    measured = set()
+    for i in range(len(gates) - 1, -2, -1):
+        for k in by_after.get(i, ()):
+            for e, q in enumerate(ops[k].qubits, 2 * k):
+                xs[e], zs[e], ss[e] = sx[q], sz[q], slots[q]
+        if i < 0:
+            break
+        gate = gates[i]
+        if gate.kind == "CNOT":
+            c, t = gate.q0, gate.q1
+            sx[c] ^= sx[t]
+            slots[c] ^= slots[t]
+            sz[t] ^= sz[c]
+        elif gate.kind == "MZ":
+            if gate.slot in measured:
+                raise ValueError(f"slot {gate.slot} is measured twice")
+            measured.add(gate.slot)
+            slots[gate.q0] ^= 1 << gate.slot
+        elif gate.kind == "RESET":
+            sx[gate.q0] = sz[gate.q0] = slots[gate.q0] = 0
+
+    gamma, cat_mask = g.gamma, (1 << g.cat_count) - 1
+    # [I, X, Y, Z] index of each qubit's Pauli per (op, entry): PAULI_PAIRS
+    # code c is the pair 4a + b - 1, PAULI_SINGLES code c the Pauli c + 1
+    n_codes = np.array([op.n_codes for op in ops])[:, None]
+    code = 1 + np.arange(math.lcm(*n_codes.ravel().tolist())) % n_codes
+    pair = n_codes == len(PAULI_PAIRS)
+    first, second = np.where(pair, code >> 2, code), np.where(pair, code & 3, 0)
+    rows = np.arange(len(ops))[:, None]
+    out = {}
+    for name in fields:
+        # the X and the Z part of the field per entry; the final readout
+        # follows the Hadamard, so its X and Y flip the generator bit
+        z = [0] * len(xs)
+        if name == "data_x":
+            x = [v & ((1 << gamma) - 1) for v in xs]
+        elif name == "slot_flips":
+            x = ss
+        elif name == "persist_x":
+            x = [(v >> gamma) & cat_mask for v in xs]
+        elif name == "gen_flip":
+            x = [v for op in ops for v in (int(op.final), 0)]
+            z = [parity((v >> gamma) & cat_mask) for v in zs]
+        else:
+            raise ValueError(f"unknown effect field {name!r}")
+        _check_width(name, reduce(or_, x, 0).bit_length())
+        x, z = (np.array(v, np.uint64).reshape(len(ops), 2) for v in (x, z))
+        table = np.stack([np.zeros_like(x), x, x ^ z, z], axis=-1)
+        out[name] = table[rows, 0, first] ^ table[rows, 1, second]
+    return out
 
 
 # what bounds the bit width of each FaultTable column (flips1... are more flips)
 _COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n",
                  "wx": "n", "wz": "n", "flips": "generators plus ring slots"}
+
+
+def _check_width(name: str, bits: int) -> None:
+    """Rejects a column whose masks need ``bits`` > 64 bits, named by its limit."""
+    if bits > 64:
+        raise ValueError(f"{_COLUMN_WIDTH.get(name.rstrip('0123456789'), name)}={bits} "
+                         "exceeds the 64-bit limit of packed masks")
+
 
 # the most gaps per chunk of ``FaultTable.sample``: it orders the draws, so
 # the manifest format fixes it
@@ -250,32 +306,28 @@ class FaultTable:
     uint64 effect mask per (op, code), tiled to ``width``, the lcm of the
     ``n_codes`` (entry j is code j mod ``n_codes[i]``).  Effects are
     XOR-linear, so a trial's combined effect is the XOR of its faults' rows.
+    A column is given as its rows of ints, one per code of each op, or
+    already tiled, as a uint64 array.
     """
 
     def __init__(self, n_codes: Sequence[int],
-                 columns: dict[str, Sequence[Sequence[int]]]):
+                 columns: dict[str, Sequence[Sequence[int]] | np.ndarray]):
         self.n_codes = list(n_codes)
         self.width = math.lcm(*self.n_codes)
         self.columns = []
         for name, rows in columns.items():
-            bits = max((v.bit_length() for row in rows for v in row), default=0)
-            if bits > 64:
-                raise ValueError(
-                    f"{_COLUMN_WIDTH.get(name.rstrip('0123456789'), name)}={bits} exceeds the "
-                    "64-bit limit of packed masks"
-                )
-            self.columns.append(np.array(
-                [np.array(row, np.uint64)[np.arange(self.width) % len(row)] for row in rows],
-                np.uint64).reshape(len(self.n_codes), self.width))
+            if not isinstance(rows, np.ndarray):
+                _check_width(name, max((v.bit_length() for row in rows for v in row),
+                                       default=0))
+                rows = np.array([np.array(row, np.uint64)[np.arange(self.width) % len(row)]
+                                 for row in rows], np.uint64)
+            self.columns.append(rows.reshape(len(self.n_codes), self.width))
 
     @classmethod
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
         """Columns of the named ``Effect`` fields over the gadget's noisy ops."""
         ops = noisy_operations(g)
-        effects = [op_code_effects(g, op) for op in ops]
-        return cls([op.n_codes for op in ops],
-                   {name: [[getattr(e, name) for e in row] for row in effects]
-                    for name in fields})
+        return cls([op.n_codes for op in ops], op_code_effects(g, ops, fields))
 
     @classmethod
     def for_decoder(cls, g: GadgetCircuit, adaptive: bool) -> "FaultTable":
@@ -291,14 +343,13 @@ class FaultTable:
         CNOTs (neighbor cat first) and the measurement, walked for
         stabilizer 0.  Columns: ``anc``, the outcome flip, and ``cats``,
         the cat X mask relative to the re-read stabilizer s (bit 0 is
-        cat s, bit 1 cat s+1)."""
-        slot = g.adaptive_slot(0)
-        gates = g.ring_measurement_gates(0, slot)
+        cat s, bit 1 cat s+1).  The outcome goes to slot 0, so its flip is
+        the ``anc`` bit."""
+        gates = g.ring_measurement_gates(0, 0)
         ops = gate_operations(gates)
-        effects = [op_code_effects(g, op, gates) for op in ops]
+        cols = op_code_effects(g, ops, ("slot_flips", "persist_x"), gates)
         return cls([op.n_codes for op in ops],
-                   {"anc": [[e.slot_flips >> slot for e in row] for row in effects],
-                    "cats": [[e.persist_x for e in row] for row in effects]})
+                   {"anc": cols["slot_flips"], "cats": cols["persist_x"]})
 
     def sample(self, rng: np.random.Generator, size: int,
                p: float) -> list[np.ndarray]:

@@ -11,7 +11,6 @@ re-measurement faults that MC samples within the remaining budget.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -464,8 +463,12 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> Verificat
     cache = KeyCache(g.cat_count * g.base_rounds)
     per_weight: list[int] = []
     cx = None
-    with (ProcessPoolExecutor(max_workers=jobs) if len(ranges) > 1
-          else nullcontext()) as pool:
+    workers = nullcontext()
+    if len(ranges) > 1:
+        # imported here: the pool pulls in multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+        workers = ProcessPoolExecutor(max_workers=jobs)
+    with workers as pool:
         run = map if pool is None else pool.map
         for w in range(1, t + 1):
             check = partial(_check_combos, g, decoder, t, effects, names, events, cache, w)

@@ -1,16 +1,18 @@
 """The circuit-location fault model, kept as an independent reference
 for the tests: the sites where a single X fault is relevant, a walk of
 the gadget with faults injected at such sites, and a re-measurement walk
-bound to a planner.  The package itself enumerates faults as the rows
-of ``sim.FaultTable`` instead."""
+bound to a planner, and the per-op forward walk that gives each noisy
+op's effects.  The package itself enumerates faults as the rows of
+``sim.FaultTable``, built by one backward sweep, instead."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from cutcat.circuit import GadgetCircuit, Gate
-from cutcat.sim import CatSyndrome, Effect, PropagationResult, _Walker
+from cutcat.sim import CatSyndrome, Effect, NoisyOp, PropagationResult, _Walker
 
 CAT_INIT = "cat_init"
 POST_GATE_CONTROL = "post_gate_control"
@@ -217,3 +219,22 @@ def location_classes(g: GadgetCircuit, adaptive: bool) -> list[Effect]:
     for e in location_effects(g, enumerate_fault_locations(g), "X"):
         first.setdefault((e.data_x, e.slot_flips, e.persist_x if adaptive else 0), e)
     return list(first.values())
+
+
+def _xor(a: Effect, b: Effect) -> Effect:
+    return Effect(*(u ^ v for u, v in zip(astuple(a), astuple(b))))
+
+
+def walk_op_effects(g: GadgetCircuit, op: NoisyOp) -> list[Effect]:
+    """Effect per depolarizing code of ``op``, a noisy op of the gadget,
+    by forward walks: each qubit is walked once with a Y, from the op on
+    (the frame is empty before it), and a code is the XOR of the effects
+    of its Paulis."""
+    if op.final:
+        parts = [(Effect(gen_flip=1), Effect())]
+    else:
+        ys = [_Walker(g).run(g.gates[op.after + 1:], {-1: [(q, "Y")]}).effect()
+              for q in op.qubits]
+        parts = [(replace(y, gen_flip=0), Effect(gen_flip=y.gen_flip)) for y in ys]
+    by_pauli = [{"I": Effect(), "X": x, "Y": _xor(x, z), "Z": z} for x, z in parts]
+    return [reduce(_xor, (e[p] for e, p in zip(by_pauli, code))) for code in op.codes]

@@ -5,8 +5,9 @@ import pytest
 
 from cutcat import block
 from cutcat.block import BlockSimulator, _flip_layout, run_block_mc
-from cutcat.pauli import CssCode, parse_css_code
+from cutcat.pauli import CssCode, bits_of, parse_css_code
 from cutcat.sim import CatSyndrome, FaultTable, noisy_operations, propagate_op_faults
+from location_ref import walk_op_effects
 
 
 class TestSetup:
@@ -187,6 +188,35 @@ class TestRoundStep:
         assert (n_rings > 0) == any(len(gen.ring.keys) for gen in sim.generators)
 
 
+class TestRoundTableMatchesPerOpWalks:
+    """Every round-table entry against the per-op forward walks of
+    ``location_ref.walk_op_effects``, globalized one mask at a time."""
+
+    @pytest.mark.parametrize("name", ["rm15", "steane"])
+    def test_round_table_entries(self, request, name):
+        sim = BlockSimulator(request.getfixturevalue(name), ratio=20)
+        n_cols = len(sim.round_faults.columns) - 2
+        n_codes, rows = [], []
+        for gi, gen in enumerate(sim.generators):
+            col, at = gen.field
+            for op in noisy_operations(gen.gadget):
+                n_codes.append(op.n_codes)
+                rows.append([])
+                for e in walk_op_effects(gen.gadget, op):
+                    data = sum(1 << gen.support[i] for i in bits_of(e.data_x))
+                    flips = [0] * n_cols
+                    flips[0] |= e.gen_flip << gi
+                    flips[col] |= e.slot_flips << at
+                    rows[-1].append([data * (gen.sector == "X"),
+                                     data * (gen.sector == "Z"), *flips])
+        names = ["wx", "wz"] + [f"flips{c}" for c in range(n_cols)]
+        want = FaultTable(n_codes, {name: [[e[k] for e in row] for row in rows]
+                                    for k, name in enumerate(names)})
+        assert sim.round_faults.n_codes == want.n_codes
+        for got, ref in zip(sim.round_faults.columns, want.columns, strict=True):
+            assert np.array_equal(got, ref)
+
+
 class TestFlipLayout:
     def test_fields_start_a_column_instead_of_straddling(self):
         widths = [20, 20, 20, 30, 64, 1, 5, 60]
@@ -340,3 +370,24 @@ class TestKeyCacheLookups:
             fail = sim._correct(sx, sz, data_x, data_z)
             assert np.array_equal(data_z, z_corr) and np.array_equal(data_x, x_corr)
             assert np.array_equal(fail, z_miss | x_miss)
+
+    def test_correct_matches_full_batch_lookup(self, rm15):
+        # mostly zero syndromes, as in a run, among them ones the tables
+        # lack: looking up only the nonzero ones changes no correction
+        # and no miss flag
+        sim, ref = BlockSimulator(rm15, ratio=20), BlockSimulator(rm15, ratio=20)
+        rng = np.random.default_rng(11)
+        size = 5000
+        sx, sz = (np.where(rng.random(size) < 0.15,
+                           rng.integers(0, 1 << len(rows), size, dtype=np.uint64),
+                           np.uint64(0)) for rows in (rm15.hx, rm15.hz))
+        z_corr, z_miss = ref._lut_caches[0].get(sx, block._misses)
+        x_corr, x_miss = ref._lut_caches[1].get(sz, block._misses)
+        # the four X rows leave no syndrome the t=1 table lacks; the ten Z rows do
+        assert (sx == 0).mean() > 0.8 and x_miss.any() and not z_miss.any()
+        data_x = rng.integers(0, 1 << rm15.n, size, dtype=np.uint64)
+        data_z = rng.integers(0, 1 << rm15.n, size, dtype=np.uint64)
+        want_x, want_z = data_x ^ x_corr, data_z ^ z_corr
+        fail = sim._correct(sx, sz, data_x, data_z)
+        assert np.array_equal(data_x, want_x) and np.array_equal(data_z, want_z)
+        assert np.array_equal(fail, z_miss | x_miss)

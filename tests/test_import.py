@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cutcat
 from cutcat import _check_numpy
 
 
@@ -18,3 +24,13 @@ def test_numpy_2_and_later_accepted(version):
 
 def test_installed_numpy_accepted():
     _check_numpy(np.__version__)
+
+
+def test_import_leaves_out_the_process_pool():
+    # the pool is imported by the runs that ask for workers, not by the package
+    pool = ("multiprocessing", "concurrent.futures.process")
+    env = {**os.environ, "PYTHONPATH": str(Path(cutcat.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, cutcat; print([m for m in {pool!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -11,7 +11,9 @@ from cutcat.sim import (
     _MAX_CHUNK,
     PAULI_PAIRS,
     PAULI_SINGLES,
+    Effect,
     FaultTable,
+    gate_operations,
     noisy_operations,
     op_code_effects,
     propagate_op_faults,
@@ -345,6 +347,61 @@ class TestFaultTableMatchesWalker:
             FaultTable.from_gadget(g, ("data_x",))
 
 
+class TestBackwardSweep:
+    """``op_code_effects`` walks the gates once, backward: every (op,
+    code) entry against one scalar walk of that fault alone, and each
+    op's codes tiled across the table's width."""
+
+    @staticmethod
+    def _check_single_faults(g):
+        ops = noisy_operations(g)
+        cols = op_code_effects(g, ops, EFFECT_FIELDS)
+        for op, noisy in enumerate(ops):
+            n = noisy.n_codes
+            for col in cols.values():
+                assert np.array_equal(col[op], np.tile(col[op, :n], col.shape[1] // n))
+            for code in range(n):
+                res = propagate_op_faults(g, [(op, code)])
+                assert [int(cols[f][op, code]) for f in EFFECT_FIELDS] == [
+                    res.data_x, res.syndrome.key(), res.cat_x_final,
+                    int(res.generator_bit_flipped)], (op, code)
+
+    @pytest.mark.parametrize("gamma, distance", [
+        (6, 3), (10, 5), (16, 5), (14, 7), (20, 7), (18, 9), (24, 9)])
+    def test_cut_cat_entries_are_single_fault_walks(self, gamma, distance):
+        self._check_single_faults(build_cut_cat(GadgetSpec(gamma=gamma, distance=distance)))
+
+    @pytest.mark.parametrize("gamma", range(4, 9))
+    def test_full_cat_entries_are_single_fault_walks(self, gamma):
+        self._check_single_faults(build_full_cat(gamma))
+
+    def test_slot_measured_twice_rejected(self):
+        # the sweep XORs slot flips where a forward walk overwrites them
+        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
+        gates = g.ring_measurement_gates(0, 0) * 2
+        with pytest.raises(ValueError, match="^slot 0 is measured twice$"):
+            op_code_effects(g, gate_operations(gates), ("slot_flips",), gates)
+
+    def test_unknown_field_rejected(self):
+        g = build_full_cat(4)
+        with pytest.raises(ValueError, match="^unknown effect field 'gen'$"):
+            op_code_effects(g, noisy_operations(g), ("data_x", "gen"))
+
+    @pytest.mark.parametrize("spec, field, limit, fitting", [
+        (GadgetSpec(gamma=70, distance=3, adaptive=False), "data_x", "gamma=70",
+         "slot_flips"),
+        (GadgetSpec(gamma=44, distance=5, adaptive=False, base_rounds=3), "slot_flips",
+         "ring slots=66", "data_x"),
+    ], ids=["gamma", "ring-slots"])
+    def test_too_wide_field_rejected(self, spec, field, limit, fitting):
+        # only the fields asked for are checked
+        g = build_cut_cat(spec)
+        ops = noisy_operations(g)
+        with pytest.raises(ValueError, match=f"^{limit} exceeds the 64-bit limit of packed masks$"):
+            op_code_effects(g, ops, (field,))
+        assert op_code_effects(g, ops, (fitting,))[fitting].shape == (len(ops), 15)
+
+
 class TestRereadTableMatchesAdaptivePropagate:
     """Every (op, code) row of the re-measurement ``FaultTable`` against
     ``adaptive_propagate`` re-reading one stabilizer with the matching
@@ -381,7 +438,7 @@ class TestRereadTableMatchesAdaptivePropagate:
 class TestLocationEffectsMatchOpEffects:
     """The verifier's single X faults and the sampler's table rows come
     from one effect model: each location's effect (data_x, slot_flips,
-    persist_x, gen_flip) equals the ``op_code_effects`` row of the noisy
+    persist_x, gen_flip) equals the ``op_code_effects`` entry of the noisy
     op and code at the same point."""
 
     X_ON_CONTROL = PAULI_PAIRS.index(("X", "I"))
@@ -392,6 +449,7 @@ class TestLocationEffectsMatchOpEffects:
     def test_location_is_op_code(self, gamma, distance):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
         ops = noisy_operations(g)
+        cols = op_code_effects(g, ops, EFFECT_FIELDS)
         # noisy ops run cat inits, then one per CNOT or MZ gate in order
         op_of_gate = {}
         for gi, gate in enumerate(g.gates):
@@ -410,4 +468,5 @@ class TestLocationEffectsMatchOpEffects:
             else:
                 assert loc.kind == PRE_MEASUREMENT
                 op, code = op_of_gate[mz_of_slot[loc.slot]], PAULI_SINGLES.index("X")
-            assert eff == op_code_effects(g, ops[op])[code], loc.describe()
+            got = Effect(*(int(cols[f][op, code]) for f in EFFECT_FIELDS))
+            assert eff == got, loc.describe()
