@@ -17,7 +17,7 @@ import numpy as np
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
-from .sim import FaultTable, noisy_operations, op_code_effects
+from .sim import FaultTable, noisy_operations, op_code_effects, pack_fields
 from .experiments import SweepResult, TrialStats, _fit_sweep, run_batches_until
 from .verify import KeyCache
 
@@ -56,16 +56,9 @@ class _Generator:
 
 
 def _flip_layout(n_generators: int, widths: Sequence[int]) -> list[tuple[int, int]]:
-    """(column, offset) of each ring field of the ``flips`` columns: the
-    generator bits open column 0, each field follows the one before, and
-    a field that would cross bit 64 starts a new column."""
-    col, at, out = 0, n_generators, []
-    for w in widths:
-        if at + w > 64:
-            col, at = col + 1, 0
-        out.append((col, at))
-        at += w
-    return out
+    """(column, offset) of each ring field of the ``flips`` columns,
+    packed by ``pack_fields`` after the generator bits of column 0."""
+    return pack_fields(widths, n_generators)
 
 
 class BlockSimulator:

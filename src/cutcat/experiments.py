@@ -107,11 +107,13 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
 class GadgetMonteCarlo:
     """Vectorized circuit-level noise sampler for one gadget + decoder.
 
-    A batch XOR-accumulates sampled fault effects from a ``FaultTable``;
-    only trials with a visible residual or ring syndrome reach decoding,
-    through a ``KeyCache`` lookup of each trial's key: a correction from
-    ``decode_keys``, or an adaptive decoder's ``compile_rereads`` table,
-    followed by ``follow_rereads`` with noise from a second table.
+    A batch draws from a ``FaultTable`` only the trials a fault hit,
+    with their XORed effects (``sample_hits``), so its cost follows the
+    hits, not the batch size.  Of those, the trials with a residual or a
+    ring syndrome reach decoding, through a ``KeyCache`` lookup of each
+    trial's key: a correction from ``decode_keys``, or an adaptive
+    decoder's ``compile_rereads`` table, followed by ``follow_rereads``
+    with noise from a second table, drawn over those trials.
     """
 
     def __init__(self, g: GadgetCircuit, decoder):
@@ -126,17 +128,16 @@ class GadgetMonteCarlo:
                   t: int) -> int:
         """Returns the number of failing trials in the batch."""
         rng = np.random.default_rng([seed, 1, batch_index])
-        accs = self.faults.sample(rng, size, p)
-        # bool masks, not a third uint64 array, pick the trials that reach
-        # decoding; the rest are freed
-        candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
-        accs = [acc[candidates] for acc in accs]
-        data, keys, g = accs[0], accs[1], self.g
+        _, (data, keys, *persist) = self.faults.sample_hits(rng, size, p)
+        # of the trials a fault hit, those with a residual or a syndrome
+        seen = (data | keys) != 0
+        data, keys, g = data[seen], keys[seen], self.g
         if self.adaptive:
             rows = self._answers.index(keys, lambda new: compile_rereads(
                 self.decoder, new, g.cat_count, g.base_rounds))
             noise = (self.reread.sample(rng, len(keys), p) for _ in range(MAX_REREADS))
-            corr, _ = follow_rereads(*self._answers.values, rows, accs[2], noise, g.cat_count)
+            corr, _ = follow_rereads(*self._answers.values, rows, persist[0][seen], noise,
+                                     g.cat_count)
         else:
             (corr,) = self._answers.get(keys, lambda new: (self.decoder.decode_keys(
                 new, g.cat_count, g.base_rounds),))

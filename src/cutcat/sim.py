@@ -293,8 +293,22 @@ def _check_width(name: str, bits: int) -> None:
                          "exceeds the 64-bit limit of packed masks")
 
 
-# the most gaps per chunk of ``FaultTable.sample``: it orders the draws, so
-# the manifest format fixes it
+def pack_fields(widths: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
+    """(word, offset) of fields of the given bit widths packed in order
+    into uint64 words: the first at bit ``start`` of word 0, each next
+    one right after the one before, and a field that would cross bit 64
+    opens a new word."""
+    word, at, out = 0, start, []
+    for w in widths:
+        if at + w > 64:
+            word, at = word + 1, 0
+        out.append((word, at))
+        at += w
+    return out
+
+
+# the most gaps per chunk of ``FaultTable.sample_hits``: it orders the
+# draws, so the manifest format fixes it
 _MAX_CHUNK = 1 << 16
 
 
@@ -307,7 +321,9 @@ class FaultTable:
     ``n_codes`` (entry j is code j mod ``n_codes[i]``).  Effects are
     XOR-linear, so a trial's combined effect is the XOR of its faults' rows.
     A column is given as its rows of ints, one per code of each op, or
-    already tiled, as a uint64 array.
+    already tiled, as a uint64 array.  The sampler reads the columns
+    packed by ``pack_fields`` into as few uint64 words as their bit
+    widths allow, so a hit costs one gather per word, not per column.
     """
 
     def __init__(self, n_codes: Sequence[int],
@@ -322,6 +338,16 @@ class FaultTable:
                 rows = np.array([np.array(row, np.uint64)[np.arange(self.width) % len(row)]
                                  for row in rows], np.uint64)
             self.columns.append(rows.reshape(len(self.n_codes), self.width))
+        widths = [int(np.bitwise_or.reduce(col, axis=None)).bit_length()
+                  for col in self.columns]
+        # (word, offset, mask) of each column, and the words, flat by entry
+        self._fields = [(word, np.uint64(at), np.uint64((1 << w) - 1))
+                        for (word, at), w in zip(pack_fields(widths), widths)]
+        self._words = [np.zeros(len(self.n_codes) * self.width, np.uint64)
+                       for _ in range(1 + max((word for word, _, _ in self._fields),
+                                              default=-1))]
+        for col, (word, at, _) in zip(self.columns, self._fields):
+            self._words[word] |= col.ravel() << at
 
     @classmethod
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
@@ -351,9 +377,10 @@ class FaultTable:
         return cls([op.n_codes for op in ops],
                    {"anc": cols["slot_flips"], "cats": cols["persist_x"]})
 
-    def sample(self, rng: np.random.Generator, size: int,
-               p: float) -> list[np.ndarray]:
-        """One XOR accumulator per column for ``size`` trials.
+    def sample_hits(self, rng: np.random.Generator, size: int,
+                    p: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The trials of ``size`` that some fault hit, ascending, and one
+        array per column of their XORed effects.
 
         Each (trial, op) cell faults independently with probability p,
         then draws its code uniformly.  The draw order is part of the
@@ -362,25 +389,47 @@ class FaultTable:
         hit cells, each chunk followed by one code in [0, width) per hit
         it places; nothing at all when p or size is 0.
         """
-        accs = [np.zeros(size, dtype=np.uint64) for _ in self.columns]
         n_ops = len(self.n_codes)
         cells = size * n_ops
-        if p == 0.0 or cells == 0:
-            return accs
-        # chunks of the mean hit count plus 5 sigma, capped, until they
-        # pass the last cell; clipping keeps the sum of the huge gaps of a
-        # tiny p from overflowing
-        mean = cells * p
-        chunk = min(cells, _MAX_CHUNK, int(mean + 5.0 * math.sqrt(mean) + 10.0))
-        flat = [col.ravel() for col in self.columns]
-        last = -1
-        while last < cells - 1:
-            hit = last + np.minimum(rng.geometric(p, chunk), cells + 1).cumsum()
-            last = int(hit[-1])
-            hit = hit[:np.searchsorted(hit, cells)]
-            trial, op = np.divmod(hit, n_ops)
-            entry = op * self.width + rng.integers(0, self.width, size=hit.size)
-            # one trial may take several hits, in one chunk or across two
-            for acc, col in zip(accs, flat):
-                np.bitwise_xor.at(acc, trial, col[entry])
+        # per chunk: its hit trials, each once, and their XORed words
+        runs = [(np.zeros(0, np.int64), [np.zeros(0, np.uint64) for _ in self._words])]
+        if p != 0.0 and cells != 0:
+            # chunks of the mean hit count plus 5 sigma, capped, until they
+            # pass the last cell; clipping keeps the sum of the huge gaps
+            # of a tiny p from overflowing
+            mean = cells * p
+            chunk = min(cells, _MAX_CHUNK, int(mean + 5.0 * math.sqrt(mean) + 10.0))
+            last = prev = -1
+            while last < cells - 1:
+                hit = last + np.minimum(rng.geometric(p, chunk), cells + 1).cumsum()
+                last = int(hit[-1])
+                hit = hit[:np.searchsorted(hit, cells)]
+                trial = hit // n_ops
+                entry = (hit - trial * n_ops) * self.width + rng.integers(
+                    0, self.width, size=hit.size)
+                if not hit.size:
+                    break
+                start = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
+                vals = [np.bitwise_xor.reduceat(word[entry], start) for word in self._words]
+                trial = trial[start]
+                if trial[0] == prev:
+                    # the trial the chunk before ended on: fold its run in
+                    for acc, v in zip(runs[-1][1], vals):
+                        acc[-1] ^= v[0]
+                    trial, vals = trial[1:], [v[1:] for v in vals]
+                if trial.size:
+                    runs.append((trial, vals))
+                    prev = trial[-1]
+        trials = np.concatenate([t for t, _ in runs])
+        words = [np.concatenate(w) for w in zip(*(v for _, v in runs))]
+        return trials, [(words[word] >> at) & mask for word, at, mask in self._fields]
+
+    def sample(self, rng: np.random.Generator, size: int,
+               p: float) -> list[np.ndarray]:
+        """One XOR accumulator per column for ``size`` trials: the output
+        of ``sample_hits`` scattered over the batch, 0 where no fault hit."""
+        accs = [np.zeros(size, np.uint64) for _ in self.columns]
+        trials, cols = self.sample_hits(rng, size, p)
+        for acc, col in zip(accs, cols):
+            acc[trials] = col
         return accs

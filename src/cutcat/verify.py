@@ -276,7 +276,9 @@ class KeyCache:
                 order = np.argsort(self.keys)
                 self._index = self.keys[order], rows[order]
         if self.bits <= DENSE_BITS:
-            return self._index[keys] - 1
+            # keys below 2^DENSE_BITS read the same as int64, which numpy
+            # indexes without the cast it makes of uint64 on every call
+            return self._index[keys.view(np.int64)] - 1
         table, rows = self._index
         pos = np.searchsorted(table, keys)
         found = pos < len(table)

@@ -17,7 +17,8 @@ from cutcat.experiments import (
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.sim import CatSyndrome
-from cutcat.verify import MAX_REREADS
+from cutcat.verify import MAX_REREADS, coset_weights, compile_rereads, follow_rereads
+from sample_ref import sample_ref
 
 
 def repeat_until_stable(
@@ -256,6 +257,46 @@ class TestAdaptiveBatch:
             failures += min(w, gamma - w) > t
         assert failures > 0
         assert engine.run_batch(p, seed, batch, size, t) == failures
+
+
+
+def _batch_ref(engine: GadgetMonteCarlo, p: float, seed: int, batch_index: int,
+               size: int, t: int) -> int:
+    """``GadgetMonteCarlo.run_batch`` as it read over the dense sampler:
+    full-batch accumulators of ``sample_ref``, then a mask of the trials
+    with a residual or a syndrome."""
+    rng = np.random.default_rng([seed, 1, batch_index])
+    accs = sample_ref(engine.faults, rng, size, p)
+    candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
+    accs = [acc[candidates] for acc in accs]
+    data, keys, g = accs[0], accs[1], engine.g
+    if engine.adaptive:
+        rows = engine._answers.index(keys, lambda new: compile_rereads(
+            engine.decoder, new, g.cat_count, g.base_rounds))
+        noise = (sample_ref(engine.reread, rng, len(keys), p) for _ in range(MAX_REREADS))
+        corr, _ = follow_rereads(*engine._answers.values, rows, accs[2], noise, g.cat_count)
+    else:
+        (corr,) = engine._answers.get(keys, lambda new: (engine.decoder.decode_keys(
+            new, g.cat_count, g.base_rounds),))
+    return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > t))
+
+
+class TestBatchMatchesDenseReference:
+    """The failure counts of the benchmark's gadget points, batch for
+    batch, against the dense-sampler batch body: the hit-sparse sampler
+    must not move them."""
+
+    @pytest.mark.parametrize("gamma, distance, p, size", [
+        (10, 5, 1e-3, 1_000_000), (10, 5, 1e-2, 1_000_000), (14, 7, 1e-2, 500_000)])
+    def test_failure_counts(self, gamma, distance, p, size):
+        spec = GadgetSpec(gamma=gamma, distance=distance)
+        g = build_cut_cat(spec)
+        decoder = RuleDecoderD7(g) if distance == 7 else RuleDecoderD3D5(g, spec.t)
+        engine, ref = GadgetMonteCarlo(g, decoder), GadgetMonteCarlo(g, decoder)
+        assert engine.adaptive == (distance == 7)
+        counts = [(engine.run_batch(p, seed, 0, size, spec.t),
+                   _batch_ref(ref, p, seed, 0, size, spec.t)) for seed in (1, 2, 4242)]
+        assert [got for got, _ in counts] == [want for _, want in counts]
 
 
 class TestTrialStats:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutcat.block import BlockSimulator
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from cutcat.sim import (
     _MAX_CHUNK,
@@ -30,6 +31,7 @@ from location_ref import (
     location_effects,
     propagate,
 )
+from sample_ref import sample_ref
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +307,102 @@ class TestSampling:
         g, _ = d5_gadget
         with pytest.raises(ValueError):
             propagate(g, [(10_000, "X")])
+
+
+
+class _GapRecorder:
+    """Passes a generator's draws through and keeps each chunk's gaps."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.gaps = rng, []
+
+    def geometric(self, p, size):
+        self.gaps.append(self.rng.geometric(p, size))
+        return self.gaps[-1]
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, high, size=size)
+
+
+def _split_trials(gaps, size: int, n_ops: int) -> bool:
+    """Whether the chunks of these gaps put hits of one trial in two chunks."""
+    cells, last, bounds = size * n_ops, -1, []
+    for gap in gaps:
+        hit = last + np.minimum(gap, cells + 1).cumsum()
+        last = int(hit[-1])
+        trial = hit[hit < cells] // n_ops
+        if trial.size:
+            bounds.append((trial[0], trial[-1]))
+    return any(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+def _wide_table() -> FaultTable:
+    """One 64-bit column and two 40-bit ones: three words."""
+    n_codes = [15, 3, 3, 15, 3]
+    rng = np.random.default_rng(9)
+    cols = {}
+    for name, bits in (("wide", 64), ("a", 40), ("b", 40)):
+        col = rng.integers(0, 1 << 63, (len(n_codes), 15), dtype=np.uint64, endpoint=True)
+        col >>= np.uint64(64 - bits)
+        col[0, 0] |= np.uint64(1 << (bits - 1))
+        cols[name] = col
+    return FaultTable(n_codes, cols)
+
+
+SAMPLED_TABLES = {
+    "d5": lambda request: FaultTable.for_decoder(
+        build_cut_cat(GadgetSpec(gamma=10, distance=5)), adaptive=False),
+    "d7-adaptive": lambda request: FaultTable.for_decoder(
+        build_cut_cat(GadgetSpec(gamma=14, distance=7)), adaptive=True),
+    "reread": lambda request: FaultTable.for_reread(
+        build_cut_cat(GadgetSpec(gamma=14, distance=7))),
+    "steane-data": lambda request: BlockSimulator(
+        request.getfixturevalue("steane"), ratio=20).data_noise,
+    "steane-round": lambda request: BlockSimulator(
+        request.getfixturevalue("steane"), ratio=20).round_faults,
+    "rm15-data": lambda request: BlockSimulator(
+        request.getfixturevalue("rm15"), ratio=20).data_noise,
+    "rm15-round": lambda request: BlockSimulator(
+        request.getfixturevalue("rm15"), ratio=20).round_faults,
+    "wide": lambda request: _wide_table(),
+}
+
+
+class TestSamplerMatchesReference:
+    """``sample`` and ``sample_hits`` against the dense ``ufunc.at``
+    scatter of ``sample_ref``: the same accumulators bit for bit, and the
+    generator left in the same state."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_TABLES))
+    def test_bit_for_bit(self, request, name):
+        table = SAMPLED_TABLES[name](request)
+        n_ops = len(table.n_codes)
+        # the ops' bits, 64 per column: each hit sets its op's bit
+        ops = FaultTable(table.n_codes, {
+            f"ops{k}": [[1 << (i - k) if k <= i < k + 64 else 0] * n
+                        for i, n in enumerate(table.n_codes)]
+            for k in range(0, n_ops, 64)})
+        split = False
+        for p in (1e-300, 1e-3, 0.05, 0.5, 1.0):
+            for size in (0, 1, 1000, 3 * _MAX_CHUNK // n_ops + 1):
+                seed = [size, int(p * 1000)]
+                ref_rng, rngs = np.random.default_rng(seed), [
+                    np.random.default_rng(seed) for _ in range(3)]
+                want = sample_ref(table, ref_rng, size, p)
+                got = table.sample(rngs[0], size, p)
+                recorder = _GapRecorder(rngs[1])
+                trials, cols = table.sample_hits(recorder, size, p)
+                hit = np.flatnonzero(np.bitwise_or.reduce(
+                    [np.zeros(size, np.uint64), *sample_ref(ops, rngs[2], size, p)]))
+                for rng in rngs:
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert [a.dtype for a in got + cols] == [np.uint64] * 2 * len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+                assert np.array_equal(trials, hit) and (np.diff(trials) > 0).all()
+                assert all(np.array_equal(a, b[trials])
+                           for a, b in zip(cols, want, strict=True))
+                split |= _split_trials(recorder.gaps, size, n_ops)
+        assert split
 
 
 EFFECT_FIELDS = ("data_x", "slot_flips", "persist_x", "gen_flip")
