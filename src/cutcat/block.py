@@ -2,9 +2,9 @@
 repeat-until-stable protocol and table decoding.
 
 Generators of weight above six get the ring-checked gadget, the rest the
-plain cat gadget.  One ``FaultTable`` holds a whole round's noise and is
-sampled once per round; only ring decoding drops into Python, once per
-syndrome key not met before (``KeyCache``)."""
+plain cat gadget.  One ``FaultTable`` holds a round's noise: a trial it does
+not hit reads its data syndrome, only hit ones run ``apply_round``, and
+only ring decoding drops into Python, once per new syndrome key (``KeyCache``)."""
 
 from __future__ import annotations
 
@@ -139,29 +139,33 @@ class BlockSimulator:
                              data_x: np.ndarray, data_z: np.ndarray) -> np.ndarray:
         """Repeat-until-stable over the batch; returns each trial's accepted
         syndrome (X rows in the low bits) and updates the data in place.
-        Each round samples the round table over the trials still active,
-        compacted in trial order, and scatters back those that finish; the
-        last round finishes the round-capped ones, decoded with their last
-        syndrome though the protocol flags them unstable."""
+        Each round draws hits over the active trials, in trial order: a trial
+        no fault hits reads its data syndrome, only hit ones run ``apply_round``.
+        Round-capped trials end with their last syndrome, though unstable."""
         size = len(data_x)
-        # the active trials' indices, data frames (round one works on the
-        # batch arrays), run lengths and last syndromes; a run length of 0
-        # makes the first round's run 1 whatever it reads
-        idx, dx, dz = np.arange(size), data_x, data_z
+        (hx, hz, *_), n_hx = self._parity, np.uint64(self.n_hx)
+        # the active trials' indices into the batch, whose arrays hold their
+        # data frames, and their data syndromes, run lengths and last
+        # syndromes; a run length of 0 makes the first round's run 1
+        idx = np.arange(size)
+        data_syn = _parities(data_z, hx) | _parities(data_x, hz) << n_hx
         run_len = np.zeros(size, dtype=np.int64)
         last_syn = np.zeros(size, dtype=np.uint64)
         accepted = np.zeros(size, dtype=np.uint64)
         for rnd in range(self.max_rounds):
-            syn = self.apply_round(dx, dz, self.round_faults.sample(rng, len(idx), p_ft))
+            hit, faults = self.round_faults.sample_hits(rng, len(idx), p_ft)
+            at = idx[hit]
+            syn, x, z = data_syn.copy(), data_x[at], data_z[at]
+            syn[hit], data_x[at], data_z[at] = self.apply_round(x, z, faults), x, z
+            data_syn[hit] = _parities(z, hx) | _parities(x, hz) << n_hx
             run_len = np.where(syn == last_syn, run_len + 1, 1)
             last_syn = syn
             done = (run_len >= self.t + 1) | (rnd == self.max_rounds - 1)
             if not done.any():
                 continue
-            fin = idx[done]
-            accepted[fin], data_x[fin], data_z[fin] = syn[done], dx[done], dz[done]
+            accepted[idx[done]] = syn[done]
             keep = ~done
-            idx, dx, dz, run_len, last_syn = (a[keep] for a in (idx, dx, dz, run_len, last_syn))
+            idx, data_syn, run_len, last_syn = (a[keep] for a in (idx, data_syn, run_len, last_syn))
             if idx.size == 0:
                 break
         return accepted

@@ -173,6 +173,8 @@ def run_batches_until(
     ``batch_fn`` once and then only (batch index, size) per batch.
     Returns (trials, failures).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size={batch_size} must be positive")
     trials = 0
     failures = 0
     batch_index = 0

@@ -321,33 +321,37 @@ class FaultTable:
     ``n_codes`` (entry j is code j mod ``n_codes[i]``).  Effects are
     XOR-linear, so a trial's combined effect is the XOR of its faults' rows.
     A column is given as its rows of ints, one per code of each op, or
-    already tiled, as a uint64 array.  The sampler reads the columns
-    packed by ``pack_fields`` into as few uint64 words as their bit
-    widths allow, so a hit costs one gather per word, not per column.
+    already tiled, as a uint64 array.  The table keeps them only packed
+    by ``pack_fields`` into as few uint64 words as their bit widths allow,
+    so a hit costs one gather per word, not per column.
     """
 
     def __init__(self, n_codes: Sequence[int],
                  columns: dict[str, Sequence[Sequence[int]] | np.ndarray]):
         self.n_codes = list(n_codes)
         self.width = math.lcm(*self.n_codes)
-        self.columns = []
+        cols = []
         for name, rows in columns.items():
             if not isinstance(rows, np.ndarray):
                 _check_width(name, max((v.bit_length() for row in rows for v in row),
                                        default=0))
                 rows = np.array([np.array(row, np.uint64)[np.arange(self.width) % len(row)]
                                  for row in rows], np.uint64)
-            self.columns.append(rows.reshape(len(self.n_codes), self.width))
-        widths = [int(np.bitwise_or.reduce(col, axis=None)).bit_length()
-                  for col in self.columns]
+            cols.append(rows.reshape(len(self.n_codes), self.width))
+        widths = [int(np.bitwise_or.reduce(col, axis=None)).bit_length() for col in cols]
         # (word, offset, mask) of each column, and the words, flat by entry
         self._fields = [(word, np.uint64(at), np.uint64((1 << w) - 1))
                         for (word, at), w in zip(pack_fields(widths), widths)]
         self._words = [np.zeros(len(self.n_codes) * self.width, np.uint64)
                        for _ in range(1 + max((word for word, _, _ in self._fields),
                                               default=-1))]
-        for col, (word, at, _) in zip(self.columns, self._fields):
+        for col, (word, at, _) in zip(cols, self._fields):
             self._words[word] |= col.ravel() << at
+
+    @property
+    def columns(self) -> list[np.ndarray]:
+        """Each column as an (op, entry) array, unpacked from the words."""
+        return [((self._words[w] >> at) & m).reshape(-1, self.width) for w, at, m in self._fields]
 
     @classmethod
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
@@ -428,7 +432,7 @@ class FaultTable:
                p: float) -> list[np.ndarray]:
         """One XOR accumulator per column for ``size`` trials: the output
         of ``sample_hits`` scattered over the batch, 0 where no fault hit."""
-        accs = [np.zeros(size, np.uint64) for _ in self.columns]
+        accs = [np.zeros(size, np.uint64) for _ in self._fields]
         trials, cols = self.sample_hits(rng, size, p)
         for acc, col in zip(accs, cols):
             acc[trials] = col

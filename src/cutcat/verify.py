@@ -37,8 +37,8 @@ def sort_unique(a: np.ndarray) -> np.ndarray:
 def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
     """The first (op, code) of each distinct row of ``table``."""
     first: dict[tuple[int, ...], tuple[int, int]] = {}
-    for op, n in enumerate(table.n_codes):
-        for code, row in enumerate(zip(*(c[op, :n].tolist() for c in table.columns))):
+    for op, (n, *rows) in enumerate(zip(table.n_codes, *table.columns)):
+        for code, row in enumerate(zip(*(r[:n].tolist() for r in rows))):
             first.setdefault(row, (op, code))
     return first
 

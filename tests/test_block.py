@@ -283,13 +283,15 @@ def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
 
 
 class TestCompaction:
-    """Extraction over compacted active trials against the masked loop."""
+    """Extraction over compacted active trials, with only the hit trials
+    run through ``apply_round``, against the masked loop."""
 
-    @pytest.mark.parametrize("code_name, max_rounds", [("steane", 4), ("rm15", 3)])
-    def test_matches_masked_reference(self, request, code_name, max_rounds):
-        code = request.getfixturevalue(code_name)
-        sim = BlockSimulator(code, ratio=20, max_rounds=max_rounds)
-        p, seed, batch, size = 3e-2, 9, 1, 4000
+    @staticmethod
+    def _runs(sim, p, seed=9, batch=1, size=4000):
+        """One batch through the masked loop, then through
+        ``extract_until_stable``, whose failure count must match; per run,
+        the accepted syndromes, data frames after it and RNG state, then
+        for the masked run the rounds per trial and the stabilized flags."""
         compacted = sim.extract_until_stable
         runs = {}
 
@@ -306,15 +308,39 @@ class TestCompaction:
         expected = sim.run_batch(p, seed, batch, size)
         sim.extract_until_stable = recorder("compacted", lambda *a: (compacted(*a),))
         assert sim.run_batch(p, seed, batch, size) == expected
+        masked, got = runs["masked"], runs["compacted"]
+        assert np.array_equal(got[0], masked[0])
+        assert np.array_equal(got[1], masked[1]) and np.array_equal(got[2], masked[2])
+        assert got[3] == masked[3]
+        return masked
 
-        accepted, data_x, data_z, state, rounds, stable = runs["masked"]
+    @pytest.mark.parametrize("code_name, max_rounds", [("steane", 4), ("rm15", 3)])
+    def test_matches_masked_reference(self, request, code_name, max_rounds):
+        code = request.getfixturevalue(code_name)
+        sim = BlockSimulator(code, ratio=20, max_rounds=max_rounds)
+        *_, rounds, stable = self._runs(sim, 3e-2)
         # trials stop in every round, and some reach the cap unstable
         assert set(rounds[stable].tolist()) == set(range(sim.t + 1, max_rounds + 1))
-        assert 0 < (~stable).sum() < size
-        got = runs["compacted"]
-        assert np.array_equal(got[0], accepted)
-        assert np.array_equal(got[1], data_x) and np.array_equal(got[2], data_z)
-        assert got[3] == state
+        assert 0 < (~stable).sum() < len(stable)
+
+    @pytest.mark.parametrize("code_name, p", [("rm15", 1e-2), ("steane", 1e-3)])
+    def test_matches_masked_reference_default_rounds(self, request, code_name, p):
+        sim = BlockSimulator(request.getfixturevalue(code_name), ratio=20)
+        sample_hits, hits = sim.round_faults.sample_hits, []
+
+        def recorded(*args):
+            trials, cols = sample_hits(*args)
+            hits.append(len(trials))
+            return trials, cols
+
+        sim.round_faults.sample_hits = recorded
+        *_, rounds, stable = self._runs(sim, p)
+        assert stable.all() and rounds.max() > sim.t + 2
+        # ``sample`` draws through ``sample_hits`` too: the masked run's
+        # rounds, then the same hit counts in the compacted run's, where
+        # some rounds hit trials and some draw no hit at all
+        assert hits == 2 * hits[:rounds.max()]
+        assert hits[0] > 0 and 0 in hits
 
 
 def _table_apply(lookup, keys):

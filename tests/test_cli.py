@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cutcat.block import BlockSimulator
 from cutcat.cli import build_parser, main
+from cutcat.experiments import GadgetMonteCarlo
 from cutcat.pauli import STEANE_TEXT
 
 
@@ -152,6 +154,25 @@ class TestMonteCarloCommands:
         assert main(["mc-gadget", "--gamma", "10", "--distance", "5",
                      "--p", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: p=")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
+    def test_zero_batch_size_exit_two(self, tmp_path, monkeypatch, capsys, command):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran")
+
+        # a batch of no trials never reaches the cap: fail, never hang
+        for cls in (BlockSimulator, GadgetMonteCarlo):
+            monkeypatch.setattr(cls, "run_batch", no_batch)
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        out = tmp_path / "a.csv"
+        args = (["--code", str(code_file)] if command == "mc-block"
+                else ["--gamma", "6", "--distance", "3"])
+        assert main([command, *args, "--p", "1e-2", "--batch-size", "0",
+                     "--trial-cap", "10", "--min-failures", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch_size=0") and err.count("\n") == 1
         assert not out.exists()
 
     def test_gamma_beyond_64_bits_exit_two(self, tmp_path, capsys):

@@ -147,6 +147,17 @@ class TestGadgetMc:
         with pytest.raises(ValueError):
             run_gadget_mc(spec, dec, 1e-3, min_failures=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_size_below_one_rejected(self, batch_size, jobs):
+        # a batch of no trials never reaches the cap: raise, never loop
+        def batch_fn(batch_index, size):
+            raise AssertionError("a batch ran")
+
+        with pytest.raises(ValueError, match=f"batch_size={batch_size}"):
+            run_batches_until(batch_fn, min_failures=1, trial_cap=10, batch_size=batch_size,
+                              jobs=jobs)
+
     def test_fixed_trial_runs_do_not_depend_on_jobs(self, d3_setup, steane):
         # min_failures above the cap: every batch runs, in a pool for jobs=2
         spec, dec = d3_setup

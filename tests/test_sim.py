@@ -439,6 +439,22 @@ class TestFaultTableMatchesWalker:
         assert acc == [res.data_x, res.syndrome.key(), res.cat_x_final,
                        int(res.generator_bit_flipped)]
 
+    def test_columns_straddling_two_words_read_back(self):
+        # widths 40, 30 and 5: the 30-bit column opens a second word and
+        # the 5-bit one follows it there; every column reads back its rows
+        rng = np.random.default_rng(12)
+        n_codes = [3, 15, 1]
+        given = {name: [[int(v) | (1 << (w - 1)) * (op == code == 0)
+                         for code, v in enumerate(rng.integers(0, 1 << w, n, dtype=np.uint64))]
+                        for op, n in enumerate(n_codes)]
+                 for name, w in (("a", 40), ("b", 30), ("c", 5))}
+        table = FaultTable(n_codes, given)
+        assert len(table._words) == 2
+        for col, rows in zip(table.columns, given.values(), strict=True):
+            assert col.shape == (len(n_codes), table.width)
+            for op, row in enumerate(rows):
+                assert col[op].tolist() == [row[j % len(row)] for j in range(table.width)]
+
     def test_masks_wider_than_64_bits_rejected(self):
         g = build_cut_cat(GadgetSpec(gamma=70, distance=5))
         with pytest.raises(ValueError, match="gamma=70"):
