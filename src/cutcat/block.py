@@ -55,12 +55,6 @@ class _Generator:
         return (self._globalize(self.decoder.decode_keys(keys, g.cat_count, g.base_rounds)),)
 
 
-def _flip_layout(n_generators: int, widths: Sequence[int]) -> list[tuple[int, int]]:
-    """(column, offset) of each ring field of the ``flips`` columns,
-    packed by ``pack_fields`` after the generator bits of column 0."""
-    return pack_fields(widths, n_generators)
-
-
 class BlockSimulator:
     """Repeat-until-stable QEC cycle for a CSS code under circuit noise."""
 
@@ -100,7 +94,8 @@ class BlockSimulator:
         the X and the Z generators; ``flips`` has bit gi for generator
         gi's outcome, then the ring generators' slot fields."""
         gens = self.generators
-        layout = _flip_layout(len(gens), [gen.gadget.n_slots for gen in self._rings])
+        # the ring fields start in column 0 after the generator bits
+        layout = pack_fields([gen.gadget.n_slots for gen in self._rings], len(gens))
         for gen, field in zip(self._rings, layout):
             gen.field = field
         n_cols = 1 + max((col for col, _ in layout), default=0)

@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
     )
     g = build_cut_cat(spec)
     decoder = _default_decoder(g, spec, args.decoder)
-    report = verify_gadget(g, decoder, spec.t, jobs=args.jobs)
+    report = verify_gadget(g, decoder, spec.t)
     per_weight = ", ".join(f"{w}: {n}" for w, n in enumerate(report.checked_per_weight, 1))
     counts = (f"{report.faults_checked} fault combinations over "
               f"{report.n_classes} effect classes (by weight {per_weight})")
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive fault-tolerance check")
     add_gadget_args(p)
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lut", help="lookup-table construction")

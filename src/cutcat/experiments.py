@@ -175,10 +175,12 @@ def run_batches_until(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size={batch_size} must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be positive")
     trials = 0
     failures = 0
     batch_index = 0
-    if jobs <= 1:
+    if jobs == 1:
         while failures < min_failures and trials < trial_cap:
             size = min(batch_size, trial_cap - trials)
             failures += batch_fn(batch_index, size)

@@ -11,9 +11,7 @@ re-measurement faults that MC samples within the remaining budget.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -117,17 +115,15 @@ def _runs(sizes: list[int], cap: int) -> list[int]:
 
 
 def combo_walk(
-    effects: Sequence[Effect], max_weight: int, first_range: range | None = None,
-    min_weight: int = 1, with_persist: bool = False, max_rows: int = _GRID_CELLS,
+    effects: Sequence[Effect], max_weight: int, min_weight: int = 1,
+    with_persist: bool = False, max_rows: int = _GRID_CELLS,
 ) -> Iterator[ComboSlice]:
-    """Every combination of min_weight..max_weight effect indices whose
-    first index lies in ``first_range`` (default: all), as array slices:
-    weight-major, then lexicographic, weight 0 being the empty one.  Each
-    weight is one gather and one XOR of the weight below against the
+    """Every combination of min_weight..max_weight effect indices, as array
+    slices: weight-major, then lexicographic, weight 0 being the empty one.
+    Each weight is one gather and one XOR of the weight below against the
     effect rows.  Lower weights come whole; ``max_weight`` in runs of whole
     consecutive first indices of at most ``max_rows`` rows, or of one."""
     n = len(effects)
-    first_range = range(n) if first_range is None else first_range
     fields = ("data_x", "slot_flips", "persist_x")[:3 if with_persist else 2]
     rows = [np.array([getattr(e, f) for e in effects], dtype=np.uint64) for f in fields]
     zero = np.zeros(1, np.uint64)
@@ -135,13 +131,13 @@ def combo_walk(
     if min_weight == 0:
         yield level
     for w in range(1, max_weight + 1):
-        # each row of weight w-1 (at w=1 the empty one, up to the end of
-        # first_range) extends by every index after its last
-        last = level.chain[-1][1] if w > 1 else np.array([first_range.start - 1])
-        counts = n - 1 - last if w > 1 else np.array([len(first_range)])
+        # each row of weight w-1 (at w=1 the empty one) extends by every
+        # index after its last
+        last = level.chain[-1][1] if w > 1 else np.array([-1])
+        counts = n - 1 - last
         bounds = [0, len(last)] if w < max_weight or w == 1 else np.cumsum(
-            [0] + [math.comb(n - 1 - i, w - 2) for i in first_range])[
-            _runs([math.comb(n - 1 - i, w - 1) for i in first_range], max_rows)]
+            [0] + [math.comb(n - 1 - i, w - 2) for i in range(n)])[
+            _runs([math.comb(n - 1 - i, w - 1) for i in range(n)], max_rows)]
         chain, prev = level.chain, (level.data, level.key, level.persist)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             parent = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
@@ -394,20 +390,19 @@ def _check_combos(
     events: EventSets,
     cache: KeyCache,
     weight: int,
-    first_range: range,
 ) -> tuple[int, Counterexample | None]:
-    """Verify all combos of ``weight`` effects whose first index lies
-    in ``first_range`` against each set of ``events`` within the budget
-    t - weight (a static decoder meets the empty set only): a (row, set)
-    grid per slice.  A cell counts only if its run reaches the step of
-    each of its events.  ``cache`` holds the decoder's answer per key (a
-    correction, or an adaptive decoder's compiled table); each slice's
-    keys index it directly, and a serial walk shares it across weights."""
+    """Verify all combos of ``weight`` effects against each set of
+    ``events`` within the budget t - weight (a static decoder meets the
+    empty set only): a (row, set) grid per slice.  A cell counts only if
+    its run reaches the step of each of its events.  ``cache`` holds the
+    decoder's answer per key (a correction, or an adaptive decoder's
+    compiled table); each slice's keys index it directly, and a serial
+    walk shares it across weights."""
     m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
     adaptive = getattr(decoder, "needs_round2", False)
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
-    for sl in combo_walk(effects, weight, first_range, weight, with_persist=adaptive,
+    for sl in combo_walk(effects, weight, weight, with_persist=adaptive,
                          max_rows=max(1, _GRID_CELLS // k)):
         if adaptive:
             rows = cache.index(sl.key, lambda new: compile_rereads(decoder, new, m, rounds))
@@ -434,7 +429,7 @@ def _check_combos(
     return checked, None
 
 
-def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> VerificationReport:
+def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> VerificationReport:
     """Exhaustively certify that ``decoder`` keeps the gadget t-FT.
 
     Every combination of 1..t effect classes (``_effect_classes``: the
@@ -451,37 +446,25 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, jobs: int = 1) -> Verificat
     uint64 array of syndrome keys; ``decoders.StaticDecoder`` derives
     one from ``decode``.
 
-    With ``jobs > 1`` each weight is split into ranges of first index,
-    checked in parallel; a failing range stops the walk, and only the
-    ranges up to it count, so the report does not depend on ``jobs``.
+    The walk runs in one process, weight by weight, with one decode
+    cache shared across weights, and stops at the first counterexample.
+    ``jobs`` accepts only 1: a compatibility shim for the ``jobs=1`` of
+    ``perfbench/worker.py``, to go once that call drops the keyword.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
     adaptive = bool(getattr(decoder, "needs_round2", False))
     effects, names = _effect_classes(FaultTable.for_decoder(g, adaptive))
     events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), max(t - 1, 0))
-    n = len(effects)
-    chunk = max(1, math.ceil(n / max(jobs, 1)))
-    ranges = [range(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-
     cache = KeyCache(g.cat_count * g.base_rounds)
     per_weight: list[int] = []
     cx = None
-    workers = nullcontext()
-    if len(ranges) > 1:
-        # imported here: the pool pulls in multiprocessing, socket and logging
-        from concurrent.futures import ProcessPoolExecutor
-        workers = ProcessPoolExecutor(max_workers=jobs)
-    with workers as pool:
-        run = map if pool is None else pool.map
-        for w in range(1, t + 1):
-            check = partial(_check_combos, g, decoder, t, effects, names, events, cache, w)
-            per_weight.append(0)
-            for part_checked, cx in run(check, ranges):
-                per_weight[-1] += part_checked
-                if cx is not None:
-                    break
-            if cx is not None:
-                break
-    return VerificationReport(cx is None, cx, n, tuple(per_weight))
+    for w in range(1, t + 1):
+        checked, cx = _check_combos(g, decoder, t, effects, names, events, cache, w)
+        per_weight.append(checked)
+        if cx is not None:
+            break
+    return VerificationReport(cx is None, cx, len(effects), tuple(per_weight))
 
 
 def eval_upper_bound(gamma: int, t: int, p_ft: float) -> float:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cutcat import block
-from cutcat.block import BlockSimulator, _flip_layout, run_block_mc
+from cutcat.block import BlockSimulator, run_block_mc
 from cutcat.pauli import CssCode, bits_of, parse_css_code
-from cutcat.sim import CatSyndrome, FaultTable, noisy_operations, propagate_op_faults
+from cutcat.sim import CatSyndrome, FaultTable, noisy_operations, pack_fields, propagate_op_faults
 from location_ref import walk_op_effects
 
 
@@ -165,8 +165,8 @@ class TestRoundStep:
         code = request.getfixturevalue(code_name)
         if split:
             # every ring field in a column of its own, past the generator bits
-            monkeypatch.setattr(block, "_flip_layout",
-                                lambda n, widths: [(1 + i, 0) for i in range(len(widths))])
+            monkeypatch.setattr(block, "pack_fields",
+                                lambda widths, start: [(1 + i, 0) for i in range(len(widths))])
         sim = BlockSimulator(code, ratio=20)
         n_rings = sum(gen.decoder is not None for gen in sim.generators)
         assert len(sim.round_faults.columns) == 3 + (n_rings if split else 0)
@@ -220,9 +220,9 @@ class TestRoundTableMatchesPerOpWalks:
 class TestFlipLayout:
     def test_fields_start_a_column_instead_of_straddling(self):
         widths = [20, 20, 20, 30, 64, 1, 5, 60]
-        assert _flip_layout(14, widths) == [
+        assert pack_fields(widths, 14) == [
             (0, 14), (0, 34), (1, 0), (1, 20), (2, 0), (3, 0), (3, 1), (4, 0)]
-        assert _flip_layout(14, [50]) == [(0, 14)]
+        assert pack_fields([50], 14) == [(0, 14)]
 
     def test_random_widths_pack_without_overlap(self):
         rng = random.Random(5)
@@ -230,7 +230,7 @@ class TestFlipLayout:
             n_gens = rng.randint(1, 40)
             widths = [rng.randint(1, 64) for _ in range(rng.randint(0, 12))]
             used = {0: (1 << n_gens) - 1}
-            for (col, at), w in zip(_flip_layout(n_gens, widths), widths):
+            for (col, at), w in zip(pack_fields(widths, n_gens), widths):
                 assert at + w <= 64
                 field = ((1 << w) - 1) << at
                 assert not used.get(col, 0) & field

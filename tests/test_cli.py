@@ -3,29 +3,31 @@ import json
 import pytest
 
 from cutcat.block import BlockSimulator
-from cutcat.cli import build_parser, main
+from cutcat.cli import main
 from cutcat.experiments import GadgetMonteCarlo
 from cutcat.pauli import STEANE_TEXT
 
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
-        assert main(["verify", "--gamma", "10", "--distance", "5",
-                     "--jobs", "1"]) == 0
+        assert main(["verify", "--gamma", "10", "--distance", "5"]) == 0
         assert capsys.readouterr().out == (
             "PASS: distance 5, gamma 10: 210 fault combinations over 20 effect "
             "classes (by weight 1: 20, 2: 190)\n")
 
-    def test_jobs_default_to_one(self):
-        assert build_parser().parse_args(
-            ["verify", "--gamma", "10", "--distance", "5"]).jobs == 1
+    def test_jobs_option_gone(self, capsys):
+        # the verifier runs in one process; argparse rejects the option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--gamma", "10", "--distance", "5", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--gamma", "10"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["verify", "--jobs", "1"], ["lut", "build"]],
+    @pytest.mark.parametrize("command", [["verify"], ["lut", "build"]],
                              ids=["verify", "lut-build"])
     def test_gamma_over_64_bits_exit_two(self, command, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CUTCAT_OUTDIR", str(tmp_path))
@@ -156,24 +158,38 @@ class TestMonteCarloCommands:
         assert capsys.readouterr().err.startswith("error: p=")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
-    def test_zero_batch_size_exit_two(self, tmp_path, monkeypatch, capsys, command):
+    @staticmethod
+    def _run_without_batches(tmp_path, monkeypatch, command, options):
+        """``command`` on Steane (mc-block) or d=3 gamma=6 (mc-gadget)
+        with ``options``, every batch patched to fail: the exit code."""
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch ran")
 
-        # a batch of no trials never reaches the cap: fail, never hang
         for cls in (BlockSimulator, GadgetMonteCarlo):
             monkeypatch.setattr(cls, "run_batch", no_batch)
         code_file = tmp_path / "steane.txt"
         code_file.write_text(STEANE_TEXT)
-        out = tmp_path / "a.csv"
         args = (["--code", str(code_file)] if command == "mc-block"
                 else ["--gamma", "6", "--distance", "3"])
-        assert main([command, *args, "--p", "1e-2", "--batch-size", "0",
-                     "--trial-cap", "10", "--min-failures", "1", "--out", str(out)]) == 2
+        return main([command, *args, "--p", "1e-2", *options, "--trial-cap", "10",
+                     "--min-failures", "1", "--out", str(tmp_path / "a.csv")])
+
+    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
+    def test_zero_batch_size_exit_two(self, tmp_path, monkeypatch, capsys, command):
+        # a batch of no trials never reaches the cap: fail, never hang
+        assert self._run_without_batches(tmp_path, monkeypatch, command,
+                                         ["--batch-size", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: batch_size=0") and err.count("\n") == 1
-        assert not out.exists()
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exit_two(self, tmp_path, monkeypatch, capsys, command, jobs):
+        assert self._run_without_batches(tmp_path, monkeypatch, command,
+                                         ["--jobs", str(jobs), "--batch-size", "10"]) == 2
+        assert capsys.readouterr().err == f"error: jobs={jobs} must be positive\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["steane.txt"]
 
     def test_gamma_beyond_64_bits_exit_two(self, tmp_path, capsys):
         assert main(["mc-gadget", "--gamma", "70", "--distance", "5",

@@ -158,6 +158,15 @@ class TestGadgetMc:
             run_batches_until(batch_fn, min_failures=1, trial_cap=10, batch_size=batch_size,
                               jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        # a non-positive worker count fails before any batch, never runs serially
+        def batch_fn(batch_index, size):
+            raise AssertionError("a batch ran")
+
+        with pytest.raises(ValueError, match=f"jobs={jobs} must be positive"):
+            run_batches_until(batch_fn, min_failures=1, trial_cap=10, batch_size=10, jobs=jobs)
+
     def test_fixed_trial_runs_do_not_depend_on_jobs(self, d3_setup, steane):
         # min_failures above the cap: every batch runs, in a pool for jobs=2
         spec, dec = d3_setup

@@ -89,12 +89,12 @@ def _reference_combos(effects, max_weight):
     return out
 
 
-def _walk_rows(effects, max_weight, first_range=None, min_weight=1, max_rows=_GRID_CELLS):
+def _walk_rows(effects, max_weight, min_weight=1, max_rows=_GRID_CELLS):
     """``combo_walk`` flattened to (combo, data, key, persist) tuples, row
     by row, each combination rebuilt from its parent chain."""
     return [
         (s.combo(r), int(s.data[r]), int(s.key[r]), int(s.persist[r]))
-        for s in combo_walk(effects, max_weight, first_range, min_weight,
+        for s in combo_walk(effects, max_weight, min_weight,
                             with_persist=True, max_rows=max_rows)
         for r in range(len(s.data))
     ]
@@ -158,18 +158,8 @@ class TestVerifyGadget:
         effects = [Effect(*row) for row in rows]
         for w in (1, 2):
             checked, cx = _check_combos(g, RuleDecoderD3D5(g, 2), 2, effects, list(rows.values()),
-                                        EventSets.build([], [], 1), KeyCache(g.n_slots), w,
-                                        range(len(effects)))
+                                        EventSets.build([], [], 1), KeyCache(g.n_slots), w)
             assert cx is None and checked == math.comb(len(effects), w)
-
-    def test_parallel_jobs_match_serial(self):
-        spec = GadgetSpec(gamma=8, distance=3)
-        g = build_cut_cat(spec)
-        dec = RuleDecoderD3D5(g, 1)
-        serial = verify_gadget(g, dec, 1, jobs=1)
-        parallel = verify_gadget(g, dec, 1, jobs=2)
-        assert serial.passed == parallel.passed
-        assert serial.faults_checked == parallel.faults_checked
 
     def test_d7_small_adaptive_passes(self):
         spec = GadgetSpec(gamma=14, distance=7)
@@ -221,27 +211,38 @@ class TestVerifyGadget:
         assert "faults(op, code)=((0, 0), (1, 0), (2, 0)) round2_flips=((0, 0, 0),)" \
             in cx.describe()
 
-    @pytest.mark.parametrize("gamma,distance,decoder,t", [
-        (10, 5, "identity", 2),
-        (10, 5, "rule-t1", 2),
-        (14, 7, "rule-t2", 3),
+    @pytest.mark.parametrize("gamma,distance,decoder,t,passed,n_classes,per_weight", [
+        (18, 9, "lut", 4, True, 63, (63, 1953, 39711, 595665)),
+        (20, 7, "rule-d7", 3, True, 50, (2210, 10025, 19600)),
+        (14, 7, "rule-d7", 3, True, 35, (1547, 6755, 6545)),
+        (10, 5, "identity", 2, False, 20, (1,)),
+        (10, 5, "rule-t1", 2, False, 20, (20, 1)),
+        (14, 7, "rule-t2", 3, False, 28, (28, 378, 1)),
     ])
-    def test_failing_reports_do_not_depend_on_jobs(self, gamma, distance,
-                                                   decoder, t):
-        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+    def test_reports_per_weight_pinned(self, gamma, distance, decoder, t, passed,
+                                       n_classes, per_weight):
+        """The benchmark's verify cases (the d=9 LUT at t=4 checks 637 392
+        combinations) and the d=7 gamma=14 adaptive one, weight by weight."""
+        spec = GadgetSpec(gamma=gamma, distance=distance)
+        g = build_cut_cat(spec)
         dec = {
+            "lut": lambda: LutDecoder(build_cut_cat_lut(spec, gadget=g)),
+            "rule-d7": lambda: RuleDecoderD7(g),
             "identity": IdentityDecoder,
             "rule-t1": lambda: RuleDecoderD3D5(g, 1),
             "rule-t2": lambda: RuleDecoderD3D5(g, 2),
         }[decoder]()
-        serial = verify_gadget(g, dec, t, jobs=1)
-        parallel = verify_gadget(g, dec, t, jobs=2)
-        assert not serial.passed
-        assert parallel == serial
-        if decoder == "rule-t1":
-            # weight 1 passes over both worker ranges; weight 2 fails
-            assert serial.checked_per_weight[0] == serial.n_classes
-            assert len(serial.checked_per_weight) == 2
+        rep = verify_gadget(g, dec, t)
+        assert (rep.passed, rep.n_classes, rep.checked_per_weight) == (
+            passed, n_classes, per_weight)
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_rejected(self, jobs):
+        g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
+        dec = RuleDecoderD3D5(g, 1)
+        assert verify_gadget(g, dec, 1, jobs=1) == verify_gadget(g, dec, 1)
+        with pytest.raises(ValueError, match=f"jobs={jobs}"):
+            verify_gadget(g, dec, 1, jobs=jobs)
 
     def test_one_table_walk_per_adaptive_verify(self, monkeypatch):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
@@ -265,7 +266,7 @@ def _raw_verify(g, decoder, t):
     cache = KeyCache(g.n_slots)
     for w in range(1, t + 1):
         _, cx = _check_combos(g, decoder, t, effects, names, EventSets.build([], [], t - 1),
-                              cache, w, range(len(effects)))
+                              cache, w)
         if cx is not None:
             return cx
     return None
@@ -493,9 +494,9 @@ class TestSortUnique:
 
 
 class TestEmptyDeepestSlice:
-    """A range of first indices may hold no combination at the deepest
-    weight (index n-1 at weight 2): a worker that starts with such a
-    range meets an empty slice with an empty cache."""
+    """The deepest weight may hold no combination at all (a weight above
+    the number of effects): its one slice is empty and meets an empty
+    cache."""
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["lut", "d7"])
     def test_last_first_index_checks_nothing(self, adaptive):
@@ -508,9 +509,9 @@ class TestEmptyDeepestSlice:
             decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
         effects, names, _ = _classes(g, adaptive)
         events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
-        n = len(effects)
-        assert _check_combos(g, decoder, t, effects, names, events, KeyCache(g.n_slots), 2,
-                             range(n - 1, n)) == (0, None)
+        # one effect, whose index is the last first index: no pair
+        assert _check_combos(g, decoder, t, effects[:1], names[:1], events,
+                             KeyCache(g.n_slots), 2) == (0, None)
 
 
 class _BrokenAt:
@@ -657,11 +658,10 @@ class TestAdaptiveVerifierMatchesScalarWalk:
             out[gamma] = self._scalar_verify(g, RuleDecoderD7(g), 3)
         return out
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("gamma", [14, 20])
-    def test_rule_decoder_passes_with_same_count(self, references, gamma, jobs):
+    def test_rule_decoder_passes_with_same_count(self, references, gamma):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
-        rep = verify_gadget(g, RuleDecoderD7(g), 3, jobs=jobs)
+        rep = verify_gadget(g, RuleDecoderD7(g), 3)
         assert self._report(rep.faults_checked, rep.counterexample) == references[gamma]
         assert references[gamma] == ({14: 14847, 20: 31835}[gamma], None)
 
@@ -699,11 +699,10 @@ class TestAdaptiveVerifierMatchesScalarWalk:
                            _persist_outcome_bits(e.persist_x, m), mode)
         return broken, e, n, r
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode, later_touch, kind", [
         ("always", False, "none"), ("any", False, "anc"), ("later", True, "cats")],
         ids=["no-event", "step-ancilla-flip", "reread-cat-event"])
-    def test_broken_decoder_found_mid_weight_one_grid(self, mode, later_touch, kind, jobs):
+    def test_broken_decoder_found_mid_weight_one_grid(self, mode, later_touch, kind):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         broken, e, n, _ = self._broken(g, mode, later_touch)
         reread = FaultTable.for_reread(g)
@@ -718,7 +717,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
             ((step, op, code),) = flips
             anc, cats = (int(c[op, code]) for c in reread.columns)
             assert step == 0 and (anc, cats != 0) == {"anc": (1, False), "cats": (0, True)}[kind]
-        rep = verify_gadget(g, broken, 3, jobs=jobs)
+        rep = verify_gadget(g, broken, 3)
         assert self._report(rep.faults_checked, rep.counterexample) == (checked, cx)
 
     def test_first_failing_cell_is_row_major(self):
@@ -799,13 +798,6 @@ class TestOracle:
         expected = [((), 0, 0, 0)] + _reference_combos(effects, 2)
         assert _walk_rows(effects, 2, min_weight=0) == expected
 
-    def test_walk_over_first_range_matches_reference(self):
-        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        effects = _raw_location_effects(g)
-        part = range(7, 23)
-        expected = [r for r in _reference_combos(effects, 3) if r[0][0] in part]
-        assert _walk_rows(effects, 3, part) == expected
-
     def test_deepest_weight_walked_by_first_index(self):
         """The deepest weight comes in runs of whole consecutive first
         indices, each within its row cap or of one first index."""
@@ -835,12 +827,10 @@ class TestOracle:
             for s in slices[1:]:
                 assert all(x is y for x, y in zip(s.chain[:-1], slices[s.weight - 2].chain))
 
-    @pytest.mark.parametrize("part", [None, range(7, 23)], ids=["all", "part"])
     @pytest.mark.parametrize("max_rows", [1, 7, 100])
-    def test_small_row_caps_match_reference(self, raw_d5_reference, max_rows, part):
+    def test_small_row_caps_match_reference(self, raw_d5_reference, max_rows):
         effects, reference = raw_d5_reference
-        expected = [r for r in reference if part is None or r[0][0] in part]
-        assert _walk_rows(effects, 3, part, max_rows=max_rows) == expected
+        assert _walk_rows(effects, 3, max_rows=max_rows) == reference
 
 
 class TestRowCap:
@@ -861,7 +851,7 @@ class TestRowCap:
 
         monkeypatch.setattr(verify, "follow_rereads", spy)
         assert _check_combos(g, RuleDecoderD7(g), 4, effects, names, events,
-                             KeyCache(g.n_slots), 2, range(len(effects)))[1] is None
+                             KeyCache(g.n_slots), 2)[1] is None
         assert sum(cells) == math.comb(len(effects), 2) * k
         assert 1 < len(cells) < len(effects) - 1
         assert max(cells) <= _GRID_CELLS
@@ -915,8 +905,7 @@ class TestStaticVerifierMatchesScalarWalk:
         return g, build_cut_cat_lut(spec, gadget=g)
 
     @pytest.mark.parametrize("first", [0, 3])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_broken_entry_found_mid_slice(self, setup, first, jobs):
+    def test_broken_entry_found_mid_slice(self, setup, first):
         g, lut = setup
         effects = _class_effects(g)
         n = len(effects)
@@ -938,7 +927,7 @@ class TestStaticVerifierMatchesScalarWalk:
         checked, cx = self._scalar_verify(g, broken, 2)
         # rows of weight 1, of the slices before ``first``, then (i, j)
         assert checked == n + sum(n - 1 - a for a in range(i)) + (j - i - 1) + 1
-        rep = verify_gadget(g, broken, 2, jobs=jobs)
+        rep = verify_gadget(g, broken, 2)
         assert rep.faults_checked == checked
         got = rep.counterexample
         assert (_pairs(got), got.round2_flips, got.n_faults, got.syndrome_key,
