@@ -36,6 +36,7 @@ from .gadgets import (
 )
 from .sim import CatSyndrome, PropagationResult
 from .decoders import (
+    AdaptiveDecoder,
     CodeLUT,
     CutCatLUT,
     IdentityDecoder,

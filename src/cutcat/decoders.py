@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .pauli import (
 )
 from .sim import CatSyndrome, FaultTable
 from . import verify as _verify
+from .verify import MAX_REREADS
 
 
 def arc_sets(triggers: Sequence[int], ring_size: int) -> tuple[set[int], set[int]]:
@@ -92,8 +94,9 @@ _RECHECK_OFFSETS: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def j_list(n_triggered: int, variant: int, anchor: int, ring_size: int) -> tuple[int, ...]:
-    """Stabilizer indices compared across rounds, reduced mod the ring size."""
+def j_list(n_triggered: int, variant: int, anchor, ring_size: int) -> tuple:
+    """Stabilizer indices compared across rounds, reduced mod the ring size;
+    an int array of anchors gives one array of indices per offset."""
     try:
         offsets = _RECHECK_OFFSETS[(n_triggered, variant)]
     except KeyError:
@@ -104,184 +107,241 @@ def j_list(n_triggered: int, variant: int, anchor: int, ring_size: int) -> tuple
 MeasureFn = Callable[[tuple[int, ...]], Mapping[int, int]]
 
 
-class _Round2:
-    """Lazily fetched re-measurement outcomes, compared against round one."""
+class _Rows:
+    """The distance-7 rule's rows for the syndromes of one trigger count:
+    one per (syndrome, outcome vector v), syndrome-major, where the i-th
+    re-read returns bit i of v.  Per row: ``key``, the round-one bits,
+    and as masks the stabilizers fetched, those read differently than
+    round one and the selected cats, with the re-reads in order."""
 
-    def __init__(self, round0_bits: int, ring_size: int, measure: MeasureFn):
-        self.round0 = round0_bits
-        self.m = ring_size
-        self._measure = measure
-        self.values: dict[int, int] = {}
-        self.requested: list[int] = []
+    def __init__(self, round0: np.ndarray, ring_size: int):
+        n = 1 << MAX_REREADS
+        self.m, self.full = ring_size, (1 << ring_size) - 1
+        self.key = np.repeat(round0, n)
+        self.unread = np.tile(np.arange(n), len(round0))  # v >> re-reads
+        self.count = np.zeros(len(self.key), np.int64)
+        self.fetched = np.zeros(len(self.key), np.int64)
+        self.diff = np.zeros(len(self.key), np.int64)
+        self.seq = np.zeros(len(self.key), np.int64)  # stabilizer + 1 per re-read, a byte each
+        self.cats = np.zeros(len(self.key), np.int64)
 
-    def _fetch(self, indices: Iterable[int]) -> None:
-        need = []
-        for i in indices:
-            i %= self.m
-            if i not in self.values and i not in need:
-                need.append(i)
-        if need:
-            got = self._measure(tuple(need))
-            for i in need:
-                self.values[i] = int(got[i]) & 1
-                self.requested.append(i)
+    def changed(self, act, indices: Iterable[np.ndarray]) -> np.ndarray:
+        """The rule's re-read test on the rows ``act``: fetch the listed
+        stabilizers not fetched yet, in order, each reading the next bit
+        of v; True where any listed one reads differently than round one."""
+        listed = 0
+        for s in indices:
+            s = s % self.m
+            bit = 1 << s
+            new = (act & ((self.fetched & bit) == 0)).astype(np.int64)
+            self.diff |= ((self.unread ^ (self.key >> s)) & new) << s
+            self.fetched |= bit * new
+            self.seq |= ((s + 1) << (self.count << 3)) * new
+            self.count += new
+            self.unread >>= new
+            listed = listed | bit
+        return act & ((self.diff & listed) != 0)
 
-    def changed(self, indices: Iterable[int]) -> bool:
-        """True if any listed stabilizer reads differently than round one."""
-        idx = [i % self.m for i in indices]
-        self._fetch(idx)
-        return any(self.values[i] != ((self.round0 >> i) & 1) for i in idx)
+    def add(self, act, cats) -> None:
+        """Select the cats of the mask ``cats`` on the rows ``act``."""
+        self.cats |= np.where(act, cats, 0)
+
+    def cat(self, j: np.ndarray) -> np.ndarray:
+        """The mask of cat j (mod the ring size)."""
+        return 1 << (j % self.m)
+
+    def rot(self, x: np.ndarray, s: int) -> np.ndarray:
+        """``x`` rotated up the ring by s: bit c moves to c + s."""
+        s %= self.m
+        return ((x << s) | (x >> (self.m - s))) & self.full
+
+    def find_rotation(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The syndromes whose triggers are ``offsets`` rotated by some j,
+        and the lowest such j (the first trigger that anchors them)."""
+        pattern = sum(1 << o for o in offsets)
+        match = self.key[:, None] == [self.rot(pattern, j) for j in range(self.m)]
+        return match.any(1), match.argmax(1)
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``arc_sets`` as masks: a cat is selected when an odd number of
+        triggers lie below it, as the triggers pair up in ascending order."""
+        below, shift = self.key.copy(), 1
+        while shift < self.m:
+            below ^= below << shift
+            shift *= 2
+        selected = (below << 1) & self.full
+        return selected, self.full & ~selected
+
+    def arc_fallback(self, act) -> None:
+        """On the rows ``act``, select the arc side of at most three cats,
+        the selected one first."""
+        selected, complement = self.arcs()
+        small = np.bitwise_count(selected) <= 3
+        self.add(act & small, selected)
+        self.add(act & ~small & (np.bitwise_count(complement) <= 3), complement)
+
+    def reads(self) -> np.ndarray:
+        """The re-reads of each syndrome's rows in order, -1 past the last."""
+        out = (self.seq[:, None] >> (8 * np.arange(MAX_REREADS))) & 0xFF
+        return (out - 1).astype(np.int8).reshape(-1, 1 << MAX_REREADS, MAX_REREADS)
+
+
+def _lowest(x: np.ndarray) -> np.ndarray:
+    """The index of the lowest set bit of each of ``x``."""
+    return np.bitwise_count((x & -x) - 1).astype(np.int64)
+
+
+def _d7_one(r: _Rows) -> None:
+    a0 = _lowest(r.key)
+    c = r.changed(True, j_list(1, 0, a0, r.m))
+    r.add(c, r.cat(a0 + 1))
+    r.add(r.changed(~c, j_list(1, 1, a0, r.m)), r.cat(a0))
+
+
+def _d7_two(r: _Rows) -> None:
+    m = r.m
+    a, b = _lowest(r.key), _lowest(r.key & (r.key - 1))
+    gap_ab, gap_ba = (b - a) % m, (a - b) % m
+    three_apart = (gap_ab == 3) | (gap_ba == 3)
+    j = np.where(gap_ab == 3, a, b)
+    handled = r.changed(three_apart, j_list(2, 0, j, m))
+    two_apart = ~three_apart & ((gap_ab == 2) | (gap_ba == 2))
+    j = np.where(gap_ab == 2, a, b)
+    c0 = r.changed(two_apart, (j,))
+    handled |= r.changed(c0, j_list(2, 2, j, m))
+    c2 = r.changed(two_apart & ~c0, (j + 2,))
+    handled |= r.changed(c2, j_list(2, 3, j, m))
+    c4 = r.changed(two_apart & ~c0 & ~c2, j_list(2, 4, j, m))
+    r.add(c4, r.cat(j + 1))
+    r.arc_fallback(~(handled | c4))
+
+
+def _d7_three(r: _Rows) -> None:
+    m = r.m
+    found, j = r.find_rotation((0, 2, 4))
+    # unchanged outcomes at {j+3, j+4} mean the persistent pair
+    # sits between stabilizers j+2 and j+4
+    c = r.changed(found, j_list(3, 0, j, m))
+    r.add(found & ~c, r.cat(j + 4))
+    r.add(c, r.cat(j + 1))
+    rest = ~found
+    found, j = r.find_rotation((0, 1, 2))
+    found &= rest
+    c1 = r.changed(found, (j + 1,))
+    r.add(c1, r.cat(j + 1))
+    c2 = r.changed(found & ~c1, (j - 1,))
+    r.add(c2, r.cat(j + 2))
+    left = found & ~c1 & ~c2
+    c0 = r.changed(left, (j,))
+    c3 = r.changed(left & ~c0, (j - 2,))
+    r.add(c0 | c3, r.cat(j + 2))
+    r.add(left & ~c0 & ~c3, r.cat(j + 1))
+    rest &= ~found
+    found, j = r.find_rotation((0, 2, 3))
+    found &= rest
+    c = r.changed(found, j_list(3, 1, j, m))
+    r.add(c, r.cat(j + 1))
+    unhandled = found & ~c
+    rest &= ~found
+    found, j = r.find_rotation((0, 1, 3))
+    found &= rest
+    c = r.changed(found, j_list(3, 2, j, m))
+    r.add(c, r.cat(j + 2))
+    unhandled |= (found & ~c) | (rest & ~found)
+    # cat g + 1 for each triggered pair (g, g + 1), else for each (g, g + 2)
+    pairs = r.key & r.rot(r.key, -1)
+    r.add(unhandled, r.rot(np.where(pairs != 0, pairs, r.key & r.rot(r.key, -2)), 1))
+
+
+def _d7_four(r: _Rows) -> None:
+    m = r.m
+    found, j = r.find_rotation((0, 1, 2, 3))
+    handled = r.changed(r.changed(found, j_list(4, 0, j, m)), j_list(4, 1, j, m))
+    rest = ~found
+    found, j = r.find_rotation((0, 1, 2, 4))
+    found &= rest
+    handled |= r.changed(found, j_list(4, 2, j, m))
+    rest &= ~found
+    found, j = r.find_rotation((0, 2, 3, 4))
+    found &= rest
+    handled |= r.changed(found, j_list(4, 3, j, m))
+    r.arc_fallback(~handled)
+
+
+def _d7_five(r: _Rows) -> None:
+    found, j = r.find_rotation((0, 1, 2, 3, 4))
+    c = r.changed(found, j_list(5, 0, j, r.m))
+    r.add(found & ~c, r.cat(j + 4))
+    r.add(c, r.cat(j + 3))
+    # cat g + 1 for each triggered pair (g, g + 1) unless g - 1 and g + 2
+    # trigger too, and g + 3 does not
+    key, rot = r.key, r.rot
+    pairs = key & rot(key, -1)
+    outer, next_pair = rot(key, 1) & rot(key, -2), rot(key, -2) & rot(key, -3)
+    r.add(~found, rot(pairs & (~outer | next_pair), 1))
+
+
+def _d7_even(r: _Rows) -> None:
+    """Six or more triggers, an even count: the smaller arc side if it
+    holds at most three cats, and unconditionally above six triggers."""
+    selected, complement = r.arcs()
+    n_sel, n_comp = np.bitwise_count(selected), np.bitwise_count(complement)
+    chosen = np.where(n_sel < n_comp, selected, complement)
+    r.add((np.minimum(n_sel, n_comp) <= 3) | (np.bitwise_count(r.key) > 6), chosen)
+
+
+def _rule_d7(round0: np.ndarray, ring_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adaptive distance-7 rule for every outcome vector of each of
+    the base-round syndromes ``round0`` (int64 masks of ``ring_size``
+    bits): per (syndrome, v), the stabilizers re-read in order (int8,
+    -1 past the last) and the selected cats (an int64 mask), when the
+    i-th re-read returns bit i of v.
+
+    The rule dispatches on the trigger count and re-reads at most four
+    ring stabilizers to separate persistent cat errors from transient
+    measurement faults.  Each count is one function over the rows of its
+    syndromes, in which each test of the rule is a row mask, taken in
+    the rule's order.  Odd counts above five are unreachable within the
+    fault budget and left uncorrected.
+    """
+    n = 1 << MAX_REREADS
+    reads = np.full((len(round0), n, MAX_REREADS), -1, np.int8)
+    cats = np.zeros((len(round0), n), np.int64)
+    na = np.bitwise_count(round0)
+    for rule, picked in ((_d7_one, na == 1), (_d7_two, na == 2), (_d7_three, na == 3),
+                         (_d7_four, na == 4), (_d7_five, na == 5),
+                         (_d7_even, (na >= 6) & (na % 2 == 0))):
+        at = np.flatnonzero(picked)
+        if len(at):
+            r = _Rows(round0[at], ring_size)
+            rule(r)
+            reads[at], cats[at] = r.reads(), r.cats.reshape(len(at), n)
+    return reads, cats
+
+
+@lru_cache(maxsize=4096)
+def _table_d7(round0_bits: int, ring_size: int) -> tuple[tuple, tuple]:
+    """``_rule_d7`` of one syndrome: per outcome vector, its re-reads and
+    its cat mask, as tuples, so the cache hands out no mutable state."""
+    reads, cats = _rule_d7(np.array([round0_bits], np.int64), ring_size)
+    return tuple(map(tuple, reads[0].tolist())), tuple(cats[0].tolist())
 
 
 def decode_d7(
     round0_bits: int, ring_size: int, measure: MeasureFn,
 ) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Adaptive distance-7 decoder.
-
-    Dispatches on the trigger count, re-measuring at most four ring
-    stabilizers through ``measure`` to separate persistent cat errors
-    from transient measurement faults.  Returns the selected cat indices
-    and the stabilizers actually re-measured.
-    """
-    m = ring_size
-    triggers = [i for i in range(m) if (round0_bits >> i) & 1]
-    na = len(triggers)
-    r2 = _Round2(round0_bits, m, measure)
-    corr: set[int] = set()
-
-    def on(j: int) -> int:
-        return (round0_bits >> (j % m)) & 1
-
-    def find_rotation(offsets: tuple[int, ...]):
-        target = set(triggers)
-        for j in triggers:
-            if {(j + o) % m for o in offsets} == target:
-                return j
-        return None
-
-    def arc_fallback(limit: int = 3) -> None:
-        selected, complement = arc_sets(triggers, m)
-        if len(selected) <= limit:
-            corr.update(selected)
-        elif len(complement) <= limit:
-            corr.update(complement)
-
-    if na == 1:
-        a0 = triggers[0]
-        if r2.changed(j_list(1, 0, a0, m)):
-            corr.add((a0 + 1) % m)
-        elif r2.changed(j_list(1, 1, a0, m)):
-            corr.add(a0)
-
-    elif na == 2:
-        a, b = triggers
-        gap_ab = (b - a) % m
-        gap_ba = (a - b) % m
-        handled = False
-        if gap_ab == 3 or gap_ba == 3:
-            j = a if gap_ab == 3 else b
-            if r2.changed(j_list(2, 0, j, m)):
-                handled = True
-        elif gap_ab == 2 or gap_ba == 2:
-            j = a if gap_ab == 2 else b
-            if r2.changed((j,)):
-                if r2.changed(j_list(2, 2, j, m)):
-                    handled = True
-            elif r2.changed(((j + 2) % m,)):
-                if r2.changed(j_list(2, 3, j, m)):
-                    handled = True
-            elif r2.changed(j_list(2, 4, j, m)):
-                corr.add((j + 1) % m)
-                handled = True
-        if not handled:
-            arc_fallback()
-
-    elif na == 3:
-        handled = True
-        j = find_rotation((0, 2, 4))
-        if j is not None:
-            # unchanged outcomes at {j+3, j+4} mean the persistent pair
-            # sits between stabilizers j+2 and j+4
-            if not r2.changed(j_list(3, 0, j, m)):
-                corr.add((j + 4) % m)
-            else:
-                corr.add((j + 1) % m)
-        elif (j := find_rotation((0, 1, 2))) is not None:
-            if r2.changed(((j + 1) % m,)):
-                corr.add((j + 1) % m)
-            elif r2.changed(((j - 1) % m,)):
-                corr.add((j + 2) % m)
-            elif not r2.changed((j,)):
-                if r2.changed(((j - 2) % m,)):
-                    corr.add((j + 2) % m)
-                else:
-                    corr.add((j + 1) % m)
-            else:
-                corr.add((j + 2) % m)
-        elif (j := find_rotation((0, 2, 3))) is not None:
-            if r2.changed(j_list(3, 1, j, m)):
-                corr.add((j + 1) % m)
-            else:
-                handled = False
-        elif (j := find_rotation((0, 1, 3))) is not None:
-            if r2.changed(j_list(3, 2, j, m)):
-                corr.add((j + 2) % m)
-            else:
-                handled = False
-        else:
-            handled = False
-        if not handled:
-            for g in range(m):
-                if on(g) and on(g + 1):
-                    corr.add((g + 1) % m)
-                    handled = True
-        if not handled:
-            for g in range(m):
-                if on(g) and on(g + 2):
-                    corr.add((g + 1) % m)
-
-    elif na == 4:
-        handled = False
-        j = find_rotation((0, 1, 2, 3))
-        if j is not None:
-            if r2.changed(j_list(4, 0, j, m)) and r2.changed(j_list(4, 1, j, m)):
-                handled = True
-        elif (j := find_rotation((0, 1, 2, 4))) is not None:
-            if r2.changed(j_list(4, 2, j, m)):
-                handled = True
-        elif (j := find_rotation((0, 2, 3, 4))) is not None:
-            if r2.changed(j_list(4, 3, j, m)):
-                handled = True
-        if not handled:
-            arc_fallback()
-
-    elif na == 5:
-        j = find_rotation((0, 1, 2, 3, 4))
-        if j is not None:
-            if not r2.changed(j_list(5, 0, j, m)):
-                corr.add((j + 4) % m)
-            else:
-                corr.add((j + 3) % m)
-        else:
-            for g in range(m):
-                if on(g) and on(g + 1):
-                    if not (on(g - 1) and on(g + 2)) or (on(g + 2) and on(g + 3)):
-                        corr.add((g + 1) % m)
-
-    elif na >= 6 and na % 2 == 0:
-        selected, complement = arc_sets(triggers, m)
-        chosen = selected if len(selected) < len(complement) else complement
-        if (len(chosen) <= 3 and na == 6) or na > 6:
-            corr.update(chosen)
-
-    # odd trigger counts above five are unreachable within the fault
-    # budget; leave them uncorrected
-
-    if len(r2.requested) > 4:
-        raise AssertionError(
-            f"re-measured {len(r2.requested)} stabilizers, budget is 4"
-        )
-    return frozenset(corr), tuple(r2.requested)
+    """Adaptive distance-7 decoder: follows the rule's table of the
+    syndrome (``_rule_d7``), fetching each re-read through ``measure``.
+    Returns the selected cat indices and the stabilizers re-measured."""
+    reads, cats = _table_d7(int(round0_bits) & ((1 << ring_size) - 1), ring_size)
+    v = 0
+    for i in range(MAX_REREADS):
+        s = reads[v][i]
+        if s < 0:
+            break
+        v |= (int(measure((s,))[s]) & 1) << i
+    return (frozenset(c for c in range(ring_size) if (cats[v] >> c) & 1),
+            tuple(s for s in reads[v] if s >= 0))
 
 
 def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
@@ -321,17 +381,54 @@ class RuleDecoderD3D5(StaticDecoder):
         return cats_to_mask(self.g, cats)
 
 
-class RuleDecoderD7:
-    """Adaptive decoder bound to a distance-7 gadget."""
+class AdaptiveDecoder:
+    """A decoder that may re-read up to ``MAX_REREADS`` ring stabilizers
+    after the base rounds, through ``decode(syn, measure)``.  Monte-Carlo
+    and the verifier read it through ``reread_tables``, one row per
+    syndrome key (``verify.compile_rereads``); subclasses define
+    ``decode`` and inherit a ``reread_tables`` that runs it once per read
+    path of each key (``verify.reread_table``)."""
 
     needs_round2 = True
 
+    def reread_tables(self, keys: np.ndarray, cat_count: int,
+                      rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """The re-read tables of an array of syndrome keys of ``rounds``
+        rounds of ``cat_count`` outcomes, as ``verify.compile_rereads``
+        describes them."""
+        rows = [row for key in keys.tolist() for row in _verify.reread_table(
+            self, CatSyndrome.from_key(cat_count, key, rounds))]
+        shape = (len(keys), 1 << MAX_REREADS)
+        reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
+        corr = np.array([c for _, c in rows], np.uint64)
+        return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
+
+
+class RuleDecoderD7(AdaptiveDecoder):
+    """Adaptive decoder bound to a distance-7 gadget.  ``reread_tables``
+    runs the rule (``_rule_d7``) on arrays, for all keys and outcome
+    vectors at once, and maps its cats to data qubits; ``decode``
+    follows the rule's table of one syndrome (``decode_d7``)."""
+
     def __init__(self, g: GadgetCircuit):
+        if g.max_adaptive < MAX_REREADS:
+            raise ValueError(
+                f"RuleDecoderD7 re-reads up to {MAX_REREADS} stabilizers; the "
+                f"distance {g.distance} gadget allows {g.max_adaptive}")
         self.g = g
+        self._qubits = np.array([1 << g.correction_qubit(c) for c in range(g.cat_count)],
+                                np.uint64)
 
     def decode(self, syn: CatSyndrome, measure: MeasureFn) -> int:
         cats, _ = decode_d7(syn.rounds[0], self.g.cat_count, measure)
         return cats_to_mask(self.g, cats)
+
+    def reread_tables(self, keys: np.ndarray, cat_count: int,
+                      rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        full = (1 << cat_count) - 1
+        reads, cats = _rule_d7(keys.astype(np.int64) & full, cat_count)
+        picked = ((cats[..., None] >> np.arange(cat_count)) & 1).astype(bool)
+        return reads, np.bitwise_xor.reduce(np.where(picked, self._qubits, 0), axis=-1)
 
 
 class IdentityDecoder(StaticDecoder):

@@ -112,8 +112,11 @@ class GadgetMonteCarlo:
     hits, not the batch size.  Of those, the trials with a residual or a
     ring syndrome reach decoding, through a ``KeyCache`` lookup of each
     trial's key: a correction from ``decode_keys``, or an adaptive
-    decoder's ``compile_rereads`` table, followed by ``follow_rereads``
-    with noise from a second table, drawn over those trials.
+    decoder's re-read table from ``reread_tables`` (``compile_rereads``),
+    followed by ``follow_rereads`` with noise from a second table, drawn
+    over those trials.  Either call is made once per batch, for the keys
+    the cache has not seen; ``RuleDecoderD7`` answers it on arrays, with
+    no ``decode`` run per key.
     """
 
     def __init__(self, g: GadgetCircuit, decoder):

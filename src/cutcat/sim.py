@@ -413,9 +413,16 @@ class FaultTable:
                     0, self.width, size=hit.size)
                 if not hit.size:
                     break
-                start = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
-                vals = [np.bitwise_xor.reduceat(word[entry], start) for word in self._words]
-                trial = trial[start]
+                # one prefix XOR per word, read at the end of each trial's
+                # run and at the end of the run before it
+                end = np.flatnonzero(np.concatenate((trial[1:] != trial[:-1], [True])))
+                vals = []
+                for word in self._words:
+                    acc = np.bitwise_xor.accumulate(word[entry])
+                    run = acc[end]
+                    run[1:] ^= acc[end[:-1]]
+                    vals.append(run)
+                trial = trial[end]
                 if trial[0] == prev:
                     # the trial the chunk before ended on: fold its run in
                     for acc, v in zip(runs[-1][1], vals):

@@ -198,7 +198,9 @@ MAX_REREADS = 4
 
 
 def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]:
-    """An adaptive decoder compiled for one base-round syndrome.
+    """An adaptive decoder compiled for one base-round syndrome from its
+    ``decode``: the tree walk behind ``decoders.AdaptiveDecoder``'s
+    default ``reread_tables``.
 
     Row v holds the stabilizers the decoder re-reads, in request order,
     and its correction when the i-th re-read returns bit i of v.  The
@@ -231,15 +233,14 @@ def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]
 
 def compile_rereads(decoder, keys: np.ndarray, cat_count: int,
                     rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """``reread_table`` of each syndrome key as arrays, indexed by (key,
-    outcome vector): the stabilizer re-read at each step (int8, -1 past
-    the last) and the correction (uint64)."""
-    rows = [row for key in keys.tolist()
-            for row in reread_table(decoder, CatSyndrome.from_key(cat_count, key, rounds))]
-    shape = (len(keys), 1 << MAX_REREADS)
-    reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
-    corr = np.array([c for _, c in rows], np.uint64)
-    return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
+    """An adaptive decoder's tables of an array of syndrome keys, indexed
+    by (key, outcome vector) as in ``reread_table``: the stabilizer
+    re-read at each step (int8, -1 past the last) and the correction
+    (uint64).  They come from the decoder's ``reread_tables``, as a
+    static decoder's corrections come from ``decode_keys``:
+    ``decoders.RuleDecoderD7`` runs its rule on arrays, and
+    ``decoders.AdaptiveDecoder`` derives one from ``decode``."""
+    return decoder.reread_tables(keys, cat_count, rounds)
 
 
 # widest key a ``KeyCache`` indexes through a dense table (2^20 int32
@@ -444,7 +445,9 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
     A static decoder (no true ``needs_round2``) must provide
     ``decode_keys(keys, cat_count, rounds)``, the corrections for a
     uint64 array of syndrome keys; ``decoders.StaticDecoder`` derives
-    one from ``decode``.
+    one from ``decode``.  An adaptive one must provide
+    ``reread_tables(keys, cat_count, rounds)`` (``compile_rereads``);
+    ``decoders.AdaptiveDecoder`` derives one from ``decode``.
 
     The walk runs in one process, weight by weight, with one decode
     cache shared across weights, and stops at the first counterexample.

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cutcat.decoders import (
@@ -126,6 +127,15 @@ class TestDecodeD7:
         corr, requested = decode_d7(round0, m, echo_measure(round0, m))
         assert corr == frozenset({1, 3, 5, 7})
         assert requested == ()
+
+    def test_numpy_and_wide_syndromes(self):
+        """A numpy integer syndrome, or one with bits above the ring,
+        decodes as its ring bits do."""
+        m = 7
+        for round0 in (bits(2), bits(0, 1, 2, 3, 4), bits(0, 2)):
+            want = decode_d7(round0, m, echo_measure(round0, m))
+            for same in (np.uint64(round0), np.int64(round0), round0 | 1 << m):
+                assert decode_d7(same, m, echo_measure(round0, m)) == want
 
     def test_never_more_than_four_requests(self):
         m = 7

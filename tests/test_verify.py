@@ -9,6 +9,7 @@ import pytest
 
 from cutcat import verify
 from cutcat.decoders import (
+    AdaptiveDecoder,
     IdentityDecoder,
     LutDecoder,
     RuleDecoderD3D5,
@@ -17,6 +18,7 @@ from cutcat.decoders import (
     cats_to_mask,
     decode_d7,
 )
+from cutcat.experiments import GadgetMonteCarlo
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import residual_weight_mod_generator
 from cutcat.sim import (
@@ -43,6 +45,7 @@ from cutcat.verify import (
     sort_unique,
     verify_gadget,
 )
+import decode_d7_ref
 from location_ref import (
     adaptive_propagate,
     enumerate_fault_locations,
@@ -294,33 +297,116 @@ class TestClassesAgreeWithRawLocations:
             assert (cx.syndrome_key, cx.residual) == (raw.syndrome_key, raw.residual)
 
 
-class TestRereadTable:
-    """The compiled adaptive decoder against ``decode_d7`` itself."""
+class _RefD7(AdaptiveDecoder):
+    """The scalar rule of ``decode_d7_ref`` bound to a gadget; its
+    ``reread_tables`` is the base's ``reread_table`` walk of ``decode``."""
 
-    @pytest.mark.parametrize("gamma", [14, 20])
+    def __init__(self, g):
+        self.g = g
+
+    def decode(self, syn, measure):
+        cats, _ = decode_d7_ref.decode_d7(syn.rounds[0], self.g.cat_count, measure)
+        return cats_to_mask(self.g, cats)
+
+
+class _Forwarding:
+    """A decoder proxy that forwards every attribute it lacks to the
+    decoder it wraps and counts the ``decode`` calls made through it."""
+
+    def __init__(self, inner):
+        self._inner, self.calls = inner, 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def decode(self, syn, measure):
+        self.calls += 1
+        return self._inner.decode(syn, measure)
+
+
+class TestRereadTable:
+    """The array rule of ``RuleDecoderD7.reread_tables`` against the
+    scalar rule of ``decode_d7_ref``, compiled through ``reread_table``."""
+
+    @pytest.mark.parametrize("gamma", [14, 16, 18, 20, 22, 24])
     def test_every_key_and_outcome_matches_decode_d7(self, gamma):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         m = g.cat_count
-        dec = RuleDecoderD7(g)
+        keys = np.arange(1 << m, dtype=np.uint64)
+        reads, corr = RuleDecoderD7(g).reread_tables(keys, m, 1)
+        assert (reads.dtype, corr.dtype) == (np.int8, np.uint64)
+        want_reads, want_corr = _RefD7(g).reread_tables(keys, m, 1)
+        np.testing.assert_array_equal(reads, want_reads)
+        np.testing.assert_array_equal(corr, want_corr)
+        # step i is read from the row of the outcomes before it
+        v = np.arange(1 << MAX_REREADS)
+        for i in range(MAX_REREADS):
+            np.testing.assert_array_equal(reads[:, v, i], reads[:, v & ((1 << i) - 1), i])
+
+    def test_decode_d7_follows_the_rule(self):
+        """The shipped ``decode_d7``, a follower of the rule's table of
+        one syndrome, against the scalar rule, fed each outcome vector."""
+        m = 7
         for key in range(1 << m):
-            rows = reread_table(dec, CatSyndrome(m, (key,)))
             for v in range(1 << MAX_REREADS):
-                fed = iter(range(MAX_REREADS))
+                answers = []
+                for decode in (decode_d7, decode_d7_ref.decode_d7):
+                    fed = iter(range(MAX_REREADS))
+                    answers.append(decode(key, m, lambda indices: {
+                        i: (v >> next(fed)) & 1 for i in indices}))
+                assert answers[0] == answers[1], (key, v)
 
-                def measure(indices):
-                    return {i: (v >> next(fed)) & 1 for i in indices}
+    def test_no_keys(self):
+        """An empty key array gives tables of no rows, in the shape an
+        empty ``KeyCache`` takes its answers' shape from."""
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        none = np.zeros(0, np.uint64)
+        reads, corr = RuleDecoderD7(g).reread_tables(none, g.cat_count, 1)
+        assert (reads.shape, reads.dtype, corr.shape, corr.dtype) == (
+            (0, 16, MAX_REREADS), np.int8, (0, 16), np.uint64)
+        cache = KeyCache(g.cat_count)
+        assert cache.index(none, lambda new: RuleDecoderD7(g).reread_tables(
+            new, g.cat_count, 1)).shape == (0,)
+        assert [v.shape for v in cache.values] == [(0, 16, MAX_REREADS), (0, 16)]
 
-                cats, requested = decode_d7(key, m, measure)
-                reads, corr = rows[v]
-                assert (reads, corr) == (requested, cats_to_mask(g, cats))
-                # step i is read from the row of the outcomes before it
-                for i, stab in enumerate(requested):
-                    assert rows[v & ((1 << i) - 1)][0][i] == stab
+    def test_keys_without_rereads(self):
+        """No triggers, or an even count of six or more: nothing is
+        re-read, and every outcome vector gets the same correction."""
+        g = build_cut_cat(GadgetSpec(gamma=20, distance=7))
+        m = g.cat_count
+        keys = np.arange(1 << m, dtype=np.uint64)
+        na = np.bitwise_count(keys)
+        keys = keys[(na == 0) | ((na >= 6) & (na % 2 == 0))]
+        reads, corr = RuleDecoderD7(g).reread_tables(keys, m, 1)
+        assert len(keys) == 1 + math.comb(10, 6) + math.comb(10, 8) + 1
+        assert (reads == -1).all()
+        assert (corr == corr[:, :1]).all() and corr[0, 0] == 0
+
+    def test_through_a_forwarding_proxy(self):
+        """``reread_tables`` is found through a proxy that forwards the
+        attributes it lacks: the verifier and MC run the array rule, and
+        ``decode`` is never called."""
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        proxy = _Forwarding(RuleDecoderD7(g))
+        rep = verify_gadget(g, proxy, 3)
+        assert rep.passed and rep.faults_checked == 14847
+        got = GadgetMonteCarlo(g, proxy).run_batch(1e-2, 3, 0, 50_000, 3)
+        assert got == GadgetMonteCarlo(g, RuleDecoderD7(g)).run_batch(1e-2, 3, 0, 50_000, 3)
+        assert proxy.calls == 0
+
+    @pytest.mark.parametrize("spec", [
+        GadgetSpec(gamma=6, distance=3), GadgetSpec(gamma=10, distance=5),
+        GadgetSpec(gamma=18, distance=9), GadgetSpec(gamma=14, distance=7, adaptive=False)],
+        ids=["d3", "d5", "d9", "d7-static"])
+    def test_rule_d7_needs_four_rereads(self, spec):
+        """A gadget without four re-reads is refused when the decoder is
+        made, not reported as a failing verify."""
+        g = build_cut_cat(spec)
+        with pytest.raises(ValueError, match=f"distance {spec.distance} gadget"):
+            RuleDecoderD7(g)
 
     def test_more_than_four_rereads_rejected(self):
-        class Greedy:
-            needs_round2 = True
-
+        class Greedy(AdaptiveDecoder):
             def decode(self, syn, measure):
                 measure(tuple(range(MAX_REREADS + 1)))
                 return 0
@@ -514,14 +600,12 @@ class TestEmptyDeepestSlice:
                              KeyCache(g.n_slots), 2) == (0, None)
 
 
-class _BrokenAt:
+class _BrokenAt(AdaptiveDecoder):
     """``RuleDecoderD7`` with a wrong correction for base-round key
     ``key`` when its re-reads differ from the clean per-stabilizer bits
     ``clean`` as ``mode`` says: "always"; "any" re-read; "later", the
     first re-read as clean and a later one not.  Other keys go to
     ``inner`` (by default ``RuleDecoderD7``)."""
-
-    needs_round2 = True
 
     def __init__(self, g, key, bad, clean, mode, inner=None):
         self.inner, self.key, self.bad = inner or RuleDecoderD7(g), key, bad
