@@ -22,7 +22,7 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import (MAX_REREADS, KeyCache, compile_rereads, coset_weights,
+from .verify import (DENSE_BITS, MAX_REREADS, KeyCache, compile_rereads, coset_weights,
                      eval_upper_bound, follow_rereads)
 
 
@@ -104,19 +104,77 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
     return fit_slope(usable)
 
 
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` (ints in [0, size)), ascending, and the index
+    of each value among them: through a dense table of ``size`` entries
+    up to 2^DENSE_BITS of them, by ``np.unique``'s sort past that."""
+    if size > 1 << DENSE_BITS:
+        return np.unique(values, return_inverse=True)
+    mark = np.zeros(size, bool)
+    mark[values] = True
+    uniq = np.flatnonzero(mark)
+    at = np.zeros(size, np.intp)
+    at[uniq] = np.arange(len(uniq))
+    return uniq, at[values]
+
+
+def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
+                  frame: np.ndarray, hits, m: int) -> np.ndarray:
+    """The corrections of ``follow_rereads(reads, corrections, rows,
+    frame, noise, m)``, step i's noise being ``hits[i]``, a ``(trials,
+    (anc, cats))`` pair of ``FaultTable.sample_hits`` over the runs, split
+    as ``GadgetMonteCarlo`` says.  The index of the noiseless (row, frame)
+    pairs has (distinct rows among those runs) << m entries."""
+    corr = corrections[rows, 0]
+    live, met = reads[rows, 0, 0] >= 0, np.zeros(len(rows), bool)
+    for trials, _ in hits:
+        met[trials] = True
+    noisy, quiet = np.flatnonzero(live & met), np.flatnonzero(live & ~met)
+    at = np.full(len(rows), -1, np.intp)
+    at[noisy] = np.arange(len(noisy))
+    noise = []
+    for trials, cols in hits:
+        pos = at[trials]
+        keep = pos >= 0
+        noise.append([np.zeros(len(noisy), np.uint64) for _ in cols])
+        for dense, col in zip(noise[-1], cols):
+            dense[pos[keep]] = col[keep]
+    corr[noisy], _ = follow_rereads(reads, corrections, rows[noisy], frame[noisy], noise, m)
+    used = np.zeros(len(corrections), bool)
+    used[rows[quiet]] = True
+    rank = np.cumsum(used) - 1
+    pairs, inv = _distinct(rank[rows[quiet]] << m | frame[quiet].astype(np.intp),
+                           int(used.sum()) << m)
+    zero = np.zeros(len(pairs), np.uint64)
+    followed, _ = follow_rereads(reads, corrections, np.flatnonzero(used)[pairs >> m],
+                                 (pairs & ((1 << m) - 1)).astype(np.uint64),
+                                 [(zero, zero)] * MAX_REREADS, m)
+    corr[quiet] = followed[inv]
+    return corr
+
+
 class GadgetMonteCarlo:
     """Vectorized circuit-level noise sampler for one gadget + decoder.
 
     A batch draws from a ``FaultTable`` only the trials a fault hit,
-    with their XORed effects (``sample_hits``), so its cost follows the
-    hits, not the batch size.  Of those, the trials with a residual or a
-    ring syndrome reach decoding, through a ``KeyCache`` lookup of each
+    with their XORed effects packed in words (``sample_words``), so its
+    cost follows the hits, not the batch size.  Of those, the trials with
+    a residual or a ring syndrome, picked on the packed words, are
+    unpacked and reach decoding, through a ``KeyCache`` lookup of each
     trial's key: a correction from ``decode_keys``, or an adaptive
-    decoder's re-read table from ``reread_tables`` (``compile_rereads``),
-    followed by ``follow_rereads`` with noise from a second table, drawn
-    over those trials.  Either call is made once per batch, for the keys
-    the cache has not seen; ``RuleDecoderD7`` answers it on arrays, with
-    no ``decode`` run per key.
+    decoder's re-read table from ``reread_tables`` (``compile_rereads``).
+    Either call is made once per batch, for the keys the cache has not
+    seen; ``RuleDecoderD7`` answers it on arrays, with no ``decode`` run
+    per key.  The re-read noise is drawn from a second table over the
+    decoded trials, and ``_follow_split`` calls ``follow_rereads`` only
+    where runs can differ:
+
+    - a run whose key re-reads nothing takes its table's first correction;
+    - a run that re-reads and is hit in any re-read sample is followed
+      with its own noise;
+    - the other runs that re-read are followed once per distinct (table,
+      cat frame) pair, with no noise, through a dense index of at most
+      11·m·2^m pairs for ``RuleDecoderD7`` (a sort past 2^DENSE_BITS).
     """
 
     def __init__(self, g: GadgetCircuit, decoder):
@@ -131,16 +189,15 @@ class GadgetMonteCarlo:
                   t: int) -> int:
         """Returns the number of failing trials in the batch."""
         rng = np.random.default_rng([seed, 1, batch_index])
-        _, (data, keys, *persist) = self.faults.sample_hits(rng, size, p)
+        _, words = self.faults.sample_words(rng, size, p)
         # of the trials a fault hit, those with a residual or a syndrome
-        seen = (data | keys) != 0
-        data, keys, g = data[seen], keys[seen], self.g
+        seen = self.faults.any_nonzero(words, 2)
+        (data, keys, *persist), g = self.faults.unpack([w[seen] for w in words]), self.g
         if self.adaptive:
             rows = self._answers.index(keys, lambda new: compile_rereads(
                 self.decoder, new, g.cat_count, g.base_rounds))
-            noise = (self.reread.sample(rng, len(keys), p) for _ in range(MAX_REREADS))
-            corr, _ = follow_rereads(*self._answers.values, rows, persist[0][seen], noise,
-                                     g.cat_count)
+            hits = [self.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
+            corr = _follow_split(*self._answers.values, rows, persist[0], hits, g.cat_count)
         else:
             (corr,) = self._answers.get(keys, lambda new: (self.decoder.decode_keys(
                 new, g.cat_count, g.base_rounds),))

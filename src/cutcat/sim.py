@@ -307,7 +307,7 @@ def pack_fields(widths: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
     return out
 
 
-# the most gaps per chunk of ``FaultTable.sample_hits``: it orders the
+# the most gaps per chunk of ``FaultTable.sample_words``: it orders the
 # draws, so the manifest format fixes it
 _MAX_CHUNK = 1 << 16
 
@@ -351,7 +351,7 @@ class FaultTable:
     @property
     def columns(self) -> list[np.ndarray]:
         """Each column as an (op, entry) array, unpacked from the words."""
-        return [((self._words[w] >> at) & m).reshape(-1, self.width) for w, at, m in self._fields]
+        return [col.reshape(-1, self.width) for col in self.unpack(self._words)]
 
     @classmethod
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
@@ -381,10 +381,28 @@ class FaultTable:
         return cls([op.n_codes for op in ops],
                    {"anc": cols["slot_flips"], "cats": cols["persist_x"]})
 
+    def unpack(self, words: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The columns of entries packed as ``sample_words`` returns them."""
+        return [(words[word] >> at) & mask for word, at, mask in self._fields]
+
+    def any_nonzero(self, words: Sequence[np.ndarray], n: int) -> np.ndarray:
+        """Whether any of the first ``n`` columns of each packed entry is
+        nonzero, read on the words without unpacking them."""
+        lead = [np.uint64(0)] * len(words)
+        for word, at, mask in self._fields[:n]:
+            lead[word] |= mask << at
+        return np.any([(w & m) != 0 for w, m in zip(words, lead)], axis=0)
+
     def sample_hits(self, rng: np.random.Generator, size: int,
                     p: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The trials of ``size`` that some fault hit, ascending, and one
-        array per column of their XORed effects.
+        """``sample_words``, unpacked: one array per column."""
+        trials, words = self.sample_words(rng, size, p)
+        return trials, self.unpack(words)
+
+    def sample_words(self, rng: np.random.Generator, size: int,
+                     p: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The trials of ``size`` that some fault hit, ascending, and the
+        table's packed words of their XORed effects (see ``unpack``).
 
         Each (trial, op) cell faults independently with probability p,
         then draws its code uniformly.  The draw order is part of the
@@ -431,9 +449,8 @@ class FaultTable:
                 if trial.size:
                     runs.append((trial, vals))
                     prev = trial[-1]
-        trials = np.concatenate([t for t, _ in runs])
-        words = [np.concatenate(w) for w in zip(*(v for _, v in runs))]
-        return trials, [(words[word] >> at) & mask for word, at, mask in self._fields]
+        return (np.concatenate([t for t, _ in runs]),
+                [np.concatenate(w) for w in zip(*(v for _, v in runs))])
 
     def sample(self, rng: np.random.Generator, size: int,
                p: float) -> list[np.ndarray]:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cutcat import experiments
 from cutcat.block import run_block_mc
-from cutcat.decoders import RuleDecoderD3D5, RuleDecoderD7
+from cutcat.decoders import AdaptiveDecoder, RuleDecoderD3D5, RuleDecoderD7, cats_to_mask
 from cutcat.experiments import (
     GadgetMonteCarlo,
+    _follow_split,
     TrialStats,
     fit_slope,
     load_manifest,
@@ -317,6 +319,93 @@ class TestBatchMatchesDenseReference:
         counts = [(engine.run_batch(p, seed, 0, size, spec.t),
                    _batch_ref(ref, p, seed, 0, size, spec.t)) for seed in (1, 2, 4242)]
         assert [got for got, _ in counts] == [want for _, want in counts]
+
+
+class _ReadWalk(AdaptiveDecoder):
+    """An adaptive decoder known only by ``decode``, compiled by the tree
+    walk of ``verify.reread_table``: every key of two or more triggers
+    re-reads, 1 to 4 stabilizers along the ring, each step chosen by the
+    outcome before it."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def decode(self, syn, measure):
+        m, key = syn.cat_count, syn.rounds[0]
+        if key.bit_count() < 2:
+            return 0
+        s, cats = (key & -key).bit_length() - 1, set()
+        for _ in range(1 + key.bit_count() % MAX_REREADS):
+            if measure([s])[s]:
+                cats ^= {(s + 1) % m}
+                s += 1
+            else:
+                s += 2
+        return cats_to_mask(self.g, cats)
+
+
+class TestFollowSplit:
+    """``_follow_split`` against one all-rows ``follow_rereads`` call on
+    the same sampled runs, drawn as ``run_batch`` draws them: the same
+    correction for every decoded trial."""
+
+    @staticmethod
+    def _check(engine, p, seed, size):
+        g, m = engine.g, engine.g.cat_count
+        rng = np.random.default_rng([seed, 1, 0])
+        _, words = engine.faults.sample_words(rng, size, p)
+        data, keys, persist = engine.faults.unpack(
+            [w[engine.faults.any_nonzero(words, 2)] for w in words])
+        rows = engine._answers.index(keys, lambda new: compile_rereads(
+            engine.decoder, new, m, g.base_rounds))
+        hits = [engine.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
+        reads, corrections = engine._answers.values
+        noise = []
+        for trials, cols in hits:
+            noise.append([np.zeros(len(keys), np.uint64) for _ in cols])
+            for dense, col in zip(noise[-1], cols):
+                dense[trials] = col
+        want, _ = follow_rereads(reads, corrections, rows, persist.copy(), noise, m)
+        got = _follow_split(reads, corrections, rows, persist.copy(), hits, m)
+        assert np.array_equal(got, want)
+        # every branch of the split is taken: runs that re-read nothing,
+        # runs that re-read with and without noise, noise that changes a
+        # correction, and a hit of a re-reading run that XORs to a zero row
+        live = reads[rows, 0, 0] >= 0
+        met = np.zeros(len(keys), bool)
+        for trials, (anc, cats) in hits:
+            met[trials] = True
+            assert (live[trials] & (anc == 0) & (cats == 0)).any()
+        assert (~live).any() and (live & met).any() and (live & ~met).any()
+        zero = np.zeros(len(keys), np.uint64)
+        quiet, _ = follow_rereads(reads, corrections, rows, persist.copy(),
+                                  [(zero, zero)] * MAX_REREADS, m)
+        assert (quiet != want).any()
+
+    @pytest.mark.parametrize("seed", [1, 2, 4242])
+    @pytest.mark.parametrize("p", [1e-2, 5e-2])
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_rule_d7(self, gamma, p, seed):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), p, seed, 50_000)
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_tree_walk_decoder(self, seed):
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        engine = GadgetMonteCarlo(g, _ReadWalk(g))
+        self._check(engine, 2e-2, seed, 20_000)
+        reads, _ = engine._answers.values
+        assert np.count_nonzero(reads[:, 0, 0] >= 0) > len(reads) // 2
+
+    def test_sorted_pairs_past_the_dense_bound(self, monkeypatch):
+        # at γ=64 (m=32) the dense pair table would pass 2^DENSE_BITS
+        # entries, so the pairs go through ``np.unique``, as they do at
+        # γ=20 when the bound is 2^0
+        g = build_cut_cat(GadgetSpec(gamma=64, distance=7))
+        self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), 1e-2, 2, 20_000)
+        monkeypatch.setattr(experiments, "DENSE_BITS", 0)
+        g = build_cut_cat(GadgetSpec(gamma=20, distance=7))
+        self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), 1e-2, 2, 50_000)
 
 
 class TestTrialStats:

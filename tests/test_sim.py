@@ -404,6 +404,21 @@ class TestSamplerMatchesReference:
                 split |= _split_trials(recorder.gaps, size, n_ops)
         assert split
 
+    @pytest.mark.parametrize("name", sorted(SAMPLED_TABLES))
+    def test_any_nonzero_reads_the_packed_words(self, request, name):
+        """``any_nonzero(words, n)`` on the packed words of ``sample_words``
+        against the unpacked columns, for every count of leading columns."""
+        table = SAMPLED_TABLES[name](request)
+        _, words = table.sample_words(np.random.default_rng(8), 2000, 0.05)
+        cols = table.unpack(words)
+        for n in range(len(cols) + 1):
+            want = np.logical_or.reduce([np.zeros(len(cols[0]), bool)]
+                                        + [c != 0 for c in cols[:n]])
+            assert np.array_equal(table.any_nonzero(words, n), want)
+        if name.startswith("d"):
+            # the gadget's residual and syndrome miss some hit trials
+            assert 0 < np.count_nonzero(table.any_nonzero(words, 2)) < len(cols[0])
+
 
 EFFECT_FIELDS = ("data_x", "slot_flips", "persist_x", "gen_flip")
 DIFF_GADGETS = {
