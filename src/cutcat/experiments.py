@@ -22,7 +22,7 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import (DENSE_BITS, MAX_REREADS, KeyCache, compile_rereads, coset_weights,
+from .verify import (MAX_REREADS, KeyCache, compile_rereads, coset_weights,
                      eval_upper_bound, follow_rereads)
 
 
@@ -104,49 +104,29 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
     return fit_slope(usable)
 
 
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``values`` (ints in [0, size)), ascending, and the index
-    of each value among them: through a dense table of ``size`` entries
-    up to 2^DENSE_BITS of them, by ``np.unique``'s sort past that."""
-    if size > 1 << DENSE_BITS:
-        return np.unique(values, return_inverse=True)
-    mark = np.zeros(size, bool)
-    mark[values] = True
-    uniq = np.flatnonzero(mark)
-    at = np.zeros(size, np.intp)
-    at[uniq] = np.arange(len(uniq))
-    return uniq, at[values]
-
-
 def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
                   frame: np.ndarray, hits, m: int) -> np.ndarray:
     """The corrections of ``follow_rereads(reads, corrections, rows,
     frame, noise, m)``, step i's noise being ``hits[i]``, a ``(trials,
     (anc, cats))`` pair of ``FaultTable.sample_hits`` over the runs, split
-    as ``GadgetMonteCarlo`` says.  The index of the noiseless (row, frame)
-    pairs has (distinct rows among those runs) << m entries."""
+    as ``GadgetMonteCarlo`` says.  The noiseless runs are told apart by
+    sorting their (row << m | frame) pairs."""
     corr = corrections[rows, 0]
     live, met = reads[rows, 0, 0] >= 0, np.zeros(len(rows), bool)
     for trials, _ in hits:
         met[trials] = True
-    noisy, quiet = np.flatnonzero(live & met), np.flatnonzero(live & ~met)
-    at = np.full(len(rows), -1, np.intp)
-    at[noisy] = np.arange(len(noisy))
-    noise = []
+    noisy, quiet = np.flatnonzero(met), np.flatnonzero(live & ~met)
+    # each hit trial's place among the noisy runs
+    at, noise = np.cumsum(met) - 1, []
     for trials, cols in hits:
-        pos = at[trials]
-        keep = pos >= 0
         noise.append([np.zeros(len(noisy), np.uint64) for _ in cols])
         for dense, col in zip(noise[-1], cols):
-            dense[pos[keep]] = col[keep]
+            dense[at[trials]] = col
     corr[noisy], _ = follow_rereads(reads, corrections, rows[noisy], frame[noisy], noise, m)
-    used = np.zeros(len(corrections), bool)
-    used[rows[quiet]] = True
-    rank = np.cumsum(used) - 1
-    pairs, inv = _distinct(rank[rows[quiet]] << m | frame[quiet].astype(np.intp),
-                           int(used.sum()) << m)
+    pairs, inv = np.unique(rows[quiet].astype(np.intp) << m | frame[quiet].astype(np.intp),
+                           return_inverse=True)
     zero = np.zeros(len(pairs), np.uint64)
-    followed, _ = follow_rereads(reads, corrections, np.flatnonzero(used)[pairs >> m],
+    followed, _ = follow_rereads(reads, corrections, pairs >> m,
                                  (pairs & ((1 << m) - 1)).astype(np.uint64),
                                  [(zero, zero)] * MAX_REREADS, m)
     corr[quiet] = followed[inv]
@@ -169,12 +149,12 @@ class GadgetMonteCarlo:
     decoded trials, and ``_follow_split`` calls ``follow_rereads`` only
     where runs can differ:
 
-    - a run whose key re-reads nothing takes its table's first correction;
-    - a run that re-reads and is hit in any re-read sample is followed
-      with its own noise;
-    - the other runs that re-read are followed once per distinct (table,
-      cat frame) pair, with no noise, through a dense index of at most
-      11·m·2^m pairs for ``RuleDecoderD7`` (a sort past 2^DENSE_BITS).
+    - a run hit in any re-read sample is followed with its own noise;
+    - of the others, a run whose key re-reads nothing takes its table's
+      first correction;
+    - the rest are followed once per distinct (table, cat frame) pair,
+      with no noise: at most (re-reading keys) · 2^m pairs, 11·m·2^m for
+      ``RuleDecoderD7``, told apart by ``np.unique``.
     """
 
     def __init__(self, g: GadgetCircuit, decoder):

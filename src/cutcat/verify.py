@@ -368,10 +368,11 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
     outcome, and ``cats``, relative to s (bit 0 is cat s, bit 1 cat
     s+1), lands on the frame after the read.  Arrays broadcast.
 
-    Every run given takes all four steps, so callers give only runs whose
-    table re-reads (``_check_combos``); gadget MC gives those hit by
-    re-read noise, and the rest once per distinct (table, frame) pair, at
-    most 11·m·2^m of them for ``RuleDecoderD7`` (``GadgetMonteCarlo``)."""
+    A run whose table re-reads nothing takes ``corrections[inv, 0]`` in
+    0 steps.  The verifier follows its whole grid.  Gadget MC follows the
+    runs a re-read fault hits with their own noise, and of the others only
+    those that re-read, once per distinct (table, frame) pair with none:
+    at most 11·m·2^m pairs for ``RuleDecoderD7`` (``GadgetMonteCarlo``)."""
     full = (1 << m) - 1
     v = np.zeros(np.broadcast_shapes(inv.shape, frame.shape), np.uint8)
     steps = np.zeros(v.shape, np.uint8)
@@ -412,14 +413,8 @@ def _check_combos(
                          max_rows=max(1, _GRID_CELLS // k)):
         if adaptive:
             rows = cache.index(sl.key, lambda new: compile_rereads(decoder, new, m, rounds))
-            # a row whose key re-reads nothing keeps its correction and
-            # reaches no re-read: only rows that re-read are followed
-            reads, corrections = cache.values
-            corr = np.repeat(corrections[rows, :1], k, 1)
-            steps = np.zeros(corr.shape, np.uint8)
-            live = np.flatnonzero(reads[rows, 0, 0] >= 0)
-            corr[live], steps[live] = follow_rereads(
-                reads, corrections, rows[live, None], np.repeat(sl.persist[live, None], k, 1),
+            corr, steps = follow_rereads(
+                *cache.values, rows[:, None], np.repeat(sl.persist[:, None], k, 1),
                 zip(masks[:, 0::2].T, masks[:, 1::2].T), m)
             admitted = steps >= events.need[:k]
         else:

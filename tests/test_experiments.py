@@ -1,7 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
 
-from cutcat import experiments
 from cutcat.block import run_block_mc
 from cutcat.decoders import AdaptiveDecoder, RuleDecoderD3D5, RuleDecoderD7, cats_to_mask
 from cutcat.experiments import (
@@ -358,13 +359,11 @@ class TestFollowSplit:
             [w[engine.faults.any_nonzero(words, 2)] for w in words])
         rows = engine._answers.index(keys, lambda new: compile_rereads(
             engine.decoder, new, m, g.base_rounds))
+        # the all-rows call takes the dense ``sample`` of the same draws
+        twin = copy.deepcopy(rng)
         hits = [engine.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
+        noise = [engine.reread.sample(twin, len(keys), p) for _ in range(MAX_REREADS)]
         reads, corrections = engine._answers.values
-        noise = []
-        for trials, cols in hits:
-            noise.append([np.zeros(len(keys), np.uint64) for _ in cols])
-            for dense, col in zip(noise[-1], cols):
-                dense[trials] = col
         want, _ = follow_rereads(reads, corrections, rows, persist.copy(), noise, m)
         got = _follow_split(reads, corrections, rows, persist.copy(), hits, m)
         assert np.array_equal(got, want)
@@ -372,11 +371,12 @@ class TestFollowSplit:
         # runs that re-read with and without noise, noise that changes a
         # correction, and a hit of a re-reading run that XORs to a zero row
         live = reads[rows, 0, 0] >= 0
-        met = np.zeros(len(keys), bool)
-        for trials, (anc, cats) in hits:
-            met[trials] = True
-            assert (live[trials] & (anc == 0) & (cats == 0)).any()
+        met = np.any([col != 0 for step in noise for col in step], axis=0)
         assert (~live).any() and (live & met).any() and (live & ~met).any()
+        for (trials, (anc, cats)), (dense_anc, dense_cats) in zip(hits, noise):
+            assert np.array_equal(dense_anc[trials], anc)
+            assert np.array_equal(dense_cats[trials], cats)
+            assert (live[trials] & (anc == 0) & (cats == 0)).any()
         zero = np.zeros(len(keys), np.uint64)
         quiet, _ = follow_rereads(reads, corrections, rows, persist.copy(),
                                   [(zero, zero)] * MAX_REREADS, m)
@@ -397,15 +397,10 @@ class TestFollowSplit:
         reads, _ = engine._answers.values
         assert np.count_nonzero(reads[:, 0, 0] >= 0) > len(reads) // 2
 
-    def test_sorted_pairs_past_the_dense_bound(self, monkeypatch):
-        # at γ=64 (m=32) the dense pair table would pass 2^DENSE_BITS
-        # entries, so the pairs go through ``np.unique``, as they do at
-        # γ=20 when the bound is 2^0
+    def test_wide_ring(self):
+        # at γ=64 (m=32) a pair packs a 32-bit frame under its row
         g = build_cut_cat(GadgetSpec(gamma=64, distance=7))
         self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), 1e-2, 2, 20_000)
-        monkeypatch.setattr(experiments, "DENSE_BITS", 0)
-        g = build_cut_cat(GadgetSpec(gamma=20, distance=7))
-        self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), 1e-2, 2, 50_000)
 
 
 class TestTrialStats:

@@ -38,7 +38,6 @@ from cutcat.verify import (
     _effect_classes,
     _first_rows,
     combo_walk,
-    compile_rereads,
     eval_upper_bound,
     follow_rereads,
     reread_events,
@@ -935,16 +934,9 @@ class TestRowCap:
             return follow_rereads(reads, corrections, inv, frame, noise, m)
 
         monkeypatch.setattr(verify, "follow_rereads", spy)
-        dec = RuleDecoderD7(g)
-        assert _check_combos(g, dec, 4, effects, names, events,
+        assert _check_combos(g, RuleDecoderD7(g), 4, effects, names, events,
                              KeyCache(g.n_slots), 2)[1] is None
-        # every row whose key re-reads is followed against each event set,
-        # and only those: the others keep their correction unfollowed
-        (sl,) = combo_walk(effects, 2, 2, max_rows=math.comb(len(effects), 2))
-        reads, _ = compile_rereads(dec, sl.key, g.cat_count, g.base_rounds)
-        live = int(np.count_nonzero(reads[:, 0, 0] >= 0))
-        assert 0 < live < len(sl.key)
-        assert sum(cells) == live * k
+        assert sum(cells) == math.comb(len(effects), 2) * k
         assert 1 < len(cells) < len(effects) - 1
         assert max(cells) <= _GRID_CELLS
 
