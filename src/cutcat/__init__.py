@@ -36,7 +36,6 @@ from .gadgets import (
 )
 from .sim import CatSyndrome, PropagationResult
 from .decoders import (
-    AdaptiveDecoder,
     CodeLUT,
     CutCatLUT,
     IdentityDecoder,
@@ -44,12 +43,8 @@ from .decoders import (
     LutDecoder,
     RuleDecoderD3D5,
     RuleDecoderD7,
-    StaticDecoder,
-    arc_sets,
     build_code_lut,
     build_cut_cat_lut,
-    decode_d3d5,
-    decode_d7,
     j_list,
 )
 from .verify import (

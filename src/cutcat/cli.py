@@ -16,14 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .decoders import (
-    CutCatLUT,
-    LutBuildError,
-    LutDecoder,
-    RuleDecoderD3D5,
-    RuleDecoderD7,
-    build_cut_cat_lut,
-)
+from .decoders import LutBuildError, LutDecoder, RuleDecoderD3D5, RuleDecoderD7, build_cut_cat_lut
 from .block import sweep_block_mc
 from .experiments import (
     SweepResult,
@@ -115,6 +108,12 @@ def cmd_lut(args) -> int:
     return 0
 
 
+# the config entries each sweep reads (``jobs`` is optional)
+_MC_KEYS = ("p_values", "min_failures", "seed", "trial_cap", "batch_size")
+_GADGET_KEYS = ("gamma", "distance", "decoder") + _MC_KEYS
+_BLOCK_KEYS = ("code_file", "ratio", "max_rounds") + _MC_KEYS
+
+
 def _mc_gadget_config(args) -> dict:
     if args.gamma is None or args.distance is None:
         raise SystemExit("--gamma and --distance are required without a manifest")
@@ -175,9 +174,9 @@ def _run_mc_block(config: dict) -> SweepResult:
 def cmd_mc(args) -> int:
     """A sweep of ``args.command`` from the arguments or a manifest; block
     sweeps leave the bound column empty."""
-    make_config, run = args.mc
+    make_config, run, keys = args.mc
     if args.from_manifest:
-        command, config = load_manifest(Path(args.from_manifest).read_text())
+        command, config = load_manifest(Path(args.from_manifest).read_text(), keys)
         if command != args.command:
             raise SystemExit(f"manifest is not an {args.command} run")
     else:
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
     p.add_argument("--batch-size", type=int, default=1_000_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget))
+    p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget, _GADGET_KEYS))
 
     p = sub.add_parser("mc-block", help="block-level logical error sweep")
     p.add_argument("--code", type=str, default=None)
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=100_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block))
+    p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block, _BLOCK_KEYS))
 
     p = sub.add_parser("resources", help="gate/depth/qubit report")
     p.add_argument("--scheme", choices=["cutcat", "fullcat"], required=True)

@@ -5,18 +5,24 @@ round, arc pairing), the adaptive distance-7 decoder that buys extra
 certainty with at most four re-measurements, and lookup tables, both for
 the distance-9 gadget ring and for whole codes in block simulation.
 
-Corrections are chosen in cat-index space (a selected cat index means
-"flip the last data qubit this cat touches") and mapped to data-qubit
-masks through the gadget's pair map.
+Every decoder answers ``tables(keys, cat_count, rounds)`` for a uint64
+array of n syndrome keys (``rounds`` rounds of ``cat_count`` outcomes,
+round 0 lowest) with int8 ``reads`` (n, 2^s, s) and uint64
+``corrections`` (n, 2^s), s being its number of re-reads (0 gives (n, 1,
+0) and (n, 1)).  Row v of a key holds the stabilizers re-read in order,
+-1 past the last, and the correction, when the i-th re-read returns bit
+i of v; the request at step i depends only on the bits before it.
+
+The rule decoders select cats (cat c: "flip the last data qubit cat c
+touches") and map them to data-qubit masks through the gadget's pair map.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,47 +36,39 @@ from .pauli import (
     parity,
     residual_weight_mod_generator,
 )
-from .sim import CatSyndrome, FaultTable
+from .sim import FaultTable, _check_width
 from . import verify as _verify
 from .verify import MAX_REREADS
 
 
-def arc_sets(triggers: Sequence[int], ring_size: int) -> tuple[set[int], set[int]]:
-    """Split the ring into the two arc-pairing hypotheses.
-
-    Consecutive trigger pairs (a0,a1), (a2,a3), ... bound arcs of cat
-    indices strictly after the first trigger up to and including the
-    second; the complement holds the alternate pairing.  A triggered
-    adjacent pair {r-1, r} selects exactly the shared cat qubit r.
-    """
-    if len(triggers) % 2:
-        raise ValueError("arc pairing undefined for an odd trigger count")
-    selected: set[int] = set()
-    for i in range(0, len(triggers), 2):
-        j = triggers[i]
-        while j != triggers[i + 1]:
-            j = (j + 1) % ring_size
-            selected.add(j)
-    return selected, set(range(ring_size)) - selected
+def _arcs(key: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two arc-pairing hypotheses of each key (int64 masks of triggers
+    on a ring of m cats), as cat masks.  Consecutive triggers pair up in
+    ascending order, (a0, a1), (a2, a3), ..., and each pair bounds an arc
+    of the cats strictly after its first trigger up to and including its
+    second, so a cat is selected when an odd number of triggers lie below
+    it; the complement holds the alternate pairing.  A triggered adjacent
+    pair {r-1, r} selects exactly the shared cat r."""
+    full = (1 << m) - 1
+    below, shift = key.copy(), 1
+    while shift < m:
+        below ^= below << shift
+        shift *= 2
+    selected = (below << 1) & full
+    return selected, full & ~selected
 
 
-def decode_d3d5(round0_bits: int, t: int, ring_size: int) -> frozenset[int]:
-    """Single-round rule decoder for distance-3/5 gadgets.
-
-    Odd trigger counts are left uncorrected: they always stem from a
-    measurement fault, and the residual is already within budget.  For
-    even counts the smaller arc side is corrected when it fits the fault
-    budget, or unconditionally once the trigger count exceeds 2t.
-    """
-    triggers = [i for i in range(ring_size) if (round0_bits >> i) & 1]
-    na = len(triggers)
-    if na == 0 or na % 2:
-        return frozenset()
-    selected, complement = arc_sets(triggers, ring_size)
-    chosen = selected if len(selected) < len(complement) else complement
-    if (len(chosen) <= t and na <= 2 * t) or na > 2 * t:
-        return frozenset(chosen)
-    return frozenset()
+def _arc_rule(key: np.ndarray, m: int, t: int) -> np.ndarray:
+    """The single-round rule of the distance-3/5 decoder, as cat masks:
+    for an even, nonzero trigger count, the smaller arc side when it holds
+    at most t cats within 2t triggers, and unconditionally above 2t
+    triggers.  Odd counts always stem from a measurement fault, whose
+    residual is already within budget: they select nothing."""
+    selected, complement = _arcs(key, m)
+    n_sel, n_comp = np.bitwise_count(selected), np.bitwise_count(complement)
+    na = np.bitwise_count(key)
+    take = (na % 2 == 0) & (((np.minimum(n_sel, n_comp) <= t) & (na <= 2 * t)) | (na > 2 * t))
+    return np.where(take, np.where(n_sel < n_comp, selected, complement), 0)
 
 
 # Re-measurement comparison sets for the distance-7 decoder, as offset
@@ -102,9 +100,6 @@ def j_list(n_triggered: int, variant: int, anchor, ring_size: int) -> tuple:
     except KeyError:
         raise ValueError(f"no recheck set for ({n_triggered}, {variant})") from None
     return tuple((anchor + o) % ring_size for o in offsets)
-
-
-MeasureFn = Callable[[tuple[int, ...]], Mapping[int, int]]
 
 
 class _Rows:
@@ -162,20 +157,10 @@ class _Rows:
         match = self.key[:, None] == [self.rot(pattern, j) for j in range(self.m)]
         return match.any(1), match.argmax(1)
 
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``arc_sets`` as masks: a cat is selected when an odd number of
-        triggers lie below it, as the triggers pair up in ascending order."""
-        below, shift = self.key.copy(), 1
-        while shift < self.m:
-            below ^= below << shift
-            shift *= 2
-        selected = (below << 1) & self.full
-        return selected, self.full & ~selected
-
     def arc_fallback(self, act) -> None:
         """On the rows ``act``, select the arc side of at most three cats,
         the selected one first."""
-        selected, complement = self.arcs()
+        selected, complement = _arcs(self.key, self.m)
         small = np.bitwise_count(selected) <= 3
         self.add(act & small, selected)
         self.add(act & ~small & (np.bitwise_count(complement) <= 3), complement)
@@ -282,12 +267,8 @@ def _d7_five(r: _Rows) -> None:
 
 
 def _d7_even(r: _Rows) -> None:
-    """Six or more triggers, an even count: the smaller arc side if it
-    holds at most three cats, and unconditionally above six triggers."""
-    selected, complement = r.arcs()
-    n_sel, n_comp = np.bitwise_count(selected), np.bitwise_count(complement)
-    chosen = np.where(n_sel < n_comp, selected, complement)
-    r.add((np.minimum(n_sel, n_comp) <= 3) | (np.bitwise_count(r.key) > 6), chosen)
+    """Six or more triggers, an even count: the arc rule at t=3."""
+    r.add(True, _arc_rule(r.key, r.m, 3))
 
 
 def _rule_d7(round0: np.ndarray, ring_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,123 +300,67 @@ def _rule_d7(round0: np.ndarray, ring_size: int) -> tuple[np.ndarray, np.ndarray
     return reads, cats
 
 
-@lru_cache(maxsize=4096)
-def _table_d7(round0_bits: int, ring_size: int) -> tuple[tuple, tuple]:
-    """``_rule_d7`` of one syndrome: per outcome vector, its re-reads and
-    its cat mask, as tuples, so the cache hands out no mutable state."""
-    reads, cats = _rule_d7(np.array([round0_bits], np.int64), ring_size)
-    return tuple(map(tuple, reads[0].tolist())), tuple(cats[0].tolist())
+def _no_rereads(corrections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a decoder that re-reads nothing, from its corrections."""
+    return np.zeros((len(corrections), 1, 0), np.int8), corrections[:, None]
 
 
-def decode_d7(
-    round0_bits: int, ring_size: int, measure: MeasureFn,
-) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Adaptive distance-7 decoder: follows the rule's table of the
-    syndrome (``_rule_d7``), fetching each re-read through ``measure``.
-    Returns the selected cat indices and the stabilizers re-measured."""
-    reads, cats = _table_d7(int(round0_bits) & ((1 << ring_size) - 1), ring_size)
-    v = 0
-    for i in range(MAX_REREADS):
-        s = reads[v][i]
-        if s < 0:
-            break
-        v |= (int(measure((s,))[s]) & 1) << i
-    return (frozenset(c for c in range(ring_size) if (cats[v] >> c) & 1),
-            tuple(s for s in reads[v] if s >= 0))
+class _RuleDecoder:
+    """The rule decoders' gadget and cat-to-data map: a selected cat c
+    flips data qubit ``g.correction_qubit(c)``."""
+
+    def __init__(self, g: GadgetCircuit):
+        _check_width("data_x", g.gamma)
+        self.g = g
+        self._qubits = np.array([1 << g.correction_qubit(c) for c in range(g.cat_count)],
+                                np.uint64)
+
+    def _data(self, cats: np.ndarray) -> np.ndarray:
+        """The data-qubit masks (uint64) of an array of cat masks."""
+        picked = ((cats[..., None] >> np.arange(len(self._qubits))) & 1).astype(bool)
+        return np.bitwise_xor.reduce(np.where(picked, self._qubits, 0), axis=-1)
 
 
-def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
-    """Map selected cat indices to a data-qubit correction mask."""
-    out = 0
-    for c in cats:
-        out ^= 1 << g.correction_qubit(c)
-    return out
-
-
-class StaticDecoder:
-    """A decoder that reads the base-round syndrome only.  The verifier
-    decodes the distinct syndrome keys it meets through one
-    ``decode_keys`` call; subclasses define ``decode`` and inherit a
-    ``decode_keys`` that calls it once per key."""
-
-    needs_round2 = False
-
-    def decode_keys(self, keys: np.ndarray, cat_count: int, rounds: int) -> np.ndarray:
-        """Corrections (uint64) for an array of syndrome keys of
-        ``rounds`` rounds of ``cat_count`` outcomes."""
-        return np.array([self.decode(CatSyndrome.from_key(cat_count, key, rounds))
-                         for key in keys.tolist()], np.uint64)
-
-
-class RuleDecoderD3D5(StaticDecoder):
-    """Arc-pairing decoder bound to a distance-3 or -5 gadget."""
+class RuleDecoderD3D5(_RuleDecoder):
+    """Arc-pairing decoder bound to a distance-3 or -5 gadget: the arc
+    rule at its t on the base round (round 0) of each key; no re-reads."""
 
     def __init__(self, g: GadgetCircuit, t: int):
         if t not in (1, 2):
             raise ValueError("rule decoder covers t in {1, 2}")
-        self.g = g
+        super().__init__(g)
         self.t = t
 
-    def decode(self, syn: CatSyndrome) -> int:
-        cats = decode_d3d5(syn.rounds[0], self.t, self.g.cat_count)
-        return cats_to_mask(self.g, cats)
+    def tables(self, keys: np.ndarray, cat_count: int,
+               rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        round0 = keys.astype(np.int64) & ((1 << cat_count) - 1)
+        return _no_rereads(self._data(_arc_rule(round0, cat_count, self.t)))
 
 
-class AdaptiveDecoder:
-    """A decoder that may re-read up to ``MAX_REREADS`` ring stabilizers
-    after the base rounds, through ``decode(syn, measure)``.  Monte-Carlo
-    and the verifier read it through ``reread_tables``, one row per
-    syndrome key (``verify.compile_rereads``); subclasses define
-    ``decode`` and inherit a ``reread_tables`` that runs it once per read
-    path of each key (``verify.reread_table``)."""
-
-    needs_round2 = True
-
-    def reread_tables(self, keys: np.ndarray, cat_count: int,
-                      rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        """The re-read tables of an array of syndrome keys of ``rounds``
-        rounds of ``cat_count`` outcomes, as ``verify.compile_rereads``
-        describes them."""
-        rows = [row for key in keys.tolist() for row in _verify.reread_table(
-            self, CatSyndrome.from_key(cat_count, key, rounds))]
-        shape = (len(keys), 1 << MAX_REREADS)
-        reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
-        corr = np.array([c for _, c in rows], np.uint64)
-        return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
-
-
-class RuleDecoderD7(AdaptiveDecoder):
-    """Adaptive decoder bound to a distance-7 gadget.  ``reread_tables``
-    runs the rule (``_rule_d7``) on arrays, for all keys and outcome
-    vectors at once, and maps its cats to data qubits; ``decode``
-    follows the rule's table of one syndrome (``decode_d7``)."""
+class RuleDecoderD7(_RuleDecoder):
+    """Adaptive decoder bound to a distance-7 gadget: the rule
+    (``_rule_d7``) on arrays, for all keys and outcome vectors at once,
+    with its cats mapped to data qubits."""
 
     def __init__(self, g: GadgetCircuit):
         if g.max_adaptive < MAX_REREADS:
             raise ValueError(
                 f"RuleDecoderD7 re-reads up to {MAX_REREADS} stabilizers; the "
                 f"distance {g.distance} gadget allows {g.max_adaptive}")
-        self.g = g
-        self._qubits = np.array([1 << g.correction_qubit(c) for c in range(g.cat_count)],
-                                np.uint64)
+        super().__init__(g)
 
-    def decode(self, syn: CatSyndrome, measure: MeasureFn) -> int:
-        cats, _ = decode_d7(syn.rounds[0], self.g.cat_count, measure)
-        return cats_to_mask(self.g, cats)
-
-    def reread_tables(self, keys: np.ndarray, cat_count: int,
-                      rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        full = (1 << cat_count) - 1
-        reads, cats = _rule_d7(keys.astype(np.int64) & full, cat_count)
-        picked = ((cats[..., None] >> np.arange(cat_count)) & 1).astype(bool)
-        return reads, np.bitwise_xor.reduce(np.where(picked, self._qubits, 0), axis=-1)
+    def tables(self, keys: np.ndarray, cat_count: int,
+               rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        reads, cats = _rule_d7(keys.astype(np.int64) & ((1 << cat_count) - 1), cat_count)
+        return reads, self._data(cats)
 
 
-class IdentityDecoder(StaticDecoder):
+class IdentityDecoder:
     """Applies no correction; useful as a verification counterexample."""
 
-    def decode(self, syn: CatSyndrome) -> int:
-        return 0
+    def tables(self, keys: np.ndarray, cat_count: int,
+               rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        return _no_rereads(np.zeros(len(keys), np.uint64))
 
 
 class LutBuildError(RuntimeError):
@@ -457,9 +382,6 @@ class CutCatLUT:
     rounds: int
     cat_count: int
     table: dict[int, int]
-
-    def lookup(self, key: int) -> int:
-        return self.table.get(key, 0)
 
     def to_json(self) -> str:
         """The table as ``json.dumps(..., indent=1)`` writes it, with the
@@ -488,10 +410,10 @@ class CutCatLUT:
         return cls(doc["gamma"], doc["t"], doc["rounds"], doc["cat_count"], table)
 
 
-class LutDecoder(StaticDecoder):
-    """Table-backed decoder over the concatenated full-round syndrome.
-    ``decode_keys`` reads a ``verify.KeyCache`` prefilled with the table,
-    where a key the table lacks joins with the zero correction."""
+class LutDecoder:
+    """Table-backed decoder over the concatenated full-round syndrome,
+    read from a ``verify.KeyCache`` prefilled with the table, where a key
+    the table lacks joins with the zero correction; no re-reads."""
 
     def __init__(self, lut: CutCatLUT):
         self.lut = lut
@@ -500,17 +422,11 @@ class LutDecoder(StaticDecoder):
             lut.rounds * lut.cat_count, np.fromiter(lut.table, np.uint64, n),
             (np.fromiter(lut.table.values(), np.uint64, n),))
 
-    def _check_shape(self, cat_count: int, rounds: int) -> None:
+    def tables(self, keys: np.ndarray, cat_count: int,
+               rounds: int) -> tuple[np.ndarray, np.ndarray]:
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
             raise ValueError("syndrome shape does not match the table")
-
-    def decode(self, syn: CatSyndrome) -> int:
-        self._check_shape(syn.cat_count, len(syn.rounds))
-        return self.lut.lookup(syn.key())
-
-    def decode_keys(self, keys: np.ndarray, cat_count: int, rounds: int) -> np.ndarray:
-        self._check_shape(cat_count, rounds)
-        return self._cache.get(keys, lambda new: (np.zeros(len(new), np.uint64),))[0]
+        return _no_rereads(self._cache.get(keys, lambda new: (np.zeros(len(new), np.uint64),))[0])
 
 
 def _solve_constraints(

@@ -22,8 +22,7 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import (MAX_REREADS, KeyCache, compile_rereads, coset_weights,
-                     eval_upper_bound, follow_rereads)
+from .verify import KeyCache, coset_weights, eval_upper_bound, follow_rereads, reread_steps
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -105,13 +104,16 @@ def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None
 
 
 def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
-                  frame: np.ndarray, hits, m: int) -> np.ndarray:
+                  frame: np.ndarray | None, hits, m: int) -> np.ndarray:
     """The corrections of ``follow_rereads(reads, corrections, rows,
     frame, noise, m)``, step i's noise being ``hits[i]``, a ``(trials,
     (anc, cats))`` pair of ``FaultTable.sample_hits`` over the runs, split
-    as ``GadgetMonteCarlo`` says.  The noiseless runs are told apart by
-    sorting their (row << m | frame) pairs."""
+    as ``GadgetMonteCarlo`` says (tables with no read column need no
+    frame).  The noiseless runs are told apart by sorting their (row << m
+    | frame) pairs."""
     corr = corrections[rows, 0]
+    if not reads.shape[-1]:
+        return corr
     live, met = reads[rows, 0, 0] >= 0, np.zeros(len(rows), bool)
     for trials, _ in hits:
         met[trials] = True
@@ -128,7 +130,7 @@ def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
     zero = np.zeros(len(pairs), np.uint64)
     followed, _ = follow_rereads(reads, corrections, pairs >> m,
                                  (pairs & ((1 << m) - 1)).astype(np.uint64),
-                                 [(zero, zero)] * MAX_REREADS, m)
+                                 [(zero, zero)] * reads.shape[-1], m)
     corr[quiet] = followed[inv]
     return corr
 
@@ -140,14 +142,12 @@ class GadgetMonteCarlo:
     with their XORed effects packed in words (``sample_words``), so its
     cost follows the hits, not the batch size.  Of those, the trials with
     a residual or a ring syndrome, picked on the packed words, are
-    unpacked and reach decoding, through a ``KeyCache`` lookup of each
-    trial's key: a correction from ``decode_keys``, or an adaptive
-    decoder's re-read table from ``reread_tables`` (``compile_rereads``).
-    Either call is made once per batch, for the keys the cache has not
-    seen; ``RuleDecoderD7`` answers it on arrays, with no ``decode`` run
-    per key.  The re-read noise is drawn from a second table over the
-    decoded trials, and ``_follow_split`` calls ``follow_rereads`` only
-    where runs can differ:
+    unpacked and reach decoding, through a ``KeyCache`` of the decoder's
+    tables per key: one ``tables`` call per batch, for the keys the cache
+    has not seen.  The decoder's answer for no key, made once, gives its
+    number of re-reads s (``reread_steps``).  Each of the s re-reads draws
+    its noise from a second table over the decoded trials, and
+    ``_follow_split`` calls ``follow_rereads`` only where runs can differ:
 
     - a run hit in any re-read sample is followed with its own noise;
     - of the others, a run whose key re-reads nothing takes its table's
@@ -159,11 +159,11 @@ class GadgetMonteCarlo:
 
     def __init__(self, g: GadgetCircuit, decoder):
         self.g = g
-        self.decoder = decoder
-        self.adaptive = bool(getattr(decoder, "needs_round2", False))
-        self.faults = FaultTable.for_decoder(g, self.adaptive)
-        self.reread = FaultTable.for_reread(g) if self.adaptive else None
         self._answers = KeyCache(g.cat_count * g.base_rounds)
+        self._tables = partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
+        self.steps = reread_steps(g, self._answers, self._tables)
+        self.faults = FaultTable.for_decoder(g, self.steps > 0)
+        self.reread = FaultTable.for_reread(g) if self.steps else None
 
     def run_batch(self, p: float, seed: int, batch_index: int, size: int,
                   t: int) -> int:
@@ -173,14 +173,11 @@ class GadgetMonteCarlo:
         # of the trials a fault hit, those with a residual or a syndrome
         seen = self.faults.any_nonzero(words, 2)
         (data, keys, *persist), g = self.faults.unpack([w[seen] for w in words]), self.g
-        if self.adaptive:
-            rows = self._answers.index(keys, lambda new: compile_rereads(
-                self.decoder, new, g.cat_count, g.base_rounds))
-            hits = [self.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
-            corr = _follow_split(*self._answers.values, rows, persist[0], hits, g.cat_count)
-        else:
-            (corr,) = self._answers.get(keys, lambda new: (self.decoder.decode_keys(
-                new, g.cat_count, g.base_rounds),))
+        rows = self._answers.index(keys, self._tables)
+        del keys  # a batch's peak holds each decoded trial's cache row, not also its key
+        hits = [self.reread.sample_hits(rng, len(rows), p) for _ in range(self.steps)]
+        corr = _follow_split(*self._answers.values, rows, persist[0] if persist else None,
+                             hits, g.cat_count)
         return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > t))
 
 
@@ -331,12 +328,21 @@ def make_manifest(command: str, config: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def load_manifest(text: str) -> tuple[str, dict]:
+def load_manifest(text: str, keys: Sequence[str] = ()) -> tuple[str, dict]:
+    """The command and config of a manifest, whose config must hold the
+    entries ``keys``; a ``ValueError`` names what a document lacks."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("manifest is not a JSON object")
     fmt = doc.get("format")
     if fmt in {f"cutcat-manifest-v{v}" for v in range(1, 5)}:
         raise ValueError(f"{fmt} used an older random stream and "
                          "cannot be replayed; re-run without --from-manifest")
     if fmt != MANIFEST_FORMAT:
         raise ValueError("unknown manifest format")
+    if not isinstance(doc.get("command"), str) or not isinstance(doc.get("config"), dict):
+        raise ValueError("manifest lacks a command string or a config object")
+    missing = [k for k in keys if k not in doc["config"]]
+    if missing:
+        raise ValueError(f"manifest config lacks {', '.join(missing)}")
     return doc["command"], doc["config"]

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuit import GadgetCircuit
-from .sim import CatSyndrome, Effect, FaultTable
+from .sim import Effect, FaultTable
 
 _GRID_CELLS = 65_536  # (row x event set) cells of a verifier slice
 
@@ -197,52 +198,6 @@ class VerificationReport:
 MAX_REREADS = 4
 
 
-def reread_table(decoder, syn: CatSyndrome) -> list[tuple[tuple[int, ...], int]]:
-    """An adaptive decoder compiled for one base-round syndrome from its
-    ``decode``: the tree walk behind ``decoders.AdaptiveDecoder``'s
-    default ``reread_tables``.
-
-    Row v holds the stabilizers the decoder re-reads, in request order,
-    and its correction when the i-th re-read returns bit i of v.  The
-    request at step i depends only on the bits before it, so a run is
-    followed by reading step i from the row of the outcomes so far, and
-    one run fills every row that agrees with it on the bits it read.
-    """
-    m = syn.cat_count
-    rows: list = [None] * (1 << MAX_REREADS)
-    for v in range(len(rows)):
-        if rows[v] is not None:
-            continue
-        reads: list[int] = []
-
-        def measure(indices):
-            out = {}
-            for i in indices:
-                if len(reads) == MAX_REREADS:
-                    raise ValueError(
-                        f"decoder asked for more than {MAX_REREADS} re-reads")
-                out[i] = (v >> len(reads)) & 1
-                reads.append(i % m)
-            return out
-
-        corr = decoder.decode(syn, measure)
-        for u in range(v, len(rows), 1 << len(reads)):
-            rows[u] = (tuple(reads), corr)
-    return rows
-
-
-def compile_rereads(decoder, keys: np.ndarray, cat_count: int,
-                    rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """An adaptive decoder's tables of an array of syndrome keys, indexed
-    by (key, outcome vector) as in ``reread_table``: the stabilizer
-    re-read at each step (int8, -1 past the last) and the correction
-    (uint64).  They come from the decoder's ``reread_tables``, as a
-    static decoder's corrections come from ``decode_keys``:
-    ``decoders.RuleDecoderD7`` runs its rule on arrays, and
-    ``decoders.AdaptiveDecoder`` derives one from ``decode``."""
-    return decoder.reread_tables(keys, cat_count, rounds)
-
-
 # widest key a ``KeyCache`` indexes through a dense table (2^20 int32
 # slots, 4 MB); wider keys take binary search in a sorted copy
 DENSE_BITS = 20
@@ -313,17 +268,30 @@ class KeyCache:
         return tuple(v[rows] for v in self.values)
 
 
-def reread_events(g: GadgetCircuit) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-    """The re-measurement faults MC samples: at each re-read step, each
-    distinct nonzero row of ``FaultTable.for_reread``, named (step, op,
-    code) by its first table row.  Each is a row of masks, per step the
-    outcome flip and the cat X relative to the stabilizer read."""
-    k, names, rows = MAX_REREADS, [], []
-    reread = _first_rows(FaultTable.for_reread(g)).items()
-    for step, ((anc, cats), (op, code)) in product(range(k), reread):
+def reread_steps(g: GadgetCircuit, cache: KeyCache, tables) -> int:
+    """The re-read count s of a decoder's ``tables`` (of the keys alone),
+    from its answer for no key, which gives an empty ``cache`` its answers'
+    shape (``KeyCache.index``); at most the gadget's ``max_adaptive``."""
+    cache.index(np.zeros(0, np.uint64), tables)
+    steps = cache.values[0].shape[-1]
+    if steps > g.max_adaptive:
+        raise ValueError(f"the decoder re-reads up to {steps} stabilizers; the "
+                         f"distance {g.distance} gadget allows {g.max_adaptive}")
+    return steps
+
+
+def reread_events(g: GadgetCircuit, steps: int) -> tuple[list[tuple[int, int, int]], list]:
+    """The re-measurement faults MC samples: at each of ``steps`` re-read
+    steps, each distinct nonzero row of ``FaultTable.for_reread``, named
+    (step, op, code) by its first table row.  Each is a row of masks, per
+    step up to ``MAX_REREADS`` the outcome flip and the cat X relative to
+    the stabilizer read."""
+    names, rows = [], []
+    reread = _first_rows(FaultTable.for_reread(g)).items() if steps else ()
+    for step, ((anc, cats), (op, code)) in product(range(steps), reread):
         if anc or cats:
             names.append((step, op, code))
-            rows.append([0] * (2 * step) + [anc, cats] + [0] * (2 * (k - 1 - step)))
+            rows.append([0] * (2 * step) + [anc, cats] + [0] * (2 * (MAX_REREADS - 1 - step)))
     return names, rows
 
 
@@ -359,24 +327,29 @@ class EventSets:
 
 def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
                    frame: np.ndarray, noise, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Follow the tables of ``compile_rereads``: each run's correction
-    and number of re-reads.  Run j reads table ``inv[j]`` under the X
-    errors ``frame[j]`` on the m cats (updated in place, so of the full
-    shape): re-reading stabilizer s gives the parity of cats s and s+1
-    (mod m).  ``noise`` yields one (anc, cats) pair of
-    ``FaultTable.for_reread`` columns per step: ``anc`` flips the step's
-    outcome, and ``cats``, relative to s (bit 0 is cat s, bit 1 cat
-    s+1), lands on the frame after the read.  Arrays broadcast.
+    """Follow a decoder's tables (``reads``, ``corrections``, one row per
+    key, as ``decoders`` describes them): each run's correction and number
+    of re-reads.  Run j reads table ``inv[j]`` under the X errors
+    ``frame[j]`` on the m cats (updated in place, so of the full shape):
+    re-reading stabilizer s gives the parity of cats s and s+1 (mod m).
+    ``noise`` yields one (anc, cats) pair of ``FaultTable.for_reread``
+    columns per step, of the s steps ``reads.shape[-1]``: ``anc`` flips
+    the step's outcome, and ``cats``, relative to s (bit 0 is cat s, bit 1
+    cat s+1), lands on the frame after the read.  Arrays broadcast.
 
     A run whose table re-reads nothing takes ``corrections[inv, 0]`` in
-    0 steps.  The verifier follows its whole grid.  Gadget MC follows the
-    runs a re-read fault hits with their own noise, and of the others only
-    those that re-read, once per distinct (table, frame) pair with none:
-    at most 11·m·2^m pairs for ``RuleDecoderD7`` (``GadgetMonteCarlo``)."""
+    0 steps, as all do at once for tables with no read column.  The
+    verifier follows its whole grid.  Gadget MC follows the runs a
+    re-read fault hits with their own noise, and of the others only those
+    that re-read, once per distinct (table, frame) pair with none: at
+    most 11·m·2^m pairs for ``RuleDecoderD7`` (``GadgetMonteCarlo``)."""
     full = (1 << m) - 1
-    v = np.zeros(np.broadcast_shapes(inv.shape, frame.shape), np.uint8)
+    shape = np.broadcast_shapes(inv.shape, frame.shape)
+    if not reads.shape[-1]:
+        return np.broadcast_to(corrections[inv, 0], shape), np.zeros(shape, np.uint8)
+    v = np.zeros(shape, np.uint8)
     steps = np.zeros(v.shape, np.uint8)
-    for i, (anc, cats) in zip(range(MAX_REREADS), noise):
+    for i, (anc, cats) in zip(range(reads.shape[-1]), noise):
         stab = reads[inv, v, i]
         live = stab >= 0
         s = np.maximum(stab, 0).astype(np.uint8)
@@ -399,29 +372,25 @@ def _check_combos(
     weight: int,
 ) -> tuple[int, Counterexample | None]:
     """Verify all combos of ``weight`` effects against each set of
-    ``events`` within the budget t - weight (a static decoder meets the
-    empty set only): a (row, set) grid per slice.  A cell counts only if
-    its run reaches the step of each of its events.  ``cache`` holds the
-    decoder's answer per key (a correction, or an adaptive decoder's
-    compiled table); each slice's keys index it directly, and a serial
-    walk shares it across weights."""
+    ``events`` within the budget t - weight (a decoder that re-reads
+    nothing meets the empty set only): a (row, set) grid per slice, run by
+    ``follow_rereads``.  A cell counts only if its run reaches the step of
+    each of its events.  ``cache`` holds the decoder's tables per key;
+    each slice's keys index it directly, and a serial walk shares it
+    across weights."""
     m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
-    adaptive = getattr(decoder, "needs_round2", False)
+    tables = partial(decoder.tables, cat_count=m, rounds=rounds)
+    steps = reread_steps(g, cache, tables)
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
-    for sl in combo_walk(effects, weight, weight, with_persist=adaptive,
+    noise = list(zip(masks[:, 0::2].T, masks[:, 1::2].T))
+    for sl in combo_walk(effects, weight, weight, with_persist=steps > 0,
                          max_rows=max(1, _GRID_CELLS // k)):
-        if adaptive:
-            rows = cache.index(sl.key, lambda new: compile_rereads(decoder, new, m, rounds))
-            corr, steps = follow_rereads(
-                *cache.values, rows[:, None], np.repeat(sl.persist[:, None], k, 1),
-                zip(masks[:, 0::2].T, masks[:, 1::2].T), m)
-            admitted = steps >= events.need[:k]
-        else:
-            # one ``decode_keys`` call for the distinct keys not decoded before
-            rows = cache.index(sl.key, lambda new: (decoder.decode_keys(new, m, rounds),))
-            corr = cache.values[0][rows, None]
-            admitted = np.ones(corr.shape, bool)
+        # one ``tables`` call for the distinct keys not seen before
+        rows = cache.index(sl.key, tables)
+        frame = np.repeat(sl.persist[:, None], k, 1) if steps else np.zeros((1, k), np.uint64)
+        corr, reached = follow_rereads(*cache.values, rows[:, None], frame, noise, m)
+        admitted = reached >= events.need[:k]
         cw = coset_weights(sl.data[:, None] ^ corr, gamma)
         bad = admitted & (cw > budget)
         if bad.any():
@@ -441,31 +410,28 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
 
     Every combination of 1..t effect classes (``_effect_classes``: the
     distinct rows of the fault table MC samples for this decoder) is
-    decoded, and the residual must stay within the number of faults.  An
-    adaptive decoder also meets every set of the re-measurement faults
-    MC samples at each re-read (``reread_events``) within the
-    remaining budget, each costing one, re-read by ``follow_rereads`` as
-    in MC.  The first counterexample in order is reported, its faults
-    named (op, code) and its events (step, op, code).
+    decoded, and the residual must stay within the number of faults.  A
+    decoder that re-reads (s > 0 in its ``tables``) also meets every set
+    of the re-measurement faults MC samples at each of its s re-reads
+    (``reread_events``) within the remaining budget, each costing one,
+    re-read by ``follow_rereads`` as in MC.  The first counterexample in
+    order is reported, its faults named (op, code) and its events (step,
+    op, code).
 
-    A static decoder (no true ``needs_round2``) must provide
-    ``decode_keys(keys, cat_count, rounds)``, the corrections for a
-    uint64 array of syndrome keys; ``decoders.StaticDecoder`` derives
-    one from ``decode``.  An adaptive one must provide
-    ``reread_tables(keys, cat_count, rounds)`` (``compile_rereads``);
-    ``decoders.AdaptiveDecoder`` derives one from ``decode``.
-
-    The walk runs in one process, weight by weight, with one decode
-    cache shared across weights, and stops at the first counterexample.
-    ``jobs`` accepts only 1: a compatibility shim for the ``jobs=1`` of
-    ``perfbench/worker.py``, to go once that call drops the keyword.
+    The decoder must answer ``tables(keys, cat_count, rounds)`` as
+    ``decoders`` describes it.  The walk runs in one process, weight by
+    weight, with one cache of tables shared across weights, and stops at
+    the first counterexample.  ``jobs`` accepts only 1: a compatibility
+    shim for the ``jobs=1`` of ``perfbench/worker.py``, to go once that
+    call drops the keyword.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
-    adaptive = bool(getattr(decoder, "needs_round2", False))
-    effects, names = _effect_classes(FaultTable.for_decoder(g, adaptive))
-    events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), max(t - 1, 0))
     cache = KeyCache(g.cat_count * g.base_rounds)
+    steps = reread_steps(g, cache, partial(decoder.tables, cat_count=g.cat_count,
+                                           rounds=g.base_rounds))
+    effects, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
+    events = EventSets.build(*reread_events(g, steps), max(t - 1, 0))
     per_weight: list[int] = []
     cx = None
     for w in range(1, t + 1):
@@ -486,6 +452,10 @@ def eval_upper_bound(gamma: int, t: int, p_ft: float) -> float:
     """
     if not 0.0 <= p_ft <= 1.0:
         raise ValueError("p_ft must be a probability")
+    if gamma < 2:
+        raise ValueError("gamma must be at least 2")
+    if t < 0:
+        raise ValueError("t must be at least 0")
     n_fl = 4 * gamma
     q = 2.0 * p_ft / 3.0
     if q == 0.0:

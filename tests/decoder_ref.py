@@ -1,14 +1,67 @@
-"""The distance-7 adaptive rule as scalar Python, kept as a reference for
-the tests: ``decode_d7`` runs the rule once per syndrome and outcome
-sequence, fetching re-measurements through a live ``measure`` callback
-(``_Round2``).  ``decoders.RuleDecoderD7.reread_tables`` runs the same
-rule on arrays, for every outcome vector of many syndromes at once."""
+"""Scalar references for the array decoders: the distance-3/5 arc rule
+per syndrome (``decode_d3d5``), and the distance-7 adaptive rule
+(``decode_d7``) run once per syndrome and outcome sequence with a live
+``measure`` callback, bound to a gadget as ``RefD7``, whose ``tables``
+come from the tree walk ``reread_table`` (``TreeWalk``)."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
-from cutcat.decoders import MeasureFn, arc_sets, j_list
+import numpy as np
+
+from cutcat.circuit import GadgetCircuit
+from cutcat.decoders import j_list
+from cutcat.sim import CatSyndrome
+from cutcat.verify import MAX_REREADS
+
+MeasureFn = Callable[[tuple[int, ...]], Mapping[int, int]]
+
+
+def arc_sets(triggers: Sequence[int], ring_size: int) -> tuple[set[int], set[int]]:
+    """Split the ring into the two arc-pairing hypotheses.
+
+    Consecutive trigger pairs (a0,a1), (a2,a3), ... bound arcs of cat
+    indices strictly after the first trigger up to and including the
+    second; the complement holds the alternate pairing.  A triggered
+    adjacent pair {r-1, r} selects exactly the shared cat qubit r.
+    """
+    if len(triggers) % 2:
+        raise ValueError("arc pairing undefined for an odd trigger count")
+    selected: set[int] = set()
+    for i in range(0, len(triggers), 2):
+        j = triggers[i]
+        while j != triggers[i + 1]:
+            j = (j + 1) % ring_size
+            selected.add(j)
+    return selected, set(range(ring_size)) - selected
+
+
+def decode_d3d5(round0_bits: int, t: int, ring_size: int) -> frozenset[int]:
+    """Single-round rule decoder for distance-3/5 gadgets.
+
+    Odd trigger counts are left uncorrected: they always stem from a
+    measurement fault, and the residual is already within budget.  For
+    even counts the smaller arc side is corrected when it fits the fault
+    budget, or unconditionally once the trigger count exceeds 2t.
+    """
+    triggers = [i for i in range(ring_size) if (round0_bits >> i) & 1]
+    na = len(triggers)
+    if na == 0 or na % 2:
+        return frozenset()
+    selected, complement = arc_sets(triggers, ring_size)
+    chosen = selected if len(selected) < len(complement) else complement
+    if (len(chosen) <= t and na <= 2 * t) or na > 2 * t:
+        return frozenset(chosen)
+    return frozenset()
+
+
+def cats_to_mask(g: GadgetCircuit, cats: Iterable[int]) -> int:
+    """Map selected cat indices to a data-qubit correction mask."""
+    out = 0
+    for c in cats:
+        out ^= 1 << g.correction_qubit(c)
+    return out
 
 
 class _Round2:
@@ -189,3 +242,61 @@ def decode_d7(
             f"re-measured {len(r2.requested)} stabilizers, budget is 4"
         )
     return frozenset(corr), tuple(r2.requested)
+
+
+def reread_table(decoder, syn: CatSyndrome, prune: bool = True) -> list[tuple[tuple, int]]:
+    """A decoder compiled for one base-round syndrome from its
+    ``decode(syn, measure)``.
+
+    Row v holds the stabilizers the decoder re-reads, in request order,
+    and its correction when the i-th re-read returns bit i of v.  The
+    request at step i depends only on the bits before it, so a run is
+    followed by reading step i from the row of the outcomes so far, and
+    one run fills every row that agrees with it on the bits it read
+    (without ``prune``, one run per row).
+    """
+    m = syn.cat_count
+    rows: list = [None] * (1 << MAX_REREADS)
+    for v in range(len(rows)):
+        if prune and rows[v] is not None:
+            continue
+        reads: list[int] = []
+
+        def measure(indices):
+            out = {}
+            for i in indices:
+                if len(reads) == MAX_REREADS:
+                    raise ValueError(
+                        f"decoder asked for more than {MAX_REREADS} re-reads")
+                out[i] = (v >> len(reads)) & 1
+                reads.append(i % m)
+            return out
+
+        corr = decoder.decode(syn, measure)
+        for u in range(v, len(rows), 1 << len(reads)) if prune else (v,):
+            rows[u] = (tuple(reads), corr)
+    return rows
+
+
+class TreeWalk:
+    """A decoder known by ``decode(syn, measure)``, answering ``tables``
+    with one ``reread_table`` per key (s = ``MAX_REREADS``)."""
+
+    def tables(self, keys: np.ndarray, cat_count: int, rounds: int) -> tuple:
+        rows = [row for key in keys.tolist() for row in reread_table(
+            self, CatSyndrome.from_key(cat_count, key, rounds))]
+        shape = (len(keys), 1 << MAX_REREADS)
+        reads = np.array([s + (-1,) * (MAX_REREADS - len(s)) for s, _ in rows], np.int8)
+        corr = np.array([c for _, c in rows], np.uint64)
+        return reads.reshape(shape + (MAX_REREADS,)), corr.reshape(shape)
+
+
+class RefD7(TreeWalk):
+    """The scalar rule ``decode_d7`` bound to a gadget."""
+
+    def __init__(self, g: GadgetCircuit):
+        self.g = g
+
+    def decode(self, syn: CatSyndrome, measure: MeasureFn) -> int:
+        cats, _ = decode_d7(syn.rounds[0], self.g.cat_count, measure)
+        return cats_to_mask(self.g, cats)

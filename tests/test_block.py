@@ -6,7 +6,8 @@ import pytest
 from cutcat import block
 from cutcat.block import BlockSimulator, run_block_mc
 from cutcat.pauli import CssCode, bits_of, parse_css_code
-from cutcat.sim import CatSyndrome, FaultTable, noisy_operations, pack_fields, propagate_op_faults
+from cutcat.sim import FaultTable, noisy_operations, pack_fields, propagate_op_faults
+from decoder_ref import cats_to_mask, decode_d3d5
 from location_ref import walk_op_effects
 
 
@@ -111,7 +112,8 @@ def _sequential_round(sim, data_x, data_z, entries):
             bit ^= res.generator_bit_flipped
             residual = res.data_x
             if gen.decoder is not None:
-                residual ^= gen.decoder.decode(res.syndrome)
+                cats = decode_d3d5(res.syndrome.rounds[0], gen.decoder.t, gen.gadget.cat_count)
+                residual ^= cats_to_mask(gen.gadget, cats)
             if gen.sector == "X":
                 data_x ^= gen._globalize(residual)
             else:
@@ -152,6 +154,16 @@ def _fault_sets(sim, n_trials, seed):
         else:
             sets.append([fault(rng.choice(finals)) for _ in range(rng.randint(1, 2))])
     return sets
+
+
+@pytest.mark.parametrize("n", [15, 40], ids=["one-table", "bytes"])
+def test_parities_match_row_parities(n):
+    # one 2^n-entry table up to 16 qubits, one 256-entry table per byte above
+    rng = np.random.default_rng(n)
+    rows = [int(r) for r in rng.integers(0, 1 << n, 5, dtype=np.uint64)]
+    data = rng.integers(0, 1 << n, 300, dtype=np.uint64)
+    want = [sum((bin(d & r).count("1") & 1) << i for i, r in enumerate(rows)) for d in data.tolist()]
+    assert block._parities(data, block._parity_tables(rows, n)).tolist() == want
 
 
 class TestRoundStep:
@@ -373,7 +385,7 @@ class TestKeyCacheLookups:
         assert len(np.unique(keys)) < len(keys)
 
         def correction(key):
-            return gen._globalize(gen.decoder.decode(CatSyndrome(m, (key,))))
+            return gen._globalize(cats_to_mask(gen.gadget, decode_d3d5(key, gen.decoder.t, m)))
 
         expected, miss = _table_apply(correction, keys)
         assert not miss.any()

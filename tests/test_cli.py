@@ -27,11 +27,13 @@ class TestVerifyCommand:
             main(["verify", "--gamma", "10"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", [["verify"], ["lut", "build"]],
-                             ids=["verify", "lut-build"])
-    def test_gamma_over_64_bits_exit_two(self, command, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command, distance", [
+        (["verify"], "3"), (["lut", "build"], "3"), (["mc-gadget", "--p", "1e-2"], "3"),
+        (["verify"], "7"), (["lut", "build"], "7"), (["mc-gadget", "--p", "1e-2"], "7"),
+    ], ids=["verify", "lut-build", "mc-gadget", "verify-d7", "lut-build-d7", "mc-gadget-d7"])
+    def test_gamma_over_64_bits_exit_two(self, command, distance, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CUTCAT_OUTDIR", str(tmp_path))
-        assert main(command + ["--gamma", "70", "--distance", "3"]) == 2
+        assert main(command + ["--gamma", "70", "--distance", distance]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
@@ -111,6 +113,23 @@ class TestMonteCarloCommands:
 
     def test_v4_manifest_rejected_exit_two(self, tmp_path, capsys):
         self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v4")
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("mc-gadget", [1, 2], "manifest is not a JSON object"),
+        ("mc-gadget", {"command": "mc-gadget"},
+         "manifest lacks a command string or a config object"),
+        ("mc-gadget", {"command": "mc-gadget", "config": {"gamma": 6, "distance": 3}},
+         "manifest config lacks decoder, p_values, min_failures, seed, trial_cap, batch_size"),
+        ("mc-block", {"command": "mc-block", "config": {"ratio": 20, "max_rounds": None}},
+         "manifest config lacks code_file, p_values, min_failures, seed, trial_cap, batch_size"),
+    ], ids=["not-an-object", "no-config", "gadget-config", "block-config"])
+    def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, doc, message):
+        manifest, out = tmp_path / "bad.manifest.json", tmp_path / "a.csv"
+        manifest.write_text(json.dumps(
+            {"format": "cutcat-manifest-v5", **doc} if isinstance(doc, dict) else doc))
+        assert main([command, "--from-manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_mc_block_replay_identical(self, tmp_path, capsys):
         code_file = tmp_path / "steane.txt"

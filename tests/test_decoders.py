@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from cutcat.decoders import (
-    RuleDecoderD3D5,
-    arc_sets,
-    build_code_lut,
-    decode_d3d5,
-    decode_d7,
-    j_list,
-)
+from cutcat.decoders import (IdentityDecoder, LutDecoder, RuleDecoderD3D5, RuleDecoderD7,
+                             build_code_lut, build_cut_cat_lut, j_list)
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.sim import CatSyndrome
+from cutcat.verify import MAX_REREADS, KeyCache
 
+from decoder_ref import RefD7, arc_sets, cats_to_mask, decode_d3d5, decode_d7, reread_table
 from pauli_ref import PauliFrame, code_syndrome
 
 
@@ -129,13 +125,11 @@ class TestDecodeD7:
         assert requested == ()
 
     def test_numpy_and_wide_syndromes(self):
-        """A numpy integer syndrome, or one with bits above the ring,
-        decodes as its ring bits do."""
-        m = 7
-        for round0 in (bits(2), bits(0, 1, 2, 3, 4), bits(0, 2)):
-            want = decode_d7(round0, m, echo_measure(round0, m))
-            for same in (np.uint64(round0), np.int64(round0), round0 | 1 << m):
-                assert decode_d7(same, m, echo_measure(round0, m)) == want
+        """``RuleDecoderD7.tables`` reads a key's ring bits only."""
+        keys, dec = np.arange(1 << 7, dtype=np.uint64), RuleDecoderD7(
+            build_cut_cat(GadgetSpec(gamma=14, distance=7)))
+        for want, got in zip(dec.tables(keys, 7, 1), dec.tables(keys | (5 << 7), 7, 1)):
+            np.testing.assert_array_equal(got, want)
 
     def test_never_more_than_four_requests(self):
         m = 7
@@ -150,40 +144,12 @@ class TestDecodeD7:
             assert len(requested) <= 4
 
     def test_requests_bounded_over_outcome_tree(self):
-        # explore every possible answer pattern for every round-1 state
-        m = 7
-
-        def explore(round0, answers):
-            requested = []
-
-            def measure(indices):
-                out = {}
-                for i in indices:
-                    i %= m
-                    out[i] = answers.get(i, 0)
-                    requested.append(i)
-                return out
-
-            decode_d7(round0, m, measure)
-            return tuple(requested)
-
-        import itertools
-        for round0 in range(1 << m):
-            seen = {()}
-            frontier = [dict()]
-            while frontier:
-                answers = frontier.pop()
-                req = explore(round0, answers)
-                assert len(req) <= 4
-                for i in req:
-                    if i not in answers:
-                        for v in (0, 1):
-                            nxt = dict(answers)
-                            nxt[i] = v
-                            key = tuple(sorted(nxt.items()))
-                            if key not in seen:
-                                seen.add(key)
-                                frontier.append(nxt)
+        # every key and every answer to each request: the tree walk refuses
+        # a fifth request, and no stabilizer is requested twice
+        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
+        for key in range(1 << g.cat_count):
+            for reads, _ in reread_table(RefD7(g), CatSyndrome(g.cat_count, (key,))):
+                assert len(reads) == len(set(reads)) <= MAX_REREADS
 
 
 class TestPlanner:
@@ -211,16 +177,77 @@ class TestPlanner:
 class TestDecoderObjects:
     def test_rule_decoder_maps_to_last_data_qubit(self):
         g = build_cut_cat(GadgetSpec(gamma=8, distance=5))
-        dec = RuleDecoderD3D5(g, 2)
         # triggers {2,3} select cat 3, a single-interaction cat at data 6
-        syn = CatSyndrome(g.cat_count, (bits(2, 3),))
-        assert dec.decode(syn) == bits(6)
+        _, corr = RuleDecoderD3D5(g, 2).tables(np.array([bits(2, 3)], np.uint64), 5, 1)
+        assert corr.tolist() == [[bits(6)]]
 
     def test_rule_decoder_standard_mapping(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        dec = RuleDecoderD3D5(g, 2)
-        syn = CatSyndrome(g.cat_count, (bits(1, 2),))
-        assert dec.decode(syn) == bits(5)  # cat 2 -> data 2*2+1
+        _, corr = RuleDecoderD3D5(g, 2).tables(np.array([bits(1, 2)], np.uint64), 5, 1)
+        assert corr.tolist() == [[bits(5)]]  # cat 2 -> data 2*2+1
+
+
+def _shipped_decoder(kind):
+    """A gadget and one of the shipped decoders on it, with its re-read count s."""
+    spec = GadgetSpec(*{"rule-t1": (6, 3), "rule-d7": (14, 7)}.get(kind, (10, 5)))
+    g = build_cut_cat(spec)
+    return g, {
+        "rule-t1": lambda: RuleDecoderD3D5(g, 1),
+        "rule-t2": lambda: RuleDecoderD3D5(g, 2),
+        "rule-d7": lambda: RuleDecoderD7(g),
+        "lut": lambda: LutDecoder(build_cut_cat_lut(spec, gadget=g)),
+        "identity": IdentityDecoder,
+    }[kind](), MAX_REREADS if kind == "rule-d7" else 0
+
+
+class TestTablesContract:
+    """Every shipped decoder answers ``tables(keys, cat_count, rounds)``
+    with int8 reads (n, 2^s, s), -1 past the last, and uint64
+    corrections (n, 2^s); row v is the run whose i-th re-read returns bit
+    i of v, so step i is read from the row of the outcomes before it, and
+    rows that agree on the bits a run read share its correction."""
+
+    @pytest.mark.parametrize("kind", ["rule-t1", "rule-t2", "rule-d7", "lut", "identity"])
+    def test_shapes_padding_and_prefixes(self, kind):
+        g, decoder, s = _shipped_decoder(kind)
+        m, rounds = g.cat_count, g.base_rounds
+        none = np.zeros(0, np.uint64)
+        keys = np.arange(1 << (m * rounds), dtype=np.uint64)
+        for n, (reads, corr) in ((0, decoder.tables(none, m, rounds)),
+                                 (len(keys), decoder.tables(keys, m, rounds))):
+            assert (reads.dtype, reads.shape, corr.dtype, corr.shape) == (
+                np.int8, (n, 1 << s, s), np.uint64, (n, 1 << s))
+        # an empty cache takes its answers' shape from the answer for no key
+        cache = KeyCache(m * rounds)
+        assert cache.index(none, lambda new: decoder.tables(new, m, rounds)).shape == (0,)
+        assert [v.shape for v in cache.values] == [(0, 1 << s, s), (0, 1 << s)]
+        assert ((reads >= -1) & (reads < m)).all()
+        assert (reads[..., 1:] < 0)[reads[..., :-1] < 0].all()
+        v = np.arange(1 << s)
+        for i in range(s):
+            np.testing.assert_array_equal(reads[:, v, i], reads[:, v & ((1 << i) - 1), i])
+        n_read = np.count_nonzero(reads >= 0, axis=-1)
+        np.testing.assert_array_equal(
+            corr, np.take_along_axis(corr, v & ((1 << n_read) - 1), axis=1))
+        assert (n_read > 0).any() == (s > 0)
+
+
+class TestRuleD3D5Tables:
+    """``RuleDecoderD3D5.tables`` against the scalar ``decode_d3d5`` at
+    every base-round key, alone and under random second-round bits."""
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_every_key_matches_decode_d3d5(self, m, t):
+        g = build_cut_cat(GadgetSpec(gamma=2 * m, distance=3))
+        assert g.cat_count == m
+        round0 = np.arange(1 << m, dtype=np.uint64)
+        upper = np.random.default_rng(m).integers(1, 1 << m, 1 << m, dtype=np.uint64)
+        want = [cats_to_mask(g, decode_d3d5(k, t, m)) for k in round0.tolist()]
+        for keys in (round0, round0 | upper << np.uint64(m)):
+            reads, corr = RuleDecoderD3D5(g, t).tables(keys, m, 2)
+            assert reads.shape == (len(keys), 1, 0)
+            assert corr[:, 0].tolist() == want
 
 
 class TestCodeLut:

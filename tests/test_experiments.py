@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutcat.block import run_block_mc
-from cutcat.decoders import AdaptiveDecoder, RuleDecoderD3D5, RuleDecoderD7, cats_to_mask
+from cutcat.decoders import RuleDecoderD3D5, RuleDecoderD7
 from cutcat.experiments import (
     GadgetMonteCarlo,
     _follow_split,
@@ -20,7 +20,8 @@ from cutcat.experiments import (
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.sim import CatSyndrome
-from cutcat.verify import MAX_REREADS, coset_weights, compile_rereads, follow_rereads
+from cutcat.verify import MAX_REREADS, coset_weights, follow_rereads
+from decoder_ref import RefD7, TreeWalk, cats_to_mask
 from sample_ref import sample_ref
 
 
@@ -246,13 +247,13 @@ class TestManifest:
 
 class TestAdaptiveBatch:
     def test_matches_scalar_loop_over_same_draws(self):
-        """The vectorized re-read steps against ``decoder.decode`` per
-        trial, with a measure callback that applies the same draws one
-        re-read at a time."""
+        """The vectorized re-read steps against the scalar rule's
+        ``decode`` per trial, with a measure callback that applies the
+        same draws one re-read at a time."""
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         m, gamma, t = g.cat_count, g.gamma, 3
-        dec = RuleDecoderD7(g)
-        engine = GadgetMonteCarlo(g, dec)
+        dec = RefD7(g)
+        engine = GadgetMonteCarlo(g, RuleDecoderD7(g))
         seed, batch, size, p = 5, 2, 20_000, 5e-2
 
         rng = np.random.default_rng([seed, 1, batch])
@@ -293,14 +294,10 @@ def _batch_ref(engine: GadgetMonteCarlo, p: float, seed: int, batch_index: int,
     candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
     accs = [acc[candidates] for acc in accs]
     data, keys, g = accs[0], accs[1], engine.g
-    if engine.adaptive:
-        rows = engine._answers.index(keys, lambda new: compile_rereads(
-            engine.decoder, new, g.cat_count, g.base_rounds))
-        noise = (sample_ref(engine.reread, rng, len(keys), p) for _ in range(MAX_REREADS))
-        corr, _ = follow_rereads(*engine._answers.values, rows, accs[2], noise, g.cat_count)
-    else:
-        (corr,) = engine._answers.get(keys, lambda new: (engine.decoder.decode_keys(
-            new, g.cat_count, g.base_rounds),))
+    rows = engine._answers.index(keys, engine._tables)
+    noise = (sample_ref(engine.reread, rng, len(keys), p) for _ in range(engine.steps))
+    frame = accs[2] if engine.steps else np.zeros(len(keys), np.uint64)
+    corr, _ = follow_rereads(*engine._answers.values, rows, frame, noise, g.cat_count)
     return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > t))
 
 
@@ -316,15 +313,15 @@ class TestBatchMatchesDenseReference:
         g = build_cut_cat(spec)
         decoder = RuleDecoderD7(g) if distance == 7 else RuleDecoderD3D5(g, spec.t)
         engine, ref = GadgetMonteCarlo(g, decoder), GadgetMonteCarlo(g, decoder)
-        assert engine.adaptive == (distance == 7)
+        assert engine.steps == (MAX_REREADS if distance == 7 else 0)
         counts = [(engine.run_batch(p, seed, 0, size, spec.t),
                    _batch_ref(ref, p, seed, 0, size, spec.t)) for seed in (1, 2, 4242)]
         assert [got for got, _ in counts] == [want for _, want in counts]
 
 
-class _ReadWalk(AdaptiveDecoder):
+class _ReadWalk(TreeWalk):
     """An adaptive decoder known only by ``decode``, compiled by the tree
-    walk of ``verify.reread_table``: every key of two or more triggers
+    walk of ``decoder_ref.reread_table``: every key of two or more triggers
     re-reads, 1 to 4 stabilizers along the ring, each step chosen by the
     outcome before it."""
 
@@ -357,8 +354,7 @@ class TestFollowSplit:
         _, words = engine.faults.sample_words(rng, size, p)
         data, keys, persist = engine.faults.unpack(
             [w[engine.faults.any_nonzero(words, 2)] for w in words])
-        rows = engine._answers.index(keys, lambda new: compile_rereads(
-            engine.decoder, new, m, g.base_rounds))
+        rows = engine._answers.index(keys, engine._tables)
         # the all-rows call takes the dense ``sample`` of the same draws
         twin = copy.deepcopy(rng)
         hits = [engine.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
@@ -396,6 +392,13 @@ class TestFollowSplit:
         self._check(engine, 2e-2, seed, 20_000)
         reads, _ = engine._answers.values
         assert np.count_nonzero(reads[:, 0, 0] >= 0) > len(reads) // 2
+
+    def test_tables_without_reads(self):
+        """Tables with no read column need no frame and no noise."""
+        corrections = np.arange(5, dtype=np.uint64)[:, None]
+        rows = np.array([3, 0, 3, 4])
+        got = _follow_split(np.zeros((5, 1, 0), np.int8), corrections, rows, None, [], 7)
+        assert got.tolist() == [3, 0, 3, 4]
 
     def test_wide_ring(self):
         # at γ=64 (m=32) a pair packs a 32-bit frame under its row

@@ -15,7 +15,7 @@ from cutcat.decoders import (
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import mask_of, residual_weight_mod_generator
-from cutcat.sim import CatSyndrome, FaultTable
+from cutcat.sim import FaultTable
 from cutcat.verify import _effect_classes, combo_walk, verify_gadget
 from location_ref import enumerate_fault_locations, location_effects
 
@@ -93,30 +93,29 @@ def d3_lut():
 
 class TestBuild:
     def test_zero_syndrome_zero_correction(self, d3_lut):
-        assert d3_lut.lookup(0) == 0
+        assert d3_lut.table[0] == 0
 
     def test_d3_agrees_with_rule_decoder_up_to_coset(self, d3_lut):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
-        rule = RuleDecoderD3D5(g, 1)
-        ones = (1 << 6) - 1
-        for key, _, _ in _oracle_rows(g, 1):
-            syn = CatSyndrome.from_key(g.cat_count, key, 1)
-            diff = rule.decode(syn) ^ d3_lut.lookup(key)
-            assert diff in (0, ones)
+        keys = [key for key, _, _ in _oracle_rows(g, 1)]
+        _, rule = RuleDecoderD3D5(g, 1).tables(np.array(keys, np.uint64), g.cat_count, 1)
+        for key, corr in zip(keys, rule[:, 0].tolist()):
+            assert corr ^ d3_lut.table.get(key, 0) in (0, (1 << 6) - 1)
 
     def test_single_init_fault_correction_close(self, d3_lut):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
         for r in range(3):
             key = (1 << ((r - 1) % 3)) | (1 << r)
-            corr = d3_lut.lookup(key)
+            corr = d3_lut.table.get(key, 0)
             hook = (1 << (2 * r)) | (1 << (2 * r + 1))
             assert residual_weight_mod_generator(hook ^ corr, 6) <= 1
 
     def test_unreachable_syndrome_zero(self, d3_lut):
         assert 0b111 not in d3_lut.table
-        assert LutDecoder(d3_lut).decode(CatSyndrome(3, (0b111,))) == 0
+        _, corr = LutDecoder(d3_lut).tables(np.array([0b111], np.uint64), 3, 1)
+        assert corr.tolist() == [[0]]
 
     def test_deterministic(self):
         spec = GadgetSpec(gamma=8, distance=3, adaptive=False)
@@ -145,11 +144,11 @@ class TestBuild:
 
 class TestLookupContract:
     def test_shape_mismatch_rejected(self, d3_lut):
-        decoder = LutDecoder(d3_lut)
+        decoder, key = LutDecoder(d3_lut), np.zeros(1, np.uint64)
         with pytest.raises(ValueError):
-            decoder.decode(CatSyndrome(4, (0,)))
+            decoder.tables(key, 4, 1)
         with pytest.raises(ValueError):
-            decoder.decode(CatSyndrome(3, (0, 0)))
+            decoder.tables(key, 3, 2)
 
     @pytest.mark.parametrize("lut", [
         GadgetSpec(gamma=6, distance=3, adaptive=False),
@@ -176,12 +175,9 @@ class TestLookupContract:
         m = lut.cat_count
         # every key of the table's shape, most of them absent from it
         keys = np.arange(1 << (lut.rounds * m), dtype=np.uint64)
-        expected = [decoder.decode(CatSyndrome.from_key(m, k, lut.rounds))
-                    for k in keys.tolist()]
-        got = decoder.decode_keys(keys, m, lut.rounds)
+        expected = [[lut.table.get(k, 0)] for k in keys.tolist()]
+        _, got = decoder.tables(keys, m, lut.rounds)
         assert got.dtype == np.uint64 and got.tolist() == expected
-        with pytest.raises(ValueError, match="shape"):
-            decoder.decode_keys(keys, m + 1, lut.rounds)
 
     def test_json_round_trip(self, d3_lut):
         again = CutCatLUT.from_json(d3_lut.to_json())
@@ -212,7 +208,7 @@ class TestStoredCorrectionsSatisfyOracle:
             if res not in per:
                 per[res] = w
         for key, per in constraints.items():
-            corr = d3_lut.lookup(key)
+            corr = d3_lut.table.get(key, 0)
             for res, w in per.items():
                 assert residual_weight_mod_generator(res ^ corr, 6) <= w
 

@@ -9,14 +9,11 @@ import pytest
 
 from cutcat import verify
 from cutcat.decoders import (
-    AdaptiveDecoder,
     IdentityDecoder,
     LutDecoder,
     RuleDecoderD3D5,
     RuleDecoderD7,
     build_cut_cat_lut,
-    cats_to_mask,
-    decode_d7,
 )
 from cutcat.experiments import GadgetMonteCarlo
 from cutcat.gadgets import GadgetSpec, build_cut_cat
@@ -41,11 +38,10 @@ from cutcat.verify import (
     eval_upper_bound,
     follow_rereads,
     reread_events,
-    reread_table,
     sort_unique,
     verify_gadget,
 )
-import decode_d7_ref
+from decoder_ref import RefD7, TreeWalk, reread_table
 from location_ref import (
     adaptive_propagate,
     enumerate_fault_locations,
@@ -297,102 +293,40 @@ class TestClassesAgreeWithRawLocations:
             assert (cx.syndrome_key, cx.residual) == (raw.syndrome_key, raw.residual)
 
 
-class _RefD7(AdaptiveDecoder):
-    """The scalar rule of ``decode_d7_ref`` bound to a gadget; its
-    ``reread_tables`` is the base's ``reread_table`` walk of ``decode``."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def decode(self, syn, measure):
-        cats, _ = decode_d7_ref.decode_d7(syn.rounds[0], self.g.cat_count, measure)
-        return cats_to_mask(self.g, cats)
-
-
 class _Forwarding:
     """A decoder proxy that forwards every attribute it lacks to the
-    decoder it wraps and counts the ``decode`` calls made through it."""
+    decoder it wraps."""
 
     def __init__(self, inner):
-        self._inner, self.calls = inner, 0
+        self._inner = inner
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def decode(self, syn, measure):
-        self.calls += 1
-        return self._inner.decode(syn, measure)
-
 
 class TestRereadTable:
-    """The array rule of ``RuleDecoderD7.reread_tables`` against the
-    scalar rule of ``decode_d7_ref``, compiled through ``reread_table``."""
+    """The array rule of ``RuleDecoderD7.tables`` against the scalar rule
+    of ``decoder_ref``, compiled through ``reread_table``."""
 
     @pytest.mark.parametrize("gamma", [14, 16, 18, 20, 22, 24])
     def test_every_key_and_outcome_matches_decode_d7(self, gamma):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         m = g.cat_count
         keys = np.arange(1 << m, dtype=np.uint64)
-        reads, corr = RuleDecoderD7(g).reread_tables(keys, m, 1)
-        assert (reads.dtype, corr.dtype) == (np.int8, np.uint64)
-        want_reads, want_corr = _RefD7(g).reread_tables(keys, m, 1)
+        reads, corr = RuleDecoderD7(g).tables(keys, m, 1)
+        want_reads, want_corr = RefD7(g).tables(keys, m, 1)
         np.testing.assert_array_equal(reads, want_reads)
         np.testing.assert_array_equal(corr, want_corr)
-        # step i is read from the row of the outcomes before it
-        v = np.arange(1 << MAX_REREADS)
-        for i in range(MAX_REREADS):
-            np.testing.assert_array_equal(reads[:, v, i], reads[:, v & ((1 << i) - 1), i])
-
-    def test_decode_d7_follows_the_rule(self):
-        """The shipped ``decode_d7``, a follower of the rule's table of
-        one syndrome, against the scalar rule, fed each outcome vector."""
-        m = 7
-        for key in range(1 << m):
-            for v in range(1 << MAX_REREADS):
-                answers = []
-                for decode in (decode_d7, decode_d7_ref.decode_d7):
-                    fed = iter(range(MAX_REREADS))
-                    answers.append(decode(key, m, lambda indices: {
-                        i: (v >> next(fed)) & 1 for i in indices}))
-                assert answers[0] == answers[1], (key, v)
-
-    def test_no_keys(self):
-        """An empty key array gives tables of no rows, in the shape an
-        empty ``KeyCache`` takes its answers' shape from."""
-        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
-        none = np.zeros(0, np.uint64)
-        reads, corr = RuleDecoderD7(g).reread_tables(none, g.cat_count, 1)
-        assert (reads.shape, reads.dtype, corr.shape, corr.dtype) == (
-            (0, 16, MAX_REREADS), np.int8, (0, 16), np.uint64)
-        cache = KeyCache(g.cat_count)
-        assert cache.index(none, lambda new: RuleDecoderD7(g).reread_tables(
-            new, g.cat_count, 1)).shape == (0,)
-        assert [v.shape for v in cache.values] == [(0, 16, MAX_REREADS), (0, 16)]
-
-    def test_keys_without_rereads(self):
-        """No triggers, or an even count of six or more: nothing is
-        re-read, and every outcome vector gets the same correction."""
-        g = build_cut_cat(GadgetSpec(gamma=20, distance=7))
-        m = g.cat_count
-        keys = np.arange(1 << m, dtype=np.uint64)
-        na = np.bitwise_count(keys)
-        keys = keys[(na == 0) | ((na >= 6) & (na % 2 == 0))]
-        reads, corr = RuleDecoderD7(g).reread_tables(keys, m, 1)
-        assert len(keys) == 1 + math.comb(10, 6) + math.comb(10, 8) + 1
-        assert (reads == -1).all()
-        assert (corr == corr[:, :1]).all() and corr[0, 0] == 0
 
     def test_through_a_forwarding_proxy(self):
-        """``reread_tables`` is found through a proxy that forwards the
-        attributes it lacks: the verifier and MC run the array rule, and
-        ``decode`` is never called."""
+        """``tables`` is found through a proxy that forwards the
+        attributes it lacks: the verifier and MC run the array rule."""
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         proxy = _Forwarding(RuleDecoderD7(g))
         rep = verify_gadget(g, proxy, 3)
         assert rep.passed and rep.faults_checked == 14847
         got = GadgetMonteCarlo(g, proxy).run_batch(1e-2, 3, 0, 50_000, 3)
         assert got == GadgetMonteCarlo(g, RuleDecoderD7(g)).run_batch(1e-2, 3, 0, 50_000, 3)
-        assert proxy.calls == 0
 
     @pytest.mark.parametrize("spec", [
         GadgetSpec(gamma=6, distance=3), GadgetSpec(gamma=10, distance=5),
@@ -405,32 +339,25 @@ class TestRereadTable:
         with pytest.raises(ValueError, match=f"distance {spec.distance} gadget"):
             RuleDecoderD7(g)
 
+    def test_more_rereads_than_the_gadget_allows_rejected(self):
+        """A gadget refuses a decoder whose tables re-read more than it allows."""
+        g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
+        once = _Forwarding(IdentityDecoder())
+        once.tables = lambda keys, cat_count, rounds: (
+            np.zeros((len(keys), 2, 1), np.int8), np.zeros((len(keys), 2), np.uint64))
+        message = "re-reads up to 1 stabilizers; the distance 5 gadget allows 0"
+        for run in (lambda: verify_gadget(g, once, 2), lambda: GadgetMonteCarlo(g, once)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_more_than_four_rereads_rejected(self):
-        class Greedy(AdaptiveDecoder):
+        class Greedy(TreeWalk):
             def decode(self, syn, measure):
                 measure(tuple(range(MAX_REREADS + 1)))
                 return 0
 
         with pytest.raises(ValueError, match="more than 4 re-reads"):
             reread_table(Greedy(), CatSyndrome(7, (0b11,)))
-
-
-def _full_reread_table(decoder, syn):
-    """``reread_table`` with one decoder run per outcome vector."""
-    rows = []
-    for v in range(1 << MAX_REREADS):
-        reads = []
-
-        def measure(indices):
-            out = {}
-            for i in indices:
-                out[i] = (v >> len(reads)) & 1
-                reads.append(i % syn.cat_count)
-            return out
-
-        corr = decoder.decode(syn, measure)
-        rows.append((tuple(reads), corr))
-    return rows
 
 
 def _reached_keys(g, t):
@@ -447,7 +374,7 @@ class TestPrunedRereadTable:
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         calls = []
 
-        class Counted(RuleDecoderD7):
+        class Counted(RefD7):
             def decode(self, syn, measure=None):
                 calls.append(syn)
                 return super().decode(syn, measure)
@@ -456,7 +383,7 @@ class TestPrunedRereadTable:
         paths = 0
         for key in keys:
             syn = CatSyndrome.from_key(g.cat_count, key, g.base_rounds)
-            full = _full_reread_table(RuleDecoderD7(g), syn)
+            full = reread_table(RefD7(g), syn, prune=False)
             assert reread_table(Counted(g), syn) == full, hex(key)
             # rows that agree on the bits their run read share one run
             paths += len({(reads, v % (1 << len(reads))) for v, (reads, _) in enumerate(full)})
@@ -594,21 +521,21 @@ class TestEmptyDeepestSlice:
             g = build_cut_cat(spec)
             decoder, t = LutDecoder(build_cut_cat_lut(spec, gadget=g)), 2
         effects, names, _ = _classes(g, adaptive)
-        events = EventSets.build(*(reread_events(g) if adaptive else ([], [])), t - 1)
+        events = EventSets.build(*reread_events(g, MAX_REREADS if adaptive else 0), t - 1)
         # one effect, whose index is the last first index: no pair
         assert _check_combos(g, decoder, t, effects[:1], names[:1], events,
                              KeyCache(g.n_slots), 2) == (0, None)
 
 
-class _BrokenAt(AdaptiveDecoder):
-    """``RuleDecoderD7`` with a wrong correction for base-round key
+class _BrokenAt(TreeWalk):
+    """The scalar distance-7 rule with a wrong correction for base-round key
     ``key`` when its re-reads differ from the clean per-stabilizer bits
     ``clean`` as ``mode`` says: "always"; "any" re-read; "later", the
     first re-read as clean and a later one not.  Other keys go to
-    ``inner`` (by default ``RuleDecoderD7``)."""
+    ``inner`` (by default ``RefD7``)."""
 
     def __init__(self, g, key, bad, clean, mode, inner=None):
-        self.inner, self.key, self.bad = inner or RuleDecoderD7(g), key, bad
+        self.inner, self.key, self.bad = inner or RefD7(g), key, bad
         self.clean, self.mode = clean, mode
 
     def decode(self, syn, measure):
@@ -650,7 +577,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         left only on cats before the re-reads (``_pre_reread_events``)."""
         effects, names, table = _classes(g, True)
         m, k = g.cat_count, MAX_REREADS
-        events = reread_events(g)[0] + (_pre_reread_events(table) if pre else [])
+        events = reread_events(g, k)[0] + (_pre_reread_events(table) if pre else [])
         base_ops = noisy_operations(g)
         reread = FaultTable.for_reread(g)
         (persist,) = FaultTable.from_gadget(g, ("persist_x",)).columns
@@ -739,7 +666,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         out = {}
         for gamma in (14, 20):
             g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
-            out[gamma] = self._scalar_verify(g, RuleDecoderD7(g), 3)
+            out[gamma] = self._scalar_verify(g, RefD7(g), 3)
         return out
 
     @pytest.mark.parametrize("gamma", [14, 20])
@@ -768,7 +695,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
                 reads.extend(i % m for i in indices)
                 return {i: (clean >> (i % m)) & 1 for i in indices}
 
-            RuleDecoderD7(g).decode(CatSyndrome(m, (e.slot_flips,)), measure)
+            RefD7(g).decode(CatSyndrome(m, (e.slot_flips,)), measure)
             return reads
 
         def fits(reads):
@@ -834,8 +761,8 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         # the premise: cat s X and cat s+1 X, each with the outcome flip
         assert {(1, 0b01), (1, 0b10)} <= set(_first_rows(FaultTable.for_reread(g)))
         if case.startswith("rule"):
-            decoder = RuleDecoderD7(g)
-            rep = verify_gadget(g, decoder, t)
+            decoder = RefD7(g)
+            rep = verify_gadget(g, RuleDecoderD7(g), t)
             alone = self._report(rep.faults_checked, rep.counterexample)
             if t == 3:
                 assert alone == references[gamma]
@@ -925,7 +852,7 @@ class TestRowCap:
     def test_adaptive_grid_within_cap(self, monkeypatch):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         effects, names, _ = _classes(g, True)
-        events = EventSets.build(*reread_events(g), 3)
+        events = EventSets.build(*reread_events(g, MAX_REREADS), 3)
         k = int(np.searchsorted(events.size, 2, "right"))
         cells = []
 
@@ -963,10 +890,11 @@ class TestRowCap:
 
 class TestStaticVerifierMatchesScalarWalk:
     """The array check of static decoders against a per-combination walk
-    over ``itertools.combinations``, on a d=5 LUT with one entry broken."""
+    over ``itertools.combinations``, on a d=5 LUT with one entry broken,
+    each key looked up in its table (zero if absent)."""
 
     @staticmethod
-    def _scalar_verify(g, decoder, t):
+    def _scalar_verify(g, table, t):
         effects, names, _ = _classes(g)
         checked = 0
         for w in range(1, t + 1):
@@ -976,7 +904,7 @@ class TestStaticVerifierMatchesScalarWalk:
                     data ^= effects[i].data_x
                     key ^= effects[i].slot_flips
                 checked += 1
-                corr = decoder.decode(CatSyndrome.from_key(g.cat_count, key, g.base_rounds))
+                corr = table.get(key, 0)
                 cw = residual_weight_mod_generator(data ^ corr, g.gamma)
                 if cw > w:
                     return checked, (tuple(names[i] for i in combo), (), w, key, data, corr, cw)
@@ -1008,7 +936,7 @@ class TestStaticVerifierMatchesScalarWalk:
         table[key] = data ^ 0b111  # coset weight 3 against a budget of 2
         broken = LutDecoder(type(lut)(lut.gamma, lut.t, lut.rounds, lut.cat_count, table))
 
-        checked, cx = self._scalar_verify(g, broken, 2)
+        checked, cx = self._scalar_verify(g, table, 2)
         # rows of weight 1, of the slices before ``first``, then (i, j)
         assert checked == n + sum(n - 1 - a for a in range(i)) + (j - i - 1) + 1
         rep = verify_gadget(g, broken, 2)
@@ -1081,7 +1009,7 @@ class TestRemeasurementModel:
                         row = [0] * (2 * k)
                         row[2 * step], row[2 * step + 1] = anc, cats
                         expected.append(((step, op, code), row))
-        assert list(zip(*reread_events(g))) == expected
+        assert list(zip(*reread_events(g, k))) == expected
         # five re-read rows per step
         assert len(expected) == 5 * k
 
@@ -1177,7 +1105,7 @@ class TestMonteCarloFaultsCovered:
         the dominated rows that leave X on one cat each, are still named
         by each op's own codes, as pinned here."""
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
-        names, _ = reread_events(g)
+        names, _ = reread_events(g, MAX_REREADS)
         assert names == [(step, op, code) for step in range(MAX_REREADS)
                          for op, code in ((0, 0), (0, 3), (0, 4), (1, 3), (1, 4))]
         assert _pre_reread_events(FaultTable.for_decoder(g, True)) == [
@@ -1227,3 +1155,10 @@ class TestUpperBound:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             eval_upper_bound(10, 2, 1.5)
+
+    @pytest.mark.parametrize("gamma, t, message", [
+        (-3, 1, "gamma must be at least 2"), (1, 1, "gamma must be at least 2"),
+        (10, -1, "t must be at least 0")])
+    def test_rejects_bad_gamma_and_t(self, gamma, t, message):
+        with pytest.raises(ValueError, match=message):
+            eval_upper_bound(gamma, t, 0.1)
