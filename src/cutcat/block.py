@@ -209,22 +209,17 @@ def _misses(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parity_tables(rows: Sequence[int], n: int) -> np.ndarray:
-    """One table per w-bit chunk of an n-bit mask, w = n up to 16 bits and
-    8 above: entry v of table b has bit i set when v, as chunk b of a
-    mask, meets ``rows[i]`` oddly."""
-    w = n if n <= 16 else 8
-    masks = np.arange(1 << w, dtype=np.uint64)[None, :, None] << (
-        np.uint64(w) * np.arange(-(-n // w), dtype=np.uint64))[:, None, None]
+    """One 256-entry table per byte of an n-bit mask: entry v of table b
+    has bit i set when v, as byte b of a mask, meets ``rows[i]`` oddly."""
+    masks = np.arange(256, dtype=np.uint64)[None, :, None] << (
+        np.uint64(8) * np.arange((n + 7) // 8, dtype=np.uint64))[:, None, None]
     odd = np.bitwise_count(masks & np.array(rows, np.uint64)) & np.uint64(1)
     return (odd << np.arange(len(rows), dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
 
 
 def _parities(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Bit i of each entry: parity of that entry's mask on row i of the
-    rows ``tables`` was built from.  One table is one gather of the masks
-    themselves, with no index array to allocate."""
-    if len(tables) == 1:
-        return tables[0].take(data.view(np.intp))
+    rows ``tables`` was built from."""
     data = np.ascontiguousarray(data, "<u8").view(np.uint8)
     out = tables[0].take(data[::8].astype(np.intp))
     for b in range(1, len(tables)):

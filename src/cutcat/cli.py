@@ -108,12 +108,6 @@ def cmd_lut(args) -> int:
     return 0
 
 
-# the config entries each sweep reads (``jobs`` is optional)
-_MC_KEYS = ("p_values", "min_failures", "seed", "trial_cap", "batch_size")
-_GADGET_KEYS = ("gamma", "distance", "decoder") + _MC_KEYS
-_BLOCK_KEYS = ("code_file", "ratio", "max_rounds") + _MC_KEYS
-
-
 def _mc_gadget_config(args) -> dict:
     if args.gamma is None or args.distance is None:
         raise SystemExit("--gamma and --distance are required without a manifest")
@@ -130,19 +124,23 @@ def _mc_gadget_config(args) -> dict:
     }
 
 
+def _entries(config: dict, *names: str) -> dict:
+    """The entries ``names`` of a sweep config and its ``jobs`` (1 if
+    absent); a ``ValueError`` names every entry a manifest lacks."""
+    missing = [k for k in names if k not in config]
+    if missing:
+        raise ValueError(f"manifest config lacks {', '.join(missing)}")
+    return {k: config[k] for k in names} | {"jobs": config.get("jobs", 1)}
+
+
 def _run_mc_gadget(config: dict) -> SweepResult:
-    spec = GadgetSpec(
-        gamma=config["gamma"], distance=config["distance"],
-        adaptive=None if config["decoder"] != "lut" else False,
-    )
-    g = build_cut_cat(spec)
-    decoder = _default_decoder(g, spec, config["decoder"])
-    return sweep_gadget_mc(
-        spec, decoder, config["p_values"],
-        min_failures=config["min_failures"], seed=config["seed"],
-        trial_cap=config["trial_cap"], batch_size=config["batch_size"],
-        jobs=config.get("jobs", 1),
-    )
+    c = _entries(config, "gamma", "distance", "decoder", "p_values",
+                 "min_failures", "seed", "trial_cap", "batch_size")
+    kind = c.pop("decoder")
+    spec = GadgetSpec(gamma=c.pop("gamma"), distance=c.pop("distance"),
+                      adaptive=None if kind != "lut" else False)
+    decoder = _default_decoder(build_cut_cat(spec), spec, kind)
+    return sweep_gadget_mc(spec, decoder, c.pop("p_values"), **c)
 
 
 def _mc_block_config(args) -> dict:
@@ -162,21 +160,18 @@ def _mc_block_config(args) -> dict:
 
 
 def _run_mc_block(config: dict) -> SweepResult:
-    code = parse_css_code(Path(config["code_file"]).read_text())
-    return sweep_block_mc(
-        code, config["p_values"], ratio=config["ratio"],
-        min_failures=config["min_failures"], seed=config["seed"],
-        trial_cap=config["trial_cap"], batch_size=config["batch_size"],
-        max_rounds=config["max_rounds"], jobs=config.get("jobs", 1),
-    )
+    c = _entries(config, "code_file", "ratio", "max_rounds", "p_values",
+                 "min_failures", "seed", "trial_cap", "batch_size")
+    code = parse_css_code(Path(c.pop("code_file")).read_text())
+    return sweep_block_mc(code, c.pop("p_values"), **c)
 
 
 def cmd_mc(args) -> int:
     """A sweep of ``args.command`` from the arguments or a manifest; block
     sweeps leave the bound column empty."""
-    make_config, run, keys = args.mc
+    make_config, run = args.mc
     if args.from_manifest:
-        command, config = load_manifest(Path(args.from_manifest).read_text(), keys)
+        command, config = load_manifest(Path(args.from_manifest).read_text())
         if command != args.command:
             raise SystemExit(f"manifest is not an {args.command} run")
     else:
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
     p.add_argument("--batch-size", type=int, default=1_000_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget, _GADGET_KEYS))
+    p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget))
 
     p = sub.add_parser("mc-block", help="block-level logical error sweep")
     p.add_argument("--code", type=str, default=None)
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=100_000)
     add_mc_args(p)
-    p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block, _BLOCK_KEYS))
+    p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block))
 
     p = sub.add_parser("resources", help="gate/depth/qubit report")
     p.add_argument("--scheme", choices=["cutcat", "fullcat"], required=True)

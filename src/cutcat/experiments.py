@@ -328,9 +328,9 @@ def make_manifest(command: str, config: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def load_manifest(text: str, keys: Sequence[str] = ()) -> tuple[str, dict]:
-    """The command and config of a manifest, whose config must hold the
-    entries ``keys``; a ``ValueError`` names what a document lacks."""
+def load_manifest(text: str) -> tuple[str, dict]:
+    """The command and config of a manifest; a ``ValueError`` names what
+    a document lacks."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("manifest is not a JSON object")
@@ -342,7 +342,4 @@ def load_manifest(text: str, keys: Sequence[str] = ()) -> tuple[str, dict]:
         raise ValueError("unknown manifest format")
     if not isinstance(doc.get("command"), str) or not isinstance(doc.get("config"), dict):
         raise ValueError("manifest lacks a command string or a config object")
-    missing = [k for k in keys if k not in doc["config"]]
-    if missing:
-        raise ValueError(f"manifest config lacks {', '.join(missing)}")
     return doc["command"], doc["config"]

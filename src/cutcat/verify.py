@@ -363,7 +363,8 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
 
 def _check_combos(
     g: GadgetCircuit,
-    decoder,
+    tables,
+    steps: int,
     t: int,
     effects: Sequence[Effect],
     names: Sequence[tuple[int, int]],
@@ -375,12 +376,11 @@ def _check_combos(
     ``events`` within the budget t - weight (a decoder that re-reads
     nothing meets the empty set only): a (row, set) grid per slice, run by
     ``follow_rereads``.  A cell counts only if its run reaches the step of
-    each of its events.  ``cache`` holds the decoder's tables per key;
-    each slice's keys index it directly, and a serial walk shares it
-    across weights."""
-    m, rounds, gamma = g.cat_count, g.base_rounds, g.gamma
-    tables = partial(decoder.tables, cat_count=m, rounds=rounds)
-    steps = reread_steps(g, cache, tables)
+    each of its events.  ``cache`` holds the answers of ``tables`` (the
+    decoder's, bound to this gadget; ``steps`` re-reads) per key; each
+    slice's keys index it directly, and a serial walk shares it across
+    weights."""
+    m, gamma = g.cat_count, g.gamma
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
     noise = list(zip(masks[:, 0::2].T, masks[:, 1::2].T))
@@ -428,14 +428,14 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
     cache = KeyCache(g.cat_count * g.base_rounds)
-    steps = reread_steps(g, cache, partial(decoder.tables, cat_count=g.cat_count,
-                                           rounds=g.base_rounds))
+    tables = partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
+    steps = reread_steps(g, cache, tables)
     effects, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
     events = EventSets.build(*reread_events(g, steps), max(t - 1, 0))
     per_weight: list[int] = []
     cx = None
     for w in range(1, t + 1):
-        checked, cx = _check_combos(g, decoder, t, effects, names, events, cache, w)
+        checked, cx = _check_combos(g, tables, steps, t, effects, names, events, cache, w)
         per_weight.append(checked)
         if cx is not None:
             break

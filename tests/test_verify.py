@@ -31,13 +31,13 @@ from cutcat.verify import (
     _GRID_CELLS,
     EventSets,
     KeyCache,
-    _check_combos,
     _effect_classes,
     _first_rows,
     combo_walk,
     eval_upper_bound,
     follow_rereads,
     reread_events,
+    reread_steps,
     sort_unique,
     verify_gadget,
 )
@@ -48,6 +48,14 @@ from location_ref import (
     location_classes,
     location_effects,
 )
+
+
+def _check_combos(g, decoder, t, effects, names, events, cache, weight):
+    """``verify._check_combos`` for ``decoder``, its tables bound to ``g``
+    as ``verify_gadget`` binds them."""
+    tables = functools.partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
+    return verify._check_combos(g, tables, reread_steps(g, cache, tables), t, effects,
+                                names, events, cache, weight)
 
 
 def _persist_outcome(persist, stab, m):
