@@ -156,16 +156,6 @@ def _fault_sets(sim, n_trials, seed):
     return sets
 
 
-@pytest.mark.parametrize("n", [15, 40])
-def test_parities_match_row_parities(n):
-    # one 256-entry table per byte of the mask, two bytes for rm15, five for n=40
-    rng = np.random.default_rng(n)
-    rows = [int(r) for r in rng.integers(0, 1 << n, 5, dtype=np.uint64)]
-    data = rng.integers(0, 1 << n, 300, dtype=np.uint64)
-    want = [sum((bin(d & r).count("1") & 1) << i for i, r in enumerate(rows)) for d in data.tolist()]
-    assert block._parities(data, block._parity_tables(rows, n)).tolist() == want
-
-
 class TestRoundStep:
     """``BlockSimulator.apply_round`` on round-table rows of given faults
     against extraction one generator at a time through the scalar
