@@ -77,8 +77,7 @@ class BlockSimulator:
         self.code_lut: CodeLUT = build_code_lut(code)
         # correction and miss flag per syndrome; one the tables lack joins as a miss
         self._lut_caches = tuple(
-            KeyCache(len(rows), np.fromiter(t, np.uint64),
-                     (np.fromiter(t.values(), np.uint64), np.zeros(len(t), bool)))
+            KeyCache(len(rows), t[:, 0], (t[:, 1], np.zeros(len(t), bool)))
             for t, rows in ((self.code_lut.z_table, code.hx),
                             (self.code_lut.x_table, code.hz)))
         self._parity = tuple(_parity_tables(rows, code.n)

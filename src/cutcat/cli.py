@@ -47,16 +47,19 @@ def _default_decoder(g, spec: GadgetSpec, kind: str):
         return RuleDecoderD3D5(g, spec.t)
     if spec.distance == 7:
         return RuleDecoderD7(g)
-    raise SystemExit("distance 9 gadgets need --decoder lut")
+    raise ValueError("distance 9 gadgets need --decoder lut")
 
 
 def _p_values(args) -> list[float]:
     if args.p is not None:
         return list(args.p)
     if args.p_min is None or args.p_max is None:
-        raise SystemExit("give either --p values or --p-min/--p-max")
+        raise ValueError("give either --p values or --p-min/--p-max")
     if args.points < 2:
-        raise SystemExit("--points must be at least 2")
+        raise ValueError("--points must be at least 2")
+    for name, p in (("--p-min", args.p_min), ("--p-max", args.p_max)):
+        if not p > 0:
+            raise ValueError(f"{name}={p!r} must be positive")
     lo, hi = math.log(args.p_min), math.log(args.p_max)
     return [
         math.exp(lo + (hi - lo) * i / (args.points - 1))
@@ -93,8 +96,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lut(args) -> int:
-    if args.lut_command != "build":
-        raise SystemExit("unknown lut subcommand")
     spec = GadgetSpec(gamma=args.gamma, distance=args.distance, adaptive=False)
     try:
         lut = build_cut_cat_lut(spec)
@@ -110,7 +111,7 @@ def cmd_lut(args) -> int:
 
 def _mc_gadget_config(args) -> dict:
     if args.gamma is None or args.distance is None:
-        raise SystemExit("--gamma and --distance are required without a manifest")
+        raise ValueError("--gamma and --distance are required without a manifest")
     return {
         "gamma": args.gamma,
         "distance": args.distance,
@@ -145,7 +146,7 @@ def _run_mc_gadget(config: dict) -> SweepResult:
 
 def _mc_block_config(args) -> dict:
     if args.code is None:
-        raise SystemExit("--code is required without a manifest")
+        raise ValueError("--code is required without a manifest")
     return {
         "code_file": str(Path(args.code).resolve()),
         "ratio": args.ratio,
@@ -167,20 +168,18 @@ def _run_mc_block(config: dict) -> SweepResult:
 
 
 def cmd_mc(args) -> int:
-    """A sweep of ``args.command`` from the arguments or a manifest; block
-    sweeps leave the bound column empty."""
+    """A sweep of ``args.command`` from the arguments or a manifest."""
     make_config, run = args.mc
     if args.from_manifest:
         command, config = load_manifest(Path(args.from_manifest).read_text())
         if command != args.command:
-            raise SystemExit(f"manifest is not an {args.command} run")
+            raise ValueError(f"manifest is not an {args.command} run")
     else:
         config = make_config(args)
     sweep = run(config)
     if sweep.slope is not None:
         print(f"fitted slope {sweep.slope:.3f} +- {sweep.slope_stderr:.3f}")
-    csv_text = sweep_to_csv(sweep, include_bound=args.command == "mc-gadget")
-    _write_outputs(args, csv_text, make_manifest(args.command, config))
+    _write_outputs(args, sweep_to_csv(sweep), make_manifest(args.command, config))
     return 0
 
 

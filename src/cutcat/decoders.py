@@ -33,10 +33,9 @@ from .pauli import (
     _format_binary_rows,
     _parse_binary_row,
     mask_of,
-    parity,
     residual_weight_mod_generator,
 )
-from .sim import FaultTable, _check_width
+from .sim import Effect, FaultTable, _check_width
 from . import verify as _verify
 from .verify import MAX_REREADS
 
@@ -372,25 +371,25 @@ class LutBuildError(RuntimeError):
 class CutCatLUT:
     """Ring-syndrome lookup table for a fixed gadget geometry.
 
-    Keys concatenate all full-round outcome bits (round 0 lowest);
-    values are data-qubit correction masks.  Unreachable syndromes are
-    decoded as zero correction.
+    ``table`` is a uint64 array of (syndrome key, correction) rows sorted
+    by key.  Keys concatenate all full-round outcome bits (round 0
+    lowest); corrections are data-qubit masks.  Unreachable syndromes
+    are decoded as zero correction.
     """
 
     gamma: int
     t: int
     rounds: int
     cat_count: int
-    table: dict[int, int]
+    table: np.ndarray
 
     def to_json(self) -> str:
         """The table as ``json.dumps(..., indent=1)`` writes it, with the
-        entries sorted by key, written line by line."""
+        entries in key order, written line by line."""
         head = {"format": "cutcat-lut-v1", "gamma": self.gamma, "t": self.t,
                 "rounds": self.rounds, "cat_count": self.cat_count}
-        items = sorted(self.table.items())
-        rows = zip(_format_binary_rows([k for k, _ in items], self.rounds * self.cat_count),
-                   _format_binary_rows([c for _, c in items], self.gamma))
+        rows = zip(_format_binary_rows(self.table[:, 0], self.rounds * self.cat_count),
+                   _format_binary_rows(self.table[:, 1], self.gamma))
         entries = ",\n".join(f'  {{\n   "syndrome": "{s}",\n   "correction": "{c}"\n  }}'
                              for s, c in rows)
         return "{\n" + "".join(f' "{k}": {json.dumps(v)},\n' for k, v in head.items()) + (
@@ -401,45 +400,55 @@ class CutCatLUT:
         doc = json.loads(text)
         if doc.get("format") != "cutcat-lut-v1":
             raise ValueError("unknown LUT format")
-        n_bits = doc["rounds"] * doc["cat_count"]
-        table = {}
-        for i, e in enumerate(doc["entries"]):
-            key = _parse_binary_row(e["syndrome"], n_bits, f"LUT entry {i} syndrome")
-            table[key] = _parse_binary_row(e["correction"], doc["gamma"],
-                                           f"LUT entry {i} correction")
-        return cls(doc["gamma"], doc["t"], doc["rounds"], doc["cat_count"], table)
+        gamma, n_bits = doc["gamma"], doc["rounds"] * doc["cat_count"]
+        _check_width("data_x", gamma)
+        _check_width("slot_flips", n_bits)
+        table = np.array([
+            (_parse_binary_row(e["syndrome"], n_bits, f"LUT entry {i} syndrome"),
+             _parse_binary_row(e["correction"], gamma, f"LUT entry {i} correction"))
+            for i, e in enumerate(doc["entries"])], np.uint64).reshape(-1, 2)
+        order = np.argsort(table[:, 0], kind="stable")
+        table = table[order]
+        if len(repeat := np.flatnonzero(table[1:, 0] == table[:-1, 0])):
+            raise ValueError(f"LUT entry {order[repeat[0] + 1]} repeats syndrome "
+                             f"{int(table[repeat[0], 0]):#x}")
+        return cls(gamma, doc["t"], doc["rounds"], doc["cat_count"], table)
 
 
 class LutDecoder:
-    """Table-backed decoder over the concatenated full-round syndrome,
-    read from a ``verify.KeyCache`` prefilled with the table, where a key
-    the table lacks joins with the zero correction; no re-reads."""
+    """Table-backed decoder over the concatenated full-round syndrome:
+    one binary search of the table's sorted keys, where a key the table
+    lacks takes the zero correction; no re-reads."""
 
     def __init__(self, lut: CutCatLUT):
         self.lut = lut
-        n = len(lut.table)
-        self._cache = _verify.KeyCache(
-            lut.rounds * lut.cat_count, np.fromiter(lut.table, np.uint64, n),
-            (np.fromiter(lut.table.values(), np.uint64, n),))
 
     def tables(self, keys: np.ndarray, cat_count: int,
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
             raise ValueError("syndrome shape does not match the table")
-        return _no_rereads(self._cache.get(keys, lambda new: (np.zeros(len(new), np.uint64),))[0])
+        table = self.lut.table
+        pos = np.searchsorted(table[:, 0], keys)
+        found = pos < len(table)
+        found[found] = table[pos[found], 0] == keys[found]
+        corrections = np.zeros(len(keys), np.uint64)
+        corrections[found] = table[pos[found], 1]
+        return _no_rereads(corrections)
 
 
 def _solve_constraints(
     keys: np.ndarray, group: np.ndarray, residual: np.ndarray, weight: np.ndarray,
     gamma: int, t: int,
-) -> dict[int, int]:
-    """Correction per syndrome key from (group, residual, weight) rows of
-    ascending weight, so a repeated residual adds no constraint and no
-    candidate; a row's key is ``keys[group]``, and groups lie below 2^32.
-    Per key, zero, the key's residuals in row order, then offsets are
-    tried, until one keeps every residual within its weight."""
+) -> np.ndarray:
+    """The correction of each of ``keys`` from (group, residual, weight)
+    rows of ascending weight, so a repeated residual adds no constraint
+    and no candidate; a row's key is ``keys[group]``, and groups lie below
+    2^32.  Per key, zero, the key's residuals in row order, then offsets
+    are tried, until one keeps every residual within its weight; a key
+    with no rows takes zero."""
+    corr = np.zeros(len(keys), np.uint64)
     if not len(group):
-        return {}
+        return corr
     # one sort of (group << 32 | row) words puts each key's rows together,
     # in row order
     word = group.astype(np.uint64)
@@ -450,9 +459,8 @@ def _solve_constraints(
     residual, weight = residual[order], weight[order]
     word >>= np.uint64(32)
     starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
-    key = keys[word[starts]]
+    group = word[starts].astype(np.intp)
     sizes = np.diff(np.r_[starts, len(word)])
-    corr = np.zeros(len(starts), np.uint64)
     # the zero vector, against every row at once, then candidate j of every
     # open key against all its rows
     todo = ~np.logical_and.reduceat(_verify.coset_weights(residual, gamma) <= weight, starts)
@@ -463,7 +471,7 @@ def _solve_constraints(
         cand = residual[gs + j]
         cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
         ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
-        corr[active[ok]] = cand[ok]
+        corr[group[active[ok]]] = cand[ok]
         todo[active[ok]], j = False, j + 1
     # The rest, in first-row order: plain-weight offsets of up to the first
     # weight from the first residual.  Complements are equivalent under the
@@ -477,9 +485,9 @@ def _solve_constraints(
             residual_weight_mod_generator(e ^ c, gamma) <= v for e, v in zip(res, w))), None)
         if found is None:
             raise LutBuildError(
-                f"syndrome {int(key[i]):#x} admits no correction within weight {t}")
-        corr[i] = found
-    return dict(zip(key.tolist(), corr.tolist()))
+                f"syndrome {int(keys[group[i]]):#x} admits no correction within weight {t}")
+        corr[group[i]] = found
+    return corr
 
 
 def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> CutCatLUT:
@@ -514,28 +522,22 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
         ids = cache.find(s.key)
         m = hard[ids]
         rows.append((ids[m], s.data[m], np.full(m.sum(), s.weight, np.uint8)))
-    # Each step frees what it no longer needs before the next allocates:
-    # the slices' parts before the solve sorts the rows, and the rows
-    # before the dict of every key, the largest object of the build.
+    # each step frees what it no longer needs before the next allocates
     group, residual, weight = map(np.concatenate, zip(*rows))
     del rows
-    solved = _solve_constraints(cache.keys, group, residual, weight, spec.gamma, t)
+    corrections = _solve_constraints(cache.keys, group, residual, weight, spec.gamma, t)
     del group, residual, weight
-    table = dict.fromkeys(cache.keys.tolist(), 0)
-    table.update(solved)
-    assert table.get(0, 0) == 0, "zero syndrome must map to zero correction"
-    return CutCatLUT(
-        gamma=spec.gamma,
-        t=t,
-        rounds=spec.rounds,
-        cat_count=spec.cat_count,
-        table=table,
-    )
+    order = np.argsort(cache.keys)
+    table = np.stack([cache.keys[order], corrections[order]], axis=1)
+    assert not table[0].any(), "zero syndrome must map to zero correction"
+    return CutCatLUT(gamma=spec.gamma, t=t, rounds=spec.rounds, cat_count=spec.cat_count,
+                     table=table)
 
 
 @dataclass(frozen=True)
 class CodeLUT:
-    """Minimum-weight-representative tables for whole-code decoding.
+    """Minimum-weight-representative tables for whole-code decoding, as
+    uint64 arrays of (syndrome, correction) rows sorted by syndrome.
 
     ``x_table`` corrects X errors and is keyed by the Z-generator
     syndrome; ``z_table`` mirrors it.  First-assigned (lowest-weight,
@@ -543,39 +545,27 @@ class CodeLUT:
     """
 
     n: int
-    x_table: dict[int, int]
-    z_table: dict[int, int]
-
-
-def _rows_syndrome(rows: Sequence[int], err: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= parity(row & err) << i
-    return out
+    x_table: np.ndarray
+    z_table: np.ndarray
 
 
 def build_code_lut(code: CssCode, max_patterns: int = 5_000_000) -> CodeLUT:
     """Enumerate error patterns of weight up to ``code.t`` in ascending
-    weight, assigning each fresh syndrome its first (minimum-weight)
-    representative."""
+    weight, then lexicographically (``verify.combo_walk`` over the
+    single-qubit errors, each carrying its syndrome as its key), and keep
+    each syndrome's first (minimum-weight) representative."""
     from math import comb
 
+    _check_width("x", code.n)
     total = sum(comb(code.n, w) for w in range(code.t + 1))
     if total > max_patterns:
-        raise ValueError(
-            f"enumeration of {total} patterns exceeds cap {max_patterns}"
-        )
+        raise ValueError(f"enumeration of {total} patterns exceeds cap {max_patterns}")
 
-    def fill(rows: Sequence[int]) -> dict[int, int]:
-        table: dict[int, int] = {0: 0}
-        for w in range(1, code.t + 1):
-            for qubits in combinations(range(code.n), w):
-                err = mask_of(qubits)
-                table.setdefault(_rows_syndrome(rows, err), err)
-        return table
+    def fill(rows: Sequence[int]) -> np.ndarray:
+        singles = [Effect(1 << q, sum(((r >> q) & 1) << i for i, r in enumerate(rows)))
+                   for q in range(code.n)]
+        walk = list(_verify.combo_walk(singles, code.t, min_weight=0))
+        syndromes, first = np.unique(np.concatenate([s.key for s in walk]), return_index=True)
+        return np.stack([syndromes, np.concatenate([s.data for s in walk])[first]], axis=1)
 
-    return CodeLUT(
-        n=code.n,
-        x_table=fill(code.hz),
-        z_table=fill(code.hx),
-    )
+    return CodeLUT(n=code.n, x_table=fill(code.hz), z_table=fill(code.hx))

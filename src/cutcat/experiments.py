@@ -214,6 +214,8 @@ def run_batches_until(
         raise ValueError(f"batch_size={batch_size} must be positive")
     if jobs < 1:
         raise ValueError(f"jobs={jobs} must be positive")
+    if trial_cap < 1:
+        raise ValueError(f"trial_cap={trial_cap} must be positive")
     trials = 0
     failures = 0
     batch_index = 0
@@ -298,9 +300,10 @@ def sweep_gadget_mc(
     return SweepResult(tuple(points), tuple(bounds), slope, stderr)
 
 
-def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
+def sweep_to_csv(sweep: SweepResult) -> str:
     """CSV with one row per point: p, p_ft, trials, failures, estimate,
-    Wilson bounds and the analytic bound (empty for block sweeps)."""
+    Wilson bounds and the analytic bound (empty where it is NaN, as for
+    block sweeps)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -311,7 +314,7 @@ def sweep_to_csv(sweep: SweepResult, include_bound: bool = True) -> str:
         writer.writerow([
             repr(stats.p), repr(stats.p_ft), stats.trials, stats.failures,
             repr(stats.estimate), repr(lo), repr(hi),
-            repr(bound) if include_bound else "",
+            "" if math.isnan(bound) else repr(bound),
         ])
     return buf.getvalue()
 

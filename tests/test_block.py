@@ -390,8 +390,8 @@ class TestKeyCacheLookups:
         rng = np.random.default_rng(8)
         sx = rng.integers(0, 1 << len(rm15.hx), 3000, dtype=np.uint64)
         sz = rng.integers(0, 1 << len(rm15.hz), 3000, dtype=np.uint64)
-        z_corr, z_miss = _table_apply(sim.code_lut.z_table.get, sx)
-        x_corr, x_miss = _table_apply(sim.code_lut.x_table.get, sz)
+        z_corr, z_miss = _table_apply(dict(sim.code_lut.z_table.tolist()).get, sx)
+        x_corr, x_miss = _table_apply(dict(sim.code_lut.x_table.tolist()).get, sz)
         assert x_miss.any() and (~x_miss).any()
         for _ in range(2):  # the second pass finds the misses cached
             data_x, data_z = np.zeros(3000, np.uint64), np.zeros(3000, np.uint64)

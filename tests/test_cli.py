@@ -41,6 +41,43 @@ class TestVerifyCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUsageErrors:
+    """Each usage error exits 2 with one ``error:`` line and writes nothing,
+    unlike a failed certificate (exit 1)."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "--gamma", "18", "--distance", "9"],
+         "distance 9 gadgets need --decoder lut"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3"],
+         "give either --p values or --p-min/--p-max"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "1e-3",
+          "--p-max", "1e-2", "--points", "1"], "--points must be at least 2"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "0",
+          "--p-max", "1e-2"], "--p-min=0.0 must be positive"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "1e-3",
+          "--p-max", "-1"], "--p-max=-1.0 must be positive"),
+        (["mc-gadget", "--p", "1e-2"], "--gamma and --distance are required without a manifest"),
+        (["mc-block", "--p", "1e-2"], "--code is required without a manifest"),
+        (["mc-block", "--from-manifest"], "manifest is not an mc-block run"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p", "1e-2", "--trial-cap", "0"],
+         "trial_cap=0 must be positive"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p", "1e-2", "--trial-cap", "-5"],
+         "trial_cap=-5 must be positive"),
+    ], ids=["d9-rules", "no-p", "one-point", "p-min-zero", "p-max-negative", "no-gamma",
+            "no-code", "other-manifest", "trial-cap-zero", "trial-cap-negative"])
+    def test_exit_two(self, tmp_path, capsys, args, message):
+        if args[-1] == "--from-manifest":
+            manifest = tmp_path / "gadget.manifest.json"
+            manifest.write_text(json.dumps({"format": "cutcat-manifest-v5",
+                                            "command": "mc-gadget", "config": {}}))
+            args = args + [str(manifest)]
+        out = tmp_path / "a.csv"
+        assert main(args + ([] if args[0] == "verify" else ["--out", str(out)])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestBoundCommand:
     def test_zero_rate_prints_zero(self, capsys):
         assert main(["bound", "--gamma", "10", "--t", "2", "--p", "0"]) == 0

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from cutcat.decoders import (IdentityDecoder, LutDecoder, RuleDecoderD3D5, RuleDecoderD7,
                              build_code_lut, build_cut_cat_lut, j_list)
 from cutcat.gadgets import GadgetSpec, build_cut_cat
+from cutcat.pauli import CssCode, mask_of, parity
 from cutcat.sim import CatSyndrome
 from cutcat.verify import MAX_REREADS, KeyCache
 
@@ -250,19 +253,47 @@ class TestRuleD3D5Tables:
             assert corr[:, 0].tolist() == want
 
 
+def _dict_code_table(code, rows):
+    """The per-pattern dict builder the array tables replaced: patterns of
+    weight up to t in ascending weight, then lexicographically, each fresh
+    syndrome keeping its first pattern."""
+    table = {0: 0}
+    for w in range(1, code.t + 1):
+        for qubits in combinations(range(code.n), w):
+            err = mask_of(qubits)
+            syndrome = sum(parity(row & err) << i for i, row in enumerate(rows))
+            table.setdefault(syndrome, err)
+    return table
+
+
 class TestCodeLut:
     def test_steane_weight_one_syndromes(self, steane):
         lut = build_code_lut(steane)
         assert len(lut.x_table) == 8  # zero plus seven single-qubit errors
-        assert lut.x_table[0] == 0
+        assert dict(lut.x_table.tolist())[0] == 0
 
     def test_steane_round_trip(self, steane):
         lut = build_code_lut(steane)
+        table = dict(lut.x_table.tolist())
         for q in range(7):
             err = PauliFrame.single(7, q, "X")
             syn = code_syndrome(steane, err)
             sz = syn.bits >> len(steane.hx)
-            assert lut.x_table.get(sz) == err.x
+            assert table.get(sz) == err.x
+
+    @pytest.mark.parametrize("name", ["steane", "rm15"])
+    def test_arrays_match_dict_builder(self, request, name):
+        code = request.getfixturevalue(name)
+        lut = build_code_lut(code)
+        for table, rows in ((lut.x_table, code.hz), (lut.z_table, code.hx)):
+            assert table.dtype == np.uint64 and table.shape[1] == 2
+            assert (np.diff(table[:, 0].astype(np.int64)) > 0).all()
+            assert table.tolist() == [[k, e] for k, e in sorted(_dict_code_table(code, rows).items())]
+
+    def test_code_over_64_qubits_rejected(self):
+        code = CssCode(n=65, k=63, d=3, hx=(0b11,), hz=(0b11,))
+        with pytest.raises(ValueError, match="n=65 exceeds the 64-bit"):
+            build_code_lut(code)
 
     def test_enumeration_cap(self, steane):
         with pytest.raises(ValueError):

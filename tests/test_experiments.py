@@ -171,6 +171,15 @@ class TestGadgetMc:
         with pytest.raises(ValueError, match=f"jobs={jobs} must be positive"):
             run_batches_until(batch_fn, min_failures=1, trial_cap=10, batch_size=10, jobs=jobs)
 
+    @pytest.mark.parametrize("trial_cap", [0, -5])
+    def test_trial_cap_below_one_rejected(self, trial_cap):
+        # a cap of no trials fails before any batch, never reports 0 trials
+        def batch_fn(batch_index, size):
+            raise AssertionError("a batch ran")
+
+        with pytest.raises(ValueError, match=f"trial_cap={trial_cap} must be positive"):
+            run_batches_until(batch_fn, min_failures=1, trial_cap=trial_cap, batch_size=10)
+
     def test_fixed_trial_runs_do_not_depend_on_jobs(self, d3_setup, steane):
         # min_failures above the cap: every batch runs, in a pool for jobs=2
         spec, dec = d3_setup

@@ -34,3 +34,12 @@ def test_import_leaves_out_the_process_pool():
         [sys.executable, "-c", f"import sys, cutcat; print([m for m in {pool!r} if m in sys.modules])"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's public example follows the API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md (Library sketch)", "exec"), {})
+    estimate, bound = map(float, capsys.readouterr().out.split())
+    assert 0 < estimate < 1 and 0 < bound < 1

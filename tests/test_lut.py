@@ -20,6 +20,11 @@ from cutcat.verify import _effect_classes, combo_walk, verify_gadget
 from location_ref import enumerate_fault_locations, location_effects
 
 
+def _dict(table):
+    """A table's (syndrome, correction) rows as a dict."""
+    return dict(table.tolist())
+
+
 def _class_effects(g):
     return _effect_classes(FaultTable.for_decoder(g, False))[0]
 
@@ -83,7 +88,8 @@ def _solve(rows, gamma, t):
     key, residual, weight = (np.array(c, dtype) for c, dtype in
                              zip(zip(*rows), (np.uint64, np.uint64, np.uint8)))
     keys, group = np.unique(key, return_inverse=True)
-    return _solve_constraints(keys, group, residual, weight, gamma, t)
+    return dict(zip(keys.tolist(), _solve_constraints(keys, group, residual, weight,
+                                                      gamma, t).tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -93,27 +99,29 @@ def d3_lut():
 
 class TestBuild:
     def test_zero_syndrome_zero_correction(self, d3_lut):
-        assert d3_lut.table[0] == 0
+        assert _dict(d3_lut.table)[0] == 0
 
     def test_d3_agrees_with_rule_decoder_up_to_coset(self, d3_lut):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
         keys = [key for key, _, _ in _oracle_rows(g, 1)]
         _, rule = RuleDecoderD3D5(g, 1).tables(np.array(keys, np.uint64), g.cat_count, 1)
+        table = _dict(d3_lut.table)
         for key, corr in zip(keys, rule[:, 0].tolist()):
-            assert corr ^ d3_lut.table.get(key, 0) in (0, (1 << 6) - 1)
+            assert corr ^ table.get(key, 0) in (0, (1 << 6) - 1)
 
     def test_single_init_fault_correction_close(self, d3_lut):
         spec = GadgetSpec(gamma=6, distance=3)
         g = build_cut_cat(spec)
+        table = _dict(d3_lut.table)
         for r in range(3):
             key = (1 << ((r - 1) % 3)) | (1 << r)
-            corr = d3_lut.table.get(key, 0)
+            corr = table.get(key, 0)
             hook = (1 << (2 * r)) | (1 << (2 * r + 1))
             assert residual_weight_mod_generator(hook ^ corr, 6) <= 1
 
     def test_unreachable_syndrome_zero(self, d3_lut):
-        assert 0b111 not in d3_lut.table
+        assert 0b111 not in _dict(d3_lut.table)
         _, corr = LutDecoder(d3_lut).tables(np.array([0b111], np.uint64), 3, 1)
         assert corr.tolist() == [[0]]
 
@@ -121,7 +129,7 @@ class TestBuild:
         spec = GadgetSpec(gamma=8, distance=3, adaptive=False)
         a = build_cut_cat_lut(spec)
         b = build_cut_cat_lut(spec)
-        assert a.table == b.table
+        assert np.array_equal(a.table, b.table)
 
     @pytest.mark.parametrize("gamma,distance", [(6, 3), (8, 5), (10, 5)])
     def test_raw_locations_give_the_same_table(self, gamma, distance):
@@ -131,7 +139,7 @@ class TestBuild:
         g = build_cut_cat(spec)
         raw = location_effects(g, enumerate_fault_locations(g), "X")
         expected = _reference_table(_reference_rows(raw, spec.t), gamma, spec.t)
-        assert build_cut_cat_lut(spec, gadget=g).table == expected
+        assert _dict(build_cut_cat_lut(spec, gadget=g).table) == expected
 
     def test_adaptive_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -153,7 +161,7 @@ class TestLookupContract:
     @pytest.mark.parametrize("lut", [
         GadgetSpec(gamma=6, distance=3, adaptive=False),
         GadgetSpec(gamma=10, distance=5, adaptive=False),
-        CutCatLUT(6, 1, 1, 3, {}),
+        CutCatLUT(6, 1, 1, 3, np.zeros((0, 2), np.uint64)),
     ], ids=["d3", "d5", "empty"])
     def test_json_matches_json_dumps(self, lut):
         if isinstance(lut, GadgetSpec):
@@ -164,7 +172,7 @@ class TestLookupContract:
             "format": "cutcat-lut-v1", "gamma": lut.gamma, "t": lut.t,
             "rounds": lut.rounds, "cat_count": lut.cat_count,
             "entries": [{"syndrome": row(k, n_bits), "correction": row(c, lut.gamma)}
-                        for k, c in sorted(lut.table.items())],
+                        for k, c in sorted(_dict(lut.table).items())],
         }, indent=1)
         assert lut.to_json() == expected
 
@@ -175,26 +183,43 @@ class TestLookupContract:
         m = lut.cat_count
         # every key of the table's shape, most of them absent from it
         keys = np.arange(1 << (lut.rounds * m), dtype=np.uint64)
-        expected = [[lut.table.get(k, 0)] for k in keys.tolist()]
+        table = _dict(lut.table)
+        expected = [[table.get(k, 0)] for k in keys.tolist()]
         _, got = decoder.tables(keys, m, lut.rounds)
         assert got.dtype == np.uint64 and got.tolist() == expected
 
+    @pytest.mark.parametrize("gamma, distance", [(6, 3), (10, 5)])
+    def test_table_is_rows_sorted_by_key(self, gamma, distance):
+        table = build_cut_cat_lut(GadgetSpec(gamma=gamma, distance=distance,
+                                             adaptive=False)).table
+        assert table.dtype == np.uint64 and table.ndim == 2 and table.shape[1] == 2
+        assert (np.diff(table[:, 0].astype(np.int64)) > 0).all()
+
     def test_json_round_trip(self, d3_lut):
         again = CutCatLUT.from_json(d3_lut.to_json())
-        assert again == d3_lut
+        fields = lambda lut: (lut.gamma, lut.t, lut.rounds, lut.cat_count, lut.table.dtype)
+        assert fields(again) == fields(d3_lut)
+        assert np.array_equal(again.table, d3_lut.table)
 
     def test_json_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             CutCatLUT.from_json('{"format": "other"}')
 
-    @pytest.mark.parametrize("field, value, where", [
-        ("syndrome", "1x1", "LUT entry 1 syndrome"),
-        ("syndrome", "1010", "LUT entry 1 syndrome"),
-        ("correction", "0000001", "LUT entry 1 correction"),
-    ], ids=["bad-character", "long-key", "wide-correction"])
-    def test_json_rejects_malformed_entry(self, d3_lut, field, value, where):
+    @pytest.mark.parametrize("edit, where", [
+        ({"syndrome": "1x1"}, "LUT entry 1 syndrome"),
+        ({"syndrome": "1010"}, "LUT entry 1 syndrome"),
+        ({"correction": "0000001"}, "LUT entry 1 correction"),
+        ({"syndrome": "010"}, "LUT entry 2 repeats syndrome 0x2"),
+        ({"gamma": 65}, "gamma=65 exceeds the 64-bit"),
+        ({"rounds": 2, "cat_count": 33}, "ring slots=66 exceeds the 64-bit"),
+    ], ids=["bad-character", "long-key", "wide-correction", "repeated-syndrome",
+            "wide-gamma", "wide-key"])
+    def test_json_rejects_malformed_entry(self, d3_lut, edit, where):
+        # entry edits go to entry 1 (syndrome 0b001; entry 2 holds 0b010),
+        # the rest to the header
         doc = json.loads(d3_lut.to_json())
-        doc["entries"][1][field] = value
+        for field, value in edit.items():
+            (doc["entries"][1] if field in ("syndrome", "correction") else doc)[field] = value
         with pytest.raises(ValueError, match=where):
             CutCatLUT.from_json(json.dumps(doc))
 
@@ -207,8 +232,9 @@ class TestStoredCorrectionsSatisfyOracle:
             per = constraints.setdefault(key, {})
             if res not in per:
                 per[res] = w
+        table = _dict(d3_lut.table)
         for key, per in constraints.items():
-            corr = d3_lut.table.get(key, 0)
+            corr = table.get(key, 0)
             for res, w in per.items():
                 assert residual_weight_mod_generator(res ^ corr, 6) <= w
 
@@ -227,7 +253,7 @@ class TestSynthesisMatchesReference:
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
         expected = _reference_table(_reference_rows(_class_effects(g), spec.t), gamma, spec.t)
-        assert build_cut_cat_lut(spec, gadget=g).table == expected
+        assert _dict(build_cut_cat_lut(spec, gadget=g).table) == expected
 
     # gamma 8, t 2.  Key 1: zero fails (0b0011 at weight 1) and each stored
     # residual breaks the other, but 0b0010 is within one of both.  Key 2:
