@@ -20,7 +20,7 @@ touches") and map them to data-qubit masks through the gadget's pair map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -367,8 +367,28 @@ class LutBuildError(RuntimeError):
     requested rounds/gamma combination is not t-FT decodable."""
 
 
-@dataclass(frozen=True)
-class CutCatLUT:
+class _Tables:
+    """Base of the LUT dataclasses: each ``*table`` field is a uint64
+    (entries, 2) array of (syndrome, correction) rows with strictly
+    increasing syndromes, the form a table is searched in; two LUTs are
+    equal when their fields are, the tables by value."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            t = getattr(self, f.name)
+            if f.name.endswith("table") and not (
+                    isinstance(t, np.ndarray) and t.dtype == np.uint64 and t.shape[1:] == (2,)
+                    and (t[1:, 0] > t[:-1, 0]).all()):
+                raise ValueError(f"{f.name} is not a uint64 (entries, 2) array of "
+                                 "distinct syndromes in increasing order")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class CutCatLUT(_Tables):
     """Ring-syndrome lookup table for a fixed gadget geometry.
 
     ``table`` is a uint64 array of (syndrome key, correction) rows sorted
@@ -388,8 +408,8 @@ class CutCatLUT:
         entries in key order, written line by line."""
         head = {"format": "cutcat-lut-v1", "gamma": self.gamma, "t": self.t,
                 "rounds": self.rounds, "cat_count": self.cat_count}
-        rows = zip(_format_binary_rows(self.table[:, 0], self.rounds * self.cat_count),
-                   _format_binary_rows(self.table[:, 1], self.gamma))
+        rows = zip(_format_binary_rows(self.table[:, 0].tolist(), self.rounds * self.cat_count),
+                   _format_binary_rows(self.table[:, 1].tolist(), self.gamma))
         entries = ",\n".join(f'  {{\n   "syndrome": "{s}",\n   "correction": "{c}"\n  }}'
                              for s, c in rows)
         return "{\n" + "".join(f' "{k}": {json.dumps(v)},\n' for k, v in head.items()) + (
@@ -407,12 +427,8 @@ class CutCatLUT:
             (_parse_binary_row(e["syndrome"], n_bits, f"LUT entry {i} syndrome"),
              _parse_binary_row(e["correction"], gamma, f"LUT entry {i} correction"))
             for i, e in enumerate(doc["entries"])], np.uint64).reshape(-1, 2)
-        order = np.argsort(table[:, 0], kind="stable")
-        table = table[order]
-        if len(repeat := np.flatnonzero(table[1:, 0] == table[:-1, 0])):
-            raise ValueError(f"LUT entry {order[repeat[0] + 1]} repeats syndrome "
-                             f"{int(table[repeat[0], 0]):#x}")
-        return cls(gamma, doc["t"], doc["rounds"], doc["cat_count"], table)
+        return cls(gamma, doc["t"], doc["rounds"], doc["cat_count"],
+                   table[np.argsort(table[:, 0])])
 
 
 class LutDecoder:
@@ -427,12 +443,9 @@ class LutDecoder:
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
             raise ValueError("syndrome shape does not match the table")
-        table = self.lut.table
-        pos = np.searchsorted(table[:, 0], keys)
-        found = pos < len(table)
-        found[found] = table[pos[found], 0] == keys[found]
+        at = _verify.sorted_find(self.lut.table[:, 0], keys)
         corrections = np.zeros(len(keys), np.uint64)
-        corrections[found] = table[pos[found], 1]
+        corrections[at >= 0] = self.lut.table[at[at >= 0], 1]
         return _no_rereads(corrections)
 
 
@@ -527,15 +540,14 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     del rows
     corrections = _solve_constraints(cache.keys, group, residual, weight, spec.gamma, t)
     del group, residual, weight
-    order = np.argsort(cache.keys)
-    table = np.stack([cache.keys[order], corrections[order]], axis=1)
+    table = np.stack([cache.keys, corrections], axis=1)[np.argsort(cache.keys)]
     assert not table[0].any(), "zero syndrome must map to zero correction"
     return CutCatLUT(gamma=spec.gamma, t=t, rounds=spec.rounds, cat_count=spec.cat_count,
                      table=table)
 
 
-@dataclass(frozen=True)
-class CodeLUT:
+@dataclass(frozen=True, eq=False)
+class CodeLUT(_Tables):
     """Minimum-weight-representative tables for whole-code decoding, as
     uint64 arrays of (syndrome, correction) rows sorted by syndrome.
 

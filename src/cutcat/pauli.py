@@ -124,12 +124,11 @@ def _parse_binary_row(token: str, n: int, where: str) -> int:
 _WORD = (1 << 64) - 1
 
 
-def _format_binary_rows(masks: Sequence[int] | np.ndarray, n: int) -> list[str]:
+def _format_binary_rows(masks: Sequence[int], n: int) -> list[str]:
     """Each mask as ``n`` binary digits, qubit 0 leftmost, through one
-    numpy array of 64-bit words (a uint64 array is its own)."""
-    words = masks[:, None] if isinstance(masks, np.ndarray) else np.stack(
-        [np.fromiter(((m >> lo) & _WORD for m in masks), np.uint64, len(masks))
-         for lo in range(0, n, 64)], axis=1)
+    numpy array of 64-bit words."""
+    words = np.stack([np.fromiter(((m >> lo) & _WORD for m in masks), np.uint64, len(masks))
+                      for lo in range(0, n, 64)], axis=1)
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
     chars = bits[:, :n] + ord("0")
     return chars.view(f"S{n}").ravel().astype(str).tolist()

@@ -33,6 +33,15 @@ def sort_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def sorted_find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each of ``keys`` in the sorted array ``table``,
+    -1 for a key it lacks."""
+    pos = np.searchsorted(table, keys)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == keys[found]
+    return np.where(found, pos, -1)
+
+
 def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
     """The first (op, code) of each distinct row of ``table``."""
     first: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -232,12 +241,9 @@ class KeyCache:
             # indexes without the cast it makes of uint64 on every call
             return self._index[keys.view(np.int64)] - 1
         table, rows = self._index
-        pos = np.searchsorted(table, keys)
-        found = pos < len(table)
-        found[found] = table[pos[found]] == keys[found]
-        out = np.full(len(keys), -1, np.intp)
-        out[found] = rows[pos[found]]
-        return out
+        at = sorted_find(table, keys)
+        at[at >= 0] = rows[at[at >= 0]]
+        return at
 
     def index(self, keys: np.ndarray, compute) -> np.ndarray:
         """The row of ``values`` of each of ``keys``, which may repeat.

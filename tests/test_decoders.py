@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -289,6 +290,13 @@ class TestCodeLut:
             assert table.dtype == np.uint64 and table.shape[1] == 2
             assert (np.diff(table[:, 0].astype(np.int64)) > 0).all()
             assert table.tolist() == [[k, e] for k, e in sorted(_dict_code_table(code, rows).items())]
+
+    def test_equality_and_table_form(self, steane):
+        lut = build_code_lut(steane)
+        assert lut == build_code_lut(steane)
+        assert dataclasses.replace(lut, x_table=lut.z_table[:-1]) != lut
+        with pytest.raises(ValueError, match="z_table is not a uint64"):
+            dataclasses.replace(lut, z_table=lut.z_table[::-1])
 
     def test_code_over_64_qubits_rejected(self):
         code = CssCode(n=65, k=63, d=3, hx=(0b11,), hz=(0b11,))

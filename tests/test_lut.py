@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import chain, combinations
@@ -197,9 +198,25 @@ class TestLookupContract:
 
     def test_json_round_trip(self, d3_lut):
         again = CutCatLUT.from_json(d3_lut.to_json())
-        fields = lambda lut: (lut.gamma, lut.t, lut.rounds, lut.cat_count, lut.table.dtype)
-        assert fields(again) == fields(d3_lut)
-        assert np.array_equal(again.table, d3_lut.table)
+        assert again == d3_lut
+
+    def test_equality_compares_tables(self, d3_lut):
+        rows = d3_lut.table.copy()
+        assert CutCatLUT(6, 1, 1, 3, rows) == d3_lut
+        rows[-1, 1] ^= 1
+        assert CutCatLUT(6, 1, 1, 3, rows) != d3_lut
+        assert dataclasses.replace(d3_lut, t=2) != d3_lut
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[2, 1], [1, 0]], np.uint64),
+        np.array([[1, 0], [1, 1]], np.uint64),
+        np.array([[1, 0], [2, 1]], np.int64),
+        np.array([1, 2], np.uint64),
+        {1: 0, 2: 1},
+    ], ids=["unsorted", "repeated", "int64", "one-column", "dict"])
+    def test_table_form_checked(self, rows):
+        with pytest.raises(ValueError, match="distinct syndromes in increasing order"):
+            CutCatLUT(6, 1, 1, 3, rows)
 
     def test_json_rejects_unknown_format(self):
         with pytest.raises(ValueError):
@@ -209,7 +226,7 @@ class TestLookupContract:
         ({"syndrome": "1x1"}, "LUT entry 1 syndrome"),
         ({"syndrome": "1010"}, "LUT entry 1 syndrome"),
         ({"correction": "0000001"}, "LUT entry 1 correction"),
-        ({"syndrome": "010"}, "LUT entry 2 repeats syndrome 0x2"),
+        ({"syndrome": "010"}, "distinct syndromes in increasing order"),
         ({"gamma": 65}, "gamma=65 exceeds the 64-bit"),
         ({"rounds": 2, "cat_count": 33}, "ring slots=66 exceeds the 64-bit"),
     ], ids=["bad-character", "long-key", "wide-correction", "repeated-syndrome",
