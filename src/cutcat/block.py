@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut
+from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut, table_lookup
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
 from .sim import FaultTable, noisy_operations, op_code_effects, pack_fields
@@ -75,11 +75,6 @@ class BlockSimulator:
                                      {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
                                       "z": [[0, 1 << q, 1 << q] for q in range(code.n)]})
         self.code_lut: CodeLUT = build_code_lut(code)
-        # correction and miss flag per syndrome; one the tables lack joins as a miss
-        self._lut_caches = tuple(
-            KeyCache(len(rows), t[:, 0], (t[:, 1], np.zeros(len(t), bool)))
-            for t, rows in ((self.code_lut.z_table, code.hx),
-                            (self.code_lut.x_table, code.hz)))
         self._parity = tuple(_parity_tables(rows, code.n)
                              for rows in (code.hx, code.hz, code.lx, code.lz))
         self.generators = ([_Generator("X", row, code.d) for row in code.hx]
@@ -194,17 +189,13 @@ class BlockSimulator:
         whose syndrome the tables miss.  Only nonzero syndromes are looked
         up: zero takes no correction and is never a miss."""
         miss = np.zeros(len(sx), bool)
-        for cache, syn, data in zip(self._lut_caches, (sx, sz), (data_z, data_x)):
+        for table, syn, data in zip((self.code_lut.z_table, self.code_lut.x_table),
+                                    (sx, sz), (data_z, data_x)):
             if len(hit := np.flatnonzero(syn)):
-                corr, missed = cache.get(syn[hit], _misses)
+                corr, found = table_lookup(table, syn[hit])
                 data[hit] ^= corr
-                miss[hit] |= missed
+                miss[hit] |= ~found
         return miss
-
-
-def _misses(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Code-LUT answers for syndromes the tables lack: no correction, a miss."""
-    return np.zeros(len(keys), np.uint64), np.ones(len(keys), bool)
 
 
 def _parity_tables(rows: Sequence[int], n: int) -> np.ndarray:

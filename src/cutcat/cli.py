@@ -38,11 +38,7 @@ def _out_dir() -> Path:
 
 def _default_decoder(g, spec: GadgetSpec, kind: str):
     if kind == "lut":
-        lut = build_cut_cat_lut(
-            GadgetSpec(gamma=spec.gamma, distance=spec.distance, adaptive=False),
-            gadget=g if not spec.is_adaptive else None,
-        )
-        return LutDecoder(lut)
+        return LutDecoder(build_cut_cat_lut(spec, gadget=g))
     if spec.distance in (3, 5):
         return RuleDecoderD3D5(g, spec.t)
     if spec.distance == 7:
@@ -125,13 +121,37 @@ def _mc_gadget_config(args) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# the type of each config entry as the CLI writes it; any other is an integer
+_ENTRY_TYPES = {
+    "p_values": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "ratio": ("a number", _is_number),
+    "max_rounds": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "code_file": ("a string", lambda v: isinstance(v, str)),
+    "decoder": ('"rules" or "lut"', lambda v: v in ("rules", "lut")),
+}
+
+
 def _entries(config: dict, *names: str) -> dict:
     """The entries ``names`` of a sweep config and its ``jobs`` (1 if
-    absent); a ``ValueError`` names every entry a manifest lacks."""
+    absent); a ``ValueError`` names every entry a manifest lacks, or the
+    first whose type differs from the one the CLI writes."""
     missing = [k for k in names if k not in config]
     if missing:
         raise ValueError(f"manifest config lacks {', '.join(missing)}")
-    return {k: config[k] for k in names} | {"jobs": config.get("jobs", 1)}
+    entries = {k: config[k] for k in names} | {"jobs": config.get("jobs", 1)}
+    for k, v in entries.items():
+        kind, ok = _ENTRY_TYPES.get(k, ("an integer", _is_int))
+        if not ok(v):
+            raise ValueError(f"manifest config {k}={json.dumps(v)} is not {kind}")
+    return entries
 
 
 def _run_mc_gadget(config: dict) -> SweepResult:

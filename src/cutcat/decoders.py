@@ -35,7 +35,7 @@ from .pauli import (
     mask_of,
     residual_weight_mod_generator,
 )
-from .sim import Effect, FaultTable, _check_width
+from .sim import FaultTable, _check_width
 from . import verify as _verify
 from .verify import MAX_REREADS
 
@@ -418,8 +418,18 @@ class CutCatLUT(_Tables):
     @classmethod
     def from_json(cls, text: str) -> "CutCatLUT":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("LUT is not a JSON object")
         if doc.get("format") != "cutcat-lut-v1":
             raise ValueError("unknown LUT format")
+        bad = [k for k in ("gamma", "t", "rounds", "cat_count") if type(doc.get(k)) is not int]
+        if bad:
+            raise ValueError(f"LUT {', '.join(bad)} missing or not an integer")
+        if not isinstance(doc.get("entries"), list):
+            raise ValueError("LUT entries missing or not a list")
+        for i, e in enumerate(doc["entries"]):
+            if not (isinstance(e, dict) and {"syndrome", "correction"} <= e.keys()):
+                raise ValueError(f"LUT entry {i} lacks a syndrome or a correction")
         gamma, n_bits = doc["gamma"], doc["rounds"] * doc["cat_count"]
         _check_width("data_x", gamma)
         _check_width("slot_flips", n_bits)
@@ -429,6 +439,16 @@ class CutCatLUT(_Tables):
             for i, e in enumerate(doc["entries"])], np.uint64).reshape(-1, 2)
         return cls(gamma, doc["t"], doc["rounds"], doc["cat_count"],
                    table[np.argsort(table[:, 0])])
+
+
+def table_lookup(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The correction of each of ``keys`` in a ``_Tables`` array, zero for
+    a key it lacks, and whether it has the key: one binary search."""
+    at = _verify.sorted_find(table[:, 0], keys)
+    found = at >= 0
+    corrections = np.zeros(len(keys), np.uint64)
+    corrections[found] = table[at[found], 1]
+    return corrections, found
 
 
 class LutDecoder:
@@ -443,10 +463,7 @@ class LutDecoder:
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
         if cat_count != self.lut.cat_count or rounds != self.lut.rounds:
             raise ValueError("syndrome shape does not match the table")
-        at = _verify.sorted_find(self.lut.table[:, 0], keys)
-        corrections = np.zeros(len(keys), np.uint64)
-        corrections[at >= 0] = self.lut.table[at[at >= 0], 1]
-        return _no_rereads(corrections)
+        return _no_rereads(table_lookup(self.lut.table, keys)[0])
 
 
 def _solve_constraints(
@@ -521,20 +538,22 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
         raise ValueError("LUT construction requires a non-adaptive gadget")
     g = gadget if gadget is not None else build_cut_cat(spec)
     t = spec.t
-    effects, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
+    classes, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
     # Keys whose residuals all lie within their weights take the zero
     # correction: the first walk flags the others "hard" in a cache of
     # every key, and a second walk collects the hard keys' rows, grouped
     # by cache row.
     cache = _verify.KeyCache(g.cat_count * g.base_rounds)
-    for s in _verify.combo_walk(effects, t, min_weight=0):
-        ids = cache.index(s.key, lambda new: (np.zeros(len(new), bool),))
-        cache.values[0][ids[_verify.coset_weights(s.data, spec.gamma) > s.weight]] = True
+    for s in _verify.combo_walk(classes, t, min_weight=0):
+        data, key = s.cols
+        ids = cache.index(key, lambda new: (np.zeros(len(new), bool),))
+        cache.values[0][ids[_verify.coset_weights(data, spec.gamma) > s.weight]] = True
     hard, rows = cache.values[0], []
-    for s in _verify.combo_walk(effects, t, min_weight=0):
-        ids = cache.find(s.key)
+    for s in _verify.combo_walk(classes, t, min_weight=0):
+        data, key = s.cols
+        ids = cache.find(key)
         m = hard[ids]
-        rows.append((ids[m], s.data[m], np.full(m.sum(), s.weight, np.uint8)))
+        rows.append((ids[m], data[m], np.full(m.sum(), s.weight, np.uint8)))
     # each step frees what it no longer needs before the next allocates
     group, residual, weight = map(np.concatenate, zip(*rows))
     del rows
@@ -564,8 +583,8 @@ class CodeLUT(_Tables):
 def build_code_lut(code: CssCode, max_patterns: int = 5_000_000) -> CodeLUT:
     """Enumerate error patterns of weight up to ``code.t`` in ascending
     weight, then lexicographically (``verify.combo_walk`` over the
-    single-qubit errors, each carrying its syndrome as its key), and keep
-    each syndrome's first (minimum-weight) representative."""
+    single-qubit errors, rows of (qubit mask, syndrome)), and keep each
+    syndrome's first (minimum-weight) representative."""
     from math import comb
 
     _check_width("x", code.n)
@@ -574,10 +593,11 @@ def build_code_lut(code: CssCode, max_patterns: int = 5_000_000) -> CodeLUT:
         raise ValueError(f"enumeration of {total} patterns exceeds cap {max_patterns}")
 
     def fill(rows: Sequence[int]) -> np.ndarray:
-        singles = [Effect(1 << q, sum(((r >> q) & 1) << i for i, r in enumerate(rows)))
-                   for q in range(code.n)]
-        walk = list(_verify.combo_walk(singles, code.t, min_weight=0))
-        syndromes, first = np.unique(np.concatenate([s.key for s in walk]), return_index=True)
-        return np.stack([syndromes, np.concatenate([s.data for s in walk])[first]], axis=1)
+        singles = np.array([(1 << q, sum(((r >> q) & 1) << i for i, r in enumerate(rows)))
+                            for q in range(code.n)], np.uint64)
+        errors, syndromes = map(np.concatenate, zip(*(
+            s.cols for s in _verify.combo_walk(singles, code.t, min_weight=0))))
+        syndromes, first = np.unique(syndromes, return_index=True)
+        return np.stack([syndromes, errors[first]], axis=1)
 
     return CodeLUT(n=code.n, x_table=fill(code.hz), z_table=fill(code.hx))

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuit import GadgetCircuit
-from .sim import Effect, FaultTable
+from .sim import FaultTable
 
 _GRID_CELLS = 65_536  # (row x event set) cells of a verifier slice
 
@@ -42,16 +41,24 @@ def sorted_find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(found, pos, -1)
 
 
-def _first_rows(table: FaultTable) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The first (op, code) of each distinct row of ``table``."""
-    first: dict[tuple[int, ...], tuple[int, int]] = {}
-    for op, (n, *rows) in enumerate(zip(table.n_codes, *table.columns)):
-        for code, row in enumerate(zip(*(r[:n].tolist() for r in rows))):
-            first.setdefault(row, (op, code))
-    return first
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """The index of the first of each distinct row of a 2-D array, ascending."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep index order
+    new = np.ones(len(order), bool)
+    new[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    return np.sort(order[new])
 
 
-def _effect_classes(table: FaultTable) -> tuple[list[Effect], list[tuple[int, int]]]:
+def _distinct_rows(table: FaultTable) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The distinct rows of ``table``, a uint64 (rows, columns) array in
+    order of their first (op, code), and those (op, code) pairs."""
+    op, code = np.nonzero(np.arange(table.width) < np.array(table.n_codes)[:, None])
+    rows = np.stack([c[op, code] for c in table.columns], axis=1)
+    first = _first_distinct(rows)
+    return rows[first], list(zip(op[first].tolist(), code[first].tolist()))
+
+
+def _effect_classes(table: FaultTable) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """The faults the combination walk runs over: the distinct rows of
     ``table`` (``FaultTable.for_decoder``), each named by its first (op,
     code), in that order, without two kinds of row:
@@ -72,14 +79,11 @@ def _effect_classes(table: FaultTable) -> tuple[list[Effect], list[tuple[int, in
     set of distinct rows with the same effect and a looser budget, so
     walking sets of distinct rows is enough.
     """
-    effects, names = [], []
-    for row, name in _first_rows(table).items():
-        data, slots, *persist = row
-        if slots == 0 and (data == 0 or (data.bit_count() == 1 and not any(persist))):
-            continue
-        effects.append(Effect(*row))
-        names.append(name)
-    return effects, names
+    rows, names = _distinct_rows(table)
+    data, slots = rows[:, 0], rows[:, 1]
+    bare = (np.bitwise_count(data) == 1) & ~rows[:, 2:].any(axis=1)
+    keep = (slots != 0) | ((data != 0) & ~bare)
+    return rows[keep], [n for n, k in zip(names, keep.tolist()) if k]
 
 
 def coset_weights(err_on_support: np.ndarray, gamma: int) -> np.ndarray:
@@ -97,14 +101,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class ComboSlice:
     """Rows of one weight of ``combo_walk``.  ``chain`` holds (parent,
     last) int32 arrays per weight 1..weight: row r of weight v extends row
-    parent[r] of weight v-1 by effect index last[r].  ``data``, ``key``
-    and ``persist`` (None unless asked for) XOR the rows' effects."""
+    parent[r] of weight v-1 by class index last[r].  ``cols`` holds, per
+    column of the walked rows, the XOR of each combination's classes."""
 
     weight: int
     chain: tuple[tuple[np.ndarray, np.ndarray], ...]
-    data: np.ndarray
-    key: np.ndarray
-    persist: np.ndarray | None
+    cols: tuple[np.ndarray, ...]
 
     def combo(self, r: int) -> tuple[int, ...]:
         out = []
@@ -124,20 +126,17 @@ def _runs(sizes: list[int], cap: int) -> list[int]:
     return cuts + [len(sizes)]
 
 
-def combo_walk(
-    effects: Sequence[Effect], max_weight: int, min_weight: int = 1,
-    with_persist: bool = False, max_rows: int = _GRID_CELLS,
-) -> Iterator[ComboSlice]:
-    """Every combination of min_weight..max_weight effect indices, as array
-    slices: weight-major, then lexicographic, weight 0 being the empty one.
-    Each weight is one gather and one XOR of the weight below against the
-    effect rows.  Lower weights come whole; ``max_weight`` in runs of whole
-    consecutive first indices of at most ``max_rows`` rows, or of one."""
-    n = len(effects)
-    fields = ("data_x", "slot_flips", "persist_x")[:3 if with_persist else 2]
-    rows = [np.array([getattr(e, f) for e in effects], dtype=np.uint64) for f in fields]
-    zero = np.zeros(1, np.uint64)
-    level = ComboSlice(0, (), zero, zero, zero if with_persist else None)
+def combo_walk(rows: np.ndarray, max_weight: int, min_weight: int = 1,
+               max_rows: int = _GRID_CELLS) -> Iterator[ComboSlice]:
+    """Every combination of min_weight..max_weight classes, the rows of
+    the uint64 (classes, columns) array ``rows``, as array slices:
+    weight-major, then lexicographic, weight 0 being the empty one.  Each
+    weight is one gather and one XOR per column of the weight below
+    against the class rows.  Lower weights come whole; ``max_weight`` in
+    runs of whole consecutive first indices of at most ``max_rows`` rows,
+    or of one."""
+    n, columns = len(rows), rows.T.copy()
+    level = ComboSlice(0, (), tuple(np.zeros((len(columns), 1), np.uint64)))
     if min_weight == 0:
         yield level
     for w in range(1, max_weight + 1):
@@ -148,12 +147,12 @@ def combo_walk(
         bounds = [0, len(last)] if w < max_weight or w == 1 else np.cumsum(
             [0] + [math.comb(n - 1 - i, w - 2) for i in range(n)])[
             _runs([math.comb(n - 1 - i, w - 1) for i in range(n)], max_rows)]
-        chain, prev = level.chain, (level.data, level.key, level.persist)
+        chain, prev = level.chain, level.cols
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             parent = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
             idx = _ranges(last[lo:hi] + 1, counts[lo:hi]).astype(np.int32)
-            xors = [x[parent] ^ r[idx] for x, r in zip(prev, rows)] + [None]
-            level = ComboSlice(w, chain + ((parent, idx),), xors[0], xors[1], xors[2])
+            level = ComboSlice(w, chain + ((parent, idx),),
+                               tuple(x[parent] ^ c[idx] for x, c in zip(prev, columns)))
             if w >= min_weight:
                 yield level
 
@@ -220,22 +219,16 @@ class KeyCache:
     sorted copy; either index is built on first use, so an unused cache
     pickles small."""
 
-    def __init__(self, bits: int, keys: np.ndarray = np.zeros(0, np.uint64),
-                 values: tuple[np.ndarray, ...] = ()) -> None:
-        self.bits, self.keys, self.values = bits, keys, values
+    def __init__(self, bits: int) -> None:
+        self.bits, self.keys, self.values = bits, np.zeros(0, np.uint64), ()
         # dense: row + 1 per key, 0 if unseen; sorted: (sorted keys, their rows)
         self._index = None
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The row of each of ``keys``, -1 for a key not seen."""
-        if self._index is None:
-            rows = np.arange(len(self.keys))
-            if self.bits <= DENSE_BITS:
-                self._index = np.zeros(1 << self.bits, np.int32)
-                self._index[self.keys] = rows + 1
-            else:
-                order = np.argsort(self.keys)
-                self._index = self.keys[order], rows[order]
+        if self._index is None:  # first use: the cache is empty
+            self._index = (np.zeros(1 << self.bits, np.int32) if self.bits <= DENSE_BITS
+                           else (self.keys, np.zeros(0, np.int64)))
         if self.bits <= DENSE_BITS:
             # keys below 2^DENSE_BITS read the same as int64, which numpy
             # indexes without the cast it makes of uint64 on every call
@@ -286,19 +279,20 @@ def reread_steps(g: GadgetCircuit, cache: KeyCache, tables) -> int:
     return steps
 
 
-def reread_events(g: GadgetCircuit, steps: int) -> tuple[list[tuple[int, int, int]], list]:
+def reread_events(g: GadgetCircuit, steps: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
     """The re-measurement faults MC samples: at each of ``steps`` re-read
     steps, each distinct nonzero row of ``FaultTable.for_reread``, named
-    (step, op, code) by its first table row.  Each is a row of masks, per
-    step up to ``MAX_REREADS`` the outcome flip and the cat X relative to
-    the stabilizer read."""
-    names, rows = [], []
-    reread = _first_rows(FaultTable.for_reread(g)).items() if steps else ()
-    for step, ((anc, cats), (op, code)) in product(range(steps), reread):
-        if anc or cats:
-            names.append((step, op, code))
-            rows.append([0] * (2 * step) + [anc, cats] + [0] * (2 * (MAX_REREADS - 1 - step)))
-    return names, rows
+    (step, op, code) by its first table row.  Their rows, step-major, are
+    one uint64 array of masks, per step up to ``MAX_REREADS`` the outcome
+    flip and the cat X relative to the stabilizer read."""
+    if not steps:
+        return [], np.zeros((0, 2 * MAX_REREADS), np.uint64)
+    rows, names = _distinct_rows(FaultTable.for_reread(g))
+    live = rows.any(axis=1)
+    names = [(step, op, code) for step in range(steps)
+             for (op, code), on in zip(names, live.tolist()) if on]
+    # step s's rows in columns 2s and 2s+1, by a block-diagonal Kronecker product
+    return names, np.kron(np.eye(steps, MAX_REREADS, dtype=np.uint64), rows[live])
 
 
 @dataclass(frozen=True)
@@ -315,20 +309,24 @@ class EventSets:
     masks: np.ndarray
 
     @classmethod
-    def build(cls, names: Sequence[tuple[int, int, int]], rows: Sequence[Sequence[int]],
+    def build(cls, names: Sequence[tuple[int, int, int]], rows: np.ndarray,
               max_size: int) -> "EventSets":
-        rows = np.array(rows, np.uint64).reshape(len(rows), 2 * MAX_REREADS)
-        first: dict[bytes, tuple[tuple[int, ...], np.ndarray]] = {}
-        for size in range(max_size + 1):
-            combos = np.array(list(combinations(range(len(rows)), size)), np.intp)
-            combos = combos.reshape(math.comb(len(rows), size), size)
-            for c, xor in zip(combos.tolist(), np.bitwise_xor.reduce(rows[combos], axis=1)):
-                first.setdefault(xor.tobytes(), (c, xor))
-        sets, masks = zip(*first.values())
+        sets, masks = [], []
+        for sl in combo_walk(rows, min(max_size, len(rows)), min_weight=0):
+            # each set's members, read back along the slice's chain
+            r, members = np.arange(len(sl.cols[0])), []
+            for parent, last in reversed(sl.chain):
+                members.insert(0, last[r].tolist())
+                r = parent[r]
+            sets += zip(*members) if members else [()]
+            masks.append(np.stack(sl.cols, axis=1))
+        masks = np.concatenate(masks)
+        first = _first_distinct(masks)
+        sets = [sets[i] for i in first.tolist()]
+        # events are step-major, so a set's last member has its last step
         return cls(tuple(tuple(names[e] for e in c) for c in sets),
                    np.array([len(c) for c in sets]),
-                   np.array([max((names[e][0] + 1 for e in c), default=0)
-                             for c in sets]), np.array(masks))
+                   np.array([names[c[-1]][0] + 1 if c else 0 for c in sets]), masks[first])
 
 
 def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
@@ -370,34 +368,34 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
 def _check_combos(
     g: GadgetCircuit,
     tables,
-    steps: int,
     t: int,
-    effects: Sequence[Effect],
+    classes: np.ndarray,
     names: Sequence[tuple[int, int]],
     events: EventSets,
     cache: KeyCache,
     weight: int,
 ) -> tuple[int, Counterexample | None]:
-    """Verify all combos of ``weight`` effects against each set of
-    ``events`` within the budget t - weight (a decoder that re-reads
-    nothing meets the empty set only): a (row, set) grid per slice, run by
-    ``follow_rereads``.  A cell counts only if its run reaches the step of
-    each of its events.  ``cache`` holds the answers of ``tables`` (the
-    decoder's, bound to this gadget; ``steps`` re-reads) per key; each
+    """Verify all combos of ``weight`` of the effect classes ``classes``
+    (rows of data X, key and, for a decoder that re-reads, cat X) against
+    each set of ``events`` within the budget t - weight (a decoder that
+    re-reads nothing meets the empty set only): a (row, set) grid per
+    slice, run by ``follow_rereads``.  A cell counts only if its run
+    reaches the step of each of its events.  ``cache`` holds the answers
+    of ``tables`` (the decoder's, bound to this gadget) per key; each
     slice's keys index it directly, and a serial walk shares it across
     weights."""
     m, gamma = g.cat_count, g.gamma
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
     noise = list(zip(masks[:, 0::2].T, masks[:, 1::2].T))
-    for sl in combo_walk(effects, weight, weight, with_persist=steps > 0,
-                         max_rows=max(1, _GRID_CELLS // k)):
+    for sl in combo_walk(classes, weight, weight, max_rows=max(1, _GRID_CELLS // k)):
+        data, key, *persist = sl.cols
         # one ``tables`` call for the distinct keys not seen before
-        rows = cache.index(sl.key, tables)
-        frame = np.repeat(sl.persist[:, None], k, 1) if steps else np.zeros((1, k), np.uint64)
+        rows = cache.index(key, tables)
+        frame = np.repeat(persist[0][:, None], k, 1) if persist else np.zeros((1, k), np.uint64)
         corr, reached = follow_rereads(*cache.values, rows[:, None], frame, noise, m)
         admitted = reached >= events.need[:k]
-        cw = coset_weights(sl.data[:, None] ^ corr, gamma)
+        cw = coset_weights(data[:, None] ^ corr, gamma)
         bad = admitted & (cw > budget)
         if bad.any():
             # the first failing cell in row-major order
@@ -406,7 +404,7 @@ def _check_combos(
             ops, codes = zip(*(names[i] for i in sl.combo(r)))
             return checked + int(np.count_nonzero(admitted.ravel()[:cell])) + 1, Counterexample(
                 ops, codes, events.names[j], int(budget[j]),
-                int(sl.key[r]), int(sl.data[r]), int(corr[r, j]), int(cw[r, j]))
+                int(key[r]), int(data[r]), int(corr[r, j]), int(cw[r, j]))
         checked += int(np.count_nonzero(admitted))
     return checked, None
 
@@ -436,16 +434,16 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
     cache = KeyCache(g.cat_count * g.base_rounds)
     tables = partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
     steps = reread_steps(g, cache, tables)
-    effects, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
+    classes, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
     events = EventSets.build(*reread_events(g, steps), max(t - 1, 0))
     per_weight: list[int] = []
     cx = None
     for w in range(1, t + 1):
-        checked, cx = _check_combos(g, tables, steps, t, effects, names, events, cache, w)
+        checked, cx = _check_combos(g, tables, t, classes, names, events, cache, w)
         per_weight.append(checked)
         if cx is not None:
             break
-    return VerificationReport(cx is None, cx, len(effects), tuple(per_weight))
+    return VerificationReport(cx is None, cx, len(classes), tuple(per_weight))
 
 
 def eval_upper_bound(gamma: int, t: int, p_ft: float) -> float:

@@ -361,9 +361,9 @@ def _table_apply(lookup, keys):
 
 
 class TestKeyCacheLookups:
-    """The ``KeyCache`` lookups of the block, over repeated unsorted keys
-    and across calls that find some keys cached, against one lookup per
-    distinct key."""
+    """The block's lookups, ring corrections through a ``KeyCache`` and
+    code-LUT corrections by binary search, over repeated unsorted keys and
+    across calls, against one lookup per distinct key."""
 
     def test_ring_corrections(self, rm15):
         sim = BlockSimulator(rm15, ratio=20)
@@ -393,7 +393,7 @@ class TestKeyCacheLookups:
         z_corr, z_miss = _table_apply(dict(sim.code_lut.z_table.tolist()).get, sx)
         x_corr, x_miss = _table_apply(dict(sim.code_lut.x_table.tolist()).get, sz)
         assert x_miss.any() and (~x_miss).any()
-        for _ in range(2):  # the second pass finds the misses cached
+        for _ in range(2):  # a second pass answers the same
             data_x, data_z = np.zeros(3000, np.uint64), np.zeros(3000, np.uint64)
             fail = sim._correct(sx, sz, data_x, data_z)
             assert np.array_equal(data_z, z_corr) and np.array_equal(data_x, x_corr)
@@ -403,14 +403,14 @@ class TestKeyCacheLookups:
         # mostly zero syndromes, as in a run, among them ones the tables
         # lack: looking up only the nonzero ones changes no correction
         # and no miss flag
-        sim, ref = BlockSimulator(rm15, ratio=20), BlockSimulator(rm15, ratio=20)
+        sim = BlockSimulator(rm15, ratio=20)
         rng = np.random.default_rng(11)
         size = 5000
         sx, sz = (np.where(rng.random(size) < 0.15,
                            rng.integers(0, 1 << len(rows), size, dtype=np.uint64),
                            np.uint64(0)) for rows in (rm15.hx, rm15.hz))
-        z_corr, z_miss = ref._lut_caches[0].get(sx, block._misses)
-        x_corr, x_miss = ref._lut_caches[1].get(sz, block._misses)
+        z_corr, z_miss = _table_apply(dict(sim.code_lut.z_table.tolist()).get, sx)
+        x_corr, x_miss = _table_apply(dict(sim.code_lut.x_table.tolist()).get, sz)
         # the four X rows leave no syndrome the t=1 table lacks; the ten Z rows do
         assert (sx == 0).mean() > 0.8 and x_miss.any() and not z_miss.any()
         data_x = rng.integers(0, 1 << rm15.n, size, dtype=np.uint64)

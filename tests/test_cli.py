@@ -151,6 +151,25 @@ class TestMonteCarloCommands:
     def test_v4_manifest_rejected_exit_two(self, tmp_path, capsys):
         self._old_manifest_rejected(tmp_path, capsys, "cutcat-manifest-v4")
 
+    # configs of the types the CLI writes, one entry of each case replaced
+    GADGET = {"gamma": 6, "distance": 3, "decoder": "rules", "p_values": [0.01],
+              "min_failures": 5, "seed": 1, "trial_cap": 1000, "batch_size": 1000, "jobs": 1}
+    BLOCK = {"code_file": "steane.txt", "ratio": 20.0, "p_values": [0.01], "min_failures": 5,
+             "seed": 1, "trial_cap": 1000, "batch_size": 1000, "max_rounds": None, "jobs": 1}
+    BAD_TYPES = [
+        ("mc-gadget", GADGET, "gamma", "ten", 'gamma="ten" is not an integer'),
+        ("mc-gadget", GADGET, "p_values", 0.01, "p_values=0.01 is not a list of numbers"),
+        ("mc-gadget", GADGET, "seed", 1.5, "seed=1.5 is not an integer"),
+        ("mc-gadget", GADGET, "min_failures", True, "min_failures=true is not an integer"),
+        ("mc-gadget", GADGET, "jobs", "two", 'jobs="two" is not an integer'),
+        ("mc-gadget", GADGET, "batch_size", None, "batch_size=null is not an integer"),
+        ("mc-gadget", GADGET, "decoder", "LUT", 'decoder="LUT" is not "rules" or "lut"'),
+        ("mc-gadget", GADGET, "decoder", "foo", 'decoder="foo" is not "rules" or "lut"'),
+        ("mc-block", BLOCK, "ratio", "x", 'ratio="x" is not a number'),
+        ("mc-block", BLOCK, "max_rounds", "3", 'max_rounds="3" is not an integer or null'),
+        ("mc-block", BLOCK, "code_file", 5, "code_file=5 is not a string"),
+    ]
+
     @pytest.mark.parametrize("command, doc, message", [
         ("mc-gadget", [1, 2], "manifest is not a JSON object"),
         ("mc-gadget", {"command": "mc-gadget"},
@@ -159,7 +178,10 @@ class TestMonteCarloCommands:
          "manifest config lacks decoder, p_values, min_failures, seed, trial_cap, batch_size"),
         ("mc-block", {"command": "mc-block", "config": {"ratio": 20, "max_rounds": None}},
          "manifest config lacks code_file, p_values, min_failures, seed, trial_cap, batch_size"),
-    ], ids=["not-an-object", "no-config", "gadget-config", "block-config"])
+    ] + [(command, {"command": command, "config": config | {key: value}},
+          f"manifest config {message}") for command, config, key, value, message in BAD_TYPES],
+        ids=["not-an-object", "no-config", "gadget-config", "block-config"] + [
+            f"{key}-{value}" for _, _, key, value, _ in BAD_TYPES])
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, doc, message):
         manifest, out = tmp_path / "bad.manifest.json", tmp_path / "a.csv"
         manifest.write_text(json.dumps(

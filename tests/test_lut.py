@@ -26,7 +26,8 @@ def _dict(table):
     return dict(table.tolist())
 
 
-def _class_effects(g):
+def _class_rows(g):
+    """The effect classes' (data X, key) rows."""
     return _effect_classes(FaultTable.for_decoder(g, False))[0]
 
 
@@ -34,20 +35,21 @@ def _oracle_rows(g, t):
     """(syndrome key, data residual, weight) of every combination of up to
     t effect classes, the empty one first, in walk order."""
     return [(int(k), int(d), s.weight)
-            for s in combo_walk(_class_effects(g), t, min_weight=0)
-            for k, d in zip(s.key, s.data)]
+            for s in combo_walk(_class_rows(g), t, min_weight=0)
+            for d, k in zip(*s.cols)]
 
 
-def _reference_rows(effects, t):
-    """The same stream over ``effects``, one ``itertools.combinations``
-    tuple at a time."""
+def _reference_rows(rows, t):
+    """The same stream over the (data X, key) ``rows``, one
+    ``itertools.combinations`` tuple at a time."""
+    rows = rows.tolist()
     yield 0, 0, 0
     for w in range(1, t + 1):
-        for combo in combinations(range(len(effects)), w):
+        for combo in combinations(range(len(rows)), w):
             key = data = 0
             for i in combo:
-                key ^= effects[i].slot_flips
-                data ^= effects[i].data_x
+                data ^= rows[i][0]
+                key ^= rows[i][1]
             yield key, data, w
 
 
@@ -138,7 +140,8 @@ class TestBuild:
         # repeats included, in location order
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
-        raw = location_effects(g, enumerate_fault_locations(g), "X")
+        raw = np.array([(e.data_x, e.slot_flips) for e in
+                        location_effects(g, enumerate_fault_locations(g), "X")], np.uint64)
         expected = _reference_table(_reference_rows(raw, spec.t), gamma, spec.t)
         assert _dict(build_cut_cat_lut(spec, gadget=g).table) == expected
 
@@ -229,14 +232,24 @@ class TestLookupContract:
         ({"syndrome": "010"}, "distinct syndromes in increasing order"),
         ({"gamma": 65}, "gamma=65 exceeds the 64-bit"),
         ({"rounds": 2, "cat_count": 33}, "ring slots=66 exceeds the 64-bit"),
+        ({"gamma": "6"}, "LUT gamma missing or not an integer"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "gamma"},
+         "LUT gamma missing or not an integer"),
+        (lambda doc: doc["entries"][1].pop("correction") and doc,
+         "LUT entry 1 lacks a syndrome or a correction"),
+        (lambda doc: [doc], "LUT is not a JSON object"),
     ], ids=["bad-character", "long-key", "wide-correction", "repeated-syndrome",
-            "wide-gamma", "wide-key"])
+            "wide-gamma", "wide-key", "string-gamma", "no-gamma", "no-correction",
+            "top-level-list"])
     def test_json_rejects_malformed_entry(self, d3_lut, edit, where):
         # entry edits go to entry 1 (syndrome 0b001; entry 2 holds 0b010),
-        # the rest to the header
+        # the rest to the header; a function edits the whole document
         doc = json.loads(d3_lut.to_json())
-        for field, value in edit.items():
-            (doc["entries"][1] if field in ("syndrome", "correction") else doc)[field] = value
+        if callable(edit):
+            doc = edit(doc)
+        else:
+            for field, value in edit.items():
+                (doc["entries"][1] if field in ("syndrome", "correction") else doc)[field] = value
         with pytest.raises(ValueError, match=where):
             CutCatLUT.from_json(json.dumps(doc))
 
@@ -269,7 +282,7 @@ class TestSynthesisMatchesReference:
         # key test takes its sort path
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
-        expected = _reference_table(_reference_rows(_class_effects(g), spec.t), gamma, spec.t)
+        expected = _reference_table(_reference_rows(_class_rows(g), spec.t), gamma, spec.t)
         assert _dict(build_cut_cat_lut(spec, gadget=g).table) == expected
 
     # gamma 8, t 2.  Key 1: zero fails (0b0011 at weight 1) and each stored

@@ -2,12 +2,13 @@ import dataclasses
 import functools
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from cutcat import verify
+from cutcat.block import BlockSimulator
 from cutcat.decoders import (
     IdentityDecoder,
     LutDecoder,
@@ -31,13 +32,12 @@ from cutcat.verify import (
     _GRID_CELLS,
     EventSets,
     KeyCache,
+    _distinct_rows,
     _effect_classes,
-    _first_rows,
     combo_walk,
     eval_upper_bound,
     follow_rereads,
     reread_events,
-    reread_steps,
     sort_unique,
     verify_gadget,
 )
@@ -50,12 +50,16 @@ from location_ref import (
 )
 
 
-def _check_combos(g, decoder, t, effects, names, events, cache, weight):
+def _check_combos(g, decoder, t, classes, names, events, cache, weight):
     """``verify._check_combos`` for ``decoder``, its tables bound to ``g``
     as ``verify_gadget`` binds them."""
     tables = functools.partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
-    return verify._check_combos(g, tables, reread_steps(g, cache, tables), t, effects,
-                                names, events, cache, weight)
+    return verify._check_combos(g, tables, t, classes, names, events, cache, weight)
+
+
+def _no_events(g, max_size):
+    """The event sets of a decoder that re-reads nothing: the empty one."""
+    return EventSets.build(*reread_events(g, 0), max_size)
 
 
 def _persist_outcome(persist, stab, m):
@@ -68,42 +72,51 @@ def _persist_outcome_bits(persist, m):
     return sum(_persist_outcome(persist, s, m) << s for s in range(m))
 
 
-def _raw_location_effects(g):
+def _rows(effects, n_cols=3):
+    """``Effect``s as a uint64 (effects, columns) array of their first
+    ``n_cols`` fields: data X, ring outcomes, cat X."""
+    return np.array([dataclasses.astuple(e)[:n_cols] for e in effects],
+                    np.uint64).reshape(len(effects), n_cols)
+
+
+def _effects(rows):
+    """Rows of data X, ring outcomes and cat X as scalar ``Effect``s."""
+    return [Effect(*row) for row in rows.tolist()]
+
+
+def _raw_location_rows(g, n_cols=3):
     """The single X-fault effect of every location of ``location_ref``,
-    repeats included."""
-    return location_effects(g, enumerate_fault_locations(g), "X")
+    repeats included, as rows."""
+    return _rows(location_effects(g, enumerate_fault_locations(g), "X"), n_cols)
 
 
 @pytest.fixture(scope="module")
 def raw_d5_reference():
-    """The raw location effects of d=5 gamma=10 and their reference walk to t=3."""
-    effects = _raw_location_effects(build_cut_cat(GadgetSpec(gamma=10, distance=5)))
-    return effects, _reference_combos(effects, 3)
+    """The raw location rows of d=5 gamma=10 and their reference walk to t=3."""
+    rows = _raw_location_rows(build_cut_cat(GadgetSpec(gamma=10, distance=5)))
+    return rows, _reference_combos(rows, 3)
 
 
-def _reference_combos(effects, max_weight):
-    """Per-tuple reference for the combination walk: (combo, data, key,
-    persist) over ``itertools.combinations``, each tuple XORed afresh."""
-    out = []
-    for w in range(1, max_weight + 1):
-        for combo in combinations(range(len(effects)), w):
-            data = key = persist = 0
+def _reference_combos(rows, max_weight, min_weight=1):
+    """Per-tuple reference for the combination walk: (combo, XOR of each
+    column...) over ``itertools.combinations``, each tuple XORed afresh."""
+    out, rows = [], rows.tolist()
+    for w in range(min_weight, max_weight + 1):
+        for combo in combinations(range(len(rows)), w):
+            xor = [0] * len(rows[0])
             for i in combo:
-                data ^= effects[i].data_x
-                key ^= effects[i].slot_flips
-                persist ^= effects[i].persist_x
-            out.append((combo, data, key, persist))
+                xor = [a ^ b for a, b in zip(xor, rows[i])]
+            out.append((combo, *xor))
     return out
 
 
-def _walk_rows(effects, max_weight, min_weight=1, max_rows=_GRID_CELLS):
-    """``combo_walk`` flattened to (combo, data, key, persist) tuples, row
-    by row, each combination rebuilt from its parent chain."""
+def _walk_rows(rows, max_weight, min_weight=1, max_rows=_GRID_CELLS):
+    """``combo_walk`` flattened to (combo, XOR of each column...) tuples,
+    row by row, each combination rebuilt from its parent chain."""
     return [
-        (s.combo(r), int(s.data[r]), int(s.key[r]), int(s.persist[r]))
-        for s in combo_walk(effects, max_weight, min_weight,
-                            with_persist=True, max_rows=max_rows)
-        for r in range(len(s.data))
+        (s.combo(r), *(int(c[r]) for c in s.cols))
+        for s in combo_walk(rows, max_weight, min_weight, max_rows=max_rows)
+        for r in range(len(s.cols[0]))
     ]
 
 
@@ -115,7 +128,8 @@ def _classes(g, adaptive=False):
 
 
 def _class_effects(g, adaptive=False):
-    return _classes(g, adaptive)[0]
+    """The effect classes as ``Effect``s, for the scalar references."""
+    return _effects(_classes(g, adaptive)[0])
 
 
 def _pairs(cx):
@@ -162,10 +176,10 @@ class TestVerifyGadget:
                     if any(row):
                         rows.setdefault(row, (i, code))
         assert len(rows) == g.n_slots and all(data == 0 for data, _ in rows)
-        effects = [Effect(*row) for row in rows]
+        effects = np.array(list(rows), np.uint64)
         for w in (1, 2):
             checked, cx = _check_combos(g, RuleDecoderD3D5(g, 2), 2, effects, list(rows.values()),
-                                        EventSets.build([], [], 1), KeyCache(g.n_slots), w)
+                                        _no_events(g, 1), KeyCache(g.n_slots), w)
             assert cx is None and checked == math.comb(len(effects), w)
 
     def test_d7_small_adaptive_passes(self):
@@ -268,12 +282,11 @@ class TestVerifyGadget:
 def _raw_verify(g, decoder, t):
     """``_check_combos`` over every location effect of ``location_ref``,
     repeats included, named by location id: the first counterexample."""
-    effects = _raw_location_effects(g)
-    names = [(i, 0) for i in range(len(effects))]
+    rows = _raw_location_rows(g, 2)
+    names = [(i, 0) for i in range(len(rows))]
     cache = KeyCache(g.n_slots)
     for w in range(1, t + 1):
-        _, cx = _check_combos(g, decoder, t, effects, names, EventSets.build([], [], t - 1),
-                              cache, w)
+        _, cx = _check_combos(g, decoder, t, rows, names, _no_events(g, t - 1), cache, w)
         if cx is not None:
             return cx
     return None
@@ -370,7 +383,7 @@ class TestRereadTable:
 
 def _reached_keys(g, t):
     """Every syndrome key the adaptive verifier meets at budget t."""
-    return sorted({int(k) for s in combo_walk(_class_effects(g, True), t) for k in s.key})
+    return sorted({int(k) for s in combo_walk(_classes(g, True)[0], t) for k in s.cols[1]})
 
 
 class TestPrunedRereadTable:
@@ -446,23 +459,6 @@ class TestKeyCache:
         assert sq.shape == (0,) and pair.shape == (0, 2)
         sq, pair = cache.get(np.array([2], np.uint64), square)
         assert sq.tolist() == [4] and pair.tolist() == [[2, 3]]
-
-    def test_prefilled_cache_flags_misses(self, bits):
-        # answers for unsorted keys up front; a key not among them joins
-        # as a miss, computed once
-        top = (1 << bits) - 1
-        cache, asked = KeyCache(bits, np.array([top, 6, 0], np.uint64), (
-            np.array([10, 60, 0], np.uint64), np.zeros(3, bool))), []
-
-        def misses(keys):
-            asked.append(keys.tolist())
-            return np.zeros(len(keys), np.uint64), np.ones(len(keys), bool)
-
-        for _ in range(2):
-            corr, miss = cache.get(np.array([6, 5, top, 0, 5], np.uint64), misses)
-            assert corr.tolist() == [60, 0, 10, 0, 0]
-            assert miss.tolist() == [False, True, False, False, True]
-        assert asked == [[5]]
 
 
 class TestSortedKeyPath:
@@ -568,7 +564,8 @@ def _pre_reread_events(table):
     base-round read, named (-1, op, code) by its first row.
     ``_effect_classes`` drops these rows as dominated by re-read events;
     only the scalar reference offers them."""
-    return [(-1, op, code) for (data, slots, persist), (op, code) in _first_rows(table).items()
+    rows, names = _distinct_rows(table)
+    return [(-1, op, code) for (data, slots, persist), (op, code) in zip(rows.tolist(), names)
             if data == slots == 0 and persist]
 
 
@@ -583,7 +580,8 @@ class TestAdaptiveVerifierMatchesScalarWalk:
     def _scalar_verify(g, decoder, t, pre=False):
         """With ``pre``, the alphabet also holds the step -1 events: X
         left only on cats before the re-reads (``_pre_reread_events``)."""
-        effects, names, table = _classes(g, True)
+        rows, names, table = _classes(g, True)
+        effects = _effects(rows)
         m, k = g.cat_count, MAX_REREADS
         events = reread_events(g, k)[0] + (_pre_reread_events(table) if pre else [])
         base_ops = noisy_operations(g)
@@ -767,7 +765,8 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         gamma, t = (20, 3) if case == "rule-g20" else (14, 4) if case == "rule-g14-t4" else (14, 3)
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
         # the premise: cat s X and cat s+1 X, each with the outcome flip
-        assert {(1, 0b01), (1, 0b10)} <= set(_first_rows(FaultTable.for_reread(g)))
+        assert {(1, 0b01), (1, 0b10)} <= set(map(tuple, _distinct_rows(
+            FaultTable.for_reread(g))[0].tolist()))
         if case.startswith("rule"):
             decoder = RefD7(g)
             rep = verify_gadget(g, RuleDecoderD7(g), t)
@@ -791,56 +790,70 @@ class TestOracle:
 
     def test_weight_zero_entry(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        assert _walk_rows(_class_effects(g), 0, min_weight=0) == [((), 0, 0, 0)]
+        assert _walk_rows(_classes(g)[0], 0, min_weight=0) == [((), 0, 0)]
 
     def test_weight_one_count_matches_locations(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        entries = [e for e in _walk_rows(_raw_location_effects(g), 1) if len(e[0]) == 1]
+        entries = [e for e in _walk_rows(_raw_location_rows(g), 1) if len(e[0]) == 1]
         assert len(entries) == 24
 
     def test_weight_one_residuals_bounded(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        for combo, res, _, _ in _walk_rows(_class_effects(g), 1):
+        for combo, res, _ in _walk_rows(_classes(g)[0], 1):
             if len(combo) == 1:
                 assert bin(res).count("1") <= 2
 
     def test_deterministic_stream(self):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
-        effects = _class_effects(g)
-        assert _walk_rows(effects, 2, min_weight=0) == _walk_rows(effects, 2, min_weight=0)
+        rows = _classes(g)[0]
+        assert _walk_rows(rows, 2, min_weight=0) == _walk_rows(rows, 2, min_weight=0)
 
     @pytest.mark.parametrize("source", ["locations", "classes"])
     @pytest.mark.parametrize("gamma,distance", [(6, 3), (10, 5)])
     def test_stream_matches_reference(self, gamma, distance, source):
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
-        effects = {"locations": _raw_location_effects, "classes": _class_effects}[source](g)
-        expected = [((), 0, 0, 0)] + _reference_combos(effects, 2)
-        assert _walk_rows(effects, 2, min_weight=0) == expected
+        rows = _raw_location_rows(g) if source == "locations" else _classes(g)[0]
+        expected = _reference_combos(rows, 2, min_weight=0)
+        assert expected[0] == ((),) + (0,) * rows.shape[1]
+        assert _walk_rows(rows, 2, min_weight=0) == expected
+
+    def test_any_columns_walked(self, rm15):
+        """The walk XORs whatever uint64 columns it is given: here the
+        [[15,1,3]] block round table's distinct rows (wx, wz, flips) and
+        a fourth column of each row's (op, code) packed in one word."""
+        rows, names = _distinct_rows(BlockSimulator(rm15, ratio=20).round_faults)
+        packed = np.array([op << 4 | code for op, code in names], np.uint64)
+        # every tenth row, from each generator's gadget
+        rows = np.column_stack([rows, packed])[::10]
+        assert rows.dtype == np.uint64 and rows.shape == (39, 4)
+        for max_rows in (7, _GRID_CELLS):
+            assert _walk_rows(rows, 3, min_weight=0, max_rows=max_rows) == \
+                _reference_combos(rows, 3, min_weight=0)
 
     def test_deepest_weight_walked_by_first_index(self):
         """The deepest weight comes in runs of whole consecutive first
         indices, each within its row cap or of one first index."""
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
-        effects = _class_effects(g)
-        n = len(effects)
+        rows = _classes(g)[0]
+        n = len(rows)
         for max_rows in (1, 100, _GRID_CELLS):
-            slices = list(combo_walk(effects, 3, max_rows=max_rows))
+            slices = list(combo_walk(rows, 3, max_rows=max_rows))
             assert [s.weight for s in slices[:2]] == [1, 2]
-            assert [len(s.data) for s in slices[:2]] == [n, math.comb(n, 2)]
+            assert [len(s.cols[0]) for s in slices[:2]] == [n, math.comb(n, 2)]
             deepest = slices[2:]
-            runs = [sorted({s.combo(r)[0] for r in range(len(s.data))}) for s in deepest]
+            runs = [sorted({s.combo(r)[0] for r in range(len(s.cols[0]))}) for s in deepest]
             assert sum(runs, []) == list(range(n - 2))
             for s, run in zip(deepest, runs):
                 assert s.weight == 3 and run == list(range(run[0], run[-1] + 1))
-                assert len(s.data) == sum(math.comb(n - 1 - i, 2) for i in run)
-                assert len(s.data) <= max(max_rows, math.comb(n - 1 - run[0], 2))
+                assert len(s.cols[0]) == sum(math.comb(n - 1 - i, 2) for i in run)
+                assert len(s.cols[0]) <= max(max_rows, math.comb(n - 1 - run[0], 2))
             # a run stops only where the next first index would break the cap
             for s, nxt in zip(deepest, runs[1:]):
-                assert len(s.data) + math.comb(n - 1 - nxt[0], 2) > max_rows
+                assert len(s.cols[0]) + math.comb(n - 1 - nxt[0], 2) > max_rows
             assert len(deepest) == {1: n - 2, 100: 11, _GRID_CELLS: 1}[max_rows]
-            assert _walk_rows(effects, 3, max_rows=max_rows) == _reference_combos(effects, 3)
+            assert _walk_rows(rows, 3, max_rows=max_rows) == _reference_combos(rows, 3)
             for s in slices:
-                assert s.persist is None
+                assert len(s.cols) == 2
                 assert all(a.dtype == np.int32 for pair in s.chain for a in pair)
             # parents index the whole weight below, whose arrays every slice shares
             for s in slices[1:]:
@@ -848,8 +861,78 @@ class TestOracle:
 
     @pytest.mark.parametrize("max_rows", [1, 7, 100])
     def test_small_row_caps_match_reference(self, raw_d5_reference, max_rows):
-        effects, reference = raw_d5_reference
-        assert _walk_rows(effects, 3, max_rows=max_rows) == reference
+        rows, reference = raw_d5_reference
+        assert _walk_rows(rows, 3, max_rows=max_rows) == reference
+
+
+def _first_rows_ref(table):
+    """The first (op, code) of each distinct row of ``table``, a dict
+    keyed by the row's tuple of ints: the loop over every (op, code)
+    entry that ``_distinct_rows`` replaced."""
+    first = {}
+    for op, (n, *rows) in enumerate(zip(table.n_codes, *table.columns)):
+        for code, row in enumerate(zip(*(r[:n].tolist() for r in rows))):
+            first.setdefault(row, (op, code))
+    return first
+
+
+def _classes_ref(table):
+    """``_effect_classes`` through the dict of ``_first_rows_ref``, the
+    classes as ``Effect``s."""
+    effects, names = [], []
+    for row, name in _first_rows_ref(table).items():
+        data, slots, *persist = row
+        if slots == 0 and (data == 0 or (data.bit_count() == 1 and not any(persist))):
+            continue
+        effects.append(Effect(*row))
+        names.append(name)
+    return effects, names
+
+
+def _event_sets_ref(g, steps, max_size):
+    """``reread_events`` and ``EventSets.build`` through the dict of
+    ``_first_rows_ref``, ``itertools`` and a dict keyed by each XOR's
+    bytes: (names, sizes, need, masks) of the first set of each XOR."""
+    names, rows = [], []
+    reread = _first_rows_ref(FaultTable.for_reread(g)).items() if steps else ()
+    for step, ((anc, cats), (op, code)) in product(range(steps), reread):
+        if anc or cats:
+            names.append((step, op, code))
+            rows.append([0] * (2 * step) + [anc, cats] + [0] * (2 * (MAX_REREADS - 1 - step)))
+    rows = np.array(rows, np.uint64).reshape(len(rows), 2 * MAX_REREADS)
+    first = {}
+    for size in range(max_size + 1):
+        combos = np.array(list(combinations(range(len(rows)), size)), np.intp)
+        combos = combos.reshape(math.comb(len(rows), size), size)
+        for c, xor in zip(combos.tolist(), np.bitwise_xor.reduce(rows[combos], axis=1)):
+            first.setdefault(xor.tobytes(), (c, xor))
+    sets, masks = zip(*first.values())
+    return (tuple(tuple(names[e] for e in c) for c in sets), [len(c) for c in sets],
+            [max((names[e][0] + 1 for e in c), default=0) for c in sets], np.array(masks))
+
+
+class TestRowFormMatchesDictReference:
+    """Effect classes and event sets as uint64 rows against the dict,
+    ``Effect`` and ``itertools`` construction they replaced."""
+
+    @pytest.mark.parametrize("gamma, distance, adaptive", [
+        (6, 3, None), (10, 5, None), (14, 7, False), (14, 7, None), (20, 7, None),
+        (18, 9, None), (24, 9, None)])
+    def test_classes_and_event_sets(self, gamma, distance, adaptive):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance, adaptive=adaptive))
+        steps = MAX_REREADS if g.max_adaptive else 0
+        table = FaultTable.for_decoder(g, steps > 0)
+        rows, names = _effect_classes(table)
+        effects, ref_names = _classes_ref(table)
+        assert rows.dtype == np.uint64 and rows.tolist() == _rows(effects, rows.shape[1]).tolist()
+        assert names == ref_names and all(type(v) is int for name in names for v in name)
+        for max_size in range(4):
+            got = EventSets.build(*reread_events(g, steps), max_size)
+            ref_names, size, need, masks = _event_sets_ref(g, steps, max_size)
+            assert got.names == ref_names
+            assert got.size.tolist() == size and got.need.tolist() == need
+            assert got.masks.dtype == np.uint64 and np.array_equal(got.masks, masks)
+            assert all(type(v) is int for s in got.names for name in s for v in name)
 
 
 class TestRowCap:
@@ -903,7 +986,8 @@ class TestStaticVerifierMatchesScalarWalk:
 
     @staticmethod
     def _scalar_verify(g, table, t):
-        effects, names, _ = _classes(g)
+        rows, names, _ = _classes(g)
+        effects = _effects(rows)
         checked = 0
         for w in range(1, t + 1):
             for combo in combinations(range(len(effects)), w):
@@ -1018,7 +1102,8 @@ class TestRemeasurementModel:
                         row = [0] * (2 * k)
                         row[2 * step], row[2 * step + 1] = anc, cats
                         expected.append(((step, op, code), row))
-        assert list(zip(*reread_events(g, k))) == expected
+        names, rows = reread_events(g, k)
+        assert rows.dtype == np.uint64 and list(zip(names, rows.tolist())) == expected
         # five re-read rows per step
         assert len(expected) == 5 * k
 
@@ -1089,9 +1174,9 @@ class TestMonteCarloFaultsCovered:
         the same set as the deduplicated location effects."""
         g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
         adaptive = g.max_adaptive > 0
-        effects, names, table = _classes(g, adaptive)
+        classes, names, table = _classes(g, adaptive)
         fields = [f.name for f in dataclasses.fields(Effect)][:len(table.columns)]
-        rows = [tuple(getattr(e, f) for f in fields) for e in effects]
+        rows = list(map(tuple, classes.tolist()))
         assert len(rows) == len(set(rows)) == n_classes
         assert names == sorted(names) and names[:g.cat_count] == [
             (r, 0) for r in range(g.cat_count)]
@@ -1122,7 +1207,7 @@ class TestMonteCarloFaultsCovered:
         for table in (FaultTable.for_reread(g),
                       FaultTable.from_gadget(g, ("data_x", "slot_flips", "persist_x"))):
             assert table.columns[0].shape[1] == 15
-            assert all(code < table.n_codes[op] for op, code in _first_rows(table).values())
+            assert all(code < table.n_codes[op] for op, code in _distinct_rows(table)[1])
 
 
 class TestUpperBound:
