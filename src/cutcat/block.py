@@ -17,7 +17,7 @@ import numpy as np
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut, table_lookup
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
-from .sim import FaultTable, noisy_operations, op_code_effects, pack_fields
+from .sim import FaultTable, noisy_operations, op_code_effects
 from .experiments import SweepResult, TrialStats, _fit_sweep, run_batches_until
 from .verify import KeyCache
 
@@ -27,8 +27,8 @@ CUT_CAT_WEIGHT_THRESHOLD = 6
 class _Generator:
     """One generator's gadget and ring decoder, in global coordinates.
     X- and Z-type generators build the same gadgets: the noise model is
-    symmetric under swapping the Pauli frame components.  ``field`` is the
-    (column, offset) of a ring gadget's slots in the round table's ``flips``."""
+    symmetric under swapping the Pauli frame components.  A ring gadget's
+    ``ring`` caches its decoder's corrections per slot key."""
 
     def __init__(self, sector: str, support_mask: int, distance: int):
         self.sector = sector
@@ -38,10 +38,10 @@ class _Generator:
             spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
             self.gadget = build_cut_cat(spec)
             self.decoder = RuleDecoderD3D5(self.gadget, spec.t)
+            self.ring = KeyCache(self.gadget.n_slots, self.ring_corrections)
         else:
             self.gadget = build_full_cat(gamma)
-            self.decoder = None
-        self.ring, self.field = KeyCache(self.gadget.n_slots), (0, 0)
+            self.decoder = self.ring = None
 
     def _globalize(self, local: np.ndarray) -> np.ndarray:
         """Local data masks (bit i: the gadget's data qubit i) moved to
@@ -62,7 +62,7 @@ class BlockSimulator:
     def __init__(self, code: CssCode, ratio: float, max_rounds: int | None = None):
         if not code.lx or not code.lz:
             raise ValueError("code file must supply LX/LZ rows for logical checks")
-        if ratio <= 0:
+        if not ratio > 0:  # NaN included
             raise ValueError("ratio must be positive")
         self.code = code
         self.ratio = ratio
@@ -85,28 +85,21 @@ class BlockSimulator:
 
     def _round_table(self) -> FaultTable:
         """The noise of one round: every generator's gadget ops in
-        extraction order.  ``wx`` and ``wz`` hold the global residuals of
-        the X and the Z generators; ``flips`` has bit gi for generator
-        gi's outcome, then the ring generators' slot fields."""
-        gens = self.generators
-        # the ring fields start in column 0 after the generator bits
-        layout = pack_fields([gen.gadget.n_slots for gen in self._rings], len(gens))
-        for gen, field in zip(self._rings, layout):
-            gen.field = field
-        n_cols = 1 + max((col for col, _ in layout), default=0)
+        extraction order, one column per field.  ``wx`` and ``wz`` hold
+        the global residuals of the X and the Z generators, ``outcomes``
+        bit gi for generator gi's outcome flip, and ``ring{k}`` the slot
+        flips of ring generator k; ``FaultTable`` packs them into words."""
         n_codes, parts = [], []
-        for gi, gen in enumerate(gens):
-            col, at = gen.field
+        for gi, gen in enumerate(self.generators):
             ops = noisy_operations(gen.gadget)
             n_codes += [op.n_codes for op in ops]
             eff = op_code_effects(gen.gadget, ops, ("data_x", "slot_flips", "gen_flip"))
             data, zero = gen._globalize(eff["data_x"]), np.zeros_like(eff["data_x"])
-            flips = [zero] * n_cols
-            flips[0] = eff["gen_flip"] << np.uint64(gi)
-            flips[col] = flips[col] | (eff["slot_flips"] << np.uint64(at))
-            parts.append([data, zero, *flips] if gen.sector == "X" else [zero, data, *flips])
+            slots = [eff["slot_flips"] if ring is gen else zero for ring in self._rings]
+            wx, wz = (data, zero) if gen.sector == "X" else (zero, data)
+            parts.append([wx, wz, eff["gen_flip"] << np.uint64(gi), *slots])
         width = math.lcm(*n_codes)
-        names = ["wx", "wz", "flips"] + [f"flips{c}" for c in range(1, n_cols)]
+        names = ["wx", "wz", "outcomes"] + [f"ring{k}" for k in range(len(self._rings))]
         return FaultTable(n_codes, {
             name: np.concatenate([np.tile(p[k], (1, width // p[k].shape[1])) for p in parts])
             for k, name in enumerate(names)})
@@ -163,25 +156,21 @@ class BlockSimulator:
     def apply_round(self, data_x: np.ndarray, data_z: np.ndarray,
                     faults: Sequence[np.ndarray]) -> np.ndarray:
         """One round of every generator's extraction from each trial's
-        round-table columns (overwritten); returns the syndromes (X
-        generators low) and updates the data in place.  Z generators read
-        ``data_x`` after every X residual and ring correction, as in
-        extraction one generator at a time."""
-        wx, wz, *flips = faults
-        gen_bits = np.uint64((1 << len(self.generators)) - 1)
+        round-table columns (``wx`` and ``wz`` overwritten), each ring
+        generator's slot keys decoded through its ``KeyCache``; returns
+        the syndromes (X generators low) and updates the data in place.
+        Z generators read ``data_x`` after every X residual and ring
+        correction, as in extraction one generator at a time."""
+        wx, wz, outcomes, *rings = faults
         syn = _parities(data_z, self._parity[0])
-        cand = np.nonzero(np.bitwise_or.reduce([flips[0] & ~gen_bits, *flips[1:]]))[0]
-        for gen in self._rings:
-            col, at = gen.field
-            keys = ((flips[col][cand] >> np.uint64(at))
-                    & np.uint64((1 << gen.gadget.n_slots) - 1))
+        for gen, keys in zip(self._rings, rings):
             if len(hit := np.flatnonzero(keys)):  # no cache call without keys
-                (corr,) = gen.ring.get(keys[hit], gen.ring_corrections)
-                (wx if gen.sector == "X" else wz)[cand[hit]] ^= corr
+                (corr,) = gen.ring.get(keys[hit])
+                (wx if gen.sector == "X" else wz)[hit] ^= corr
         data_x ^= wx
         syn |= _parities(data_x, self._parity[1]) << np.uint64(self.n_hx)
         data_z ^= wz
-        return syn ^ (flips[0] & gen_bits)
+        return syn ^ outcomes
 
     def _correct(self, sx: np.ndarray, sz: np.ndarray, data_x: np.ndarray,
                  data_z: np.ndarray) -> np.ndarray:

@@ -56,6 +56,8 @@ def _p_values(args) -> list[float]:
     for name, p in (("--p-min", args.p_min), ("--p-max", args.p_max)):
         if not p > 0:
             raise ValueError(f"{name}={p!r} must be positive")
+        if p > 1:
+            raise ValueError(f"{name}={p!r} is not a probability")
     lo, hi = math.log(args.p_min), math.log(args.p_max)
     return [
         math.exp(lo + (hi - lo) * i / (args.points - 1))

@@ -543,10 +543,11 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     # correction: the first walk flags the others "hard" in a cache of
     # every key, and a second walk collects the hard keys' rows, grouped
     # by cache row.
-    cache = _verify.KeyCache(g.cat_count * g.base_rounds)
+    cache = _verify.KeyCache(g.cat_count * g.base_rounds,
+                             lambda new: (np.zeros(len(new), bool),))
     for s in _verify.combo_walk(classes, t, min_weight=0):
         data, key = s.cols
-        ids = cache.index(key, lambda new: (np.zeros(len(new), bool),))
+        ids = cache.index(key)
         cache.values[0][ids[_verify.coset_weights(data, spec.gamma) > s.weight]] = True
     hard, rows = cache.values[0], []
     for s in _verify.combo_walk(classes, t, min_weight=0):

@@ -159,9 +159,9 @@ class GadgetMonteCarlo:
 
     def __init__(self, g: GadgetCircuit, decoder):
         self.g = g
-        self._answers = KeyCache(g.cat_count * g.base_rounds)
-        self._tables = partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
-        self.steps = reread_steps(g, self._answers, self._tables)
+        self._answers = KeyCache(g.cat_count * g.base_rounds, partial(
+            decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
+        self.steps = reread_steps(g, self._answers)
         self.faults = FaultTable.for_decoder(g, self.steps > 0)
         self.reread = FaultTable.for_reread(g) if self.steps else None
 
@@ -173,7 +173,7 @@ class GadgetMonteCarlo:
         # of the trials a fault hit, those with a residual or a syndrome
         seen = self.faults.any_nonzero(words, 2)
         (data, keys, *persist), g = self.faults.unpack([w[seen] for w in words]), self.g
-        rows = self._answers.index(keys, self._tables)
+        rows = self._answers.index(keys)
         del keys  # a batch's peak holds each decoded trial's cache row, not also its key
         hits = [self.reread.sample_hits(rng, len(rows), p) for _ in range(self.steps)]
         corr = _follow_split(*self._answers.values, rows, persist[0] if persist else None,

@@ -37,6 +37,8 @@ class GadgetSpec:
             raise ValueError(f"unsupported distance {self.distance}")
         if self.gamma < 2:
             raise ValueError("gamma must be at least 2")
+        if self.prep_cnots is not None and self.prep_cnots < 0:
+            raise ValueError(f"prep_cnots={self.prep_cnots} must be at least 0")
 
     @property
     def t(self) -> int:

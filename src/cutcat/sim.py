@@ -281,24 +281,22 @@ def op_code_effects(g: GadgetCircuit, ops: Sequence[NoisyOp], fields: Sequence[s
     return out
 
 
-# what bounds the bit width of each FaultTable column (flips1... are more flips)
-_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n",
-                 "wx": "n", "wz": "n", "flips": "generators plus ring slots"}
+# what bounds the bit width of each column checked by name
+_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
 
 
 def _check_width(name: str, bits: int) -> None:
     """Rejects a column whose masks need ``bits`` > 64 bits, named by its limit."""
     if bits > 64:
-        raise ValueError(f"{_COLUMN_WIDTH.get(name.rstrip('0123456789'), name)}={bits} "
+        raise ValueError(f"{_COLUMN_WIDTH.get(name, name)}={bits} "
                          "exceeds the 64-bit limit of packed masks")
 
 
-def pack_fields(widths: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
+def pack_fields(widths: Sequence[int]) -> list[tuple[int, int]]:
     """(word, offset) of fields of the given bit widths packed in order
-    into uint64 words: the first at bit ``start`` of word 0, each next
-    one right after the one before, and a field that would cross bit 64
-    opens a new word."""
-    word, at, out = 0, start, []
+    into uint64 words from bit 0 of word 0, each right after the one
+    before; a field that would cross bit 64 opens a new word."""
+    word, at, out = 0, 0, []
     for w in widths:
         if at + w > 64:
             word, at = word + 1, 0

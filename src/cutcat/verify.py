@@ -212,23 +212,23 @@ DENSE_BITS = 20
 
 
 class KeyCache:
-    """Decoder answers per syndrome key of at most ``bits`` bits: row i
-    of ``values`` answers ``keys[i]``, rows in the order the keys were
-    first seen.  Keys of up to ``DENSE_BITS`` bits find their row in a
-    dense int32 table of 2^bits slots, wider ones by binary search in a
-    sorted copy; either index is built on first use, so an unused cache
-    pickles small."""
+    """Answers of ``compute``, which maps sorted distinct syndrome keys of
+    at most ``bits`` bits to a tuple of arrays, a row per key, and is asked
+    for no key when the cache is made, to give ``values`` their shape.
+    Row i of ``values`` answers ``keys[i]``, in the order keys were first
+    seen.  Keys of up to ``DENSE_BITS`` bits find their row in a dense
+    int32 table of 2^bits slots, wider ones by binary search in a sorted
+    copy."""
 
-    def __init__(self, bits: int) -> None:
-        self.bits, self.keys, self.values = bits, np.zeros(0, np.uint64), ()
+    def __init__(self, bits: int, compute) -> None:
+        self.bits, self.compute, self.keys = bits, compute, np.zeros(0, np.uint64)
+        self.values = compute(self.keys)
         # dense: row + 1 per key, 0 if unseen; sorted: (sorted keys, their rows)
-        self._index = None
+        self._index = (np.zeros(1 << bits, np.int32) if bits <= DENSE_BITS
+                       else (self.keys, np.zeros(0, np.int64)))
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The row of each of ``keys``, -1 for a key not seen."""
-        if self._index is None:  # first use: the cache is empty
-            self._index = (np.zeros(1 << self.bits, np.int32) if self.bits <= DENSE_BITS
-                           else (self.keys, np.zeros(0, np.int64)))
         if self.bits <= DENSE_BITS:
             # keys below 2^DENSE_BITS read the same as int64, which numpy
             # indexes without the cast it makes of uint64 on every call
@@ -238,18 +238,15 @@ class KeyCache:
         at[at >= 0] = rows[at[at >= 0]]
         return at
 
-    def index(self, keys: np.ndarray, compute) -> np.ndarray:
-        """The row of ``values`` of each of ``keys``, which may repeat.
-        ``compute`` maps the distinct keys not seen before, sorted, to a
-        tuple of arrays; it runs also on none, to give the answers' shape
-        to an empty cache."""
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        """The row of ``values`` of each of ``keys``, which may repeat;
+        one ``compute`` call for the distinct keys not seen before."""
         rows = self.find(keys)
         miss = rows < 0
-        if miss.any() or not self.values:
+        if miss.any():
             fresh = sort_unique(keys[miss])
-            new = compute(fresh)
             self.values = tuple(np.concatenate([old, v])
-                                for old, v in zip(self.values, new)) or new
+                                for old, v in zip(self.values, self.compute(fresh)))
             added = np.arange(len(self.keys), len(self.keys) + len(fresh))
             self.keys = np.concatenate([self.keys, fresh])
             if self.bits <= DENSE_BITS:
@@ -261,17 +258,16 @@ class KeyCache:
             rows[miss] = self.find(keys[miss])
         return rows
 
-    def get(self, keys: np.ndarray, compute) -> tuple[np.ndarray, ...]:
+    def get(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         """The answers for ``keys``, one row per key (see ``index``)."""
-        rows = self.index(keys, compute)
+        rows = self.index(keys)
         return tuple(v[rows] for v in self.values)
 
 
-def reread_steps(g: GadgetCircuit, cache: KeyCache, tables) -> int:
-    """The re-read count s of a decoder's ``tables`` (of the keys alone),
-    from its answer for no key, which gives an empty ``cache`` its answers'
-    shape (``KeyCache.index``); at most the gadget's ``max_adaptive``."""
-    cache.index(np.zeros(0, np.uint64), tables)
+def reread_steps(g: GadgetCircuit, cache: KeyCache) -> int:
+    """The re-read count s of the decoder tables ``cache`` holds, from
+    their answer for no key, which the cache asks for when it is made; at
+    most the gadget's ``max_adaptive``."""
     steps = cache.values[0].shape[-1]
     if steps > g.max_adaptive:
         raise ValueError(f"the decoder re-reads up to {steps} stabilizers; the "
@@ -367,7 +363,6 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
 
 def _check_combos(
     g: GadgetCircuit,
-    tables,
     t: int,
     classes: np.ndarray,
     names: Sequence[tuple[int, int]],
@@ -380,10 +375,9 @@ def _check_combos(
     each set of ``events`` within the budget t - weight (a decoder that
     re-reads nothing meets the empty set only): a (row, set) grid per
     slice, run by ``follow_rereads``.  A cell counts only if its run
-    reaches the step of each of its events.  ``cache`` holds the answers
-    of ``tables`` (the decoder's, bound to this gadget) per key; each
-    slice's keys index it directly, and a serial walk shares it across
-    weights."""
+    reaches the step of each of its events.  ``cache`` holds the
+    decoder's tables, bound to this gadget, per key; each slice's keys
+    index it directly, and a serial walk shares it across weights."""
     m, gamma = g.cat_count, g.gamma
     k = int(np.searchsorted(events.size, t - weight, "right"))
     checked, masks, budget = 0, events.masks[:k], weight + events.size[:k]
@@ -391,7 +385,7 @@ def _check_combos(
     for sl in combo_walk(classes, weight, weight, max_rows=max(1, _GRID_CELLS // k)):
         data, key, *persist = sl.cols
         # one ``tables`` call for the distinct keys not seen before
-        rows = cache.index(key, tables)
+        rows = cache.index(key)
         frame = np.repeat(persist[0][:, None], k, 1) if persist else np.zeros((1, k), np.uint64)
         corr, reached = follow_rereads(*cache.values, rows[:, None], frame, noise, m)
         admitted = reached >= events.need[:k]
@@ -431,15 +425,15 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
-    cache = KeyCache(g.cat_count * g.base_rounds)
-    tables = partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
-    steps = reread_steps(g, cache, tables)
+    cache = KeyCache(g.cat_count * g.base_rounds,
+                     partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
+    steps = reread_steps(g, cache)
     classes, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
     events = EventSets.build(*reread_events(g, steps), max(t - 1, 0))
     per_weight: list[int] = []
     cx = None
     for w in range(1, t + 1):
-        checked, cx = _check_combos(g, tables, t, classes, names, events, cache, w)
+        checked, cx = _check_combos(g, t, classes, names, events, cache, w)
         per_weight.append(checked)
         if cx is not None:
             break

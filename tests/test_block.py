@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from cutcat import block
 from cutcat.block import BlockSimulator, run_block_mc
 from cutcat.pauli import CssCode, bits_of, parse_css_code
 from cutcat.sim import FaultTable, noisy_operations, pack_fields, propagate_op_faults
@@ -31,8 +30,9 @@ class TestSetup:
         assert all(gen.gadget.kind == "full_cat" for gen in sim.generators)
 
     def test_bad_ratio(self, steane):
-        with pytest.raises(ValueError):
-            BlockSimulator(steane, ratio=0)
+        for ratio in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="^ratio must be positive$"):
+                BlockSimulator(steane, ratio=ratio)
 
     def test_extraction_rate_above_one_rejected(self, steane):
         with pytest.raises(ValueError, match="p/ratio=1.6"):
@@ -161,19 +161,14 @@ class TestRoundStep:
     against extraction one generator at a time through the scalar
     propagator."""
 
-    @pytest.mark.parametrize("split", [False, True], ids=["packed", "split"])
-    @pytest.mark.parametrize("code_name", ["steane", "rm15"])
-    def test_matches_sequential_propagation(self, request, monkeypatch, code_name, split):
+    @pytest.mark.parametrize("code_name", ["steane", "rm15"], ids=lambda name: f"{name}-packed")
+    def test_matches_sequential_propagation(self, request, code_name):
         code = request.getfixturevalue(code_name)
-        if split:
-            # every ring field in a column of its own, past the generator bits
-            monkeypatch.setattr(block, "pack_fields",
-                                lambda widths, start: [(1 + i, 0) for i in range(len(widths))])
         sim = BlockSimulator(code, ratio=20)
         n_rings = sum(gen.decoder is not None for gen in sim.generators)
-        assert len(sim.round_faults.columns) == 3 + (n_rings if split else 0)
+        assert len(sim.round_faults.columns) == 3 + n_rings
         trials = 1200
-        sets = _fault_sets(sim, trials, seed=len(code_name) + split)
+        sets = _fault_sets(sim, trials, seed=len(code_name))
         rng = np.random.default_rng(3)
         data_x = rng.integers(0, 1 << code.n, trials, dtype=np.uint64)
         data_z = rng.integers(0, 1 << code.n, trials, dtype=np.uint64)
@@ -187,7 +182,7 @@ class TestRoundStep:
         syn = sim.apply_round(data_x, data_z, faults)
         assert [(int(s), int(x), int(z)) for s, x, z in zip(syn, data_x, data_z)] == expected
         # ring fields reached the ring decoders, when the code has any
-        assert (n_rings > 0) == any(len(gen.ring.keys) for gen in sim.generators)
+        assert (n_rings > 0) == any(len(gen.ring.keys) for gen in sim._rings)
 
 
 class TestRoundTableMatchesPerOpWalks:
@@ -197,61 +192,54 @@ class TestRoundTableMatchesPerOpWalks:
     @pytest.mark.parametrize("name", ["rm15", "steane"])
     def test_round_table_entries(self, request, name):
         sim = BlockSimulator(request.getfixturevalue(name), ratio=20)
-        n_cols = len(sim.round_faults.columns) - 2
         n_codes, rows = [], []
         for gi, gen in enumerate(sim.generators):
-            col, at = gen.field
             for op in noisy_operations(gen.gadget):
                 n_codes.append(op.n_codes)
                 rows.append([])
                 for e in walk_op_effects(gen.gadget, op):
                     data = sum(1 << gen.support[i] for i in bits_of(e.data_x))
-                    flips = [0] * n_cols
-                    flips[0] |= e.gen_flip << gi
-                    flips[col] |= e.slot_flips << at
-                    rows[-1].append([data * (gen.sector == "X"),
-                                     data * (gen.sector == "Z"), *flips])
-        names = ["wx", "wz"] + [f"flips{c}" for c in range(n_cols)]
-        want = FaultTable(n_codes, {name: [[e[k] for e in row] for row in rows]
-                                    for k, name in enumerate(names)})
+                    rows[-1].append([data * (gen.sector == "X"), data * (gen.sector == "Z"),
+                                     e.gen_flip << gi] + [e.slot_flips * (ring is gen)
+                                                          for ring in sim._rings])
+        want = FaultTable(n_codes, {str(k): [[e[k] for e in row] for row in rows]
+                                    for k in range(3 + len(sim._rings))})
         assert sim.round_faults.n_codes == want.n_codes
         for got, ref in zip(sim.round_faults.columns, want.columns, strict=True):
             assert np.array_equal(got, ref)
 
 
 class TestFlipLayout:
+    """``FaultTable`` packs columns into uint64 words in order, a column
+    that would cross bit 64 opening a new word."""
+
     def test_fields_start_a_column_instead_of_straddling(self):
-        widths = [20, 20, 20, 30, 64, 1, 5, 60]
-        assert pack_fields(widths, 14) == [
-            (0, 14), (0, 34), (1, 0), (1, 20), (2, 0), (3, 0), (3, 1), (4, 0)]
-        assert pack_fields([50], 14) == [(0, 14)]
+        widths = [14, 20, 20, 20, 30, 64, 1, 5, 60]
+        assert pack_fields(widths) == [
+            (0, 0), (0, 14), (0, 34), (1, 0), (1, 20), (2, 0), (3, 0), (3, 1), (4, 0)]
+        assert pack_fields([14, 50]) == [(0, 0), (0, 14)]
 
     def test_random_widths_pack_without_overlap(self):
         rng = random.Random(5)
         for _ in range(200):
-            n_gens = rng.randint(1, 40)
             widths = [rng.randint(1, 64) for _ in range(rng.randint(0, 12))]
-            used = {0: (1 << n_gens) - 1}
-            for (col, at), w in zip(pack_fields(widths, n_gens), widths):
+            used = {}
+            for (col, at), w in zip(pack_fields(widths), widths):
                 assert at + w <= 64
                 field = ((1 << w) - 1) << at
                 assert not used.get(col, 0) & field
                 used[col] = used.get(col, 0) | field
             assert sorted(used) == list(range(len(used)))
 
-    def test_rm15_fits_one_column(self, rm15):
-        # 14 generator bits plus 8 ring gadgets of 4 slots each
-        sim = BlockSimulator(rm15, ratio=20)
-        _, _, flips = sim.round_faults.columns
-        assert int(np.bitwise_or.reduce(flips.ravel())) == (1 << 46) - 1
-        assert [gen.field for gen in sim.generators if gen.decoder is not None] == [
-            (0, 14 + 4 * i) for i in range(8)]
-
-    @pytest.mark.parametrize("name", ["wx", "wz", "flips", "flips1"])
-    def test_too_wide_column_names_its_limit(self, name):
-        limit = "n" if name in ("wx", "wz") else "generators plus ring slots"
-        with pytest.raises(ValueError, match=f"^{limit}=65 exceeds the 64-bit"):
-            FaultTable([3], {name: [[1 << 64, 0, 0]]})
+    def test_round_table_words(self, rm15, steane):
+        # [[15,1,3]]: wx and wz (15 bits each), 14 generator bits and 5
+        # ring gadgets of 4 slots in word 0, the other 3 ring gadgets in
+        # word 1; Steane's 6 plain cat gadgets fit in one word
+        table = BlockSimulator(rm15, ratio=20).round_faults
+        assert [int(np.bitwise_or.reduce(c.ravel())) for c in table.columns] == [
+            (1 << 15) - 1, (1 << 15) - 1, (1 << 14) - 1] + [15] * 8
+        assert [word for word, _, _ in table._fields] == [0] * 8 + [1] * 3
+        assert len(BlockSimulator(steane, ratio=20).round_faults._words) == 1
 
 
 def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
@@ -368,9 +356,8 @@ class TestKeyCacheLookups:
     def test_ring_corrections(self, rm15):
         sim = BlockSimulator(rm15, ratio=20)
         gen = next(g for g in sim.generators if g.decoder is not None)
-        m, col, at = gen.gadget.cat_count, *gen.field
-        flips = sim.round_faults.sample(np.random.default_rng(4), 4000, 0.05)[2 + col]
-        slots = (flips >> np.uint64(at)) & np.uint64((1 << gen.gadget.n_slots) - 1)
+        m, k = gen.gadget.cat_count, sim._rings.index(gen)
+        slots = sim.round_faults.sample(np.random.default_rng(4), 4000, 0.05)[3 + k]
         keys = slots[slots != 0]
         assert len(np.unique(keys)) < len(keys)
 
@@ -380,7 +367,7 @@ class TestKeyCacheLookups:
         expected, miss = _table_apply(correction, keys)
         assert not miss.any()
         for part in (keys[: len(keys) // 2], keys):
-            (got,) = gen.ring.get(part, gen.ring_corrections)
+            (got,) = gen.ring.get(part)
             assert np.array_equal(got, expected[: len(part)])
 
     def test_code_lut_corrections_and_misses(self, rm15):

@@ -56,6 +56,12 @@ class TestUsageErrors:
           "--p-max", "1e-2"], "--p-min=0.0 must be positive"),
         (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "1e-3",
           "--p-max", "-1"], "--p-max=-1.0 must be positive"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "1e-3",
+          "--p-max", "inf"], "--p-max=inf is not a probability"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "nan",
+          "--p-max", "1e-2"], "--p-min=nan must be positive"),
+        (["mc-gadget", "--gamma", "6", "--distance", "3", "--p-min", "1e-3",
+          "--p-max", "1.5"], "--p-max=1.5 is not a probability"),
         (["mc-gadget", "--p", "1e-2"], "--gamma and --distance are required without a manifest"),
         (["mc-block", "--p", "1e-2"], "--code is required without a manifest"),
         (["mc-block", "--from-manifest"], "manifest is not an mc-block run"),
@@ -63,7 +69,8 @@ class TestUsageErrors:
          "trial_cap=0 must be positive"),
         (["mc-gadget", "--gamma", "6", "--distance", "3", "--p", "1e-2", "--trial-cap", "-5"],
          "trial_cap=-5 must be positive"),
-    ], ids=["d9-rules", "no-p", "one-point", "p-min-zero", "p-max-negative", "no-gamma",
+    ], ids=["d9-rules", "no-p", "one-point", "p-min-zero", "p-max-negative", "p-max-inf",
+            "p-min-nan", "p-max-above-one", "no-gamma",
             "no-code", "other-manifest", "trial-cap-zero", "trial-cap-negative"])
     def test_exit_two(self, tmp_path, capsys, args, message):
         if args[-1] == "--from-manifest":
@@ -99,6 +106,12 @@ class TestResourcesCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["two_qubit_gates"] == [40, 48]
         assert doc["depth"] == [9, 13]
+
+    def test_negative_prep_cnots_exit_two(self, capsys):
+        assert main(["resources", "--scheme", "cutcat", "--gamma", "10",
+                     "--distance", "5", "--prep-cnots", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: prep_cnots=-3 must be at least 0\n"
 
 
 class TestLutCommand:
@@ -227,6 +240,24 @@ class TestMonteCarloCommands:
                      "--p", "0.8", "--min-failures", "5", "--trial-cap", "100",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: extraction rate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["cli", "manifest"])
+    def test_mc_block_nan_ratio_exit_two(self, tmp_path, capsys, source):
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        if source == "cli":
+            args = ["--code", str(code_file), "--ratio", "nan", "--p", "0.01",
+                    "--min-failures", "5", "--trial-cap", "100"]
+        else:
+            manifest = tmp_path / "nan.manifest.json"
+            manifest.write_text(json.dumps({
+                "format": "cutcat-manifest-v5", "command": "mc-block",
+                "config": self.BLOCK | {"code_file": str(code_file), "ratio": float("nan")}}))
+            args = ["--from-manifest", str(manifest)]
+        out = tmp_path / "a.csv"
+        assert main(["mc-block", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ratio must be positive\n"
         assert not out.exists()
 
     def test_mc_gadget_rate_out_of_range_exit_two(self, tmp_path, capsys):

@@ -222,8 +222,8 @@ class TestTablesContract:
             assert (reads.dtype, reads.shape, corr.dtype, corr.shape) == (
                 np.int8, (n, 1 << s, s), np.uint64, (n, 1 << s))
         # an empty cache takes its answers' shape from the answer for no key
-        cache = KeyCache(m * rounds)
-        assert cache.index(none, lambda new: decoder.tables(new, m, rounds)).shape == (0,)
+        cache = KeyCache(m * rounds, lambda new: decoder.tables(new, m, rounds))
+        assert cache.index(none).shape == (0,)
         assert [v.shape for v in cache.values] == [(0, 1 << s, s), (0, 1 << s)]
         assert ((reads >= -1) & (reads < m)).all()
         assert (reads[..., 1:] < 0)[reads[..., :-1] < 0].all()

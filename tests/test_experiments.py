@@ -303,7 +303,7 @@ def _batch_ref(engine: GadgetMonteCarlo, p: float, seed: int, batch_index: int,
     candidates = np.flatnonzero((accs[0] != 0) | (accs[1] != 0))
     accs = [acc[candidates] for acc in accs]
     data, keys, g = accs[0], accs[1], engine.g
-    rows = engine._answers.index(keys, engine._tables)
+    rows = engine._answers.index(keys)
     noise = (sample_ref(engine.reread, rng, len(keys), p) for _ in range(engine.steps))
     frame = accs[2] if engine.steps else np.zeros(len(keys), np.uint64)
     corr, _ = follow_rereads(*engine._answers.values, rows, frame, noise, g.cat_count)
@@ -363,7 +363,7 @@ class TestFollowSplit:
         _, words = engine.faults.sample_words(rng, size, p)
         data, keys, persist = engine.faults.unpack(
             [w[engine.faults.any_nonzero(words, 2)] for w in words])
-        rows = engine._answers.index(keys, engine._tables)
+        rows = engine._answers.index(keys)
         # the all-rows call takes the dense ``sample`` of the same draws
         twin = copy.deepcopy(rng)
         hits = [engine.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]

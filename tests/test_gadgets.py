@@ -18,6 +18,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             GadgetSpec(gamma=1, distance=3)
 
+    def test_negative_prep_cnots(self):
+        with pytest.raises(ValueError, match="^prep_cnots=-1 must be at least 0$"):
+            GadgetSpec(gamma=10, distance=5, prep_cnots=-1)
+        assert GadgetSpec(gamma=10, distance=5, prep_cnots=0).prep_gate_cost == 0
+
     @pytest.mark.parametrize("d,rounds", [(3, 1), (5, 1), (7, 2), (9, 2)])
     def test_non_adaptive_round_count(self, d, rounds):
         assert base_round_count(d) == rounds

@@ -50,11 +50,11 @@ from location_ref import (
 )
 
 
-def _check_combos(g, decoder, t, classes, names, events, cache, weight):
-    """``verify._check_combos`` for ``decoder``, its tables bound to ``g``
-    as ``verify_gadget`` binds them."""
-    tables = functools.partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds)
-    return verify._check_combos(g, tables, t, classes, names, events, cache, weight)
+def _tables_cache(g, decoder):
+    """A ``KeyCache`` of ``decoder``'s tables, bound to ``g`` as
+    ``verify_gadget`` binds them."""
+    return KeyCache(g.n_slots, functools.partial(
+        decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
 
 
 def _no_events(g, max_size):
@@ -178,8 +178,8 @@ class TestVerifyGadget:
         assert len(rows) == g.n_slots and all(data == 0 for data, _ in rows)
         effects = np.array(list(rows), np.uint64)
         for w in (1, 2):
-            checked, cx = _check_combos(g, RuleDecoderD3D5(g, 2), 2, effects, list(rows.values()),
-                                        _no_events(g, 1), KeyCache(g.n_slots), w)
+            checked, cx = verify._check_combos(g, 2, effects, list(rows.values()), _no_events(g, 1),
+                                               _tables_cache(g, RuleDecoderD3D5(g, 2)), w)
             assert cx is None and checked == math.comb(len(effects), w)
 
     def test_d7_small_adaptive_passes(self):
@@ -284,9 +284,9 @@ def _raw_verify(g, decoder, t):
     repeats included, named by location id: the first counterexample."""
     rows = _raw_location_rows(g, 2)
     names = [(i, 0) for i in range(len(rows))]
-    cache = KeyCache(g.n_slots)
+    cache = _tables_cache(g, decoder)
     for w in range(1, t + 1):
-        _, cx = _check_combos(g, decoder, t, rows, names, _no_events(g, t - 1), cache, w)
+        _, cx = verify._check_combos(g, t, rows, names, _no_events(g, t - 1), cache, w)
         if cx is not None:
             return cx
     return None
@@ -417,47 +417,50 @@ class TestKeyCache:
     promised order: answers are checked per key."""
 
     def test_computes_only_new_keys(self, bits):
-        cache, asked = KeyCache(bits), []
+        asked = []
 
         def square(keys):
             asked.append(keys.tolist())
             return keys * keys, np.stack([keys, keys + 1], axis=1)
 
-        sq, pair = cache.get(np.array([7, 3], np.uint64), square)
+        cache = KeyCache(bits, square)
+        sq, pair = cache.get(np.array([7, 3], np.uint64))
         assert sq.tolist() == [49, 9] and pair.tolist() == [[7, 8], [3, 4]]
-        sq, pair = cache.get(np.array([9, 3, 5, 1], np.uint64), square)
-        assert asked == [[3, 7], [1, 5, 9]]
+        sq, pair = cache.get(np.array([9, 3, 5, 1], np.uint64))
+        # the first call, for no key, comes when the cache is made
+        assert asked == [[], [3, 7], [1, 5, 9]]
         assert sq.tolist() == [81, 9, 25, 1]
         assert pair.tolist() == [[9, 10], [3, 4], [5, 6], [1, 2]]
         assert sorted(cache.keys.tolist()) == [1, 3, 5, 7, 9]
-        cache.get(np.array([5, 7], np.uint64), square)
-        assert len(asked) == 2
+        cache.get(np.array([5, 7], np.uint64))
+        assert len(asked) == 3
 
     def test_repeated_unsorted_keys(self, bits):
-        cache, asked = KeyCache(bits), []
+        asked = []
 
         def square(keys):
             asked.append(keys.tolist())
             return (keys * keys,)
 
-        (sq,) = cache.get(np.array([5, 2, 5, 9, 2], np.uint64), square)
+        cache = KeyCache(bits, square)
+        (sq,) = cache.get(np.array([5, 2, 5, 9, 2], np.uint64))
         assert sq.tolist() == [25, 4, 25, 81, 4]
-        (sq,) = cache.get(np.array([9, 4, 4, 2], np.uint64), square)
+        (sq,) = cache.get(np.array([9, 4, 4, 2], np.uint64))
         assert sq.tolist() == [81, 16, 16, 4]
-        assert asked == [[2, 5, 9], [4]]
-        rows = cache.index(np.array([4, 9, 4], np.uint64), square)
+        assert asked == [[], [2, 5, 9], [4]]
+        rows = cache.index(np.array([4, 9, 4], np.uint64))
         assert cache.keys[rows].tolist() == [4, 9, 4]
         assert cache.find(np.array([3, 9], np.uint64)).tolist() == [-1, rows[1]]
 
     def test_no_keys_on_an_empty_cache_keep_the_answers_shape(self, bits):
-        cache = KeyCache(bits)
-
         def square(keys):
             return keys * keys, np.stack([keys, keys + 1], axis=1)
 
-        sq, pair = cache.get(np.zeros(0, np.uint64), square)
+        cache = KeyCache(bits, square)
+        assert [v.shape for v in cache.values] == [(0,), (0, 2)]
+        sq, pair = cache.get(np.zeros(0, np.uint64))
         assert sq.shape == (0,) and pair.shape == (0, 2)
-        sq, pair = cache.get(np.array([2], np.uint64), square)
+        sq, pair = cache.get(np.array([2], np.uint64))
         assert sq.tolist() == [4] and pair.tolist() == [[2, 3]]
 
 
@@ -470,9 +473,7 @@ class TestSortedKeyPath:
     def _sorted(monkeypatch, fn, *args):
         with monkeypatch.context() as patch:
             patch.setattr(verify, "DENSE_BITS", 0)
-            cache = KeyCache(1)
-            cache.find(np.zeros(1, np.uint64))
-            assert isinstance(cache._index, tuple)
+            assert isinstance(KeyCache(1, lambda keys: (keys,))._index, tuple)
             return fn(*args)
 
     @pytest.mark.parametrize("gamma, distance", [(10, 5), (18, 9)])
@@ -527,8 +528,8 @@ class TestEmptyDeepestSlice:
         effects, names, _ = _classes(g, adaptive)
         events = EventSets.build(*reread_events(g, MAX_REREADS if adaptive else 0), t - 1)
         # one effect, whose index is the last first index: no pair
-        assert _check_combos(g, decoder, t, effects[:1], names[:1], events,
-                             KeyCache(g.n_slots), 2) == (0, None)
+        assert verify._check_combos(g, t, effects[:1], names[:1], events,
+                                    _tables_cache(g, decoder), 2) == (0, None)
 
 
 class _BrokenAt(TreeWalk):
@@ -819,13 +820,14 @@ class TestOracle:
 
     def test_any_columns_walked(self, rm15):
         """The walk XORs whatever uint64 columns it is given: here the
-        [[15,1,3]] block round table's distinct rows (wx, wz, flips) and
-        a fourth column of each row's (op, code) packed in one word."""
+        [[15,1,3]] block round table's distinct rows (wx, wz, the
+        generator outcomes and the 8 ring slot columns) and a twelfth
+        column of each row's (op, code) packed in one word."""
         rows, names = _distinct_rows(BlockSimulator(rm15, ratio=20).round_faults)
         packed = np.array([op << 4 | code for op, code in names], np.uint64)
         # every tenth row, from each generator's gadget
         rows = np.column_stack([rows, packed])[::10]
-        assert rows.dtype == np.uint64 and rows.shape == (39, 4)
+        assert rows.dtype == np.uint64 and rows.shape == (39, 12)
         for max_rows in (7, _GRID_CELLS):
             assert _walk_rows(rows, 3, min_weight=0, max_rows=max_rows) == \
                 _reference_combos(rows, 3, min_weight=0)
@@ -952,8 +954,8 @@ class TestRowCap:
             return follow_rereads(reads, corrections, inv, frame, noise, m)
 
         monkeypatch.setattr(verify, "follow_rereads", spy)
-        assert _check_combos(g, RuleDecoderD7(g), 4, effects, names, events,
-                             KeyCache(g.n_slots), 2)[1] is None
+        assert verify._check_combos(g, 4, effects, names, events,
+                                    _tables_cache(g, RuleDecoderD7(g)), 2)[1] is None
         assert sum(cells) == math.comb(len(effects), 2) * k
         assert 1 < len(cells) < len(effects) - 1
         assert max(cells) <= _GRID_CELLS
