@@ -34,7 +34,6 @@ from .gadgets import (
     build_full_cat,
     resource_report,
 )
-from .sim import CatSyndrome, PropagationResult
 from .decoders import (
     CodeLUT,
     CutCatLUT,
@@ -57,9 +56,10 @@ from .experiments import (
     TrialStats,
     fit_slope,
     run_gadget_mc,
-    sweep_gadget_mc,
+    run_mc,
+    sweep_mc,
     wilson_interval,
 )
-from .block import BlockSimulator, run_block_mc, sweep_block_mc
+from .block import BlockSimulator, run_block_mc
 
 __version__ = "0.1.0"

@@ -4,12 +4,13 @@ repeat-until-stable protocol and table decoding.
 Generators of weight above six get the ring-checked gadget, the rest the
 plain cat gadget.  One ``FaultTable`` holds a round's noise: a trial it does
 not hit reads its data syndrome, only hit ones run ``apply_round``, and
-only ring decoding drops into Python, once per new syndrome key (``KeyCache``)."""
+only ring decoding drops into Python, once per new syndrome key (``KeyCache``).
+``experiments.run_mc`` and ``sweep_mc`` run a ``BlockSimulator`` as they
+run a gadget's engine."""
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut, table_lookup
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from .pauli import CssCode, bits_of
 from .sim import FaultTable, noisy_operations, op_code_effects
-from .experiments import SweepResult, TrialStats, _fit_sweep, run_batches_until
+from .experiments import TrialStats, run_mc
 from .verify import KeyCache
 
 CUT_CAT_WEIGHT_THRESHOLD = 6
@@ -58,6 +59,8 @@ class _Generator:
 
 class BlockSimulator:
     """Repeat-until-stable QEC cycle for a CSS code under circuit noise."""
+
+    batch_size = 100_000
 
     def __init__(self, code: CssCode, ratio: float, max_rounds: int | None = None):
         if not code.lx or not code.lz:
@@ -104,8 +107,21 @@ class BlockSimulator:
             name: np.concatenate([np.tile(p[k], (1, width // p[k].shape[1])) for p in parts])
             for k, name in enumerate(names)})
 
+    def extraction_rate(self, p: float) -> float:
+        """p / ratio, the rate of every extraction op, after checking that
+        both it and p are probabilities."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p!r} is not a probability")
+        if p / self.ratio > 1.0:
+            raise ValueError(f"extraction rate p/ratio={p / self.ratio!r} exceeds 1")
+        return p / self.ratio
+
+    def bound(self, p_ft: float) -> float:
+        return math.nan  # no analytic bound for a block
+
     def run_batch(self, p: float, seed: int, batch_index: int, size: int) -> int:
-        """Returns the number of logical failures in the batch."""
+        """Returns the number of logical failures in the batch at data error
+        rate p."""
         rng = np.random.default_rng([seed, 3, batch_index])
         data_x, data_z = self.data_noise.sample(rng, size, p)
         accepted = self.extract_until_stable(rng, p / self.ratio, data_x, data_z)
@@ -208,42 +224,11 @@ def _parities(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 def run_block_mc(
     code: CssCode, p: float, ratio: float = 20.0, min_failures: int = 100,
-    seed: int = 0, trial_cap: int = 10**8, batch_size: int = 100_000, jobs: int = 1,
-    max_rounds: int | None = None, simulator: BlockSimulator | None = None,
+    seed: int = 0, trial_cap: int = 10**8, batch_size: int = BlockSimulator.batch_size,
+    jobs: int = 1, max_rounds: int | None = None, simulator: BlockSimulator | None = None,
 ) -> TrialStats:
     """Logical failure rate of one full QEC cycle at data error rate ``p``
-    and extraction noise p/ratio; a given ``simulator`` brings its own
-    ratio."""
-    if min_failures < 1:
-        raise ValueError("min_failures must be positive")
+    and extraction noise p/ratio (``run_mc``); a given ``simulator`` brings
+    its own ratio."""
     sim = simulator if simulator is not None else BlockSimulator(code, ratio, max_rounds)
-    p_ft = _extraction_rate(p, sim.ratio)
-    trials, failures = run_batches_until(
-        partial(sim.run_batch, p, seed), min_failures, trial_cap, batch_size, jobs
-    )
-    return TrialStats(p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
-                      censored=failures < min_failures)
-
-
-def _extraction_rate(p: float, ratio: float) -> float:
-    """p / ratio, after checking that both it and p are probabilities."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} is not a probability")
-    if p / ratio > 1.0:
-        raise ValueError(f"extraction rate p/ratio={p / ratio!r} exceeds 1")
-    return p / ratio
-
-
-def sweep_block_mc(
-    code: CssCode, p_list: Sequence[float], ratio: float = 20.0, min_failures: int = 100,
-    seed: int = 0, trial_cap: int = 10**8, batch_size: int = 100_000, jobs: int = 1,
-    max_rounds: int | None = None,
-) -> SweepResult:
-    sim = BlockSimulator(code, ratio, max_rounds)
-    for p in p_list:
-        _extraction_rate(p, ratio)
-    points = [run_block_mc(code, p, ratio, min_failures, seed, trial_cap, batch_size,
-                           jobs=jobs, simulator=sim) for p in sorted(p_list)]
-    slope, stderr = _fit_sweep(points)
-    return SweepResult(tuple(points), tuple(float("nan") for _ in points),
-                       slope, stderr)
+    return run_mc(sim, p, min_failures, seed, trial_cap, batch_size, jobs)

@@ -17,14 +17,9 @@ import sys
 from pathlib import Path
 
 from .decoders import LutBuildError, LutDecoder, RuleDecoderD3D5, RuleDecoderD7, build_cut_cat_lut
-from .block import sweep_block_mc
-from .experiments import (
-    SweepResult,
-    load_manifest,
-    make_manifest,
-    sweep_gadget_mc,
-    sweep_to_csv,
-)
+from .block import BlockSimulator
+from .experiments import (GadgetMonteCarlo, SweepResult, load_manifest, make_manifest,
+                          sweep_mc, sweep_to_csv)
 from .gadgets import GadgetSpec, build_cut_cat, resource_report
 from .pauli import CodeFormatError, parse_css_code
 from .verify import eval_upper_bound, verify_gadget
@@ -162,8 +157,8 @@ def _run_mc_gadget(config: dict) -> SweepResult:
     kind = c.pop("decoder")
     spec = GadgetSpec(gamma=c.pop("gamma"), distance=c.pop("distance"),
                       adaptive=None if kind != "lut" else False)
-    decoder = _default_decoder(build_cut_cat(spec), spec, kind)
-    return sweep_gadget_mc(spec, decoder, c.pop("p_values"), **c)
+    g = build_cut_cat(spec)
+    return sweep_mc(GadgetMonteCarlo(g, _default_decoder(g, spec, kind)), c.pop("p_values"), **c)
 
 
 def _mc_block_config(args) -> dict:
@@ -186,7 +181,8 @@ def _run_mc_block(config: dict) -> SweepResult:
     c = _entries(config, "code_file", "ratio", "max_rounds", "p_values",
                  "min_failures", "seed", "trial_cap", "batch_size")
     code = parse_css_code(Path(c.pop("code_file")).read_text())
-    return sweep_block_mc(code, c.pop("p_values"), **c)
+    sim = BlockSimulator(code, c.pop("ratio"), c.pop("max_rounds"))
+    return sweep_mc(sim, c.pop("p_values"), **c)
 
 
 def cmd_mc(args) -> int:
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, default=None)
     p.add_argument("--distance", type=int, default=None)
     p.add_argument("--decoder", choices=["rules", "lut"], default="rules")
-    p.add_argument("--batch-size", type=int, default=1_000_000)
+    p.add_argument("--batch-size", type=int, default=GadgetMonteCarlo.batch_size)
     add_mc_args(p)
     p.set_defaults(func=cmd_mc, mc=(_mc_gadget_config, _run_mc_gadget))
 
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", type=str, default=None)
     p.add_argument("--ratio", type=float, default=20.0)
     p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=100_000)
+    p.add_argument("--batch-size", type=int, default=BlockSimulator.batch_size)
     add_mc_args(p)
     p.set_defaults(func=cmd_mc, mc=(_mc_block_config, _run_mc_block))
 

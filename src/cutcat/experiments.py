@@ -1,6 +1,9 @@
-"""Monte-Carlo validation harnesses: gadget failure sweeps, block-level
-logical error rates, slope fits and run manifests.
+"""Monte-Carlo validation harnesses: one run path for gadget failure
+rates and block-level logical error rates, slope fits and run manifests.
 
+``run_mc`` runs a point and ``sweep_mc`` a sweep of either engine,
+``GadgetMonteCarlo`` or ``block.BlockSimulator``, each with its own
+``run_batch``, default ``batch_size``, ``extraction_rate`` and ``bound``.
 Trials are grouped into fixed-size batches; every random draw of a batch
 comes from a generator seeded by (seed, stream, batch index), so any run
 is reproducible bit-for-bit from its manifest regardless of stopping
@@ -72,6 +75,8 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
         raise ValueError("need at least 3 points to fit a slope")
     if any(e <= 0.0 or p <= 0.0 for p, e in points):
         raise ValueError("slope fit requires positive rates and estimates")
+    if len({p for p, _ in points}) < 2:
+        raise ValueError("slope fit requires at least two distinct rates")
     xs = [math.log(p) for p, _ in points]
     ys = [math.log(e) for _, e in points]
     n = len(xs)
@@ -93,14 +98,6 @@ class SweepResult:
     bounds: tuple[float, ...]
     slope: float | None
     slope_stderr: float | None
-
-
-def _fit_sweep(points: Sequence[TrialStats]) -> tuple[float | None, float | None]:
-    usable = [(s.p_ft, s.estimate) for s in points
-              if not s.censored and s.failures > 0]
-    if len(usable) < 3:
-        return None, None
-    return fit_slope(usable)
 
 
 def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
@@ -157,17 +154,28 @@ class GadgetMonteCarlo:
       ``RuleDecoderD7``, told apart by ``np.unique``.
     """
 
+    batch_size = 1_000_000
+
     def __init__(self, g: GadgetCircuit, decoder):
-        self.g = g
+        self.g, self.t = g, (g.distance - 1) // 2
         self._answers = KeyCache(g.cat_count * g.base_rounds, partial(
             decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
         self.steps = reread_steps(g, self._answers)
         self.faults = FaultTable.for_decoder(g, self.steps > 0)
         self.reread = FaultTable.for_reread(g) if self.steps else None
 
-    def run_batch(self, p: float, seed: int, batch_index: int, size: int,
-                  t: int) -> int:
-        """Returns the number of failing trials in the batch."""
+    def extraction_rate(self, p: float) -> float:
+        """p itself, the rate of every op, after checking it is a probability."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p!r} is not a probability")
+        return p
+
+    def bound(self, p_ft: float) -> float:
+        return eval_upper_bound(self.g.gamma, self.t, p_ft)
+
+    def run_batch(self, p: float, seed: int, batch_index: int, size: int) -> int:
+        """Returns the number of failing trials in the batch: those whose
+        corrected residual has coset weight above t."""
         rng = np.random.default_rng([seed, 1, batch_index])
         _, words = self.faults.sample_words(rng, size, p)
         # of the trials a fault hit, those with a residual or a syndrome
@@ -178,7 +186,7 @@ class GadgetMonteCarlo:
         hits = [self.reread.sample_hits(rng, len(rows), p) for _ in range(self.steps)]
         corr = _follow_split(*self._answers.values, rows, persist[0] if persist else None,
                              hits, g.cat_count)
-        return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > t))
+        return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > self.t))
 
 
 # a pool worker's ``batch_fn``, handed over once when the worker starts,
@@ -245,59 +253,49 @@ def run_batches_until(
     return trials, failures
 
 
-def run_gadget_mc(
-    spec: GadgetSpec,
-    decoder,
-    p_ft: float,
-    min_failures: int = 100,
-    seed: int = 0,
-    trial_cap: int = 10**8,
-    batch_size: int = 1_000_000,
-    jobs: int = 1,
-    engine: GadgetMonteCarlo | None = None,
-) -> TrialStats:
-    """Sample gadget runs until ``min_failures`` failures or the cap.
-
-    A failure is a corrected residual of coset weight above t.  Points
-    that hit the cap short of the failure target are flagged censored.
-    """
+def run_mc(engine, p: float, min_failures: int = 100, seed: int = 0,
+           trial_cap: int = 10**8, batch_size: int | None = None,
+           jobs: int = 1) -> TrialStats:
+    """One point of ``engine`` at rate ``p``: batches (of
+    ``engine.batch_size`` trials unless given) until ``min_failures``
+    failures or the cap; a point short of its target is flagged censored."""
     if min_failures < 1:
         raise ValueError("min_failures must be positive")
-    if not 0.0 <= p_ft <= 1.0:
-        raise ValueError(f"p={p_ft!r} is not a probability")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be at least 0")
+    p_ft = engine.extraction_rate(p)
+    trials, failures = run_batches_until(
+        partial(engine.run_batch, p, seed), min_failures, trial_cap,
+        engine.batch_size if batch_size is None else batch_size, jobs)
+    return TrialStats(p=p, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
+                      censored=failures < min_failures)
+
+
+def sweep_mc(engine, p_values: Sequence[float], **point) -> SweepResult:
+    """``run_mc(engine, p, **point)`` for each p in ascending order, every
+    rate checked before the first point runs, with each point's bound.
+    The slope fits the uncensored points with failures and p_ft > 0 when
+    three or more of them span two or more rates; otherwise it is None."""
+    for p in p_values:
+        engine.extraction_rate(p)
+    points = tuple(run_mc(engine, p, **point) for p in sorted(p_values))
+    usable = [(s.p_ft, s.estimate) for s in points
+              if not s.censored and s.failures > 0 and s.p_ft > 0]
+    fit = (fit_slope(usable) if len(usable) >= 3 and len({p for p, _ in usable}) > 1
+           else (None, None))
+    return SweepResult(points, tuple(engine.bound(s.p_ft) for s in points), *fit)
+
+
+def run_gadget_mc(
+    spec: GadgetSpec, decoder, p_ft: float, min_failures: int = 100, seed: int = 0,
+    trial_cap: int = 10**8, batch_size: int = GadgetMonteCarlo.batch_size, jobs: int = 1,
+    engine: GadgetMonteCarlo | None = None,
+) -> TrialStats:
+    """``run_mc`` of a ``GadgetMonteCarlo`` of ``spec`` and ``decoder``,
+    or of the given ``engine``."""
     if engine is None:
         engine = GadgetMonteCarlo(build_cut_cat(spec), decoder)
-    trials, failures = run_batches_until(
-        partial(engine.run_batch, p_ft, seed, t=spec.t), min_failures, trial_cap,
-        batch_size, jobs,
-    )
-    return TrialStats(
-        p=p_ft, p_ft=p_ft, trials=trials, failures=failures, seed=seed,
-        censored=failures < min_failures,
-    )
-
-
-def sweep_gadget_mc(
-    spec: GadgetSpec,
-    decoder,
-    p_list: Sequence[float],
-    min_failures: int = 100,
-    seed: int = 0,
-    trial_cap: int = 10**8,
-    batch_size: int = 1_000_000,
-    jobs: int = 1,
-) -> SweepResult:
-    engine = GadgetMonteCarlo(build_cut_cat(spec), decoder)
-    points = []
-    bounds = []
-    for p in sorted(p_list):
-        points.append(
-            run_gadget_mc(spec, decoder, p, min_failures, seed, trial_cap,
-                          batch_size, jobs=jobs, engine=engine)
-        )
-        bounds.append(eval_upper_bound(spec.gamma, spec.t, p))
-    slope, stderr = _fit_sweep(points)
-    return SweepResult(tuple(points), tuple(bounds), slope, stderr)
+    return run_mc(engine, p_ft, min_failures, seed, trial_cap, batch_size, jobs)
 
 
 def sweep_to_csv(sweep: SweepResult) -> str:

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from cutcat.block import sweep_block_mc
+from cutcat.block import BlockSimulator
 from cutcat.decoders import (
     LutDecoder,
     RuleDecoderD3D5,
     RuleDecoderD7,
     build_cut_cat_lut,
 )
-from cutcat.experiments import run_gadget_mc, sweep_gadget_mc
+from cutcat.experiments import GadgetMonteCarlo, run_gadget_mc, sweep_mc
 from cutcat.cli import main as cli_main
 from cutcat.gadgets import GadgetSpec, build_cut_cat, resource_report
 from cutcat.pauli import parse_css_code, steane_code
@@ -118,15 +118,15 @@ def slope_sweeps():
     g3 = build_cut_cat(spec3)
     out[(3, 6)] = (
         spec3,
-        sweep_gadget_mc(spec3, RuleDecoderD3D5(g3, 1), grid, min_failures=150,
-                        seed=SEED, trial_cap=3 * 10**7),
+        sweep_mc(GadgetMonteCarlo(g3, RuleDecoderD3D5(g3, 1)), grid, min_failures=150,
+                 seed=SEED, trial_cap=3 * 10**7),
     )
     spec5 = GadgetSpec(gamma=10, distance=5)
     g5 = build_cut_cat(spec5)
     out[(5, 10)] = (
         spec5,
-        sweep_gadget_mc(spec5, RuleDecoderD3D5(g5, 2), grid, min_failures=100,
-                        seed=SEED, trial_cap=2 * 10**8),
+        sweep_mc(GadgetMonteCarlo(g5, RuleDecoderD3D5(g5, 2)), grid, min_failures=100,
+                 seed=SEED, trial_cap=2 * 10**8),
     )
     return out
 
@@ -250,8 +250,8 @@ class TestCriterion6Resources:
 
 class TestCriterion7BlockLevel:
     def test_steane_slope(self):
-        sweep = sweep_block_mc(
-            steane_code(), [3e-3, 6.5e-3, 1.4e-2, 3e-2], ratio=20,
+        sweep = sweep_mc(
+            BlockSimulator(steane_code(), ratio=20), [3e-3, 6.5e-3, 1.4e-2, 3e-2],
             min_failures=100, seed=5, trial_cap=5 * 10**6,
         )
         enough = all(p.failures >= 100 and not p.censored for p in sweep.points)
@@ -272,8 +272,8 @@ class TestCriterion7BlockLevel:
                   f"not supplied at {path}")
             pytest.skip("external [[49,1,5]] check matrix not supplied")
         code = parse_css_code(Path(path).read_text())
-        sweep = sweep_block_mc(code, [6e-3, 1.2e-2, 2.4e-2], ratio=20,
-                               min_failures=100, seed=5, trial_cap=10**7)
+        sweep = sweep_mc(BlockSimulator(code, ratio=20), [6e-3, 1.2e-2, 2.4e-2],
+                         min_failures=100, seed=5, trial_cap=10**7)
         ok = sweep.slope is not None and abs(sweep.slope - 3) <= 0.4
         _report("7 ([[49,1,5]])", ok,
                 f"slope {sweep.slope:.3f} vs 3")

@@ -268,9 +268,10 @@ class TestMonteCarloCommands:
         assert not out.exists()
 
     @staticmethod
-    def _run_without_batches(tmp_path, monkeypatch, command, options):
+    def _run_without_batches(tmp_path, monkeypatch, command, options, p=("1e-2",)):
         """``command`` on Steane (mc-block) or d=3 gamma=6 (mc-gadget)
-        with ``options``, every batch patched to fail: the exit code."""
+        at rates ``p`` with ``options``, every batch patched to fail: the
+        exit code."""
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch ran")
 
@@ -280,7 +281,7 @@ class TestMonteCarloCommands:
         code_file.write_text(STEANE_TEXT)
         args = (["--code", str(code_file)] if command == "mc-block"
                 else ["--gamma", "6", "--distance", "3"])
-        return main([command, *args, "--p", "1e-2", *options, "--trial-cap", "10",
+        return main([command, *args, "--p", *p, *options, "--trial-cap", "10",
                      "--min-failures", "1", "--out", str(tmp_path / "a.csv")])
 
     @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
@@ -299,6 +300,58 @@ class TestMonteCarloCommands:
                                          ["--jobs", str(jobs), "--batch-size", "10"]) == 2
         assert capsys.readouterr().err == f"error: jobs={jobs} must be positive\n"
         assert [f.name for f in tmp_path.iterdir()] == ["steane.txt"]
+
+    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
+    def test_every_rate_checked_before_a_batch(self, tmp_path, monkeypatch, capsys, command):
+        # a bad last rate fails before the first point runs, not after it
+        assert self._run_without_batches(tmp_path, monkeypatch, command, ["--batch-size", "10"],
+                                         p=("1e-2", "1.5")) == 2
+        assert capsys.readouterr().err == "error: p=1.5 is not a probability\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["steane.txt"]
+
+    @pytest.mark.parametrize("command", ["mc-block", "mc-gadget"])
+    def test_negative_seed_exit_two(self, tmp_path, monkeypatch, capsys, command):
+        assert self._run_without_batches(tmp_path, monkeypatch, command,
+                                         ["--seed", "-1", "--batch-size", "10"]) == 2
+        assert capsys.readouterr().err == "error: seed=-1 must be at least 0\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["steane.txt"]
+
+    @pytest.mark.parametrize("command, config", [("mc-gadget", GADGET), ("mc-block", BLOCK)])
+    def test_negative_seed_in_manifest_exit_two(self, tmp_path, monkeypatch, capsys,
+                                                command, config):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran")
+
+        for cls in (BlockSimulator, GadgetMonteCarlo):
+            monkeypatch.setattr(cls, "run_batch", no_batch)
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        manifest, out = tmp_path / "neg.manifest.json", tmp_path / "a.csv"
+        config = config | {"seed": -1} | ({"code_file": str(code_file)} if "ratio" in config else {})
+        manifest.write_text(json.dumps({"format": "cutcat-manifest-v5", "command": command,
+                                        "config": config}))
+        assert main([command, "--from-manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed=-1 must be at least 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("mc-gadget", ["--gamma", "6", "--distance", "3", "--p", "0.02", "0.02", "0.02"]),
+        ("mc-block", ["--p-min", "0.02", "--p-max", "0.02", "--points", "3"]),
+        ("mc-block", ["--ratio", "inf", "--p", "0.01", "0.02", "0.04"]),
+    ], ids=["gadget-one-rate", "block-one-rate", "block-noiseless-extraction"])
+    def test_sweep_without_slope_writes_outputs(self, tmp_path, capsys, command, options):
+        # a finished sweep whose points allow no slope fit still writes
+        # its CSV and manifest, and prints no slope
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT)
+        if command == "mc-block":
+            options = ["--code", str(code_file), *options]
+        out = tmp_path / "a.csv"
+        assert main([command, *options, "--min-failures", "20", "--batch-size", "10000",
+                     "--jobs", "1", "--out", str(out)]) == 0
+        assert "fitted slope" not in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 4
+        assert out.with_suffix(".manifest.json").exists()
 
     def test_gamma_beyond_64_bits_exit_two(self, tmp_path, capsys):
         assert main(["mc-gadget", "--gamma", "70", "--distance", "5",

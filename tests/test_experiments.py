@@ -14,7 +14,7 @@ from cutcat.experiments import (
     make_manifest,
     run_batches_until,
     run_gadget_mc,
-    sweep_gadget_mc,
+    sweep_mc,
     sweep_to_csv,
     wilson_interval,
 )
@@ -79,6 +79,51 @@ class TestFitSlope:
         with pytest.raises(ValueError):
             fit_slope([(1e-3, 0.0), (2e-3, 1e-6), (4e-3, 4e-6)])
 
+    def test_one_rate_rejected(self):
+        # no spread in log(p) to fit against: raise, never divide by zero
+        with pytest.raises(ValueError, match="two distinct rates"):
+            fit_slope([(1e-2, 1e-3)] * 3)
+
+
+class _RateEngine:
+    """An engine whose batch at rate p has size·p failures, run at
+    extraction rate p/ratio under the bound 2·p_ft."""
+
+    batch_size = 1_000
+
+    def __init__(self, ratio=2.0):
+        self.ratio = ratio
+
+    def extraction_rate(self, p):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p!r} is not a probability")
+        return p / self.ratio
+
+    def bound(self, p_ft):
+        return 2 * p_ft
+
+    def run_batch(self, p, seed, batch_index, size):
+        return round(size * p)
+
+
+class TestSweepMc:
+    def test_points_bounds_and_slope(self):
+        sweep = sweep_mc(_RateEngine(), [4e-2, 1e-2, 2e-2], min_failures=10)
+        assert [(s.p, s.p_ft, s.trials) for s in sweep.points] == [
+            (1e-2, 5e-3, 1_000), (2e-2, 1e-2, 1_000), (4e-2, 2e-2, 1_000)]
+        assert sweep.bounds == (1e-2, 2e-2, 4e-2)
+        assert sweep.slope == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ratio, p_values", [
+        (2.0, [2e-2] * 3), (2.0, [1e-2, 2e-2]), (2.0, [0.0, 1e-2, 2e-2]),
+        (2.0, [1e-3, 1e-2, 2e-2]), (float("inf"), [1e-2, 2e-2, 4e-2])],
+        ids=["one-rate", "two-points", "no-failures", "censored", "noiseless-extraction"])
+    def test_too_few_usable_points_leave_no_slope(self, ratio, p_values):
+        # p=1e-3 finds 1 failure per batch: censored at the 1 000-trial cap
+        sweep = sweep_mc(_RateEngine(ratio), p_values, min_failures=10, trial_cap=1_000)
+        assert len(sweep.points) == len(p_values)
+        assert sweep.slope is None and sweep.slope_stderr is None
+
 
 class TestRepeatUntilStable:
     def test_noiseless_accepts_after_t_plus_one(self):
@@ -135,14 +180,14 @@ class TestGadgetMc:
     def test_sweep_csv_stable(self, d3_setup):
         spec, dec = d3_setup
         kw = dict(min_failures=20, seed=9, trial_cap=10**6, batch_size=50_000)
-        s1 = sweep_gadget_mc(spec, dec, [3e-3, 1e-2], **kw)
-        s2 = sweep_gadget_mc(spec, dec, [3e-3, 1e-2], **kw)
+        s1 = sweep_mc(GadgetMonteCarlo(build_cut_cat(spec), dec), [3e-3, 1e-2], **kw)
+        s2 = sweep_mc(GadgetMonteCarlo(build_cut_cat(spec), dec), [3e-3, 1e-2], **kw)
         assert sweep_to_csv(s1) == sweep_to_csv(s2)
 
     def test_csv_columns(self, d3_setup):
         spec, dec = d3_setup
-        sweep = sweep_gadget_mc(spec, dec, [1e-2], min_failures=5, seed=2,
-                                trial_cap=10**5, batch_size=50_000)
+        sweep = sweep_mc(GadgetMonteCarlo(build_cut_cat(spec), dec), [1e-2], min_failures=5,
+                         seed=2, trial_cap=10**5, batch_size=50_000)
         header = sweep_to_csv(sweep).splitlines()[0]
         assert header == "p,p_ft,trials,failures,estimate,ci_lo,ci_hi,bound"
 
@@ -289,7 +334,7 @@ class TestAdaptiveBatch:
             w = bin(int(data[trial]) ^ corr).count("1")
             failures += min(w, gamma - w) > t
         assert failures > 0
-        assert engine.run_batch(p, seed, batch, size, t) == failures
+        assert engine.run_batch(p, seed, batch, size) == failures
 
 
 
@@ -323,7 +368,7 @@ class TestBatchMatchesDenseReference:
         decoder = RuleDecoderD7(g) if distance == 7 else RuleDecoderD3D5(g, spec.t)
         engine, ref = GadgetMonteCarlo(g, decoder), GadgetMonteCarlo(g, decoder)
         assert engine.steps == (MAX_REREADS if distance == 7 else 0)
-        counts = [(engine.run_batch(p, seed, 0, size, spec.t),
+        counts = [(engine.run_batch(p, seed, 0, size),
                    _batch_ref(ref, p, seed, 0, size, spec.t)) for seed in (1, 2, 4242)]
         assert [got for got, _ in counts] == [want for _, want in counts]
 

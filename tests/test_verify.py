@@ -346,8 +346,8 @@ class TestRereadTable:
         proxy = _Forwarding(RuleDecoderD7(g))
         rep = verify_gadget(g, proxy, 3)
         assert rep.passed and rep.faults_checked == 14847
-        got = GadgetMonteCarlo(g, proxy).run_batch(1e-2, 3, 0, 50_000, 3)
-        assert got == GadgetMonteCarlo(g, RuleDecoderD7(g)).run_batch(1e-2, 3, 0, 50_000, 3)
+        got = GadgetMonteCarlo(g, proxy).run_batch(1e-2, 3, 0, 50_000)
+        assert got == GadgetMonteCarlo(g, RuleDecoderD7(g)).run_batch(1e-2, 3, 0, 50_000)
 
     @pytest.mark.parametrize("spec", [
         GadgetSpec(gamma=6, distance=3), GadgetSpec(gamma=10, distance=5),
