@@ -25,7 +25,6 @@ from .circuit import (
     GadgetCircuit,
     Gate,
     circuit_depth,
-    count_two_qubit_gates,
 )
 from .gadgets import (
     GadgetSpec,

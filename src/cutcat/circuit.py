@@ -1,8 +1,8 @@
 """Gate-level IR for extraction gadgets.
 
-Qubit ids: data qubits are 0..gamma-1, cat qubits gamma..gamma+m-1, and a
-single reused measurement ancilla sits at gamma+m.  Circuits are built
-once and never mutated.
+Qubit ids: data qubits are 0..gamma-1, cat qubits gamma..gamma+m-1, and
+ring check s is measured on ancilla gamma+m+s: m ancillas, reused in
+every round.  Circuits are built once and never mutated.
 """
 
 from __future__ import annotations
@@ -33,24 +33,23 @@ class GadgetCircuit:
     """Extraction circuit for a single generator of weight ``gamma``.
 
     ``pair_map[r]`` lists the data qubits cat qubit r touches (two for
-    paired cats, one for single-interaction cats).  ``round_slots`` groups
-    ring-measurement outcome slots by round; the generator's own outcome
-    is read from the final transversal cat measurement and is not slotted.
+    paired cats, one for single-interaction cats).  Each of the
+    ``base_rounds`` rounds measures the m ring checks into slots
+    round * m + s; the generator's own outcome is read from the final
+    transversal cat measurement and is not slotted.
     """
 
-    kind: str                       # "cut_cat" | "full_cat"
     gamma: int
     cat_count: int
     pair_map: tuple[tuple[int, ...], ...]
     gates: tuple[Gate, ...]
-    round_slots: tuple[tuple[int, ...], ...]
     base_rounds: int
     max_adaptive: int = 0
     distance: int = 0
 
     @property
     def n_slots(self) -> int:
-        return sum(len(r) for r in self.round_slots)
+        return self.base_rounds * self.cat_count
 
     def cat_qubit(self, r: int) -> int:
         return self.gamma + (r % self.cat_count)
@@ -88,25 +87,10 @@ class GadgetCircuit:
 def circuit_depth(g: GadgetCircuit, extra_measurements: int = 0) -> int:
     """Depth excluding ancilla preparation.
 
-    Data interactions run in two parallel CNOT layers (one for a full-cat
-    gadget); each ring measurement, including its CNOT pair and the
-    measure/reset on the shared ancilla, costs one unit.
+    Data interactions take one parallel CNOT layer per data qubit of the
+    widest cat (two with paired cats, one for a full cat or a cut cat of
+    single-interaction cats); each ring measurement, including its CNOT
+    pair and the measure/reset of its ancilla, costs one unit.
     """
-    if g.gamma == 0:
-        return 0
-    data_layers = 1 if g.kind == "full_cat" else 2
+    data_layers = max(map(len, g.pair_map), default=0)
     return data_layers + g.n_slots + extra_measurements
-
-
-def count_two_qubit_gates(g: GadgetCircuit, prep_cost: int = 0) -> tuple[int, int]:
-    """(min, max) two-qubit gate count.
-
-    min covers the data CNOTs, two CNOTs per scheduled ring measurement
-    and the supplied preparation cost; max adds two CNOTs per adaptive
-    measurement the gadget may append.
-    """
-    data_cnots = sum(len(p) for p in g.pair_map)
-    ring_cnots = 2 * g.n_slots
-    lo = data_cnots + ring_cnots + prep_cost
-    hi = lo + 2 * g.max_adaptive
-    return lo, hi

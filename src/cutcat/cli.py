@@ -70,10 +70,8 @@ def _write_outputs(args, csv_text: str, manifest: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    spec = GadgetSpec(
-        gamma=args.gamma, distance=args.distance,
-        adaptive=None if args.decoder != "lut" else False,
-    )
+    spec = GadgetSpec(gamma=args.gamma, distance=args.distance,
+                      adaptive=args.decoder != "lut")
     g = build_cut_cat(spec)
     decoder = _default_decoder(g, spec, args.decoder)
     report = verify_gadget(g, decoder, spec.t)
@@ -156,7 +154,7 @@ def _run_mc_gadget(config: dict) -> SweepResult:
                  "min_failures", "seed", "trial_cap", "batch_size")
     kind = c.pop("decoder")
     spec = GadgetSpec(gamma=c.pop("gamma"), distance=c.pop("distance"),
-                      adaptive=None if kind != "lut" else False)
+                      adaptive=kind != "lut")
     g = build_cut_cat(spec)
     return sweep_mc(GadgetMonteCarlo(g, _default_decoder(g, spec, kind)), c.pop("p_values"), **c)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import GadgetCircuit, Gate, circuit_depth, count_two_qubit_gates
+from .circuit import GadgetCircuit, Gate, circuit_depth
 
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
 
@@ -21,20 +21,23 @@ class GadgetSpec:
 
     ``cat_count`` is max(ceil(gamma/2), distance): the ring needs at least
     d parity checks for the pairing argument to go through, so gadgets
-    with gamma < 2d carry single-interaction cat qubits.  The adaptive
-    variant (distance 7) runs one base round plus at most four extra
-    measurements; other distances run ``base_rounds`` full rounds.
+    with gamma < 2d carry single-interaction cat qubits.  ``adaptive``
+    acts at distance 7 only: the gadget runs one base round plus at most
+    four extra measurements.  Other gadgets run ``base_round_count(d)``
+    full rounds, or ``base_rounds`` when it is given.
     """
 
     gamma: int
     distance: int
-    adaptive: bool | None = None
+    adaptive: bool = True
     base_rounds: int | None = None
     prep_cnots: int | None = None
 
     def __post_init__(self) -> None:
         if self.distance not in SUPPORTED_DISTANCES:
             raise ValueError(f"unsupported distance {self.distance}")
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive={self.adaptive!r} must be True or False")
         if self.gamma < 2:
             raise ValueError("gamma must be at least 2")
         if self.prep_cnots is not None and self.prep_cnots < 0:
@@ -50,30 +53,17 @@ class GadgetSpec:
 
     @property
     def is_adaptive(self) -> bool:
-        return self.distance == 7 if self.adaptive is None else self.adaptive
+        return self.adaptive and self.distance == 7
 
     @property
     def rounds(self) -> int:
         if self.base_rounds is not None:
             return self.base_rounds
-        if self.is_adaptive and self.distance == 7:
-            return 1
-        return base_round_count(self.distance)
+        return 1 if self.is_adaptive else base_round_count(self.distance)
 
     @property
     def max_adaptive(self) -> int:
-        return 4 if self.is_adaptive and self.distance == 7 else 0
-
-    @property
-    def prep_gate_cost(self) -> int:
-        """Two-qubit gates to prepare and verify the cat state.
-
-        Default model: m-1 entangling CNOTs plus m-1 verification CNOTs
-        for the post-selected preparation.
-        """
-        if self.prep_cnots is not None:
-            return self.prep_cnots
-        return 2 * (self.cat_count - 1)
+        return 4 if self.is_adaptive else 0
 
     def pair_map(self) -> tuple[tuple[int, ...], ...]:
         """Cat index -> data qubits.
@@ -119,7 +109,6 @@ def build_cut_cat(spec: GadgetSpec) -> GadgetCircuit:
     # is rotation-symmetric and a cat error between the layers flips
     # exactly the check of its own index
     anc0 = gamma + m
-    round_slots: list[tuple[int, ...]] = []
     for rnd in range(spec.rounds):
         for s in range(m):
             gates.append(Gate("CNOT", cat(s + 1), anc0 + s))
@@ -128,15 +117,12 @@ def build_cut_cat(spec: GadgetSpec) -> GadgetCircuit:
         for s in range(m):
             gates.append(Gate("MZ", anc0 + s, slot=rnd * m + s))
             gates.append(Gate("RESET", anc0 + s))
-        round_slots.append(tuple(rnd * m + s for s in range(m)))
 
     return GadgetCircuit(
-        kind="cut_cat",
         gamma=gamma,
         cat_count=m,
         pair_map=pair_map,
         gates=tuple(gates),
-        round_slots=tuple(round_slots),
         base_rounds=spec.rounds,
         max_adaptive=spec.max_adaptive,
         distance=spec.distance,
@@ -151,12 +137,10 @@ def build_full_cat(gamma: int) -> GadgetCircuit:
         Gate("CNOT", gamma + r, r) for r in range(gamma)
     )
     return GadgetCircuit(
-        kind="full_cat",
         gamma=gamma,
         cat_count=gamma,
         pair_map=tuple((r,) for r in range(gamma)),
         gates=gates,
-        round_slots=(),
         base_rounds=0,
     )
 
@@ -206,45 +190,42 @@ class ResourceReport:
 
 
 def resource_report(spec: GadgetSpec, full_cat: bool = False) -> ResourceReport:
-    """Resource totals under the parameterized preparation model.
+    """Resource totals counted from the gates of the built gadget.
 
-    Simultaneous-qubit counts are this model's numbers (cats plus the
-    reused ring/verification ancilla under fast reset); where the
-    literature quotes different figures they are attached unreconciled in
-    ``published``.
+    Data CNOTs are the CNOTs onto data qubits and ring CNOTs the others;
+    the upper figures add the adaptive re-reads, two CNOTs each.  Cat
+    preparation costs ``prep_cnots``, or by default 2(m-1): m-1
+    entangling plus m-1 verification CNOTs of the post-selected
+    preparation.
+
+    ``fast_reset`` counts the cats plus one ancilla that reads every ring
+    check in turn, reset between reads (m+1 for a cut cat).  That is a
+    serial convention: the built circuit runs each round's checks in two
+    parallel CNOT layers on m ancillas.  ``slow_reset`` counts a fresh
+    ancilla per measurement.  Where the literature quotes different
+    figures they are attached unreconciled in ``published``.
     """
-    if full_cat:
-        g = build_full_cat(spec.gamma)
-        prep = 2 * (spec.gamma - 1) if spec.prep_cnots is None else spec.prep_cnots
-    else:
-        g = build_cut_cat(spec)
-        prep = spec.prep_gate_cost
-
-    lo, hi = count_two_qubit_gates(g, prep_cost=prep)
-    depth_lo = circuit_depth(g)
-    depth_hi = circuit_depth(g, extra_measurements=g.max_adaptive)
-
+    g = build_full_cat(spec.gamma) if full_cat else build_cut_cat(spec)
     m = g.cat_count
-    anc_fast = 0 if full_cat and g.n_slots == 0 else 1
-    fast = m + anc_fast
-    slow = m + g.n_slots + g.max_adaptive
-
-    data_cnots = sum(len(p) for p in g.pair_map)
-    ring = 2 * g.n_slots
+    targets = [x.q1 for x in g.gates if x.kind == "CNOT"]
+    data = sum(q < g.gamma for q in targets)
+    ring = len(targets) - data
+    prep = 2 * (m - 1) if spec.prep_cnots is None else spec.prep_cnots
     breakdown = {
         "prep": (prep, prep),
-        "data": (data_cnots, data_cnots),
+        "data": (data, data),
         "ring_measurements": (ring, ring + 2 * g.max_adaptive),
     }
+    measurements = g.n_slots + g.max_adaptive
     scheme = "full_cat" if full_cat else "cut_cat"
     return ResourceReport(
         scheme=scheme,
         gamma=spec.gamma,
         distance=spec.distance,
-        two_qubit_gates=(lo, hi),
-        depth=(depth_lo, depth_hi),
-        simultaneous_qubits_fast_reset=fast,
-        simultaneous_qubits_slow_reset=slow,
+        two_qubit_gates=tuple(map(sum, zip(*breakdown.values()))),
+        depth=(circuit_depth(g), circuit_depth(g, g.max_adaptive)),
+        simultaneous_qubits_fast_reset=m + min(1, measurements),
+        simultaneous_qubits_slow_reset=m + measurements,
         breakdown=breakdown,
         published=REPORTED_FIGURES.get((scheme, spec.distance, spec.gamma), {}),
     )

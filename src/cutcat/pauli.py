@@ -58,7 +58,8 @@ class CssCode:
 
     ``hx`` rows anticommute with Z errors, ``hz`` rows with X errors.
     ``lx``/``lz`` optionally hold logical operator supports, needed only
-    for logical-failure detection in block simulations.
+    for logical-failure detection in block simulations; given, they must
+    be k commuting pairs.
     """
 
     n: int
@@ -88,6 +89,28 @@ class CssCode:
             )
         if gf2_rank(self.hx) + gf2_rank(self.hz) != self.n - self.k:
             raise CodeFormatError("generator rows are not independent")
+        if self.lx or self.lz:
+            self._check_logicals()
+
+    def _check_logicals(self) -> None:
+        """Raise unless ``lx`` and ``lz`` hold k rows each, commute with
+        the stabilizers, and pair up: their parity matrix has rank k."""
+        if not len(self.lx) == len(self.lz) == self.k:
+            raise CodeFormatError(f"expected k={self.k} LX and LZ rows, "
+                                  f"got {len(self.lx)} and {len(self.lz)}")
+        for name, logicals, other, stabs in (("LX", self.lx, "Z", self.hz),
+                                             ("LZ", self.lz, "X", self.hx)):
+            for i, row in enumerate(logicals):
+                for j, stab in enumerate(stabs):
+                    if parity(row & stab):
+                        raise CodeFormatError(
+                            f"{name} row {i} anticommutes with {other} row {j}")
+        pairing = [mask_of(j for j, rz in enumerate(self.lz) if parity(rx & rz))
+                   for rx in self.lx]
+        if gf2_rank(pairing) != self.k:
+            raise CodeFormatError(
+                f"LX and LZ rows do not pair up: their parity matrix has "
+                f"rank {gf2_rank(pairing)}, not k={self.k}")
 
     @property
     def gen_weights(self) -> tuple[int, ...]:

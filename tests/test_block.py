@@ -19,15 +19,15 @@ class TestSetup:
 
     def test_gadget_assignment_rule(self, rm15):
         sim = BlockSimulator(rm15, ratio=20)
-        kinds = [gen.gadget.kind for gen in sim.generators]
+        ringless = [gen.ring is None for gen in sim.generators]
         # the eight weight-8 generators get the ring gadget, the six
         # weight-4 ones the plain cat gadget
-        assert kinds.count("cut_cat") == 8
-        assert kinds.count("full_cat") == 6
+        assert ringless.count(False) == 8
+        assert ringless.count(True) == 6
 
     def test_steane_all_full_cat(self, steane):
         sim = BlockSimulator(steane, ratio=20)
-        assert all(gen.gadget.kind == "full_cat" for gen in sim.generators)
+        assert all(gen.ring is None for gen in sim.generators)
 
     def test_bad_ratio(self, steane):
         for ratio in (0, -1, float("nan")):

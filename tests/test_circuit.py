@@ -1,16 +1,10 @@
 import pytest
 
-from cutcat.circuit import (
-    GadgetCircuit,
-    Gate,
-    circuit_depth,
-    count_two_qubit_gates,
-)
+from cutcat.circuit import GadgetCircuit, Gate, circuit_depth
 from cutcat.gadgets import GadgetSpec, build_cut_cat, build_full_cat
 from location_ref import CAT_INIT, enumerate_fault_locations
 
-EMPTY_GADGET = GadgetCircuit(kind="cut_cat", gamma=0, cat_count=0, pair_map=(),
-                             gates=(), round_slots=(), base_rounds=0)
+EMPTY_GADGET = GadgetCircuit(gamma=0, cat_count=0, pair_map=(), gates=(), base_rounds=0)
 
 
 class TestFaultLocations:
@@ -55,6 +49,9 @@ class TestDepth:
     def test_full_cat_depth_one(self):
         assert circuit_depth(build_full_cat(14)) == 1
 
+    def test_empty_gadget_depth_zero(self):
+        assert circuit_depth(EMPTY_GADGET) == 0
+
     def test_depth_invariant_under_data_cnot_reordering(self):
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
         data = [x for x in g.gates if x.kind == "CNOT" and x.q1 < g.gamma]
@@ -63,26 +60,13 @@ class TestDepth:
         assert circuit_depth(shuffled) == circuit_depth(g)
 
 
-class TestGateCounts:
-    def test_d7_gamma14(self):
-        g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
-        assert count_two_qubit_gates(g, prep_cost=12) == (40, 48)
-
-    def test_d9_gamma18(self):
-        g = build_cut_cat(GadgetSpec(gamma=18, distance=9))
-        assert count_two_qubit_gates(g, prep_cost=16) == (70, 70)
-
-    def test_degenerate_empty(self):
-        assert count_two_qubit_gates(EMPTY_GADGET, prep_cost=5) == (5, 5)
-
-
 class TestStructure:
     def test_slots_unique_and_complete(self):
         g = build_cut_cat(GadgetSpec(gamma=18, distance=9))
-        seen = [x.slot for x in g.gates if x.kind == "MZ"]
-        assert sorted(seen) == list(range(g.n_slots))
-        flat = [s for rnd in g.round_slots for s in rnd]
-        assert sorted(flat) == sorted(seen)
+        mz = [x for x in g.gates if x.kind == "MZ"]
+        assert sorted(x.slot for x in mz) == list(range(g.n_slots))
+        assert g.n_slots == g.base_rounds * g.cat_count == 18
+        assert all(x.q0 == g.anc_qubit(x.slot % g.cat_count) for x in mz)
 
     def test_cnot_control_differs_from_target(self):
         with pytest.raises(ValueError):

@@ -221,6 +221,17 @@ class TestMonteCarloCommands:
                      "--p", "0.01", "--min-failures", "5",
                      "--trial-cap", "1000"]) == 1
 
+    def test_wrong_logical_rows_exit_one(self, tmp_path, capsys):
+        code_file = tmp_path / "steane.txt"
+        code_file.write_text(STEANE_TEXT.replace("LX 1\n1110000", "LX 1\n0001111"))
+        out = tmp_path / "a.csv"
+        assert main(["mc-block", "--code", str(code_file), "--p", "0.03", "--seed", "1",
+                     "--trial-cap", "1000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: LX and LZ rows do not pair up: their parity matrix has rank 0, not k=1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", ["2", "-0.5"])
     def test_mc_block_rate_out_of_range_exit_two(self, tmp_path, capsys, p):
         code_file = tmp_path / "steane.txt"

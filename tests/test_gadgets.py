@@ -21,7 +21,8 @@ class TestSpec:
     def test_negative_prep_cnots(self):
         with pytest.raises(ValueError, match="^prep_cnots=-1 must be at least 0$"):
             GadgetSpec(gamma=10, distance=5, prep_cnots=-1)
-        assert GadgetSpec(gamma=10, distance=5, prep_cnots=0).prep_gate_cost == 0
+        rep = resource_report(GadgetSpec(gamma=10, distance=5, prep_cnots=0))
+        assert rep.breakdown["prep"] == (0, 0)
 
     @pytest.mark.parametrize("d,rounds", [(3, 1), (5, 1), (7, 2), (9, 2)])
     def test_non_adaptive_round_count(self, d, rounds):
@@ -32,6 +33,16 @@ class TestSpec:
     def test_adaptive_d7_single_base_round(self):
         spec = GadgetSpec(gamma=14, distance=7)
         assert spec.is_adaptive and spec.rounds == 1 and spec.max_adaptive == 4
+
+    def test_adaptive_acts_at_d7_only(self):
+        spec = GadgetSpec(gamma=10, distance=5, adaptive=True)
+        assert not spec.is_adaptive and spec.max_adaptive == 0
+        assert build_cut_cat(spec) == build_cut_cat(
+            GadgetSpec(gamma=10, distance=5, adaptive=False))
+
+    def test_adaptive_is_a_bool(self):
+        with pytest.raises(ValueError, match="^adaptive=None must be True or False$"):
+            GadgetSpec(gamma=14, distance=7, adaptive=None)
 
     def test_d7_worst_case_average_measurements(self):
         # 1 + 8/gamma holds once all cats are paired (gamma >= 2d); below
@@ -67,13 +78,13 @@ class TestBuilders:
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
         assert g.cat_count == 5
         assert g.base_rounds == 1
-        assert len(g.round_slots[0]) == 5
+        assert g.n_slots == 5
         data_cnots = [x for x in g.gates if x.kind == "CNOT" and x.q1 < 10]
         assert len(data_cnots) == 10
 
     def test_cut_cat_d9_two_rounds(self):
         g = build_cut_cat(GadgetSpec(gamma=18, distance=9))
-        assert g.cat_count == 9 and len(g.round_slots) == 2
+        assert g.cat_count == 9 and g.base_rounds == 2 and g.n_slots == 18
 
     def test_full_cat_shapes(self):
         for gamma in (1, 4, 14):
@@ -107,3 +118,32 @@ class TestResources:
         lo = sum(v[0] for v in rep.breakdown.values())
         hi = sum(v[1] for v in rep.breakdown.values())
         assert (lo, hi) == rep.two_qubit_gates
+
+    def test_gamma_d_cut_cat_one_data_layer(self):
+        assert resource_report(GadgetSpec(gamma=5, distance=5)).depth == (6, 6)
+
+    @pytest.mark.parametrize("full_cat", [False, True], ids=["cutcat", "fullcat"])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_against_closed_form(self, d, full_cat):
+        """Every valid gamma up to 64 and three preparation costs against
+        the closed-form counts of the two schemes."""
+        for gamma in range(2 if full_cat else d, 65):
+            for prep_cnots in (None, 0, 7):
+                spec = GadgetSpec(gamma=gamma, distance=d, prep_cnots=prep_cnots)
+                if full_cat:
+                    m, data, n_slots, rereads, layers = gamma, gamma, 0, 0, 1
+                else:
+                    m, rereads = spec.cat_count, spec.max_adaptive
+                    n_slots = spec.rounds * m
+                    data = sum(len(p) for p in spec.pair_map())
+                    layers = 1 if gamma == d else 2
+                prep = 2 * (m - 1) if prep_cnots is None else prep_cnots
+                rep = resource_report(spec, full_cat=full_cat)
+                assert rep.breakdown == {
+                    "prep": (prep, prep), "data": (data, data),
+                    "ring_measurements": (2 * n_slots, 2 * n_slots + 2 * rereads)}
+                assert rep.two_qubit_gates == (prep + data + 2 * n_slots,
+                                               prep + data + 2 * n_slots + 2 * rereads)
+                assert rep.depth == (layers + n_slots, layers + n_slots + rereads)
+                assert rep.simultaneous_qubits_fast_reset == m + (not full_cat)
+                assert rep.simultaneous_qubits_slow_reset == m + n_slots + rereads

@@ -128,6 +128,11 @@ class TestBuild:
         _, corr = LutDecoder(d3_lut).tables(np.array([0b111], np.uint64), 3, 1)
         assert corr.tolist() == [[0]]
 
+    def test_adaptive_flag_inert_below_d7(self):
+        default = build_cut_cat_lut(GadgetSpec(gamma=10, distance=5))
+        adaptive = build_cut_cat_lut(GadgetSpec(gamma=10, distance=5, adaptive=True))
+        assert adaptive.to_json() == default.to_json()
+
     def test_deterministic(self):
         spec = GadgetSpec(gamma=8, distance=3, adaptive=False)
         a = build_cut_cat_lut(spec)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,28 @@ class TestSteaneParsing:
         assert lines[:3] == ["70 1 1", "X 0", "Z 69"]
         assert lines[3 + 66] == "0" * 66 + "1" + "0" * 3
         assert parse_css_code(text) == code
+
+
+STEANE_STABS = "7 1 3\nX 3\n0001111\n0110011\n1010101\nZ 3\n0001111\n0110011\n1010101\n"
+
+
+class TestLogicalRows:
+    @pytest.mark.parametrize("logicals,message", [
+        ("LX 1\n0001111\nLZ 1\n1110000\n",
+         "LX and LZ rows do not pair up: their parity matrix has rank 0, not k=1"),
+        ("LX 1\n1000000\nLZ 1\n1110000\n", "LX row 0 anticommutes with Z row 2"),
+        ("LX 1\n1110000\nLZ 1\n0100000\n", "LZ row 0 anticommutes with X row 1"),
+        ("LX 1\n1110000\n", "expected k=1 LX and LZ rows, got 1 and 0"),
+        ("LX 2\n1110000\n1111111\nLZ 1\n1110000\n", "expected k=1 LX and LZ rows, got 2 and 1"),
+    ], ids=["lx-is-stabilizer", "lx-anticommutes", "lz-anticommutes", "lx-without-lz",
+            "two-lx-rows"])
+    def test_bad_logicals_rejected(self, logicals, message):
+        with pytest.raises(CodeFormatError, match=f"^{message}$"):
+            parse_css_code(STEANE_STABS + logicals)
+
+    def test_benchmark_rm15_accepted(self, rm15):
+        rm15_file = Path(__file__).parents[1] / "perfbench" / "rm15.txt"
+        assert parse_css_code(rm15_file.read_text()) == rm15
 
 
 class TestSyndrome:

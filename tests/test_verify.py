@@ -921,7 +921,9 @@ class TestRowFormMatchesDictReference:
         (6, 3, None), (10, 5, None), (14, 7, False), (14, 7, None), (20, 7, None),
         (18, 9, None), (24, 9, None)])
     def test_classes_and_event_sets(self, gamma, distance, adaptive):
-        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance, adaptive=adaptive))
+        # None: the default of GadgetSpec.adaptive
+        kw = {} if adaptive is None else {"adaptive": adaptive}
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=distance, **kw))
         steps = MAX_REREADS if g.max_adaptive else 0
         table = FaultTable.for_decoder(g, steps > 0)
         rows, names = _effect_classes(table)
