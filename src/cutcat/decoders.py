@@ -466,6 +466,11 @@ class LutDecoder:
         return _no_rereads(table_lookup(self.lut.table, keys)[0])
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(s, s + c) for each pair, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def _solve_constraints(
     keys: np.ndarray, group: np.ndarray, residual: np.ndarray, weight: np.ndarray,
     gamma: int, t: int,
@@ -497,7 +502,7 @@ def _solve_constraints(
     j = 0
     while len(active := np.flatnonzero(todo & (sizes > j))):
         gs, gn = starts[active], sizes[active]
-        rows = _verify._ranges(gs, gn)
+        rows = _ranges(gs, gn)
         cand = residual[gs + j]
         cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
         ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)

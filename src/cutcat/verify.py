@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -92,28 +93,27 @@ def coset_weights(err_on_support: np.ndarray, gamma: int) -> np.ndarray:
     return np.minimum(w, gamma - w)
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """range(s, s + c) for each pair, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-
-
 @dataclass(frozen=True)
 class ComboSlice:
-    """Rows of one weight of ``combo_walk``.  ``chain`` holds (parent,
-    last) int32 arrays per weight 1..weight: row r of weight v extends row
-    parent[r] of weight v-1 by class index last[r].  ``cols`` holds, per
-    column of the walked rows, the XOR of each combination's classes."""
+    """Rows of one weight of ``combo_walk`` over n classes: row r is the
+    combination of rank ``start + r`` among the ``weight``-subsets of
+    range(n) in lexicographic order.  ``cols`` holds, per column of the
+    walked rows, the XOR of each combination's classes."""
 
     weight: int
-    chain: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n: int
+    start: int
     cols: tuple[np.ndarray, ...]
 
     def combo(self, r: int) -> tuple[int, ...]:
-        out = []
-        for parent, last in reversed(self.chain):
-            out.append(int(last[r]))
-            r = int(parent[r])
-        return tuple(out[::-1])
+        # unrank in the combinatorial number system: comb(n - 1 - i, k - 1)
+        # of the k-subsets of range(i, n) start at i
+        rank, out, i = self.start + r, [], 0
+        for k in range(self.weight, 0, -1):
+            while rank >= (size := math.comb(self.n - 1 - i, k - 1)):
+                rank, i = rank - size, i + 1
+            out, i = out + [i], i + 1
+        return tuple(out)
 
 
 def _runs(sizes: list[int], cap: int) -> list[int]:
@@ -130,31 +130,29 @@ def combo_walk(rows: np.ndarray, max_weight: int, min_weight: int = 1,
                max_rows: int = _GRID_CELLS) -> Iterator[ComboSlice]:
     """Every combination of min_weight..max_weight classes, the rows of
     the uint64 (classes, columns) array ``rows``, as array slices:
-    weight-major, then lexicographic, weight 0 being the empty one.  Each
-    weight is one gather and one XOR per column of the weight below
-    against the class rows.  Lower weights come whole; ``max_weight`` in
-    runs of whole consecutive first indices of at most ``max_rows`` rows,
-    or of one."""
+    weight-major, then lexicographic, weight 0 being the empty one.  The
+    combinations of weight w-1 whose indices all exceed i are the last
+    comb(n-1-i, w-1) of that weight, so those of weight w with first
+    index i are one contiguous XOR of class row i into that tail, per
+    column.  Weights 1..max_weight-1 come whole; ``max_weight`` (above 1)
+    in runs of whole consecutive first indices of at most ``max_rows``
+    rows, or of one."""
     n, columns = len(rows), rows.T.copy()
-    level = ComboSlice(0, (), tuple(np.zeros((len(columns), 1), np.uint64)))
+    prev = np.zeros((len(columns), 1), np.uint64)
     if min_weight == 0:
-        yield level
+        yield ComboSlice(0, n, 0, tuple(prev))
     for w in range(1, max_weight + 1):
-        # each row of weight w-1 (at w=1 the empty one) extends by every
-        # index after its last
-        last = level.chain[-1][1] if w > 1 else np.array([-1])
-        counts = n - 1 - last
-        bounds = [0, len(last)] if w < max_weight or w == 1 else np.cumsum(
-            [0] + [math.comb(n - 1 - i, w - 2) for i in range(n)])[
-            _runs([math.comb(n - 1 - i, w - 1) for i in range(n)], max_rows)]
-        chain, prev = level.chain, level.cols
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            parent = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
-            idx = _ranges(last[lo:hi] + 1, counts[lo:hi]).astype(np.int32)
-            level = ComboSlice(w, chain + ((parent, idx),),
-                               tuple(x[parent] ^ c[idx] for x, c in zip(prev, columns)))
+        sizes = [math.comb(n - 1 - i, w - 1) for i in range(n)]
+        cuts = _runs(sizes, max_rows) if 1 < w == max_weight else [0, n]
+        starts = list(accumulate(sizes, initial=0))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            out = np.empty((len(columns), starts[hi] - starts[lo]), np.uint64)
+            for i in range(lo, min(hi, n - w + 1)):  # a later i starts no combination
+                a = starts[i] - starts[lo]
+                np.bitwise_xor(columns[:, i, None], prev[:, -sizes[i]:], out=out[:, a:a + sizes[i]])
             if w >= min_weight:
-                yield level
+                yield ComboSlice(w, n, starts[lo], tuple(out))
+        prev = out
 
 
 @dataclass(frozen=True)
@@ -307,14 +305,10 @@ class EventSets:
     @classmethod
     def build(cls, names: Sequence[tuple[int, int, int]], rows: np.ndarray,
               max_size: int) -> "EventSets":
+        """Walk the sets by ``combo_walk``, each one's members unranked by its slice."""
         sets, masks = [], []
         for sl in combo_walk(rows, min(max_size, len(rows)), min_weight=0):
-            # each set's members, read back along the slice's chain
-            r, members = np.arange(len(sl.cols[0])), []
-            for parent, last in reversed(sl.chain):
-                members.insert(0, last[r].tolist())
-                r = parent[r]
-            sets += zip(*members) if members else [()]
+            sets += [sl.combo(r) for r in range(len(sl.cols[0]))]
             masks.append(np.stack(sl.cols, axis=1))
         masks = np.concatenate(masks)
         first = _first_distinct(masks)

@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import math
 import random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
@@ -112,7 +112,7 @@ def _reference_combos(rows, max_weight, min_weight=1):
 
 def _walk_rows(rows, max_weight, min_weight=1, max_rows=_GRID_CELLS):
     """``combo_walk`` flattened to (combo, XOR of each column...) tuples,
-    row by row, each combination rebuilt from its parent chain."""
+    row by row, each combination unranked by its slice."""
     return [
         (s.combo(r), *(int(c[r]) for c in s.cols))
         for s in combo_walk(rows, max_weight, min_weight, max_rows=max_rows)
@@ -856,15 +856,51 @@ class TestOracle:
             assert _walk_rows(rows, 3, max_rows=max_rows) == _reference_combos(rows, 3)
             for s in slices:
                 assert len(s.cols) == 2
-                assert all(a.dtype == np.int32 for pair in s.chain for a in pair)
-            # parents index the whole weight below, whose arrays every slice shares
-            for s in slices[1:]:
-                assert all(x is y for x, y in zip(s.chain[:-1], slices[s.weight - 2].chain))
+            # a slice's row 0 is ranked after the rows of its weight before it
+            assert [s.start for s in slices[:2]] == [0, 0]
+            assert [s.start for s in deepest] == list(
+                accumulate((len(s.cols[0]) for s in deepest[:-1]), initial=0))
+            for s in slices:
+                reference = list(combinations(range(n), s.weight))
+                assert [s.combo(r) for r in range(len(s.cols[0]))] == \
+                    reference[s.start:s.start + len(s.cols[0])]
 
     @pytest.mark.parametrize("max_rows", [1, 7, 100])
     def test_small_row_caps_match_reference(self, raw_d5_reference, max_rows):
         rows, reference = raw_d5_reference
         assert _walk_rows(rows, 3, max_rows=max_rows) == reference
+
+    @pytest.mark.parametrize("n,max_weight,min_weight,max_rows,weights,lengths", [
+        (0, 2, 0, _GRID_CELLS, [0, 1, 2], [1, 0, 0]),
+        (0, 2, 1, _GRID_CELLS, [1, 2], [0, 0]),
+        (1, 3, 0, _GRID_CELLS, [0, 1, 2, 3], [1, 1, 0, 0]),
+        # max_weight above n: the weights past n come as one empty slice each
+        (3, 5, 1, _GRID_CELLS, [1, 2, 3, 4, 5], [3, 3, 1, 0, 0]),
+        (5, 2, 2, _GRID_CELLS, [2], [10]),
+        # first index 4 starts no pair, so it joins the run before it
+        (5, 2, 2, 1, [2, 2, 2, 2], [4, 3, 2, 1]),
+    ])
+    def test_walk_edges(self, n, max_weight, min_weight, max_rows, weights, lengths):
+        """Slice weights, slice lengths and every row's combination and
+        XOR at the walk's edges: no rows, one row, weights above the row
+        count and a single weight."""
+        rows = np.array([(1 << i, 3 << 2 * i) for i in range(n)], np.uint64).reshape(n, 2)
+        slices = list(combo_walk(rows, max_weight, min_weight, max_rows=max_rows))
+        assert [s.weight for s in slices] == weights
+        assert [len(s.cols[0]) for s in slices] == lengths
+        for w in sorted(set(weights)):
+            got = [(s.combo(r), *(int(c[r]) for c in s.cols))
+                   for s in slices if s.weight == w for r in range(len(s.cols[0]))]
+            assert got == [(c, sum(1 << i for i in c), sum(3 << 2 * i for i in c))
+                           for c in combinations(range(n), w)]
+
+    @pytest.mark.parametrize("max_rows", [1, 7])
+    @pytest.mark.parametrize("max_weight", [4, 5])
+    def test_deep_weights_match_reference(self, max_weight, max_rows):
+        """Weights 4 and 5, cut into runs, against the per-tuple reference."""
+        rows = np.random.default_rng(11).integers(0, 1 << 64, (12, 3), np.uint64, endpoint=False)
+        assert _walk_rows(rows, max_weight, min_weight=0, max_rows=max_rows) == \
+            _reference_combos(rows, max_weight, min_weight=0)
 
 
 def _first_rows_ref(table):
