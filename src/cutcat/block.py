@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoders import CodeLUT, RuleDecoderD3D5, build_code_lut, table_lookup
 from .gadgets import GadgetSpec, build_cut_cat, build_full_cat
-from .pauli import CssCode, bits_of
+from .pauli import CssCode, MaskMap, bits_of, syndrome_images
 from .sim import FaultTable, noisy_operations, op_code_effects
 from .experiments import TrialStats, run_mc
 from .verify import KeyCache
@@ -28,13 +28,16 @@ CUT_CAT_WEIGHT_THRESHOLD = 6
 class _Generator:
     """One generator's gadget and ring decoder, in global coordinates.
     X- and Z-type generators build the same gadgets: the noise model is
-    symmetric under swapping the Pauli frame components.  A ring gadget's
-    ``ring`` caches its decoder's corrections per slot key."""
+    symmetric under swapping the Pauli frame components.  ``to_code``
+    moves local data masks (bit i: the gadget's data qubit i) to the
+    code's qubits.  A ring gadget's ``ring`` caches its decoder's
+    corrections per slot key."""
 
     def __init__(self, sector: str, support_mask: int, distance: int):
         self.sector = sector
         self.support = list(bits_of(support_mask))
         gamma = len(self.support)
+        self.to_code = MaskMap([1 << q for q in self.support])
         if gamma > CUT_CAT_WEIGHT_THRESHOLD:
             spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
             self.gadget = build_cut_cat(spec)
@@ -44,17 +47,10 @@ class _Generator:
             self.gadget = build_full_cat(gamma)
             self.decoder = self.ring = None
 
-    def _globalize(self, local: np.ndarray) -> np.ndarray:
-        """Local data masks (bit i: the gadget's data qubit i) moved to
-        the code's qubits."""
-        bit = (np.asarray(local, np.uint64)[..., None]
-               >> np.arange(len(self.support), dtype=np.uint64)) & np.uint64(1)
-        return np.bitwise_or.reduce(bit << np.array(self.support, np.uint64), axis=-1)
-
     def ring_corrections(self, keys: np.ndarray) -> tuple[np.ndarray]:
         g = self.gadget
         _, corrections = self.decoder.tables(keys, g.cat_count, g.base_rounds)
-        return (self._globalize(corrections[:, 0]),)
+        return (self.to_code(corrections[:, 0]),)
 
 
 class BlockSimulator:
@@ -78,7 +74,8 @@ class BlockSimulator:
                                      {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
                                       "z": [[0, 1 << q, 1 << q] for q in range(code.n)]})
         self.code_lut: CodeLUT = build_code_lut(code)
-        self._parity = tuple(_parity_tables(rows, code.n)
+        # syndromes and logical checks: qubit q goes to its column of the rows
+        self._parity = tuple(MaskMap(syndrome_images(rows, code.n))
                              for rows in (code.hx, code.hz, code.lx, code.lz))
         self.generators = ([_Generator("X", row, code.d) for row in code.hx]
                            + [_Generator("Z", row, code.d) for row in code.hz])
@@ -97,7 +94,7 @@ class BlockSimulator:
             ops = noisy_operations(gen.gadget)
             n_codes += [op.n_codes for op in ops]
             eff = op_code_effects(gen.gadget, ops, ("data_x", "slot_flips", "gen_flip"))
-            data, zero = gen._globalize(eff["data_x"]), np.zeros_like(eff["data_x"])
+            data, zero = gen.to_code(eff["data_x"]), np.zeros_like(eff["data_x"])
             slots = [eff["slot_flips"] if ring is gen else zero for ring in self._rings]
             wx, wz = (data, zero) if gen.sector == "X" else (zero, data)
             parts.append([wx, wz, eff["gen_flip"] << np.uint64(gi), *slots])
@@ -129,9 +126,8 @@ class BlockSimulator:
         fail = self._correct(accepted & np.uint64((1 << self.n_hx) - 1),
                              accepted >> np.uint64(self.n_hx), data_x, data_z)
         # one ideal decoding pass: noiseless syndromes plus the tables
-        fail |= self._correct(_parities(data_z, hx), _parities(data_x, hz),
-                              data_x, data_z)
-        fail |= (_parities(data_x, lz) | _parities(data_z, lx)) != 0
+        fail |= self._correct(hx(data_z), hz(data_x), data_x, data_z)
+        fail |= (lz(data_x) | lx(data_z)) != 0
         return int(fail.sum())
 
     def extract_until_stable(self, rng: np.random.Generator, p_ft: float,
@@ -147,7 +143,7 @@ class BlockSimulator:
         # data frames, and their data syndromes, run lengths and last
         # syndromes; a run length of 0 makes the first round's run 1
         idx = np.arange(size)
-        data_syn = _parities(data_z, hx) | _parities(data_x, hz) << n_hx
+        data_syn = hx(data_z) | hz(data_x) << n_hx
         run_len = np.zeros(size, dtype=np.int64)
         last_syn = np.zeros(size, dtype=np.uint64)
         accepted = np.zeros(size, dtype=np.uint64)
@@ -156,7 +152,7 @@ class BlockSimulator:
             at = idx[hit]
             syn, x, z = data_syn.copy(), data_x[at], data_z[at]
             syn[hit], data_x[at], data_z[at] = self.apply_round(x, z, faults), x, z
-            data_syn[hit] = _parities(z, hx) | _parities(x, hz) << n_hx
+            data_syn[hit] = hx(z) | hz(x) << n_hx
             run_len = np.where(syn == last_syn, run_len + 1, 1)
             last_syn = syn
             done = (run_len >= self.t + 1) | (rnd == self.max_rounds - 1)
@@ -178,13 +174,14 @@ class BlockSimulator:
         Z generators read ``data_x`` after every X residual and ring
         correction, as in extraction one generator at a time."""
         wx, wz, outcomes, *rings = faults
-        syn = _parities(data_z, self._parity[0])
+        hx, hz, *_ = self._parity
+        syn = hx(data_z)
         for gen, keys in zip(self._rings, rings):
             if len(hit := np.flatnonzero(keys)):  # no cache call without keys
                 (corr,) = gen.ring.get(keys[hit])
                 (wx if gen.sector == "X" else wz)[hit] ^= corr
         data_x ^= wx
-        syn |= _parities(data_x, self._parity[1]) << np.uint64(self.n_hx)
+        syn |= hz(data_x) << np.uint64(self.n_hx)
         data_z ^= wz
         return syn ^ outcomes
 
@@ -201,25 +198,6 @@ class BlockSimulator:
                 data[hit] ^= corr
                 miss[hit] |= ~found
         return miss
-
-
-def _parity_tables(rows: Sequence[int], n: int) -> np.ndarray:
-    """One 256-entry table per byte of an n-bit mask: entry v of table b
-    has bit i set when v, as byte b of a mask, meets ``rows[i]`` oddly."""
-    masks = np.arange(256, dtype=np.uint64)[None, :, None] << (
-        np.uint64(8) * np.arange((n + 7) // 8, dtype=np.uint64))[:, None, None]
-    odd = np.bitwise_count(masks & np.array(rows, np.uint64)) & np.uint64(1)
-    return (odd << np.arange(len(rows), dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
-
-
-def _parities(data: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Bit i of each entry: parity of that entry's mask on row i of the
-    rows ``tables`` was built from."""
-    data = np.ascontiguousarray(data, "<u8").view(np.uint8)
-    out = tables[0].take(data[::8].astype(np.intp))
-    for b in range(1, len(tables)):
-        out ^= tables[b].take(data[b::8].astype(np.intp))
-    return out
 
 
 def run_block_mc(

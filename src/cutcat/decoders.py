@@ -30,14 +30,16 @@ from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
+    MaskMap,
     _format_binary_rows,
     _parse_binary_row,
     mask_of,
     residual_weight_mod_generator,
+    syndrome_images,
 )
 from .sim import FaultTable, _check_width
 from . import verify as _verify
-from .verify import MAX_REREADS
+from .verify import MAX_REREADS, rotate
 
 
 def _arcs(key: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +112,7 @@ class _Rows:
 
     def __init__(self, round0: np.ndarray, ring_size: int):
         n = 1 << MAX_REREADS
-        self.m, self.full = ring_size, (1 << ring_size) - 1
+        self.m = ring_size
         self.key = np.repeat(round0, n)
         self.unread = np.tile(np.arange(n), len(round0))  # v >> re-reads
         self.count = np.zeros(len(self.key), np.int64)
@@ -144,16 +146,11 @@ class _Rows:
         """The mask of cat j (mod the ring size)."""
         return 1 << (j % self.m)
 
-    def rot(self, x: np.ndarray, s: int) -> np.ndarray:
-        """``x`` rotated up the ring by s: bit c moves to c + s."""
-        s %= self.m
-        return ((x << s) | (x >> (self.m - s))) & self.full
-
     def find_rotation(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The syndromes whose triggers are ``offsets`` rotated by some j,
         and the lowest such j (the first trigger that anchors them)."""
         pattern = sum(1 << o for o in offsets)
-        match = self.key[:, None] == [self.rot(pattern, j) for j in range(self.m)]
+        match = self.key[:, None] == [rotate(pattern, j, self.m) for j in range(self.m)]
         return match.any(1), match.argmax(1)
 
     def arc_fallback(self, act) -> None:
@@ -233,8 +230,9 @@ def _d7_three(r: _Rows) -> None:
     r.add(c, r.cat(j + 2))
     unhandled |= (found & ~c) | (rest & ~found)
     # cat g + 1 for each triggered pair (g, g + 1), else for each (g, g + 2)
-    pairs = r.key & r.rot(r.key, -1)
-    r.add(unhandled, r.rot(np.where(pairs != 0, pairs, r.key & r.rot(r.key, -2)), 1))
+    key = r.key
+    pairs = key & rotate(key, -1, m)
+    r.add(unhandled, rotate(np.where(pairs != 0, pairs, key & rotate(key, -2, m)), 1, m))
 
 
 def _d7_four(r: _Rows) -> None:
@@ -259,10 +257,11 @@ def _d7_five(r: _Rows) -> None:
     r.add(c, r.cat(j + 3))
     # cat g + 1 for each triggered pair (g, g + 1) unless g - 1 and g + 2
     # trigger too, and g + 3 does not
-    key, rot = r.key, r.rot
-    pairs = key & rot(key, -1)
-    outer, next_pair = rot(key, 1) & rot(key, -2), rot(key, -2) & rot(key, -3)
-    r.add(~found, rot(pairs & (~outer | next_pair), 1))
+    key, m = r.key, r.m
+    pairs = key & rotate(key, -1, m)
+    outer = rotate(key, 1, m) & rotate(key, -2, m)
+    next_pair = rotate(key, -2, m) & rotate(key, -3, m)
+    r.add(~found, rotate(pairs & (~outer | next_pair), 1, m))
 
 
 def _d7_even(r: _Rows) -> None:
@@ -305,19 +304,13 @@ def _no_rereads(corrections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _RuleDecoder:
-    """The rule decoders' gadget and cat-to-data map: a selected cat c
-    flips data qubit ``g.correction_qubit(c)``."""
+    """The rule decoders' gadget and cat-to-data map ``to_data``: a
+    selected cat c flips data qubit ``g.correction_qubit(c)``."""
 
     def __init__(self, g: GadgetCircuit):
         _check_width("data_x", g.gamma)
         self.g = g
-        self._qubits = np.array([1 << g.correction_qubit(c) for c in range(g.cat_count)],
-                                np.uint64)
-
-    def _data(self, cats: np.ndarray) -> np.ndarray:
-        """The data-qubit masks (uint64) of an array of cat masks."""
-        picked = ((cats[..., None] >> np.arange(len(self._qubits))) & 1).astype(bool)
-        return np.bitwise_xor.reduce(np.where(picked, self._qubits, 0), axis=-1)
+        self.to_data = MaskMap([1 << g.correction_qubit(c) for c in range(g.cat_count)])
 
 
 class RuleDecoderD3D5(_RuleDecoder):
@@ -333,7 +326,7 @@ class RuleDecoderD3D5(_RuleDecoder):
     def tables(self, keys: np.ndarray, cat_count: int,
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
         round0 = keys.astype(np.int64) & ((1 << cat_count) - 1)
-        return _no_rereads(self._data(_arc_rule(round0, cat_count, self.t)))
+        return _no_rereads(self.to_data(_arc_rule(round0, cat_count, self.t)))
 
 
 class RuleDecoderD7(_RuleDecoder):
@@ -351,7 +344,7 @@ class RuleDecoderD7(_RuleDecoder):
     def tables(self, keys: np.ndarray, cat_count: int,
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
         reads, cats = _rule_d7(keys.astype(np.int64) & ((1 << cat_count) - 1), cat_count)
-        return reads, self._data(cats)
+        return reads, self.to_data(cats)
 
 
 class IdentityDecoder:
@@ -425,6 +418,11 @@ class CutCatLUT(_Tables):
         bad = [k for k in ("gamma", "t", "rounds", "cat_count") if type(doc.get(k)) is not int]
         if bad:
             raise ValueError(f"LUT {', '.join(bad)} missing or not an integer")
+        # the least each field of a gadget's table can be
+        low = [f"{k}={doc[k]} must be at least {least}" for k, least in
+               (("gamma", 2), ("t", 0), ("rounds", 1), ("cat_count", 1)) if doc[k] < least]
+        if low:
+            raise ValueError(f"LUT {', '.join(low)}")
         if not isinstance(doc.get("entries"), list):
             raise ValueError("LUT entries missing or not a list")
         for i, e in enumerate(doc["entries"]):
@@ -599,8 +597,8 @@ def build_code_lut(code: CssCode, max_patterns: int = 5_000_000) -> CodeLUT:
         raise ValueError(f"enumeration of {total} patterns exceeds cap {max_patterns}")
 
     def fill(rows: Sequence[int]) -> np.ndarray:
-        singles = np.array([(1 << q, sum(((r >> q) & 1) << i for i, r in enumerate(rows)))
-                            for q in range(code.n)], np.uint64)
+        singles = np.array([(1 << q, image) for q, image
+                            in enumerate(syndrome_images(rows, code.n))], np.uint64)
         errors, syndromes = map(np.concatenate, zip(*(
             s.cols for s in _verify.combo_walk(singles, code.t, min_weight=0))))
         syndromes, first = np.unique(syndromes, return_index=True)

@@ -13,10 +13,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -34,6 +30,38 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def parity(mask: int) -> int:
     return mask.bit_count() & 1
+
+
+def syndrome_images(rows: Sequence[int], n: int) -> list[int]:
+    """The syndrome of each of n qubits under ``rows``: bit i of image q
+    is set when row i has qubit q."""
+    return [sum(((r >> q) & 1) << i for i, r in enumerate(rows)) for q in range(n)]
+
+
+class MaskMap:
+    """The GF(2)-linear map of bit masks sending bit j to ``images[j]``.
+
+    Called on an array of masks (any shape, 0-d included, or a Python
+    int), it returns their uint64 images in that shape: one 256-entry
+    table per byte of the input width, each byte of a little-endian view
+    of the masks gathering its table's entry, XORed.  Bits at or above
+    ``len(images)`` are ignored."""
+
+    def __init__(self, images: Sequence[int]):
+        n_bytes = (len(images) + 7) // 8 or 1
+        imgs = np.zeros(8 * n_bytes, np.uint64)
+        imgs[:len(images)] = images
+        bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+        self.tables = np.bitwise_xor.reduce(
+            np.where(bits, imgs.reshape(-1, 1, 8), np.uint64(0)), axis=-1)
+
+    def __call__(self, masks) -> np.ndarray:
+        shape = np.shape(masks)
+        data = np.ascontiguousarray(masks, "<u8").reshape(-1).view(np.uint8)
+        out = self.tables[0].take(data[::8].astype(np.intp))
+        for b in range(1, len(self.tables)):
+            out ^= self.tables[b].take(data[b::8].astype(np.intp))
+        return out.reshape(shape)
 
 
 class CodeFormatError(ValueError):
@@ -113,11 +141,6 @@ class CssCode:
                 f"rank {gf2_rank(pairing)}, not k={self.k}")
 
     @property
-    def gen_weights(self) -> tuple[int, ...]:
-        """Support sizes of all generators, X rows first."""
-        return tuple(popcount(r) for r in (*self.hx, *self.hz))
-
-    @property
     def t(self) -> int:
         return (self.d - 1) // 2
 
@@ -129,7 +152,7 @@ def residual_weight_mod_generator(err_on_support: int, gamma: int) -> int:
     so the error and its complement are equivalent; the metric is the
     smaller of the two weights.
     """
-    w = popcount(err_on_support & ((1 << gamma) - 1))
+    w = (err_on_support & ((1 << gamma) - 1)).bit_count()
     return min(w, gamma - w)
 
 

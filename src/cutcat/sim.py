@@ -28,29 +28,6 @@ _SINGLE_CODES = tuple((p,) for p in PAULI_SINGLES)
 
 
 @dataclass(frozen=True)
-class CatSyndrome:
-    """Ring-measurement outcomes of one gadget run: ``rounds[i]`` packs
-    round i's m outcome bits."""
-
-    cat_count: int
-    rounds: tuple[int, ...]
-
-    @classmethod
-    def from_key(cls, cat_count: int, key: int, n_rounds: int) -> "CatSyndrome":
-        """Inverse of ``key()``: split ``n_rounds`` full rounds off the key."""
-        mask = (1 << cat_count) - 1
-        return cls(cat_count, tuple((key >> (i * cat_count)) & mask
-                                    for i in range(n_rounds)))
-
-    def key(self) -> int:
-        """All full-round bits concatenated, round 0 lowest."""
-        out = 0
-        for i, bits in enumerate(self.rounds):
-            out |= bits << (i * self.cat_count)
-        return out
-
-
-@dataclass(frozen=True)
 class Effect:
     """Frame-level consequence of a fault, XOR-linear in its Paulis.
 
@@ -63,14 +40,6 @@ class Effect:
     slot_flips: int = 0
     persist_x: int = 0
     gen_flip: int = 0
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    data_x: int
-    syndrome: CatSyndrome
-    generator_bit_flipped: bool
-    cat_x_final: int            # X errors remaining on cat qubits (local bit r)
 
 
 class _Walker:
@@ -113,7 +82,9 @@ class _Walker:
                 self.inject(faults)
         return self
 
-    def effect(self) -> Effect:
+    def effect(self, extra_gen_flip: int = 0) -> Effect:
+        """The frame so far as an ``Effect``; ``extra_gen_flip`` adds the
+        generator-bit flips of faults on the final readout itself."""
         g = self.g
         cat_mask = (1 << g.cat_count) - 1
         # the generator bit comes from the final transversal X-basis
@@ -122,17 +93,7 @@ class _Walker:
             data_x=self.x & ((1 << g.gamma) - 1),
             slot_flips=sum(bit << slot for slot, bit in self.outcome_flips.items()),
             persist_x=(self.x >> g.gamma) & cat_mask,
-            gen_flip=parity((self.z >> g.gamma) & cat_mask),
-        )
-
-    def result(self, extra_gen_flip: int = 0) -> PropagationResult:
-        g = self.g
-        eff = self.effect()
-        return PropagationResult(
-            data_x=eff.data_x,
-            syndrome=CatSyndrome.from_key(g.cat_count, eff.slot_flips, g.base_rounds),
-            generator_bit_flipped=bool((eff.gen_flip ^ extra_gen_flip) & 1),
-            cat_x_final=eff.persist_x,
+            gen_flip=parity((self.z >> g.gamma) & cat_mask) ^ extra_gen_flip,
         )
 
 
@@ -183,9 +144,10 @@ def noisy_operations(g: GadgetCircuit) -> list[NoisyOp]:
 
 def propagate_op_faults(
     g: GadgetCircuit, entries: Iterable[tuple[int, int]],
-) -> PropagationResult:
-    """Scalar reference for sampled noise: run the gadget once with the
-    given (op index into ``noisy_operations(g)``, code) faults.
+) -> Effect:
+    """Scalar reference for sampled noise: the effect of one run of the
+    gadget with the given (op index into ``noisy_operations(g)``, code)
+    faults, the final readout's X and Y flips folded into ``gen_flip``.
 
     Codes index PAULI_SINGLES for one-qubit channels and PAULI_PAIRS for
     CNOTs.  The vectorized samplers XOR precomputed per-code effects
@@ -201,7 +163,7 @@ def propagate_op_faults(
                 extra_gen_flip ^= pauli in ("X", "Y")
             elif pauli != "I":
                 inj.setdefault(op.after, []).append((qubit, pauli))
-    return _Walker(g).run(g.gates, inj).result(extra_gen_flip)
+    return _Walker(g).run(g.gates, inj).effect(extra_gen_flip)
 
 
 def op_code_effects(g: GadgetCircuit, ops: Sequence[NoisyOp], fields: Sequence[str],

@@ -319,6 +319,14 @@ class EventSets:
                    np.array([names[c[-1]][0] + 1 if c else 0 for c in sets]), masks[first])
 
 
+def rotate(x, s, m: int):
+    """The masks ``x`` on a ring of m bits rotated up by s (an int or an
+    array broadcast against ``x``, of the same signedness): bit c moves
+    to (c + s) mod m."""
+    s = s % m
+    return ((x << s) | (x >> (m - s))) & ((1 << m) - 1)
+
+
 def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
                    frame: np.ndarray, noise, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Follow a decoder's tables (``reads``, ``corrections``, one row per
@@ -337,7 +345,6 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
     re-read fault hits with their own noise, and of the others only those
     that re-read, once per distinct (table, frame) pair with none: at
     most 11·m·2^m pairs for ``RuleDecoderD7`` (``GadgetMonteCarlo``)."""
-    full = (1 << m) - 1
     shape = np.broadcast_shapes(inv.shape, frame.shape)
     if not reads.shape[-1]:
         return np.broadcast_to(corrections[inv, 0], shape), np.zeros(shape, np.uint8)
@@ -350,8 +357,7 @@ def follow_rereads(reads: np.ndarray, corrections: np.ndarray, inv: np.ndarray,
         bit = (frame >> s) ^ (frame >> ((s + 1) % m)) ^ anc
         v |= ((bit & 1).astype(np.uint8) & live) << i
         steps += live
-        cats = cats << s
-        frame ^= (cats & full) ^ (cats >> m)
+        frame ^= rotate(cats, s, m)
     return corrections[inv, v], steps
 
 
@@ -419,6 +425,8 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
+    if t < 0:
+        raise ValueError("t must be at least 0")
     cache = KeyCache(g.cat_count * g.base_rounds,
                      partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
     steps = reread_steps(g, cache)

@@ -6,16 +6,39 @@ come from the tree walk ``reread_table`` (``TreeWalk``)."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from cutcat.circuit import GadgetCircuit
 from cutcat.decoders import j_list
-from cutcat.sim import CatSyndrome
 from cutcat.verify import MAX_REREADS
 
 MeasureFn = Callable[[tuple[int, ...]], Mapping[int, int]]
+
+
+@dataclass(frozen=True)
+class CatSyndrome:
+    """Ring-measurement outcomes of one gadget run, as the scalar
+    decoders read them: ``rounds[i]`` packs round i's m outcome bits."""
+
+    cat_count: int
+    rounds: tuple[int, ...]
+
+    @classmethod
+    def from_key(cls, cat_count: int, key: int, n_rounds: int) -> "CatSyndrome":
+        """Inverse of ``key()``: split ``n_rounds`` full rounds off the key."""
+        mask = (1 << cat_count) - 1
+        return cls(cat_count, tuple((key >> (i * cat_count)) & mask
+                                    for i in range(n_rounds)))
+
+    def key(self) -> int:
+        """All full-round bits concatenated, round 0 lowest."""
+        out = 0
+        for i, bits in enumerate(self.rounds):
+            out |= bits << (i * self.cat_count)
+        return out
 
 
 def arc_sets(triggers: Sequence[int], ring_size: int) -> tuple[set[int], set[int]]:

@@ -12,7 +12,8 @@ from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from cutcat.circuit import GadgetCircuit, Gate
-from cutcat.sim import CatSyndrome, Effect, NoisyOp, PropagationResult, _Walker
+from cutcat.sim import Effect, NoisyOp, _Walker
+from decoder_ref import CatSyndrome
 
 CAT_INIT = "cat_init"
 POST_GATE_CONTROL = "post_gate_control"
@@ -20,14 +21,6 @@ ANC_PREP = "anc_prep"
 ANC_MID = "anc_mid"
 ANC_POST = "anc_post"
 PRE_MEASUREMENT = "pre_measurement"
-
-
-@dataclass(frozen=True)
-class ReReadSyndrome(CatSyndrome):
-    """A ``CatSyndrome`` that also holds the re-measured stabilizers as
-    (index, bit) pairs, in stabilizer order."""
-
-    adaptive: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,8 @@ def propagate(
     locations: Sequence[FaultLocation] | None = None,
     initial_x: int = 0,
     initial_z: int = 0,
-) -> PropagationResult:
-    """Run the gadget once with the given faults injected.
+) -> Effect:
+    """The effect of one run of the gadget with the given faults injected.
 
     ``faults`` pairs a location (object or id into ``locations``) with a
     Pauli; a Y decomposes into simultaneous X and Z on the same site.
@@ -144,7 +137,7 @@ def propagate(
     component feeds the generator outcome through the data CNOTs.
     """
     inj = _resolve_faults(g, faults, locations)
-    return _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj).result()
+    return _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj).effect()
 
 
 # adaptive fault kind -> (re-read gate it follows, -1 for before the
@@ -168,17 +161,20 @@ def adaptive_propagate(
     locations: Sequence[FaultLocation] | None = None,
     initial_x: int = 0,
     initial_z: int = 0,
-) -> PropagationResult:
-    """Run the base rounds, consult the planner, then re-measure.
+) -> tuple[Effect, tuple[tuple[int, int], ...]]:
+    """Run the base rounds, consult the planner, then re-measure: the
+    effect of the whole run, whose slot flips include the re-reads', and
+    the re-reads as (stabilizer, outcome flip) pairs in stabilizer order.
 
-    The planner maps the base-round syndrome to stabilizer indices to
-    measure again; persistent cat errors from the base rounds show up in
-    those outcomes.  ``adaptive_faults`` are (stabilizer, kind, pauli)
+    The planner maps the base-round ``CatSyndrome`` to stabilizer indices
+    to measure again; persistent cat errors from the base rounds show up
+    in those outcomes.  ``adaptive_faults`` are (stabilizer, kind, pauli)
     triples bound to the re-measurement of that stabilizer.
     """
     inj = _resolve_faults(g, faults, locations)
     walker = _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj)
-    plan = sorted(set(planner(walker.result().syndrome))) if planner is not None else []
+    base = CatSyndrome.from_key(g.cat_count, walker.effect().slot_flips, g.base_rounds)
+    plan = sorted(set(planner(base))) if planner is not None else []
 
     extra: dict[int, dict[int, list]] = {}
     for stab, kind, pauli in adaptive_faults:
@@ -196,11 +192,10 @@ def adaptive_propagate(
         gates = g.ring_measurement_gates(stab, g.adaptive_slot(stab))
         walker.run(gates, extra.get(stab, {}))
     # re-read outcomes sit in the slots after the base rounds
-    res, n_base = walker.result(), g.base_rounds * g.cat_count
-    adaptive = tuple((slot - n_base, bit)
-                     for slot, bit in sorted(walker.outcome_flips.items())
-                     if slot >= n_base)
-    return replace(res, syndrome=ReReadSyndrome(g.cat_count, res.syndrome.rounds, adaptive))
+    n_base = g.base_rounds * g.cat_count
+    return walker.effect(), tuple((slot - n_base, bit)
+                                  for slot, bit in sorted(walker.outcome_flips.items())
+                                  if slot >= n_base)
 
 
 def location_effects(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cutcat.pauli import CssCode, parity, popcount
+from cutcat.pauli import CssCode, parity
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class PauliFrame:
 
     @property
     def weight(self) -> int:
-        return popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutcat.block import BlockSimulator, run_block_mc
-from cutcat.pauli import CssCode, bits_of, parse_css_code
+from cutcat.pauli import CssCode, bits_of, mask_of, parse_css_code
 from cutcat.sim import FaultTable, noisy_operations, pack_fields, propagate_op_faults
 from decoder_ref import cats_to_mask, decode_d3d5
 from location_ref import walk_op_effects
@@ -99,7 +99,7 @@ def _sequential_round(sim, data_x, data_z, entries):
     X then Z, the syndrome bit read from the current frame, the gadget
     run by ``propagate_op_faults`` with its faults among ``entries``
     ((round-table op, code) pairs), then its residual, corrected by the
-    ring decoder on its slots, placed by ``_globalize``."""
+    ring decoder on its slots, placed on the generator's support."""
     syn, first = 0, 0
     for gi, gen in enumerate(sim.generators):
         n_ops = len(noisy_operations(gen.gadget))
@@ -109,15 +109,17 @@ def _sequential_round(sim, data_x, data_z, entries):
         bit = sum((reads >> q) & 1 for q in gen.support) & 1
         if local:
             res = propagate_op_faults(gen.gadget, local)
-            bit ^= res.generator_bit_flipped
+            bit ^= res.gen_flip
             residual = res.data_x
             if gen.decoder is not None:
-                cats = decode_d3d5(res.syndrome.rounds[0], gen.decoder.t, gen.gadget.cat_count)
+                cats = decode_d3d5(res.slot_flips, gen.decoder.t, gen.gadget.cat_count)
                 residual ^= cats_to_mask(gen.gadget, cats)
+            # the residual's local bit i is the code's qubit support[i]
+            placed = mask_of(gen.support[i] for i in bits_of(residual))
             if gen.sector == "X":
-                data_x ^= gen._globalize(residual)
+                data_x ^= placed
             else:
-                data_z ^= gen._globalize(residual)
+                data_z ^= placed
         syn |= bit << gi
     return syn, data_x, data_z
 
@@ -362,7 +364,8 @@ class TestKeyCacheLookups:
         assert len(np.unique(keys)) < len(keys)
 
         def correction(key):
-            return gen._globalize(cats_to_mask(gen.gadget, decode_d3d5(key, gen.decoder.t, m)))
+            local = cats_to_mask(gen.gadget, decode_d3d5(key, gen.decoder.t, m))
+            return mask_of(gen.support[i] for i in bits_of(local))
 
         expected, miss = _table_apply(correction, keys)
         assert not miss.any()

@@ -8,10 +8,9 @@ from cutcat.decoders import (IdentityDecoder, LutDecoder, RuleDecoderD3D5, RuleD
                              build_code_lut, build_cut_cat_lut, j_list)
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import CssCode, mask_of, parity
-from cutcat.sim import CatSyndrome
 from cutcat.verify import MAX_REREADS, KeyCache
 
-from decoder_ref import RefD7, arc_sets, cats_to_mask, decode_d3d5, decode_d7, reread_table
+from decoder_ref import CatSyndrome, RefD7, arc_sets, cats_to_mask, decode_d3d5, decode_d7, reread_table
 from pauli_ref import PauliFrame, code_syndrome
 
 

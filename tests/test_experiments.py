@@ -19,9 +19,8 @@ from cutcat.experiments import (
     wilson_interval,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.sim import CatSyndrome
 from cutcat.verify import MAX_REREADS, coset_weights, follow_rereads
-from decoder_ref import RefD7, TreeWalk, cats_to_mask
+from decoder_ref import CatSyndrome, RefD7, TreeWalk, cats_to_mask
 from sample_ref import sample_ref
 
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -24,6 +26,21 @@ def test_numpy_2_and_later_accepted(version):
 
 def test_installed_numpy_accepted():
     _check_numpy(np.__version__)
+
+
+def test_perfbench_layer_hooks_resolve():
+    # perfbench times a layer by wrapping the module attribute its
+    # MODULE_SPANS names and skips a name that is gone, so a rename would
+    # silently drop the layer's timing; the file is read, not imported
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spans = next(ast.literal_eval(node.value) for node in ast.parse(worker.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["MODULE_SPANS"])
+    live = [("block", "op_code_effects"), ("block", "build_cut_cat"),
+            ("block", "build_full_cat"), ("block", "build_code_lut")]
+    assert set(live) <= {(mod, attr) for mod, attr, _ in spans}
+    for mod, attr in live:
+        assert callable(getattr(importlib.import_module(f"cutcat.{mod}"), attr, None)), (mod, attr)
 
 
 def test_import_leaves_out_the_process_pool():

@@ -258,6 +258,21 @@ class TestLookupContract:
         with pytest.raises(ValueError, match=where):
             CutCatLUT.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("gamma", 0, 2), ("gamma", 1, 2), ("gamma", -3, 2), ("t", -1, 0), ("t", -3, 0),
+        ("rounds", 0, 1), ("rounds", -3, 1), ("cat_count", 0, 1), ("cat_count", -3, 1)])
+    def test_json_rejects_header_no_gadget_has(self, d3_lut, field, value, least):
+        # with no entries, nothing else would catch the header
+        doc = json.loads(d3_lut.to_json())
+        doc[field], doc["entries"] = value, []
+        with pytest.raises(ValueError, match=f"^LUT {field}={value} must be at least {least}$"):
+            CutCatLUT.from_json(json.dumps(doc))
+
+    def test_json_accepts_zero_budget(self, d3_lut):
+        doc = json.loads(d3_lut.to_json())
+        doc["t"] = 0
+        assert CutCatLUT.from_json(json.dumps(doc)) == dataclasses.replace(d3_lut, t=0)
+
 
 class TestStoredCorrectionsSatisfyOracle:
     def test_every_entry_passes_accumulated_constraints(self, d3_lut):

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,14 @@ from hypothesis import strategies as st
 from cutcat.pauli import (
     CodeFormatError,
     CssCode,
+    MaskMap,
+    bits_of,
+    parity,
     parse_css_code,
     residual_weight_mod_generator,
     serialize_css_code,
     steane_code,
+    syndrome_images,
 )
 
 from pauli_ref import PauliFrame, code_syndrome
@@ -39,7 +44,7 @@ class TestPauliFrame:
 class TestSteaneParsing:
     def test_steane_weights(self, steane):
         assert (steane.n, steane.k, steane.d) == (7, 1, 3)
-        assert steane.gen_weights == (4,) * 6
+        assert [r.bit_count() for r in (*steane.hx, *steane.hz)] == [4] * 6
 
     def test_anticommuting_rows_rejected(self):
         bad = "2 0 1\nX 1\n10\nZ 1\n11\n"
@@ -48,7 +53,7 @@ class TestSteaneParsing:
 
     def test_two_qubit_degenerate_code_valid(self):
         code = parse_css_code("2 0 1\nX 1\n11\nZ 1\n11\n")
-        assert code.gen_weights == (2, 2)
+        assert [r.bit_count() for r in (*code.hx, *code.hz)] == [2, 2]
 
     def test_row_count_mismatch(self):
         text = "7 1 3\nX 2\n0001111\n0110011\nZ 3\n0001111\n0110011\n1010101\n"
@@ -144,3 +149,44 @@ class TestCosetWeight:
         comp = vec ^ ((1 << gamma) - 1)
         assert residual_weight_mod_generator(vec, gamma) == \
             residual_weight_mod_generator(comp, gamma)
+
+
+def _xor_images(images, mask):
+    """Python-int reference of a mask map: the XOR of the images of the
+    set bits of ``mask`` below ``len(images)``."""
+    out = 0
+    for j in bits_of(mask & ((1 << len(images)) - 1)):
+        out ^= images[j]
+    return out
+
+
+class TestMaskMap:
+    """``MaskMap`` against the Python-int XOR of images, at every input
+    width, on arrays of any shape and on Python ints."""
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_random_images(self, width):
+        rng = np.random.default_rng(width)
+        images = rng.integers(0, 1 << 64, width, dtype=np.uint64, endpoint=False).tolist()
+        bitmap = MaskMap(images)
+        # full 64-bit masks: the bits at and above the width are ignored
+        masks = rng.integers(0, 1 << 64, (4, 6), dtype=np.uint64, endpoint=False)
+        for arr in (masks, masks.T, masks[1], masks[1, 2], masks.view(np.int64),
+                    masks[0].view(np.int64), masks.view(np.int64)[3, 5]):
+            out = bitmap(arr)
+            assert out.dtype == np.uint64 and out.shape == np.shape(arr)
+            expected = [_xor_images(images, m) for m in np.ravel(arr).astype(np.uint64).tolist()]
+            assert out.ravel().tolist() == expected
+        value = int(masks[2, 3])
+        assert bitmap(value).shape == () and int(bitmap(value)) == _xor_images(images, value)
+
+    def test_empty_input(self):
+        out = MaskMap([1, 2, 4])(np.zeros((0, 3), np.uint64))
+        assert out.dtype == np.uint64 and out.shape == (0, 3)
+
+    def test_syndrome_images_give_parities(self, steane):
+        # bit i of a mask's image is its parity on row i
+        rows = (*steane.hx, *steane.lx)
+        syndromes = MaskMap(syndrome_images(rows, steane.n))(np.arange(1 << steane.n, dtype=np.uint64))
+        assert syndromes.tolist() == [sum(parity(r & e) << i for i, r in enumerate(rows))
+                                      for e in range(1 << steane.n)]

@@ -56,7 +56,7 @@ class TestHookPropagation:
         loc = _loc(locs, CAT_INIT, qubit=g.cat_qubit(r))[0]
         res = propagate(g, [(loc, "X")])
         assert res.data_x == (1 << 2 * r) | (1 << (2 * r + 1))
-        assert res.syndrome.rounds[0] == (1 << (r - 1)) | (1 << r)
+        assert res.slot_flips == (1 << (r - 1)) | (1 << r)
 
     def test_error_after_both_data_cnots(self, d5_gadget):
         g, locs = d5_gadget
@@ -68,7 +68,7 @@ class TestHookPropagation:
         ]
         res = propagate(g, [(data_controls[1], "X")])
         assert res.data_x == 0
-        assert res.syndrome.rounds[0] == (1 << (r - 1)) | (1 << r)
+        assert res.slot_flips == (1 << (r - 1)) | (1 << r)
 
     def test_two_measurement_errors_same_signature(self, d5_gadget):
         g, locs = d5_gadget
@@ -76,7 +76,7 @@ class TestHookPropagation:
         pm = {l.slot: l for l in _loc(locs, "pre_measurement")}
         res = propagate(g, [(pm[r - 1], "X"), (pm[r], "X")])
         assert res.data_x == 0
-        assert res.syndrome.rounds[0] == (1 << (r - 1)) | (1 << r)
+        assert res.slot_flips == (1 << (r - 1)) | (1 << r)
 
     def test_single_fault_weight_bound(self, d5_gadget):
         g, locs = d5_gadget
@@ -107,15 +107,14 @@ class TestLinearity:
         for i in subset:
             single = propagate(g, [(locs[i], "X")])
             data ^= single.data_x
-            slots ^= single.syndrome.key()
+            slots ^= single.slot_flips
         assert combined.data_x == data
-        assert combined.syndrome.key() == slots
+        assert combined.slot_flips == slots
 
     def test_empty_fault_set_is_identity(self, d5_gadget):
         g, _ = d5_gadget
         res = propagate(g, [])
-        assert res.data_x == 0 and res.syndrome.key() == 0
-        assert not res.generator_bit_flipped
+        assert res == Effect()
 
 
 class TestDepolarizingRelevance:
@@ -136,34 +135,33 @@ class TestGeneratorBit:
     def test_data_z_flips_generator(self, d5_gadget):
         g, _ = d5_gadget
         res = propagate(g, [], initial_z=0b1)
-        assert res.generator_bit_flipped
+        assert res.gen_flip == 1
 
     def test_x_errors_do_not_flip_generator(self, d5_gadget):
         g, locs = d5_gadget
         res = propagate(g, [(locs[0], "X")], initial_x=0b111)
-        assert not res.generator_bit_flipped
+        assert res.gen_flip == 0
 
 
 class TestAdaptive:
     def test_no_faults_trivial(self):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
-        res = adaptive_propagate(g, [], planner=lambda syn: [])
-        assert res.syndrome.rounds[0] == 0 and res.syndrome.adaptive == ()
+        assert adaptive_propagate(g, [], planner=lambda syn: []) == (Effect(), ())
 
     def test_persistent_cat_error_reflips(self):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         locs = enumerate_fault_locations(g)
         loc = _loc(locs, CAT_INIT, qubit=g.cat_qubit(2))[0]
-        res = adaptive_propagate(g, [(loc, "X")], planner=lambda syn: [1, 2])
-        assert res.syndrome.adaptive == ((1, 1), (2, 1))
+        _, rereads = adaptive_propagate(g, [(loc, "X")], planner=lambda syn: [1, 2])
+        assert rereads == ((1, 1), (2, 1))
 
     def test_measurement_flip_reads_clean(self):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
         locs = enumerate_fault_locations(g)
         pm = _loc(locs, "pre_measurement", slot=1)[0]
-        res = adaptive_propagate(g, [(pm, "X")], planner=lambda syn: [1])
-        assert res.syndrome.rounds[0] == 0b10
-        assert res.syndrome.adaptive == ((1, 0),)
+        res, rereads = adaptive_propagate(g, [(pm, "X")], planner=lambda syn: [1])
+        assert res.slot_flips & ((1 << g.cat_count) - 1) == 0b10
+        assert rereads == ((1, 0),)
 
     def test_planner_out_of_range(self):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
@@ -298,10 +296,8 @@ class TestSampling:
         for trial in range(size):
             entries = [(i, int(h[trial]).bit_length() - 1)
                        for i, h in enumerate(hits) if h[trial]]
-            res = propagate_op_faults(g, entries)
-            assert [int(acc[trial]) for acc in accs] == [
-                res.data_x, res.syndrome.key(), res.cat_x_final,
-                int(res.generator_bit_flipped)]
+            assert propagate_op_faults(g, entries) == Effect(
+                **{f: int(acc[trial]) for f, acc in zip(EFFECT_FIELDS, accs)})
 
     def test_unknown_fault_id(self, d5_gadget):
         g, _ = d5_gadget
@@ -446,13 +442,11 @@ class TestFaultTableMatchesWalker:
         entry = st.integers(0, len(ops) - 1).flatmap(
             lambda i: st.tuples(st.just(i), st.integers(0, ops[i].n_codes - 1)))
         entries = data.draw(st.lists(entry, max_size=6))
-        acc = [0] * len(EFFECT_FIELDS)
+        acc = dict.fromkeys(EFFECT_FIELDS, 0)
         for i, code in entries:
-            for k, col in enumerate(table.columns):
-                acc[k] ^= int(col[i, code])
-        res = propagate_op_faults(g, entries)
-        assert acc == [res.data_x, res.syndrome.key(), res.cat_x_final,
-                       int(res.generator_bit_flipped)]
+            for f, col in zip(EFFECT_FIELDS, table.columns):
+                acc[f] ^= int(col[i, code])
+        assert propagate_op_faults(g, entries) == Effect(**acc)
 
     def test_columns_straddling_two_words_read_back(self):
         # widths 40, 30 and 5: the 30-bit column opens a second word and
@@ -490,10 +484,8 @@ class TestBackwardSweep:
             for col in cols.values():
                 assert np.array_equal(col[op], np.tile(col[op, :n], col.shape[1] // n))
             for code in range(n):
-                res = propagate_op_faults(g, [(op, code)])
-                assert [int(cols[f][op, code]) for f in EFFECT_FIELDS] == [
-                    res.data_x, res.syndrome.key(), res.cat_x_final,
-                    int(res.generator_bit_flipped)], (op, code)
+                assert propagate_op_faults(g, [(op, code)]) == Effect(
+                    **{f: int(cols[f][op, code]) for f in EFFECT_FIELDS}), (op, code)
 
     @pytest.mark.parametrize("gamma, distance", [
         (6, 3), (10, 5), (16, 5), (14, 7), (20, 7), (18, 9), (24, 9)])
@@ -554,14 +546,14 @@ class TestRereadTableMatchesAdaptivePropagate:
                         faults = zip(self.GATE_KINDS[op], PAULI_PAIRS[code])
                     else:
                         faults = [("pre_measurement", PAULI_SINGLES[code])]
-                    res = adaptive_propagate(
+                    res, rereads = adaptive_propagate(
                         g, planner=lambda syn: [stab],
                         adaptive_faults=[(stab, kind, p) for kind, p in faults
                                          if p != "I"])
                     cats = int(cats_col[op, code])
                     rotated = ((cats << stab) | (cats >> (m - stab))) & ((1 << m) - 1)
-                    assert res.syndrome.adaptive == ((stab, int(anc_col[op, code])),)
-                    assert res.cat_x_final == rotated, (stab, op, code)
+                    assert rereads == ((stab, int(anc_col[op, code])),)
+                    assert res.persist_x == rotated, (stab, op, code)
 
 
 class TestLocationEffectsMatchOpEffects:

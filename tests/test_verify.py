@@ -20,7 +20,6 @@ from cutcat.experiments import GadgetMonteCarlo
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import residual_weight_mod_generator
 from cutcat.sim import (
-    CatSyndrome,
     Effect,
     FaultTable,
     _Walker,
@@ -38,10 +37,11 @@ from cutcat.verify import (
     eval_upper_bound,
     follow_rereads,
     reread_events,
+    rotate,
     sort_unique,
     verify_gadget,
 )
-from decoder_ref import RefD7, TreeWalk, reread_table
+from decoder_ref import CatSyndrome, RefD7, TreeWalk, reread_table
 from location_ref import (
     adaptive_propagate,
     enumerate_fault_locations,
@@ -264,6 +264,14 @@ class TestVerifyGadget:
         assert verify_gadget(g, dec, 1, jobs=1) == verify_gadget(g, dec, 1)
         with pytest.raises(ValueError, match=f"jobs={jobs}"):
             verify_gadget(g, dec, 1, jobs=jobs)
+
+    def test_negative_budget_rejected(self):
+        # a budget below 0 checks no weight: it must not read as a pass
+        g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
+        with pytest.raises(ValueError, match="^t must be at least 0$"):
+            verify_gadget(g, IdentityDecoder(), -1)
+        rep = verify_gadget(g, IdentityDecoder(), 0)
+        assert rep.passed and rep.checked_per_weight == ()
 
     def test_one_table_walk_per_adaptive_verify(self, monkeypatch):
         g = build_cut_cat(GadgetSpec(gamma=14, distance=7))
@@ -500,6 +508,31 @@ class TestSortedKeyPath:
         dense = verify_gadget(g, make(), t)
         assert dense.passed == passed
         assert self._sorted(monkeypatch, verify_gadget, g, make(), t) == dense
+
+
+class TestRotate:
+    """``rotate`` against a bit-by-bit Python-int rotation, with shifts as
+    its callers pass them: uint8 arrays against uint64 masks (the cat X
+    of ``follow_rereads``, so no negative shift), and ints or int64 arrays,
+    negative ones included, against int64 masks (the distance-7 rule)."""
+
+    @staticmethod
+    def _ref(x, s, m):
+        return sum(1 << (c + s) % m for c in range(m) if (x >> c) & 1)
+
+    @pytest.mark.parametrize("m", range(3, 33))
+    def test_matches_bitwise_rotation(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.integers(0, 1 << m, 300, dtype=np.int64)
+        s = rng.integers(-m, 2 * m, 300)
+        expected = [self._ref(v, k, m) for v, k in zip(x.tolist(), s.tolist())]
+        got = rotate(x, s, m)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert [int(rotate(x, k, m)[i]) for i, k in enumerate(s.tolist())] == expected
+        ahead = s >= 0
+        got = rotate(x[ahead].astype(np.uint64), s[ahead].astype(np.uint8), m)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [e for e, a in zip(expected, ahead.tolist()) if a]
 
 
 class TestSortUnique:
@@ -1111,9 +1144,9 @@ class TestRemeasurementModel:
 
     @staticmethod
     def _rereads(g, faults=(), adaptive_faults=()):
-        res = adaptive_propagate(g, faults, planner=lambda syn: range(g.cat_count),
-                                 adaptive_faults=adaptive_faults)
-        return dict(res.syndrome.adaptive)
+        _, rereads = adaptive_propagate(g, faults, planner=lambda syn: range(g.cat_count),
+                                        adaptive_faults=adaptive_faults)
+        return dict(rereads)
 
     def test_base_round_faults_persist(self, gadget):
         g, m = gadget, gadget.cat_count
