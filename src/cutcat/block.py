@@ -69,11 +69,12 @@ class BlockSimulator:
         self.max_rounds = max_rounds if max_rounds is not None else max(25, 5 * (self.t + 1))
         if self.max_rounds < self.t + 1:
             raise ValueError("max_rounds below the acceptance run length")
-        # data-qubit depolarizing: codes X, Y, Z per qubit
-        self.data_noise = FaultTable([3] * code.n,
-                                     {"x": [[1 << q, 1 << q, 0] for q in range(code.n)],
-                                      "z": [[0, 1 << q, 1 << q] for q in range(code.n)]})
+        # first: it rejects a code too wide for 64-bit masks
         self.code_lut: CodeLUT = build_code_lut(code)
+        # data-qubit depolarizing: columns x and z, codes X, Y, Z per qubit
+        q = (np.uint64(1) << np.arange(code.n, dtype=np.uint64))[:, None]
+        self.data_noise = FaultTable([3] * code.n, [q * np.uint64([1, 1, 0]),
+                                                    q * np.uint64([0, 1, 1])])
         # syndromes and logical checks: qubit q goes to its column of the rows
         self._parity = tuple(MaskMap(syndrome_images(rows, code.n))
                              for rows in (code.hx, code.hz, code.lx, code.lz))
@@ -85,10 +86,11 @@ class BlockSimulator:
 
     def _round_table(self) -> FaultTable:
         """The noise of one round: every generator's gadget ops in
-        extraction order, one column per field.  ``wx`` and ``wz`` hold
-        the global residuals of the X and the Z generators, ``outcomes``
-        bit gi for generator gi's outcome flip, and ``ring{k}`` the slot
-        flips of ring generator k; ``FaultTable`` packs them into words."""
+        extraction order, one column per field, in this order: ``wx`` and
+        ``wz``, the global residuals of the X and the Z generators,
+        ``outcomes``, bit gi for generator gi's outcome flip, and
+        ``ring{k}``, the slot flips of ring generator k; ``FaultTable``
+        packs them into words."""
         n_codes, parts = [], []
         for gi, gen in enumerate(self.generators):
             ops = noisy_operations(gen.gadget)
@@ -99,10 +101,8 @@ class BlockSimulator:
             wx, wz = (data, zero) if gen.sector == "X" else (zero, data)
             parts.append([wx, wz, eff["gen_flip"] << np.uint64(gi), *slots])
         width = math.lcm(*n_codes)
-        names = ["wx", "wz", "outcomes"] + [f"ring{k}" for k in range(len(self._rings))]
-        return FaultTable(n_codes, {
-            name: np.concatenate([np.tile(p[k], (1, width // p[k].shape[1])) for p in parts])
-            for k, name in enumerate(names)})
+        return FaultTable(n_codes, [np.concatenate([np.tile(c, (1, width // c.shape[1]))
+                                                    for c in col]) for col in zip(*parts)])
 
     def extraction_rate(self, p: float) -> float:
         """p / ratio, the rate of every extraction op, after checking that
@@ -120,7 +120,9 @@ class BlockSimulator:
         """Returns the number of logical failures in the batch at data error
         rate p."""
         rng = np.random.default_rng([seed, 3, batch_index])
-        data_x, data_z = self.data_noise.sample(rng, size, p)
+        trials, words = self.data_noise.sample_words(rng, size, p)
+        data_x, data_z = np.zeros(size, np.uint64), np.zeros(size, np.uint64)
+        data_x[trials], data_z[trials] = self.data_noise.unpack(words)
         accepted = self.extract_until_stable(rng, p / self.ratio, data_x, data_z)
         hx, hz, lx, lz = self._parity
         fail = self._correct(accepted & np.uint64((1 << self.n_hx) - 1),
@@ -148,7 +150,8 @@ class BlockSimulator:
         last_syn = np.zeros(size, dtype=np.uint64)
         accepted = np.zeros(size, dtype=np.uint64)
         for rnd in range(self.max_rounds):
-            hit, faults = self.round_faults.sample_hits(rng, len(idx), p_ft)
+            hit, words = self.round_faults.sample_words(rng, len(idx), p_ft)
+            faults = self.round_faults.unpack(words)
             at = idx[hit]
             syn, x, z = data_syn.copy(), data_x[at], data_z[at]
             syn[hit], data_x[at], data_z[at] = self.apply_round(x, z, faults), x, z

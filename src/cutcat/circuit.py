@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# re-measurement budget of an adaptive decoder per gadget run
+MAX_REREADS = 4
+
 
 @dataclass(frozen=True)
 class Gate:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import GadgetCircuit
+from .circuit import MAX_REREADS, GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .pauli import (
     CssCode,
@@ -39,7 +39,7 @@ from .pauli import (
 )
 from .sim import FaultTable, _check_width
 from . import verify as _verify
-from .verify import MAX_REREADS, rotate
+from .verify import rotate
 
 
 def _arcs(key: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +312,13 @@ class _RuleDecoder:
         self.g = g
         self.to_data = MaskMap([1 << g.correction_qubit(c) for c in range(g.cat_count)])
 
+    def round0(self, keys: np.ndarray, cat_count: int) -> np.ndarray:
+        """Round 0 of each key as int64 cat masks, for keys of the gadget's ring."""
+        if cat_count != self.g.cat_count:
+            raise ValueError(f"syndrome of {cat_count} cats does not match "
+                             f"the gadget's ring of {self.g.cat_count}")
+        return keys.astype(np.int64) & ((1 << cat_count) - 1)
+
 
 class RuleDecoderD3D5(_RuleDecoder):
     """Arc-pairing decoder bound to a distance-3 or -5 gadget: the arc
@@ -325,8 +332,8 @@ class RuleDecoderD3D5(_RuleDecoder):
 
     def tables(self, keys: np.ndarray, cat_count: int,
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        round0 = keys.astype(np.int64) & ((1 << cat_count) - 1)
-        return _no_rereads(self.to_data(_arc_rule(round0, cat_count, self.t)))
+        return _no_rereads(self.to_data(_arc_rule(self.round0(keys, cat_count),
+                                                  cat_count, self.t)))
 
 
 class RuleDecoderD7(_RuleDecoder):
@@ -343,7 +350,7 @@ class RuleDecoderD7(_RuleDecoder):
 
     def tables(self, keys: np.ndarray, cat_count: int,
                rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        reads, cats = _rule_d7(keys.astype(np.int64) & ((1 << cat_count) - 1), cat_count)
+        reads, cats = _rule_d7(self.round0(keys, cat_count), cat_count)
         return reads, self.to_data(cats)
 
 
@@ -535,11 +542,14 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     and grouped by their cache row.
     Deterministic: enumeration is weight-ascending lexicographic and the
     zero vector, stored residuals, then bounded offsets are tried in
-    that order.
+    that order.  A given ``gadget`` must be ``build_cut_cat(spec)``, as
+    the header, budget and coset metric come from ``spec``.
     """
     if spec.is_adaptive:
         raise ValueError("LUT construction requires a non-adaptive gadget")
-    g = gadget if gadget is not None else build_cut_cat(spec)
+    g = build_cut_cat(spec)
+    if gadget is not None and gadget != g:
+        raise ValueError("gadget is not the circuit build_cut_cat(spec) builds")
     t = spec.t
     classes, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
     # Keys whose residuals all lie within their weights take the zero

@@ -103,11 +103,11 @@ class SweepResult:
 def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
                   frame: np.ndarray | None, hits, m: int) -> np.ndarray:
     """The corrections of ``follow_rereads(reads, corrections, rows,
-    frame, noise, m)``, step i's noise being ``hits[i]``, a ``(trials,
-    (anc, cats))`` pair of ``FaultTable.sample_hits`` over the runs, split
-    as ``GadgetMonteCarlo`` says (tables with no read column need no
-    frame).  The noiseless runs are told apart by sorting their (row << m
-    | frame) pairs."""
+    frame, noise, m)``, step i's noise being ``hits[i]``, the trials of
+    one ``FaultTable.sample_words`` over the runs and its words unpacked,
+    ``(trials, (anc, cats))``, split as ``GadgetMonteCarlo`` says (tables
+    with no read column need no frame).  The noiseless runs are told
+    apart by sorting their (row << m | frame) pairs."""
     corr = corrections[rows, 0]
     if not reads.shape[-1]:
         return corr
@@ -183,7 +183,8 @@ class GadgetMonteCarlo:
         (data, keys, *persist), g = self.faults.unpack([w[seen] for w in words]), self.g
         rows = self._answers.index(keys)
         del keys  # a batch's peak holds each decoded trial's cache row, not also its key
-        hits = [self.reread.sample_hits(rng, len(rows), p) for _ in range(self.steps)]
+        hits = [(trials, self.reread.unpack(words)) for trials, words in
+                (self.reread.sample_words(rng, len(rows), p) for _ in range(self.steps))]
         corr = _follow_split(*self._answers.values, rows, persist[0] if persist else None,
                              hits, g.cat_count)
         return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > self.t))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import GadgetCircuit, Gate, circuit_depth
+from .circuit import MAX_REREADS, GadgetCircuit, Gate, circuit_depth
 
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
 
@@ -63,7 +63,7 @@ class GadgetSpec:
 
     @property
     def max_adaptive(self) -> int:
-        return 4 if self.is_adaptive else 0
+        return MAX_REREADS if self.is_adaptive else 0
 
     def pair_map(self) -> tuple[tuple[int, ...], ...]:
         """Cat index -> data qubits.

@@ -244,7 +244,7 @@ def op_code_effects(g: GadgetCircuit, ops: Sequence[NoisyOp], fields: Sequence[s
 
 
 # what bounds the bit width of each column checked by name
-_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n", "z": "n"}
+_COLUMN_WIDTH = {"data_x": "gamma", "slot_flips": "ring slots", "x": "n"}
 
 
 def _check_width(name: str, bits: int) -> None:
@@ -276,28 +276,20 @@ class FaultTable:
     """Per-operation depolarizing effects, sampled over a batch.
 
     ``n_codes[i]`` is the number of non-identity Paulis of noisy op i
-    (15 for a CNOT, 3 for a one-qubit channel); each column holds one
-    uint64 effect mask per (op, code), tiled to ``width``, the lcm of the
-    ``n_codes`` (entry j is code j mod ``n_codes[i]``).  Effects are
-    XOR-linear, so a trial's combined effect is the XOR of its faults' rows.
-    A column is given as its rows of ints, one per code of each op, or
-    already tiled, as a uint64 array.  The table keeps them only packed
-    by ``pack_fields`` into as few uint64 words as their bit widths allow,
-    so a hit costs one gather per word, not per column.
+    (15 for a CNOT, 3 for a one-qubit channel); each column, given in
+    order, holds one uint64 effect mask per (op, entry), tiled to
+    ``width``, the lcm of the ``n_codes`` (entry j is code j mod
+    ``n_codes[i]``), as ``op_code_effects`` returns it.  Effects are
+    XOR-linear, so a trial's combined effect is the XOR of its faults'
+    rows.  The table keeps the columns only packed by ``pack_fields``
+    into as few uint64 words as their bit widths allow, so a hit costs
+    one gather per word, not per column.
     """
 
-    def __init__(self, n_codes: Sequence[int],
-                 columns: dict[str, Sequence[Sequence[int]] | np.ndarray]):
+    def __init__(self, n_codes: Sequence[int], columns: Iterable[np.ndarray]):
         self.n_codes = list(n_codes)
         self.width = math.lcm(*self.n_codes)
-        cols = []
-        for name, rows in columns.items():
-            if not isinstance(rows, np.ndarray):
-                _check_width(name, max((v.bit_length() for row in rows for v in row),
-                                       default=0))
-                rows = np.array([np.array(row, np.uint64)[np.arange(self.width) % len(row)]
-                                 for row in rows], np.uint64)
-            cols.append(rows.reshape(len(self.n_codes), self.width))
+        cols = [col.reshape(len(self.n_codes), self.width) for col in columns]
         widths = [int(np.bitwise_or.reduce(col, axis=None)).bit_length() for col in cols]
         # (word, offset, mask) of each column, and the words, flat by entry
         self._fields = [(word, np.uint64(at), np.uint64((1 << w) - 1))
@@ -317,7 +309,7 @@ class FaultTable:
     def from_gadget(cls, g: GadgetCircuit, fields: Sequence[str]) -> "FaultTable":
         """Columns of the named ``Effect`` fields over the gadget's noisy ops."""
         ops = noisy_operations(g)
-        return cls([op.n_codes for op in ops], op_code_effects(g, ops, fields))
+        return cls([op.n_codes for op in ops], op_code_effects(g, ops, fields).values())
 
     @classmethod
     def for_decoder(cls, g: GadgetCircuit, adaptive: bool) -> "FaultTable":
@@ -337,9 +329,8 @@ class FaultTable:
         the ``anc`` bit."""
         gates = g.ring_measurement_gates(0, 0)
         ops = gate_operations(gates)
-        cols = op_code_effects(g, ops, ("slot_flips", "persist_x"), gates)
         return cls([op.n_codes for op in ops],
-                   {"anc": cols["slot_flips"], "cats": cols["persist_x"]})
+                   op_code_effects(g, ops, ("slot_flips", "persist_x"), gates).values())
 
     def unpack(self, words: Sequence[np.ndarray]) -> list[np.ndarray]:
         """The columns of entries packed as ``sample_words`` returns them."""
@@ -352,12 +343,6 @@ class FaultTable:
         for word, at, mask in self._fields[:n]:
             lead[word] |= mask << at
         return np.any([(w & m) != 0 for w, m in zip(words, lead)], axis=0)
-
-    def sample_hits(self, rng: np.random.Generator, size: int,
-                    p: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``sample_words``, unpacked: one array per column."""
-        trials, words = self.sample_words(rng, size, p)
-        return trials, self.unpack(words)
 
     def sample_words(self, rng: np.random.Generator, size: int,
                      p: float) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -411,13 +396,3 @@ class FaultTable:
                     prev = trial[-1]
         return (np.concatenate([t for t, _ in runs]),
                 [np.concatenate(w) for w in zip(*(v for _, v in runs))])
-
-    def sample(self, rng: np.random.Generator, size: int,
-               p: float) -> list[np.ndarray]:
-        """One XOR accumulator per column for ``size`` trials: the output
-        of ``sample_hits`` scattered over the batch, 0 where no fault hit."""
-        accs = [np.zeros(size, np.uint64) for _ in self._fields]
-        trials, cols = self.sample_hits(rng, size, p)
-        for acc, col in zip(accs, cols):
-            acc[trials] = col
-        return accs

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import GadgetCircuit
+from .circuit import MAX_REREADS, GadgetCircuit
 from .sim import FaultTable
 
 _GRID_CELLS = 65_536  # (row x event set) cells of a verifier slice
@@ -198,10 +198,6 @@ class VerificationReport:
     @property
     def faults_checked(self) -> int:
         return sum(self.checked_per_weight)
-
-
-# re-measurement budget of an adaptive decoder per gadget run
-MAX_REREADS = 4
 
 
 # widest key a ``KeyCache`` indexes through a dense table (2^20 int32

@@ -8,6 +8,7 @@ from cutcat.pauli import CssCode, bits_of, mask_of, parse_css_code
 from cutcat.sim import FaultTable, noisy_operations, pack_fields, propagate_op_faults
 from decoder_ref import cats_to_mask, decode_d3d5
 from location_ref import walk_op_effects
+from sample_ref import scatter, tiled
 
 
 class TestSetup:
@@ -204,8 +205,8 @@ class TestRoundTableMatchesPerOpWalks:
                     rows[-1].append([data * (gen.sector == "X"), data * (gen.sector == "Z"),
                                      e.gen_flip << gi] + [e.slot_flips * (ring is gen)
                                                           for ring in sim._rings])
-        want = FaultTable(n_codes, {str(k): [[e[k] for e in row] for row in rows]
-                                    for k in range(3 + len(sim._rings))})
+        want = FaultTable(n_codes, [tiled(n_codes, [[e[k] for e in row] for row in rows])
+                                    for k in range(3 + len(sim._rings))])
         assert sim.round_faults.n_codes == want.n_codes
         for got, ref in zip(sim.round_faults.columns, want.columns, strict=True):
             assert np.array_equal(got, ref)
@@ -259,7 +260,7 @@ def _masked_extract_until_stable(sim, rng, p_ft, data_x, data_z):
         active = np.nonzero(~done)[0]
         rounds[active] += 1
         faults = [np.zeros(size, dtype=np.uint64) for _ in sim.round_faults.columns]
-        for full, drawn in zip(faults, sim.round_faults.sample(rng, len(active), p_ft)):
+        for full, drawn in zip(faults, scatter(sim.round_faults, rng, len(active), p_ft)):
             full[active] = drawn
         syn = sim.apply_round(data_x, data_z, faults)
         on = ~done
@@ -318,17 +319,17 @@ class TestCompaction:
     @pytest.mark.parametrize("code_name, p", [("rm15", 1e-2), ("steane", 1e-3)])
     def test_matches_masked_reference_default_rounds(self, request, code_name, p):
         sim = BlockSimulator(request.getfixturevalue(code_name), ratio=20)
-        sample_hits, hits = sim.round_faults.sample_hits, []
+        sample_words, hits = sim.round_faults.sample_words, []
 
         def recorded(*args):
-            trials, cols = sample_hits(*args)
+            trials, words = sample_words(*args)
             hits.append(len(trials))
-            return trials, cols
+            return trials, words
 
-        sim.round_faults.sample_hits = recorded
+        sim.round_faults.sample_words = recorded
         *_, rounds, stable = self._runs(sim, p)
         assert stable.all() and rounds.max() > sim.t + 2
-        # ``sample`` draws through ``sample_hits`` too: the masked run's
+        # both runs draw through ``sample_words``: the masked run's
         # rounds, then the same hit counts in the compacted run's, where
         # some rounds hit trials and some draw no hit at all
         assert hits == 2 * hits[:rounds.max()]
@@ -359,7 +360,7 @@ class TestKeyCacheLookups:
         sim = BlockSimulator(rm15, ratio=20)
         gen = next(g for g in sim.generators if g.decoder is not None)
         m, k = gen.gadget.cat_count, sim._rings.index(gen)
-        slots = sim.round_faults.sample(np.random.default_rng(4), 4000, 0.05)[3 + k]
+        slots = scatter(sim.round_faults, np.random.default_rng(4), 4000, 0.05)[3 + k]
         keys = slots[slots != 0]
         assert len(np.unique(keys)) < len(keys)
 

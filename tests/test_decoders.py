@@ -6,9 +6,10 @@ import pytest
 
 from cutcat.decoders import (IdentityDecoder, LutDecoder, RuleDecoderD3D5, RuleDecoderD7,
                              build_code_lut, build_cut_cat_lut, j_list)
+from cutcat.experiments import GadgetMonteCarlo
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.pauli import CssCode, mask_of, parity
-from cutcat.verify import MAX_REREADS, KeyCache
+from cutcat.verify import MAX_REREADS, KeyCache, verify_gadget
 
 from decoder_ref import CatSyndrome, RefD7, arc_sets, cats_to_mask, decode_d3d5, decode_d7, reread_table
 from pauli_ref import PauliFrame, code_syndrome
@@ -188,6 +189,21 @@ class TestDecoderObjects:
         g = build_cut_cat(GadgetSpec(gamma=10, distance=5))
         _, corr = RuleDecoderD3D5(g, 2).tables(np.array([bits(1, 2)], np.uint64), 5, 1)
         assert corr.tolist() == [[bits(5)]]  # cat 2 -> data 2*2+1
+
+    @pytest.mark.parametrize("distance, own, other", [(5, 10, 12), (7, 14, 20)])
+    def test_rule_decoder_of_another_ring_rejected(self, distance, own, other):
+        # 5 cats against 6, and 7 against 10: MC and the verifier fail
+        # before any batch, as ``KeyCache`` asks for no key when made
+        g, wrong = (build_cut_cat(GadgetSpec(gamma=gamma, distance=distance))
+                    for gamma in (own, other))
+        decoder = RuleDecoderD7(g) if distance == 7 else RuleDecoderD3D5(g, 2)
+        msg = f"^syndrome of {wrong.cat_count} cats does not match the gadget's ring of {g.cat_count}$"
+        with pytest.raises(ValueError, match=msg):
+            decoder.tables(np.zeros(1, np.uint64), wrong.cat_count, wrong.base_rounds)
+        with pytest.raises(ValueError, match=msg):
+            GadgetMonteCarlo(wrong, decoder)
+        with pytest.raises(ValueError, match=msg):
+            verify_gadget(wrong, decoder, 1)
 
 
 def _shipped_decoder(kind):

@@ -21,7 +21,7 @@ from cutcat.experiments import (
 from cutcat.gadgets import GadgetSpec, build_cut_cat
 from cutcat.verify import MAX_REREADS, coset_weights, follow_rereads
 from decoder_ref import CatSyndrome, RefD7, TreeWalk, cats_to_mask
-from sample_ref import sample_ref
+from sample_ref import sample_ref, scatter
 
 
 def repeat_until_stable(
@@ -310,9 +310,9 @@ class TestAdaptiveBatch:
         seed, batch, size, p = 5, 2, 20_000, 5e-2
 
         rng = np.random.default_rng([seed, 1, batch])
-        data, slots, persist = engine.faults.sample(rng, size, p)
+        data, slots, persist = scatter(engine.faults, rng, size, p)
         cand = np.nonzero(data | slots)[0]
-        rereads = [engine.reread.sample(rng, len(cand), p)
+        rereads = [scatter(engine.reread, rng, len(cand), p)
                    for _ in range(MAX_REREADS)]
         failures = 0
         for j, trial in enumerate(cand.tolist()):
@@ -408,10 +408,11 @@ class TestFollowSplit:
         data, keys, persist = engine.faults.unpack(
             [w[engine.faults.any_nonzero(words, 2)] for w in words])
         rows = engine._answers.index(keys)
-        # the all-rows call takes the dense ``sample`` of the same draws
+        # the all-rows call takes the same draws scattered over the runs
         twin = copy.deepcopy(rng)
-        hits = [engine.reread.sample_hits(rng, len(keys), p) for _ in range(MAX_REREADS)]
-        noise = [engine.reread.sample(twin, len(keys), p) for _ in range(MAX_REREADS)]
+        hits = [(trials, engine.reread.unpack(words)) for trials, words in
+                (engine.reread.sample_words(rng, len(keys), p) for _ in range(MAX_REREADS))]
+        noise = [scatter(engine.reread, twin, len(keys), p) for _ in range(MAX_REREADS)]
         reads, corrections = engine._answers.values
         want, _ = follow_rereads(reads, corrections, rows, persist.copy(), noise, m)
         got = _follow_split(reads, corrections, rows, persist.copy(), hits, m)

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +43,48 @@ def test_perfbench_layer_hooks_resolve():
     assert set(live) <= {(mod, attr) for mod, attr, _ in spans}
     for mod, attr in live:
         assert callable(getattr(importlib.import_module(f"cutcat.{mod}"), attr, None)), (mod, attr)
+
+
+def test_perfbench_calls_bind():
+    # perfbench cannot change with the package, and a call or field it
+    # uses that no longer fits ends every run of its workload as failed;
+    # each call is looked up where perfbench looks it up and bound as it
+    # makes it, the arguments stand-ins
+    mods = {name: importlib.import_module(f"cutcat.{name}")
+            for name in ("experiments", "block", "decoders", "verify")}
+    x = object()
+    calls = [
+        (cutcat.GadgetSpec, (), {"gamma": x, "distance": x}),
+        (cutcat.build_cut_cat, (x,), {}),
+        (cutcat.RuleDecoderD3D5, (x, x), {}),
+        (cutcat.RuleDecoderD7, (x,), {}),
+        (mods["decoders"].RuleDecoderD3D5, (x, x), {}),
+        (mods["decoders"].RuleDecoderD7, (x,), {}),
+        (mods["decoders"].LutDecoder, (x,), {}),
+        (mods["decoders"].IdentityDecoder, (), {}),
+        (mods["experiments"].GadgetMonteCarlo, (x, x), {}),
+        (mods["block"].BlockSimulator, (x, x), {}),
+        (cutcat.run_gadget_mc, (x, x, x), dict.fromkeys(
+            ("min_failures", "seed", "trial_cap", "batch_size", "jobs", "engine"), x)),
+        (cutcat.run_block_mc, (x, x, x), dict.fromkeys(
+            ("min_failures", "seed", "trial_cap", "batch_size", "jobs", "simulator"), x)),
+        (cutcat.build_cut_cat_lut, (x,), {"gadget": x}),
+        (cutcat.verify_gadget, (x, x, x), {"jobs": x}),
+        (cutcat.eval_upper_bound, (x, x, x), {}),
+        (cutcat.parse_css_code, (x,), {}),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
+    reads = [
+        (cutcat.TrialStats, ("failures", "trials", "interval", "estimate")),
+        (cutcat.VerificationReport, ("passed", "counterexample", "faults_checked")),
+        (mods["verify"].Counterexample, ("fault_ids", "n_faults", "syndrome_key", "residual",
+                                         "correction", "coset_weight", "describe")),
+        (cutcat.CutCatLUT, ("table", "to_json")),
+    ]
+    for cls, names in reads:
+        have = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+        assert set(names) <= have, (cls.__name__, set(names) - have)
 
 
 def test_import_leaves_out_the_process_pool():

@@ -154,6 +154,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_cut_cat_lut(GadgetSpec(gamma=14, distance=7))
 
+    @pytest.mark.parametrize("gamma, distance", [(12, 5), (6, 3)])
+    def test_gadget_of_another_spec_rejected(self, gamma, distance):
+        # the header, budget and coset weight would come from the spec,
+        # the rows and keys from the gadget
+        with pytest.raises(ValueError, match=r"^gadget is not the circuit build_cut_cat\(spec\)"):
+            build_cut_cat_lut(GadgetSpec(gamma=10, distance=5),
+                              gadget=build_cut_cat(GadgetSpec(gamma=gamma, distance=distance)))
+
     def test_d3_lut_decoder_verifies(self, d3_lut):
         g = build_cut_cat(GadgetSpec(gamma=6, distance=3))
         assert verify_gadget(g, LutDecoder(d3_lut), 1).passed

@@ -31,7 +31,7 @@ from location_ref import (
     location_effects,
     propagate,
 )
-from sample_ref import sample_ref
+from sample_ref import sample_ref, scatter, tiled
 
 
 @pytest.fixture(scope="module")
@@ -178,21 +178,21 @@ class TestSampling:
     def test_p_zero_empty(self, table):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        accs = table.sample(rng, 1000, 0.0)
+        accs = scatter(table, rng, 1000, 0.0)
         assert len(accs) == 2 and not any(acc.any() for acc in accs)
         assert rng.bit_generator.state == state
 
     @staticmethod
     def _op_bits(ops):
         """One bit per op, whatever its code."""
-        return FaultTable([op.n_codes for op in ops],
-                          {"op": [[1 << i] * op.n_codes for i, op in enumerate(ops)]})
+        n_codes = [op.n_codes for op in ops]
+        return FaultTable(n_codes, [tiled(n_codes, [[1 << i] * n for i, n in enumerate(n_codes)])])
 
     def test_p_one_everything(self, d5_gadget):
         # p=1 must set every op's bit
         g, _ = d5_gadget
         ops = noisy_operations(g)
-        (acc,) = self._op_bits(ops).sample(np.random.default_rng(1), 100, 1.0)
+        (acc,) = scatter(self._op_bits(ops), np.random.default_rng(1), 100, 1.0)
         assert (acc == np.uint64((1 << len(ops)) - 1)).all()
 
     def test_p_one_across_chunk_seams(self, d5_gadget):
@@ -202,12 +202,12 @@ class TestSampling:
         ops = noisy_operations(g)
         size = 3 * _MAX_CHUNK // len(ops) + 1
         assert size * len(ops) > 3 * _MAX_CHUNK and _MAX_CHUNK % len(ops)
-        (acc,) = self._op_bits(ops).sample(np.random.default_rng(1), size, 1.0)
+        (acc,) = scatter(self._op_bits(ops), np.random.default_rng(1), size, 1.0)
         assert (acc == np.uint64((1 << len(ops)) - 1)).all()
 
     def test_deterministic_replay(self, table):
-        a = table.sample(np.random.default_rng(7), 5000, 0.3)
-        b = table.sample(np.random.default_rng(7), 5000, 0.3)
+        a = scatter(table, np.random.default_rng(7), 5000, 0.3)
+        b = scatter(table, np.random.default_rng(7), 5000, 0.3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     @pytest.fixture
@@ -215,20 +215,20 @@ class TestSampling:
         """Column i holds op i alone, bit c for code c: each hit reads back."""
         g, _ = d5_gadget
         ops = noisy_operations(g)
-        return FaultTable([op.n_codes for op in ops], {
-            f"op{i}": [[(1 << c) * (j == i) for c in range(op.n_codes)]
-                       for j, op in enumerate(ops)]
-            for i, op in enumerate(ops)})
+        n_codes = [op.n_codes for op in ops]
+        return FaultTable(n_codes, [
+            tiled(n_codes, [[(1 << c) * (j == i) for c in range(n)] for j, n in enumerate(n_codes)])
+            for i in range(len(ops))])
 
     def test_hit_counts_binomial(self, one_hot):
         size, p = 20_000, 0.05
-        accs = one_hot.sample(np.random.default_rng(3), size, p)
+        accs = scatter(one_hot, np.random.default_rng(3), size, p)
         sd = np.sqrt(size * p * (1 - p))
         for acc in accs:
             assert abs(np.count_nonzero(acc) - size * p) < 5 * sd
 
     def test_codes_uniform(self, one_hot):
-        accs = one_hot.sample(np.random.default_rng(4), 20_000, 0.2)
+        accs = scatter(one_hot, np.random.default_rng(4), 20_000, 0.2)
         # chi-square 99.9 % points for 14 and 2 degrees of freedom
         critical = {15: 36.12, 3: 13.82}
         for n in (15, 3):
@@ -241,10 +241,10 @@ class TestSampling:
 
     def test_no_trial_hit_twice_by_one_op(self, one_hot):
         # a second hit by the same op would leave two code bits, or none
-        accs = one_hot.sample(np.random.default_rng(5), 5000, 0.5)
+        accs = scatter(one_hot, np.random.default_rng(5), 5000, 0.5)
         hits = [np.bitwise_count(acc) for acc in accs]
         assert max(h.max() for h in hits) == 1
-        p_one = one_hot.sample(np.random.default_rng(5), 300, 1.0)
+        p_one = scatter(one_hot, np.random.default_rng(5), 300, 1.0)
         assert all((np.bitwise_count(acc) == 1).all() for acc in p_one)
 
     def test_gap_draws_continue_past_first_chunk(self, one_hot):
@@ -264,7 +264,7 @@ class TestSampling:
                 return np.zeros(size, dtype=np.int64)
 
         rng = UnitGaps()
-        accs = one_hot.sample(rng, 1000, 0.01)
+        accs = scatter(one_hot, rng, 1000, 0.01)
         assert all((acc == 1).all() for acc in accs)
         # one stream over all cells, in equal chunks, codes below the lcm
         cells = 1000 * len(one_hot.n_codes)
@@ -274,13 +274,13 @@ class TestSampling:
 
     def test_tiny_rate_gaps_do_not_overflow(self, one_hot):
         # gaps this long saturate at the int64 maximum
-        accs = one_hot.sample(np.random.default_rng(2), 1000, 1e-300)
+        accs = scatter(one_hot, np.random.default_rng(2), 1000, 1e-300)
         assert not any(acc.any() for acc in accs)
 
     def test_size_zero_empty(self, table):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        accs = table.sample(rng, 0, 0.5)
+        accs = scatter(table, rng, 0, 0.5)
         assert [acc.shape for acc in accs] == [(0,), (0,)]
         assert rng.bit_generator.state == state
 
@@ -290,8 +290,8 @@ class TestSampling:
         g, _ = d5_gadget
         table = FaultTable.from_gadget(g, EFFECT_FIELDS)
         size, p = 400, 0.05
-        accs = table.sample(np.random.default_rng(6), size, p)
-        hits = one_hot.sample(np.random.default_rng(6), size, p)
+        accs = scatter(table, np.random.default_rng(6), size, p)
+        hits = scatter(one_hot, np.random.default_rng(6), size, p)
         assert sum(np.count_nonzero(h) for h in hits) > size
         for trial in range(size):
             entries = [(i, int(h[trial]).bit_length() - 1)
@@ -336,12 +336,12 @@ def _wide_table() -> FaultTable:
     """One 64-bit column and two 40-bit ones: three words."""
     n_codes = [15, 3, 3, 15, 3]
     rng = np.random.default_rng(9)
-    cols = {}
-    for name, bits in (("wide", 64), ("a", 40), ("b", 40)):
+    cols = []
+    for bits in (64, 40, 40):
         col = rng.integers(0, 1 << 63, (len(n_codes), 15), dtype=np.uint64, endpoint=True)
         col >>= np.uint64(64 - bits)
         col[0, 0] |= np.uint64(1 << (bits - 1))
-        cols[name] = col
+        cols.append(col)
     return FaultTable(n_codes, cols)
 
 
@@ -365,7 +365,7 @@ SAMPLED_TABLES = {
 
 
 class TestSamplerMatchesReference:
-    """``sample`` and ``sample_hits`` against the dense ``ufunc.at``
+    """``sample_words``, unpacked and scattered, against the dense ``ufunc.at``
     scatter of ``sample_ref``: the same accumulators bit for bit, and the
     generator left in the same state."""
 
@@ -374,10 +374,10 @@ class TestSamplerMatchesReference:
         table = SAMPLED_TABLES[name](request)
         n_ops = len(table.n_codes)
         # the ops' bits, 64 per column: each hit sets its op's bit
-        ops = FaultTable(table.n_codes, {
-            f"ops{k}": [[1 << (i - k) if k <= i < k + 64 else 0] * n
-                        for i, n in enumerate(table.n_codes)]
-            for k in range(0, n_ops, 64)})
+        ops = FaultTable(table.n_codes, [
+            tiled(table.n_codes, [[1 << (i - k) if k <= i < k + 64 else 0] * n
+                                  for i, n in enumerate(table.n_codes)])
+            for k in range(0, n_ops, 64)])
         split = False
         for p in (1e-300, 1e-3, 0.05, 0.5, 1.0):
             for size in (0, 1, 1000, 3 * _MAX_CHUNK // n_ops + 1):
@@ -385,9 +385,10 @@ class TestSamplerMatchesReference:
                 ref_rng, rngs = np.random.default_rng(seed), [
                     np.random.default_rng(seed) for _ in range(3)]
                 want = sample_ref(table, ref_rng, size, p)
-                got = table.sample(rngs[0], size, p)
+                got = scatter(table, rngs[0], size, p)
                 recorder = _GapRecorder(rngs[1])
-                trials, cols = table.sample_hits(recorder, size, p)
+                trials, words = table.sample_words(recorder, size, p)
+                cols = table.unpack(words)
                 hit = np.flatnonzero(np.bitwise_or.reduce(
                     [np.zeros(size, np.uint64), *sample_ref(ops, rngs[2], size, p)]))
                 for rng in rngs:
@@ -453,13 +454,13 @@ class TestFaultTableMatchesWalker:
         # the 5-bit one follows it there; every column reads back its rows
         rng = np.random.default_rng(12)
         n_codes = [3, 15, 1]
-        given = {name: [[int(v) | (1 << (w - 1)) * (op == code == 0)
-                         for code, v in enumerate(rng.integers(0, 1 << w, n, dtype=np.uint64))]
-                        for op, n in enumerate(n_codes)]
-                 for name, w in (("a", 40), ("b", 30), ("c", 5))}
-        table = FaultTable(n_codes, given)
+        given = [[[int(v) | (1 << (w - 1)) * (op == code == 0)
+                   for code, v in enumerate(rng.integers(0, 1 << w, n, dtype=np.uint64))]
+                  for op, n in enumerate(n_codes)]
+                 for w in (40, 30, 5)]
+        table = FaultTable(n_codes, [tiled(n_codes, rows) for rows in given])
         assert len(table._words) == 2
-        for col, rows in zip(table.columns, given.values(), strict=True):
+        for col, rows in zip(table.columns, given, strict=True):
             assert col.shape == (len(n_codes), table.width)
             for op, row in enumerate(rows):
                 assert col[op].tolist() == [row[j % len(row)] for j in range(table.width)]
