@@ -82,10 +82,6 @@ class GadgetCircuit:
             Gate("RESET", anc),
         )
 
-    def adaptive_slot(self, stab: int) -> int:
-        """Outcome slot id used when stabilizer ``stab`` is re-measured."""
-        return self.base_rounds * self.cat_count + stab
-
 
 def circuit_depth(g: GadgetCircuit, extra_measurements: int = 0) -> int:
     """Depth excluding ancilla preparation.

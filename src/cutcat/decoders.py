@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -471,21 +472,17 @@ class LutDecoder:
         return _no_rereads(table_lookup(self.lut.table, keys)[0])
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """range(s, s + c) for each pair, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-
-
 def _solve_constraints(
     keys: np.ndarray, group: np.ndarray, residual: np.ndarray, weight: np.ndarray,
     gamma: int, t: int,
 ) -> np.ndarray:
     """The correction of each of ``keys`` from (group, residual, weight)
     rows of ascending weight, so a repeated residual adds no constraint
-    and no candidate; a row's key is ``keys[group]``, and groups lie below
-    2^32.  Per key, zero, the key's residuals in row order, then offsets
-    are tried, until one keeps every residual within its weight; a key
-    with no rows takes zero."""
+    and no candidate; a row's key is ``keys[group]``, groups lie below
+    2^32, and residuals below 2^gamma.  Per key, zero, the key's residuals
+    in row order, then offsets are tried, until one keeps every residual
+    within its weight (tested on the rows of open keys only, compacted as
+    keys close); a key with no rows takes zero."""
     corr = np.zeros(len(keys), np.uint64)
     if not len(group):
         return corr
@@ -501,22 +498,25 @@ def _solve_constraints(
     starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
     group = word[starts].astype(np.intp)
     sizes = np.diff(np.r_[starts, len(word)])
-    # the zero vector, against every row at once, then candidate j of every
-    # open key against all its rows
-    todo = ~np.logical_and.reduceat(_verify.coset_weights(residual, gamma) <= weight, starts)
-    j = 0
-    while len(active := np.flatnonzero(todo & (sizes > j))):
-        gs, gn = starts[active], sizes[active]
-        rows = _ranges(gs, gn)
-        cand = residual[gs + j]
-        cw = _verify.coset_weights(np.repeat(cand, gn) ^ residual[rows], gamma)
-        ok = np.logical_and.reduceat(cw <= weight[rows], np.cumsum(gn) - gn)
-        corr[group[active[ok]]] = cand[ok]
-        todo[active[ok]], j = False, j + 1
+    # open keys (indices into starts), their rows and counts; candidate j,
+    # zero first.  Coset weight <= w is popcount <= w or >= gamma - w
+    at, res, w, n = np.arange(len(starts)), residual, weight, sizes
+    spent, j = np.zeros(len(starts), bool), -1
+    while len(at):
+        first = np.cumsum(n) - n
+        cand = res[first + j] if j >= 0 else np.zeros(len(at), np.uint64)
+        x = np.bitwise_count(res ^ np.repeat(cand, n))
+        ok = np.logical_and.reduceat((x <= w) | (x >= gamma - w), first)
+        corr[group[at[ok]]] = cand[ok]
+        j += 1
+        spent[at[~ok & (n == j)]] = True
+        if not (live := ~ok & (n > j)).all():
+            rows = np.repeat(live, n)
+            res, w, n, at = res[rows], w[rows], n[live], at[live]
     # The rest, in first-row order: plain-weight offsets of up to the first
     # weight from the first residual.  Complements are equivalent under the
     # coset metric, so these reach every class within that distance.
-    for i in sorted(np.flatnonzero(todo).tolist(), key=lambda i: order[starts[i]]):
+    for i in sorted(np.flatnonzero(spent).tolist(), key=lambda i: order[starts[i]]):
         rows = slice(starts[i], starts[i] + sizes[i])
         res, w = residual[rows].tolist(), weight[rows].tolist()
         offsets = (res[0] ^ mask_of(q) for v in range(w[0] + 1)
@@ -537,9 +537,11 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     classes (the distinct rows of the fault table MC samples),
     accumulates the (residual, weight) constraints per syndrome, and
     searches a correction consistent with all of them under the coset
-    metric.  Syndromes are kept in a ``verify.KeyCache``: the keys the
-    zero correction fails are flagged there, and their rows are picked
-    and grouped by their cache row.
+    metric.  Walk 1 marks the keys seen and those zero fails ("hard"),
+    walk 2 picks the hard keys' rows, labelled by the key's rank among
+    those seen (its table row).  Keys of up to ``verify.DENSE_BITS`` bits
+    index two bool marks, ranked by a cumulative sum; wider keys go
+    through a ``verify.KeyCache``, ranked by one sort.
     Deterministic: enumeration is weight-ascending lexicographic and the
     zero vector, stored residuals, then bounded offsets are tried in
     that order.  A given ``gadget`` must be ``build_cut_cat(spec)``, as
@@ -550,30 +552,42 @@ def build_cut_cat_lut(spec: GadgetSpec, gadget: GadgetCircuit | None = None) -> 
     g = build_cut_cat(spec)
     if gadget is not None and gadget != g:
         raise ValueError("gadget is not the circuit build_cut_cat(spec) builds")
-    t = spec.t
+    t, bits = spec.t, g.cat_count * g.base_rounds
     classes, _ = _verify._effect_classes(FaultTable.for_decoder(g, False))
-    # Keys whose residuals all lie within their weights take the zero
-    # correction: the first walk flags the others "hard" in a cache of
-    # every key, and a second walk collects the hard keys' rows, grouped
-    # by cache row.
-    cache = _verify.KeyCache(g.cat_count * g.base_rounds,
-                             lambda new: (np.zeros(len(new), bool),))
-    for s in _verify.combo_walk(classes, t, min_weight=0):
-        data, key = s.cols
-        ids = cache.index(key)
-        cache.values[0][ids[_verify.coset_weights(data, spec.gamma) > s.weight]] = True
-    hard, rows = cache.values[0], []
-    for s in _verify.combo_walk(classes, t, min_weight=0):
-        data, key = s.cols
-        ids = cache.find(key)
-        m = hard[ids]
-        rows.append((ids[m], data[m], np.full(m.sum(), s.weight, np.uint8)))
+    walk = partial(_verify.combo_walk, classes, t, min_weight=0)
+    if bits <= _verify.DENSE_BITS:  # a key is its own index, read as int64 (see KeyCache.find)
+        seen, hard = np.zeros((2, 1 << bits), bool)
+        for s in walk():
+            data, key = s.cols
+            at = key.view(np.int64)
+            seen[at] = True
+            hard[at[_verify.coset_weights(data, spec.gamma) > s.weight]] = True
+        keys, find = np.flatnonzero(seen).astype(np.uint64), lambda key: key.view(np.int64)
+        rank = np.where(hard, np.cumsum(seen, dtype=np.int32) - 1, -1)
+        del seen, hard
+    else:
+        cache = _verify.KeyCache(bits, lambda new: (np.zeros(len(new), bool),))
+        for s in walk():
+            data, key = s.cols
+            ids = cache.index(key)
+            cache.values[0][ids[_verify.coset_weights(data, spec.gamma) > s.weight]] = True
+        (hard,), order, find = cache.values, np.argsort(cache.keys), cache.find
+        keys, rank = cache.keys[order], np.empty(len(order), np.int32)
+        rank[order] = np.where(hard[order], np.arange(len(order)), -1)
+        del cache, order, hard
     # each step frees what it no longer needs before the next allocates
+    rows = []
+    for s in walk():
+        data, key = s.cols
+        ids = rank[find(key)]
+        m = ids >= 0
+        rows.append((ids[m], data[m], np.full(np.count_nonzero(m), s.weight, np.uint8)))
+    del rank, find
     group, residual, weight = map(np.concatenate, zip(*rows))
     del rows
-    corrections = _solve_constraints(cache.keys, group, residual, weight, spec.gamma, t)
+    corrections = _solve_constraints(keys, group, residual, weight, spec.gamma, t)
     del group, residual, weight
-    table = np.stack([cache.keys, corrections], axis=1)[np.argsort(cache.keys)]
+    table = np.stack([keys, corrections], axis=1)
     assert not table[0].any(), "zero syndrome must map to zero correction"
     return CutCatLUT(gamma=spec.gamma, t=t, rounds=spec.rounds, cat_count=spec.cat_count,
                      table=table)

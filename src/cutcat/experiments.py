@@ -25,7 +25,7 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import KeyCache, coset_weights, eval_upper_bound, follow_rereads, reread_steps
+from .verify import coset_weights, decoder_cache, eval_upper_bound, follow_rereads
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -140,9 +140,9 @@ class GadgetMonteCarlo:
     cost follows the hits, not the batch size.  Of those, the trials with
     a residual or a ring syndrome, picked on the packed words, are
     unpacked and reach decoding, through a ``KeyCache`` of the decoder's
-    tables per key: one ``tables`` call per batch, for the keys the cache
-    has not seen.  The decoder's answer for no key, made once, gives its
-    number of re-reads s (``reread_steps``).  Each of the s re-reads draws
+    tables per key (``decoder_cache``): one ``tables`` call per batch, for
+    the keys the cache has not seen.  The decoder's answer for no key,
+    made once, gives its number of re-reads s.  Each of the s re-reads draws
     its noise from a second table over the decoded trials, and
     ``_follow_split`` calls ``follow_rereads`` only where runs can differ:
 
@@ -158,9 +158,7 @@ class GadgetMonteCarlo:
 
     def __init__(self, g: GadgetCircuit, decoder):
         self.g, self.t = g, (g.distance - 1) // 2
-        self._answers = KeyCache(g.cat_count * g.base_rounds, partial(
-            decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
-        self.steps = reread_steps(g, self._answers)
+        self._answers, self.steps = decoder_cache(g, decoder)
         self.faults = FaultTable.for_decoder(g, self.steps > 0)
         self.reread = FaultTable.for_reread(g) if self.steps else None
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -35,7 +34,11 @@ def sort_unique(a: np.ndarray) -> np.ndarray:
 
 def sorted_find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The position of each of ``keys`` in the sorted array ``table``,
-    -1 for a key it lacks."""
+    -1 for a key it lacks; unsorted keys are searched in sorted order."""
+    if (keys[1:] < keys[:-1]).any():
+        order, out = np.argsort(keys), np.empty(len(keys), np.intp)
+        out[order] = sorted_find(table, keys[order])
+        return out
     pos = np.searchsorted(table, keys)
     found = pos < len(table)
     found[found] = table[pos[found]] == keys[found]
@@ -258,15 +261,21 @@ class KeyCache:
         return tuple(v[rows] for v in self.values)
 
 
-def reread_steps(g: GadgetCircuit, cache: KeyCache) -> int:
-    """The re-read count s of the decoder tables ``cache`` holds, from
-    their answer for no key, which the cache asks for when it is made; at
-    most the gadget's ``max_adaptive``."""
-    steps = cache.values[0].shape[-1]
-    if steps > g.max_adaptive:
+def decoder_cache(g: GadgetCircuit, decoder) -> tuple[KeyCache, int]:
+    """A ``KeyCache`` of ``decoder``'s tables for the keys of ``g``, which
+    rejects a correction off its gamma data qubits, and their re-read count
+    s (at most ``g.max_adaptive``), from the answer for no key."""
+    def tables(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        reads, corr = decoder.tables(keys, g.cat_count, g.base_rounds)
+        if len(off := np.flatnonzero((corr >> np.uint64(g.gamma)).any(axis=1))):
+            raise ValueError(f"the decoder corrects syndrome {int(keys[off[0]]):#x} on a "
+                             f"qubit outside the gamma={g.gamma} data qubits")
+        return reads, corr
+    cache = KeyCache(g.n_slots, tables)
+    if (steps := cache.values[0].shape[-1]) > g.max_adaptive:
         raise ValueError(f"the decoder re-reads up to {steps} stabilizers; the "
                          f"distance {g.distance} gadget allows {g.max_adaptive}")
-    return steps
+    return cache, steps
 
 
 def reread_events(g: GadgetCircuit, steps: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
@@ -423,9 +432,7 @@ def verify_gadget(g: GadgetCircuit, decoder, t: int, *, jobs: int = 1) -> Verifi
         raise ValueError(f"jobs={jobs}: the verifier runs in one process, jobs must be 1")
     if t < 0:
         raise ValueError("t must be at least 0")
-    cache = KeyCache(g.cat_count * g.base_rounds,
-                     partial(decoder.tables, cat_count=g.cat_count, rounds=g.base_rounds))
-    steps = reread_steps(g, cache)
+    cache, steps = decoder_cache(g, decoder)
     classes, names = _effect_classes(FaultTable.for_decoder(g, steps > 0))
     events = EventSets.build(*reread_events(g, steps), max(t - 1, 0))
     per_weight: list[int] = []

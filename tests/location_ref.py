@@ -140,6 +140,11 @@ def propagate(
     return _Walker(g, x=initial_x, z=initial_z).run(g.gates, inj).effect()
 
 
+def adaptive_slot(g: GadgetCircuit, stab: int) -> int:
+    """Outcome slot id used when stabilizer ``stab`` is re-measured."""
+    return g.base_rounds * g.cat_count + stab
+
+
 # adaptive fault kind -> (re-read gate it follows, -1 for before the
 # first; offset from the stabilizer of the cat qubit it hits, None for the
 # ancilla).  Gate 0 reads the neighbor cat, gate 1 the own cat.
@@ -189,7 +194,7 @@ def adaptive_propagate(
     for stab in plan:
         if not 0 <= stab < g.cat_count:
             raise ValueError(f"planner requested stabilizer {stab}")
-        gates = g.ring_measurement_gates(stab, g.adaptive_slot(stab))
+        gates = g.ring_measurement_gates(stab, adaptive_slot(g, stab))
         walker.run(gates, extra.get(stab, {}))
     # re-read outcomes sit in the slots after the base rounds
     n_base = g.base_rounds * g.cat_count

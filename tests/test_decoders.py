@@ -205,6 +205,28 @@ class TestDecoderObjects:
         with pytest.raises(ValueError, match=msg):
             verify_gadget(wrong, decoder, 1)
 
+    def test_correction_off_the_gadget_rejected(self):
+        # the d=7 gamma=13 and gamma=14 gadgets share a ring of 7 cats, but
+        # gamma=14's decoder flips data qubit 13 for some keys, which
+        # gamma=13 lacks and whose coset weight reads only 13 bits
+        g13, g14 = (build_cut_cat(GadgetSpec(gamma=gamma, distance=7)) for gamma in (13, 14))
+        msg = r"^the decoder corrects syndrome 0x[0-9a-f]+ on a qubit outside the gamma=13 data qubits$"
+        with pytest.raises(ValueError, match=msg):
+            verify_gadget(g13, RuleDecoderD7(g14), 3)
+        with pytest.raises(ValueError, match=msg):
+            GadgetMonteCarlo(g13, RuleDecoderD7(g14)).run_batch(1e-2, 1, 0, 10_000)
+        assert verify_gadget(g13, RuleDecoderD7(g13), 3).passed
+
+    def test_lut_correction_off_the_gadget_rejected(self):
+        spec = GadgetSpec(gamma=6, distance=3, adaptive=False)
+        g = build_cut_cat(spec)
+        lut = build_cut_cat_lut(spec, gadget=g)
+        table = lut.table.copy()
+        table[-1, 1] |= np.uint64(1 << 6)  # the last key, reached at weight 1
+        planted = LutDecoder(dataclasses.replace(lut, table=table))
+        with pytest.raises(ValueError, match=f"syndrome {int(table[-1, 0]):#x} on a qubit"):
+            verify_gadget(g, planted, 1)
+
 
 def _shipped_decoder(kind):
     """A gadget and one of the shipped decoders on it, with its re-read count s."""

@@ -344,6 +344,35 @@ class TestSynthesisMatchesReference:
         with pytest.raises(LutBuildError, match="syndrome 0x1388 admits"):
             _solve(rows, 8, 2)
 
+    def test_keys_close_at_staggered_candidates(self):
+        # gamma 8, t 2.  Keys 10 + j: C = 0b111 at weight 2 rules zero out,
+        # and lies within 2 of C ^ each of four disjoint bit pairs, which are
+        # 4 apart from one another; with C at row j, C is the first
+        # candidate that serves (position j + 1, zero being 0).  Keys 20-22
+        # exhaust their residuals (key 1 of ROWS, then with a third) into
+        # the offset search; keys 30-31 take zero.  Rows interleave.
+        pairs = [0b11, 0b1100, 0b110000, 0b11000000]
+        per_key = {10 + j: [(0b111 ^ p, 2) for p in pairs[:j]] + [(0b111, 2)]
+                   + [(0b111 ^ p, 2) for p in pairs[j:]] for j in range(5)}
+        per_key |= {20: [(0b0011, 1), (0b0110, 1)], 21: [(0b0110, 1), (0b0011, 1)],
+                    22: [(0b0011, 1), (0b0110, 1), (0b1010, 1)],
+                    30: [(0b1, 1), (0b11, 2)], 31: [(0, 1)]}
+        queues = sorted(((w, i, key, r) for key, rs in per_key.items()
+                         for i, (r, w) in enumerate(rs)))  # weight, then row index
+        rows = [(0, 0, 0)] + [(key, r, w) for w, _, key, r in queues]
+        table = _solve(rows, 8, 2)
+        assert table == _reference_table(rows, 8, 2)
+        taken = {key: ([0] + [r for r, _ in rs]).index(table[key])
+                 if table[key] in [0] + [r for r, _ in rs] else "offset"
+                 for key, rs in per_key.items()}
+        assert taken == {10: 1, 11: 2, 12: 3, 13: 4, 14: 5, 20: "offset", 21: "offset",
+                         22: "offset", 30: 0, 31: 0}
+        # two keys that admit nothing (0b0011 and 0b1100 at weight 1): the
+        # one whose first row comes first is named, though it is the larger
+        rows[1:1] = [(41, 0b0011, 1), (40, 0b0011, 1), (41, 0b1100, 1), (40, 0b1100, 1)]
+        with pytest.raises(LutBuildError, match="syndrome 0x29 admits"):
+            _solve(rows, 8, 2)
+
     def test_random_streams(self):
         rng = random.Random(7)
         outcomes = set()

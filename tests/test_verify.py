@@ -39,11 +39,13 @@ from cutcat.verify import (
     reread_events,
     rotate,
     sort_unique,
+    sorted_find,
     verify_gadget,
 )
 from decoder_ref import CatSyndrome, RefD7, TreeWalk, reread_table
 from location_ref import (
     adaptive_propagate,
+    adaptive_slot,
     enumerate_fault_locations,
     location_classes,
     location_effects,
@@ -486,10 +488,24 @@ class TestSortedKeyPath:
 
     @pytest.mark.parametrize("gamma, distance", [(10, 5), (18, 9)])
     def test_lut_tables_identical(self, monkeypatch, gamma, distance):
+        # the dense build makes no cache; the sorted one keys a cache of
+        # every key seen through its sorted index
+        made = []
+
+        class Recorded(KeyCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(verify, "KeyCache", Recorded)
         spec = GadgetSpec(gamma=gamma, distance=distance, adaptive=False)
         g = build_cut_cat(spec)
         dense = build_cut_cat_lut(spec, gadget=g).table
+        assert made == []
         assert np.array_equal(self._sorted(monkeypatch, build_cut_cat_lut, spec, g).table, dense)
+        [cache] = made
+        assert isinstance(cache._index, tuple)
+        assert np.array_equal(np.sort(cache.keys), dense[:, 0])
 
     @pytest.mark.parametrize("gamma, distance, decoder, t, passed", [
         (18, 9, "lut", 4, True),
@@ -533,6 +549,22 @@ class TestRotate:
         got = rotate(x[ahead].astype(np.uint64), s[ahead].astype(np.uint8), m)
         assert got.dtype == np.uint64
         assert got.tolist() == [e for e, a in zip(expected, ahead.tolist()) if a]
+
+
+class TestSortedFind:
+    """``sorted_find`` against a dict of each table key's position."""
+
+    @pytest.mark.parametrize("table, keys", [
+        ([], [3, 1]),
+        ([2, 5, 9], []),
+        ([2, 5, 9], [9, 2, 2, 7, 5, 0, 9, 2**63 + 1]),
+        ([2, 5, 9], [0, 2, 2, 5, 7, 9, 10]),
+        (list(range(0, 3000, 3)), list(range(3000, -1, -2))),
+    ], ids=["empty-table", "no-keys", "unsorted", "sorted", "many"])
+    def test_matches_dict(self, table, keys):
+        at = {k: i for i, k in enumerate(table)}
+        got = sorted_find(np.array(table, np.uint64), np.array(keys, np.uint64))
+        assert got.tolist() == [at.get(k, -1) for k in keys]
 
 
 class TestSortUnique:
@@ -644,7 +676,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
         def paulis(op, code):
             return [(q, p) for q, p in zip(op.qubits, op.codes[code]) if p != "I"]
 
-        gates = [g.ring_measurement_gates(s, g.adaptive_slot(s)) for s in range(m)]
+        gates = [g.ring_measurement_gates(s, adaptive_slot(g, s)) for s in range(m)]
         ops = [gate_operations(gs) for gs in gates]
 
         # a run depends on these alone, and many combinations share them
@@ -666,7 +698,7 @@ class TestAdaptiveVerifierMatchesScalarWalk:
                         if st == step:
                             inj.setdefault(ops[s][op].after, []).extend(paulis(ops[s][op], code))
                     walker.run(gates[s], inj)
-                    out[i] = walker.outcome_flips[g.adaptive_slot(s)]
+                    out[i] = walker.outcome_flips[adaptive_slot(g, s)]
                     reads.append(s)
                 return out
 
