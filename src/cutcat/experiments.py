@@ -25,7 +25,8 @@ import numpy as np
 from .circuit import GadgetCircuit
 from .gadgets import GadgetSpec, build_cut_cat
 from .sim import FaultTable
-from .verify import coset_weights, decoder_cache, eval_upper_bound, follow_rereads
+from .verify import (DENSE_BITS, KeyCache, coset_weights, decoder_cache, eval_upper_bound,
+                     follow_rereads)
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -101,13 +102,13 @@ class SweepResult:
 
 
 def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
-                  frame: np.ndarray | None, hits, m: int) -> np.ndarray:
+                  frame: np.ndarray | None, hits, m: int, noiseless) -> np.ndarray:
     """The corrections of ``follow_rereads(reads, corrections, rows,
     frame, noise, m)``, step i's noise being ``hits[i]``, the trials of
     one ``FaultTable.sample_words`` over the runs and its words unpacked,
     ``(trials, (anc, cats))``, split as ``GadgetMonteCarlo`` says (tables
-    with no read column need no frame).  The noiseless runs are told
-    apart by sorting their (row << m | frame) pairs."""
+    with no read column need no frame).  The runs without noise take their
+    correction from ``noiseless``, a ``KeyCache`` of (row << m | frame) pairs."""
     corr = corrections[rows, 0]
     if not reads.shape[-1]:
         return corr
@@ -122,13 +123,8 @@ def _follow_split(reads: np.ndarray, corrections: np.ndarray, rows: np.ndarray,
         for dense, col in zip(noise[-1], cols):
             dense[at[trials]] = col
     corr[noisy], _ = follow_rereads(reads, corrections, rows[noisy], frame[noisy], noise, m)
-    pairs, inv = np.unique(rows[quiet].astype(np.intp) << m | frame[quiet].astype(np.intp),
-                           return_inverse=True)
-    zero = np.zeros(len(pairs), np.uint64)
-    followed, _ = follow_rereads(reads, corrections, pairs >> m,
-                                 (pairs & ((1 << m) - 1)).astype(np.uint64),
-                                 [(zero, zero)] * reads.shape[-1], m)
-    corr[quiet] = followed[inv]
+    pairs = rows[quiet].astype(np.uint64) << np.uint64(m) | frame[quiet]
+    corr[quiet] = noiseless.get(pairs)[0]
     return corr
 
 
@@ -149,9 +145,11 @@ class GadgetMonteCarlo:
     - a run hit in any re-read sample is followed with its own noise;
     - of the others, a run whose key re-reads nothing takes its table's
       first correction;
-    - the rest are followed once per distinct (table, cat frame) pair,
-      with no noise: at most (re-reading keys) · 2^m pairs, 11·m·2^m for
-      ``RuleDecoderD7``, told apart by ``np.unique``.
+    - the rest take the correction of their (table, cat frame) pair from
+      a second ``KeyCache``, beside the decoder's, which follows each pair
+      with no noise once per engine (once per batch for pairs wider than
+      ``DENSE_BITS``): at most (re-reading keys) · 2^m pairs, 11·m·2^m
+      for ``RuleDecoderD7``.
     """
 
     batch_size = 1_000_000
@@ -161,6 +159,15 @@ class GadgetMonteCarlo:
         self._answers, self.steps = decoder_cache(g, decoder)
         self.faults = FaultTable.for_decoder(g, self.steps > 0)
         self.reread = FaultTable.for_reread(g) if self.steps else None
+        # a pair's row is one of the decoder cache's, at most 2^n_slots
+        self._noiseless = (KeyCache(g.n_slots + g.cat_count, self._follow_noiseless)
+                           if self.steps else None)
+
+    def _follow_noiseless(self, pairs: np.ndarray) -> tuple[np.ndarray]:
+        """The corrections ``follow_rereads`` gives (row << m | frame) pairs with no noise."""
+        m, zero = self.g.cat_count, np.zeros(len(pairs), np.uint64)
+        return follow_rereads(*self._answers.values, (pairs >> np.uint64(m)).astype(np.intp),
+                              pairs & np.uint64((1 << m) - 1), [(zero, zero)] * self.steps, m)[:1]
 
     def extraction_rate(self, p: float) -> float:
         """p itself, the rate of every op, after checking it is a probability."""
@@ -183,8 +190,11 @@ class GadgetMonteCarlo:
         del keys  # a batch's peak holds each decoded trial's cache row, not also its key
         hits = [(trials, self.reread.unpack(words)) for trials, words in
                 (self.reread.sample_words(rng, len(rows), p) for _ in range(self.steps))]
+        noiseless = self._noiseless
+        if noiseless and noiseless.bits > DENSE_BITS:  # a sorted index: one batch's pairs
+            noiseless = KeyCache(noiseless.bits, self._follow_noiseless)
         corr = _follow_split(*self._answers.values, rows, persist[0] if persist else None,
-                             hits, g.cat_count)
+                             hits, g.cat_count, noiseless)
         return int(np.count_nonzero(coset_weights(data ^ corr, g.gamma) > self.t))
 
 

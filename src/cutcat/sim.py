@@ -267,6 +267,17 @@ def pack_fields(widths: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def geometric_gaps(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
+    """``np.minimum(rng.geometric(p, size), cap)``, cap a double below 2^63,
+    from the same draws: below p = 1/3 numpy takes ceil(E / -log1p(-p)) of a
+    standard exponential E per gap, here with one log for all of them."""
+    if p >= 1 / 3:
+        return np.minimum(rng.geometric(p, size), cap)
+    with np.errstate(over="ignore"):  # numpy's divide, inf at a subnormal p
+        gap = np.ceil(rng.standard_exponential(size) / -math.log1p(-p))
+    return np.minimum(gap, cap).astype(np.int64)
+
+
 # the most gaps per chunk of ``FaultTable.sample_words``: it orders the
 # draws, so the manifest format fixes it
 _MAX_CHUNK = 1 << 16
@@ -354,8 +365,11 @@ class FaultTable:
         manifest format: one stream over the cells in trial-major order
         (cell = trial * n_ops + op), in chunks of geometric gaps between
         hit cells, each chunk followed by one code in [0, width) per hit
-        it places; nothing at all when p or size is 0.
+        it places; nothing at all when p or size is 0.  The gaps are
+        ``rng.geometric``'s, below p = 1/3 from exponentials (``geometric_gaps``).
         """
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p!r} is not a probability")
         n_ops = len(self.n_codes)
         cells = size * n_ops
         # per chunk: its hit trials, each once, and their XORed words
@@ -368,7 +382,7 @@ class FaultTable:
             chunk = min(cells, _MAX_CHUNK, int(mean + 5.0 * math.sqrt(mean) + 10.0))
             last = prev = -1
             while last < cells - 1:
-                hit = last + np.minimum(rng.geometric(p, chunk), cells + 1).cumsum()
+                hit = last + geometric_gaps(rng, p, chunk, cells + 1).cumsum()
                 last = int(hit[-1])
                 hit = hit[:np.searchsorted(hit, cells)]
                 trial = hit // n_ops

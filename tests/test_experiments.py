@@ -19,7 +19,7 @@ from cutcat.experiments import (
     wilson_interval,
 )
 from cutcat.gadgets import GadgetSpec, build_cut_cat
-from cutcat.verify import MAX_REREADS, coset_weights, follow_rereads
+from cutcat.verify import DENSE_BITS, MAX_REREADS, coset_weights, follow_rereads
 from decoder_ref import CatSyndrome, RefD7, TreeWalk, cats_to_mask
 from sample_ref import sample_ref, scatter
 
@@ -415,7 +415,8 @@ class TestFollowSplit:
         noise = [scatter(engine.reread, twin, len(keys), p) for _ in range(MAX_REREADS)]
         reads, corrections = engine._answers.values
         want, _ = follow_rereads(reads, corrections, rows, persist.copy(), noise, m)
-        got = _follow_split(reads, corrections, rows, persist.copy(), hits, m)
+        got = _follow_split(reads, corrections, rows, persist.copy(), hits, m,
+                            engine._noiseless)
         assert np.array_equal(got, want)
         # every branch of the split is taken: runs that re-read nothing,
         # runs that re-read with and without noise, noise that changes a
@@ -451,13 +452,43 @@ class TestFollowSplit:
         """Tables with no read column need no frame and no noise."""
         corrections = np.arange(5, dtype=np.uint64)[:, None]
         rows = np.array([3, 0, 3, 4])
-        got = _follow_split(np.zeros((5, 1, 0), np.int8), corrections, rows, None, [], 7)
+        got = _follow_split(np.zeros((5, 1, 0), np.int8), corrections, rows, None, [], 7,
+                            None)
         assert got.tolist() == [3, 0, 3, 4]
 
     def test_wide_ring(self):
         # at γ=64 (m=32) a pair packs a 32-bit frame under its row
         g = build_cut_cat(GadgetSpec(gamma=64, distance=7))
         self._check(GadgetMonteCarlo(g, RuleDecoderD7(g)), 1e-2, 2, 20_000)
+
+
+class TestNoiselessCache:
+    """The engine's cache of noiseless runs lives across batches and
+    leaks nothing into their counts."""
+
+    @pytest.mark.parametrize("gamma", [14, 20])
+    def test_warm_engine_counts_as_fresh(self, gamma):
+        g = build_cut_cat(GadgetSpec(gamma=gamma, distance=7))
+        p, seed, size = 1e-2, 11, 50_000
+        warm, fresh = (GadgetMonteCarlo(g, RuleDecoderD7(g)) for _ in range(2))
+        warm.run_batch(p, seed, 0, size)
+        seen, follow, calls = warm._noiseless.keys.copy(), warm._noiseless.compute, []
+        warm._noiseless.compute = lambda pairs: calls.append(pairs.copy()) or follow(pairs)
+        assert warm.run_batch(p, seed, 1, size) == fresh.run_batch(p, seed, 1, size)
+        # no pair of batch 0 is followed again, and batch 1 meets some of them
+        followed = np.concatenate(calls)
+        assert len(seen) and not np.isin(followed, seen).any()
+        assert len(followed) < len(fresh._noiseless.keys)
+
+    def test_wide_pairs_kept_one_batch(self):
+        """Pairs wider than a dense index (n_slots + m = 64 at gamma=64) are
+        followed per batch: the engine keeps none of them."""
+        g = build_cut_cat(GadgetSpec(gamma=64, distance=7))
+        warm, fresh = (GadgetMonteCarlo(g, RuleDecoderD7(g)) for _ in range(2))
+        assert warm._noiseless.bits > DENSE_BITS
+        warm.run_batch(1e-2, 11, 0, 20_000)
+        assert warm.run_batch(1e-2, 11, 1, 20_000) == fresh.run_batch(1e-2, 11, 1, 20_000)
+        assert not len(warm._noiseless.keys)
 
 
 class TestTrialStats:

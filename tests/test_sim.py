@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 
@@ -15,6 +16,7 @@ from cutcat.sim import (
     Effect,
     FaultTable,
     gate_operations,
+    geometric_gaps,
     noisy_operations,
     op_code_effects,
     propagate_op_faults,
@@ -249,15 +251,16 @@ class TestSampling:
 
     def test_gap_draws_continue_past_first_chunk(self, one_hot):
         class UnitGaps:
-            """Stands in for a generator: every gap 1, every code 0; notes
-            each chunk's size and the bounds of its codes."""
+            """Stands in for a generator: every gap 1 (each exponential
+            tiny), every code 0; notes each chunk's size and the bounds of
+            its codes."""
 
             def __init__(self):
                 self.chunks, self.bounds = [], set()
 
-            def geometric(self, p, size):
+            def standard_exponential(self, size):
                 self.chunks.append(size)
-                return np.ones(size, dtype=np.int64)
+                return np.full(size, 1e-300)
 
             def integers(self, low, high, size):
                 self.bounds.add((low, high))
@@ -276,6 +279,14 @@ class TestSampling:
         # gaps this long saturate at the int64 maximum
         accs = scatter(one_hot, np.random.default_rng(2), 1000, 1e-300)
         assert not any(acc.any() for acc in accs)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+    def test_invalid_rate_rejected(self, table, p):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="is not a probability"):
+            table.sample_words(rng, 1000, p)
+        assert rng.bit_generator.state == state
 
     def test_size_zero_empty(self, table):
         rng = np.random.default_rng(1)
@@ -307,14 +318,20 @@ class TestSampling:
 
 
 class _GapRecorder:
-    """Passes a generator's draws through and keeps each chunk's gaps."""
+    """Passes a generator's draws through and keeps each chunk's gaps at
+    rate p: ``geometric``'s, or those a copy of the generator draws by
+    ``geometric`` where its ``standard_exponential`` is asked."""
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.gaps = rng, []
+    def __init__(self, rng: np.random.Generator, p: float):
+        self.rng, self.p, self.gaps = rng, p, []
 
     def geometric(self, p, size):
         self.gaps.append(self.rng.geometric(p, size))
         return self.gaps[-1]
+
+    def standard_exponential(self, size):
+        self.gaps.append(copy.deepcopy(self.rng).geometric(self.p, size))
+        return self.rng.standard_exponential(size)
 
     def integers(self, low, high, size):
         return self.rng.integers(low, high, size=size)
@@ -364,6 +381,40 @@ SAMPLED_TABLES = {
 }
 
 
+class TestGeometricGaps:
+    """``geometric_gaps`` against ``Generator.geometric``: the same gaps
+    one for one, and the generator left in the same state, so a numpy
+    whose draws part fails here instead of moving the stream."""
+
+    @pytest.mark.parametrize("size", [1, _MAX_CHUNK])
+    @pytest.mark.parametrize("seed", [0, 1, 4242])
+    @pytest.mark.parametrize("p", [1e-300, 5e-324, 1e-9, 1e-3, 0.05, 0.3,
+                                   float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5, 1.0])
+    def test_equals_generator_geometric(self, p, seed, size):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for cap in (1 << 62, 100):
+            got = geometric_gaps(got_rng, p, size, cap)
+            want = np.minimum(want_rng.geometric(p, size), cap)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_divides_as_numpy_does(self):
+        """numpy's gap is ceil(-E / log1p(-p)), a divide: at exponentials
+        next to a multiple of the rate, a product with the reciprocal would
+        round some gaps one lower."""
+        p = 0.01
+        rate = -math.log1p(-p)
+        es = [float(e) for k in range(1, 200) for e in (k * rate, np.nextafter(k * rate, 1))]
+
+        class Fixed:
+            def standard_exponential(self, size):
+                return np.array(es[:size])
+
+        want = [math.ceil(-e / math.log1p(-p)) for e in es]
+        assert geometric_gaps(Fixed(), p, len(es), 1 << 62).tolist() == want
+        assert want != [math.ceil(e * (1 / rate)) for e in es]
+
+
 class TestSamplerMatchesReference:
     """``sample_words``, unpacked and scattered, against the dense ``ufunc.at``
     scatter of ``sample_ref``: the same accumulators bit for bit, and the
@@ -386,7 +437,7 @@ class TestSamplerMatchesReference:
                     np.random.default_rng(seed) for _ in range(3)]
                 want = sample_ref(table, ref_rng, size, p)
                 got = scatter(table, rngs[0], size, p)
-                recorder = _GapRecorder(rngs[1])
+                recorder = _GapRecorder(rngs[1], p)
                 trials, words = table.sample_words(recorder, size, p)
                 cols = table.unpack(words)
                 hit = np.flatnonzero(np.bitwise_or.reduce(
